@@ -27,6 +27,7 @@ __all__ = [
     "KalmanState",
     "Trajectory",
     "random_stable_model",
+    "covariance_root",
     "simulate",
     "kalman_predict",
     "kalman_update",
@@ -170,16 +171,24 @@ def random_stable_model(rng, n=2, m=1, p=0, max_radius=0.95) -> LGSSModel:
     return LGSSModel(A=A, B=B, C=C, Q=Q, R=R, mu0=mu0, P0=P0)
 
 
+def covariance_root(cov):
+    """A square root L with L Lᵀ = cov (eigen-based, so PSD is enough).
+
+    Returns None for an all-zero (or empty) covariance, from which
+    sampling draws nothing.
+    """
+    if not cov.any():
+        return None
+    eigval, eigvec = np.linalg.eigh(cov)
+    return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+
+
 def _sample_gaussian(rng, cov, size):
     """Draw size samples of N(0, cov) without requiring PD (PSD is enough)."""
-    n = cov.shape[0]
-    if n == 0:
-        return np.zeros((size, 0))
-    if not cov.any():
-        return np.zeros((size, n))
-    eigval, eigvec = np.linalg.eigh(cov)
-    root = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    return rng.standard_normal((size, n)) @ root.T
+    root = covariance_root(cov)
+    if root is None:
+        return np.zeros((size, cov.shape[0]))
+    return rng.standard_normal((size, cov.shape[0])) @ root.T
 
 
 def simulate(model: LGSSModel, controls, T: int, rng) -> Trajectory:
@@ -236,7 +245,11 @@ def kalman_update(prior: KalmanState, y, model: LGSSModel) -> KalmanState:
 
 def predictive_density(state: KalmanState, model: LGSSModel, u=None) -> GaussianDistribution:
     """Exact one-step predictive p(y_{t+1} | data up to t, u_t)."""
-    prior = kalman_predict(state, model, u)
+    return _prior_predictive(kalman_predict(state, model, u), model)
+
+
+def _prior_predictive(prior: KalmanState, model: LGSSModel) -> GaussianDistribution:
+    """Observation density p(y) = N(C m, C P Cᵀ + R) under the prior N(m, P)."""
     mean = model.C @ prior.mean
     cov = model.C @ prior.cov @ model.C.T + model.R
     return GaussianDistribution(mean, cov)
@@ -267,11 +280,10 @@ def run_filter(model: LGSSModel, trajectory: Trajectory):
     posteriors, predictives = [], []
     loglik = 0.0
     for t in range(trajectory.T):
-        u_t = trajectory.u[t]
-        pred = predictive_density(state, model, u_t)
+        prior = kalman_predict(state, model, trajectory.u[t])
+        pred = _prior_predictive(prior, model)
         loglik += pred.logpdf(trajectory.y[t])
         predictives.append(pred)
-        prior = kalman_predict(state, model, u_t)
         state = kalman_update(prior, trajectory.y[t], model)
         posteriors.append(state)
     return posteriors, predictives, loglik

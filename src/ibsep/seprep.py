@@ -348,25 +348,59 @@ class TrainedFilter:
 
 
 def lgss_source(model: lgss.LGSSModel, T: int):
-    """Trajectory source drawing from a linear-Gaussian state-space model."""
+    """Trajectory source drawing from a linear-Gaussian state-space model.
+
+    A draw of ``batch`` trajectories (zero controls) is bit-identical to
+    ``batch`` successive ``lgss.simulate`` calls on the same rng: each row
+    of one standard-normal block holds one trajectory's x_0, w and v draws
+    in that order, and a noise term with an all-zero covariance draws
+    nothing.
+    """
+    roots = [lgss.covariance_root(cov) for cov in (model.P0, model.Q, model.R)]
+    shapes = [(1, model.n), (T, model.n), (T, model.m)]  # x_0, w, v
+    widths = [0 if root is None else rows * cols
+              for root, (rows, cols) in zip(roots, shapes)]
+    splits = np.cumsum(widths)[:-1]
 
     def draw(batch, rng):
+        blocks = np.split(rng.standard_normal((batch, sum(widths))), splits, axis=1)
+        x0, w, v = (
+            np.zeros((batch, *shape)) if root is None
+            else block.reshape(batch, *shape) @ root.T
+            for block, root, shape in zip(blocks, roots, shapes)
+        )
+        x = model.mu0 + x0[:, 0]
         ys = np.empty((batch, T, model.m))
-        us = np.empty((batch, T, model.p))
-        for b in range(batch):
-            traj = lgss.simulate(model, None, T, rng)
-            ys[b] = traj.y
-            us[b] = traj.u
-        return ys, us
+        for t in range(T):
+            x = (model.A @ x[..., None])[..., 0] + w[:, t]
+            ys[:, t] = (model.C @ x[..., None])[..., 0] + v[:, t]
+        return ys, np.zeros((batch, T, model.p))
 
     return draw
 
 
+def _time_major(a):
+    """(B, T', ...) -> (T'·B, ...) with row t·B + b holding a[b, t]."""
+    a = np.swapaxes(a, 0, 1)
+    return a.reshape(a.shape[0] * a.shape[1], *a.shape[2:])
+
+
 def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws):
-    """Recurrent training graph over a batch; returns (total, ce, info) nodes."""
+    """Recurrent training graph over a batch; returns (total, ce, info) nodes.
+
+    Only the update φ_t → φ_{t+1} (detached every ``config.tbptt`` steps)
+    runs step by step. The statistics φ_0..φ_{T-1} are then stacked
+    time-major into (T·B, 2d) rows, row t·B + b holding trajectory b at
+    step t, and the KL and the decoders are evaluated once over them:
+    head k reads the first (T-k)·B rows (the steps t <= T-1-k) repeated
+    once per Monte-Carlo sample, so its input is (S·(T-k)·B, ·) with rows
+    ordered (sample, t, b). ``eps_draws[i]`` is the (B, d) draw for the
+    i-th (t, k, sample) triple in lexicographic order.
+    """
     B, T = ys.shape[0], ys.shape[1]
     d = model.rep_dim
     n = config.horizon
+    S = config.mc_samples
     upd_nodes = {k.split(".", 1)[1]: v for k, v in param_nodes.items()
                  if k.startswith("upd.")}
     head_nodes = [
@@ -375,48 +409,49 @@ def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws):
         for i in range(len(model.heads))
     ]
     phi = nn.constant(np.zeros((B, 2 * d))) + param_nodes["phi0"]
-    ce_terms = []
-    info_terms = []
-    draw_at = 0
+    phis = []
     for t in range(T):
-        mu = phi[:, :d]
-        log_std = nn.clip_n(phi[:, d:], LOG_STD_MIN, LOG_STD_MAX)
-        sigma = log_std.exp()
-        var = (log_std * 2.0).exp()
-        kl = (0.5 * (mu * mu + var - 1.0) - log_std).sum() * (1.0 / B)
-        info_terms.append(kl)
-        for k in range(min(n, T - 1 - t) + 1):
-            for _ in range(config.mc_samples):
-                x = mu + sigma * nn.constant(eps_draws[draw_at])
-                draw_at += 1
-                if model.ctrl_dim:
-                    flat_u = us[:, t : t + k + 1].reshape(B, -1)
-                    x = nn.concat([x, nn.constant(flat_u)])
-                out = nn.forward(model.heads[k], x, param_nodes=head_nodes[k])
-                z = ys[:, t + k]
-                if model.output == "gaussian":
-                    mean = out[:, : model.target_dim]
-                    dls = nn.clip_n(out[:, model.target_dim :], LOG_STD_MIN, LOG_STD_MAX)
-                    resid = (nn.constant(z) - mean) * (-dls).exp()
-                    nll = (0.5 * resid.square() + dls + 0.5 * LOG2PI).sum() * (1.0 / B)
-                else:
-                    logp = nn.log_softmax_n(out)
-                    nll = -nn.gather_logprob(logp, z.astype(int)).sum() * (1.0 / B)
-                ce_terms.append(nll)
+        phis.append(phi)
         obs = ys[:, t].reshape(B, -1).astype(float)
         upd_in = nn.concat([phi, nn.constant(obs), nn.constant(us[:, t])]) \
             if model.ctrl_dim else nn.concat([phi, nn.constant(obs)])
         phi = nn.forward(model.update, upd_in, param_nodes=upd_nodes)
         if (t + 1) % config.tbptt == 0:
             phi = nn.detach(phi)
-    ce = ce_terms[0]
-    for term in ce_terms[1:]:
-        ce = ce + term
-    ce = ce * (1.0 / (T * config.mc_samples))
-    kl_sum = info_terms[0]
-    for term in info_terms[1:]:
-        kl_sum = kl_sum + term
-    kl_sum = kl_sum * (1.0 / T)
+    stacked = nn.concat(phis, axis=0)
+    mu = stacked[:, :d]
+    log_std = nn.clip_n(stacked[:, d:], LOG_STD_MIN, LOG_STD_MAX)
+    sigma = log_std.exp()
+    var = (log_std * 2.0).exp()
+    kl_sum = (0.5 * (mu * mu + var - 1.0) - log_std).sum() * (1.0 / (B * T))
+
+    per_step = S * (np.minimum(n, T - 1 - np.arange(T)) + 1)
+    first_draw = np.concatenate([[0], np.cumsum(per_step)[:-1]])
+    ce = None
+    for k in range(n + 1):
+        rows = (T - k) * B
+        draws = (first_draw[None, : T - k] + k * S
+                 + np.arange(S)[:, None])  # (S, T-k)
+        eps = eps_draws[draws].reshape(S * rows, d)
+        x = (nn.concat([mu[:rows]] * S, axis=0)
+             + nn.concat([sigma[:rows]] * S, axis=0) * nn.constant(eps))
+        if model.ctrl_dim:
+            window = np.concatenate([us[:, j : T - k + j] for j in range(k + 1)],
+                                    axis=-1)  # (B, T-k, (k+1)·ctrl_dim)
+            x = nn.concat([x, nn.constant(np.tile(_time_major(window), (S, 1)))])
+        out = nn.forward(model.heads[k], x, param_nodes=head_nodes[k])
+        z = _time_major(ys[:, k:])
+        if model.output == "gaussian":
+            z = np.tile(z.reshape(rows, -1), (S, 1))
+            mean = out[:, : model.target_dim]
+            dls = nn.clip_n(out[:, model.target_dim :], LOG_STD_MIN, LOG_STD_MAX)
+            resid = (nn.constant(z) - mean) * (-dls).exp()
+            nll = (0.5 * resid.square() + dls + 0.5 * LOG2PI).sum()
+        else:
+            labels = np.tile(z.reshape(rows).astype(int), S)
+            nll = -nn.gather_logprob(nn.log_softmax_n(out), labels).sum()
+        ce = nll if ce is None else ce + nll
+    ce = ce * (1.0 / (B * T * S))
     total = ce + config.beta * kl_sum
     return total, ce, kl_sum
 

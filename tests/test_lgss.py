@@ -209,6 +209,24 @@ def test_riccati_matches_long_filter_covariance():
     assert np.max(np.abs(posteriors[-1].cov - P_star)) < 1e-8
 
 
+def test_run_filter_predictives_are_the_one_step_densities():
+    # each predictive is exactly predictive_density at the previous
+    # posterior, controls included, and loglik is their running sum
+    rng = np.random.default_rng(13)
+    model = lgss.random_stable_model(rng, n=3, m=2, p=2)
+    traj = lgss.simulate(model, rng.normal(size=(12, 2)), 12, rng)
+    posteriors, predictives, loglik = lgss.run_filter(model, traj)
+    state = model.initial_state()
+    expect_ll = 0.0
+    for t, pred in enumerate(predictives):
+        expect = lgss.predictive_density(state, model, traj.u[t])
+        assert np.array_equal(pred.mean, expect.mean)
+        assert np.array_equal(pred.cov, expect.cov)
+        expect_ll += expect.logpdf(traj.y[t])
+        state = posteriors[t]
+    assert loglik == expect_ll
+
+
 # ---------------------------------------------------------------------------
 # batch joint-Gaussian oracle
 # ---------------------------------------------------------------------------

@@ -254,6 +254,125 @@ def test_multi_step_targets_enter_the_loss():
     assert ce1 > ce0
 
 
+def _n_draws(T, horizon, mc_samples):
+    return mc_samples * sum(min(horizon, T - 1 - t) + 1 for t in range(T))
+
+
+def _graph_case(output, horizon, ctrl_dim, mc_samples):
+    """A small filter, a batch and a config for the training graph."""
+    T, B = 7, 3
+    rng = np.random.default_rng(0)
+    kw = {"target_dim": 3} if output == "categorical" else {}
+    model = seprep.init_sep_filter(3, 1, ctrl_dim=ctrl_dim, horizon=horizon,
+                                   output=output, update_hidden=(5,),
+                                   decoder_hidden=(5,), rng=rng, **kw)
+    params = model.params()
+    params["phi0"] = rng.normal(0.0, 0.5, size=params["phi0"].shape)
+    model = model.with_params(params)
+    if output == "categorical":
+        ys = rng.integers(0, 3, size=(B, T)).astype(float)
+    else:
+        ys = rng.standard_normal((B, T, 1))
+    us = rng.standard_normal((B, T, ctrl_dim))
+    # tbptt=3 does not divide T=7: the last window is a partial one
+    cfg = seprep.DynIBConfig(beta=0.7, traj_len=T, steps=1, batch=B, seed=0,
+                             horizon=horizon, tbptt=3, rep_dim=3,
+                             mc_samples=mc_samples)
+    return model, ys, us, cfg
+
+
+@pytest.mark.parametrize(
+    "output,horizon,ctrl_dim,mc_samples",
+    [("gaussian", h, c, s) for h in (0, 2) for c in (0, 1) for s in (1, 3)]
+    + [("categorical", 1, 0, 2)],
+)
+def test_graph_objective_matches_array_reference(output, horizon, ctrl_dim,
+                                                 mc_samples):
+    # with every posterior draw at zero the graph and the per-step array
+    # reference evaluate the same objective, term for term
+    model, ys, us, cfg = _graph_case(output, horizon, ctrl_dim, mc_samples)
+    B, T = ys.shape[0], ys.shape[1]
+    eps = np.zeros((_n_draws(T, horizon, mc_samples), B, cfg.rep_dim))
+    nodes = {k: nn.parameter(v, name=k) for k, v in model.params().items()}
+    total, ce, kl = seprep._sep_loss_graph(model, nodes, ys, us, cfg, eps)
+    ref = seprep.dyn_ibl_loss(model, (ys, us if ctrl_dim else None), cfg,
+                              rng=None)
+    assert abs(float(total.value) - ref["total"]) < 1e-12
+    assert abs(float(ce.value) - ref["ce_term"]) < 1e-12
+    assert abs(float(kl.value) - ref["info_term"]) < 1e-12
+
+
+def test_graph_uses_each_draw_at_its_step_offset_and_sample():
+    # eps_draws[i] is the i-th (t, k, sample) triple in lexicographic order;
+    # the reference walks that order one trajectory at a time
+    model, ys, us, cfg = _graph_case("gaussian", 2, 1, 3)
+    B, T = ys.shape[0], ys.shape[1]
+    eps = np.random.default_rng(5).standard_normal(
+        (_n_draws(T, 2, 3), B, cfg.rep_dim))
+    nodes = {k: nn.parameter(v, name=k) for k, v in model.params().items()}
+    _, ce, _ = seprep._sep_loss_graph(model, nodes, ys, us, cfg, eps)
+    nll = 0.0
+    for b in range(B):
+        phi, draw = model.initial_phi(), 0
+        for t in range(T):
+            mu, sigma = model.posterior_params(phi)
+            for k in range(min(2, T - 1 - t) + 1):
+                for _ in range(3):
+                    x = np.concatenate([mu + sigma * eps[draw, b],
+                                        us[b, t : t + k + 1].ravel()])
+                    draw += 1
+                    mean, log_std = nn.forward(model.heads[k], x).value
+                    log_std = np.clip(log_std, seprep.LOG_STD_MIN,
+                                      seprep.LOG_STD_MAX)
+                    nll += (0.5 * ((ys[b, t + k, 0] - mean) / math.exp(log_std)) ** 2
+                            + log_std + 0.5 * seprep.LOG2PI)
+            phi = model.step(phi, ys[b, t], us[b, t], t)
+    assert abs(float(ce.value) - nll / (B * T * 3)) < 1e-12
+
+
+def test_graph_gradients_match_finite_differences():
+    # gradients through the recurrence (tbptt >= T, so nothing truncates),
+    # the stacked KL and two decoder heads with controls, phi0 included
+    rng = np.random.default_rng(21)
+    T, B = 5, 2
+    model = seprep.init_sep_filter(2, 1, ctrl_dim=1, horizon=1,
+                                   update_hidden=(3,), decoder_hidden=(3,),
+                                   rng=rng)
+    params = model.params()
+    for name in params:
+        # jittered biases and phi0 keep every ReLU off its kink
+        if name == "phi0" or ".b" in name:
+            params[name] = rng.normal(0.0, 0.3, size=params[name].shape)
+    ys = rng.standard_normal((B, T, 1))
+    us = rng.standard_normal((B, T, 1))
+    cfg = seprep.DynIBConfig(beta=0.5, traj_len=T, steps=1, batch=B, seed=0,
+                             horizon=1, tbptt=T, rep_dim=2, mc_samples=2)
+    eps = rng.standard_normal((_n_draws(T, 1, 2), B, 2))
+
+    def loss(p):
+        nodes = {k: nn.parameter(v, name=k) for k, v in p.items()}
+        return seprep._sep_loss_graph(model.with_params(p), nodes, ys, us,
+                                      cfg, eps)[0]
+
+    grads = nn.backward(loss(params))
+    assert set(grads) == set(params)
+    step = 1e-4
+    for name, value in params.items():
+        fd = np.zeros_like(value)
+        flat, gflat = value.reshape(-1), fd.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = float(loss(params).value)
+            flat[i] = orig - step
+            lo = float(loss(params).value)
+            flat[i] = orig
+            gflat[i] = (hi - lo) / (2 * step)
+        denom = max(1e-8, float(np.max(np.abs(grads[name]))),
+                    float(np.max(np.abs(fd))))
+        assert float(np.max(np.abs(grads[name] - fd))) / denom < 1e-5, name
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -296,6 +415,44 @@ def test_lgss_source_shapes():
     ys, us = src(4, np.random.default_rng(0))
     assert ys.shape == (4, 15, 1)
     assert us.shape == (4, 15, 0)
+
+
+@pytest.mark.parametrize("which", ["scalar", "random", "noiseless", "controlled"])
+def test_lgss_source_matches_per_trajectory_simulation(which):
+    if which == "scalar":
+        model = scalar_lgss()
+    elif which == "random":
+        model = lgss.random_stable_model(np.random.default_rng(4), n=3, m=2)
+    elif which == "noiseless":  # Q = 0: the process noise draws nothing
+        model = lgss.LGSSModel(A=[[0.8, 0.1], [0.0, 0.7]], B=np.zeros((2, 0)),
+                               C=[[1.0, 0.5]], Q=np.zeros((2, 2)), R=[[0.2]],
+                               mu0=[0.3, -0.1], P0=np.eye(2))
+    else:  # p > 0 with zero controls
+        model = lgss.random_stable_model(np.random.default_rng(5), n=2, m=1, p=2)
+    T, batch = 9, 5
+    src = seprep.lgss_source(model, T)
+    rng_batched = np.random.default_rng(17)
+    rng_loop = np.random.default_rng(17)
+    for _ in range(3):
+        ys, us = src(batch, rng_batched)
+        trajs = [lgss.simulate(model, None, T, rng_loop) for _ in range(batch)]
+        assert np.array_equal(ys, np.stack([tr.y for tr in trajs]))
+        assert np.array_equal(us, np.stack([tr.u for tr in trajs]))
+
+
+def test_training_graph_size_stays_stacked():
+    # battery-shaped step: the per-step loop holds only the recurrence,
+    # the KL and the decoder run once over the stacked statistics
+    T, B = 40, 16
+    model = seprep.init_sep_filter(4, 1, rng=np.random.default_rng(0))
+    cfg = seprep.DynIBConfig(beta=1e-3, traj_len=T, steps=1, batch=B, seed=0)
+    rng = np.random.default_rng(1)
+    ys = rng.standard_normal((B, T, 1))
+    eps = rng.standard_normal((_n_draws(T, 0, 1), B, 4))
+    nodes = {k: nn.parameter(v, name=k) for k, v in model.params().items()}
+    total, _, _ = seprep._sep_loss_graph(model, nodes, ys, np.zeros((B, T, 0)),
+                                         cfg, eps)
+    assert len(nn._toposort(total)) <= 400
 
 
 # ---------------------------------------------------------------------------
