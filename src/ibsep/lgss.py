@@ -213,12 +213,57 @@ def simulate(model: LGSSModel, controls, T: int, rng) -> Trajectory:
     return Trajectory(u=u, x=xs, y=ys)
 
 
+def _finite(values):
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite filter state")
+    return values
+
+
+def _finite_symmetric(cov):
+    """The covariance as KalmanState stores it: checked finite, symmetrised."""
+    cov = _finite(cov)
+    return (cov + cov.T) / 2.0
+
+
+def _predict_cov(cov, model: LGSSModel):
+    return _finite_symmetric(model.A @ cov @ model.A.T + model.Q)
+
+
+def _update_cov(cov, model: LGSSModel):
+    """Gain P Cᵀ S⁻¹ and Joseph-form posterior covariance for prior cov P."""
+    C = model.C
+    S = C @ cov @ C.T + model.R
+    try:
+        chol = cho_factor((S + S.T) / 2.0, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"innovation covariance singular: {exc}")
+    # the factor of a finite S is finite; an overflow in C P reaches the
+    # posterior covariance, whose check raises
+    gain = cho_solve(chol, C @ cov, check_finite=False).T
+    U = np.eye(model.n) - gain @ C
+    return gain, _finite_symmetric(U @ cov @ U.T + gain @ model.R @ gain.T)
+
+
+def _predict(mean, cov, model: LGSSModel, u):
+    """Time update on plain arrays: the (mean, cov) of the prior over x_{t+1}."""
+    return _finite(model.A @ mean + model.B @ u), _predict_cov(cov, model)
+
+
+def _update(mean, cov, y, model: LGSSModel):
+    """Measurement update on plain arrays: the posterior (mean, cov)."""
+    gain, post_cov = _update_cov(cov, model)
+    return _finite(mean + gain @ (y - model.C @ mean)), post_cov
+
+
+def _riccati_map(cov, model: LGSSModel):
+    """Posterior covariance one step later: update(predict(cov)), data-free."""
+    return _update_cov(_predict_cov(cov, model), model)[1]
+
+
 def kalman_predict(state: KalmanState, model: LGSSModel, u=None) -> KalmanState:
     """Time update: the prior over x_{t+1} given data up to t."""
     u = np.zeros(model.p) if u is None else np.asarray(u, dtype=float).reshape(model.p)
-    mean = model.A @ state.mean + model.B @ u
-    cov = model.A @ state.cov @ model.A.T + model.Q
-    return KalmanState(state.t + 1, mean, cov)
+    return KalmanState(state.t + 1, *_predict(state.mean, state.cov, model, u))
 
 
 def kalman_update(prior: KalmanState, y, model: LGSSModel) -> KalmanState:
@@ -228,31 +273,18 @@ def kalman_update(prior: KalmanState, y, model: LGSSModel) -> KalmanState:
     covariance S = C P Cᵀ + R; a singular S raises.
     """
     y = np.asarray(y, dtype=float).reshape(model.m)
-    P = prior.cov
-    C = model.C
-    S = C @ P @ C.T + model.R
-    try:
-        chol = cho_factor((S + S.T) / 2.0, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own
-        raise np.linalg.LinAlgError(f"innovation covariance singular: {exc}")
-    K = cho_solve(chol, C @ P).T  # P Cᵀ S⁻¹
-    innovation = y - C @ prior.mean
-    mean = prior.mean + K @ innovation
-    U = np.eye(model.n) - K @ C
-    cov = U @ P @ U.T + K @ model.R @ K.T
-    return KalmanState(prior.t, mean, cov)
+    return KalmanState(prior.t, *_update(prior.mean, prior.cov, y, model))
 
 
 def predictive_density(state: KalmanState, model: LGSSModel, u=None) -> GaussianDistribution:
     """Exact one-step predictive p(y_{t+1} | data up to t, u_t)."""
-    return _prior_predictive(kalman_predict(state, model, u), model)
+    prior = kalman_predict(state, model, u)
+    return _prior_predictive(prior.mean, prior.cov, model)
 
 
-def _prior_predictive(prior: KalmanState, model: LGSSModel) -> GaussianDistribution:
+def _prior_predictive(mean, cov, model: LGSSModel) -> GaussianDistribution:
     """Observation density p(y) = N(C m, C P Cᵀ + R) under the prior N(m, P)."""
-    mean = model.C @ prior.mean
-    cov = model.C @ prior.cov @ model.C.T + model.R
-    return GaussianDistribution(mean, cov)
+    return GaussianDistribution(model.C @ mean, model.C @ cov @ model.C.T + model.R)
 
 
 def riccati_iterate(model: LGSSModel, P_init, n_iters: int) -> np.ndarray:
@@ -260,12 +292,39 @@ def riccati_iterate(model: LGSSModel, P_init, n_iters: int) -> np.ndarray:
 
     The iteration is independent of data; its fixed point is the
     steady-state posterior covariance of the filter.
+
+    The map depends on P alone and is deterministic, so once an iterate
+    repeats bit for bit the rest of the sequence is periodic: P_k equal
+    to P_{k-λ} gives P_j = P_{j+λ} for every j >= k-λ. Brent's cycle
+    detection (Brent 1980) finds such a repeat while keeping only two
+    iterates, compared byte for byte; the n-th iterate is then the one
+    (n - k) mod λ maps past P_{k-λ}, the very array the plain loop would
+    return. That costs at most n + λ - 1 < 2n map evaluations, and a
+    sequence that does not repeat within n steps is simply the plain loop.
+    ``n_iters`` <= 0 returns the input unchanged.
     """
     P = np.atleast_2d(np.asarray(P_init, dtype=float))
-    for _ in range(int(n_iters)):
-        state = KalmanState(0, np.zeros(model.n), P)
-        prior = kalman_predict(state, model)
-        P = kalman_update(prior, np.zeros(model.m), model).cov
+    n_iters = int(n_iters)
+    if n_iters <= 0:
+        return P
+    # tortoise is P_{k-lam} (reset at powers of two), P is the hare P_k
+    tortoise = _finite_symmetric(P)
+    tortoise_bytes = tortoise.tobytes()
+    P = _riccati_map(tortoise, model)
+    k, lam, power = 1, 1, 1
+    while k < n_iters:
+        P_bytes = P.tobytes()
+        if P_bytes == tortoise_bytes:
+            for _ in range((n_iters - k) % lam):
+                tortoise = _riccati_map(tortoise, model)
+            return tortoise
+        if lam == power:
+            tortoise, tortoise_bytes = P, P_bytes
+            power *= 2
+            lam = 0
+        P = _riccati_map(P, model)
+        k += 1
+        lam += 1
     return P
 
 
@@ -277,15 +336,17 @@ def run_filter(model: LGSSModel, trajectory: Trajectory):
     predictive log-likelihood sum_t log p(y_t | y^{t-1}).
     """
     state = model.initial_state()
+    mean, cov = state.mean, state.cov
+    u = trajectory.u.reshape(trajectory.T, model.p)
     posteriors, predictives = [], []
     loglik = 0.0
     for t in range(trajectory.T):
-        prior = kalman_predict(state, model, trajectory.u[t])
-        pred = _prior_predictive(prior, model)
+        mean, cov = _predict(mean, cov, model, u[t])
+        pred = _prior_predictive(mean, cov, model)
         loglik += pred.logpdf(trajectory.y[t])
         predictives.append(pred)
-        state = kalman_update(prior, trajectory.y[t], model)
-        posteriors.append(state)
+        mean, cov = _update(mean, cov, trajectory.y[t].reshape(model.m), model)
+        posteriors.append(KalmanState(t + 1, mean, cov))
     return posteriors, predictives, loglik
 
 

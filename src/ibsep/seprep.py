@@ -595,9 +595,7 @@ def evaluate_vs_kalman(model, lgss_model: lgss.LGSSModel, T: int, num_traj: int,
             kal = predictives[t]
             nll_kalman = float(-kal.logpdf(y_next))
             kl = info.kl_gaussian(
-                info.GaussianDistribution(kal.mean, kal.cov),
-                info.GaussianDistribution(params["mean"], params["cov"]),
-            )
+                kal, info.GaussianDistribution(params["mean"], params["cov"]))
             records.append({
                 "traj_id": traj_id,
                 "t": t,

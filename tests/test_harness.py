@@ -1,6 +1,8 @@
 """Tests for experiment orchestration, config files, and the sepctl CLI."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -193,6 +195,28 @@ def test_cli_set_values_are_json_parsed(tmp_path):
     assert code == 0
     summary = json.loads((tmp_path / "info" / "summary.json").read_text())
     assert summary["overrides"] == {"instances": 12}
+
+
+def test_module_entry_point_runs_the_cli(tmp_path, subprocess_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ibsep.harness", "info", "--seed", "7",
+         "--out", str(tmp_path), "--set", "instances=10"],
+        env=subprocess_env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "checks pass" in proc.stdout
+    assert (tmp_path / "info" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("overrides, statuses", [
+    ({"models": 0}, ["fail", "fail"]),
+    ({"models": 2, "riccati_models": 0}, ["pass", "fail"]),
+    ({"models": 2, "riccati_models": -1}, ["pass", "fail"]),
+])
+def test_kalman_gates_fail_when_no_model_was_compared(overrides, statuses):
+    records = harness.run_kalman(3, overrides)
+    assert [r.key for r in records] == ["filter_vs_batch_max_dev",
+                                        "riccati_vs_filter_max_dev"]
+    assert [r.status for r in records] == statuses
 
 
 def test_cli_rejects_malformed_set(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ibsep import lgss
+from ibsep import harness, lgss
 from ibsep.info import GaussianDistribution
 
 
@@ -115,7 +115,7 @@ def test_update_never_inflates_covariance():
         assert gap_eigs.min() > -1e-10
 
 
-def test_update_singular_innovation_errors():
+def _singular_innovation_model():
     # R = 0 and P = 0 make the innovation covariance exactly singular; the
     # model validator forbids R = 0, so build the instance unvalidated
     bad_model = lgss.LGSSModel.__new__(lgss.LGSSModel)
@@ -126,9 +126,19 @@ def test_update_singular_innovation_errors():
     object.__setattr__(bad_model, "R", np.zeros((1, 1)))
     object.__setattr__(bad_model, "mu0", np.zeros(1))
     object.__setattr__(bad_model, "P0", np.zeros((1, 1)))
+    return bad_model
+
+
+def test_update_singular_innovation_errors():
+    bad_model = _singular_innovation_model()
     prior = lgss.KalmanState(0, np.zeros(1), np.zeros((1, 1)))
     with pytest.raises(np.linalg.LinAlgError):
         lgss.kalman_update(prior, [0.0], bad_model)
+    with pytest.raises(np.linalg.LinAlgError):
+        lgss.riccati_iterate(bad_model, np.zeros((1, 1)), 3)
+    traj = lgss.Trajectory(u=np.zeros((2, 0)), x=np.zeros((2, 1)), y=np.zeros((2, 1)))
+    with pytest.raises(np.linalg.LinAlgError):
+        lgss.run_filter(bad_model, traj)
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +219,128 @@ def test_riccati_matches_long_filter_covariance():
     assert np.max(np.abs(posteriors[-1].cov - P_star)) < 1e-8
 
 
+def _riccati_reference(model, P_init, cap=2000):
+    """Plain-loop iterates P_0..P_{mu+lam} over the public predict/update.
+
+    Stops at the first bitwise repeat P_{mu+lam} == P_mu and returns
+    (iterates, mu, lam); P_0 is P_init as KalmanState symmetrises it.
+    """
+    state = lgss.KalmanState(0, np.zeros(model.n), P_init)
+    iterates = [state.cov]
+    first_seen = {state.cov.tobytes(): 0}
+    for k in range(1, cap + 1):
+        state = lgss.KalmanState(0, np.zeros(model.n), state.cov)
+        prior = lgss.kalman_predict(state, model)
+        state = lgss.kalman_update(prior, np.zeros(model.m), model)
+        iterates.append(state.cov)
+        key = state.cov.tobytes()
+        if key in first_seen:
+            return iterates, first_seen[key], k - first_seen[key]
+        first_seen[key] = k
+    raise AssertionError(f"no exact repeat within {cap} iterations")
+
+
+def _riccati_case(rng):
+    n = int(rng.integers(1, 6))
+    m = int(rng.integers(1, 4))
+    model = lgss.random_stable_model(rng, n=n, m=m)
+    P_init = _psd(rng, n)
+    P_init[0, -1] += 1e-13  # not quite symmetric: the first step symmetrises
+    return model, P_init
+
+
+def test_riccati_iterate_equals_the_plain_loop_bitwise():
+    rng = np.random.default_rng(18)
+    periods = []
+    for _ in range(60):
+        model, P_init = _riccati_case(rng)
+        iterates, mu, lam = _riccati_reference(model, P_init)
+        periods.append(lam)
+        # zero iterations hand the input back untouched, unsymmetrised
+        assert np.array_equal(lgss.riccati_iterate(model, P_init, 0), P_init)
+        for n_iters in (1, 2, mu - 1, mu, mu + lam, 5000):
+            if n_iters < 1:
+                continue
+            # past the first repeat the plain loop cycles with period lam
+            k = n_iters if n_iters <= mu + lam else mu + (n_iters - mu) % lam
+            got = lgss.riccati_iterate(model, P_init, n_iters)
+            assert np.array_equal(got, iterates[k]), (n_iters, mu, lam)
+    assert 2 in periods and max(periods) > 2
+
+
+def test_riccati_iterate_matches_a_full_length_plain_loop():
+    # the periodicity the shortcut relies on, checked by running the
+    # plain loop all the way on models with period 1, 2 and > 2
+    rng = np.random.default_rng(18)
+    want = {1, 2, 3}
+    while want:
+        model, P_init = _riccati_case(rng)
+        _, _, lam = _riccati_reference(model, P_init)
+        if min(lam, 3) not in want:
+            continue
+        want.discard(min(lam, 3))
+        state = lgss.KalmanState(0, np.zeros(model.n), P_init)
+        for _ in range(3001):
+            state = lgss.kalman_update(lgss.kalman_predict(state, model),
+                                       np.zeros(model.m), model)
+        got = lgss.riccati_iterate(model, P_init, 3001)
+        assert np.array_equal(got, state.cov), lam
+
+
+def test_riccati_iterate_rejects_a_non_finite_start():
+    model = lgss.random_stable_model(np.random.default_rng(19), n=2, m=1)
+    P_init = np.eye(2)
+    P_init[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        lgss.riccati_iterate(model, P_init, 5)
+
+
+def test_kalman_battery_riccati_work_stays_short(monkeypatch):
+    # each riccati_iterate(..., 5000) of the battery at root seed 7 stops at
+    # its first exact repeat; the plain loop evaluates all 5,000 maps
+    calls = []
+    riccati_map = lgss._riccati_map
+    riccati_iterate = lgss.riccati_iterate
+
+    def counting_map(cov, model):
+        calls[-1] += 1
+        return riccati_map(cov, model)
+
+    def counting_iterate(model, P_init, n_iters):
+        calls.append(0)
+        return riccati_iterate(model, P_init, n_iters)
+
+    monkeypatch.setattr(lgss, "_riccati_map", counting_map)
+    monkeypatch.setattr(lgss, "riccati_iterate", counting_iterate)
+    records = harness.run_kalman(harness.experiment_seed(7, "kalman"))
+    assert [r.status for r in records] == ["pass", "pass"]
+    assert len(calls) == 5
+    assert all(0 < c <= 400 for c in calls), calls
+
+
 def test_run_filter_predictives_are_the_one_step_densities():
-    # each predictive is exactly predictive_density at the previous
-    # posterior, controls included, and loglik is their running sum
+    # bitwise the per-step loop over the public predict/update: each
+    # posterior is kalman_update(kalman_predict(previous)), each predictive
+    # is predictive_density at the previous posterior, controls included,
+    # and loglik is their running sum
     rng = np.random.default_rng(13)
-    model = lgss.random_stable_model(rng, n=3, m=2, p=2)
-    traj = lgss.simulate(model, rng.normal(size=(12, 2)), 12, rng)
-    posteriors, predictives, loglik = lgss.run_filter(model, traj)
-    state = model.initial_state()
-    expect_ll = 0.0
-    for t, pred in enumerate(predictives):
-        expect = lgss.predictive_density(state, model, traj.u[t])
-        assert np.array_equal(pred.mean, expect.mean)
-        assert np.array_equal(pred.cov, expect.cov)
-        expect_ll += expect.logpdf(traj.y[t])
-        state = posteriors[t]
-    assert loglik == expect_ll
+    for n, m, p in ((3, 2, 2), (1, 1, 0), (4, 3, 1), (5, 1, 0), (2, 3, 2)):
+        model = lgss.random_stable_model(rng, n=n, m=m, p=p)
+        traj = lgss.simulate(model, rng.normal(size=(12, p)), 12, rng)
+        posteriors, predictives, loglik = lgss.run_filter(model, traj)
+        state = model.initial_state()
+        expect_ll = 0.0
+        for t, pred in enumerate(predictives):
+            expect = lgss.predictive_density(state, model, traj.u[t])
+            assert np.array_equal(pred.mean, expect.mean)
+            assert np.array_equal(pred.cov, expect.cov)
+            expect_ll += expect.logpdf(traj.y[t])
+            state = lgss.kalman_update(lgss.kalman_predict(state, model, traj.u[t]),
+                                       traj.y[t], model)
+            assert posteriors[t].t == state.t == t + 1
+            assert np.array_equal(posteriors[t].mean, state.mean)
+            assert np.array_equal(posteriors[t].cov, state.cov)
+        assert loglik == expect_ll
 
 
 # ---------------------------------------------------------------------------
