@@ -6,6 +6,9 @@ conditioning oracle (which never recurses).  Then iterates the Riccati map
 to its fixed point and checks the filter covariance converges to it.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from ibsep import lgss
@@ -33,6 +36,7 @@ print(f"  ||P_filter(1000) - P*||_max = "
 print(f"  steady posterior variance diag: {np.round(np.diag(P_star), 6)}")
 
 print("\ntrajectory CSV round trip")
-lgss.trajectory_to_csv(traj, "/tmp/demo_traj.csv")
-back = lgss.trajectory_from_csv("/tmp/demo_traj.csv")
+csv_path = os.path.join(tempfile.gettempdir(), "demo_traj.csv")
+lgss.trajectory_to_csv(traj, csv_path)
+back = lgss.trajectory_from_csv(csv_path)
 print(f"  y round trips exactly: {np.array_equal(back.y, traj.y)}")

@@ -7,6 +7,9 @@ filter also embeds into the same interface, which pins the evaluation
 harness itself to zero gap.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from ibsep import lgss, seprep
@@ -37,10 +40,11 @@ print(f"  held-out NLL: learned {report['nll_learned']:.4f} vs "
       f"Kalman {report['nll_kalman']:.4f}  (rel gap {rel:.3%})")
 print(f"  mean KL(kalman || learned) = {report['mean_kl']:.4f} nats")
 
-seprep.write_eval_csv(report["records"], "/tmp/demo_filter_eval.csv")
-print("  per-step rows written to /tmp/demo_filter_eval.csv")
+csv_path = os.path.join(tempfile.gettempdir(), "demo_filter_eval.csv")
+seprep.write_eval_csv(report["records"], csv_path)
+print(f"  per-step rows written to {csv_path}")
 
-path = "/tmp/demo_filter.json"
+path = os.path.join(tempfile.gettempdir(), "demo_filter.json")
 seprep.save_filter_json(trained.model, path)
 back = seprep.load_filter_json(path)
 a = back.predict(back.initial_phi(), np.zeros((1, 0)), 1, None)

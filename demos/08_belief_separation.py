@@ -7,6 +7,9 @@ a representation that reproduces the belief recovers the optimal values
 exactly, while one that forgets observations pays a measurable price.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from ibsep import control_sep
@@ -49,7 +52,7 @@ root = control_sep.brute_force_q(ident)[()]
 print(f"  root Q from histories vs b0 @ Q_mdp: max dev = "
       f"{np.max(np.abs(root.q_values - ident.b0 @ qs[0])):.3e}")
 
-path = "/tmp/demo_pomdp.json"
+path = os.path.join(tempfile.gettempdir(), "demo_pomdp.json")
 control_sep.pomdp_to_json(pomdp, path)
 back = control_sep.pomdp_from_json(path)
 print(f"\nJSON round trip exact: "

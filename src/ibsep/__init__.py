@@ -19,7 +19,8 @@ harness
     Experiment batteries, config handling, and the ``sepctl`` CLI.
 """
 
-from . import control_sep, harness, info, lgss, nn, seprep, static_ib
+# harness is not imported here, so `python -m ibsep.harness` loads it once
+from . import control_sep, info, lgss, nn, seprep, static_ib
 
 __all__ = ["info", "nn", "lgss", "static_ib", "seprep", "control_sep", "harness"]
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .info import _read_json_object
+
 __all__ = [
     "FinitePOMDP",
     "HistoryNode",
@@ -444,12 +446,8 @@ def pomdp_to_json(pomdp: FinitePOMDP, path=None) -> str:
 
 
 def pomdp_from_json(source) -> FinitePOMDP:
-    """Load an instance written by :func:`pomdp_to_json` (path or string)."""
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        payload = json.loads(source)
-    else:
-        with open(source) as fh:
-            payload = json.load(fh)
+    """Load an instance written by :func:`pomdp_to_json` (path, text or file)."""
+    payload = _read_json_object(source)
     missing = _POMDP_KEYS - set(payload)
     if missing:
         raise ValueError(f"POMDP file missing keys: {sorted(missing)}")

@@ -267,6 +267,9 @@ def run_info(seed: int, overrides=None) -> list:
 def run_kalman(seed: int, overrides=None) -> list:
     """Filter-vs-oracle agreement on random stable state-space models."""
     opts = _opts("kalman", overrides)
+    riccati_T = int(opts["riccati_T"])
+    if riccati_T < 1:  # the Riccati gate reads the last posterior of a run
+        raise ValueError(f"riccati_T must be at least 1, got {riccati_T}")
     rng = np.random.default_rng(seed)
     clock = _Clock()
 
@@ -294,11 +297,10 @@ def run_kalman(seed: int, overrides=None) -> list:
                       clock)]
 
     riccati_dev = 0.0
-    T = int(opts["riccati_T"])
     riccati_models = models[: max(0, int(opts["riccati_models"]))]
     for model in riccati_models:
-        fixed = lgss.riccati_iterate(model, 2.0 * np.eye(model.n), 5 * T)
-        traj = lgss.simulate(model, None, T, rng)
+        fixed = lgss.riccati_iterate(model, 2.0 * np.eye(model.n), 5 * riccati_T)
+        traj = lgss.simulate(model, None, riccati_T, rng)
         posteriors, _, _ = lgss.run_filter(model, traj)
         riccati_dev = max(riccati_dev,
                           float(np.max(np.abs(posteriors[-1].cov - fixed))))

@@ -18,6 +18,7 @@ Conventions
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +39,7 @@ __all__ = [
     "mi_identity_check",
     "total_correlation_discrete",
     "kl_gaussian",
+    "kl_to_standard_normal",
     "total_correlation_gaussian",
     "compose_channels",
     "joint_from_prior_channel",
@@ -386,6 +388,13 @@ def kl_gaussian(p: GaussianDistribution, q: GaussianDistribution) -> float:
     return float(0.5 * (trace_term + dev @ dev - d + logdet_q - logdet_p))
 
 
+def kl_to_standard_normal(mean, std):
+    """KL(N(mean, diag std²) || N(0, I)) in nats, summed over the last axis."""
+    mean = np.asarray(mean, dtype=float)
+    std = np.asarray(std, dtype=float)
+    return 0.5 * np.sum(mean**2 + std**2 - 1.0 - 2.0 * np.log(std), axis=-1)
+
+
 def total_correlation_gaussian(cov) -> float:
     """Gaussian total correlation ½(Σ_i ln cov_ii − ln det cov), in nats."""
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -433,3 +442,17 @@ def gaussian_bin_masses(means, stds, edges) -> np.ndarray:
     inner = np.diff(cdf, axis=1)
     masses = np.concatenate([left, inner, right], axis=1)
     return np.clip(masses, 0.0, None)
+
+
+def _read_json_object(source) -> dict:
+    """The JSON object in ``source``: a path, JSON text, or an open file."""
+    if hasattr(source, "read"):
+        payload = json.load(source)
+    elif isinstance(source, str) and source.lstrip().startswith("{"):
+        payload = json.loads(source)
+    else:
+        with open(source) as fh:
+            payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    return payload

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .info import GaussianDistribution
+from .info import GaussianDistribution, _read_json_object
 
 __all__ = [
     "LGSSModel",
@@ -433,16 +433,8 @@ def model_to_json(model: LGSSModel, path=None) -> str:
 
 
 def model_from_json(source) -> LGSSModel:
-    """Load a model written by :func:`model_to_json` (path or JSON string)."""
-    if hasattr(source, "read"):
-        payload = json.load(source)
-    else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            payload = json.loads(text)
-        else:
-            with open(text) as fh:
-                payload = json.load(fh)
+    """Load a model written by :func:`model_to_json` (path, text or file)."""
+    payload = _read_json_object(source)
     required = {"n", "m", "p", "A", "B", "C", "Q", "R", "mu0", "P0"}
     missing = required - payload.keys()
     if missing:

@@ -28,7 +28,10 @@ __all__ = [
     "log_softmax_n",
     "gather_logprob",
     "clip_n",
+    "kl_to_standard_normal_n",
     "detach",
+    "parameters",
+    "param_group",
     "MLP",
     "OptimizerState",
     "TrainingDiverged",
@@ -40,14 +43,21 @@ __all__ = [
     "forward",
     "backward",
     "sgd_step",
+    "fit",
     "minibatch_sample",
+    "LOG_STD_MIN",
+    "LOG_STD_MAX",
 ]
 
+# Clamp for the log-std outputs of every diagonal-Gaussian head.
+LOG_STD_MIN = -6.0
+LOG_STD_MAX = 2.0
+# Floor for a zero probability inside a log loss.
 _PROB_FLOOR = 1e-300
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a training loss becomes non-finite; carries the step."""
+    """Raised when a training loss or gradient becomes non-finite; carries the step."""
 
     def __init__(self, step, message=None):
         self.step = step
@@ -189,6 +199,22 @@ def parameter(value, name=None) -> Node:
     return Node(value, op="param", name=name)
 
 
+def parameters(values: dict, prefix: str = "") -> dict:
+    """Named parameter leaves for ``values``, keyed like ``values``.
+
+    Leaf ``key`` is named ``prefix.key`` (plain ``key`` without a prefix),
+    so ``backward`` reports its gradient under that flat name.
+    """
+    dot = f"{prefix}." if prefix else ""
+    return {k: parameter(v, name=dot + k) for k, v in values.items()}
+
+
+def param_group(params: dict, prefix: str) -> dict:
+    """The ``prefix.name`` entries of a flat parameter dict, keyed by ``name``."""
+    return {k.split(".", 1)[1]: v for k, v in params.items()
+            if k.startswith(prefix + ".")}
+
+
 def detach(node: Node) -> Node:
     """Copy of ``node``'s value with no graph history (stops gradients)."""
     return Node(node.value.copy(), op="const")
@@ -267,6 +293,13 @@ def clip_n(x: Node, lo: float, hi: float) -> Node:
     val = x.value
     mask = (val >= lo) & (val <= hi)
     return Node(np.clip(val, lo, hi), (x,), (lambda g: g * mask,), op="clip")
+
+
+def kl_to_standard_normal_n(mu: Node, log_std: Node) -> Node:
+    """Row mean of KL(N(mu, diag exp(2 log_std)) || N(0, I)); rows on axis 0."""
+    var = (log_std * 2.0).exp()
+    total = (0.5 * (mu * mu + var - 1.0) - log_std).sum()
+    return total * (1.0 / mu.value.shape[0])
 
 
 def _toposort(root: Node):
@@ -403,22 +436,15 @@ class MLP:
         return replace(self, weights=weights, biases=biases)
 
 
-def init_mlp(widths, activations, rng, prefix="") -> MLP:
-    """Seeded init: weights uniform in ±sqrt(6/(d_in+d_out)), biases zero.
-
-    ``prefix`` is prepended to parameter names when several networks are
-    trained jointly.
-    """
+def init_mlp(widths, activations, rng) -> MLP:
+    """Seeded init: weights uniform in ±sqrt(6/(d_in+d_out)), biases zero."""
     widths = tuple(int(w) for w in widths)
     weights, biases = [], []
     for d_in, d_out in zip(widths[:-1], widths[1:]):
         bound = math.sqrt(6.0 / (d_in + d_out))
         weights.append(rng.uniform(-bound, bound, size=(d_in, d_out)))
         biases.append(np.zeros(d_out))
-    mlp = MLP(widths, tuple(weights), tuple(biases), tuple(activations))
-    if prefix:
-        object.__setattr__(mlp, "_prefix", prefix)
-    return mlp
+    return MLP(widths, tuple(weights), tuple(biases), tuple(activations))
 
 
 def forward(mlp: MLP, x, param_nodes=None) -> Node:
@@ -439,9 +465,7 @@ def forward(mlp: MLP, x, param_nodes=None) -> Node:
     if single and isinstance(x, Node):
         raise ValueError("node inputs must be batched (2-D)")
     if param_nodes is None:
-        param_nodes = {
-            name: parameter(value, name=name) for name, value in mlp.params().items()
-        }
+        param_nodes = parameters(mlp.params())
     for k, act in enumerate(mlp.activations):
         h = matmul(h, param_nodes[f"W{k}"]) + param_nodes[f"b{k}"]
         if act == "relu":
@@ -510,6 +534,31 @@ def sgd_step(params: dict, grads: dict, state: OptimizerState):
         buffers=new_buffers,
     )
     return new_params, new_state
+
+
+def fit(params: dict, loss_fn, state: OptimizerState, steps: int):
+    """Descend ``loss_fn`` for ``steps`` SGD steps; returns ``(params, curve)``.
+
+    ``loss_fn(params, step)`` builds the step's graph over parameter leaves
+    named like the keys of ``params`` and returns ``(total, record)``: the
+    scalar node to descend and a dict of floats to log. ``curve[step]`` is
+    ``{"step": step, "loss": total, **record}``. Overflow while building
+    and differentiating the graph is not an error in itself; a non-finite
+    loss or gradient raises :class:`TrainingDiverged` with the step.
+    """
+    curve = []
+    for step in range(steps):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            total, record = loss_fn(params, step)
+            if not np.isfinite(total.value):
+                raise TrainingDiverged(step)
+            grads = backward(total)
+        curve.append({"step": step, "loss": float(total.value), **record})
+        try:
+            params, state = sgd_step(params, grads, state)
+        except FloatingPointError as err:
+            raise TrainingDiverged(step) from err
+    return params, curve
 
 
 def minibatch_sample(dataset, b, rng, scheme="uniform"):

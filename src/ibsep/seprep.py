@@ -35,8 +35,6 @@ __all__ = [
     "HMMExactFilter",
     "TrainedFilter",
     "init_sep_filter",
-    "filter_step",
-    "predict_task",
     "predictive_nll",
     "dyn_ibl_loss",
     "train_filter",
@@ -51,10 +49,7 @@ __all__ = [
     "load_filter_json",
 ]
 
-LOG_STD_MIN = -6.0
-LOG_STD_MAX = 2.0
 LOG2PI = math.log(2.0 * math.pi)
-_PROB_FLOOR = 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +110,9 @@ class SepFilterModel:
         return out
 
     def with_params(self, params: dict) -> "SepFilterModel":
-        update = self.update.with_params(
-            {k.split(".", 1)[1]: v for k, v in params.items() if k.startswith("upd.")}
-        )
-        heads = tuple(
-            head.with_params(
-                {k.split(".", 1)[1]: v for k, v in params.items()
-                 if k.startswith(f"dec{i}.")}
-            )
-            for i, head in enumerate(self.heads)
-        )
+        update = self.update.with_params(nn.param_group(params, "upd"))
+        heads = tuple(head.with_params(nn.param_group(params, f"dec{i}"))
+                      for i, head in enumerate(self.heads))
         return SepFilterModel(self.rep_dim, self.obs_dim, self.ctrl_dim,
                               self.horizon, self.output, self.target_dim,
                               update, heads, params["phi0"])
@@ -137,10 +125,15 @@ class SepFilterModel:
     def posterior_params(self, phi):
         phi = np.asarray(phi, dtype=float).reshape(2 * self.rep_dim)
         mu = phi[: self.rep_dim]
-        log_std = np.clip(phi[self.rep_dim :], LOG_STD_MIN, LOG_STD_MAX)
+        log_std = np.clip(phi[self.rep_dim :], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
         return mu, np.exp(log_std)
 
     def step(self, phi, y_next, u=None, t=None):
+        """Advance the statistic one step: φ_{t+1} = g(φ_t, y_{t+1}, u_t).
+
+        Purely functional and deterministic; raises with the time index when
+        the update produces a non-finite state.
+        """
         phi = np.asarray(phi, dtype=float).reshape(2 * self.rep_dim)
         y_next = np.asarray(y_next, dtype=float).reshape(self.obs_dim)
         u = (np.zeros(self.ctrl_dim) if u is None
@@ -152,6 +145,13 @@ class SepFilterModel:
         return out
 
     def predict(self, phi, controls=None, samples=1, rng=None) -> dict:
+        """Monte-Carlo predictive over z_{t+k} from ``samples`` posterior draws.
+
+        ``controls`` stacks u_t..u_{t+k} (its length selects the offset k).
+        With ``rng=None`` the draw collapses to the posterior mean — the
+        degenerate/Dirac evaluation. Gaussian outputs report the mixture
+        components and the moment-matched (mean, cov).
+        """
         mu, sigma = self.posterior_params(phi)
         if controls is None:
             controls = np.zeros((1, self.ctrl_dim))
@@ -176,7 +176,8 @@ class SepFilterModel:
         out = nn.forward(self.heads[k], x).value
         if self.output == "gaussian":
             means = out[:, : self.target_dim]
-            log_stds = np.clip(out[:, self.target_dim :], LOG_STD_MIN, LOG_STD_MAX)
+            log_stds = np.clip(out[:, self.target_dim :], nn.LOG_STD_MIN,
+                               nn.LOG_STD_MAX)
             variances = np.exp(2.0 * log_stds)
             mean = means.mean(axis=0)
             var = (variances + means**2).mean(axis=0) - mean**2
@@ -198,8 +199,7 @@ class SepFilterModel:
 
     def info(self, phi) -> float:
         """Closed-form KL(q(x|φ) || N(0, I)) — the per-step information rate."""
-        mu, sigma = self.posterior_params(phi)
-        return float(0.5 * np.sum(mu**2 + sigma**2 - 1.0 - 2.0 * np.log(sigma)))
+        return float(info.kl_to_standard_normal(*self.posterior_params(phi)))
 
 
 def init_sep_filter(rep_dim, obs_dim, ctrl_dim=0, horizon=0, output="gaussian",
@@ -223,31 +223,11 @@ def init_sep_filter(rep_dim, obs_dim, ctrl_dim=0, horizon=0, output="gaussian",
                           target_dim, update, tuple(heads), phi0)
 
 
-def filter_step(model, phi, y_next, u=None, t=None):
-    """Advance the statistic one step: φ_{t+1} = g(φ_t, y_{t+1}, u_t).
-
-    Purely functional and deterministic; raises with the time index when
-    the update produces a non-finite state.
-    """
-    return model.step(phi, y_next, u, t)
-
-
-def predict_task(model, phi, controls=None, samples=1, rng=None) -> dict:
-    """Monte-Carlo predictive over z_{t+k} from ``samples`` posterior draws.
-
-    ``controls`` stacks u_t..u_{t+k} (its length selects the offset k).
-    With ``rng=None`` the draw collapses to the posterior mean — the
-    degenerate/Dirac evaluation. Gaussian outputs report the mixture
-    components and the moment-matched (mean, cov).
-    """
-    return model.predict(phi, controls, samples, rng)
-
-
 def predictive_nll(params: dict, z) -> float:
     """Negative log-likelihood of a target under predictive parameters."""
     if params["family"] == "categorical":
         prob = params["probs"][int(np.asarray(z).ravel()[0])]
-        return float(-math.log(max(prob, _PROB_FLOOR)))
+        return float(-math.log(max(prob, nn._PROB_FLOOR)))
     z = np.asarray(z, dtype=float).reshape(-1)
     means = params.get("component_means")
     if means is None:
@@ -401,13 +381,9 @@ def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws):
     d = model.rep_dim
     n = config.horizon
     S = config.mc_samples
-    upd_nodes = {k.split(".", 1)[1]: v for k, v in param_nodes.items()
-                 if k.startswith("upd.")}
-    head_nodes = [
-        {k.split(".", 1)[1]: v for k, v in param_nodes.items()
-         if k.startswith(f"dec{i}.")}
-        for i in range(len(model.heads))
-    ]
+    upd_nodes = nn.param_group(param_nodes, "upd")
+    head_nodes = [nn.param_group(param_nodes, f"dec{i}")
+                  for i in range(len(model.heads))]
     phi = nn.constant(np.zeros((B, 2 * d))) + param_nodes["phi0"]
     phis = []
     for t in range(T):
@@ -420,10 +396,9 @@ def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws):
             phi = nn.detach(phi)
     stacked = nn.concat(phis, axis=0)
     mu = stacked[:, :d]
-    log_std = nn.clip_n(stacked[:, d:], LOG_STD_MIN, LOG_STD_MAX)
+    log_std = nn.clip_n(stacked[:, d:], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
     sigma = log_std.exp()
-    var = (log_std * 2.0).exp()
-    kl_sum = (0.5 * (mu * mu + var - 1.0) - log_std).sum() * (1.0 / (B * T))
+    kl = nn.kl_to_standard_normal_n(mu, log_std)
 
     per_step = S * (np.minimum(n, T - 1 - np.arange(T)) + 1)
     first_draw = np.concatenate([[0], np.cumsum(per_step)[:-1]])
@@ -444,7 +419,8 @@ def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws):
         if model.output == "gaussian":
             z = np.tile(z.reshape(rows, -1), (S, 1))
             mean = out[:, : model.target_dim]
-            dls = nn.clip_n(out[:, model.target_dim :], LOG_STD_MIN, LOG_STD_MAX)
+            dls = nn.clip_n(out[:, model.target_dim :], nn.LOG_STD_MIN,
+                            nn.LOG_STD_MAX)
             resid = (nn.constant(z) - mean) * (-dls).exp()
             nll = (0.5 * resid.square() + dls + 0.5 * LOG2PI).sum()
         else:
@@ -452,8 +428,8 @@ def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws):
             nll = -nn.gather_logprob(nn.log_softmax_n(out), labels).sum()
         ce = nll if ce is None else ce + nll
     ce = ce * (1.0 / (B * T * S))
-    total = ce + config.beta * kl_sum
-    return total, ce, kl_sum
+    total = ce + config.beta * kl
+    return total, ce, kl
 
 
 def train_filter(source, config: DynIBConfig, obs_dim=None, ctrl_dim=None) -> TrainedFilter:
@@ -463,7 +439,8 @@ def train_filter(source, config: DynIBConfig, obs_dim=None, ctrl_dim=None) -> Tr
     and (B, T, ctrl_dim) (``us`` may be None). Gradients flow through the
     recurrent update with truncation every ``config.tbptt`` steps. The
     curve records (step, loss, ce, info). Raises
-    :class:`~ibsep.nn.TrainingDiverged` with the step on non-finite loss.
+    :class:`~ibsep.nn.TrainingDiverged` with the step on a non-finite loss
+    or gradient.
     """
     seq = np.random.SeedSequence(config.seed)
     init_ss, data_ss, noise_ss = seq.spawn(3)
@@ -478,39 +455,22 @@ def train_filter(source, config: DynIBConfig, obs_dim=None, ctrl_dim=None) -> Tr
         update_hidden=config.update_hidden, decoder_hidden=config.decoder_hidden,
         rng=np.random.default_rng(init_ss),
     )
-    params = model.params()
     state = nn.OptimizerState(schedule=config.learning_rate, momentum=config.momentum)
 
     T, n = config.traj_len, config.horizon
     n_draws = config.mc_samples * sum(min(n, T - 1 - t) + 1 for t in range(T))
-    curve = []
-    for step in range(config.steps):
+
+    def loss(params, step):
         ys, us = _as_batch(source(config.batch, data_rng), ctrl_dim)
         if ys.shape[1] != T:
             raise ValueError("source produced trajectories of the wrong length")
         eps = noise_rng.standard_normal((n_draws, config.batch, config.rep_dim))
-        current = model.with_params(params)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            total, ce, kl = _sep_loss_graph(current, _param_nodes(params), ys, us,
-                                            config, eps)
-            if not np.isfinite(total.value):
-                raise nn.TrainingDiverged(step)
-            grads = nn.backward(total)
-        curve.append({
-            "step": step,
-            "loss": float(total.value),
-            "ce": float(ce.value),
-            "info": float(kl.value),
-        })
-        try:
-            params, state = nn.sgd_step(params, grads, state)
-        except FloatingPointError:
-            raise nn.TrainingDiverged(step)
+        total, ce, kl = _sep_loss_graph(model.with_params(params),
+                                        nn.parameters(params), ys, us, config, eps)
+        return total, {"ce": float(ce.value), "info": float(kl.value)}
+
+    params, curve = nn.fit(model.params(), loss, state, config.steps)
     return TrainedFilter(model.with_params(params), curve)
-
-
-def _param_nodes(params: dict) -> dict:
-    return {name: nn.parameter(value, name=name) for name, value in params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -739,11 +699,6 @@ def _check_enumerable(hmm: FiniteHMM, T: int):
         )
 
 
-def _entropy(p):
-    p = p[p > 0]
-    return float(-(p * np.log(p)).sum())
-
-
 def hmm_exact_reference(hmm: FiniteHMM, T: int, n: int = 0) -> dict:
     """Exact enumeration of all observation histories up to length T.
 
@@ -778,7 +733,8 @@ def hmm_exact_reference(hmm: FiniteHMM, T: int, n: int = 0) -> dict:
         for t in range(T - k):
             h = 0.0
             for prefix in prefixes[t]:
-                h += probs[prefix] * _entropy(hmm.next_obs_dist(posteriors[prefix], k))
+                pred = hmm.next_obs_dist(posteriors[prefix], k)
+                h += probs[prefix] * info._entropy_table(pred)
             term_entropies[(t, k)] = h
             total += h
     return {
@@ -811,7 +767,7 @@ def nstep_bound_check(hmm: FiniteHMM, candidate, T: int, n: int = 0) -> dict:
                 truth = hmm.next_obs_dist(belief, k)
                 guess = np.asarray(candidate(prefix, k), dtype=float)
                 with np.errstate(divide="ignore"):
-                    logs = np.log(np.maximum(guess, _PROB_FLOOR))
+                    logs = np.log(np.maximum(guess, nn._PROB_FLOOR))
                 loss += probs[prefix] * float(-(truth * logs).sum())
     loss /= T
     bound = reference["entropy_lower_bound"]
@@ -899,12 +855,8 @@ def save_filter_json(model: SepFilterModel, path=None) -> str:
 
 
 def load_filter_json(source) -> SepFilterModel:
-    """Load a model written by :func:`save_filter_json` (path or string)."""
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        payload = json.loads(source)
-    else:
-        with open(source) as fh:
-            payload = json.load(fh)
+    """Load a model written by :func:`save_filter_json` (path, text or file)."""
+    payload = info._read_json_object(source)
     missing = (_ARCH_KEYS | {"phi0", "update", "heads"}) - set(payload)
     if missing:
         raise ValueError(f"model file missing keys: {sorted(missing)}")

@@ -50,9 +50,6 @@ __all__ = [
     "write_curve_csv",
 ]
 
-LOG_STD_MIN = -6.0
-LOG_STD_MAX = 2.0
-
 TrainingDiverged = nn.TrainingDiverged
 
 
@@ -214,7 +211,7 @@ class StochasticEncoder:
         y_card = self.mlp.widths[0] if y_card is None else y_card
         out = nn.forward(self.mlp, np.eye(y_card)).value
         means = out[:, : self.rep_dim]
-        log_stds = np.clip(out[:, self.rep_dim :], LOG_STD_MIN, LOG_STD_MAX)
+        log_stds = np.clip(out[:, self.rep_dim :], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
         return means, np.exp(log_stds)
 
 
@@ -286,41 +283,23 @@ class TrainResult:
     curve: list  # dicts with step, loss, ce, info_bound, acc
 
 
-def _encoder_graph(encoder, nodes, one_hot):
-    out = nn.forward(encoder.mlp, nn.constant(one_hot),
-                     param_nodes={k.split(".", 1)[1]: v for k, v in nodes.items()
-                                  if k.startswith("enc.")})
+def _loss_graph(encoder, decoder, y_idx, z_idx, config, eps_draws):
+    """Build the full training graph; returns (total, ce, info) nodes.
+
+    The parameter leaves are named ``enc.*`` and ``dec.*``.
+    """
+    one_hot = np.eye(encoder.mlp.widths[0])[y_idx]
+    enc_nodes = nn.parameters(encoder.mlp.params(), "enc")
+    dec_nodes = nn.parameters(decoder.params(), "dec")
+    out = nn.forward(encoder.mlp, nn.constant(one_hot), param_nodes=enc_nodes)
     d = encoder.rep_dim
     mu = out[:, :d]
-    log_std = nn.clip_n(out[:, d:], LOG_STD_MIN, LOG_STD_MAX)
-    return mu, log_std
-
-
-def _gaussian_kl_to_standard(mu, log_std):
-    """Mean over the batch of KL(N(mu, diag exp(2 log_std)) || N(0, I))."""
-    var = (log_std * 2.0).exp()
-    per_elem = 0.5 * (mu * mu + var - 1.0) - log_std
-    total = per_elem.sum()
-    batch = mu.value.shape[0]
-    return total * (1.0 / batch)
-
-
-def _loss_graph(encoder, decoder, y_idx, z_idx, config, eps_draws):
-    """Build the full training graph; returns (total, ce, info) nodes."""
-    one_hot = np.eye(encoder.mlp.widths[0])[y_idx]
-    nodes = {}
-    for name, value in encoder.mlp.params().items():
-        nodes[f"enc.{name}"] = nn.parameter(value, name=f"enc.{name}")
-    for name, value in decoder.params().items():
-        nodes[f"dec.{name}"] = nn.parameter(value, name=f"dec.{name}")
-    mu, log_std = _encoder_graph(encoder, nodes, one_hot)
+    log_std = nn.clip_n(out[:, d:], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
     sigma = log_std.exp()
     ce_terms = []
     for s in range(config.mc_samples):
         x = mu + sigma * nn.constant(eps_draws[s])
-        logits = nn.forward(decoder, x,
-                            param_nodes={k.split(".", 1)[1]: v for k, v in nodes.items()
-                                         if k.startswith("dec.")})
+        logits = nn.forward(decoder, x, param_nodes=dec_nodes)
         logp = nn.log_softmax_n(logits)
         ce_terms.append(-nn.gather_logprob(logp, z_idx).mean())
     ce = ce_terms[0]
@@ -328,9 +307,9 @@ def _loss_graph(encoder, decoder, y_idx, z_idx, config, eps_draws):
         ce = ce + term
     if config.mc_samples > 1:
         ce = ce * (1.0 / config.mc_samples)
-    kl = _gaussian_kl_to_standard(mu, log_std)
+    kl = nn.kl_to_standard_normal_n(mu, log_std)
     total = ce + config.beta * kl
-    return total, ce, kl, nodes
+    return total, ce, kl
 
 
 def ibl_loss(encoder, decoder, batch, config, rng=None) -> dict:
@@ -345,7 +324,7 @@ def ibl_loss(encoder, decoder, batch, config, rng=None) -> dict:
     z_idx = np.asarray(z_idx, dtype=int)
     rng = np.random.default_rng(config.seed) if rng is None else rng
     eps = rng.standard_normal((config.mc_samples, y_idx.size, config.rep_dim))
-    total, ce, kl, _ = _loss_graph(encoder, decoder, y_idx, z_idx, config, eps)
+    total, ce, kl = _loss_graph(encoder, decoder, y_idx, z_idx, config, eps)
     return {
         "total": float(total.value),
         "cross_entropy_term": float(ce.value),
@@ -357,8 +336,7 @@ def info_bound_exact(encoder, task: NuisanceTask) -> float:
     """Exact E_y KL(q(x|y) || N(0,I)) under the task's observation prior."""
     means, stds = encoder.posterior_table(task.y_card)
     p_y = task.observation_prior()
-    kl_per_y = 0.5 * np.sum(means**2 + stds**2 - 1.0 - 2.0 * np.log(stds), axis=1)
-    return float(np.dot(p_y, kl_per_y))
+    return float(np.dot(p_y, info.kl_to_standard_normal(means, stds)))
 
 
 def eval_accuracy(encoder, decoder, task, samples, rng) -> float:
@@ -382,7 +360,7 @@ def train_ib(task: NuisanceTask, config: IBLConfig) -> TrainResult:
 
     Per-step records (step, loss, ce, info_bound, acc) form the returned
     curve. Raises :class:`TrainingDiverged` with the offending step when
-    the loss stops being finite.
+    the loss or its gradient stops being finite.
     """
     seq = np.random.SeedSequence(config.seed)
     init_ss, train_ss, eval_ss = seq.spawn(3)
@@ -401,47 +379,24 @@ def train_ib(task: NuisanceTask, config: IBLConfig) -> TrainResult:
     params.update({f"dec.{k}": v for k, v in decoder.params().items()})
     state = nn.OptimizerState(schedule=config.learning_rate, momentum=config.momentum)
 
-    curve = []
-    for step in range(config.steps):
+    def networks(params):
+        enc = StochasticEncoder(encoder.mlp.with_params(nn.param_group(params, "enc")),
+                                config.rep_dim)
+        return enc, decoder.with_params(nn.param_group(params, "dec"))
+
+    def loss(params, step):
         y_idx, z_idx = task.sample_batch(config.batch, train_rng)
         eps = train_rng.standard_normal((config.mc_samples, config.batch, config.rep_dim))
-        enc_now = StochasticEncoder(
-            encoder.mlp.with_params(
-                {k.split(".", 1)[1]: v for k, v in params.items() if k.startswith("enc.")}
-            ),
-            config.rep_dim,
-        )
-        dec_now = decoder.with_params(
-            {k.split(".", 1)[1]: v for k, v in params.items() if k.startswith("dec.")}
-        )
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            total, ce, kl, _ = _loss_graph(enc_now, dec_now, y_idx, z_idx, config, eps)
-            if not np.isfinite(total.value):
-                raise TrainingDiverged(step)
-            grads = nn.backward(total)
-            acc = eval_accuracy(enc_now, dec_now, task, 8, eval_rng)
-        curve.append({
-            "step": step,
-            "loss": float(total.value),
+        enc_now, dec_now = networks(params)
+        total, ce, kl = _loss_graph(enc_now, dec_now, y_idx, z_idx, config, eps)
+        return total, {
             "ce": float(ce.value),
             "info_bound": float(kl.value),
-            "acc": acc,
-        })
-        try:
-            params, state = nn.sgd_step(params, grads, state)
-        except FloatingPointError:
-            raise TrainingDiverged(step)
+            "acc": eval_accuracy(enc_now, dec_now, task, 8, eval_rng),
+        }
 
-    final_encoder = StochasticEncoder(
-        encoder.mlp.with_params(
-            {k.split(".", 1)[1]: v for k, v in params.items() if k.startswith("enc.")}
-        ),
-        config.rep_dim,
-    )
-    final_decoder = decoder.with_params(
-        {k.split(".", 1)[1]: v for k, v in params.items() if k.startswith("dec.")}
-    )
-    return TrainResult(final_encoder, final_decoder, curve)
+    params, curve = nn.fit(params, loss, state, config.steps)
+    return TrainResult(*networks(params), curve)
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +661,8 @@ class WeightPosterior:
 
 
 def _weight_loss_graph(posterior: WeightPosterior, xs, labels, beta, eps):
-    mu_nodes = {k: nn.parameter(v, name=f"mu.{k}") for k, v in posterior.mu.items()}
-    lv_nodes = {k: nn.parameter(v, name=f"lv.{k}") for k, v in posterior.log_var.items()}
+    mu_nodes = nn.parameters(posterior.mu, "mu")
+    lv_nodes = nn.parameters(posterior.log_var, "lv")
     w_nodes = {
         k: mu_nodes[k] + (lv_nodes[k] * 0.5).exp() * nn.constant(eps[k])
         for k in mu_nodes
@@ -746,7 +701,9 @@ def train_weight_posterior(xs, labels, widths, beta, seed, steps=300,
     """Train a factorized Gaussian weight posterior on a fixed dataset.
 
     Returns (posterior, final_kl, final_ce); used by the regularizer sweep
-    checks, where growing beta must shrink the final KL(q || p).
+    checks, where growing beta must shrink the final KL(q || p). Raises
+    :class:`TrainingDiverged` with the step when the loss or its gradient
+    stops being finite.
     """
     seq = np.random.SeedSequence(seed)
     init_ss, train_ss = seq.spawn(2)
@@ -756,26 +713,23 @@ def train_weight_posterior(xs, labels, widths, beta, seed, steps=300,
     )
     rng = np.random.default_rng(train_ss)
     labels = np.asarray(labels, dtype=int)
-    params = {}
-    for k, v in posterior.mu.items():
-        params[f"mu.{k}"] = v
-    for k, v in posterior.log_var.items():
-        params[f"lv.{k}"] = v
+    params = {f"mu.{k}": v for k, v in posterior.mu.items()}
+    params.update({f"lv.{k}": v for k, v in posterior.log_var.items()})
     state = nn.OptimizerState(schedule=learning_rate, momentum=momentum)
-    ce_val = math.nan
-    for step in range(steps):
-        posterior.mu = {k.split(".", 1)[1]: v for k, v in params.items() if k.startswith("mu.")}
-        posterior.log_var = {k.split(".", 1)[1]: v for k, v in params.items() if k.startswith("lv.")}
+
+    def set_posterior(params):
+        posterior.mu = nn.param_group(params, "mu")
+        posterior.log_var = nn.param_group(params, "lv")
+
+    def loss(params, step):
+        set_posterior(params)
         eps = {k: rng.standard_normal(v.shape) for k, v in posterior.mu.items()}
-        with np.errstate(over="ignore", invalid="ignore"):
-            total, ce, _ = _weight_loss_graph(posterior, xs, labels, beta, eps)
-            if not np.isfinite(total.value):
-                raise TrainingDiverged(step)
-            grads = nn.backward(total)
-        params, state = nn.sgd_step(params, grads, state)
-        ce_val = float(ce.value)
-    posterior.mu = {k.split(".", 1)[1]: v for k, v in params.items() if k.startswith("mu.")}
-    posterior.log_var = {k.split(".", 1)[1]: v for k, v in params.items() if k.startswith("lv.")}
+        total, ce, _ = _weight_loss_graph(posterior, xs, labels, beta, eps)
+        return total, {"ce": float(ce.value)}
+
+    params, curve = nn.fit(params, loss, state, steps)
+    set_posterior(params)
+    ce_val = curve[-1]["ce"] if curve else math.nan
     return posterior, posterior.kl_to_prior(), ce_val
 
 

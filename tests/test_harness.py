@@ -198,9 +198,10 @@ def test_cli_set_values_are_json_parsed(tmp_path):
 
 
 def test_module_entry_point_runs_the_cli(tmp_path, subprocess_env):
+    # -W error: the package must not import harness before runpy runs it
     proc = subprocess.run(
-        [sys.executable, "-m", "ibsep.harness", "info", "--seed", "7",
-         "--out", str(tmp_path), "--set", "instances=10"],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ibsep.harness",
+         "info", "--seed", "7", "--out", str(tmp_path), "--set", "instances=10"],
         env=subprocess_env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "checks pass" in proc.stdout
@@ -217,6 +218,14 @@ def test_kalman_gates_fail_when_no_model_was_compared(overrides, statuses):
     assert [r.key for r in records] == ["filter_vs_batch_max_dev",
                                         "riccati_vs_filter_max_dev"]
     assert [r.status for r in records] == statuses
+
+
+@pytest.mark.parametrize("riccati_t", [0, -4])
+def test_cli_rejects_a_riccati_horizon_below_one(riccati_t, tmp_path, capsys):
+    code = harness.main(["kalman", "--out", str(tmp_path), "--set", "models=2",
+                         "--set", f"riccati_T={riccati_t}"])
+    assert code == 2
+    assert "riccati_T" in capsys.readouterr().err
 
 
 def test_cli_rejects_malformed_set(tmp_path, capsys):

@@ -226,6 +226,18 @@ def test_kl_gaussian_matches_numerical_integration():
         assert info.kl_gaussian(p, q) == pytest.approx(grid, abs=1e-4)
 
 
+def test_kl_to_standard_normal_matches_kl_gaussian():
+    rng = np.random.default_rng(41)
+    mean = rng.normal(size=(4, 3))
+    std = np.exp(rng.uniform(-2.0, 1.0, size=(4, 3)))
+    got = info.kl_to_standard_normal(mean, std)
+    standard = info.GaussianDistribution(np.zeros(3), np.eye(3))
+    for row in range(4):
+        q = info.GaussianDistribution(mean[row], np.diag(std[row] ** 2))
+        assert abs(got[row] - info.kl_gaussian(q, standard)) < 1e-12
+    assert info.kl_to_standard_normal(np.zeros(3), np.ones(3)) == 0.0
+
+
 def test_tc_gaussian_diagonal_zero():
     assert info.total_correlation_gaussian(np.diag([1.0, 2.0, 0.5])) == pytest.approx(0.0, abs=1e-14)
 
@@ -333,3 +345,48 @@ def test_cross_entropy_discrete_decomposition():
         lhs = info.cross_entropy_discrete(p, q)
         rhs = info.entropy(p) + info.kl_discrete(p, q)
         assert abs(lhs - rhs) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the JSON loaders share one reader
+# ---------------------------------------------------------------------------
+
+
+def _loader_cases():
+    from ibsep import control_sep, lgss, seprep
+
+    rng = np.random.default_rng(40)
+    lgss_model = lgss.random_stable_model(rng, n=2, m=1)
+    filt = seprep.init_sep_filter(2, 1, rng=rng)
+    pomdp = control_sep.random_pomdp(rng)
+    return {
+        "lgss": (lgss.model_to_json(lgss_model), lgss.model_from_json,
+                 lambda m: m.A),
+        "seprep": (seprep.save_filter_json(filt), seprep.load_filter_json,
+                   lambda m: m.update.weights[0]),
+        "control_sep": (control_sep.pomdp_to_json(pomdp),
+                        control_sep.pomdp_from_json, lambda m: m.trans),
+    }
+
+
+@pytest.mark.parametrize("which", ["lgss", "seprep", "control_sep"])
+def test_loaders_accept_paths_text_and_open_files(which, tmp_path):
+    text, load, key = _loader_cases()[which]
+    path = tmp_path / "object.json"
+    path.write_text(text)
+    want = key(load(text))
+    with open(path) as fh:
+        loaded = [load(str(path)), load(path), load(fh)]
+    for model in loaded:
+        assert np.array_equal(key(model), want)
+
+
+@pytest.mark.parametrize("which", ["lgss", "seprep", "control_sep"])
+def test_loaders_reject_a_json_list(which, tmp_path):
+    _, load, _ = _loader_cases()[which]
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]\n")
+    with pytest.raises(ValueError, match="JSON object"):
+        load(path)
+    with open(path) as fh, pytest.raises(ValueError, match="JSON object"):
+        load(fh)

@@ -296,6 +296,87 @@ def test_sgd_nonfinite_gradient_names_parameter():
         nn.sgd_step(params, grads, state)
 
 
+def test_fit_descends_and_records_the_curve():
+    def loss(params, step):
+        w = nn.parameter(params["w"], name="w")
+        return (w * w).sum(), {"w": float(params["w"][0])}
+
+    params, curve = nn.fit({"w": np.array([1.0])}, loss,
+                           nn.OptimizerState(schedule=0.25), 3)
+    # w <- w - 0.25 * 2w halves w each step
+    assert params["w"][0] == 0.125
+    assert curve == [{"step": 0, "loss": 1.0, "w": 1.0},
+                     {"step": 1, "loss": 0.25, "w": 0.5},
+                     {"step": 2, "loss": 0.0625, "w": 0.25}]
+
+
+def test_fit_reports_the_step_of_a_non_finite_loss():
+    def loss(params, step):
+        w = nn.parameter(params["w"], name="w")
+        return w * (np.inf if step == 3 else 1.0), {}
+
+    with pytest.raises(nn.TrainingDiverged) as err:
+        nn.fit({"w": np.array(1.0)}, loss, nn.OptimizerState(schedule=0.1), 10)
+    assert err.value.step == 3
+
+
+def test_fit_reports_the_step_of_a_non_finite_gradient():
+    # the loss stays finite; a node whose VJP returns inf poisons the gradient
+    def loss(params, step):
+        w = nn.parameter(params["w"], name="w")
+        if step < 2:
+            return w * 1.0, {}
+        return nn.Node(1.0, (w,), (lambda g: np.full_like(g, np.inf),),
+                       op="bad"), {}
+
+    with pytest.raises(nn.TrainingDiverged) as err:
+        nn.fit({"w": np.array(1.0)}, loss, nn.OptimizerState(schedule=0.1), 10)
+    assert err.value.step == 2
+    assert isinstance(err.value.__cause__, FloatingPointError)
+
+
+def test_param_helpers_name_and_group_leaves():
+    leaves = nn.parameters({"W0": np.ones(2), "b0": np.zeros(2)}, "enc")
+    assert [(k, n.name) for k, n in leaves.items()] == [("W0", "enc.W0"),
+                                                        ("b0", "enc.b0")]
+    assert [n.name for n in nn.parameters({"phi0": np.zeros(1)}).values()] == [
+        "phi0"]
+    flat = {"phi0": 0, "dec0.W0": 1, "dec1.W0": 2, "dec10.W0": 3, "dec1.b0": 4}
+    assert nn.param_group(flat, "dec1") == {"W0": 2, "b0": 4}
+    assert nn.param_group(flat, "upd") == {}
+
+
+# ---------------------------------------------------------------------------
+# KL(q || N(0, I)) node
+# ---------------------------------------------------------------------------
+
+
+def test_kl_node_matches_the_info_array_kl():
+    rng = np.random.default_rng(30)
+    for rows, dim in ((1, 1), (5, 3), (40, 4)):
+        mu = rng.normal(0.0, 2.0, size=(rows, dim))
+        log_std = rng.uniform(-3.0, 1.5, size=(rows, dim))
+        node = nn.kl_to_standard_normal_n(nn.constant(mu), nn.constant(log_std))
+        array = info.kl_to_standard_normal(mu, np.exp(log_std))
+        assert array.shape == (rows,)
+        assert abs(float(node.value) - float(np.mean(array))) < 1e-12
+
+
+def test_kl_node_gradients_match_finite_differences():
+    rng = np.random.default_rng(31)
+    params = {"mu": rng.normal(size=(6, 3)),
+              "log_std": rng.uniform(-2.0, 1.0, size=(6, 3))}
+
+    def graph(p):
+        nodes = nn.parameters(p)
+        return nn.kl_to_standard_normal_n(nodes["mu"], nodes["log_std"])
+
+    grads = nn.backward(graph(params))
+    fd = fd_gradients(lambda p: float(graph(p).value), params)
+    for name in params:
+        assert rel_error(grads[name], fd[name]) < 1e-5, name
+
+
 # ---------------------------------------------------------------------------
 # minibatching
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ def test_update_network_consumes_only_fixed_size_state():
     phi = model.initial_phi()
     rng = np.random.default_rng(1)
     for t in range(50):
-        phi = seprep.filter_step(model, phi, rng.standard_normal(2),
-                                 rng.standard_normal(1), t)
+        phi = model.step(phi, rng.standard_normal(2), rng.standard_normal(1),
+                         t)
         assert phi.shape == (6,)
 
 
@@ -69,15 +69,15 @@ def test_step_matches_manual_network_evaluation():
     y, u = np.array([0.7]), np.array([-0.4])
     inp = np.concatenate([phi, y, u])
     expect = np.maximum(inp @ w0 + b0, 0.0) @ w1 + b1
-    got = seprep.filter_step(model, phi, y, u)
+    got = model.step(phi, y, u)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-14)
 
 
 def test_step_is_deterministic():
     model = small_model()
     phi = np.full(8, 0.25)
-    a = seprep.filter_step(model, phi, [0.1])
-    b = seprep.filter_step(model, phi, [0.1])
+    a = model.step(phi, [0.1])
+    b = model.step(phi, [0.1])
     assert np.array_equal(a, b)
 
 
@@ -87,7 +87,7 @@ def test_step_reports_time_index_on_nonfinite_state():
     params["upd.b1"] = params["upd.b1"] + np.inf
     broken = model.with_params(params)
     with pytest.raises(FloatingPointError, match="step 7"):
-        seprep.filter_step(broken, broken.initial_phi(), [0.0], t=7)
+        broken.step(broken.initial_phi(), [0.0], t=7)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ def test_step_reports_time_index_on_nonfinite_state():
 def test_prediction_without_rng_collapses_to_posterior_mean():
     model = small_model()
     phi = np.array([0.5, -0.2, 0.1, 0.4, -1.0, -0.5, -1.5, -0.2])
-    params = seprep.predict_task(model, phi, samples=5, rng=None)
+    params = model.predict(phi, samples=5, rng=None)
     assert params["family"] == "gaussian"
     assert params["component_means"].shape == (5, 1)
     # every draw is the posterior mean; rows agree to a BLAS ulp
@@ -111,8 +111,7 @@ def test_prediction_without_rng_collapses_to_posterior_mean():
 def test_mixture_moments_match_law_of_total_variance():
     model = small_model()
     phi = np.array([0.5, -0.2, 0.1, 0.4, -0.3, -0.6, -0.4, -0.8])
-    params = seprep.predict_task(model, phi, samples=64,
-                                 rng=np.random.default_rng(2))
+    params = model.predict(phi, samples=64, rng=np.random.default_rng(2))
     means = params["component_means"]
     variances = params["component_vars"]
     mean = means.mean(axis=0)
@@ -148,10 +147,8 @@ def test_mc_predictive_stabilizes_for_sharp_posteriors():
     model = small_model()
     phi = np.array([0.5, -0.2, 0.1, 0.4, -2.5, -3.0, -2.8, -3.5])
     z = np.array([0.3])
-    p256 = seprep.predict_task(model, phi, samples=256,
-                               rng=np.random.default_rng(11))
-    p512 = seprep.predict_task(model, phi, samples=512,
-                               rng=np.random.default_rng(12))
+    p256 = model.predict(phi, samples=256, rng=np.random.default_rng(11))
+    p512 = model.predict(phi, samples=512, rng=np.random.default_rng(12))
     a = seprep.predictive_nll(p256, z)
     b = seprep.predictive_nll(p512, z)
     assert abs(a - b) < 1e-3
@@ -161,19 +158,19 @@ def test_offset_selection_validates_control_rows():
     model = seprep.init_sep_filter(2, 1, ctrl_dim=1, horizon=1,
                                    rng=np.random.default_rng(0))
     # rows of the control stack select the offset: 2 rows => k=1, fine
-    seprep.predict_task(model, model.initial_phi(), np.zeros((2, 1)))
+    model.predict(model.initial_phi(), np.zeros((2, 1)))
     with pytest.raises(ValueError, match="horizon"):
-        seprep.predict_task(model, model.initial_phi(), np.zeros((3, 1)))
+        model.predict(model.initial_phi(), np.zeros((3, 1)))
     free = small_model()  # ctrl_dim 0: the offset row count still applies
     with pytest.raises(ValueError, match=r"\(k\+1, 0\)"):
-        seprep.predict_task(free, free.initial_phi(), np.zeros(2))
+        free.predict(free.initial_phi(), np.zeros(2))
 
 
 def test_categorical_predictions_normalize():
     model = seprep.init_sep_filter(3, 1, output="categorical", target_dim=4,
                                    rng=np.random.default_rng(8))
-    params = seprep.predict_task(model, np.linspace(-1, 1, 6), samples=16,
-                                 rng=np.random.default_rng(1))
+    params = model.predict(np.linspace(-1, 1, 6), samples=16,
+                           rng=np.random.default_rng(1))
     assert params["family"] == "categorical"
     assert params["probs"].shape == (4,)
     assert params["probs"].sum() == pytest.approx(1.0, abs=1e-12)
@@ -322,8 +319,8 @@ def test_graph_uses_each_draw_at_its_step_offset_and_sample():
                                         us[b, t : t + k + 1].ravel()])
                     draw += 1
                     mean, log_std = nn.forward(model.heads[k], x).value
-                    log_std = np.clip(log_std, seprep.LOG_STD_MIN,
-                                      seprep.LOG_STD_MAX)
+                    log_std = np.clip(log_std, nn.LOG_STD_MIN,
+                                      nn.LOG_STD_MAX)
                     nll += (0.5 * ((ys[b, t + k, 0] - mean) / math.exp(log_std)) ** 2
                             + log_std + 0.5 * seprep.LOG2PI)
             phi = model.step(phi, ys[b, t], us[b, t], t)
@@ -678,10 +675,10 @@ def test_filter_json_round_trip_is_exact(tmp_path):
     for key, value in model.params().items():
         assert np.array_equal(value, loaded.params()[key]), key
     phi = np.linspace(-0.5, 0.5, 6)
-    a = seprep.predict_task(model, phi, np.zeros((2, 1)), samples=3,
-                            rng=np.random.default_rng(0))
-    b = seprep.predict_task(loaded, phi, np.zeros((2, 1)), samples=3,
-                            rng=np.random.default_rng(0))
+    a = model.predict(phi, np.zeros((2, 1)), samples=3,
+                      rng=np.random.default_rng(0))
+    b = loaded.predict(phi, np.zeros((2, 1)), samples=3,
+                       rng=np.random.default_rng(0))
     assert np.array_equal(a["mean"], b["mean"])
     assert np.array_equal(a["component_means"], b["component_means"])
 
