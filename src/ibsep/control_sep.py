@@ -73,8 +73,10 @@ class FinitePOMDP:
             raise ValueError("observation table must have shape (S, O)")
         if reward.shape != (S, A):
             raise ValueError("reward table must have shape (S, A)")
-        if not np.all(np.isfinite(reward)):
-            raise ValueError("rewards must be finite")
+        for name, table in (("transition table", trans), ("observation table", obs),
+                            ("reward table", reward), ("initial distribution", b0)):
+            if not np.all(np.isfinite(table)):
+                raise ValueError(f"{name} has non-finite entries")
         for name, table, axis in (("transition", trans, 2), ("observation", obs, 1)):
             if np.any(table < -1e-12):
                 raise ValueError(f"{name} table has negative entries")
@@ -147,51 +149,66 @@ def belief_update(pomdp: FinitePOMDP, belief, a: int, o: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def brute_force_q(pomdp: FinitePOMDP) -> dict:
-    """Q* for every reachable history by exact backward induction.
+def _belief_tree(pomdp: FinitePOMDP, depth: int) -> list:
+    """Reachable histories down to ``depth`` steps, one dict per level.
 
-    Returns {history: HistoryNode}. Q*(h, a) = E_b[r(s, a)] +
-    Σ_o p(o|h,a) max_a' Q*(h+(a,o), a'); leaves (depth horizon-1) keep only
-    the immediate term. The full tree is enumerated — a size guard rejects
-    instances above 10^6 nodes.
+    Each maps ((a_1, o_1), ..., (a_t, o_t)) to (belief, reach), reach being
+    the history's probability under uniformly drawn actions. Children come
+    action-major, then by observation; zero-probability ones are pruned.
     """
-    A, O, H = pomdp.n_actions, pomdp.n_obs, pomdp.horizon
-    est = sum((A * O) ** t for t in range(H))
-    if est > _NODE_CAP:
-        raise ValueError(f"history tree would need {est} nodes (cap {_NODE_CAP})")
-
+    A, O = pomdp.n_actions, pomdp.n_obs
     levels = [{(): (pomdp.b0.copy(), 1.0)}]
-    for t in range(H - 1):
+    for _ in range(depth):
         level = {}
-        for history, (belief, reach) in levels[t].items():
+        for history, (belief, reach) in levels[-1].items():
             for a in range(A):
                 p_obs = obs_probability(pomdp, belief, a)
                 for o in range(O):
-                    if p_obs[o] <= 0.0:
-                        continue
-                    level[history + ((a, o),)] = (
-                        belief_update(pomdp, belief, a, o),
-                        reach * p_obs[o] / A,
-                    )
+                    if p_obs[o] > 0.0:
+                        level[history + ((a, o),)] = (
+                            belief_update(pomdp, belief, a, o), reach * p_obs[o] / A)
         levels.append(level)
+    return levels
 
-    nodes = {}
-    child_values = {}  # history -> max_a Q*(h, a), filled bottom-up
-    for t in range(H - 1, -1, -1):
-        for history, (belief, reach) in levels[t].items():
-            q = pomdp.reward.T @ belief  # E_b r(s, a) per action
-            if t < H - 1:
-                for a in range(A):
-                    p_obs = obs_probability(pomdp, belief, a)
-                    cont = 0.0
-                    for o in range(O):
-                        if p_obs[o] <= 0.0:
-                            continue
-                        cont += p_obs[o] * child_values[history + ((a, o),)]
-                    q[a] += cont
-            nodes[history] = HistoryNode(history, reach, belief, q)
-            child_values[history] = float(q.max())
-    return nodes
+
+def _backward_induction(pomdp: FinitePOMDP, deepest_first, immediate) -> dict:
+    """{history: Q} for (history, belief) pairs given deepest first, in order.
+
+    Q(h, a) = immediate(h, belief)[a] + Σ_o p(o|h,a) max_a' Q(h+(a,o), a');
+    histories of depth horizon-1 keep only the immediate term.
+    """
+    A, O, H = pomdp.n_actions, pomdp.n_obs, pomdp.horizon
+    q_values, best = {}, {}  # best: history -> max_a Q(h, a), filled bottom-up
+    for history, belief in deepest_first:
+        q = np.array(immediate(history, belief), dtype=float)
+        if len(history) < H - 1:
+            for a in range(A):
+                p_obs = obs_probability(pomdp, belief, a)
+                cont = 0.0
+                for o in range(O):
+                    if p_obs[o] > 0.0:
+                        cont += p_obs[o] * best[history + ((a, o),)]
+                q[a] += cont
+        q_values[history] = q
+        best[history] = float(q.max())
+    return q_values
+
+
+def brute_force_q(pomdp: FinitePOMDP) -> dict:
+    """Q* for every reachable history, deepest first: {history: HistoryNode}.
+
+    Backward induction with the immediate term E_b[r(s, a)]. The full tree
+    is enumerated — a size guard rejects instances above 10^6 nodes.
+    """
+    est = sum((pomdp.n_actions * pomdp.n_obs) ** t for t in range(pomdp.horizon))
+    if est > _NODE_CAP:
+        raise ValueError(f"history tree would need {est} nodes (cap {_NODE_CAP})")
+    levels = _belief_tree(pomdp, pomdp.horizon - 1)[::-1]
+    q = _backward_induction(
+        pomdp, ((h, b) for level in levels for h, (b, _) in level.items()),
+        lambda history, belief: pomdp.reward.T @ belief)
+    return {h: HistoryNode(h, reach, belief, q[h])
+            for level in levels for h, (belief, reach) in level.items()}
 
 
 def _belief_key(depth: int, belief) -> tuple:
@@ -282,29 +299,14 @@ def reward_sufficiency_check(pomdp: FinitePOMDP, representation, nodes=None) -> 
     immediate reward with the representation's prediction; observation
     branching probabilities still come from the environment. If the
     representation's reward predictions are exact, the rebuilt values must
-    equal Q* — that is the sufficiency claim.
+    equal Q* — that is the sufficiency claim. ``nodes``, when given, is
+    ``brute_force_q``'s result for this instance.
     """
     nodes = brute_force_q(pomdp) if nodes is None else nodes
-    A, O, H = pomdp.n_actions, pomdp.n_obs, pomdp.horizon
-    by_depth = {}
-    for node in nodes.values():
-        by_depth.setdefault(node.depth, []).append(node)
-
-    q_from_rep = {}
-    best = {}
-    for t in range(H - 1, -1, -1):
-        for node in by_depth[t]:
-            q = np.array([representation(node.history, (a,)) for a in range(A)],
-                         dtype=float)
-            if t < H - 1:
-                for a in range(A):
-                    p_obs = obs_probability(pomdp, node.belief, a)
-                    for o in range(O):
-                        if p_obs[o] <= 0.0:
-                            continue
-                        q[a] += p_obs[o] * best[node.history + ((a, o),)]
-            q_from_rep[node.history] = q
-            best[node.history] = float(q.max())
+    actions = range(pomdp.n_actions)
+    q_from_rep = _backward_induction(
+        pomdp, ((n.history, n.belief) for n in nodes.values()),
+        lambda history, belief: [representation(history, (a,)) for a in actions])
 
     max_dev = 0.0
     for history, q in q_from_rep.items():
@@ -314,6 +316,13 @@ def reward_sufficiency_check(pomdp: FinitePOMDP, representation, nodes=None) -> 
         "q_star": {h: n.q_values for h, n in nodes.items()},
         "max_dev": max_dev,
     }
+
+
+def _open_loop_reward(pomdp: FinitePOMDP, belief, actions) -> float:
+    """Expected reward of the last of ``actions``, all taken unobserved."""
+    for a in actions[:-1]:
+        belief = belief @ pomdp.trans[:, a, :]
+    return float(pomdp.reward[:, actions[-1]] @ belief)
 
 
 def exact_belief_representation(pomdp: FinitePOMDP):
@@ -328,9 +337,7 @@ def exact_belief_representation(pomdp: FinitePOMDP):
         belief = pomdp.b0.copy()
         for a, o in history:
             belief = belief_update(pomdp, belief, a, o)
-        for a in actions[:-1]:
-            belief = belief @ pomdp.trans[:, a, :]
-        return float(pomdp.reward[:, actions[-1]] @ belief)
+        return _open_loop_reward(pomdp, belief, actions)
 
     return predict
 
@@ -344,12 +351,7 @@ def collapsing_representation(pomdp: FinitePOMDP):
     """
 
     def predict(history, actions):
-        belief = pomdp.b0.copy()
-        for a, _o in history:
-            belief = belief @ pomdp.trans[:, a, :]
-        for a in actions[:-1]:
-            belief = belief @ pomdp.trans[:, a, :]
-        return float(pomdp.reward[:, actions[-1]] @ belief)
+        return _open_loop_reward(pomdp, pomdp.b0, [a for a, _o in history] + list(actions))
 
     return predict
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -114,11 +116,42 @@ _DEFAULTS = {
 }
 
 
+# Integer keys count models, instances, steps or sizes, so a value below 1
+# would check nothing; these keys have other inclusive bounds. The kalman
+# gates fail by themselves when they compared no model.
+_INT_BOUNDS = {("kalman", "models"): (-math.inf, math.inf),
+               ("kalman", "riccati_models"): (-math.inf, math.inf),
+               ("seprep", "hmm_T"): (1, seprep._ENUM_MAX_T)}
+
+
+def _number(key: str, value):
+    # NaN, infinities and ints too large for a float all fail the comparison
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return value
+    raise ValueError(f"{key} must be a finite number, got {value!r}")
+
+
+def _typed(name: str, key: str, value, default):
+    """``value`` converted to its default's type, or a ValueError naming ``key``."""
+    if isinstance(default, tuple):  # betas: the sweep gate compares neighbours
+        if isinstance(value, (list, tuple)) and len(value) >= 2:
+            return tuple(float(_number(key, v)) for v in value)
+        raise ValueError(f"{key} must be a list of at least two numbers, got {value!r}")
+    if isinstance(default, float):
+        return float(_number(key, value))
+    low, high = _INT_BOUNDS.get((name, key), (1, math.inf))
+    if _number(key, value) != int(value) or not low <= value <= high:
+        raise ValueError(f"{key} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
 def _opts(name: str, overrides) -> dict:
+    """The battery's defaults with the overrides it knows, typed and checked."""
     merged = dict(_DEFAULTS[name])
     for key, value in (overrides or {}).items():
         if key in merged:
-            merged[key] = value
+            merged[key] = _typed(name, key, value, merged[key])
     return merged
 
 
@@ -180,9 +213,9 @@ def run_gradcheck(seed: int, overrides=None) -> list:
     opts = _opts("gradcheck", overrides)
     rng = np.random.default_rng(seed)
     clock = _Clock()
-    margin = 50.0 * float(opts["fd_step"])
+    margin = 50.0 * opts["fd_step"]
     worst = 0.0
-    for index in range(int(opts["models"])):
+    for index in range(opts["models"]):
         while True:
             depth = int(rng.integers(1, 3))
             widths = [int(rng.integers(2, 6)) for _ in range(depth + 2)]
@@ -219,7 +252,7 @@ def run_gradcheck(seed: int, overrides=None) -> list:
     return [
         _check("gradcheck", "max_rel_error", worst, opts["tol"],
                worst < opts["tol"], clock),
-        _report("gradcheck", "models_checked", int(opts["models"]), clock),
+        _report("gradcheck", "models_checked", opts["models"], clock),
     ]
 
 
@@ -233,7 +266,7 @@ def run_info(seed: int, overrides=None) -> list:
     opts = _opts("info", overrides)
     rng = np.random.default_rng(seed)
     clock = _Clock()
-    n = int(opts["instances"])
+    n = opts["instances"]
 
     mi_err = 0.0
     for _ in range(n):
@@ -267,15 +300,13 @@ def run_info(seed: int, overrides=None) -> list:
 def run_kalman(seed: int, overrides=None) -> list:
     """Filter-vs-oracle agreement on random stable state-space models."""
     opts = _opts("kalman", overrides)
-    riccati_T = int(opts["riccati_T"])
-    if riccati_T < 1:  # the Riccati gate reads the last posterior of a run
-        raise ValueError(f"riccati_T must be at least 1, got {riccati_T}")
+    riccati_T = opts["riccati_T"]  # at least 1: the gate reads a last posterior
     rng = np.random.default_rng(seed)
     clock = _Clock()
 
     filter_dev = 0.0
     models = []
-    for _ in range(int(opts["models"])):
+    for _ in range(opts["models"]):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 3))
         model = lgss.random_stable_model(rng, n=n, m=m)
@@ -297,7 +328,7 @@ def run_kalman(seed: int, overrides=None) -> list:
                       clock)]
 
     riccati_dev = 0.0
-    riccati_models = models[: max(0, int(opts["riccati_models"]))]
+    riccati_models = models[: max(0, opts["riccati_models"])]
     for model in riccati_models:
         fixed = lgss.riccati_iterate(model, 2.0 * np.eye(model.n), 5 * riccati_T)
         traj = lgss.simulate(model, None, riccati_T, rng)
@@ -322,7 +353,7 @@ def _flatness_records(opts, seed, clock) -> list:
                     rng.normal(1.0, 0.4, (20, 2))])
     labels = np.array([0] * 20 + [1] * 20)
     post, _, _ = static_ib.train_weight_posterior(
-        xs, labels, [2, 4, 2], 1e-2, seed, steps=int(opts["flatness_steps"]))
+        xs, labels, [2, 4, 2], 1e-2, seed, steps=opts["flatness_steps"])
     names = sorted(post.mu)
     shapes = [post.mu[k].shape for k in names]
     sizes = [int(np.prod(s)) for s in shapes]
@@ -371,7 +402,7 @@ def run_static_ib(seed: int, overrides=None) -> list:
     min_margin = np.inf
     min_eps = np.inf
     max_excess = -np.inf
-    for index in range(int(opts["encoders"])):
+    for index in range(opts["encoders"]):
         task = static_ib.make_nuisance_task(int(rng.integers(2, 5)),
                                             int(rng.integers(2, 5)),
                                             seed=int(rng.integers(2**31)))
@@ -408,8 +439,8 @@ def run_static_ib(seed: int, overrides=None) -> list:
 
     # training endpoints, averaged over seeds
     task = static_ib.make_nuisance_task(2, 2, seed=0)
-    steps = int(opts["train_steps"])
-    n_seeds = int(opts["train_seeds"])
+    steps = opts["train_steps"]
+    n_seeds = opts["train_seeds"]
     accs, bounds, devs = [], [], []
     for s in range(n_seeds):
         free = static_ib.train_ib(task, static_ib.IBLConfig(
@@ -481,7 +512,7 @@ def run_seprep(seed: int, overrides=None) -> list:
     records = []
 
     # n-step prediction loss: bound, attainment, and the marginal's slack
-    T = int(opts["hmm_T"])
+    T = opts["hmm_T"]
     exact_slack = 0.0
     marginal_err = 0.0
     min_slack = np.inf
@@ -490,7 +521,7 @@ def run_seprep(seed: int, overrides=None) -> list:
             hmm, seprep.exact_posterior_candidate(hmm), T)
         exact_slack = max(exact_slack, abs(out["slack"]))
         marginal_err = max(marginal_err, _marginal_slack_identity_err(hmm, T))
-        for _ in range(int(opts["rand_candidates"])):
+        for _ in range(opts["rand_candidates"]):
             table = {}
 
             def candidate(history, k, _t=table, _h=hmm):
@@ -511,7 +542,7 @@ def run_seprep(seed: int, overrides=None) -> list:
     # the Kalman filter, embedded as a filtering model, is exact
     scalar = _scalar_lgss()
     embed = seprep.evaluate_vs_kalman(seprep.KalmanSepFilter(scalar), scalar,
-                                      T=int(opts["traj_len"]), num_traj=10,
+                                      T=opts["traj_len"], num_traj=10,
                                       seed=int(rng.integers(2**31)))
     records.append(_check("seprep", "kalman_embed_abs_nll_gap",
                           abs(embed["gap"]), 1e-9,
@@ -521,10 +552,10 @@ def run_seprep(seed: int, overrides=None) -> list:
 
     # trained filters: a beta sweep; the smallest beta doubles as the
     # near-optimality candidate evaluated against the Kalman oracle
-    betas = sorted((float(b) for b in opts["betas"]), reverse=True)
-    steps = int(opts["train_steps"])
-    n_seeds = int(opts["train_seeds"])
-    source = seprep.lgss_source(scalar, int(opts["traj_len"]))
+    betas = sorted(opts["betas"], reverse=True)
+    steps = opts["train_steps"]
+    n_seeds = opts["train_seeds"]
+    source = seprep.lgss_source(scalar, opts["traj_len"])
     tail = max(1, min(50, steps // 4))
     ce_by_beta = {}
     models_smallest = []
@@ -533,9 +564,9 @@ def run_seprep(seed: int, overrides=None) -> list:
         finals = []
         for s in range(n_seeds):
             cfg = seprep.DynIBConfig(
-                beta=beta, traj_len=int(opts["traj_len"]), steps=steps,
-                batch=int(opts["batch"]), seed=seed + s,
-                rep_dim=int(opts["rep_dim"]),
+                beta=beta, traj_len=opts["traj_len"], steps=steps,
+                batch=opts["batch"], seed=seed + s,
+                rep_dim=opts["rep_dim"],
                 # linear warmup tames the early recurrent instability,
                 # then a 1/k decay takes over
                 learning_rate=lambda k: (0.04 * min((k + 1) / 100.0, 1.0)
@@ -559,8 +590,8 @@ def run_seprep(seed: int, overrides=None) -> list:
 
     rel_gaps, kls = [], []
     for index, model in enumerate(models_smallest):
-        ev = seprep.evaluate_vs_kalman(model, scalar, T=int(opts["traj_len"]),
-                                       num_traj=int(opts["eval_traj"]),
+        ev = seprep.evaluate_vs_kalman(model, scalar, T=opts["traj_len"],
+                                       num_traj=opts["eval_traj"],
                                        seed=90_000 + index, samples=64)
         rel_gaps.append(ev["gap"] / abs(ev["nll_kalman"]))
         kls.append(ev["mean_kl"])
@@ -585,7 +616,7 @@ def run_control_sep(seed: int, overrides=None) -> list:
     clock = _Clock()
 
     instances = [control_sep.belief_collision_pomdp()]
-    for _ in range(int(opts["instances"])):
+    for _ in range(opts["instances"]):
         instances.append(control_sep.random_pomdp(
             rng,
             n_states=int(rng.integers(2, 5)),
@@ -681,8 +712,8 @@ def run(config: ExperimentConfig) -> list:
     """
     names = EXPERIMENT_NAMES if config.experiment == "all" else (config.experiment,)
     known = set()
-    for name in names:
-        known |= set(_DEFAULTS[name])
+    for name in names:  # a bad value fails here, before any battery runs
+        known |= set(_opts(name, config.overrides))
     for key in config.overrides:
         if key not in known:
             raise ValueError(f"unknown override key {key!r} for "

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 
-from . import info, lgss, nn
+from . import control_sep, info, lgss, nn
 
 __all__ = [
     "SepFilterModel",
@@ -607,24 +607,18 @@ class FiniteHMM:
     trans: np.ndarray  # (S, S), rows p(s'|s)
     emit: np.ndarray  # (S, O), rows p(o|s)
     init: np.ndarray  # (S,)
+    # the same chain as a one-action POMDP with zero reward: its belief tree
+    # is the prefix tree of observation histories, and its tables are checked
+    pomdp: control_sep.FinitePOMDP = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        trans = np.asarray(self.trans, dtype=float)
-        emit = np.asarray(self.emit, dtype=float)
-        init = np.asarray(self.init, dtype=float).reshape(-1)
-        S = init.size
-        if trans.shape != (S, S) or emit.shape[0] != S:
-            raise ValueError("table dimensions inconsistent")
-        for name, table in (("transition", trans), ("emission", emit)):
-            if np.any(table < -1e-12):
-                raise ValueError(f"{name} table has negative entries")
-            if np.max(np.abs(table.sum(axis=1) - 1.0)) > 1e-12:
-                raise ValueError(f"{name} table rows must sum to 1")
-        if abs(init.sum() - 1.0) > 1e-12:
-            raise ValueError("initial distribution must sum to 1")
-        object.__setattr__(self, "trans", trans)
-        object.__setattr__(self, "emit", emit)
-        object.__setattr__(self, "init", init)
+        pomdp = control_sep.FinitePOMDP(np.expand_dims(self.trans, 1), self.emit,
+                                        np.zeros((np.size(self.init), 1)), self.init,
+                                        horizon=1)
+        object.__setattr__(self, "trans", pomdp.trans[:, 0, :])
+        object.__setattr__(self, "emit", pomdp.obs)
+        object.__setattr__(self, "init", pomdp.b0)
+        object.__setattr__(self, "pomdp", pomdp)
 
     @property
     def n_states(self) -> int:
@@ -646,12 +640,7 @@ class FiniteHMM:
 
     def forward_update(self, belief, obs):
         """One Bayes step: p(s_t | y^t) from p(s_{t-1} | y^{t-1}) and y_t."""
-        pred = self.trans.T @ belief
-        weighted = self.emit[:, obs] * pred
-        total = weighted.sum()
-        if total <= 0.0:
-            raise ValueError("observation has zero probability under the model")
-        return weighted / total
+        return control_sep.belief_update(self.pomdp, belief, 0, obs)
 
     def next_obs_dist(self, belief, k=0):
         """p(y_{t+k+1} | y^t) given the current posterior p(s_t | y^t)."""
@@ -691,50 +680,36 @@ class HMMExactFilter:
         return 0.0
 
 
-def _check_enumerable(hmm: FiniteHMM, T: int):
-    if T > _ENUM_MAX_T or hmm.n_obs > _ENUM_MAX_OBS:
-        raise ValueError(
-            f"enumeration cap exceeded: need T <= {_ENUM_MAX_T} and "
-            f"|O| <= {_ENUM_MAX_OBS}, got T={T}, |O|={hmm.n_obs}"
-        )
-
-
 def hmm_exact_reference(hmm: FiniteHMM, T: int, n: int = 0) -> dict:
     """Exact enumeration of all observation histories up to length T.
 
+    The histories are the belief tree of the one-action ``hmm.pomdp``.
     Returns the entropy lower bound
     (1/T) Σ_{k=0..n} Σ_t E_{y^t} H(z_{t+k} | y^t), the per-history forward
     posteriors for every prefix, each prefix's probability, and the
     per-(t, k) expected entropies. Any predictor's loss on this chain is
     bounded below by ``entropy_lower_bound``.
     """
-    _check_enumerable(hmm, T)
+    if T > _ENUM_MAX_T or hmm.n_obs > _ENUM_MAX_OBS:
+        raise ValueError(f"enumeration cap exceeded: need T <= {_ENUM_MAX_T} and "
+                         f"|O| <= {_ENUM_MAX_OBS}, got T={T}, |O|={hmm.n_obs}")
     if n < 0 or n >= T:
         raise ValueError("need 0 <= n < T")
-    posteriors = {(): hmm.init.copy()}
-    probs = {(): 1.0}
-    prefixes = {0: [()]}
-    for t in range(1, T + 1):
-        level = []
-        for prefix in prefixes[t - 1]:
-            belief = posteriors[prefix]
-            obs_dist = hmm.next_obs_dist(belief)
-            for o in range(hmm.n_obs):
-                if obs_dist[o] <= 0.0:
-                    continue
-                child = prefix + (o,)
-                posteriors[child] = hmm.forward_update(belief, o)
-                probs[child] = probs[prefix] * float(obs_dist[o])
-                level.append(child)
-        prefixes[t] = level
+    levels = control_sep._belief_tree(hmm.pomdp, T)
+    posteriors, probs = {}, {}
+    for level in levels:
+        for history, (belief, reach) in level.items():
+            prefix = tuple(o for _, o in history)  # the only action is 0
+            posteriors[prefix] = belief
+            probs[prefix] = float(reach)
     term_entropies = {}
     total = 0.0
     for k in range(n + 1):
         for t in range(T - k):
             h = 0.0
-            for prefix in prefixes[t]:
-                pred = hmm.next_obs_dist(posteriors[prefix], k)
-                h += probs[prefix] * info._entropy_table(pred)
+            for belief, reach in levels[t].values():
+                pred = hmm.next_obs_dist(belief, k)
+                h += float(reach) * info._entropy_table(pred)
             term_entropies[(t, k)] = h
             total += h
     return {
@@ -792,11 +767,7 @@ def marginal_candidate(hmm: FiniteHMM, T: int):
     Its slack against the lower bound equals (1/T) Σ I(z_{t+k}; y^t) — the
     information the history carries that this candidate throws away.
     """
-    state = hmm.init.copy()
-    marginals = []
-    for _ in range(T + 1):
-        state = hmm.trans.T @ state
-        marginals.append(hmm.emit.T @ state)
+    marginals = [hmm.next_obs_dist(hmm.init, j) for j in range(T + 1)]
 
     def candidate(history, k):
         return marginals[len(history) + k]

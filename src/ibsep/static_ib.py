@@ -114,14 +114,6 @@ class NuisanceTask:
         n = rng.choice(self.n_card, size=batch, p=self.p_n)
         return self.f_map[z, n], z
 
-    def describe(self) -> dict:
-        return {
-            "z_card": self.z_card,
-            "n_card": self.n_card,
-            "y_card": self.y_card,
-            "f_map": self.f_map.tolist(),
-        }
-
 
 def make_nuisance_task(z_card, n_card, rule="bijective", seed=0, y_card=None) -> NuisanceTask:
     """Build a synthetic nuisance task.

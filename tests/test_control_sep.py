@@ -40,6 +40,26 @@ def test_tables_are_validated():
         cs.FinitePOMDP(good.trans, good.obs, good.reward, [0.7, 0.7], 3)
 
 
+@pytest.mark.parametrize("table, name", [
+    ("trans", "transition table"), ("obs", "observation table"),
+    ("reward", "reward table"), ("b0", "initial distribution")])
+def test_non_finite_tables_are_rejected_by_name(table, name):
+    good = tiger_like()
+    tables = {"trans": good.trans.copy(), "obs": good.obs.copy(),
+              "reward": good.reward.copy(), "b0": good.b0.copy()}
+    tables[table].flat[0] = np.nan
+    with pytest.raises(ValueError, match=f"{name} has non-finite"):
+        cs.FinitePOMDP(horizon=3, **tables)
+
+
+def test_pomdp_json_rejects_a_nan_entry():
+    # json reads NaN; the instance must not load and then verify vacuously
+    payload = json.loads(cs.pomdp_to_json(tiger_like()))
+    payload["T"][0][0][0] = float("nan")
+    with pytest.raises(ValueError, match="transition table"):
+        cs.pomdp_from_json(json.dumps(payload))
+
+
 def test_belief_update_matches_manual_bayes():
     p = tiger_like()
     b = np.array([0.3, 0.7])

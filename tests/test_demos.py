@@ -24,11 +24,12 @@ def test_kalman_oracles_demo_runs(subprocess_env, tmp_path):
 
 
 # the scripts that call train_ib, train_weight_posterior and train_filter,
-# and the filter and POMDP JSON loaders
+# the HMM prediction floors, and the filter and POMDP JSON loaders
 @pytest.mark.parametrize("name, marker", [
     ("03_static_bottleneck.py", "invariance slack"),
     ("05_weight_information.py", "curvature bound rhs"),
     ("06_separating_filter.py", "JSON round trip: predictive mean agrees -> True"),
+    ("07_hmm_prediction_bounds.py", "n=2: floor 1.62632888, Bayes slack"),
     ("08_belief_separation.py", "JSON round trip exact: True"),
 ])
 def test_training_and_loader_demos_run(name, marker, subprocess_env, tmp_path):

@@ -228,6 +228,49 @@ def test_cli_rejects_a_riccati_horizon_below_one(riccati_t, tmp_path, capsys):
     assert "riccati_T" in capsys.readouterr().err
 
 
+# sizes that would check nothing, and values of the wrong type: each must
+# exit 2 naming its key before any battery runs, never pass or crash
+@pytest.mark.parametrize("experiment, setting, key", [
+    ("control-sep", "instances=-3", "instances"),
+    ("control-sep", "instances=0", "instances"),
+    ("seprep", "rand_candidates=0", "rand_candidates"),
+    ("seprep", "hmm_T=0", "hmm_T"),
+    ("seprep", "hmm_T=9", "hmm_T"),
+    ("kalman", 'riccati_T="abc"', "riccati_T"),
+    ("kalman", "riccati_T=2.5", "riccati_T"),
+    ("seprep", "betas=5", "betas"),
+    ("seprep", "betas=[0.1]", "betas"),
+    ("seprep", 'betas=[0.1, "x"]', "betas"),
+    ("info", "tol=NaN", "tol"),
+    ("info", "instances=true", "instances"),
+])
+def test_cli_rejects_bad_values_by_key(experiment, setting, key, tmp_path, capsys):
+    code = harness.main([experiment, "--out", str(tmp_path), "--set", setting])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_all_checks_every_value_before_any_battery(tmp_path):
+    # gradcheck runs first; control-sep's bad count must stop it from starting
+    cfg = harness.ExperimentConfig("all", out=str(tmp_path),
+                                   overrides={"instances": 0})
+    with pytest.raises(ValueError, match="instances"):
+        harness.run(cfg)
+    assert not list(tmp_path.iterdir())
+
+
+def test_overrides_take_their_default_types():
+    opts = harness._opts("seprep", {"train_steps": 20.0, "betas": [1, 0.5],
+                                    "hmm_T": 8})
+    assert type(opts["train_steps"]) is int and opts["train_steps"] == 20
+    assert opts["betas"] == (1.0, 0.5)
+    assert all(type(b) is float for b in opts["betas"])
+    assert type(harness._opts("gradcheck", {"tol": 1})["tol"]) is float
+    # the kalman gates fail on their own when nothing was compared
+    assert harness._opts("kalman", {"riccati_models": -1})["riccati_models"] == -1
+
+
 def test_cli_rejects_malformed_set(tmp_path, capsys):
     code = harness.main(["info", "--out", str(tmp_path), "--set", "oops"])
     assert code == 2

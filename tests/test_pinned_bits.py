@@ -1,9 +1,12 @@
-"""Exact results of three short training runs, pinned bit for bit.
+"""Exact results of three short training runs and of the exact belief
+trees, pinned bit for bit.
 
 The other training tests check that two runs agree with each other or
 that the loss falls; these check that a run gives the very same floats
 as the recorded one, so a refactor of the training loops, the KL term
-or the parameter plumbing that changes any bit fails here. Whole results
+or the parameter plumbing that changes any bit fails here. The same
+holds for the HMM prefix tree and the POMDP history tree: every
+posterior, prefix probability, reach and action value is pinned. Whole results
 are pinned by the sha256 of their ``repr``; a few final values are also
 spelt out so a failure shows how far off a run is. The digests were
 recorded with numpy 2.4 and OpenBLAS on x86-64; another BLAS build may
@@ -14,7 +17,7 @@ import hashlib
 
 import numpy as np
 
-from ibsep import lgss, seprep, static_ib as sib
+from ibsep import control_sep, lgss, seprep, static_ib as sib
 
 
 def _digest(obj):
@@ -60,3 +63,51 @@ def test_train_filter_is_pinned():
         "a73af0a44bd591d2c1fa9a7d7875af3e473c661688658ad39f9072828579ad09")
     assert _digest(seprep.save_filter_json(trained.model)) == (
         "f0a31d13ac12ca04691c96d9bb5e1c40037d84c63723fd85606e43cc8d803b4a")
+
+
+def _pinned_hmms():
+    fixed = seprep.FiniteHMM(trans=[[0.8, 0.2], [0.3, 0.7]],
+                             emit=[[0.9, 0.1], [0.2, 0.8]], init=[0.6, 0.4])
+    rng = np.random.default_rng(11)
+    random3 = seprep.FiniteHMM(trans=rng.dirichlet(np.ones(3), size=3),
+                               emit=rng.dirichlet(np.ones(3), size=3),
+                               init=rng.dirichlet(np.ones(3)))
+    return fixed, random3
+
+
+def test_hmm_exact_reference_is_pinned():
+    pinned = [
+        (127, 1.1846340800108164,
+         "8f08660e80b7c4ef1403a26bbc41fc36c376cd3c6bb0cb9434570de44540f117",
+         "09cf2b10f7beb3a093ecc7858ffe4f45ec85f3b9993c6d6a6792ea5e028800b2",
+         "de150433547a1b936ad3800417f03183cbee3e6ca108c871d36d24e23d27a87e"),
+        (1093, 1.9519078560408827,
+         "878f9e6a402d462eb57f875f712cb60f7dffe16f533bbde9154aff8c266b8d7f",
+         "1807ba88c28d554efc9daab3081caff14ddd2ec944f0ea704c93c56608adf8a5",
+         "8aca097ff96a742af63ffa27b82b61661d13ddb4f564bd425bcda7e2b78f2d31"),
+    ]
+    for hmm, (nodes, bound, posteriors, probs, terms) in zip(_pinned_hmms(), pinned):
+        ref = seprep.hmm_exact_reference(hmm, 6, n=1)
+        assert len(ref["prefix_probs"]) == nodes
+        assert ref["entropy_lower_bound"] == bound
+        assert all(type(p) is float for p in ref["prefix_probs"].values())
+        assert _digest({k: v.tolist() for k, v in ref["posteriors"].items()}) == posteriors
+        assert _digest(ref["prefix_probs"]) == probs
+        assert _digest(ref["term_entropies"]) == terms
+
+
+def test_brute_force_q_is_pinned():
+    pinned = [
+        (control_sep.belief_collision_pomdp(), 21, 1.05,
+         "c3db40727130034f7a4c0bf0931456d8ec9b4a6d8e917edafa38bce97762552d"),
+        (control_sep.random_pomdp(np.random.default_rng(5), n_states=3,
+                                  n_actions=2, n_obs=3, horizon=4),
+         259, 0.11837192744882451,
+         "326047cf1a51cefbdaee0529b4ae6aa5b2f05bed69d15006e21c2146c33bc111"),
+    ]
+    for pomdp, count, best, digest in pinned:
+        nodes = control_sep.brute_force_q(pomdp)
+        assert len(nodes) == count
+        assert float(nodes[()].q_values.max()) == best
+        assert _digest({h: (n.belief.tolist(), float(n.reach), n.q_values.tolist())
+                        for h, n in nodes.items()}) == digest

@@ -517,6 +517,33 @@ def test_forward_update_matches_manual_bayes():
                                rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("init, message", [
+    ([1.5, -0.5], "probability vector"), ([np.nan, 1.0], "non-finite")])
+def test_hmm_rejects_a_bad_initial_distribution(init, message):
+    with pytest.raises(ValueError, match=message):
+        seprep.FiniteHMM(trans=[[0.8, 0.2], [0.3, 0.7]],
+                         emit=[[0.9, 0.1], [0.2, 0.8]], init=init)
+
+
+def test_hmm_rejects_non_finite_and_misshapen_tables():
+    emit = [[0.9, 0.1], [0.2, 0.8]]
+    with pytest.raises(ValueError, match="transition table has non-finite"):
+        seprep.FiniteHMM(trans=[[np.nan, 1.0], [0.3, 0.7]], emit=emit,
+                         init=[0.5, 0.5])
+    with pytest.raises(ValueError, match="shape"):
+        seprep.FiniteHMM(trans=[0.5, 0.5], emit=emit, init=[0.5, 0.5])
+
+
+def test_hmm_is_the_one_action_pomdp():
+    hmm = two_state_hmm()
+    view = hmm.pomdp
+    assert (view.n_states, view.n_actions, view.n_obs) == (2, 1, 2)
+    assert np.array_equal(view.trans[:, 0, :], hmm.trans)
+    assert np.array_equal(view.obs, hmm.emit)
+    assert np.array_equal(view.b0, hmm.init)
+    assert not np.any(view.reward)
+
+
 def test_forward_update_rejects_impossible_observation():
     hmm = seprep.FiniteHMM(trans=[[0.5, 0.5], [0.5, 0.5]],
                            emit=[[1.0, 0.0], [1.0, 0.0]],
