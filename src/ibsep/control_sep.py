@@ -230,12 +230,10 @@ def verify_separation(pomdp: FinitePOMDP, tol: float = 1e-9, nodes=None) -> dict
     groups = {}
     for node in nodes.values():
         groups.setdefault(_belief_key(node.depth, node.belief), []).append(node)
-    max_spread = 0.0
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        stacked = np.stack([m.q_values for m in members])
-        max_spread = max(max_spread, float((stacked.max(0) - stacked.min(0)).max()))
+    # one NumPy reduction, so a NaN action value reaches max_q_spread
+    spreads = [np.ptp([m.q_values for m in members], axis=0)
+               for members in groups.values() if len(members) > 1]
+    max_spread = float(np.max(spreads, initial=0.0))
     return {
         "max_q_spread": max_spread,
         "groups": len(groups),
@@ -308,9 +306,9 @@ def reward_sufficiency_check(pomdp: FinitePOMDP, representation, nodes=None) -> 
         pomdp, ((n.history, n.belief) for n in nodes.values()),
         lambda history, belief: [representation(history, (a,)) for a in actions])
 
-    max_dev = 0.0
-    for history, q in q_from_rep.items():
-        max_dev = max(max_dev, float(np.max(np.abs(q - nodes[history].q_values))))
+    # one NumPy reduction, so a NaN prediction reaches max_dev
+    max_dev = float(np.max([np.abs(q - nodes[history].q_values)
+                            for history, q in q_from_rep.items()]))
     return {
         "q_from_rep": q_from_rep,
         "q_star": {h: n.q_values for h, n in nodes.items()},

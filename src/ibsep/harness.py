@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 import sys
 import time
 from dataclasses import dataclass, field
@@ -63,7 +64,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MetricRecord:
-    """One checked quantity: value, tolerance, verdict, wall-clock seconds."""
+    """One checked quantity: value, tolerance, verdict, wall-clock seconds,
+    and for a gate the number of instance values it reduced."""
 
     experiment: str
     key: str
@@ -71,6 +73,7 @@ class MetricRecord:
     tolerance: float | None
     status: str  # "pass" | "fail" | "report"
     seconds: float
+    instances: int | None = None
 
     def __post_init__(self):
         if self.status not in ("pass", "fail", "report"):
@@ -155,10 +158,20 @@ def _opts(name: str, overrides) -> dict:
     return merged
 
 
-def _check(experiment, key, value, tolerance, ok, clock) -> MetricRecord:
-    status = "pass" if ok else "fail"
-    return MetricRecord(experiment, key, float(value), tolerance, status,
-                        clock.lap())
+def _gate(experiment, key, values, reduce, op, bound, tolerance,
+          clock) -> MetricRecord:
+    """The one pass/fail decision: ``op(reduce(values), bound)``.
+
+    ``reduce`` is ``np.max``, ``np.min`` or ``np.mean``, so a NaN in any
+    instance reaches the recorded value and fails. A gate that saw no
+    instance records NaN and fails rather than passing vacuously.
+    ``tolerance`` is only the column written to ``metrics.csv``.
+    """
+    flat = np.asarray(values, dtype=float).ravel()
+    value = float(reduce(flat)) if flat.size else math.nan
+    ok = flat.size > 0 and math.isfinite(value) and op(value, bound)
+    return MetricRecord(experiment, key, value, tolerance,
+                        "pass" if ok else "fail", clock.lap(), flat.size)
 
 
 def _report(experiment, key, value, clock) -> MetricRecord:
@@ -214,7 +227,7 @@ def run_gradcheck(seed: int, overrides=None) -> list:
     rng = np.random.default_rng(seed)
     clock = _Clock()
     margin = 50.0 * opts["fd_step"]
-    worst = 0.0
+    errors = []
     for index in range(opts["models"]):
         while True:
             depth = int(rng.integers(1, 3))
@@ -248,10 +261,10 @@ def run_gradcheck(seed: int, overrides=None) -> list:
         for name in params:
             a, f = analytic[name], fd[name]
             denom = max(1e-8, float(np.max(np.abs(a))), float(np.max(np.abs(f))))
-            worst = max(worst, float(np.max(np.abs(a - f))) / denom)
+            errors.append(float(np.max(np.abs(a - f))) / denom)
     return [
-        _check("gradcheck", "max_rel_error", worst, opts["tol"],
-               worst < opts["tol"], clock),
+        _gate("gradcheck", "max_rel_error", errors, np.max, operator.lt,
+              opts["tol"], opts["tol"], clock),
         _report("gradcheck", "models_checked", opts["models"], clock),
     ]
 
@@ -268,27 +281,27 @@ def run_info(seed: int, overrides=None) -> list:
     clock = _Clock()
     n = opts["instances"]
 
-    mi_err = 0.0
+    mi_errs = []
     for _ in range(n):
         kx = int(rng.integers(2, 6))
         ky = int(rng.integers(2, 6))
         prior = info.DiscreteDistribution(rng.dirichlet(np.ones(kx)))
         channel = info.DiscreteChannel(rng.dirichlet(np.ones(ky), size=kx))
         sides = info.mi_identity_check(prior, channel)
-        mi_err = max(mi_err, abs(sides["lhs"] - sides["rhs"]))
-    records = [_check("info", "mi_identity_max_abs_err", mi_err,
-                      opts["tol"], mi_err < opts["tol"], clock)]
+        mi_errs.append(abs(sides["lhs"] - sides["rhs"]))
+    records = [_gate("info", "mi_identity_max_abs_err", mi_errs, np.max,
+                     operator.lt, opts["tol"], opts["tol"], clock)]
 
-    ce_err = 0.0
+    ce_errs = []
     for _ in range(n):
         k = int(rng.integers(2, 9))
         p = info.DiscreteDistribution(rng.dirichlet(np.ones(k)))
         q = info.DiscreteDistribution(rng.dirichlet(np.ones(k)))
         lhs = info.cross_entropy_discrete(p, q)
         rhs = info.entropy(p) + info.kl_discrete(p, q)
-        ce_err = max(ce_err, abs(lhs - rhs))
-    records.append(_check("info", "ce_decomposition_max_abs_err", ce_err,
-                          opts["tol"], ce_err < opts["tol"], clock))
+        ce_errs.append(abs(lhs - rhs))
+    records.append(_gate("info", "ce_decomposition_max_abs_err", ce_errs,
+                         np.max, operator.lt, opts["tol"], opts["tol"], clock))
     return records
 
 
@@ -304,7 +317,7 @@ def run_kalman(seed: int, overrides=None) -> list:
     rng = np.random.default_rng(seed)
     clock = _Clock()
 
-    filter_dev = 0.0
+    filter_devs = []
     models = []
     for _ in range(opts["models"]):
         n = int(rng.integers(1, 5))
@@ -317,28 +330,19 @@ def run_kalman(seed: int, overrides=None) -> list:
         for t in (max(1, T // 2), T):
             oracle = lgss.batch_posterior_oracle(model, traj, t)
             state = posteriors[t - 1]
-            filter_dev = max(
-                filter_dev,
-                float(np.max(np.abs(state.mean - oracle.mean))),
-                float(np.max(np.abs(state.cov - oracle.cov))),
-            )
-    # a gate that compared no model fails rather than passing vacuously
-    records = [_check("kalman", "filter_vs_batch_max_dev", filter_dev,
-                      opts["tol"], bool(models) and filter_dev < opts["tol"],
-                      clock)]
+            filter_devs += [np.max(np.abs(state.mean - oracle.mean)),
+                            np.max(np.abs(state.cov - oracle.cov))]
+    records = [_gate("kalman", "filter_vs_batch_max_dev", filter_devs, np.max,
+                     operator.lt, opts["tol"], opts["tol"], clock)]
 
-    riccati_dev = 0.0
-    riccati_models = models[: max(0, opts["riccati_models"])]
-    for model in riccati_models:
+    riccati_devs = []
+    for model in models[: max(0, opts["riccati_models"])]:
         fixed = lgss.riccati_iterate(model, 2.0 * np.eye(model.n), 5 * riccati_T)
         traj = lgss.simulate(model, None, riccati_T, rng)
         posteriors, _, _ = lgss.run_filter(model, traj)
-        riccati_dev = max(riccati_dev,
-                          float(np.max(np.abs(posteriors[-1].cov - fixed))))
-    records.append(_check("kalman", "riccati_vs_filter_max_dev", riccati_dev,
-                          opts["tol"],
-                          bool(riccati_models) and riccati_dev < opts["tol"],
-                          clock))
+        riccati_devs.append(np.max(np.abs(posteriors[-1].cov - fixed)))
+    records.append(_gate("kalman", "riccati_vs_filter_max_dev", riccati_devs,
+                         np.max, operator.lt, opts["tol"], opts["tol"], clock))
     return records
 
 
@@ -374,8 +378,8 @@ def _flatness_records(opts, seed, clock) -> list:
     w_hat = np.concatenate([post.mu[k].ravel() for k in names])
     out = static_ib.flatness_diagnostic(loss, w_hat, beta=1e-2, K=w_hat.size)
     records = [
-        _check("static-ib", "flatness_all_finite", 1.0 if out["finite"] else 0.0,
-               None, bool(out["finite"]), clock),
+        _gate("static-ib", "flatness_all_finite", [float(out["finite"])], np.min,
+              operator.ge, 1.0, None, clock),
         _report("static-ib", "flatness_info_estimate", out["info_estimate"], clock),
         _report("static-ib", "flatness_bound_rhs", out["bound_rhs"], clock),
         _report("static-ib", "flatness_hessian_trace", out["hessian_trace"], clock),
@@ -385,9 +389,9 @@ def _flatness_records(opts, seed, clock) -> list:
     probe = static_ib.flatness_diagnostic(
         lambda w: 0.5 * lam * float(np.dot(w, w)), np.full(K, 0.3),
         beta=1e-2, K=K)
-    err = abs(probe["hessian_trace"] - lam * K)
-    records.append(_check("static-ib", "flatness_quadratic_trace_err", err,
-                          1e-6, err < 1e-6, clock))
+    records.append(_gate("static-ib", "flatness_quadratic_trace_err",
+                         [abs(probe["hessian_trace"] - lam * K)], np.max,
+                         operator.lt, 1e-6, 1e-6, clock))
     return records
 
 
@@ -399,27 +403,25 @@ def run_static_ib(seed: int, overrides=None) -> list:
     records = []
 
     # invariance bound over random separated encoders on bijective tasks
-    min_margin = np.inf
-    min_eps = np.inf
-    max_excess = -np.inf
+    margins, epsilons, excesses = [], [], []
     for index in range(opts["encoders"]):
         task = static_ib.make_nuisance_task(int(rng.integers(2, 5)),
                                             int(rng.integers(2, 5)),
                                             seed=int(rng.integers(2**31)))
         encoder = static_ib.random_separated_encoder(task, rng)
         rep = static_ib.measure_invariance(encoder, task)
-        min_margin = min(min_margin, rep.i_xy - rep.i_yz + 0.02 - rep.i_xn)
-        min_eps = min(min_eps, rep.epsilon)
-        max_excess = max(max_excess, rep.epsilon - rep.h_z_given_y - 0.02)
-    records.append(_check("static-ib", "invariance_min_bound_margin",
-                          min_margin, 0.02, min_margin >= 0.0, clock))
+        margins.append(rep.i_xy - rep.i_yz + 0.02 - rep.i_xn)
+        epsilons.append(rep.epsilon)
+        excesses.append(rep.epsilon - rep.h_z_given_y - 0.02)
+    records.append(_gate("static-ib", "invariance_min_bound_margin", margins,
+                         np.min, operator.ge, 0.0, 0.02, clock))
     # epsilon >= 0 holds exactly for sufficient encoders; the floor absorbs
     # the Gaussian tail overlap of the near-deterministic encoder family
     # (means 0.3 apart, sigma <= 0.03) plus grid roundoff
-    records.append(_check("static-ib", "epsilon_min", min_eps, 1e-6,
-                          min_eps >= -1e-6, clock))
-    records.append(_check("static-ib", "epsilon_max_excess_over_hzy",
-                          max_excess, 0.02, max_excess <= 0.0, clock))
+    records.append(_gate("static-ib", "epsilon_min", epsilons, np.min,
+                         operator.ge, -1e-6, 1e-6, clock))
+    records.append(_gate("static-ib", "epsilon_max_excess_over_hzy", excesses,
+                         np.max, operator.le, 0.0, 0.02, clock))
 
     # stacking: deterministic second layer keeps information exactly;
     # injected noise can only lose it, about the task and the nuisance both
@@ -427,15 +429,15 @@ def run_static_ib(seed: int, overrides=None) -> list:
     exact = static_ib.stacked_bottleneck_experiment(
         task, widths=[1, 4, 4], noise_levels=[0.05, 0.0, 0.0],
         seed=int(rng.integers(2**31)))
-    dpi_violation = max(b.i_xy - a.i_xy for a, b in zip(exact, exact[1:]))
-    records.append(_check("static-ib", "stack_exact_dpi_max_violation",
-                          dpi_violation, 1e-12, dpi_violation <= 1e-12, clock))
+    records.append(_gate("static-ib", "stack_exact_dpi_max_violation",
+                         [b.i_xy - a.i_xy for a, b in zip(exact, exact[1:])],
+                         np.max, operator.le, 1e-12, 1e-12, clock))
     noisy = static_ib.stacked_bottleneck_experiment(
         task, widths=[1, 4, 4], noise_levels=[0.05, 0.05, 0.1],
         seed=int(rng.integers(2**31)))
-    nuisance_rise = max(b.i_xn - a.i_xn for a, b in zip(noisy, noisy[1:]))
-    records.append(_check("static-ib", "stack_noisy_nuisance_max_increase",
-                          nuisance_rise, 1e-12, nuisance_rise <= 1e-12, clock))
+    records.append(_gate("static-ib", "stack_noisy_nuisance_max_increase",
+                         [b.i_xn - a.i_xn for a, b in zip(noisy, noisy[1:])],
+                         np.max, operator.le, 1e-12, 1e-12, clock))
 
     # training endpoints, averaged over seeds
     task = static_ib.make_nuisance_task(2, 2, seed=0)
@@ -454,15 +456,12 @@ def run_static_ib(seed: int, overrides=None) -> list:
         acc = static_ib.eval_accuracy(squeezed.encoder, squeezed.decoder,
                                       task, 512, np.random.default_rng(321 + s))
         devs.append(abs(acc - 1.0 / task.z_card))
-    mean_acc = float(np.mean(accs))
-    mean_bound = float(np.mean(bounds))
-    mean_dev = float(np.mean(devs))
-    records.append(_check("static-ib", "beta0_mean_accuracy", mean_acc,
-                          0.01, mean_acc >= 0.99, clock))
-    records.append(_check("static-ib", "hi_beta_mean_info_bound", mean_bound,
-                          0.01, mean_bound < 0.01, clock))
-    records.append(_check("static-ib", "hi_beta_mean_accuracy_dev", mean_dev,
-                          0.05, mean_dev <= 0.05, clock))
+    records.append(_gate("static-ib", "beta0_mean_accuracy", accs, np.mean,
+                         operator.ge, 0.99, 0.01, clock))
+    records.append(_gate("static-ib", "hi_beta_mean_info_bound", bounds,
+                         np.mean, operator.lt, 0.01, 0.01, clock))
+    records.append(_gate("static-ib", "hi_beta_mean_accuracy_dev", devs,
+                         np.mean, operator.le, 0.05, 0.05, clock))
 
     records.extend(_flatness_records(opts, seed, clock))
     return records
@@ -513,14 +512,12 @@ def run_seprep(seed: int, overrides=None) -> list:
 
     # n-step prediction loss: bound, attainment, and the marginal's slack
     T = opts["hmm_T"]
-    exact_slack = 0.0
-    marginal_err = 0.0
-    min_slack = np.inf
+    exact_slacks, marginal_errs, slacks = [], [], []
     for hmm in _hmm_instances(rng):
         out = seprep.nstep_bound_check(
             hmm, seprep.exact_posterior_candidate(hmm), T)
-        exact_slack = max(exact_slack, abs(out["slack"]))
-        marginal_err = max(marginal_err, _marginal_slack_identity_err(hmm, T))
+        exact_slacks.append(abs(out["slack"]))
+        marginal_errs.append(_marginal_slack_identity_err(hmm, T))
         for _ in range(opts["rand_candidates"]):
             table = {}
 
@@ -530,25 +527,24 @@ def run_seprep(seed: int, overrides=None) -> list:
                     _t[key] = rng.dirichlet(np.ones(_h.n_obs))
                 return _t[key]
 
-            chk = seprep.nstep_bound_check(hmm, candidate, T)
-            min_slack = min(min_slack, chk["slack"])
-    records.append(_check("seprep", "hmm_exact_candidate_max_abs_slack",
-                          exact_slack, 1e-9, exact_slack < 1e-9, clock))
-    records.append(_check("seprep", "hmm_marginal_slack_identity_err",
-                          marginal_err, 1e-9, marginal_err < 1e-9, clock))
-    records.append(_check("seprep", "hmm_min_candidate_slack", min_slack,
-                          1e-12, min_slack >= -1e-12, clock))
+            slacks.append(seprep.nstep_bound_check(hmm, candidate, T)["slack"])
+    records.append(_gate("seprep", "hmm_exact_candidate_max_abs_slack",
+                         exact_slacks, np.max, operator.lt, 1e-9, 1e-9, clock))
+    records.append(_gate("seprep", "hmm_marginal_slack_identity_err",
+                         marginal_errs, np.max, operator.lt, 1e-9, 1e-9, clock))
+    records.append(_gate("seprep", "hmm_min_candidate_slack", slacks, np.min,
+                         operator.ge, -1e-12, 1e-12, clock))
 
     # the Kalman filter, embedded as a filtering model, is exact
     scalar = _scalar_lgss()
     embed = seprep.evaluate_vs_kalman(seprep.KalmanSepFilter(scalar), scalar,
                                       T=opts["traj_len"], num_traj=10,
                                       seed=int(rng.integers(2**31)))
-    records.append(_check("seprep", "kalman_embed_abs_nll_gap",
-                          abs(embed["gap"]), 1e-9,
-                          abs(embed["gap"]) < 1e-9, clock))
-    records.append(_check("seprep", "kalman_embed_mean_kl", embed["mean_kl"],
-                          1e-9, embed["mean_kl"] < 1e-9, clock))
+    records.append(_gate("seprep", "kalman_embed_abs_nll_gap",
+                         [abs(embed["gap"])], np.max, operator.lt, 1e-9, 1e-9,
+                         clock))
+    records.append(_gate("seprep", "kalman_embed_mean_kl", [embed["mean_kl"]],
+                         np.max, operator.lt, 1e-9, 1e-9, clock))
 
     # trained filters: a beta sweep; the smallest beta doubles as the
     # near-optimality candidate evaluated against the Kalman oracle
@@ -578,13 +574,12 @@ def run_seprep(seed: int, overrides=None) -> list:
             if beta == betas[-1]:
                 models_smallest.append(trained.model)
         ce_by_beta[beta] = (float(np.mean(finals)), float(np.std(finals)))
-    worst_rise = -np.inf
+    rises = []
     for hi, lo in zip(betas, betas[1:]):
         allowance = 2.0 * max(ce_by_beta[hi][1], ce_by_beta[lo][1])
-        worst_rise = max(worst_rise,
-                         ce_by_beta[lo][0] - ce_by_beta[hi][0] - allowance)
-    records.append(_check("seprep", "sweep_ce_max_increase", worst_rise,
-                          0.0, worst_rise <= 0.0, clock))
+        rises.append(ce_by_beta[lo][0] - ce_by_beta[hi][0] - allowance)
+    records.append(_gate("seprep", "sweep_ce_max_increase", rises, np.max,
+                         operator.le, 0.0, 0.0, clock))
     records.append(_report("seprep", "sweep_min_loss_drop",
                            float(np.min(drops)), clock))
 
@@ -595,12 +590,10 @@ def run_seprep(seed: int, overrides=None) -> list:
                                        seed=90_000 + index, samples=64)
         rel_gaps.append(ev["gap"] / abs(ev["nll_kalman"]))
         kls.append(ev["mean_kl"])
-    mean_rel = float(np.mean(rel_gaps))
-    mean_kl = float(np.mean(kls))
-    records.append(_check("seprep", "learned_mean_rel_nll_gap", mean_rel,
-                          0.05, mean_rel < 0.05, clock))
-    records.append(_check("seprep", "learned_mean_kl", mean_kl, 0.05,
-                          mean_kl < 0.05, clock))
+    records.append(_gate("seprep", "learned_mean_rel_nll_gap", rel_gaps,
+                         np.mean, operator.lt, 0.05, 0.05, clock))
+    records.append(_gate("seprep", "learned_mean_kl", kls, np.mean,
+                         operator.lt, 0.05, 0.05, clock))
     return records
 
 
@@ -624,40 +617,37 @@ def run_control_sep(seed: int, overrides=None) -> list:
             n_obs=int(rng.integers(2, 4)),
             horizon=int(rng.integers(3, 6)),
         ))
-    max_spread = 0.0
-    max_gap = 0.0
-    max_dev = 0.0
+    spreads, gaps, devs = [], [], []
     for pomdp in instances:
         nodes = control_sep.brute_force_q(pomdp)
-        report = control_sep.verify_separation(pomdp, nodes=nodes)
-        max_spread = max(max_spread, report["max_q_spread"])
+        spreads.append(control_sep.verify_separation(
+            pomdp, nodes=nodes)["max_q_spread"])
         policy = control_sep.belief_policy(pomdp, nodes=nodes)
-        gap = abs(control_sep.policy_return(pomdp, policy)
-                  - control_sep.optimal_return(pomdp, nodes=nodes))
-        max_gap = max(max_gap, gap)
+        gaps.append(abs(control_sep.policy_return(pomdp, policy)
+                        - control_sep.optimal_return(pomdp, nodes=nodes)))
         rep = control_sep.exact_belief_representation(pomdp)
-        out = control_sep.reward_sufficiency_check(pomdp, rep, nodes=nodes)
-        max_dev = max(max_dev, out["max_dev"])
+        devs.append(control_sep.reward_sufficiency_check(
+            pomdp, rep, nodes=nodes)["max_dev"])
     records = [
-        _check("control-sep", "separation_max_q_spread", max_spread, 1e-9,
-               max_spread < 1e-9, clock),
-        _check("control-sep", "policy_max_return_gap", max_gap, 1e-9,
-               max_gap < 1e-9, clock),
-        _check("control-sep", "reward_sufficiency_max_dev", max_dev, 1e-9,
-               max_dev < 1e-9, clock),
+        _gate("control-sep", "separation_max_q_spread", spreads, np.max,
+              operator.lt, 1e-9, 1e-9, clock),
+        _gate("control-sep", "policy_max_return_gap", gaps, np.max,
+              operator.lt, 1e-9, 1e-9, clock),
+        _gate("control-sep", "reward_sufficiency_max_dev", devs, np.max,
+              operator.lt, 1e-9, 1e-9, clock),
     ]
     collision = instances[0]
     nodes = control_sep.brute_force_q(collision)
     report = control_sep.verify_separation(collision, nodes=nodes)
-    compression = len(nodes) - report["groups"]
-    records.append(_check("control-sep", "collision_group_compression",
-                          compression, None, compression >= 1, clock))
+    records.append(_gate("control-sep", "collision_group_compression",
+                         [len(nodes) - report["groups"]], np.min, operator.ge,
+                         1, None, clock))
     insufficient = control_sep.reward_sufficiency_check(
         control_sep.counterexample_pomdp(),
         control_sep.collapsing_representation(control_sep.counterexample_pomdp()))
-    records.append(_check("control-sep", "collapsing_rep_max_dev",
-                          insufficient["max_dev"], None,
-                          insufficient["max_dev"] > 1e-3, clock))
+    records.append(_gate("control-sep", "collapsing_rep_max_dev",
+                         [insufficient["max_dev"]], np.max, operator.gt, 1e-3,
+                         None, clock))
     return records
 
 
@@ -695,7 +685,8 @@ def _write_summary(records, path, config, seconds) -> None:
         "seconds_total": seconds,
         "records": [
             {"key": r.key, "value": r.value, "tolerance": r.tolerance,
-             "status": r.status, "seconds": r.seconds}
+             "status": r.status, "seconds": r.seconds,
+             "instances": r.instances}
             for r in records
         ],
     }
@@ -708,7 +699,9 @@ def run(config: ExperimentConfig) -> list:
     """Execute the named experiment(s); write metrics.csv + summary.json each.
 
     Returns every MetricRecord produced. Override keys must be recognized
-    by at least one selected battery.
+    by at least one selected battery. A battery whose training diverges
+    records one failed ``training_diverged`` row (its value is the step),
+    and the batteries after it still run.
     """
     names = EXPERIMENT_NAMES if config.experiment == "all" else (config.experiment,)
     known = set()
@@ -722,7 +715,12 @@ def run(config: ExperimentConfig) -> list:
     for name in names:
         stream = experiment_seed(config.seed, name)
         started = time.perf_counter()
-        records = _BATTERIES[name](stream, config.overrides)
+        try:
+            records = _BATTERIES[name](stream, config.overrides)
+        except nn.TrainingDiverged as err:
+            print(f"sepctl: {name}: {err}", file=sys.stderr)
+            records = [MetricRecord(name, "training_diverged", float(err.step),
+                                    None, "fail", time.perf_counter() - started)]
         elapsed = time.perf_counter() - started
         outdir = Path(config.out) / name
         outdir.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,6 @@
 """Tests for the finite-POMDP separation checks."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -160,6 +161,15 @@ def test_collision_instance_has_belief_groups():
     assert report["max_q_spread"] == 0.0
 
 
+def test_a_nan_action_value_fails_separation():
+    p = cs.belief_collision_pomdp()
+    nodes = {h: dataclasses.replace(n, q_values=np.full_like(n.q_values, np.nan))
+             for h, n in cs.brute_force_q(p).items()}
+    report = cs.verify_separation(p, nodes=nodes)
+    assert np.isnan(report["max_q_spread"])
+    assert not report["pass"]
+
+
 def test_separation_report_json(tmp_path):
     report = cs.verify_separation(tiger_like())
     path = tmp_path / "separation.json"
@@ -247,6 +257,12 @@ def test_observation_blind_representation_is_insufficient():
     p = cs.counterexample_pomdp()
     out = cs.reward_sufficiency_check(p, cs.collapsing_representation(p))
     assert out["max_dev"] > 0.1
+
+
+def test_a_nan_reward_prediction_is_not_certified_sufficient():
+    p = cs.belief_collision_pomdp()
+    out = cs.reward_sufficiency_check(p, lambda history, actions: float("nan"))
+    assert np.isnan(out["max_dev"])
 
 
 def test_open_loop_reward_predictions_match_enumeration():

@@ -1,13 +1,16 @@
 """Tests for experiment orchestration, config files, and the sepctl CLI."""
 
 import json
+import math
+import operator
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from ibsep import harness
+from ibsep import control_sep, harness, info, nn
 
 # shrunk parameters so the full pipeline runs in seconds
 FAST = {"models": 3, "instances": 5, "encoders": 3, "train_steps": 5,
@@ -275,3 +278,115 @@ def test_cli_rejects_malformed_set(tmp_path, capsys):
     code = harness.main(["info", "--out", str(tmp_path), "--set", "oops"])
     assert code == 2
     assert "key=value" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# gates: one reduction, no silent NaN, no vacuous pass
+# ---------------------------------------------------------------------------
+
+REDUCERS = st.sampled_from([np.max, np.min, np.mean])
+OPS = st.sampled_from([operator.lt, operator.le, operator.ge, operator.gt])
+# bounded so that np.mean's sum cannot overflow
+FINITE = st.floats(-1e300, 1e300, allow_nan=False)
+
+
+def _gate(values, reduce=np.max, op=operator.lt, bound=1.0):
+    return harness._gate("t", "k", values, reduce, op, bound, 0.5,
+                         harness._Clock())
+
+
+@given(st.lists(FINITE, min_size=1, max_size=30), REDUCERS, OPS, FINITE)
+def test_gate_reduces_and_decides_from_the_recorded_value(values, reduce, op,
+                                                          bound):
+    record = _gate(values, reduce, op, bound)
+    builtin = {np.max: max, np.min: min}.get(reduce)
+    if builtin is not None:
+        assert record.value == builtin(values)
+        if record.value != 0.0:  # the sign of a zero may differ
+            assert record.value.hex() == float(builtin(values)).hex()
+    assert record.status == ("pass" if op(record.value, bound) else "fail")
+    assert record.instances == len(values)
+    assert record.tolerance == 0.5
+
+
+@given(st.lists(FINITE, max_size=30), st.data(), REDUCERS, OPS)
+def test_one_nan_anywhere_fails_the_gate(values, data, reduce, op):
+    at = data.draw(st.integers(0, len(values)))
+    record = _gate(values[:at] + [math.nan] + values[at:], reduce, op,
+                   data.draw(FINITE))
+    assert math.isnan(record.value)
+    assert record.status == "fail"
+    assert record.instances == len(values) + 1
+
+
+@pytest.mark.parametrize("reduce", [np.max, np.min, np.mean])
+def test_a_gate_that_saw_no_instance_fails(reduce):
+    record = _gate([], reduce, operator.lt, math.inf)
+    assert record.status == "fail"
+    assert record.instances == 0
+    assert math.isnan(record.value)
+
+
+@pytest.mark.parametrize("module, function, field, battery, key", [
+    (info, "mi_identity_check", "lhs", harness.run_info,
+     "mi_identity_max_abs_err"),
+    (control_sep, "verify_separation", "max_q_spread", harness.run_control_sep,
+     "separation_max_q_spread"),
+], ids=["info", "control-sep"])
+def test_a_nan_in_one_battery_instance_fails_its_gate(monkeypatch, module,
+                                                      function, field, battery,
+                                                      key):
+    real = getattr(module, function)
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        calls.append(None)
+        out = real(*args, **kwargs)
+        return {**out, field: math.nan} if len(calls) == 3 else out
+
+    monkeypatch.setattr(module, function, poisoned)
+    records = battery(7, {"instances": 5})
+    assert len(calls) >= 5
+    for record in records:
+        if record.key == key:
+            assert math.isnan(record.value)
+            assert record.status == "fail"
+        else:  # the other gates of the battery are untouched
+            assert record.status in ("pass", "report")
+
+
+def test_summary_counts_the_instances_of_every_gate(tmp_path):
+    small = {k: FAST[k] for k in harness._DEFAULTS["static-ib"]}
+    harness.run(harness.ExperimentConfig("static-ib", seed=2, out=str(tmp_path),
+                                         overrides=small))
+    summary = json.loads((tmp_path / "static-ib" / "summary.json").read_text())
+    for rec in summary["records"]:
+        if rec["status"] == "report":
+            assert rec["instances"] is None
+        else:
+            assert rec["instances"] >= 1
+    counts = {r["key"]: r["instances"] for r in summary["records"]}
+    assert counts["invariance_min_bound_margin"] == FAST["encoders"]
+    assert counts["beta0_mean_accuracy"] == FAST["train_seeds"]
+    # instance counts live in the summary, never in the CSV
+    header = (tmp_path / "static-ib" / "metrics.csv").read_text().splitlines()[0]
+    assert "instances" not in header
+
+
+def test_a_diverged_training_run_fails_its_battery_and_the_rest_still_run(
+        tmp_path, monkeypatch, capsys):
+    def diverge(source, config):
+        raise nn.TrainingDiverged(17)
+
+    monkeypatch.setattr(harness.seprep, "train_filter", diverge)
+    args = ["all", "--seed", "1", "--out", str(tmp_path)]
+    for key, value in FAST.items():
+        args += ["--set", f"{key}={value}"]
+    assert harness.main(args) == 1
+    assert "sepctl: seprep: training loss non-finite at step 17" in \
+        capsys.readouterr().err
+    rows = (tmp_path / "seprep" / "metrics.csv").read_text().splitlines()
+    assert rows[1:] == ["seprep,training_diverged,17.0,,fail"]
+    summary = json.loads((tmp_path / "seprep" / "summary.json").read_text())
+    assert summary["all_pass"] is False
+    assert (tmp_path / "control-sep" / "metrics.csv").exists()
