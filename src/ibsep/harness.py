@@ -60,6 +60,9 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; choose from "
                 f"{', '.join(EXPERIMENT_NAMES + ('all',))}"
             )
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        if not isinstance(self.out, str):
+            raise ValueError(f"out must be a string, got {self.out!r}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +146,11 @@ def _typed(name: str, key: str, value, default):
         raise ValueError(f"{key} must be a list of at least two numbers, got {value!r}")
     if isinstance(default, float):
         return float(_number(key, value))
-    low, high = _INT_BOUNDS.get((name, key), (1, math.inf))
+    return _integer(key, value, *_INT_BOUNDS.get((name, key), (1, math.inf)))
+
+
+def _integer(key: str, value, low=-math.inf, high=math.inf) -> int:
+    """An integral number (not a bool) in [low, high], or a ValueError naming key."""
     if _number(key, value) != int(value) or not low <= value <= high:
         raise ValueError(f"{key} must be an integer in [{low}, {high}], got {value!r}")
     return int(value)
@@ -326,12 +333,11 @@ def run_kalman(seed: int, overrides=None) -> list:
         models.append(model)
         T = int(rng.integers(10, 51))
         traj = lgss.simulate(model, None, T, rng)
-        posteriors, _, _ = lgss.run_filter(model, traj)
+        (means, covs), _, _ = lgss.run_filter(model, traj)
         for t in (max(1, T // 2), T):
             oracle = lgss.batch_posterior_oracle(model, traj, t)
-            state = posteriors[t - 1]
-            filter_devs += [np.max(np.abs(state.mean - oracle.mean)),
-                            np.max(np.abs(state.cov - oracle.cov))]
+            filter_devs += [np.max(np.abs(means[t - 1] - oracle.mean)),
+                            np.max(np.abs(covs[t - 1] - oracle.cov))]
     records = [_gate("kalman", "filter_vs_batch_max_dev", filter_devs, np.max,
                      operator.lt, opts["tol"], opts["tol"], clock)]
 
@@ -339,8 +345,8 @@ def run_kalman(seed: int, overrides=None) -> list:
     for model in models[: max(0, opts["riccati_models"])]:
         fixed = lgss.riccati_iterate(model, 2.0 * np.eye(model.n), 5 * riccati_T)
         traj = lgss.simulate(model, None, riccati_T, rng)
-        posteriors, _, _ = lgss.run_filter(model, traj)
-        riccati_devs.append(np.max(np.abs(posteriors[-1].cov - fixed)))
+        (_, covs), _, _ = lgss.run_filter(model, traj)
+        riccati_devs.append(np.max(np.abs(covs[-1] - fixed)))
     records.append(_gate("kalman", "riccati_vs_filter_max_dev", riccati_devs,
                          np.max, operator.lt, opts["tol"], opts["tol"], clock))
     return records
@@ -753,8 +759,8 @@ def load_config(path) -> ExperimentConfig:
     overrides = payload.get("overrides", {})
     if not isinstance(overrides, dict):
         raise ValueError("'overrides' must be a JSON object")
-    return ExperimentConfig(payload["experiment"], int(payload.get("seed", 0)),
-                            str(payload.get("out", "results")), dict(overrides))
+    return ExperimentConfig(payload["experiment"], payload.get("seed", 0),
+                            payload.get("out", "results"), dict(overrides))
 
 
 def _parse_set(text: str) -> tuple:

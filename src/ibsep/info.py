@@ -39,6 +39,7 @@ __all__ = [
     "mi_identity_check",
     "total_correlation_discrete",
     "kl_gaussian",
+    "gaussian_logpdf",
     "kl_to_standard_normal",
     "total_correlation_gaussian",
     "compose_channels",
@@ -241,13 +242,16 @@ class GaussianDistribution:
 
     def logpdf(self, x) -> float:
         """Log density at ``x``; requires a positive-definite covariance."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        chol = np.linalg.cholesky(self.cov)
-        dev = solve_triangular(chol, x - self.mean, lower=True)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        return float(
-            -0.5 * (self.dim * math.log(2.0 * math.pi) + logdet + dev @ dev)
-        )
+        return gaussian_logpdf(self.mean, self.cov, x)
+
+
+def gaussian_logpdf(mean, cov, x) -> float:
+    """Log density of N(mean, cov) at ``x``; cov must be positive definite."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    chol = np.linalg.cholesky(cov)
+    dev = solve_triangular(chol, x - mean, lower=True)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    return float(-0.5 * (mean.size * math.log(2.0 * math.pi) + logdet + dev @ dev))
 
 
 def _entropy_table(table) -> float:

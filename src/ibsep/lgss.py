@@ -5,8 +5,12 @@ The model is
     x_{t+1} = A x_t + B u_t + w_t,   w_t ~ N(0, Q)
     y_t     = C x_t + v_t,           v_t ~ N(0, R)
 
-with x_0 ~ N(mu0, P0). The recursive filter (predict/update with
-Joseph-form covariances and Cholesky solves) is checked against an
+with x_0 ~ N(mu0, P0). The posterior over x_t given y_1..y_t is exactly
+Gaussian, so the filter state is the plain ``(mean, cov)`` pair of
+arrays: ``kalman_predict`` and ``kalman_update`` (Joseph-form covariance,
+Cholesky gain solve) map one pair to the next, and ``run_filter`` returns
+the stacked posteriors, the stacked one-step predictives of y_t and the
+total log-likelihood. The recursive filter is checked against an
 independent oracle that builds the joint Gaussian of (x_t, y_1..y_t)
 explicitly and conditions by Schur complement.
 """
@@ -20,11 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .info import GaussianDistribution, _read_json_object
+from .info import GaussianDistribution, _read_json_object, gaussian_logpdf
 
 __all__ = [
     "LGSSModel",
-    "KalmanState",
     "Trajectory",
     "random_stable_model",
     "covariance_root",
@@ -97,26 +100,6 @@ class LGSSModel:
     @property
     def p(self) -> int:
         return self.B.shape[1]
-
-    def initial_state(self) -> "KalmanState":
-        return KalmanState(0, self.mu0.copy(), self.P0.copy())
-
-
-@dataclass(frozen=True)
-class KalmanState:
-    """Filter state at time t: posterior (or prior) mean and covariance."""
-
-    t: int
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("non-finite filter state")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", (cov + cov.T) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -220,7 +203,7 @@ def _finite(values):
 
 
 def _finite_symmetric(cov):
-    """The covariance as KalmanState stores it: checked finite, symmetrised."""
+    """A filter covariance: checked finite, then symmetrised."""
     cov = _finite(cov)
     return (cov + cov.T) / 2.0
 
@@ -244,46 +227,46 @@ def _update_cov(cov, model: LGSSModel):
     return gain, _finite_symmetric(U @ cov @ U.T + gain @ model.R @ gain.T)
 
 
-def _predict(mean, cov, model: LGSSModel, u):
-    """Time update on plain arrays: the (mean, cov) of the prior over x_{t+1}."""
-    return _finite(model.A @ mean + model.B @ u), _predict_cov(cov, model)
-
-
-def _update(mean, cov, y, model: LGSSModel):
-    """Measurement update on plain arrays: the posterior (mean, cov)."""
-    gain, post_cov = _update_cov(cov, model)
-    return _finite(mean + gain @ (y - model.C @ mean)), post_cov
-
-
 def _riccati_map(cov, model: LGSSModel):
     """Posterior covariance one step later: update(predict(cov)), data-free."""
     return _update_cov(_predict_cov(cov, model), model)[1]
 
 
-def kalman_predict(state: KalmanState, model: LGSSModel, u=None) -> KalmanState:
-    """Time update: the prior over x_{t+1} given data up to t."""
+def _state(mean, cov):
+    """A filter state (mean, cov) as arrays, cov checked finite and symmetrised.
+
+    A non-finite mean reaches the result, whose check raises.
+    """
+    cov = _finite_symmetric(np.atleast_2d(np.asarray(cov, dtype=float)))
+    return np.asarray(mean, dtype=float).reshape(-1), cov
+
+
+def kalman_predict(mean, cov, model: LGSSModel, u=None):
+    """Time update: the prior (mean, cov) over x_{t+1} given data up to t."""
+    mean, cov = _state(mean, cov)
     u = np.zeros(model.p) if u is None else np.asarray(u, dtype=float).reshape(model.p)
-    return KalmanState(state.t + 1, *_predict(state.mean, state.cov, model, u))
+    return _finite(model.A @ mean + model.B @ u), _predict_cov(cov, model)
 
 
-def kalman_update(prior: KalmanState, y, model: LGSSModel) -> KalmanState:
-    """Measurement update with Joseph-form covariance.
+def kalman_update(mean, cov, y, model: LGSSModel):
+    """Measurement update of the prior (mean, cov) with Joseph-form covariance.
 
     Gain solves go through a Cholesky factorization of the innovation
     covariance S = C P Cᵀ + R; a singular S raises.
     """
+    mean, cov = _state(mean, cov)
     y = np.asarray(y, dtype=float).reshape(model.m)
-    return KalmanState(prior.t, *_update(prior.mean, prior.cov, y, model))
+    gain, post_cov = _update_cov(cov, model)
+    return _finite(mean + gain @ (y - model.C @ mean)), post_cov
 
 
-def predictive_density(state: KalmanState, model: LGSSModel, u=None) -> GaussianDistribution:
-    """Exact one-step predictive p(y_{t+1} | data up to t, u_t)."""
-    prior = kalman_predict(state, model, u)
-    return _prior_predictive(prior.mean, prior.cov, model)
+def predictive_density(mean, cov, model: LGSSModel, u=None) -> GaussianDistribution:
+    """Exact one-step predictive p(y_{t+1} | data up to t, u_t).
 
-
-def _prior_predictive(mean, cov, model: LGSSModel) -> GaussianDistribution:
-    """Observation density p(y) = N(C m, C P Cᵀ + R) under the prior N(m, P)."""
+    The posterior (mean, cov) predicts the prior N(m, P) over x_{t+1},
+    whose observation density is N(C m, C P Cᵀ + R).
+    """
+    mean, cov = kalman_predict(mean, cov, model, u)
     return GaussianDistribution(model.C @ mean, model.C @ cov @ model.C.T + model.R)
 
 
@@ -331,23 +314,27 @@ def riccati_iterate(model: LGSSModel, P_init, n_iters: int) -> np.ndarray:
 def run_filter(model: LGSSModel, trajectory: Trajectory):
     """Filter a whole trajectory.
 
-    Returns (posteriors, predictives, loglik): the posterior after each
-    y_t, the one-step predictive density for each y_t, and the total
-    predictive log-likelihood sum_t log p(y_t | y^{t-1}).
+    Returns ``((means, covs), (pred_means, pred_covs), loglik)``: row t of
+    the (T, n) and (T, n, n) arrays is the posterior after y_{t+1}, row t
+    of the (T, m) and (T, m, m) arrays the one-step predictive density of
+    y_{t+1}, and loglik is the total predictive log-likelihood
+    sum_t log p(y_t | y^{t-1}).
     """
-    state = model.initial_state()
-    mean, cov = state.mean, state.cov
-    u = trajectory.u.reshape(trajectory.T, model.p)
-    posteriors, predictives = [], []
+    T, n, m = trajectory.T, model.n, model.m
+    means, covs = np.empty((T, n)), np.empty((T, n, n))
+    pred_means, pred_covs = np.empty((T, m)), np.empty((T, m, m))
+    u = trajectory.u.reshape(T, model.p)
+    mean, cov = model.mu0, model.P0
     loglik = 0.0
-    for t in range(trajectory.T):
-        mean, cov = _predict(mean, cov, model, u[t])
-        pred = _prior_predictive(mean, cov, model)
-        loglik += pred.logpdf(trajectory.y[t])
-        predictives.append(pred)
-        mean, cov = _update(mean, cov, trajectory.y[t].reshape(model.m), model)
-        posteriors.append(KalmanState(t + 1, mean, cov))
-    return posteriors, predictives, loglik
+    for t in range(T):
+        mean, cov = kalman_predict(mean, cov, model, u[t])
+        S = model.C @ cov @ model.C.T + model.R
+        pred_means[t] = model.C @ mean
+        pred_covs[t] = (S + S.T) / 2.0
+        loglik += gaussian_logpdf(pred_means[t], pred_covs[t], trajectory.y[t])
+        mean, cov = kalman_update(mean, cov, trajectory.y[t], model)
+        means[t], covs[t] = mean, cov
+    return (means, covs), (pred_means, pred_covs), loglik
 
 
 def batch_posterior_oracle(model: LGSSModel, trajectory: Trajectory, t: int) -> GaussianDistribution:

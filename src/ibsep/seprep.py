@@ -498,18 +498,17 @@ class KalmanSepFilter:
     def initial_phi(self) -> np.ndarray:
         return np.concatenate([self.model.mu0, self.model.P0.ravel()])
 
-    def _unpack(self, phi, t=0):
+    def _unpack(self, phi):
         n = self.model.n
-        return lgss.KalmanState(t, phi[:n], phi[n:].reshape(n, n))
+        phi = np.asarray(phi, dtype=float)
+        return phi[:n], phi[n:].reshape(n, n)
 
     def step(self, phi, y_next, u=None, t=None):
-        state = self._unpack(np.asarray(phi, dtype=float), 0 if t is None else t)
-        prior = lgss.kalman_predict(state, self.model, u)
-        post = lgss.kalman_update(prior, y_next, self.model)
-        return np.concatenate([post.mean, post.cov.ravel()])
+        mean, cov = lgss.kalman_predict(*self._unpack(phi), self.model, u)
+        mean, cov = lgss.kalman_update(mean, cov, y_next, self.model)
+        return np.concatenate([mean, cov.ravel()])
 
     def predict(self, phi, controls=None, samples=1, rng=None) -> dict:
-        state = self._unpack(np.asarray(phi, dtype=float))
         u = None
         if controls is not None:
             controls = np.atleast_2d(np.asarray(controls, dtype=float))
@@ -517,7 +516,7 @@ class KalmanSepFilter:
                 raise ValueError("the exact filter predicts one step ahead")
             if self.model.p:
                 u = controls[0].reshape(self.model.p)
-        pred = lgss.predictive_density(state, self.model, u)
+        pred = lgss.predictive_density(*self._unpack(phi), self.model, u)
         return {"family": "gaussian", "mean": pred.mean, "cov": pred.cov,
                 "component_means": None, "component_vars": None}
 
@@ -546,16 +545,16 @@ def evaluate_vs_kalman(model, lgss_model: lgss.LGSSModel, T: int, num_traj: int,
         sim_ss, eval_ss = child.spawn(2)
         traj = lgss.simulate(lgss_model, None, T, np.random.default_rng(sim_ss))
         eval_rng = np.random.default_rng(eval_ss)
-        _, predictives, _ = lgss.run_filter(lgss_model, traj)
+        _, (pred_means, pred_covs), _ = lgss.run_filter(lgss_model, traj)
         phi = model.initial_phi()
         for t in range(T):
             params = model.predict(phi, traj.u[t : t + 1], samples, eval_rng)
             y_next = traj.y[t]
             nll_learned = predictive_nll(params, y_next)
-            kal = predictives[t]
-            nll_kalman = float(-kal.logpdf(y_next))
+            nll_kalman = -info.gaussian_logpdf(pred_means[t], pred_covs[t], y_next)
             kl = info.kl_gaussian(
-                kal, info.GaussianDistribution(params["mean"], params["cov"]))
+                info.GaussianDistribution(pred_means[t], pred_covs[t]),
+                info.GaussianDistribution(params["mean"], params["cov"]))
             records.append({
                 "traj_id": traj_id,
                 "t": t,

@@ -455,6 +455,24 @@ def _cell_table(encoder: StochasticEncoder, task: NuisanceTask, quant: Quantizat
     return rows, all_edges
 
 
+def _channel_joints(task: NuisanceTask, rows):
+    """The (z, n, x) and (y, x) joints of the channel p(x | y) in ``rows``."""
+    p_zn = task.joint_zny().marginal_table(("z", "n"))
+    table = np.zeros((task.z_card, task.n_card, rows.shape[1]))
+    for z in range(task.z_card):
+        for n in range(task.n_card):
+            table[z, n] = p_zn[z, n] * rows[task.f_map[z, n]]
+    return (info.DiscreteJoint(("z", "n", "x"), table),
+            info.DiscreteJoint(("y", "x"), task.observation_prior()[:, None] * rows))
+
+
+def _bin_representatives(edges, step):
+    """Cell representatives: bin midpoints; the unbounded edge bins get the
+    point half a step beyond the outermost edge."""
+    return np.concatenate([[edges[0] - step / 2], (edges[:-1] + edges[1:]) / 2,
+                           [edges[-1] + step / 2]])
+
+
 def measure_invariance(encoder, task: NuisanceTask, quantization=None) -> InvarianceReport:
     """Enumerate I(x;y), I(x;z), I(y;z), I(x;n), I(x;z|n), H(z|y), epsilon.
 
@@ -469,19 +487,9 @@ def measure_invariance(encoder, task: NuisanceTask, quantization=None) -> Invari
         quantization = Quantization(step=float(quantization))
     cell_rows, _ = _cell_table(encoder, task, quantization)
     n_cells = cell_rows.shape[1]
+    joint, joint_yx = _channel_joints(task, cell_rows)
 
-    joint_zny = task.joint_zny()
-    p_zn = joint_zny.marginal_table(("z", "n"))
-    table = np.zeros((task.z_card, task.n_card, n_cells))
-    for z in range(task.z_card):
-        for n in range(task.n_card):
-            table[z, n] = p_zn[z, n] * cell_rows[task.f_map[z, n]]
-    joint = info.DiscreteJoint(("z", "n", "x"), table)
-
-    p_y = task.observation_prior()
-    joint_yx = info.DiscreteJoint(("y", "x"), p_y[:, None] * cell_rows)
-
-    joint_yz = joint_zny.marginal(("y", "z"))
+    joint_yz = task.joint_zny().marginal(("y", "z"))
     i_yz = info.mutual_information(joint_yz, "y", "z")
     h_z_given_y = joint_yz.entropy_of(("y", "z")) - joint_yz.entropy_of("y")
 
@@ -554,24 +562,10 @@ def stacked_bottleneck_experiment(task: NuisanceTask, widths, noise_levels,
         means, np.full_like(means, math.log(max(noise_levels[0], 1e-3)))
     )
     cell_rows, cell_edges = _cell_table(noisy, task, quantization)
-    # cell representatives: bin midpoints; the unbounded edge bins get the
-    # point half a step beyond the outermost edge
-    edges = cell_edges[0]
-    reps = np.concatenate([[edges[0] - step / 2],
-                           (edges[:-1] + edges[1:]) / 2,
-                           [edges[-1] + step / 2]])
-
-    joint_zny = task.joint_zny()
-    p_zn = joint_zny.marginal_table(("z", "n"))
-    p_y = task.observation_prior()
+    reps = _bin_representatives(cell_edges[0], step)
 
     def layer_report(channel_rows):
-        tab = np.zeros((task.z_card, task.n_card, channel_rows.shape[1]))
-        for z in range(task.z_card):
-            for n in range(task.n_card):
-                tab[z, n] = p_zn[z, n] * channel_rows[task.f_map[z, n]]
-        joint = info.DiscreteJoint(("z", "n", "x"), tab)
-        joint_yx = info.DiscreteJoint(("y", "x"), p_y[:, None] * channel_rows)
+        joint, joint_yx = _channel_joints(task, channel_rows)
         accuracy = float(np.sum(np.max(joint.marginal_table(("z", "x")), axis=0)))
         return StackLayerReport(
             i_xy=info.mutual_information(joint_yx, "x", "y"),
@@ -598,9 +592,7 @@ def stacked_bottleneck_experiment(task: NuisanceTask, widths, noise_levels,
             channel = np.zeros((mapped.size, new_edges.size + 1))
             channel[np.arange(mapped.size), idx] = 1.0
         rows = rows @ channel
-        reps = np.concatenate([[new_edges[0] - step / 2],
-                               (new_edges[:-1] + new_edges[1:]) / 2,
-                               [new_edges[-1] + step / 2]])
+        reps = _bin_representatives(new_edges, step)
         reports.append(layer_report(rows))
 
     for a, b in zip(reports, reports[1:]):

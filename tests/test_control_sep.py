@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ibsep import control_sep as cs
 
@@ -79,6 +80,26 @@ def test_belief_update_rejects_impossible_observation():
     )
     with pytest.raises(ValueError, match="zero probability"):
         cs.belief_update(p, p.b0, 0, 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 4),
+       n_actions=st.integers(1, 3), n_obs=st.integers(1, 4))
+def test_belief_updates_average_back_to_the_pushed_belief(seed, n_states,
+                                                          n_actions, n_obs):
+    # Σ_o p(o|b,a) · b_ao = b T_a: Bayes steps re-weight, they lose no mass
+    rng = np.random.default_rng(seed)
+    p = cs.random_pomdp(rng, n_states, n_actions, n_obs)
+    b = rng.dirichlet(np.ones(n_states))
+    for a in range(n_actions):
+        p_obs = cs.obs_probability(p, b, a)
+        mixture = sum(p_obs[o] * cs.belief_update(p, b, a, o) for o in range(n_obs))
+        np.testing.assert_allclose(mixture, b @ p.trans[:, a, :], rtol=0, atol=1e-12)
+    # an extra observation no state emits has probability zero
+    mute = cs.FinitePOMDP(p.trans, np.hstack([p.obs, np.zeros((n_states, 1))]),
+                          p.reward, p.b0, p.horizon)
+    with pytest.raises(ValueError, match="zero probability"):
+        cs.belief_update(mute, b, int(rng.integers(n_actions)), n_obs)
 
 
 def test_observation_probabilities_normalize():

@@ -81,6 +81,30 @@ def test_load_config_requires_experiment(tmp_path):
         harness.load_config(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", None), ("seed", "abc"), ("seed", 1.7), ("seed", True),
+    ("out", None), ("out", 3),
+])
+def test_config_seed_and_out_are_checked_by_name(tmp_path, monkeypatch, capsys,
+                                                 key, value):
+    monkeypatch.chdir(tmp_path)  # a wrongly accepted out lands here
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"experiment": "info", key: value}))
+    with pytest.raises(ValueError, match=key):
+        harness.load_config(path)
+    assert harness.main(["info", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_config_seed_accepts_an_integral_number(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text('{"experiment": "info", "seed": 4.0}')
+    seed = harness.load_config(path).seed
+    assert seed == 4 and type(seed) is int
+    with pytest.raises(ValueError, match="seed"):
+        harness.ExperimentConfig("info", seed=1.7)
+
+
 # ---------------------------------------------------------------------------
 # running batteries and persisting metrics
 # ---------------------------------------------------------------------------

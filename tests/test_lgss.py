@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ibsep import harness, lgss
 from ibsep.info import GaussianDistribution
@@ -56,48 +57,45 @@ def test_predict_identity_dynamics_fixed_point():
     model = lgss.LGSSModel(A=np.eye(2), B=np.zeros((2, 0)), C=np.eye(2),
                            Q=np.zeros((2, 2)), R=np.eye(2),
                            mu0=[0.5, 1.5], P0=np.eye(2))
-    state = model.initial_state()
-    pred = lgss.kalman_predict(state, model)
-    assert np.allclose(pred.mean, state.mean)
-    assert np.allclose(pred.cov, state.cov)
-    assert pred.t == 1
+    mean, cov = lgss.kalman_predict(model.mu0, model.P0, model)
+    assert np.allclose(mean, model.mu0)
+    assert np.allclose(cov, model.P0)
 
 
 def test_predict_scalar_variance():
     model = scalar_model(a=2.0, q=1.0)
-    state = lgss.KalmanState(0, np.zeros(1), np.eye(1))
-    pred = lgss.kalman_predict(state, model)
-    assert pred.cov[0, 0] == pytest.approx(5.0)  # a^2 P + Q
+    _, cov = lgss.kalman_predict(np.zeros(1), np.eye(1), model)
+    assert cov[0, 0] == pytest.approx(5.0)  # a^2 P + Q
 
 
 def test_predict_keeps_symmetric_psd():
     rng = np.random.default_rng(4)
     model = lgss.random_stable_model(rng, n=4, m=2)
-    state = model.initial_state()
+    mean, cov = model.mu0, model.P0
     for _ in range(50):
-        state = lgss.kalman_predict(state, model)
-        assert np.allclose(state.cov, state.cov.T)
-        assert np.min(np.linalg.eigvalsh(state.cov)) > -1e-12
+        mean, cov = lgss.kalman_predict(mean, cov, model)
+        assert np.allclose(cov, cov.T)
+        assert np.min(np.linalg.eigvalsh(cov)) > -1e-12
 
 
 def test_update_uninformative_observation():
     model = lgss.LGSSModel(A=np.eye(2), B=np.zeros((2, 0)), C=np.zeros((1, 2)),
                            Q=np.eye(2), R=np.eye(1), mu0=[0.0, 0.0], P0=np.eye(2))
-    prior = lgss.KalmanState(1, np.array([1.0, 2.0]), 2.0 * np.eye(2))
-    post = lgss.kalman_update(prior, [3.0], model)
-    assert np.allclose(post.mean, prior.mean)
-    assert np.allclose(post.cov, prior.cov)
+    prior_mean, prior_cov = np.array([1.0, 2.0]), 2.0 * np.eye(2)
+    mean, cov = lgss.kalman_update(prior_mean, prior_cov, [3.0], model)
+    assert np.allclose(mean, prior_mean)
+    assert np.allclose(cov, prior_cov)
 
 
 def test_update_conjugate_variance_sequence():
     # c=1, a=1, Q=0, R=1, flat prior var 1: posterior var after t obs = 1/(1+t)
     model = scalar_model(a=1.0, c=1.0, q=0.0, r=1.0, p0=1.0)
-    state = model.initial_state()
+    mean, cov = model.mu0, model.P0
     rng = np.random.default_rng(5)
     for t in range(1, 8):
-        prior = lgss.kalman_predict(state, model)
-        state = lgss.kalman_update(prior, rng.normal(), model)
-        assert state.cov[0, 0] == pytest.approx(1.0 / (1.0 + t), abs=1e-12)
+        prior_mean, prior_cov = lgss.kalman_predict(mean, cov, model)
+        mean, cov = lgss.kalman_update(prior_mean, prior_cov, rng.normal(), model)
+        assert cov[0, 0] == pytest.approx(1.0 / (1.0 + t), abs=1e-12)
 
 
 def _psd(rng, n):
@@ -109,9 +107,10 @@ def test_update_never_inflates_covariance():
     rng = np.random.default_rng(6)
     for _ in range(20):
         model = lgss.random_stable_model(rng, n=3, m=2)
-        prior = lgss.KalmanState(1, rng.normal(size=3), _psd(rng, 3))
-        post = lgss.kalman_update(prior, rng.normal(size=2), model)
-        gap_eigs = np.linalg.eigvalsh(prior.cov - post.cov)
+        prior_cov = _psd(rng, 3)
+        _, cov = lgss.kalman_update(rng.normal(size=3), prior_cov,
+                                    rng.normal(size=2), model)
+        gap_eigs = np.linalg.eigvalsh(prior_cov - cov)
         assert gap_eigs.min() > -1e-10
 
 
@@ -131,9 +130,8 @@ def _singular_innovation_model():
 
 def test_update_singular_innovation_errors():
     bad_model = _singular_innovation_model()
-    prior = lgss.KalmanState(0, np.zeros(1), np.zeros((1, 1)))
     with pytest.raises(np.linalg.LinAlgError):
-        lgss.kalman_update(prior, [0.0], bad_model)
+        lgss.kalman_update(np.zeros(1), np.zeros((1, 1)), [0.0], bad_model)
     with pytest.raises(np.linalg.LinAlgError):
         lgss.riccati_iterate(bad_model, np.zeros((1, 1)), 3)
     traj = lgss.Trajectory(u=np.zeros((2, 0)), x=np.zeros((2, 1)), y=np.zeros((2, 1)))
@@ -150,14 +148,14 @@ def test_predictive_zero_dynamics():
     model = lgss.LGSSModel(A=np.zeros((2, 2)), B=np.zeros((2, 0)), C=np.eye(2),
                            Q=np.zeros((2, 2)), R=np.eye(2),
                            mu0=[0.0, 0.0], P0=np.eye(2))
-    pred = lgss.predictive_density(model.initial_state(), model)
+    pred = lgss.predictive_density(model.mu0, model.P0, model)
     assert np.allclose(pred.mean, 0.0)
     assert np.allclose(pred.cov, np.eye(2))
 
 
 def test_predictive_matches_monte_carlo():
     model = scalar_model(a=0.8, c=1.5, q=0.3, r=0.2, mu0=0.4, p0=0.5)
-    pred = lgss.predictive_density(model.initial_state(), model)
+    pred = lgss.predictive_density(model.mu0, model.P0, model)
     rng = np.random.default_rng(8)
     n = 100_000
     x1 = 0.8 * (0.4 + math.sqrt(0.5) * rng.standard_normal(n)) + math.sqrt(0.3) * rng.standard_normal(n)
@@ -169,7 +167,7 @@ def test_predictive_matches_monte_carlo():
 
 def test_predictive_logpdf_closed_form():
     model = scalar_model()
-    pred = lgss.predictive_density(model.initial_state(), model)
+    pred = lgss.predictive_density(model.mu0, model.P0, model)
     y = 0.7
     s = pred.cov[0, 0]
     expected = -0.5 * (math.log(2 * math.pi * s) + (y - pred.mean[0]) ** 2 / s)
@@ -214,26 +212,25 @@ def test_riccati_matches_long_filter_covariance():
     rng = np.random.default_rng(10)
     model = lgss.random_stable_model(rng, n=2, m=2)
     traj = lgss.simulate(model, None, 1000, rng)
-    posteriors, _, _ = lgss.run_filter(model, traj)
+    (_, covs), _, _ = lgss.run_filter(model, traj)
     P_star = lgss.riccati_iterate(model, model.P0, 1000)
-    assert np.max(np.abs(posteriors[-1].cov - P_star)) < 1e-8
+    assert np.max(np.abs(covs[-1] - P_star)) < 1e-8
 
 
 def _riccati_reference(model, P_init, cap=2000):
     """Plain-loop iterates P_0..P_{mu+lam} over the public predict/update.
 
     Stops at the first bitwise repeat P_{mu+lam} == P_mu and returns
-    (iterates, mu, lam); P_0 is P_init as KalmanState symmetrises it.
+    (iterates, mu, lam); P_0 is P_init as kalman_predict symmetrises it.
     """
-    state = lgss.KalmanState(0, np.zeros(model.n), P_init)
-    iterates = [state.cov]
-    first_seen = {state.cov.tobytes(): 0}
+    cov = (P_init + P_init.T) / 2.0
+    iterates = [cov]
+    first_seen = {cov.tobytes(): 0}
     for k in range(1, cap + 1):
-        state = lgss.KalmanState(0, np.zeros(model.n), state.cov)
-        prior = lgss.kalman_predict(state, model)
-        state = lgss.kalman_update(prior, np.zeros(model.m), model)
-        iterates.append(state.cov)
-        key = state.cov.tobytes()
+        prior_mean, prior_cov = lgss.kalman_predict(np.zeros(model.n), cov, model)
+        _, cov = lgss.kalman_update(prior_mean, prior_cov, np.zeros(model.m), model)
+        iterates.append(cov)
+        key = cov.tobytes()
         if key in first_seen:
             return iterates, first_seen[key], k - first_seen[key]
         first_seen[key] = k
@@ -279,12 +276,12 @@ def test_riccati_iterate_matches_a_full_length_plain_loop():
         if min(lam, 3) not in want:
             continue
         want.discard(min(lam, 3))
-        state = lgss.KalmanState(0, np.zeros(model.n), P_init)
+        mean, cov = np.zeros(model.n), P_init
         for _ in range(3001):
-            state = lgss.kalman_update(lgss.kalman_predict(state, model),
-                                       np.zeros(model.m), model)
+            mean, cov = lgss.kalman_update(*lgss.kalman_predict(mean, cov, model),
+                                           np.zeros(model.m), model)
         got = lgss.riccati_iterate(model, P_init, 3001)
-        assert np.array_equal(got, state.cov), lam
+        assert np.array_equal(got, cov), lam
 
 
 def test_riccati_iterate_rejects_a_non_finite_start():
@@ -319,28 +316,70 @@ def test_kalman_battery_riccati_work_stays_short(monkeypatch):
 
 
 def test_run_filter_predictives_are_the_one_step_densities():
-    # bitwise the per-step loop over the public predict/update: each
-    # posterior is kalman_update(kalman_predict(previous)), each predictive
-    # is predictive_density at the previous posterior, controls included,
-    # and loglik is their running sum
+    # bitwise the per-step loop over the public predict/update: row t of
+    # the posteriors is kalman_update(kalman_predict(row t-1)), row t of the
+    # predictives is predictive_density at row t-1, controls included, and
+    # loglik is their running sum
     rng = np.random.default_rng(13)
     for n, m, p in ((3, 2, 2), (1, 1, 0), (4, 3, 1), (5, 1, 0), (2, 3, 2)):
         model = lgss.random_stable_model(rng, n=n, m=m, p=p)
         traj = lgss.simulate(model, rng.normal(size=(12, p)), 12, rng)
-        posteriors, predictives, loglik = lgss.run_filter(model, traj)
-        state = model.initial_state()
+        (means, covs), (pred_means, pred_covs), loglik = lgss.run_filter(model, traj)
+        assert means.shape == (12, n) and covs.shape == (12, n, n)
+        assert pred_means.shape == (12, m) and pred_covs.shape == (12, m, m)
+        mean, cov = model.mu0, model.P0
         expect_ll = 0.0
-        for t, pred in enumerate(predictives):
-            expect = lgss.predictive_density(state, model, traj.u[t])
-            assert np.array_equal(pred.mean, expect.mean)
-            assert np.array_equal(pred.cov, expect.cov)
+        for t in range(traj.T):
+            expect = lgss.predictive_density(mean, cov, model, traj.u[t])
+            assert np.array_equal(pred_means[t], expect.mean)
+            assert np.array_equal(pred_covs[t], expect.cov)
             expect_ll += expect.logpdf(traj.y[t])
-            state = lgss.kalman_update(lgss.kalman_predict(state, model, traj.u[t]),
-                                       traj.y[t], model)
-            assert posteriors[t].t == state.t == t + 1
-            assert np.array_equal(posteriors[t].mean, state.mean)
-            assert np.array_equal(posteriors[t].cov, state.cov)
+            prior = lgss.kalman_predict(mean, cov, model, traj.u[t])
+            mean, cov = lgss.kalman_update(*prior, traj.y[t], model)
+            assert np.array_equal(means[t], mean)
+            assert np.array_equal(covs[t], cov)
         assert loglik == expect_ll
+
+
+# ---------------------------------------------------------------------------
+# properties of one predict/update step on random models
+# ---------------------------------------------------------------------------
+
+SEEDS = st.integers(0, 2**32 - 1)
+DIMS = {"n": st.integers(1, 4), "m": st.integers(1, 3), "p": st.integers(0, 2)}
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=SEEDS, **DIMS)
+def test_one_step_is_symmetric_psd_shrinking_and_matches_the_oracle(seed, n, m, p):
+    rng = np.random.default_rng(seed)
+    model = lgss.random_stable_model(rng, n=n, m=m, p=p)
+    traj = lgss.simulate(model, rng.normal(size=(1, p)), 1, rng)
+    prior_mean, prior_cov = lgss.kalman_predict(model.mu0, model.P0, model, traj.u[0])
+    mean, cov = lgss.kalman_update(prior_mean, prior_cov, traj.y[0], model)
+    assert np.array_equal(cov, cov.T)
+    assert np.linalg.eigvalsh(cov).min() >= -1e-12 * max(1.0, np.abs(cov).max())
+    # the update never inflates the covariance: prior - posterior is PSD
+    gap = np.linalg.eigvalsh(prior_cov - cov).min()
+    assert gap >= -1e-12 * max(1.0, np.abs(prior_cov).max())
+    oracle = lgss.batch_posterior_oracle(model, traj, 1)
+    assert np.max(np.abs(mean - oracle.mean)) < 1e-8
+    assert np.max(np.abs(cov - oracle.cov)) < 1e-8
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=SEEDS, **DIMS, in_cov=st.booleans(), update=st.booleans(),
+       at=st.integers(0, 15))
+def test_a_nan_anywhere_in_the_state_raises(seed, n, m, p, in_cov, update, at):
+    model = lgss.random_stable_model(np.random.default_rng(seed), n=n, m=m, p=p)
+    mean, cov = model.mu0.copy(), model.P0.copy()
+    bad = cov if in_cov else mean
+    bad.flat[at % bad.size] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        if update:
+            lgss.kalman_update(mean, cov, np.zeros(m), model)
+        else:
+            lgss.kalman_predict(mean, cov, model)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +406,11 @@ def test_batch_oracle_agrees_with_recursive_filter():
         T = int(rng.integers(5, 21))
         u = rng.normal(size=(T, p)) if p else None
         traj = lgss.simulate(model, u, T, rng)
-        posteriors, _, _ = lgss.run_filter(model, traj)
+        (means, covs), _, _ = lgss.run_filter(model, traj)
         for t in (1, max(1, T // 2), T):
             oracle = lgss.batch_posterior_oracle(model, traj, t)
-            rec = posteriors[t - 1]
-            assert np.max(np.abs(rec.mean - oracle.mean)) < 1e-8
-            assert np.max(np.abs(rec.cov - oracle.cov)) < 1e-8
+            assert np.max(np.abs(means[t - 1] - oracle.mean)) < 1e-8
+            assert np.max(np.abs(covs[t - 1] - oracle.cov)) < 1e-8
 
 
 def test_batch_oracle_sharp_observation_limit():
@@ -393,13 +431,13 @@ def test_innovation_whiteness():
     rng = np.random.default_rng(14)
     model = lgss.random_stable_model(rng, n=2, m=1)
     traj = lgss.simulate(model, None, 10_000, rng)
-    state = model.initial_state()
+    mean, cov = model.mu0, model.P0
     innovations = []
     for t in range(traj.T):
-        pred = lgss.predictive_density(state, model)
+        pred = lgss.predictive_density(mean, cov, model)
         innovations.append((traj.y[t] - pred.mean) / math.sqrt(pred.cov[0, 0]))
-        prior = lgss.kalman_predict(state, model)
-        state = lgss.kalman_update(prior, traj.y[t], model)
+        prior_mean, prior_cov = lgss.kalman_predict(mean, cov, model)
+        mean, cov = lgss.kalman_update(prior_mean, prior_cov, traj.y[t], model)
     e = np.array(innovations)[:, 0]
     e = e - e.mean()
     rho1 = np.dot(e[:-1], e[1:]) / np.dot(e, e)
@@ -410,12 +448,12 @@ def test_joseph_form_minimum_eigenvalue():
     rng = np.random.default_rng(15)
     model = lgss.random_stable_model(rng, n=3, m=2)
     traj = lgss.simulate(model, None, 10_000, rng)
-    state = model.initial_state()
+    mean, cov = model.mu0, model.P0
     min_eig = np.inf
     for t in range(traj.T):
-        prior = lgss.kalman_predict(state, model)
-        state = lgss.kalman_update(prior, traj.y[t], model)
-        min_eig = min(min_eig, np.linalg.eigvalsh(state.cov).min())
+        prior_mean, prior_cov = lgss.kalman_predict(mean, cov, model)
+        mean, cov = lgss.kalman_update(prior_mean, prior_cov, traj.y[t], model)
+        min_eig = min(min_eig, np.linalg.eigvalsh(cov).min())
     assert min_eig >= -1e-12
 
 

@@ -1,12 +1,13 @@
-"""Exact results of three short training runs and of the exact belief
-trees, pinned bit for bit.
+"""Exact results of three short training runs, of the Kalman filter and of
+the exact belief trees, pinned bit for bit.
 
 The other training tests check that two runs agree with each other or
 that the loss falls; these check that a run gives the very same floats
 as the recorded one, so a refactor of the training loops, the KL term
 or the parameter plumbing that changes any bit fails here. The same
 holds for the HMM prefix tree and the POMDP history tree: every
-posterior, prefix probability, reach and action value is pinned. Whole results
+posterior, prefix probability, reach and action value is pinned, and for
+every posterior and predictive of ``lgss.run_filter``. Whole results
 are pinned by the sha256 of their ``repr``; a few final values are also
 spelt out so a failure shows how far off a run is. The digests were
 recorded with numpy 2.4 and OpenBLAS on x86-64; another BLAS build may
@@ -63,6 +64,25 @@ def test_train_filter_is_pinned():
         "a73af0a44bd591d2c1fa9a7d7875af3e473c661688658ad39f9072828579ad09")
     assert _digest(seprep.save_filter_json(trained.model)) == (
         "f0a31d13ac12ca04691c96d9bb5e1c40037d84c63723fd85606e43cc8d803b4a")
+
+
+def test_run_filter_is_pinned():
+    pinned = [
+        ((3, 2, 2), -64.55408319518162,
+         "e29978b7510f5a47336bcefb44d6f3a83eced1bf6158cfc052e5e13ed109d599"),
+        ((1, 1, 0), -13.86021730675991,
+         "3ca3ed125fe613357c8597041ab706b476c6145071ec467c34e1e3189c213391"),
+        ((4, 3, 1), -150.5430664550539,
+         "394066d7d8a00a2953c80164ad94c03ba6ea0aba461aee032a27b4df508aafbf"),
+    ]
+    rng = np.random.default_rng(21)
+    for (n, m, p), loglik, digest in pinned:
+        model = lgss.random_stable_model(rng, n=n, m=m, p=p)
+        traj = lgss.simulate(model, rng.normal(size=(30, p)), 30, rng)
+        (means, covs), (pred_means, pred_covs), got = lgss.run_filter(model, traj)
+        assert repr(got) == repr(loglik)
+        stacked = b"".join(a.tobytes() for a in (means, covs, pred_means, pred_covs))
+        assert hashlib.sha256(stacked).hexdigest() == digest
 
 
 def _pinned_hmms():

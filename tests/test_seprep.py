@@ -43,7 +43,7 @@ def test_update_network_consumes_only_fixed_size_state():
         assert phi.shape == (6,)
 
 
-def test_initial_state_is_the_reference_prior():
+def test_initial_phi_is_the_reference_prior():
     model = small_model()
     phi0 = model.initial_phi()
     assert np.array_equal(phi0, np.zeros(8))
