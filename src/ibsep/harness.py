@@ -165,6 +165,26 @@ def _opts(name: str, overrides) -> dict:
     return merged
 
 
+def _battery_overrides(experiment: str, names, overrides) -> dict:
+    """The overrides of each battery in ``names``, by the key's namespace.
+
+    ``battery.key`` goes to that battery alone, and a bare ``key`` to the
+    one selected battery that knows it. A key that no selected battery
+    knows, or a bare key that several know, is a ValueError naming it.
+    """
+    split = {name: {} for name in names}
+    for key, value in overrides.items():
+        battery, _, bare = key.rpartition(".")
+        owners = [battery] if battery else [n for n in names if key in _DEFAULTS[n]]
+        if len(owners) > 1:
+            raise ValueError(f"override key {key!r} is known to {', '.join(owners)}; "
+                             f"name one battery, as in {owners[0]}.{key}")
+        if not owners or owners[0] not in split or bare not in _DEFAULTS[owners[0]]:
+            raise ValueError(f"unknown override key {key!r} for {experiment!r}")
+        split[owners[0]][bare] = value
+    return split
+
+
 def _gate(experiment, key, values, reduce, op, bound, tolerance,
           clock) -> MetricRecord:
     """The one pass/fail decision: ``op(reduce(values), bound)``.
@@ -552,34 +572,34 @@ def run_seprep(seed: int, overrides=None) -> list:
     records.append(_gate("seprep", "kalman_embed_mean_kl", [embed["mean_kl"]],
                          np.max, operator.lt, 1e-9, 1e-9, clock))
 
-    # trained filters: a beta sweep; the smallest beta doubles as the
-    # near-optimality candidate evaluated against the Kalman oracle
+    # trained filters: a beta sweep, trained as one graph; the smallest beta
+    # doubles as the near-optimality candidate evaluated against the oracle
     betas = sorted(opts["betas"], reverse=True)
     steps = opts["train_steps"]
     n_seeds = opts["train_seeds"]
-    source = seprep.lgss_source(scalar, opts["traj_len"])
     tail = max(1, min(50, steps // 4))
+
+    def schedule(k):
+        # linear warmup tames the early recurrent instability, then a 1/k
+        # decay takes over
+        return 0.04 * min((k + 1) / 100.0, 1.0) / (1.0 + k / 250.0)
+
+    configs = [seprep.DynIBConfig(beta=beta, traj_len=opts["traj_len"],
+                                  steps=steps, batch=opts["batch"], seed=seed + s,
+                                  rep_dim=opts["rep_dim"], learning_rate=schedule,
+                                  momentum=0.9)
+               for beta in betas for s in range(n_seeds)]
+    sweep = seprep.train_filter(seprep.lgss_source(scalar, opts["traj_len"]),
+                                configs)
     ce_by_beta = {}
-    models_smallest = []
     drops = []
-    for beta in betas:
-        finals = []
-        for s in range(n_seeds):
-            cfg = seprep.DynIBConfig(
-                beta=beta, traj_len=opts["traj_len"], steps=steps,
-                batch=opts["batch"], seed=seed + s,
-                rep_dim=opts["rep_dim"],
-                # linear warmup tames the early recurrent instability,
-                # then a 1/k decay takes over
-                learning_rate=lambda k: (0.04 * min((k + 1) / 100.0, 1.0)
-                                         / (1.0 + k / 250.0)),
-                momentum=0.9)
-            trained = seprep.train_filter(source, cfg)
-            finals.append(float(np.mean([r["ce"] for r in trained.curve[-tail:]])))
-            drops.append(1.0 - trained.curve[-1]["loss"] / trained.curve[0]["loss"])
-            if beta == betas[-1]:
-                models_smallest.append(trained.model)
+    for index, beta in enumerate(betas):
+        runs = sweep.runs[index * n_seeds : (index + 1) * n_seeds]
+        finals = [float(np.mean([r["ce"] for r in run.curve[-tail:]])) for run in runs]
+        drops += [1.0 - run.curve[-1]["loss"] / run.curve[0]["loss"] for run in runs]
         ce_by_beta[beta] = (float(np.mean(finals)), float(np.std(finals)))
+    models_smallest = [run.model for run, cfg in zip(sweep.runs, configs)
+                       if cfg.beta == betas[-1]]
     rises = []
     for hi, lo in zip(betas, betas[1:]):
         allowance = 2.0 * max(ce_by_beta[hi][1], ce_by_beta[lo][1])
@@ -704,25 +724,22 @@ def _write_summary(records, path, config, seconds) -> None:
 def run(config: ExperimentConfig) -> list:
     """Execute the named experiment(s); write metrics.csv + summary.json each.
 
-    Returns every MetricRecord produced. Override keys must be recognized
-    by at least one selected battery. A battery whose training diverges
-    records one failed ``training_diverged`` row (its value is the step),
-    and the batteries after it still run.
+    Returns every MetricRecord produced. An override key is ``key`` or
+    ``battery.key`` and must name exactly one selected battery that knows
+    it. A battery whose training diverges records one failed
+    ``training_diverged`` row (its value is the step), and the batteries
+    after it still run.
     """
     names = EXPERIMENT_NAMES if config.experiment == "all" else (config.experiment,)
-    known = set()
+    overrides = _battery_overrides(config.experiment, names, config.overrides)
     for name in names:  # a bad value fails here, before any battery runs
-        known |= set(_opts(name, config.overrides))
-    for key in config.overrides:
-        if key not in known:
-            raise ValueError(f"unknown override key {key!r} for "
-                             f"{config.experiment!r}")
+        _opts(name, overrides[name])
     all_records = []
     for name in names:
         stream = experiment_seed(config.seed, name)
         started = time.perf_counter()
         try:
-            records = _BATTERIES[name](stream, config.overrides)
+            records = _BATTERIES[name](stream, overrides[name])
         except nn.TrainingDiverged as err:
             print(f"sepctl: {name}: {err}", file=sys.stderr)
             records = [MetricRecord(name, "training_diverged", float(err.step),

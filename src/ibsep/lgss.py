@@ -212,10 +212,14 @@ def _predict_cov(cov, model: LGSSModel):
     return _finite_symmetric(model.A @ cov @ model.A.T + model.Q)
 
 
-def _update_cov(cov, model: LGSSModel):
-    """Gain P Cᵀ S⁻¹ and Joseph-form posterior covariance for prior cov P."""
+def _update_cov(cov, model: LGSSModel, S=None):
+    """Gain P Cᵀ S⁻¹ and Joseph-form posterior covariance for prior cov P.
+
+    ``S`` is the innovation covariance C P Cᵀ + R, when the caller has it.
+    """
     C = model.C
-    S = C @ cov @ C.T + model.R
+    if S is None:
+        S = C @ cov @ C.T + model.R
     try:
         chol = cho_factor((S + S.T) / 2.0, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -248,15 +252,16 @@ def kalman_predict(mean, cov, model: LGSSModel, u=None):
     return _finite(model.A @ mean + model.B @ u), _predict_cov(cov, model)
 
 
-def kalman_update(mean, cov, y, model: LGSSModel):
+def kalman_update(mean, cov, y, model: LGSSModel, _innovation=None):
     """Measurement update of the prior (mean, cov) with Joseph-form covariance.
 
     Gain solves go through a Cholesky factorization of the innovation
-    covariance S = C P Cᵀ + R; a singular S raises.
+    covariance S = C P Cᵀ + R; a singular S raises. ``_innovation`` passes
+    an S already computed from this prior.
     """
     mean, cov = _state(mean, cov)
     y = np.asarray(y, dtype=float).reshape(model.m)
-    gain, post_cov = _update_cov(cov, model)
+    gain, post_cov = _update_cov(cov, model, _innovation)
     return _finite(mean + gain @ (y - model.C @ mean)), post_cov
 
 
@@ -332,7 +337,7 @@ def run_filter(model: LGSSModel, trajectory: Trajectory):
         pred_means[t] = model.C @ mean
         pred_covs[t] = (S + S.T) / 2.0
         loglik += gaussian_logpdf(pred_means[t], pred_covs[t], trajectory.y[t])
-        mean, cov = kalman_update(mean, cov, trajectory.y[t], model)
+        mean, cov = kalman_update(mean, cov, trajectory.y[t], model, _innovation=S)
         means[t], covs[t] = mean, cov
     return (means, covs), (pred_means, pred_covs), loglik
 

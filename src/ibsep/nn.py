@@ -9,6 +9,10 @@ differences.
 
 Shape conventions: activations are 2-D ``(batch, features)``; weight
 matrices are ``(d_in, d_out)`` and act on the right (``x @ W + b``).
+Independent runs can share one graph by stacking on a leading run axis:
+activations ``(R, batch, features)``, weights ``(R, d_in, d_out)`` and
+biases ``(R, 1, d_out)``. ``matmul`` then multiplies run by run, each
+gradient keeps the run axis of its operand, and the losses reduce per run.
 """
 
 from __future__ import annotations
@@ -57,10 +61,15 @@ _PROB_FLOOR = 1e-300
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a training loss or gradient becomes non-finite; carries the step."""
+    """Raised when a training loss or gradient becomes non-finite.
 
-    def __init__(self, step, message=None):
+    Carries the step and, when runs are stacked on a run axis, the index of
+    the first run that diverged (``run`` is None for a single run).
+    """
+
+    def __init__(self, step, message=None, run=None):
         self.step = step
+        self.run = run
         super().__init__(message or f"training loss non-finite at step {step}")
 
 
@@ -135,11 +144,15 @@ class Node:
     def square(self):
         return self * self
 
-    def sum(self):
+    def sum(self, axis=None):
+        """Sum over ``axis`` (an int or tuple; all axes by default)."""
         val = self.value
-        return Node(val.sum(), (self,),
-                    (lambda g: np.broadcast_to(g, val.shape).copy(),),
-                    op="sum")
+        kept = () if axis is None else axis
+
+        def vjp(g):
+            return np.broadcast_to(np.expand_dims(g, kept), val.shape).copy()
+
+        return Node(val.sum(axis=axis), (self,), (vjp,), op="sum")
 
     def mean(self):
         val = self.value
@@ -221,12 +234,14 @@ def detach(node: Node) -> Node:
 
 
 def matmul(a: Node, b: Node) -> Node:
+    """``a @ b`` over the last two axes; leading (run) axes broadcast."""
     a, b = _wrap(a), _wrap(b)
     av, bv = a.value, b.value
     return Node(
         av @ bv,
         (a, b),
-        (lambda g: g @ bv.T, lambda g: av.T @ g),
+        (lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape),
+         lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)),
         op="matmul",
     )
 
@@ -296,10 +311,13 @@ def clip_n(x: Node, lo: float, hi: float) -> Node:
 
 
 def kl_to_standard_normal_n(mu: Node, log_std: Node) -> Node:
-    """Row mean of KL(N(mu, diag exp(2 log_std)) || N(0, I)); rows on axis 0."""
+    """Row mean of KL(N(mu, diag exp(2 log_std)) || N(0, I)).
+
+    Rows are on axis -2; any leading (run) axes are kept, one mean per run.
+    """
     var = (log_std * 2.0).exp()
-    total = (0.5 * (mu * mu + var - 1.0) - log_std).sum()
-    return total * (1.0 / mu.value.shape[0])
+    total = (0.5 * (mu * mu + var - 1.0) - log_std).sum(axis=(-2, -1))
+    return total * (1.0 / mu.value.shape[-2])
 
 
 def _toposort(root: Node):
@@ -323,8 +341,10 @@ def backward(output: Node) -> dict:
     """Reverse-mode gradients of a scalar node.
 
     Returns a dict mapping each reachable named parameter node's name to
-    its gradient array; every reachable node also gets its ``grad`` field
-    populated.
+    its gradient array, which is also that node's ``grad`` field. Only
+    parameter leaves keep a gradient: an interior node's is freed once it
+    has been passed to its parents, and a constant leaf gets none, so the
+    gradients alive at once are a frontier of the graph, not all of it.
     """
     if output.value.size != 1:
         raise ValueError(f"backward needs a scalar output, got shape {output.value.shape}")
@@ -336,11 +356,15 @@ def backward(output: Node) -> dict:
         if node.grad is None:
             continue
         for parent, vjp in zip(node.parents, node.vjps):
+            if not parent.parents and parent.op != "param":
+                continue
             contrib = vjp(node.grad)
             if parent.grad is None:
                 parent.grad = np.array(contrib, dtype=float, copy=True)
             else:
                 parent.grad = parent.grad + contrib
+        if node.parents:
+            node.grad = None
     grads = {}
     for node in order:
         if node.op == "param" and node.name is not None:
@@ -541,24 +565,39 @@ def fit(params: dict, loss_fn, state: OptimizerState, steps: int):
 
     ``loss_fn(params, step)`` builds the step's graph over parameter leaves
     named like the keys of ``params`` and returns ``(total, record)``: the
-    scalar node to descend and a dict of floats to log. ``curve[step]`` is
-    ``{"step": step, "loss": total, **record}``. Overflow while building
-    and differentiating the graph is not an error in itself; a non-finite
-    loss or gradient raises :class:`TrainingDiverged` with the step.
+    node to descend and a dict of values to log. ``curve[step]`` is
+    ``{"step": step, "loss": total, **record}``. ``total`` is a scalar, or
+    an (R,) vector of the losses of R independent runs whose parameters are
+    stacked on a leading run axis: fit then descends their sum, which gives
+    each run exactly its own gradient, and logs the per-run list. Overflow
+    while building and differentiating the graph is not an error in itself;
+    a non-finite loss or gradient raises :class:`TrainingDiverged` with the
+    step and, for stacked runs, the first run that diverged.
     """
     curve = []
     for step in range(steps):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             total, record = loss_fn(params, step)
-            if not np.isfinite(total.value):
-                raise TrainingDiverged(step)
-            grads = backward(total)
-        curve.append({"step": step, "loss": float(total.value), **record})
+            losses = total.value
+            finite = np.isfinite(losses)
+            if not finite.all():
+                raise TrainingDiverged(step, run=_first_run(~finite))
+            grads = backward(total.sum() if losses.ndim else total)
+        del total  # only one step's graph is alive at a time
+        curve.append({"step": step, "loss": losses.tolist(), **record})
         try:
             params, state = sgd_step(params, grads, state)
         except FloatingPointError as err:
-            raise TrainingDiverged(step) from err
+            bad = np.zeros(losses.shape, dtype=bool)
+            for g in grads.values():
+                bad |= ~np.isfinite(g.reshape(*losses.shape, -1)).all(axis=-1)
+            raise TrainingDiverged(step, run=_first_run(bad)) from err
     return params, curve
+
+
+def _first_run(bad):
+    """Index of the first True entry of a per-run mask; None for a scalar."""
+    return int(np.argmax(bad)) if bad.ndim else None
 
 
 def minibatch_sample(dataset, b, rng, scheme="uniform"):

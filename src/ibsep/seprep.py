@@ -7,7 +7,10 @@ network maps (φ_t, y_{t+1}, u_t) to φ_{t+1}. The update consumes only the
 previous statistic and the new data — no observation likelihood is ever
 evaluated, which is the structural point of the construction. Training
 minimizes per-step prediction cross-entropy plus β times a closed-form
-KL(q(x_t|φ_t) || N(0, I)) information penalty.
+KL(q(x_t|φ_t) || N(0, I)) information penalty. A β × seed sweep trains as
+one graph with its runs stacked on a leading run axis, and the filters
+step and predict over a batch of statistics, so an evaluation advances all
+of its trajectories together.
 
 Two exact references keep the learner honest: a hand-built filter that
 packs the Kalman mean and covariance into φ and reproduces the optimal
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -34,6 +37,7 @@ __all__ = [
     "KalmanSepFilter",
     "HMMExactFilter",
     "TrainedFilter",
+    "TrainedSweep",
     "init_sep_filter",
     "predictive_nll",
     "dyn_ibl_loss",
@@ -123,22 +127,27 @@ class SepFilterModel:
         return self.phi0.copy()
 
     def posterior_params(self, phi):
-        phi = np.asarray(phi, dtype=float).reshape(2 * self.rep_dim)
-        mu = phi[: self.rep_dim]
-        log_std = np.clip(phi[self.rep_dim :], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
+        """(mean, std) of q(x | φ); a batch of statistics gives one row each."""
+        phi = np.asarray(phi, dtype=float)
+        mu = phi[..., : self.rep_dim]
+        log_std = np.clip(phi[..., self.rep_dim :], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
         return mu, np.exp(log_std)
 
     def step(self, phi, y_next, u=None, t=None):
         """Advance the statistic one step: φ_{t+1} = g(φ_t, y_{t+1}, u_t).
 
         Purely functional and deterministic; raises with the time index when
-        the update produces a non-finite state.
+        the update produces a non-finite state. A 2-D ``phi`` is a batch of
+        statistics, one per row, advanced together; ``y_next`` and ``u``
+        then hold one row each.
         """
-        phi = np.asarray(phi, dtype=float).reshape(2 * self.rep_dim)
-        y_next = np.asarray(y_next, dtype=float).reshape(self.obs_dim)
-        u = (np.zeros(self.ctrl_dim) if u is None
-             else np.asarray(u, dtype=float).reshape(self.ctrl_dim))
-        out = nn.forward(self.update, np.concatenate([phi, y_next, u])).value
+        phi = np.asarray(phi, dtype=float)
+        rows = phi.shape[:-1]  # () for one statistic
+        y_next = np.asarray(y_next, dtype=float).reshape(*rows, self.obs_dim)
+        u = (np.zeros((*rows, self.ctrl_dim)) if u is None
+             else np.asarray(u, dtype=float).reshape(*rows, self.ctrl_dim))
+        out = nn.forward(self.update,
+                         np.concatenate([phi, y_next, u], axis=-1)).value
         if not np.all(np.isfinite(out)):
             at = "" if t is None else f" at step {t}"
             raise FloatingPointError(f"filter update produced non-finite state{at}")
@@ -151,51 +160,62 @@ class SepFilterModel:
         With ``rng=None`` the draw collapses to the posterior mean — the
         degenerate/Dirac evaluation. Gaussian outputs report the mixture
         components and the moment-matched (mean, cov).
+
+        A 2-D ``phi`` is a batch of N statistics, and every returned array
+        gains a leading axis of N. ``controls`` is then (N, k+1, ctrl_dim),
+        or one (k+1, ctrl_dim) stack for every row, and ``rng`` is one
+        Generator or a sequence of N: row i then draws from ``rng[i]``
+        exactly what a lone prediction from that Generator would.
         """
-        mu, sigma = self.posterior_params(phi)
-        if controls is None:
-            controls = np.zeros((1, self.ctrl_dim))
-        else:
-            controls = np.asarray(controls, dtype=float)
-            if self.ctrl_dim:
-                controls = controls.reshape(-1, self.ctrl_dim)
-            elif controls.ndim != 2 or controls.shape[1] != 0:
-                raise ValueError(
-                    "without controls, select the offset with shape (k+1, 0)"
-                )
-        k = controls.shape[0] - 1
+        phi = np.asarray(phi, dtype=float)
+        mu, sigma = self.posterior_params(phi.reshape(-1, 2 * self.rep_dim))
+        N = mu.shape[0]
+        controls = (np.zeros((1, self.ctrl_dim)) if controls is None
+                    else np.asarray(controls, dtype=float))
+        if self.ctrl_dim and controls.ndim < 3:
+            controls = controls.reshape(-1, self.ctrl_dim)
+        if controls.ndim not in (2, 3) or controls.shape[-1] != self.ctrl_dim:
+            raise ValueError("select the offset with controls of shape "
+                             "(k+1, ctrl_dim), so (k+1, 0) without controls")
+        k = controls.shape[-2] - 1
         if not 0 <= k <= self.horizon:
             raise ValueError(f"offset {k} outside trained horizon {self.horizon}")
         if rng is None:
-            eps = np.zeros((samples, self.rep_dim))
+            eps = np.zeros((N, samples, self.rep_dim))
+        elif isinstance(rng, np.random.Generator):
+            eps = rng.standard_normal((N, samples, self.rep_dim))
         else:
-            eps = rng.standard_normal((samples, self.rep_dim))
-        x = mu + sigma * eps
+            eps = np.stack([r.standard_normal((samples, self.rep_dim)) for r in rng])
+        x = mu[:, None] + sigma[:, None] * eps  # (N, samples, d)
         if self.ctrl_dim:
-            x = np.hstack([x, np.tile(controls.ravel(), (samples, 1))])
-        out = nn.forward(self.heads[k], x).value
+            width = (k + 1) * self.ctrl_dim
+            window = np.broadcast_to(controls, (N, k + 1, self.ctrl_dim))
+            x = np.concatenate([x, np.broadcast_to(window.reshape(N, 1, width),
+                                                   (N, samples, width))], axis=-1)
+        out = nn.forward(self.heads[k], x.reshape(N * samples, -1)).value
+        out = out.reshape(N, samples, -1)
         if self.output == "gaussian":
-            means = out[:, : self.target_dim]
-            log_stds = np.clip(out[:, self.target_dim :], nn.LOG_STD_MIN,
+            means = out[..., : self.target_dim]
+            log_stds = np.clip(out[..., self.target_dim :], nn.LOG_STD_MIN,
                                nn.LOG_STD_MAX)
             variances = np.exp(2.0 * log_stds)
-            mean = means.mean(axis=0)
-            var = (variances + means**2).mean(axis=0) - mean**2
-            return {
-                "family": "gaussian",
-                "mean": mean,
-                "cov": np.diag(np.maximum(var, 1e-300)),
-                "component_means": means,
-                "component_vars": variances,
-            }
-        shifted = out - out.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        return {
-            "family": "categorical",
-            "probs": probs.mean(axis=0),
-            "component_probs": probs,
-        }
+            mean = means.mean(axis=-2)
+            var = (variances + means**2).mean(axis=-2) - mean**2
+            cov = np.zeros((N, self.target_dim, self.target_dim))
+            diag = np.arange(self.target_dim)
+            cov[:, diag, diag] = np.maximum(var, 1e-300)
+            params = {"family": "gaussian", "mean": mean, "cov": cov,
+                      "component_means": means, "component_vars": variances}
+        else:
+            shifted = out - out.max(axis=-1, keepdims=True)
+            probs = np.exp(shifted)
+            probs /= probs.sum(axis=-1, keepdims=True)
+            params = {"family": "categorical", "probs": probs.mean(axis=-2),
+                      "component_probs": probs}
+        if phi.ndim == 1:
+            params = {key: value if key == "family" else value[0]
+                      for key, value in params.items()}
+        return params
 
     def info(self, phi) -> float:
         """Closed-form KL(q(x|φ) || N(0, I)) — the per-step information rate."""
@@ -327,6 +347,20 @@ class TrainedFilter:
     curve: list
 
 
+@dataclass
+class TrainedSweep:
+    """The runs of a sweep trained as one graph.
+
+    ``runs[r]`` is the :class:`TrainedFilter` of the r-th config, the very
+    model and curve a lone :func:`train_filter` call returns. ``curve``
+    has one row per training step, whose loss, ce and info are per-run
+    lists.
+    """
+
+    runs: tuple
+    curve: list
+
+
 def lgss_source(model: lgss.LGSSModel, T: int):
     """Trajectory source drawing from a linear-Gaussian state-space model.
 
@@ -360,12 +394,12 @@ def lgss_source(model: lgss.LGSSModel, T: int):
 
 
 def _time_major(a):
-    """(B, T', ...) -> (T'·B, ...) with row t·B + b holding a[b, t]."""
-    a = np.swapaxes(a, 0, 1)
-    return a.reshape(a.shape[0] * a.shape[1], *a.shape[2:])
+    """(..., B, T', f) -> (..., T'·B, f) with row t·B + b holding a[..., b, t]."""
+    a = np.swapaxes(a, -3, -2)
+    return a.reshape(*a.shape[:-3], a.shape[-3] * a.shape[-2], a.shape[-1])
 
 
-def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws):
+def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws, beta=None):
     """Recurrent training graph over a batch; returns (total, ce, info) nodes.
 
     Only the update φ_t → φ_{t+1} (detached every ``config.tbptt`` steps)
@@ -376,27 +410,35 @@ def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws):
     once per Monte-Carlo sample, so its input is (S·(T-k)·B, ·) with rows
     ordered (sample, t, b). ``eps_draws[i]`` is the (B, d) draw for the
     i-th (t, k, sample) triple in lexicographic order.
+
+    R independent runs share one graph when ``ys``, ``us``, ``eps_draws``
+    and every parameter carry a leading run axis of R (biases and φ_0 as
+    (R, 1, ·)) and ``beta`` holds each run's β. The rows are then on
+    axis 1, every sum is per run, and total, ce and info are (R,) nodes
+    whose entry r depends on run r alone.
     """
-    B, T = ys.shape[0], ys.shape[1]
+    runs = eps_draws.shape[:-3]  # () for a lone run, (R,) for a sweep
+    B, T = ys.shape[len(runs)], ys.shape[len(runs) + 1]
+    ys = ys.reshape(*runs, B, T, -1)
     d = model.rep_dim
     n = config.horizon
     S = config.mc_samples
     upd_nodes = nn.param_group(param_nodes, "upd")
     head_nodes = [nn.param_group(param_nodes, f"dec{i}")
                   for i in range(len(model.heads))]
-    phi = nn.constant(np.zeros((B, 2 * d))) + param_nodes["phi0"]
+    phi = nn.constant(np.zeros((*runs, B, 2 * d))) + param_nodes["phi0"]
     phis = []
     for t in range(T):
         phis.append(phi)
-        obs = ys[:, t].reshape(B, -1).astype(float)
-        upd_in = nn.concat([phi, nn.constant(obs), nn.constant(us[:, t])]) \
+        obs = ys[..., t, :].astype(float)
+        upd_in = nn.concat([phi, nn.constant(obs), nn.constant(us[..., t, :])]) \
             if model.ctrl_dim else nn.concat([phi, nn.constant(obs)])
         phi = nn.forward(model.update, upd_in, param_nodes=upd_nodes)
         if (t + 1) % config.tbptt == 0:
             phi = nn.detach(phi)
-    stacked = nn.concat(phis, axis=0)
-    mu = stacked[:, :d]
-    log_std = nn.clip_n(stacked[:, d:], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
+    stacked = nn.concat(phis, axis=-2)
+    mu = stacked[..., :d]
+    log_std = nn.clip_n(stacked[..., d:], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
     sigma = log_std.exp()
     kl = nn.kl_to_standard_normal_n(mu, log_std)
 
@@ -407,32 +449,42 @@ def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws):
         rows = (T - k) * B
         draws = (first_draw[None, : T - k] + k * S
                  + np.arange(S)[:, None])  # (S, T-k)
-        eps = eps_draws[draws].reshape(S * rows, d)
-        x = (nn.concat([mu[:rows]] * S, axis=0)
-             + nn.concat([sigma[:rows]] * S, axis=0) * nn.constant(eps))
+        eps = eps_draws[..., draws, :, :].reshape(*runs, S * rows, d)
+        x = (nn.concat([mu[..., :rows, :]] * S, axis=-2)
+             + nn.concat([sigma[..., :rows, :]] * S, axis=-2) * nn.constant(eps))
         if model.ctrl_dim:
-            window = np.concatenate([us[:, j : T - k + j] for j in range(k + 1)],
-                                    axis=-1)  # (B, T-k, (k+1)·ctrl_dim)
+            window = np.concatenate([us[..., j : T - k + j, :] for j in range(k + 1)],
+                                    axis=-1)  # (..., B, T-k, (k+1)·ctrl_dim)
             x = nn.concat([x, nn.constant(np.tile(_time_major(window), (S, 1)))])
         out = nn.forward(model.heads[k], x, param_nodes=head_nodes[k])
-        z = _time_major(ys[:, k:])
+        z = np.tile(_time_major(ys[..., k:, :]), (S, 1))
         if model.output == "gaussian":
-            z = np.tile(z.reshape(rows, -1), (S, 1))
-            mean = out[:, : model.target_dim]
-            dls = nn.clip_n(out[:, model.target_dim :], nn.LOG_STD_MIN,
+            mean = out[..., : model.target_dim]
+            dls = nn.clip_n(out[..., model.target_dim :], nn.LOG_STD_MIN,
                             nn.LOG_STD_MAX)
             resid = (nn.constant(z) - mean) * (-dls).exp()
-            nll = (0.5 * resid.square() + dls + 0.5 * LOG2PI).sum()
+            nll = (0.5 * resid.square() + dls + 0.5 * LOG2PI).sum(axis=(-2, -1))
         else:
-            labels = np.tile(z.reshape(rows).astype(int), S)
+            labels = z.reshape(S * rows).astype(int)
             nll = -nn.gather_logprob(nn.log_softmax_n(out), labels).sum()
         ce = nll if ce is None else ce + nll
     ce = ce * (1.0 / (B * T * S))
-    total = ce + config.beta * kl
+    total = ce + kl * (config.beta if beta is None else beta)
     return total, ce, kl
 
 
-def train_filter(source, config: DynIBConfig, obs_dim=None, ctrl_dim=None) -> TrainedFilter:
+def _stack_runs(params: list) -> dict:
+    """Per-run parameter dicts -> one dict with a leading run axis.
+
+    Vectors (biases, φ_0) stack as (R, 1, ·), so they broadcast over each
+    run's rows.
+    """
+    return {key: np.stack([p[key] if p[key].ndim > 1 else p[key][None]
+                           for p in params])
+            for key in params[0]}
+
+
+def train_filter(source, config, obs_dim=None, ctrl_dim=None):
     """Train a SepFilterModel on trajectories from ``source``.
 
     ``source(batch, rng)`` returns ``(ys, us)`` with shapes (B, T, obs_dim)
@@ -441,36 +493,67 @@ def train_filter(source, config: DynIBConfig, obs_dim=None, ctrl_dim=None) -> Tr
     curve records (step, loss, ce, info). Raises
     :class:`~ibsep.nn.TrainingDiverged` with the step on a non-finite loss
     or gradient.
-    """
-    seq = np.random.SeedSequence(config.seed)
-    init_ss, data_ss, noise_ss = seq.spawn(3)
-    data_rng = np.random.default_rng(data_ss)
-    noise_rng = np.random.default_rng(noise_ss)
 
-    probe_ys, probe_us = _as_batch(source(1, np.random.default_rng(data_ss)))
+    ``config`` is one :class:`DynIBConfig`, which returns a
+    :class:`TrainedFilter`, or a sequence of configs that differ only in
+    β and seed, which returns a :class:`TrainedSweep`. A sweep of R runs
+    trains as one graph with every parameter stacked on a leading run
+    axis, so each step builds one graph instead of R. Run r keeps its own
+    init, data and noise streams from its seed, and its parameters and
+    curve are bit-identical to a lone call with its config; a lone config
+    is the R = 1 case. A divergence names the run's β and seed.
+    """
+    lone = isinstance(config, DynIBConfig)
+    configs = (config,) if lone else tuple(config)
+    first = configs[0] if configs else None
+    if not configs or any(replace(cfg, beta=first.beta, seed=first.seed) != first
+                          for cfg in configs):
+        raise ValueError("a sweep needs configs that differ only in beta and seed")
+    streams = [np.random.SeedSequence(cfg.seed).spawn(3) for cfg in configs]
+    data_rngs = [np.random.default_rng(data_ss) for _, data_ss, _ in streams]
+    noise_rngs = [np.random.default_rng(noise_ss) for _, _, noise_ss in streams]
+
+    probe_ys, probe_us = _as_batch(source(1, np.random.default_rng(streams[0][1])))
     obs_dim = probe_ys.shape[2] if obs_dim is None else obs_dim
     ctrl_dim = probe_us.shape[2] if ctrl_dim is None else ctrl_dim
-    model = init_sep_filter(
-        config.rep_dim, obs_dim, ctrl_dim, config.horizon, "gaussian",
-        update_hidden=config.update_hidden, decoder_hidden=config.decoder_hidden,
-        rng=np.random.default_rng(init_ss),
-    )
-    state = nn.OptimizerState(schedule=config.learning_rate, momentum=config.momentum)
+    models = [init_sep_filter(
+        first.rep_dim, obs_dim, ctrl_dim, first.horizon, "gaussian",
+        update_hidden=first.update_hidden, decoder_hidden=first.decoder_hidden,
+        rng=np.random.default_rng(init_ss)) for init_ss, _, _ in streams]
+    state = nn.OptimizerState(schedule=first.learning_rate, momentum=first.momentum)
 
-    T, n = config.traj_len, config.horizon
-    n_draws = config.mc_samples * sum(min(n, T - 1 - t) + 1 for t in range(T))
+    T, n = first.traj_len, first.horizon
+    n_draws = first.mc_samples * sum(min(n, T - 1 - t) + 1 for t in range(T))
+    betas = np.array([cfg.beta for cfg in configs])
 
     def loss(params, step):
-        ys, us = _as_batch(source(config.batch, data_rng), ctrl_dim)
-        if ys.shape[1] != T:
+        batches = [_as_batch(source(first.batch, rng), ctrl_dim) for rng in data_rngs]
+        if any(ys.shape[1] != T for ys, _ in batches):
             raise ValueError("source produced trajectories of the wrong length")
-        eps = noise_rng.standard_normal((n_draws, config.batch, config.rep_dim))
-        total, ce, kl = _sep_loss_graph(model.with_params(params),
-                                        nn.parameters(params), ys, us, config, eps)
-        return total, {"ce": float(ce.value), "info": float(kl.value)}
+        eps = np.stack([rng.standard_normal((n_draws, first.batch, first.rep_dim))
+                        for rng in noise_rngs])
+        total, ce, kl = _sep_loss_graph(
+            models[0], nn.parameters(params), np.stack([ys for ys, _ in batches]),
+            np.stack([us for _, us in batches]), first, eps, betas)
+        return total, {"ce": ce.value.tolist(), "info": kl.value.tolist()}
 
-    params, curve = nn.fit(model.params(), loss, state, config.steps)
-    return TrainedFilter(model.with_params(params), curve)
+    try:
+        params, curve = nn.fit(_stack_runs([m.params() for m in models]), loss,
+                               state, first.steps)
+    except nn.TrainingDiverged as err:
+        cfg = configs[err.run]
+        raise nn.TrainingDiverged(
+            err.step, f"training loss non-finite at step {err.step} "
+                      f"(beta={cfg.beta!r}, seed={cfg.seed})", err.run) from err
+    shapes = {key: value.shape for key, value in models[0].params().items()}
+    runs = tuple(
+        TrainedFilter(
+            model.with_params({key: value[r].reshape(shapes[key])
+                               for key, value in params.items()}),
+            [{"step": row["step"], "loss": row["loss"][r], "ce": row["ce"][r],
+              "info": row["info"][r]} for row in curve])
+        for r, model in enumerate(models))
+    return runs[0] if lone else TrainedSweep(runs, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +569,9 @@ class KalmanSepFilter:
     (φ_t, y_{t+1}, u_t), which is what makes the Kalman filter itself a
     separating statistic — and the predictive is the closed-form Gaussian.
     ``info`` is 0: the statistic is deterministic given the history, so no
-    extra stochastic coding cost is charged.
+    extra stochastic coding cost is charged. Like :class:`SepFilterModel`,
+    ``step`` and ``predict`` take a 2-D ``phi`` as a batch of statistics;
+    each row runs the exact Kalman maps of a lone statistic.
     """
 
     output = "gaussian"
@@ -504,11 +589,25 @@ class KalmanSepFilter:
         return phi[:n], phi[n:].reshape(n, n)
 
     def step(self, phi, y_next, u=None, t=None):
+        phi = np.asarray(phi, dtype=float)
+        if phi.ndim > 1:
+            ys = np.reshape(y_next, (len(phi), -1))
+            us = [None] * len(phi) if u is None else np.reshape(u, (len(phi), -1))
+            return np.stack([self.step(*row, t=t) for row in zip(phi, ys, us)])
         mean, cov = lgss.kalman_predict(*self._unpack(phi), self.model, u)
         mean, cov = lgss.kalman_update(mean, cov, y_next, self.model)
         return np.concatenate([mean, cov.ravel()])
 
     def predict(self, phi, controls=None, samples=1, rng=None) -> dict:
+        phi = np.asarray(phi, dtype=float)
+        if phi.ndim > 1:
+            if controls is None or np.ndim(controls) < 3:
+                controls = [controls] * len(phi)
+            rows = [self.predict(*row) for row in zip(phi, controls)]
+            return {"family": "gaussian",
+                    "mean": np.stack([r["mean"] for r in rows]),
+                    "cov": np.stack([r["cov"] for r in rows]),
+                    "component_means": None, "component_vars": None}
         u = None
         if controls is not None:
             controls = np.atleast_2d(np.asarray(controls, dtype=float))
@@ -529,6 +628,43 @@ class KalmanSepFilter:
 # ---------------------------------------------------------------------------
 
 
+def _gaussian_nll(mean, cov, z):
+    """-log N(z; mean, cov) over any leading batch axes; cov positive definite."""
+    chol = np.linalg.cholesky(cov)
+    dev = np.linalg.solve(chol, (z - mean)[..., None])[..., 0]
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    return 0.5 * (z.shape[-1] * LOG2PI + logdet + (dev * dev).sum(axis=-1))
+
+
+def _mixture_nll(means, variances, z):
+    """-log of the equal-weight diagonal-Gaussian mixture at z.
+
+    Components are on axis -2 of ``means`` and ``variances``; leading axes
+    are a batch, matched by those of ``z``.
+    """
+    logps = -0.5 * (np.sum((z[..., None, :] - means) ** 2 / variances, axis=-1)
+                    + np.sum(np.log(variances), axis=-1) + z.shape[-1] * LOG2PI)
+    return -(logsumexp(logps, axis=-1) - math.log(means.shape[-2]))
+
+
+def _kl_gaussian(mean_p, cov_p, mean_q, cov_q):
+    """KL(N(mean_p, cov_p) || N(mean_q, cov_q)) over any leading batch axes.
+
+    The closed form of :func:`ibsep.info.kl_gaussian`: +inf where cov_p is
+    singular, and ``LinAlgError`` where cov_q is not positive definite.
+    """
+    chol_q = np.linalg.cholesky(cov_q)
+    logdet_q = 2.0 * np.log(np.diagonal(chol_q, axis1=-2, axis2=-1)).sum(axis=-1)
+    sign_p, logdet_p = np.linalg.slogdet(cov_p)
+    half = np.linalg.solve(chol_q, cov_p)
+    trace = np.trace(np.linalg.solve(chol_q, np.swapaxes(half, -1, -2)),
+                     axis1=-2, axis2=-1)
+    dev = np.linalg.solve(chol_q, (mean_q - mean_p)[..., None])[..., 0]
+    kl = 0.5 * (trace + (dev * dev).sum(axis=-1) - mean_p.shape[-1]
+                + logdet_q - logdet_p)
+    return np.where(sign_p > 0, kl, math.inf)
+
+
 def evaluate_vs_kalman(model, lgss_model: lgss.LGSSModel, T: int, num_traj: int,
                        seed: int, samples: int = 64) -> dict:
     """Held-out comparison of a filter against the exact Kalman predictives.
@@ -538,39 +674,48 @@ def evaluate_vs_kalman(model, lgss_model: lgss.LGSSModel, T: int, num_traj: int,
     beside the Kalman one. Returns nll_learned, nll_kalman, their gap, and
     mean_kl = average KL(kalman || moment-matched learned); ``records``
     carries the per-(trajectory, step) rows.
+
+    All trajectories advance together: at each step the model predicts
+    and updates once over the (num_traj, ·) batch of statistics, and the
+    NLLs and KLs are scored in closed form over the batch. Trajectory j
+    keeps its own simulation and sampling streams, drawn step by step, so
+    its rows do not depend on the trajectories beside it. A non-finite
+    learned predictive raises ``ValueError``.
     """
-    seq = np.random.SeedSequence(seed)
-    records = []
-    for traj_id, child in enumerate(seq.spawn(num_traj)):
-        sim_ss, eval_ss = child.spawn(2)
-        traj = lgss.simulate(lgss_model, None, T, np.random.default_rng(sim_ss))
-        eval_rng = np.random.default_rng(eval_ss)
-        _, (pred_means, pred_covs), _ = lgss.run_filter(lgss_model, traj)
-        phi = model.initial_phi()
-        for t in range(T):
-            params = model.predict(phi, traj.u[t : t + 1], samples, eval_rng)
-            y_next = traj.y[t]
-            nll_learned = predictive_nll(params, y_next)
-            nll_kalman = -info.gaussian_logpdf(pred_means[t], pred_covs[t], y_next)
-            kl = info.kl_gaussian(
-                info.GaussianDistribution(pred_means[t], pred_covs[t]),
-                info.GaussianDistribution(params["mean"], params["cov"]))
-            records.append({
-                "traj_id": traj_id,
-                "t": t,
-                "nll_learned": nll_learned,
-                "nll_kalman": nll_kalman,
-                "kl": float(kl),
-            })
-            phi = model.step(phi, y_next, traj.u[t], t)
-    nll_learned = float(np.mean([r["nll_learned"] for r in records]))
-    nll_kalman = float(np.mean([r["nll_kalman"] for r in records]))
-    mean_kl = float(np.mean([r["kl"] for r in records]))
+    streams = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(num_traj)]
+    trajs = [lgss.simulate(lgss_model, None, T, np.random.default_rng(sim_ss))
+             for sim_ss, _ in streams]
+    eval_rngs = [np.random.default_rng(eval_ss) for _, eval_ss in streams]
+    predictives = [lgss.run_filter(lgss_model, traj)[1] for traj in trajs]
+    kal_means = np.stack([means for means, _ in predictives])  # (num_traj, T, m)
+    kal_covs = np.stack([covs for _, covs in predictives])  # (num_traj, T, m, m)
+    ys = np.stack([traj.y for traj in trajs])
+    us = np.stack([traj.u for traj in trajs])
+    nll_learned = np.empty((num_traj, T))
+    kls = np.empty((num_traj, T))
+    phi = np.stack([model.initial_phi()] * num_traj)
+    for t in range(T):
+        params = model.predict(phi, us[:, t : t + 1], samples, eval_rngs)
+        mean, cov = params["mean"], params["cov"]
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError(f"non-finite learned predictive at step {t}")
+        if params["component_means"] is None:
+            nll_learned[:, t] = _gaussian_nll(mean, cov, ys[:, t])
+        else:
+            nll_learned[:, t] = _mixture_nll(params["component_means"],
+                                             params["component_vars"], ys[:, t])
+        kls[:, t] = _kl_gaussian(kal_means[:, t], kal_covs[:, t], mean, cov)
+        phi = model.step(phi, ys[:, t], us[:, t], t)
+    nll_kalman = _gaussian_nll(kal_means, kal_covs, ys)
+    records = [{"traj_id": j, "t": t, "nll_learned": float(nll_learned[j, t]),
+                "nll_kalman": float(nll_kalman[j, t]), "kl": float(kls[j, t])}
+               for j in range(num_traj) for t in range(T)]
+    mean_learned, mean_kalman = float(np.mean(nll_learned)), float(np.mean(nll_kalman))
     return {
-        "nll_learned": nll_learned,
-        "nll_kalman": nll_kalman,
-        "mean_kl": mean_kl,
-        "gap": nll_learned - nll_kalman,
+        "nll_learned": mean_learned,
+        "nll_kalman": mean_kalman,
+        "mean_kl": float(np.mean(kls)),
+        "gap": mean_learned - mean_kalman,
         "records": records,
     }
 

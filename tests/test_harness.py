@@ -17,6 +17,10 @@ FAST = {"models": 3, "instances": 5, "encoders": 3, "train_steps": 5,
         "train_seeds": 1, "flatness_steps": 10, "riccati_models": 1,
         "eval_traj": 2, "rand_candidates": 2, "hmm_T": 4, "traj_len": 10,
         "batch": 2}
+# FAST for ``all``: a bare key that several batteries know is refused, so
+# each key is namespaced to every battery that knows it
+FAST_ALL = {f"{name}.{key}": value for name in harness.EXPERIMENT_NAMES
+            for key, value in FAST.items() if key in harness._DEFAULTS[name]}
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +148,7 @@ def test_rerun_with_same_seed_is_byte_identical(tmp_path):
 
 def test_run_all_exercises_every_battery(tmp_path):
     cfg = harness.ExperimentConfig("all", seed=1, out=str(tmp_path),
-                                   overrides=dict(FAST))
+                                   overrides=dict(FAST_ALL))
     records = harness.run(cfg)
     seen = {r.experiment for r in records}
     assert seen == set(harness.EXPERIMENT_NAMES)
@@ -281,10 +285,93 @@ def test_cli_rejects_bad_values_by_key(experiment, setting, key, tmp_path, capsy
 def test_run_all_checks_every_value_before_any_battery(tmp_path):
     # gradcheck runs first; control-sep's bad count must stop it from starting
     cfg = harness.ExperimentConfig("all", out=str(tmp_path),
-                                   overrides={"instances": 0})
+                                   overrides={"control-sep.instances": 0})
     with pytest.raises(ValueError, match="instances"):
         harness.run(cfg)
     assert not list(tmp_path.iterdir())
+
+
+def _record_overrides(monkeypatch):
+    """Replace every battery by one that records the overrides it gets."""
+    seen = {}
+
+    def battery(name):
+        def run(seed, overrides):
+            seen[name] = overrides
+            return []
+        return run
+
+    for name in harness.EXPERIMENT_NAMES:
+        monkeypatch.setitem(harness._BATTERIES, name, battery(name))
+    return seen
+
+
+def test_a_namespaced_key_sets_only_its_battery(tmp_path, monkeypatch):
+    seen = _record_overrides(monkeypatch)
+    assert harness.main(["all", "--out", str(tmp_path),
+                         "--set", "seprep.train_steps=50",
+                         "--set", "static-ib.train_seeds=2",
+                         "--set", "flatness_steps=7"]) == 0
+    assert seen["seprep"] == {"train_steps": 50}
+    assert seen["static-ib"] == {"train_seeds": 2, "flatness_steps": 7}
+    assert all(seen[name] == {} for name in ("gradcheck", "info", "kalman",
+                                              "control-sep"))
+
+
+@pytest.mark.parametrize("experiment, setting, named", [
+    ("all", "train_steps=50", "train_steps"),  # static-ib and seprep know it
+    ("all", "tol=1e-6", "tol"),
+    ("seprep", "static-ib.train_steps=5", "static-ib.train_steps"),
+    ("all", "seprep.riccati_T=5", "seprep.riccati_T"),
+    ("all", "nope.train_steps=5", "nope.train_steps"),
+])
+def test_an_ambiguous_or_misdirected_key_exits_2_by_name(
+        tmp_path, monkeypatch, capsys, experiment, setting, named):
+    seen = _record_overrides(monkeypatch)
+    assert harness.main([experiment, "--out", str(tmp_path),
+                         "--set", setting]) == 2
+    assert repr(named) in capsys.readouterr().err
+    assert not seen and not list(tmp_path.iterdir())
+
+
+def test_a_bare_key_still_reaches_the_one_battery_that_knows_it(tmp_path,
+                                                              monkeypatch):
+    seen = _record_overrides(monkeypatch)
+    harness.run(harness.ExperimentConfig("seprep", out=str(tmp_path),
+                                         overrides={"train_steps": 9}))
+    assert seen == {"seprep": {"train_steps": 9}}
+
+
+def test_run_seprep_keeps_the_benchmark_traced_contract(monkeypatch):
+    # the benchmark wraps these module attributes and reads their results:
+    # one train_filter call whose curve has train_steps rows, and one
+    # record per (trajectory, step) from every evaluation
+    small = {"train_steps": 4, "train_seeds": 2, "traj_len": 6, "batch": 2,
+             "eval_traj": 3, "hmm_T": 2, "rand_candidates": 1}
+    trained, evaluated = [], []
+    train_filter = harness.seprep.train_filter
+    evaluate = harness.seprep.evaluate_vs_kalman
+
+    def traced_train(*args, **kwargs):
+        trained.append(train_filter(*args, **kwargs))
+        return trained[-1]
+
+    def traced_evaluate(*args, **kwargs):
+        evaluated.append((evaluate(*args, **kwargs), kwargs["num_traj"], kwargs["T"]))
+        return evaluated[-1][0]
+
+    monkeypatch.setattr(harness.seprep, "train_filter", traced_train)
+    monkeypatch.setattr(harness.seprep, "evaluate_vs_kalman", traced_evaluate)
+    records = harness.run_seprep(5, small)
+    assert len(trained) == 1
+    assert len(trained[0].curve) == small["train_steps"]
+    assert len(trained[0].runs) == 3 * small["train_seeds"]
+    assert [num_traj for _, num_traj, _ in evaluated] == [10] + [3] * 2
+    for result, num_traj, T in evaluated:
+        assert T == small["traj_len"]
+        assert len(result["records"]) == num_traj * T
+    assert {r.key for r in records} >= {"sweep_ce_max_increase",
+                                        "learned_mean_kl"}
 
 
 def test_overrides_take_their_default_types():
@@ -404,7 +491,7 @@ def test_a_diverged_training_run_fails_its_battery_and_the_rest_still_run(
 
     monkeypatch.setattr(harness.seprep, "train_filter", diverge)
     args = ["all", "--seed", "1", "--out", str(tmp_path)]
-    for key, value in FAST.items():
+    for key, value in FAST_ALL.items():
         args += ["--set", f"{key}={value}"]
     assert harness.main(args) == 1
     assert "sepctl: seprep: training loss non-finite at step 17" in \

@@ -335,6 +335,59 @@ def test_fit_reports_the_step_of_a_non_finite_gradient():
     assert isinstance(err.value.__cause__, FloatingPointError)
 
 
+def test_fit_names_the_diverged_run_of_stacked_losses():
+    # per-run loss exp(exp(w)): finite for every run at step 0, but run 2's
+    # gradient exp(exp(w)) * exp(w) overflows; then a loss that is inf in
+    # run 1 only
+    def loss(params, step):
+        w = nn.parameter(params["w"], name="w")
+        return w.exp().exp().sum(axis=-1), {}
+
+    w = np.array([[0.0], [0.0], [math.log(709.0)]])
+    with pytest.raises(nn.TrainingDiverged) as err:
+        nn.fit({"w": w}, loss, nn.OptimizerState(schedule=0.1), 5)
+    assert (err.value.step, err.value.run) == (0, 2)
+    assert isinstance(err.value.__cause__, FloatingPointError)
+    w = np.array([[0.0], [1000.0]])
+    with pytest.raises(nn.TrainingDiverged) as err:
+        nn.fit({"w": w}, loss, nn.OptimizerState(schedule=0.1), 5)
+    assert (err.value.step, err.value.run) == (0, 1)
+
+
+def test_stacked_runs_get_the_gradients_of_their_lone_graphs():
+    # R MLPs stacked on a run axis: forward values, the per-run loss and
+    # every gradient equal the R lone graphs bit for bit
+    rng = np.random.default_rng(3)
+    mlps = [nn.init_mlp([3, 5, 2], ["relu", "identity"], rng) for _ in range(3)]
+    xs = rng.standard_normal((3, 7, 3))
+
+    def graph(params, x):
+        nodes = nn.parameters(params)
+        out = nn.forward(mlps[0], nn.constant(x), param_nodes=nodes)
+        return nn.kl_to_standard_normal_n(out[..., :1], out[..., 1:])
+
+    stacked = {k: np.stack([m.params()[k] if m.params()[k].ndim > 1
+                            else m.params()[k][None] for m in mlps])
+               for k in mlps[0].params()}
+    total = graph(stacked, xs)
+    assert total.value.shape == (3,)
+    grads = nn.backward(total.sum())
+    for r, mlp in enumerate(mlps):
+        lone = graph(mlp.params(), xs[r])
+        assert lone.value == total.value[r]
+        for key, g in nn.backward(lone).items():
+            assert np.array_equal(grads[key][r].reshape(g.shape), g), key
+
+
+def test_sum_over_axes_and_its_gradient():
+    x = nn.parameter(np.arange(24.0).reshape(2, 3, 4), name="x")
+    out = x.sum(axis=(1, 2))
+    assert np.array_equal(out.value, [66.0, 210.0])
+    grads = nn.backward((out * np.array([1.0, 2.0])).sum())
+    assert np.array_equal(grads["x"][0], np.ones((3, 4)))
+    assert np.array_equal(grads["x"][1], np.full((3, 4), 2.0))
+
+
 def test_param_helpers_name_and_group_leaves():
     leaves = nn.parameters({"W0": np.ones(2), "b0": np.zeros(2)}, "enc")
     assert [(k, n.name) for k, n in leaves.items()] == [("W0", "enc.W0"),

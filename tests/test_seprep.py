@@ -1,5 +1,6 @@
 """Tests for the separating-filter module: protocol, objective, exact oracles."""
 
+import dataclasses
 import itertools
 import math
 
@@ -407,6 +408,59 @@ def test_training_divergence_reports_the_step():
     assert 0 <= err.value.step < 200
 
 
+def _sweep_configs(betas_seeds, steps=12, learning_rate=0.02):
+    def schedule(k):  # one schedule object, shared by every run
+        return learning_rate
+
+    return [seprep.DynIBConfig(beta=beta, traj_len=12, steps=steps, batch=4,
+                               seed=seed, horizon=1, rep_dim=3, mc_samples=2,
+                               learning_rate=schedule, update_hidden=(8,),
+                               decoder_hidden=(8,))
+            for beta, seed in betas_seeds]
+
+
+def test_a_sweep_trains_each_run_bit_for_bit_as_a_lone_call():
+    src = seprep.lgss_source(scalar_lgss(), 12)
+    configs = _sweep_configs([(1e-1, 4), (1e-2, 5), (1e-3, 4)])
+    sweep = seprep.train_filter(src, configs)
+    assert len(sweep.curve) == 12 and len(sweep.runs) == 3
+    for r, cfg in enumerate(configs):
+        lone = seprep.train_filter(src, cfg)
+        run = sweep.runs[r]
+        assert run.curve == lone.curve
+        assert [row["loss"][r] for row in sweep.curve] == \
+            [row["loss"] for row in lone.curve]
+        for key, value in lone.model.params().items():
+            got = run.model.params()[key]
+            assert got.shape == value.shape and np.array_equal(got, value), key
+
+
+def test_a_sweep_refuses_configs_that_differ_beyond_beta_and_seed():
+    src = seprep.lgss_source(scalar_lgss(), 12)
+    a, b = _sweep_configs([(1e-1, 4), (1e-2, 5)])
+    with pytest.raises(ValueError, match="beta and seed"):
+        seprep.train_filter(src, [a, dataclasses.replace(b, batch=5)])
+    with pytest.raises(ValueError, match="beta and seed"):
+        seprep.train_filter(src, [])
+
+
+def test_a_diverged_sweep_run_names_its_beta_seed_and_step():
+    # beta = 100 drives this run's loss to overflow within a few steps,
+    # while the other runs of the sweep stay finite
+    src = seprep.lgss_source(scalar_lgss(), 12)
+    configs = _sweep_configs([(1e-3, 1), (100.0, 3), (1e-2, 2)], steps=30,
+                             learning_rate=0.05)
+    with pytest.raises(nn.TrainingDiverged) as lone:
+        seprep.train_filter(src, configs[1])
+    with pytest.raises(nn.TrainingDiverged) as err:
+        seprep.train_filter(src, configs)
+    assert lone.value.step > 0
+    assert err.value.step == lone.value.step
+    assert err.value.run == 1
+    assert "beta=100.0" in str(err.value) and "seed=3" in str(err.value)
+    assert f"step {lone.value.step}" in str(err.value)
+
+
 def test_lgss_source_shapes():
     src = seprep.lgss_source(scalar_lgss(), 15)
     ys, us = src(4, np.random.default_rng(0))
@@ -467,6 +521,87 @@ def test_kalman_wrapper_follows_the_protocol():
     assert params["component_means"] is None  # exact, not Monte Carlo
     phi = filt.step(phi, [0.3], np.zeros(0), 0)
     assert filt.info(phi) == 0.0
+
+
+def test_batched_step_and_predict_match_lone_statistics():
+    model = seprep.init_sep_filter(3, 1, ctrl_dim=1, horizon=1,
+                                   rng=np.random.default_rng(6))
+    rng = np.random.default_rng(7)
+    phis = rng.normal(0.0, 0.5, size=(4, 6))
+    ys, us = rng.standard_normal((4, 1)), rng.standard_normal((4, 1))
+    stepped = model.step(phis, ys, us, 0)
+    controls = rng.standard_normal((4, 2, 1))
+    batch = model.predict(phis, controls, samples=5,
+                          rng=[np.random.default_rng(i) for i in range(4)])
+    for i in range(4):
+        np.testing.assert_allclose(stepped[i], model.step(phis[i], ys[i], us[i]),
+                                   rtol=0, atol=1e-14)
+        lone = model.predict(phis[i], controls[i], samples=5,
+                             rng=np.random.default_rng(i))
+        for key in ("mean", "cov", "component_means", "component_vars"):
+            np.testing.assert_allclose(batch[key][i], lone[key], rtol=1e-13,
+                                       atol=1e-14)
+    kalman = seprep.KalmanSepFilter(scalar_lgss())
+    phis = np.stack([kalman.initial_phi(), kalman.step(kalman.initial_phi(), [0.4])])
+    stepped = kalman.step(phis, [[0.1], [-0.3]])
+    predicted = kalman.predict(phis, np.zeros((2, 1, 0)))
+    for i, y in enumerate([0.1, -0.3]):
+        assert np.array_equal(stepped[i], kalman.step(phis[i], [y]))
+        lone = kalman.predict(phis[i], np.zeros((1, 0)))
+        assert np.array_equal(predicted["mean"][i], lone["mean"])
+        assert np.array_equal(predicted["cov"][i], lone["cov"])
+
+
+def _per_step_reference(model, lgss_model, T, num_traj, seed, samples):
+    """The per-trajectory, per-step loop that scores each row on its own."""
+    rows = []
+    for child in np.random.SeedSequence(seed).spawn(num_traj):
+        sim_ss, eval_ss = child.spawn(2)
+        traj = lgss.simulate(lgss_model, None, T, np.random.default_rng(sim_ss))
+        eval_rng = np.random.default_rng(eval_ss)
+        _, (pred_means, pred_covs), _ = lgss.run_filter(lgss_model, traj)
+        phi = model.initial_phi()
+        for t in range(T):
+            params = model.predict(phi, traj.u[t : t + 1], samples, eval_rng)
+            rows.append((
+                seprep.predictive_nll(params, traj.y[t]),
+                -info.gaussian_logpdf(pred_means[t], pred_covs[t], traj.y[t]),
+                info.kl_gaussian(info.GaussianDistribution(pred_means[t], pred_covs[t]),
+                                 info.GaussianDistribution(params["mean"],
+                                                           params["cov"]))))
+            phi = model.step(phi, traj.y[t], traj.u[t], t)
+    return rows
+
+
+@pytest.mark.parametrize("which", ["learned", "kalman"])
+def test_batched_evaluation_scores_every_row_like_the_per_step_loop(which):
+    lgss_model = lgss.random_stable_model(np.random.default_rng(3), n=2, m=2)
+    if which == "learned":
+        model = seprep.init_sep_filter(3, 2, rng=np.random.default_rng(8))
+    else:
+        model = seprep.KalmanSepFilter(lgss_model)
+    T, num_traj, samples = 6, 4, 8
+    out = seprep.evaluate_vs_kalman(model, lgss_model, T, num_traj, seed=11,
+                                    samples=samples)
+    reference = _per_step_reference(model, lgss_model, T, num_traj, 11, samples)
+    assert len(out["records"]) == num_traj * T == len(reference)
+    for record, (nll_learned, nll_kalman, kl) in zip(out["records"], reference):
+        assert abs(record["nll_learned"] - nll_learned) < 1e-12
+        assert abs(record["nll_kalman"] - nll_kalman) < 1e-12
+        assert abs(record["kl"] - kl) < 1e-12
+    assert [(r["traj_id"], r["t"]) for r in out["records"]] == \
+        [(j, t) for j in range(num_traj) for t in range(T)]
+
+
+def test_a_nan_head_fails_the_kalman_evaluation():
+    # without a per-step eigvalsh check, a NaN predictive must still raise
+    model = small_model()
+    params = model.params()
+    params["dec0.b1"] = params["dec0.b1"] + np.nan
+    broken = model.with_params(params)
+    with pytest.raises(ValueError, match="non-finite"):
+        seprep.evaluate_vs_kalman(broken, scalar_lgss(), T=5, num_traj=3, seed=0,
+                                  samples=4)
 
 
 def test_kalman_embedding_is_exact():
