@@ -513,19 +513,18 @@ def _hmm_instances(rng):
     return [fixed, random3]
 
 
-def _marginal_slack_identity_err(hmm, T) -> float:
+def _marginal_slack_identity_err(reference) -> float:
     """|slack(marginal candidate) - (1/T) sum_t I(z_t; y^t)|, both exact."""
-    ref = seprep.hmm_exact_reference(hmm, T)
+    hmm, T, probs = reference["hmm"], reference["T"], reference["prefix_probs"]
     mi_sum = 0.0
     for t in range(T):
-        prefixes = [p for p in ref["prefix_probs"] if len(p) == t]
-        truths = {p: hmm.next_obs_dist(ref["posteriors"][p]) for p in prefixes}
-        marginal = sum(ref["prefix_probs"][p] * truths[p] for p in prefixes)
-        for p in prefixes:
-            ratio = np.log(truths[p] / marginal, where=truths[p] > 0,
+        truths = reference["truths"][t, 0]
+        marginal = sum(probs[p] * truth for p, truth in truths.items())
+        for p, truth in truths.items():
+            ratio = np.log(truth / marginal, where=truth > 0,
                            out=np.zeros_like(marginal))
-            mi_sum += ref["prefix_probs"][p] * float((truths[p] * ratio).sum())
-    out = seprep.nstep_bound_check(hmm, seprep.marginal_candidate(hmm, T), T)
+            mi_sum += probs[p] * float((truth * ratio).sum())
+    out = seprep.nstep_bound_check(reference, seprep.marginal_candidate(hmm, T))
     return abs(out["slack"] - mi_sum / T)
 
 
@@ -536,14 +535,16 @@ def run_seprep(seed: int, overrides=None) -> list:
     clock = _Clock()
     records = []
 
-    # n-step prediction loss: bound, attainment, and the marginal's slack
+    # n-step prediction loss: bound, attainment, and the marginal's slack,
+    # every candidate scored against one exact reference per HMM
     T = opts["hmm_T"]
     exact_slacks, marginal_errs, slacks = [], [], []
     for hmm in _hmm_instances(rng):
-        out = seprep.nstep_bound_check(
-            hmm, seprep.exact_posterior_candidate(hmm), T)
+        reference = seprep.hmm_exact_reference(hmm, T)
+        out = seprep.nstep_bound_check(reference,
+                                       seprep.exact_posterior_candidate(hmm))
         exact_slacks.append(abs(out["slack"]))
-        marginal_errs.append(_marginal_slack_identity_err(hmm, T))
+        marginal_errs.append(_marginal_slack_identity_err(reference))
         for _ in range(opts["rand_candidates"]):
             table = {}
 
@@ -553,7 +554,7 @@ def run_seprep(seed: int, overrides=None) -> list:
                     _t[key] = rng.dirichlet(np.ones(_h.n_obs))
                 return _t[key]
 
-            slacks.append(seprep.nstep_bound_check(hmm, candidate, T)["slack"])
+            slacks.append(seprep.nstep_bound_check(reference, candidate)["slack"])
     records.append(_gate("seprep", "hmm_exact_candidate_max_abs_slack",
                          exact_slacks, np.max, operator.lt, 1e-9, 1e-9, clock))
     records.append(_gate("seprep", "hmm_marginal_slack_identity_err",

@@ -10,8 +10,9 @@ Gaussian, so the filter state is the plain ``(mean, cov)`` pair of
 arrays: ``kalman_predict`` and ``kalman_update`` (Joseph-form covariance,
 Cholesky gain solve) map one pair to the next, and ``run_filter`` returns
 the stacked posteriors, the stacked one-step predictives of y_t and the
-total log-likelihood. The recursive filter is checked against an
-independent oracle that builds the joint Gaussian of (x_t, y_1..y_t)
+total log-likelihood; the covariances depend on no data, so a batch of
+means shares one covariance pass. The recursive filter is checked against
+an independent oracle that builds the joint Gaussian of (x_t, y_1..y_t)
 explicitly and conditions by Schur complement.
 """
 
@@ -19,12 +20,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .info import GaussianDistribution, _read_json_object, gaussian_logpdf
+from .info import GaussianDistribution, _read_json_object
 
 __all__ = [
     "LGSSModel",
@@ -239,17 +241,28 @@ def _riccati_map(cov, model: LGSSModel):
 def _state(mean, cov):
     """A filter state (mean, cov) as arrays, cov checked finite and symmetrised.
 
-    A non-finite mean reaches the result, whose check raises.
+    A non-finite mean, or batch of means, reaches the result, whose check raises.
     """
     cov = _finite_symmetric(np.atleast_2d(np.asarray(cov, dtype=float)))
-    return np.asarray(mean, dtype=float).reshape(-1), cov
+    mean = np.asarray(mean, dtype=float)
+    return mean.reshape(*mean.shape[:-1], cov.shape[0]), cov
+
+
+def _matvec(mat, vecs):
+    """``mat @ v`` for each vector v on the last axis, each a lone matvec."""
+    return (mat @ vecs[..., None])[..., 0]
 
 
 def kalman_predict(mean, cov, model: LGSSModel, u=None):
-    """Time update: the prior (mean, cov) over x_{t+1} given data up to t."""
+    """Time update: the prior (mean, cov) over x_{t+1} given data up to t.
+
+    A batch of means (and of controls, one row each) shares one covariance.
+    """
     mean, cov = _state(mean, cov)
-    u = np.zeros(model.p) if u is None else np.asarray(u, dtype=float).reshape(model.p)
-    return _finite(model.A @ mean + model.B @ u), _predict_cov(cov, model)
+    u = (np.zeros(model.p) if u is None
+         else np.asarray(u, dtype=float).reshape(*mean.shape[:-1], model.p))
+    prior_mean = _finite(_matvec(model.A, mean) + _matvec(model.B, u))
+    return prior_mean, _predict_cov(cov, model)
 
 
 def kalman_update(mean, cov, y, model: LGSSModel, _innovation=None):
@@ -257,12 +270,13 @@ def kalman_update(mean, cov, y, model: LGSSModel, _innovation=None):
 
     Gain solves go through a Cholesky factorization of the innovation
     covariance S = C P Cᵀ + R; a singular S raises. ``_innovation`` passes
-    an S already computed from this prior.
+    an S already computed from this prior. A batch of means takes one row
+    of ``y`` each and shares one gain and posterior covariance.
     """
     mean, cov = _state(mean, cov)
-    y = np.asarray(y, dtype=float).reshape(model.m)
+    y = np.asarray(y, dtype=float).reshape(*mean.shape[:-1], model.m)
     gain, post_cov = _update_cov(cov, model, _innovation)
-    return _finite(mean + gain @ (y - model.C @ mean)), post_cov
+    return _finite(mean + _matvec(gain, y - _matvec(model.C, mean))), post_cov
 
 
 def predictive_density(mean, cov, model: LGSSModel, u=None) -> GaussianDistribution:
@@ -316,29 +330,45 @@ def riccati_iterate(model: LGSSModel, P_init, n_iters: int) -> np.ndarray:
     return P
 
 
-def run_filter(model: LGSSModel, trajectory: Trajectory):
-    """Filter a whole trajectory.
+def run_filter(model: LGSSModel, trajectories):
+    """Filter one trajectory, or a list of equal-length trajectories.
 
     Returns ``((means, covs), (pred_means, pred_covs), loglik)``: row t of
     the (T, n) and (T, n, n) arrays is the posterior after y_{t+1}, row t
     of the (T, m) and (T, m, m) arrays the one-step predictive density of
     y_{t+1}, and loglik is the total predictive log-likelihood
-    sum_t log p(y_t | y^{t-1}).
+    sum_t log p(y_t | y^{t-1}). The covariances depend on no data, so they
+    are computed once per call, and the means of all N trajectories advance
+    as one batch. A list adds a leading axis of N to every result (the
+    covariances as read-only views), row i being a lone call's result.
     """
-    T, n, m = trajectory.T, model.n, model.m
-    means, covs = np.empty((T, n)), np.empty((T, n, n))
-    pred_means, pred_covs = np.empty((T, m)), np.empty((T, m, m))
-    u = trajectory.u.reshape(T, model.p)
-    mean, cov = model.mu0, model.P0
-    loglik = 0.0
+    lone = isinstance(trajectories, Trajectory)
+    trajs = [trajectories] if lone else list(trajectories)
+    if not trajs or any(traj.T != trajs[0].T for traj in trajs):
+        raise ValueError("run_filter needs one or more trajectories of equal length")
+    N, T, n, m = len(trajs), trajs[0].T, model.n, model.m
+    ys = np.stack([traj.y.reshape(T, m) for traj in trajs])
+    us = np.stack([traj.u.reshape(T, model.p) for traj in trajs])
+    means, covs = np.empty((N, T, n)), np.empty((T, n, n))
+    pred_means, pred_covs = np.empty((N, T, m)), np.empty((T, m, m))
+    mean, cov, loglik = np.broadcast_to(model.mu0, (N, n)), model.P0, np.zeros(N)
     for t in range(T):
-        mean, cov = kalman_predict(mean, cov, model, u[t])
+        mean, cov = kalman_predict(mean, cov, model, us[:, t])
         S = model.C @ cov @ model.C.T + model.R
-        pred_means[t] = model.C @ mean
+        pred_means[:, t] = _matvec(model.C, mean)
         pred_covs[t] = (S + S.T) / 2.0
-        loglik += gaussian_logpdf(pred_means[t], pred_covs[t], trajectory.y[t])
-        mean, cov = kalman_update(mean, cov, trajectory.y[t], model, _innovation=S)
-        means[t], covs[t] = mean, cov
+        mean, cov = kalman_update(mean, cov, ys[:, t], model, _innovation=S)
+        means[:, t], covs[t] = mean, cov
+        # info.gaussian_logpdf of every row with one factor; a lone solve per
+        # row keeps its bits, and the update has refused a non-finite row
+        chol = np.linalg.cholesky(pred_covs[t])
+        dev = np.array([solve_triangular(chol, r, lower=True, check_finite=False)
+                        for r in ys[:, t] - pred_means[:, t]])
+        norm = m * math.log(2.0 * math.pi) + 2.0 * np.log(np.diagonal(chol)).sum()
+        loglik += -0.5 * (norm + (dev[:, None, :] @ dev[:, :, None])[:, 0, 0])
+    if lone:
+        return (means[0], covs), (pred_means[0], pred_covs), float(loglik[0])
+    covs, pred_covs = (np.broadcast_to(a, (N, *a.shape)) for a in (covs, pred_covs))
     return (means, covs), (pred_means, pred_covs), loglik
 
 
@@ -403,20 +433,13 @@ def batch_posterior_oracle(model: LGSSModel, trajectory: Trajectory, t: int) -> 
 # ---------------------------------------------------------------------------
 
 
+_MODEL_KEYS = ("A", "B", "C", "Q", "R", "mu0", "P0")
+
+
 def model_to_json(model: LGSSModel, path=None) -> str:
     """Serialize to JSON with keys n, m, p, A, B, C, Q, R, mu0, P0."""
-    payload = {
-        "n": model.n,
-        "m": model.m,
-        "p": model.p,
-        "A": model.A.tolist(),
-        "B": model.B.tolist(),
-        "C": model.C.tolist(),
-        "Q": model.Q.tolist(),
-        "R": model.R.tolist(),
-        "mu0": model.mu0.tolist(),
-        "P0": model.P0.tolist(),
-    }
+    payload = {"n": model.n, "m": model.m, "p": model.p,
+               **{key: getattr(model, key).tolist() for key in _MODEL_KEYS}}
     text = json.dumps(payload, indent=2)
     if path is not None:
         with open(path, "w") as fh:
@@ -427,70 +450,41 @@ def model_to_json(model: LGSSModel, path=None) -> str:
 def model_from_json(source) -> LGSSModel:
     """Load a model written by :func:`model_to_json` (path, text or file)."""
     payload = _read_json_object(source)
-    required = {"n", "m", "p", "A", "B", "C", "Q", "R", "mu0", "P0"}
-    missing = required - payload.keys()
+    missing = {"n", "m", "p", *_MODEL_KEYS} - payload.keys()
     if missing:
         raise ValueError(f"model JSON missing keys: {sorted(missing)}")
-    n, m, p = int(payload["n"]), int(payload["m"]), int(payload["p"])
-    model = LGSSModel(
-        A=np.array(payload["A"], dtype=float).reshape(n, n),
-        B=np.array(payload["B"], dtype=float).reshape(n, p),
-        C=np.array(payload["C"], dtype=float).reshape(m, n),
-        Q=np.array(payload["Q"], dtype=float).reshape(n, n),
-        R=np.array(payload["R"], dtype=float).reshape(m, m),
-        mu0=np.array(payload["mu0"], dtype=float).reshape(n),
-        P0=np.array(payload["P0"], dtype=float).reshape(n, n),
-    )
-    return model
+    n, m, p = (int(payload[key]) for key in ("n", "m", "p"))
+    shapes = {"A": (n, n), "B": (n, p), "C": (m, n), "Q": (n, n), "R": (m, m),
+              "mu0": (n,), "P0": (n, n)}
+    return LGSSModel(**{key: np.array(payload[key], dtype=float).reshape(shape)
+                        for key, shape in shapes.items()})
 
 
 def trajectory_to_csv(trajectory: Trajectory, path) -> None:
     """Write rows t, u..., y..., x..., z... (t = 1..T; row t carries u_{t-1})."""
-    p = trajectory.u.shape[1]
-    n = trajectory.x.shape[1]
-    m = trajectory.y.shape[1]
-    has_z = trajectory.z is not None
-    zdim = trajectory.z.shape[1] if has_z else 0
-    header = (
-        ["t"]
-        + [f"u{i}" for i in range(p)]
-        + [f"y{i}" for i in range(m)]
-        + [f"x{i}" for i in range(n)]
-        + [f"z{i}" for i in range(zdim)]
-    )
+    blocks = {"u": trajectory.u, "y": trajectory.y, "x": trajectory.x}
+    if trajectory.z is not None:
+        blocks["z"] = trajectory.z
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(["t"] + [f"{name}{i}" for name, block in blocks.items()
+                                 for i in range(block.shape[1])])
         for t in range(trajectory.T):
-            row = [t + 1]
-            row += [repr(float(v)) for v in trajectory.u[t]]
-            row += [repr(float(v)) for v in trajectory.y[t]]
-            row += [repr(float(v)) for v in trajectory.x[t]]
-            if has_z:
-                row += [repr(float(v)) for v in trajectory.z[t]]
-            writer.writerow(row)
+            writer.writerow([t + 1] + [repr(float(v)) for block in blocks.values()
+                                       for v in block[t]])
 
 
 def trajectory_from_csv(path) -> Trajectory:
     """Read a trajectory written by :func:`trajectory_to_csv`."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    counts = {"u": 0, "y": 0, "x": 0, "z": 0}
-    for col in header[1:]:
-        counts[col[0]] += 1
-    p, m, n, zdim = counts["u"], counts["y"], counts["x"], counts["z"]
-    T = len(rows)
-    u = np.zeros((T, p))
-    y = np.zeros((T, m))
-    x = np.zeros((T, n))
-    z = np.zeros((T, zdim)) if zdim else None
-    for i, row in enumerate(rows):
-        vals = [float(v) for v in row[1:]]
-        u[i] = vals[:p]
-        y[i] = vals[p : p + m]
-        x[i] = vals[p + m : p + m + n]
-        if zdim:
-            z[i] = vals[p + m + n :]
-    return Trajectory(u=u, x=x, y=y, z=z)
+        columns = next(reader)[1:]
+        rows = [[float(v) for v in row[1:]] for row in reader if row]
+    unknown = [col for col in columns if col[:1] not in ("u", "y", "x", "z")]
+    if unknown:
+        raise ValueError(f"unknown trajectory columns {unknown}")
+    table = np.array(rows, dtype=float).reshape(len(rows), len(columns))
+    blocks = {name: table[:, [c for c, col in enumerate(columns) if col[0] == name]]
+              for name in "uyxz"}
+    z = blocks["z"] if blocks["z"].shape[1] else None
+    return Trajectory(u=blocks["u"], x=blocks["x"], y=blocks["y"], z=z)

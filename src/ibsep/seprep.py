@@ -675,9 +675,10 @@ def evaluate_vs_kalman(model, lgss_model: lgss.LGSSModel, T: int, num_traj: int,
     mean_kl = average KL(kalman || moment-matched learned); ``records``
     carries the per-(trajectory, step) rows.
 
-    All trajectories advance together: at each step the model predicts
-    and updates once over the (num_traj, ·) batch of statistics, and the
-    NLLs and KLs are scored in closed form over the batch. Trajectory j
+    All trajectories advance together: one ``lgss.run_filter`` call gives
+    their Kalman predictives, at each step the model predicts and updates
+    once over the (num_traj, ·) batch of statistics, and the NLLs and KLs
+    are scored in closed form over the batch. Trajectory j
     keeps its own simulation and sampling streams, drawn step by step, so
     its rows do not depend on the trajectories beside it. A non-finite
     learned predictive raises ``ValueError``.
@@ -686,9 +687,7 @@ def evaluate_vs_kalman(model, lgss_model: lgss.LGSSModel, T: int, num_traj: int,
     trajs = [lgss.simulate(lgss_model, None, T, np.random.default_rng(sim_ss))
              for sim_ss, _ in streams]
     eval_rngs = [np.random.default_rng(eval_ss) for _, eval_ss in streams]
-    predictives = [lgss.run_filter(lgss_model, traj)[1] for traj in trajs]
-    kal_means = np.stack([means for means, _ in predictives])  # (num_traj, T, m)
-    kal_covs = np.stack([covs for _, covs in predictives])  # (num_traj, T, m, m)
+    _, (kal_means, kal_covs), _ = lgss.run_filter(lgss_model, trajs)
     ys = np.stack([traj.y for traj in trajs])
     us = np.stack([traj.u for traj in trajs])
     nll_learned = np.empty((num_traj, T))
@@ -833,62 +832,64 @@ def hmm_exact_reference(hmm: FiniteHMM, T: int, n: int = 0) -> dict:
     posteriors for every prefix, each prefix's probability, and the
     per-(t, k) expected entropies. Any predictor's loss on this chain is
     bounded below by ``entropy_lower_bound``.
+
+    ``truths[t, k]`` maps every prefix of length t, in tree order, to the
+    exact p(z_{t+k} | y^t) its entropy term was computed from. With the
+    ``hmm``, ``T`` and ``n`` it was built for, the reference is all that
+    :func:`nstep_bound_check` needs, so one tree serves every candidate.
     """
     if T > _ENUM_MAX_T or hmm.n_obs > _ENUM_MAX_OBS:
         raise ValueError(f"enumeration cap exceeded: need T <= {_ENUM_MAX_T} and "
                          f"|O| <= {_ENUM_MAX_OBS}, got T={T}, |O|={hmm.n_obs}")
     if n < 0 or n >= T:
         raise ValueError("need 0 <= n < T")
-    levels = control_sep._belief_tree(hmm.pomdp, T)
-    posteriors, probs = {}, {}
-    for level in levels:
-        for history, (belief, reach) in level.items():
-            prefix = tuple(o for _, o in history)  # the only action is 0
-            posteriors[prefix] = belief
-            probs[prefix] = float(reach)
-    term_entropies = {}
-    total = 0.0
+    levels = [{tuple(o for _, o in history): node  # the only action is 0
+               for history, node in level.items()}
+              for level in control_sep._belief_tree(hmm.pomdp, T)]
+    posteriors = {p: belief for level in levels for p, (belief, _) in level.items()}
+    probs = {p: float(reach) for level in levels for p, (_, reach) in level.items()}
+    truths, term_entropies = {}, {}
     for k in range(n + 1):
         for t in range(T - k):
-            h = 0.0
-            for belief, reach in levels[t].values():
-                pred = hmm.next_obs_dist(belief, k)
-                h += float(reach) * info._entropy_table(pred)
-            term_entropies[(t, k)] = h
-            total += h
+            truths[t, k] = {p: hmm.next_obs_dist(belief, k)
+                            for p, (belief, _) in levels[t].items()}
+            term_entropies[t, k] = sum(probs[p] * info._entropy_table(truth)
+                                       for p, truth in truths[t, k].items())
     return {
-        "entropy_lower_bound": total / T,
+        "hmm": hmm, "T": T, "n": n,
+        "entropy_lower_bound": sum(term_entropies.values()) / T,
         "posteriors": posteriors,
         "prefix_probs": probs,
         "term_entropies": term_entropies,
+        "truths": truths,
     }
 
 
-def nstep_bound_check(hmm: FiniteHMM, candidate, T: int, n: int = 0) -> dict:
+def nstep_bound_check(reference: dict, candidate) -> dict:
     """Exact loss of a history→prediction candidate against the lower bound.
 
-    ``candidate(history, k)`` returns a probability vector over the next
-    observation alphabet for target z_{t+k}, where t = len(history). The
-    loss is the exact expected cross-entropy (1/T) Σ_{k} Σ_t
+    ``reference`` is an :func:`hmm_exact_reference`, and the candidate is
+    scored on its HMM, T and n. ``candidate(history, k)`` returns a
+    probability vector over the observation alphabet for target z_{t+k},
+    where t = len(history); a guess of another shape raises ``ValueError``.
+    The loss is the exact expected cross-entropy (1/T) Σ_{k} Σ_t
     E_{y^t} H_x(p(z_{t+k}|y^t), candidate); slack = loss − bound is a KL
     average, hence ≥ 0, and 0 exactly when the candidate matches the true
     conditional on every positive-probability history.
     """
-    reference = hmm_exact_reference(hmm, T, n)
-    posteriors = reference["posteriors"]
     probs = reference["prefix_probs"]
+    want = (reference["hmm"].n_obs,)
     loss = 0.0
-    for k in range(n + 1):
-        for t in range(T - k):
-            for prefix, belief in posteriors.items():
-                if len(prefix) != t:
-                    continue
-                truth = hmm.next_obs_dist(belief, k)
-                guess = np.asarray(candidate(prefix, k), dtype=float)
-                with np.errstate(divide="ignore"):
-                    logs = np.log(np.maximum(guess, nn._PROB_FLOOR))
-                loss += probs[prefix] * float(-(truth * logs).sum())
-    loss /= T
+    for (t, k), truths in reference["truths"].items():
+        for prefix, truth in truths.items():
+            guess = np.asarray(candidate(prefix, k), dtype=float)
+            if guess.shape != want:
+                raise ValueError(f"candidate guess for history {prefix}, k={k} has "
+                                 f"shape {guess.shape}, need {want}")
+            with np.errstate(divide="ignore"):
+                logs = np.log(np.maximum(guess, nn._PROB_FLOOR))
+            loss += probs[prefix] * float(-(truth * logs).sum())
+    loss /= reference["T"]
     bound = reference["entropy_lower_bound"]
     return {"loss": loss, "bound": bound, "slack": loss - bound}
 

@@ -374,6 +374,32 @@ def test_run_seprep_keeps_the_benchmark_traced_contract(monkeypatch):
                                         "learned_mean_kl"}
 
 
+def test_run_seprep_builds_each_exact_reference_once(monkeypatch):
+    # one HMM tree per HMM serves every candidate, and one Kalman filter
+    # call serves every trajectory of an evaluation; the benchmark counts
+    # both through these module attributes
+    small = {"train_steps": 3, "train_seeds": 1, "traj_len": 5, "batch": 2,
+             "eval_traj": 4, "hmm_T": 3, "rand_candidates": 3}
+    calls = {"hmm_exact_reference": 0, "run_filter": 0, "evaluate_vs_kalman": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(harness.seprep, "hmm_exact_reference")
+    counting(harness.seprep, "evaluate_vs_kalman")
+    counting(harness.lgss, "run_filter")
+    harness.run_seprep(5, small)
+    assert calls["hmm_exact_reference"] == 2
+    assert calls["evaluate_vs_kalman"] == 2
+    assert calls["run_filter"] == calls["evaluate_vs_kalman"]
+
+
 def test_overrides_take_their_default_types():
     opts = harness._opts("seprep", {"train_steps": 20.0, "betas": [1, 0.5],
                                     "hmm_T": 8})

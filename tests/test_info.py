@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ibsep import info
 
@@ -151,6 +152,54 @@ def test_identity_random_pairs():
         channel = random_channel(rng, k_in, k_out)
         result = info.mi_identity_check(prior, channel)
         assert abs(result["lhs"] - result["rhs"]) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the identities on random small joints and channels
+# ---------------------------------------------------------------------------
+
+SEEDS = st.integers(0, 2**32 - 1)
+SIZES = st.integers(1, 4)
+
+
+def _sparse_rows(rng, rows, cols, sparse):
+    """Dirichlet rows; ``sparse`` zeroes about a third of the entries of
+    each row (keeping one) and renormalises, so 0 log 0 terms occur."""
+    table = rng.dirichlet(np.ones(cols), size=rows)
+    if sparse:
+        keep = rng.random((rows, cols)) >= 0.35
+        keep[np.arange(rows), rng.integers(cols, size=rows)] = True
+        table = np.where(keep, table, 0.0)
+        table /= table.sum(axis=1, keepdims=True)
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, x=SIZES, y=SIZES, z=SIZES, sparse=st.booleans())
+def test_mutual_information_is_symmetric_nonnegative_and_obeys_the_chain_rule(
+        seed, x, y, z, sparse):
+    rng = np.random.default_rng(seed)
+    table = _sparse_rows(rng, 1, x * y * z, sparse).reshape(x, y, z)
+    joint = info.DiscreteJoint(("x", "y", "z"), table)
+    mi = info.mutual_information
+    for a, b, given_ in (("x", "y", ()), ("x", "z", ()), ("x", "z", "y"),
+                         ("y", "z", "x"), ("x", ("y", "z"), ())):
+        forward, backward = mi(joint, a, b, given_), mi(joint, b, a, given_)
+        assert abs(forward - backward) <= 1e-12
+        assert forward >= -1e-12
+    chain = mi(joint, "x", "y") + mi(joint, "x", "z", given="y")
+    assert abs(mi(joint, "x", ("y", "z")) - chain) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, k_in=SIZES, k_out=SIZES, sparse=st.booleans())
+def test_mi_identity_check_agrees_on_random_channels(seed, k_in, k_out, sparse):
+    rng = np.random.default_rng(seed)
+    prior = info.DiscreteDistribution(_sparse_rows(rng, 1, k_in, sparse)[0])
+    channel = info.DiscreteChannel(_sparse_rows(rng, k_in, k_out, sparse))
+    out = info.mi_identity_check(prior, channel)
+    assert abs(out["lhs"] - out["rhs"]) <= 1e-12
+    assert out["lhs"] >= -1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,67 @@ def test_run_filter_predictives_are_the_one_step_densities():
         assert loglik == expect_ll
 
 
+def _filter_rows(model, trajs):
+    """run_filter on the list, and the lone call on each trajectory."""
+    batched = lgss.run_filter(model, trajs)
+    return batched, [lgss.run_filter(model, traj) for traj in trajs]
+
+
+def _flat(result):
+    (means, covs), (pred_means, pred_covs), loglik = result
+    return [means, covs, pred_means, pred_covs, np.asarray(loglik)]
+
+
+def test_a_list_of_trajectories_filters_row_for_row_like_lone_calls():
+    # one covariance pass, the means as one batch: row i is trajectory i's
+    # lone result, bit for bit on the scalar model of the seprep battery
+    rng = np.random.default_rng(17)
+    model = scalar_model()
+    trajs = [lgss.simulate(model, None, 40, rng) for _ in range(6)]
+    batched, lone = _filter_rows(model, trajs)
+    assert batched[0][0].shape == (6, 40, 1) and batched[1][1].shape == (6, 40, 1, 1)
+    assert batched[2].shape == (6,)
+    for i, result in enumerate(lone):
+        assert type(result[2]) is float
+        for got, want in zip(_flat(batched), _flat(result)):
+            assert np.array_equal(got[i], want)
+
+
+@pytest.mark.parametrize("n, m, p", [(2, 1, 1), (3, 2, 2), (4, 2, 1), (4, 1, 2)])
+def test_a_list_of_controlled_trajectories_matches_lone_calls(n, m, p):
+    # a batched product may round differently from a lone matvec when n > 1
+    rng = np.random.default_rng(n * 100 + m * 10 + p)
+    model = lgss.random_stable_model(rng, n=n, m=m, p=p)
+    trajs = [lgss.simulate(model, rng.normal(size=(25, p)), 25, rng)
+             for _ in range(5)]
+    batched, lone = _filter_rows(model, trajs)
+    for i, result in enumerate(lone):
+        for got, want in zip(_flat(batched), _flat(result)):
+            assert np.max(np.abs(got[i] - want), initial=0.0) <= \
+                1e-12 * max(1.0, np.max(np.abs(want), initial=0.0))
+
+
+def test_a_nan_observation_in_one_trajectory_fails_the_batch():
+    rng = np.random.default_rng(19)
+    model = lgss.random_stable_model(rng, n=2, m=1)
+    trajs = [lgss.simulate(model, None, 8, rng) for _ in range(3)]
+    y = trajs[1].y.copy()
+    y[3] = np.nan
+    trajs[1] = lgss.Trajectory(u=trajs[1].u, x=trajs[1].x, y=y)
+    for arg in (trajs, trajs[1]):
+        with pytest.raises(ValueError, match="non-finite filter state"):
+            lgss.run_filter(model, arg)
+
+
+def test_trajectories_of_unequal_length_are_refused():
+    rng = np.random.default_rng(23)
+    model = scalar_model()
+    trajs = [lgss.simulate(model, None, T, rng) for T in (8, 9)]
+    for arg in (trajs, []):
+        with pytest.raises(ValueError, match="equal length"):
+            lgss.run_filter(model, arg)
+
+
 # ---------------------------------------------------------------------------
 # properties of one predict/update step on random models
 # ---------------------------------------------------------------------------
@@ -495,3 +556,18 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.y, traj.y)
     header = path.read_text().splitlines()[0]
     assert header == "t,u0,y0,y1,x0,x1"
+
+
+def test_trajectory_csv_round_trips_task_targets_and_refuses_unknown_columns(tmp_path):
+    rng = np.random.default_rng(18)
+    model = lgss.random_stable_model(rng, n=1, m=1)
+    traj = lgss.simulate(model, None, 4, rng)
+    traj = lgss.Trajectory(u=traj.u, x=traj.x, y=traj.y, z=rng.normal(size=(4, 2)))
+    path = tmp_path / "traj.csv"
+    lgss.trajectory_to_csv(traj, path)
+    assert path.read_text().splitlines()[0] == "t,y0,x0,z0,z1"
+    loaded = lgss.trajectory_from_csv(path)
+    assert np.array_equal(loaded.z, traj.z) and loaded.u.shape == (4, 0)
+    path.write_text("t,y0,w0\n1,0.5,1.0\n")
+    with pytest.raises(ValueError, match=r"unknown trajectory columns \['w0'\]"):
+        lgss.trajectory_from_csv(path)

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -783,8 +784,8 @@ def test_reference_enforces_enumeration_caps():
 def test_exact_candidate_attains_the_bound():
     hmm = two_state_hmm()
     for n in (0, 1):
-        out = seprep.nstep_bound_check(hmm, seprep.exact_posterior_candidate(hmm),
-                                       T=6, n=n)
+        out = seprep.nstep_bound_check(seprep.hmm_exact_reference(hmm, 6, n=n),
+                                       seprep.exact_posterior_candidate(hmm))
         assert abs(out["slack"]) < 1e-9
 
 
@@ -802,13 +803,14 @@ def test_marginal_candidate_slack_is_the_information_sum():
             ratio = np.log(truths[p] / marginal, where=truths[p] > 0,
                            out=np.zeros_like(marginal))
             mi_sum += ref["prefix_probs"][p] * float((truths[p] * ratio).sum())
-    out = seprep.nstep_bound_check(hmm, seprep.marginal_candidate(hmm, T), T)
+    out = seprep.nstep_bound_check(ref, seprep.marginal_candidate(hmm, T))
     assert out["slack"] == pytest.approx(mi_sum / T, abs=1e-9)
     assert out["slack"] > 0.01
 
 
 def test_any_candidate_respects_the_bound():
     hmm = two_state_hmm()
+    reference = seprep.hmm_exact_reference(hmm, 5)
     rng = np.random.default_rng(0)
     for _ in range(30):
         table = {}
@@ -819,8 +821,83 @@ def test_any_candidate_respects_the_bound():
                 _table[key] = rng.dirichlet(np.ones(2))
             return _table[key]
 
-        out = seprep.nstep_bound_check(hmm, candidate, T=5)
+        out = seprep.nstep_bound_check(reference, candidate)
         assert out["slack"] >= -1e-12
+
+
+def _seeded_candidate(hmm, seed):
+    rng = np.random.default_rng(seed)
+    table = {}
+
+    def candidate(history, k):
+        if (history, k) not in table:
+            table[history, k] = rng.dirichlet(np.ones(hmm.n_obs))
+        return table[history, k]
+
+    return candidate
+
+
+def test_one_shared_reference_scores_every_candidate_as_before():
+    # bound, then (loss, slack) of the exact, marginal and seeded random
+    # candidates, recorded when every nstep_bound_check call enumerated its
+    # own tree; one shared reference per (hmm, n) must give the same floats
+    from test_pinned_bits import _pinned_hmms
+
+    pinned = {
+        (0, 0): (0.6366842823685289, [(0.6366842823685288, -1.1102230246251565e-16),
+                                      (0.6640641265641084, 0.027379844195579484),
+                                      (0.9763152609694016, 0.33963097860087266)]),
+        (0, 1): (1.1846340800108164, [(1.1846340800108164, 0.0),
+                                      (1.2174508987008648, 0.03281681869004838),
+                                      (1.7907115082061649, 0.6060774281953485)]),
+        (0, 2): (1.62632888471101, [(1.62632888471101, 0.0),
+                                    (1.6601603164102705, 0.033831431699260506),
+                                    (2.327421268037852, 0.7010923833268421)]),
+        (1, 0): (1.0645100380491053, [(1.0645100380491053, 0.0),
+                                      (1.0652687091915585, 0.0007586711424532044),
+                                      (1.4736371561205093, 0.409127118071404)]),
+        (1, 1): (1.9519078560408827, [(1.9519078560408827, 0.0),
+                                      (1.9527316748563768, 0.0008238188154940929),
+                                      (2.6026434125613425, 0.6507355565204598)]),
+        (1, 2): (2.6620366832189717, [(2.6620366832189717, 0.0),
+                                      (2.6628657584842386, 0.0008290752652668765),
+                                      (3.7631296584308527, 1.101092975211881)]),
+    }
+    T = 6
+    for i, hmm in enumerate(_pinned_hmms()):
+        for n in (0, 1, 2):
+            reference = seprep.hmm_exact_reference(hmm, T, n=n)
+            bound, rows = pinned[i, n]
+            candidates = [seprep.exact_posterior_candidate(hmm),
+                          seprep.marginal_candidate(hmm, T),
+                          _seeded_candidate(hmm, 3)]
+            for candidate, (loss, slack) in zip(candidates, rows):
+                out = seprep.nstep_bound_check(reference, candidate)
+                assert repr((out["loss"], out["bound"], out["slack"])) == \
+                    repr((loss, bound, slack))
+
+
+def test_a_reference_keeps_each_truth_by_prefix_length_and_offset():
+    hmm = two_state_hmm()
+    reference = seprep.hmm_exact_reference(hmm, 5, n=2)
+    assert (reference["hmm"], reference["T"], reference["n"]) == (hmm, 5, 2)
+    assert sorted(reference["truths"]) == sorted(
+        (t, k) for k in range(3) for t in range(5 - k))
+    for (t, k), truths in reference["truths"].items():
+        assert list(truths) == [p for p in reference["prefix_probs"] if len(p) == t]
+        for prefix, truth in truths.items():
+            belief = reference["posteriors"][prefix]
+            assert np.array_equal(truth, hmm.next_obs_dist(belief, k))
+
+
+@pytest.mark.parametrize("guess", [[1.0], [0.2, 0.3, 0.5], 1.0, [[0.5, 0.5]]])
+def test_a_guess_of_the_wrong_shape_is_refused_by_name(guess):
+    # a one-entry guess used to broadcast against the truth and score a loss
+    # of 0, below the entropy floor
+    reference = seprep.hmm_exact_reference(two_state_hmm(), 4)
+    shape = np.shape(guess)
+    with pytest.raises(ValueError, match=re.escape(f"{shape}, need (2,)")):
+        seprep.nstep_bound_check(reference, lambda history, k: guess)
 
 
 # ---------------------------------------------------------------------------
