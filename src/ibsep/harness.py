@@ -469,15 +469,16 @@ def run_static_ib(seed: int, overrides=None) -> list:
     task = static_ib.make_nuisance_task(2, 2, seed=0)
     steps = opts["train_steps"]
     n_seeds = opts["train_seeds"]
+    free_runs = static_ib.train_ib(task, [static_ib.IBLConfig(
+        beta=0.0, rep_dim=1, steps=steps, batch=64, seed=seed + s)
+        for s in range(n_seeds)]).runs
+    squeezed_runs = static_ib.train_ib(task, [static_ib.IBLConfig(
+        beta=1e3, rep_dim=1, steps=steps, batch=64, seed=seed + s,
+        learning_rate=1e-4) for s in range(n_seeds)]).runs
     accs, bounds, devs = [], [], []
-    for s in range(n_seeds):
-        free = static_ib.train_ib(task, static_ib.IBLConfig(
-            beta=0.0, rep_dim=1, steps=steps, batch=64, seed=seed + s))
+    for s, (free, squeezed) in enumerate(zip(free_runs, squeezed_runs)):
         accs.append(static_ib.eval_accuracy(free.encoder, free.decoder, task,
                                             256, np.random.default_rng(123 + s)))
-        squeezed = static_ib.train_ib(task, static_ib.IBLConfig(
-            beta=1e3, rep_dim=1, steps=steps, batch=64, seed=seed + s,
-            learning_rate=1e-4))
         bounds.append(static_ib.info_bound_exact(squeezed.encoder, task))
         acc = static_ib.eval_accuracy(squeezed.encoder, squeezed.decoder,
                                       task, 512, np.random.default_rng(321 + s))

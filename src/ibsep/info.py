@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.stats import norm
+from scipy.special import ndtr
 
 __all__ = [
     "DiscreteDistribution",
@@ -440,7 +440,7 @@ def gaussian_bin_masses(means, stds, edges) -> np.ndarray:
     if np.any(stds <= 0):
         raise ValueError("standard deviations must be positive")
     edges = np.asarray(edges, dtype=float)[None, :]
-    cdf = norm.cdf((edges - means) / stds)
+    cdf = ndtr((edges - means) / stds)  # the standard normal CDF
     left = cdf[:, :1]
     right = 1.0 - cdf[:, -1:]
     inner = np.diff(cdf, axis=1)

@@ -13,6 +13,7 @@ Independent runs can share one graph by stacking on a leading run axis:
 activations ``(R, batch, features)``, weights ``(R, d_in, d_out)`` and
 biases ``(R, 1, d_out)``. ``matmul`` then multiplies run by run, each
 gradient keeps the run axis of its operand, and the losses reduce per run.
+:func:`fit_sweep` trains such a stack of runs and hands each run back.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ __all__ = [
     "backward",
     "sgd_step",
     "fit",
+    "TrainedSweep",
+    "sweep_configs",
+    "stack_runs",
+    "unstack_runs",
+    "fit_sweep",
     "minibatch_sample",
     "LOG_STD_MIN",
     "LOG_STD_MAX",
@@ -154,12 +160,17 @@ class Node:
 
         return Node(val.sum(axis=axis), (self,), (vjp,), op="sum")
 
-    def mean(self):
+    def mean(self, axis=None):
+        """Mean over ``axis`` (an int or tuple; all axes by default)."""
         val = self.value
-        n = val.size
-        return Node(val.mean(), (self,),
-                    (lambda g: np.broadcast_to(g / n, val.shape).copy(),),
-                    op="mean")
+        out = val.mean(axis=axis)
+        n = val.size // out.size
+        kept = () if axis is None else axis
+
+        def vjp(g):
+            return np.broadcast_to(np.expand_dims(g / n, kept), val.shape).copy()
+
+        return Node(out, (self,), (vjp,), op="mean")
 
     def __getitem__(self, key):
         val = self.value
@@ -288,15 +299,24 @@ def log_softmax_n(x: Node) -> Node:
 
 
 def gather_logprob(logp: Node, labels) -> Node:
-    """Pick ``logp[i, labels[i]]`` for each row; used by batched losses."""
+    """Pick ``logp[..., labels[...]]``: one entry of the last axis per row.
+
+    ``labels`` has the shape of the leading axes of ``logp``, so a
+    (B, K) log-prob takes (B,) labels and a run-stacked (R, B, K) one
+    takes (R, B) labels; the result has the labels' shape.
+    """
     logp = _wrap(logp)
     labels = np.asarray(labels, dtype=int)
-    rows = np.arange(logp.value.shape[0])
-    picked = logp.value[rows, labels]
+    shape = logp.value.shape
+    if labels.shape != shape[:-1]:
+        raise ValueError(f"labels of shape {labels.shape} do not index the rows "
+                         f"of a log-prob of shape {shape}")
+    index = labels[..., None]
+    picked = np.take_along_axis(logp.value, index, axis=-1)[..., 0]
 
-    def vjp(g, shape=logp.value.shape):
+    def vjp(g):
         full = np.zeros(shape)
-        full[rows, labels] = g
+        np.put_along_axis(full, index, g[..., None], axis=-1)
         return full
 
     return Node(picked, (logp,), (vjp,), op="gather")
@@ -598,6 +618,80 @@ def fit(params: dict, loss_fn, state: OptimizerState, steps: int):
 def _first_run(bad):
     """Index of the first True entry of a per-run mask; None for a scalar."""
     return int(np.argmax(bad)) if bad.ndim else None
+
+
+# ---------------------------------------------------------------------------
+# sweeps: independent runs stacked on a leading run axis
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class TrainedSweep:
+    """The runs of a sweep trained as one graph.
+
+    ``runs[r]`` is the very result a lone call with the r-th config
+    returns. ``curve`` has one row per training step, whose logged values
+    (all but ``step``) are per-run lists.
+    """
+
+    runs: tuple
+    curve: list
+
+
+def sweep_configs(config, kind) -> tuple:
+    """``(lone, configs)`` for one ``kind`` config or a sequence of them.
+
+    The configs of a sweep may differ only in ``beta`` and ``seed``;
+    anything else, or an empty sequence, is a ValueError.
+    """
+    lone = isinstance(config, kind)
+    configs = (config,) if lone else tuple(config)
+    first = configs[0] if configs else None
+    if not configs or any(replace(cfg, beta=first.beta, seed=first.seed) != first
+                          for cfg in configs):
+        raise ValueError("a sweep needs configs that differ only in beta and seed")
+    return lone, configs
+
+
+def stack_runs(params: list) -> dict:
+    """Per-run parameter dicts -> one dict with a leading run axis.
+
+    Vectors (biases) stack as (R, 1, ·), so they broadcast over each run's
+    rows.
+    """
+    return {key: np.stack([p[key] if p[key].ndim > 1 else p[key][None]
+                           for p in params])
+            for key in params[0]}
+
+
+def unstack_runs(stacked: dict, like: dict) -> list:
+    """The inverse of :func:`stack_runs`: per-run dicts shaped like ``like``."""
+    runs = len(next(iter(stacked.values())))
+    return [{key: value[r].reshape(like[key].shape) for key, value in stacked.items()}
+            for r in range(runs)]
+
+
+def fit_sweep(configs, params: list, loss_fn, state: OptimizerState):
+    """Train the runs of ``configs`` as one graph; ``(params, curves, curve)``.
+
+    ``params[r]`` holds run r's parameter arrays. :func:`fit` descends
+    them stacked on a leading run axis for ``configs[0].steps`` steps, and
+    ``loss_fn`` gets the stacked dict and returns (R,) losses. Returns run
+    r's trained parameters and curve, each shaped as for a lone run, and
+    the stacked curve. A divergence raises :class:`TrainingDiverged`
+    naming the step, the run and its β and seed.
+    """
+    try:
+        stacked, curve = fit(stack_runs(params), loss_fn, state, configs[0].steps)
+    except TrainingDiverged as err:
+        cfg = configs[err.run]
+        raise TrainingDiverged(
+            err.step, f"training loss non-finite at step {err.step} "
+                      f"(run {err.run}: beta={cfg.beta!r}, seed={cfg.seed})",
+            err.run) from err
+    curves = [[{key: value if key == "step" else value[r] for key, value in row.items()}
+               for row in curve] for r in range(len(params))]
+    return unstack_runs(stacked, params[0]), curves, curve
 
 
 def minibatch_sample(dataset, b, rng, scheme="uniform"):

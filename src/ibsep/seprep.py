@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
@@ -347,18 +347,7 @@ class TrainedFilter:
     curve: list
 
 
-@dataclass
-class TrainedSweep:
-    """The runs of a sweep trained as one graph.
-
-    ``runs[r]`` is the :class:`TrainedFilter` of the r-th config, the very
-    model and curve a lone :func:`train_filter` call returns. ``curve``
-    has one row per training step, whose loss, ce and info are per-run
-    lists.
-    """
-
-    runs: tuple
-    curve: list
+TrainedSweep = nn.TrainedSweep
 
 
 def lgss_source(model: lgss.LGSSModel, T: int):
@@ -473,17 +462,6 @@ def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws, beta=None):
     return total, ce, kl
 
 
-def _stack_runs(params: list) -> dict:
-    """Per-run parameter dicts -> one dict with a leading run axis.
-
-    Vectors (biases, φ_0) stack as (R, 1, ·), so they broadcast over each
-    run's rows.
-    """
-    return {key: np.stack([p[key] if p[key].ndim > 1 else p[key][None]
-                           for p in params])
-            for key in params[0]}
-
-
 def train_filter(source, config, obs_dim=None, ctrl_dim=None):
     """Train a SepFilterModel on trajectories from ``source``.
 
@@ -503,12 +481,8 @@ def train_filter(source, config, obs_dim=None, ctrl_dim=None):
     curve are bit-identical to a lone call with its config; a lone config
     is the R = 1 case. A divergence names the run's β and seed.
     """
-    lone = isinstance(config, DynIBConfig)
-    configs = (config,) if lone else tuple(config)
-    first = configs[0] if configs else None
-    if not configs or any(replace(cfg, beta=first.beta, seed=first.seed) != first
-                          for cfg in configs):
-        raise ValueError("a sweep needs configs that differ only in beta and seed")
+    lone, configs = nn.sweep_configs(config, DynIBConfig)
+    first = configs[0]
     streams = [np.random.SeedSequence(cfg.seed).spawn(3) for cfg in configs]
     data_rngs = [np.random.default_rng(data_ss) for _, data_ss, _ in streams]
     noise_rngs = [np.random.default_rng(noise_ss) for _, _, noise_ss in streams]
@@ -537,22 +511,10 @@ def train_filter(source, config, obs_dim=None, ctrl_dim=None):
             np.stack([us for _, us in batches]), first, eps, betas)
         return total, {"ce": ce.value.tolist(), "info": kl.value.tolist()}
 
-    try:
-        params, curve = nn.fit(_stack_runs([m.params() for m in models]), loss,
-                               state, first.steps)
-    except nn.TrainingDiverged as err:
-        cfg = configs[err.run]
-        raise nn.TrainingDiverged(
-            err.step, f"training loss non-finite at step {err.step} "
-                      f"(beta={cfg.beta!r}, seed={cfg.seed})", err.run) from err
-    shapes = {key: value.shape for key, value in models[0].params().items()}
-    runs = tuple(
-        TrainedFilter(
-            model.with_params({key: value[r].reshape(shapes[key])
-                               for key, value in params.items()}),
-            [{"step": row["step"], "loss": row["loss"][r], "ce": row["ce"][r],
-              "info": row["info"][r]} for row in curve])
-        for r, model in enumerate(models))
+    params, curves, curve = nn.fit_sweep(configs, [m.params() for m in models],
+                                         loss, state)
+    runs = tuple(TrainedFilter(model.with_params(p), c)
+                 for model, p, c in zip(models, params, curves))
     return runs[0] if lone else TrainedSweep(runs, curve)
 
 

@@ -275,33 +275,43 @@ class TrainResult:
     curve: list  # dicts with step, loss, ce, info_bound, acc
 
 
-def _loss_graph(encoder, decoder, y_idx, z_idx, config, eps_draws):
+def _loss_graph(encoder, decoder, param_nodes, y_idx, z_idx, config, eps_draws,
+                beta):
     """Build the full training graph; returns (total, ce, info) nodes.
 
-    The parameter leaves are named ``enc.*`` and ``dec.*``.
+    ``param_nodes`` are named ``enc.*`` and ``dec.*``; ``encoder`` and
+    ``decoder`` give the architecture. ``eps_draws[s]`` is the (B, d) draw
+    of Monte-Carlo sample s. R independent runs share one graph when
+    ``y_idx`` and ``z_idx`` (R, B), ``eps_draws`` (R, S, B, d) and every
+    parameter carry a leading run axis and ``beta`` holds each run's β;
+    total, ce and info are then (R,) nodes whose entry r depends on run r
+    alone.
     """
     one_hot = np.eye(encoder.mlp.widths[0])[y_idx]
-    enc_nodes = nn.parameters(encoder.mlp.params(), "enc")
-    dec_nodes = nn.parameters(decoder.params(), "dec")
-    out = nn.forward(encoder.mlp, nn.constant(one_hot), param_nodes=enc_nodes)
+    dec_nodes = nn.param_group(param_nodes, "dec")
+    out = nn.forward(encoder.mlp, nn.constant(one_hot),
+                     param_nodes=nn.param_group(param_nodes, "enc"))
     d = encoder.rep_dim
-    mu = out[:, :d]
-    log_std = nn.clip_n(out[:, d:], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
+    mu = out[..., :d]
+    log_std = nn.clip_n(out[..., d:], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
     sigma = log_std.exp()
-    ce_terms = []
+    ce = None
     for s in range(config.mc_samples):
-        x = mu + sigma * nn.constant(eps_draws[s])
+        x = mu + sigma * nn.constant(eps_draws[..., s, :, :])
         logits = nn.forward(decoder, x, param_nodes=dec_nodes)
-        logp = nn.log_softmax_n(logits)
-        ce_terms.append(-nn.gather_logprob(logp, z_idx).mean())
-    ce = ce_terms[0]
-    for term in ce_terms[1:]:
-        ce = ce + term
+        term = -nn.gather_logprob(nn.log_softmax_n(logits), z_idx).mean(axis=-1)
+        ce = term if ce is None else ce + term
     if config.mc_samples > 1:
         ce = ce * (1.0 / config.mc_samples)
     kl = nn.kl_to_standard_normal_n(mu, log_std)
-    total = ce + config.beta * kl
+    total = ce + kl * beta
     return total, ce, kl
+
+
+def _named_params(encoder, decoder) -> dict:
+    """The flat ``enc.*``/``dec.*`` parameter dict of a network pair."""
+    return {**{f"enc.{k}": v for k, v in encoder.mlp.params().items()},
+            **{f"dec.{k}": v for k, v in decoder.params().items()}}
 
 
 def ibl_loss(encoder, decoder, batch, config, rng=None) -> dict:
@@ -316,7 +326,9 @@ def ibl_loss(encoder, decoder, batch, config, rng=None) -> dict:
     z_idx = np.asarray(z_idx, dtype=int)
     rng = np.random.default_rng(config.seed) if rng is None else rng
     eps = rng.standard_normal((config.mc_samples, y_idx.size, config.rep_dim))
-    total, ce, kl = _loss_graph(encoder, decoder, y_idx, z_idx, config, eps)
+    total, ce, kl = _loss_graph(encoder, decoder,
+                                nn.parameters(_named_params(encoder, decoder)),
+                                y_idx, z_idx, config, eps, config.beta)
     return {
         "total": float(total.value),
         "cross_entropy_term": float(ce.value),
@@ -332,63 +344,86 @@ def info_bound_exact(encoder, task: NuisanceTask) -> float:
 
 
 def eval_accuracy(encoder, decoder, task, samples, rng) -> float:
-    """Task accuracy of argmax decoding under the exact (z, n) distribution."""
+    """Task accuracy of argmax decoding under the exact (z, n) distribution.
+
+    Each (z, n) pair of positive probability, in row-major order, draws
+    ``samples`` noisy representations of its y from ``rng``; all pairs
+    share one decoder forward over the stacked rows, and the accuracy sums
+    each pair's hit rate weighted by p(z) p(n).
+    """
     means, stds = encoder.posterior_table(task.y_card)
+    weights = np.outer(task.p_z, task.p_n)
+    zs, ns = np.nonzero(weights)
+    ys = np.repeat(task.f_map[zs, ns], samples)
+    x = means[ys] + stds[ys] * rng.standard_normal((ys.size, encoder.rep_dim))
+    logits = nn.forward(decoder, x).value
+    hits = (np.argmax(logits, axis=1) == np.repeat(zs, samples)).reshape(-1, samples)
     acc = 0.0
-    for z in range(task.z_card):
-        for n in range(task.n_card):
-            w = task.p_z[z] * task.p_n[n]
-            if w == 0.0:
-                continue
-            y = task.f_map[z, n]
-            x = means[y] + stds[y] * rng.standard_normal((samples, encoder.rep_dim))
-            logits = nn.forward(decoder, x).value
-            acc += w * float(np.mean(np.argmax(logits, axis=1) == z))
+    for w, rate in zip(weights[zs, ns], hits.mean(axis=1)):
+        acc += w * float(rate)
     return float(acc)
 
 
-def train_ib(task: NuisanceTask, config: IBLConfig) -> TrainResult:
+def train_ib(task: NuisanceTask, config):
     """Minimize the bottleneck objective with reparametrized sampling.
 
     Per-step records (step, loss, ce, info_bound, acc) form the returned
     curve. Raises :class:`TrainingDiverged` with the offending step when
     the loss or its gradient stops being finite.
-    """
-    seq = np.random.SeedSequence(config.seed)
-    init_ss, train_ss, eval_ss = seq.spawn(3)
-    init_rng = np.random.default_rng(init_ss)
-    train_rng = np.random.default_rng(train_ss)
-    eval_rng = np.random.default_rng(eval_ss)
 
-    encoder = StochasticEncoder.random(task.y_card, config.rep_dim, init_rng,
-                                       hidden=config.encoder_hidden)
-    decoder = nn.init_mlp(
-        [config.rep_dim, *config.decoder_hidden, task.z_card],
-        ["relu"] * len(config.decoder_hidden) + ["identity"],
-        init_rng,
-    )
-    params = {f"enc.{k}": v for k, v in encoder.mlp.params().items()}
-    params.update({f"dec.{k}": v for k, v in decoder.params().items()})
-    state = nn.OptimizerState(schedule=config.learning_rate, momentum=config.momentum)
+    ``config`` is one :class:`IBLConfig`, which returns a
+    :class:`TrainResult`, or a sequence of configs that differ only in β
+    and seed, which returns a :class:`~ibsep.nn.TrainedSweep` of them. A
+    sweep of R runs trains as one graph with every encoder and decoder
+    parameter stacked on a leading run axis and β an (R,) constant. Run r
+    keeps its own init, train and eval streams from its seed, and its
+    parameters and curve (``acc`` included) are bit-identical to a lone
+    call with its config; a lone config is the R = 1 case. A divergence
+    names the run's β and seed.
+    """
+    lone, configs = nn.sweep_configs(config, IBLConfig)
+    first = configs[0]
+    streams = [np.random.SeedSequence(cfg.seed).spawn(3) for cfg in configs]
+    train_rngs = [np.random.default_rng(train_ss) for _, train_ss, _ in streams]
+    eval_rngs = [np.random.default_rng(eval_ss) for _, _, eval_ss in streams]
+    nets = []
+    for init_ss, _, _ in streams:
+        init_rng = np.random.default_rng(init_ss)
+        nets.append((
+            StochasticEncoder.random(task.y_card, first.rep_dim, init_rng,
+                                     hidden=first.encoder_hidden),
+            nn.init_mlp([first.rep_dim, *first.decoder_hidden, task.z_card],
+                        ["relu"] * len(first.decoder_hidden) + ["identity"],
+                        init_rng)))
+    encoder, decoder = nets[0]
+    start = [_named_params(enc, dec) for enc, dec in nets]
+    state = nn.OptimizerState(schedule=first.learning_rate, momentum=first.momentum)
+    betas = np.array([cfg.beta for cfg in configs])
 
     def networks(params):
         enc = StochasticEncoder(encoder.mlp.with_params(nn.param_group(params, "enc")),
-                                config.rep_dim)
+                                first.rep_dim)
         return enc, decoder.with_params(nn.param_group(params, "dec"))
 
+    def draw(rng):
+        y_idx, z_idx = task.sample_batch(first.batch, rng)
+        return y_idx, z_idx, rng.standard_normal((first.mc_samples, first.batch,
+                                                  first.rep_dim))
+
     def loss(params, step):
-        y_idx, z_idx = task.sample_batch(config.batch, train_rng)
-        eps = train_rng.standard_normal((config.mc_samples, config.batch, config.rep_dim))
-        enc_now, dec_now = networks(params)
-        total, ce, kl = _loss_graph(enc_now, dec_now, y_idx, z_idx, config, eps)
+        y_idx, z_idx, eps = (np.stack(block) for block in zip(*map(draw, train_rngs)))
+        total, ce, kl = _loss_graph(encoder, decoder, nn.parameters(params), y_idx,
+                                    z_idx, first, eps, betas)
         return total, {
-            "ce": float(ce.value),
-            "info_bound": float(kl.value),
-            "acc": eval_accuracy(enc_now, dec_now, task, 8, eval_rng),
+            "ce": ce.value.tolist(),
+            "info_bound": kl.value.tolist(),
+            "acc": [eval_accuracy(*networks(run), task, 8, rng)
+                    for run, rng in zip(nn.unstack_runs(params, start[0]), eval_rngs)],
         }
 
-    params, curve = nn.fit(params, loss, state, config.steps)
-    return TrainResult(*networks(params), curve)
+    params, curves, curve = nn.fit_sweep(configs, start, loss, state)
+    runs = tuple(TrainResult(*networks(p), c) for p, c in zip(params, curves))
+    return runs[0] if lone else nn.TrainedSweep(runs, curve)
 
 
 # ---------------------------------------------------------------------------

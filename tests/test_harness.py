@@ -3,8 +3,10 @@
 import json
 import math
 import operator
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,6 +400,41 @@ def test_run_seprep_builds_each_exact_reference_once(monkeypatch):
     assert calls["hmm_exact_reference"] == 2
     assert calls["evaluate_vs_kalman"] == 2
     assert calls["run_filter"] == calls["evaluate_vs_kalman"]
+
+
+def test_run_static_ib_trains_each_group_of_seeds_as_one_sweep(monkeypatch):
+    # the beta = 0 seeds and the beta = 1e3 seeds are two sweeps, where one
+    # call per (seed, group) made six; the benchmark counts the calls and
+    # reads ``len(result.curve)`` as each call's steps
+    small = {"encoders": 2, "train_seeds": 3, "train_steps": 4,
+             "flatness_steps": 5}
+    trained = []
+    train_ib = harness.static_ib.train_ib
+
+    def counted(task, config):
+        trained.append(train_ib(task, config))
+        return trained[-1]
+
+    monkeypatch.setattr(harness.static_ib, "train_ib", counted)
+    records = harness.run_static_ib(5, small)
+    assert len(trained) == 2
+    for sweep in trained:
+        assert len(sweep.runs) == 3
+        assert len(sweep.curve) == small["train_steps"]
+    counts = {r.key: r.instances for r in records}
+    assert counts["beta0_mean_accuracy"] == counts["hi_beta_mean_info_bound"] == 3
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats is the slowest import of the stack; the package needs
+    # only the normal CDF, which scipy.special provides
+    src = str(Path(harness.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ibsep.harness; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_overrides_take_their_default_types():

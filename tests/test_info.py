@@ -375,6 +375,25 @@ def test_joint_marginal_ordering():
     assert np.allclose(ab.T, ba)
 
 
+def test_gaussian_bin_masses_equal_the_normal_cdf_formula_bit_for_bit():
+    from scipy.stats import norm
+
+    rng = np.random.default_rng(12)
+    for scale in (0.01, 1.0, 40.0):
+        means = rng.normal(0.0, scale, size=500)
+        stds = rng.uniform(0.01, 1.0, size=500) * scale
+        edges = np.sort(rng.normal(0.0, scale, size=31))
+        # unbounded outer edges and an edge exactly at a mean (a zero z)
+        edges = np.concatenate([[-np.inf], edges, [np.inf]])
+        means[0] = edges[5]
+        cdf = norm.cdf((edges[None, :] - means[:, None]) / stds[:, None])
+        want = np.clip(np.concatenate([cdf[:, :1], np.diff(cdf, axis=1),
+                                       1.0 - cdf[:, -1:]], axis=1), 0.0, None)
+        got = info.gaussian_bin_masses(means, stds, edges)
+        assert got.shape == (500, 34)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_gaussian_bin_masses_rows_sum_to_one():
     edges = np.arange(-5.0, 5.0001, 0.05)
     masses = info.gaussian_bin_masses([0.0, 1.3], [1.0, 0.1], edges)

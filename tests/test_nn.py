@@ -379,6 +379,50 @@ def test_stacked_runs_get_the_gradients_of_their_lone_graphs():
             assert np.array_equal(grads[key][r].reshape(g.shape), g), key
 
 
+def test_gather_logprob_picks_per_run_rows_like_lone_calls():
+    # R = B and R != B: run r of the stacked pick is the lone 2-D pick
+    rng = np.random.default_rng(5)
+    for runs, rows, classes in ((3, 3, 2), (2, 5, 4)):
+        logp = rng.standard_normal((runs, rows, classes))
+        labels = rng.integers(0, classes, size=(runs, rows))
+        picked = nn.gather_logprob(nn.constant(logp), labels).value
+        assert picked.shape == (runs, rows)
+        for r in range(runs):
+            lone = nn.gather_logprob(nn.constant(logp[r]), labels[r]).value
+            assert np.array_equal(picked[r], lone)
+            assert np.array_equal(lone, logp[r][np.arange(rows), labels[r]])
+    # the value a row-indexing gather got wrong on a (3, 3, K) input
+    zeros = nn.gather_logprob(nn.constant(np.zeros((3, 3, 2))),
+                              np.zeros((3, 3), int))
+    assert np.array_equal(zeros.value, np.zeros((3, 3)))
+
+
+def test_gather_logprob_refuses_labels_not_shaped_like_the_rows():
+    with pytest.raises(ValueError, match="labels of shape"):
+        nn.gather_logprob(nn.constant(np.zeros((3, 4, 2))), np.zeros(3, int))
+    with pytest.raises(ValueError, match="labels of shape"):
+        nn.gather_logprob(nn.constant(np.zeros((4, 2))), np.zeros((4, 1), int))
+
+
+def test_gather_logprob_and_row_mean_gradients_match_finite_differences():
+    rng = np.random.default_rng(6)
+    x0 = rng.standard_normal((2, 5, 3))
+    labels = rng.integers(0, 3, size=(2, 5))
+    weights = np.array([1.0, -2.5])
+
+    def value(x):
+        logp = x - np.log(np.exp(x).sum(axis=-1, keepdims=True))
+        picked = np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0]
+        return float(np.dot(picked.mean(axis=-1), weights))
+
+    x = nn.parameter(x0.copy(), name="x")
+    mean = nn.gather_logprob(nn.log_softmax_n(x), labels).mean(axis=-1)
+    assert mean.value.shape == (2,)
+    grads = nn.backward((mean * weights).sum())
+    fd = fd_gradients(lambda p: value(p["x"]), {"x": x0.copy()})
+    assert rel_error(grads["x"], fd["x"]) < 1e-7
+
+
 def test_sum_over_axes_and_its_gradient():
     x = nn.parameter(np.arange(24.0).reshape(2, 3, 4), name="x")
     out = x.sum(axis=(1, 2))

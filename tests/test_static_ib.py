@@ -1,5 +1,6 @@
 """Tests for the static bottleneck: tasks, training, exact enumeration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -226,6 +227,76 @@ def test_curve_rows_have_expected_fields():
     for row in result.curve:
         assert set(row) == {"step", "loss", "ce", "info_bound", "acc"}
         assert abs(row["loss"] - (row["ce"] + cfg.beta * row["info_bound"])) < 1e-9
+
+
+def _assert_sweep_matches_lone_calls(task, configs):
+    sweep = sib.train_ib(task, configs)
+    assert isinstance(sweep, nn.TrainedSweep)
+    assert len(sweep.runs) == len(configs)
+    assert len(sweep.curve) == configs[0].steps
+    for r, cfg in enumerate(configs):
+        lone = sib.train_ib(task, cfg)
+        run = sweep.runs[r]
+        assert run.curve == lone.curve
+        assert [row["acc"][r] for row in sweep.curve] == \
+            [row["acc"] for row in lone.curve]
+        for got, want in ((run.encoder.mlp, lone.encoder.mlp),
+                          (run.decoder, lone.decoder)):
+            for key, value in want.params().items():
+                other = got.params()[key]
+                assert other.shape == value.shape and np.array_equal(other, value), key
+
+
+@pytest.mark.parametrize("beta, learning_rate, mc_samples", [
+    (0.0, 0.05, 1), (1e3, 1e-4, 1), (0.1, 0.05, 2)],
+    ids=["harness-beta0", "harness-hi-beta", "mc2"])
+def test_a_sweep_trains_each_run_bit_for_bit_as_a_lone_call(beta, learning_rate,
+                                                            mc_samples):
+    # the two seed groups of the static-ib battery, and a group that
+    # averages two Monte-Carlo samples
+    configs = [sib.IBLConfig(beta=beta, rep_dim=1, steps=25, batch=64, seed=seed,
+                             learning_rate=learning_rate, mc_samples=mc_samples)
+               for seed in (7, 8, 9)]
+    _assert_sweep_matches_lone_calls(bijective_task(), configs)
+
+
+def test_a_sweep_may_mix_betas():
+    configs = [sib.IBLConfig(beta=beta, rep_dim=2, steps=10, batch=16, seed=seed)
+               for beta, seed in ((0.0, 1), (0.5, 1), (2.0, 3))]
+    _assert_sweep_matches_lone_calls(sib.make_nuisance_task(3, 2, seed=5), configs)
+
+
+def test_a_sweep_refuses_configs_that_differ_beyond_beta_and_seed():
+    task = bijective_task()
+    a = sib.IBLConfig(beta=0.0, rep_dim=1, steps=2, batch=8, seed=0)
+    b = dataclasses.replace(a, beta=1.0, seed=1)
+    for other in (dataclasses.replace(b, learning_rate=1e-4),
+                  dataclasses.replace(b, batch=9)):
+        with pytest.raises(ValueError, match="beta and seed"):
+            sib.train_ib(task, [a, other])
+    with pytest.raises(ValueError, match="beta and seed"):
+        sib.train_ib(task, [])
+
+
+def test_a_diverged_sweep_names_the_run_its_beta_and_seed():
+    task = bijective_task()
+    configs = [sib.IBLConfig(beta=beta, rep_dim=1, steps=200, batch=16, seed=seed,
+                             learning_rate=1e6)
+               for beta, seed in ((10.0, 2), (1e3, 4), (1e3, 0))]
+    steps = []
+    for cfg in configs:
+        with pytest.raises(sib.TrainingDiverged) as lone:
+            sib.train_ib(task, cfg)
+        steps.append(lone.value.step)
+    with pytest.raises(sib.TrainingDiverged) as err:
+        sib.train_ib(task, configs)
+    cfg = configs[err.value.run]
+    # run 0 would diverge a step later than the other two
+    assert err.value.step == min(steps) == steps[err.value.run] < steps[0]
+    assert err.value.run == 1
+    message = str(err.value)
+    assert f"step {err.value.step}" in message
+    assert f"beta={cfg.beta!r}" in message and f"seed={cfg.seed}" in message
 
 
 def test_config_validation():
