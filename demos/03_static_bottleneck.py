@@ -17,10 +17,10 @@ print(f"task: |z|={task.z_card} labels, |n|={task.n_card} nuisance values")
 for beta in (0.0, 1e-2, 1e3):
     config = static_ib.IBLConfig(beta=beta, rep_dim=1, steps=300, batch=64,
                                  seed=1, learning_rate=1e-4 if beta > 1 else 0.05)
-    result = static_ib.train_ib(task, config)
+    encoder, decoder = static_ib.train_ib(task, [config]).runs[0]
     rng = np.random.default_rng(99)
-    acc = static_ib.eval_accuracy(result.encoder, result.decoder, task, 512, rng)
-    bound = static_ib.info_bound_exact(result.encoder, task)
+    acc = static_ib.eval_accuracy(encoder, decoder, task, 512, rng)
+    bound = static_ib.info_bound_exact(encoder, task)
     print(f"  beta={beta:8.3g}: accuracy {acc:.3f}, "
           f"info bound {bound:8.4f} nats")
 

@@ -28,12 +28,13 @@ config = seprep.DynIBConfig(
     beta=1e-3, traj_len=40, steps=400, batch=16, seed=0, rep_dim=4,
     learning_rate=lambda k: 0.04 * min((k + 1) / 100.0, 1.0) / (1.0 + k / 250.0))
 source = seprep.lgss_source(model, T=config.traj_len)
-trained = seprep.train_filter(source, config)
-first, last = trained.curve[0], trained.curve[-1]
+trained = seprep.train_filter(source, [config])
+learned, curve = trained.runs[0], trained.curves[0]
+first, last = curve[0], curve[-1]
 print(f"  loss {first['loss']:.4f} -> {last['loss']:.4f} "
       f"(ce {first['ce']:.4f} -> {last['ce']:.4f})")
 
-report = seprep.evaluate_vs_kalman(trained.model, model, T=50, num_traj=10,
+report = seprep.evaluate_vs_kalman(learned, model, T=50, num_traj=10,
                                    seed=123, samples=64)
 rel = report["gap"] / abs(report["nll_kalman"])
 print(f"  held-out NLL: learned {report['nll_learned']:.4f} vs "
@@ -45,9 +46,9 @@ seprep.write_eval_csv(report["records"], csv_path)
 print(f"  per-step rows written to {csv_path}")
 
 path = os.path.join(tempfile.gettempdir(), "demo_filter.json")
-seprep.save_filter_json(trained.model, path)
+seprep.save_filter_json(learned, path)
 back = seprep.load_filter_json(path)
 a = back.predict(back.initial_phi(), np.zeros((1, 0)), 1, None)
-b = trained.model.predict(trained.model.initial_phi(), np.zeros((1, 0)), 1, None)
+b = learned.predict(learned.initial_phi(), np.zeros((1, 0)), 1, None)
 print(f"  JSON round trip: predictive mean agrees -> "
       f"{np.allclose(a['mean'], b['mean']) and np.allclose(a['cov'], b['cov'])}")

@@ -37,7 +37,6 @@ __all__ = [
     "counterexample_pomdp",
     "pomdp_to_json",
     "pomdp_from_json",
-    "write_separation_report",
 ]
 
 _NODE_CAP = 10**6
@@ -461,15 +460,3 @@ def pomdp_from_json(source) -> FinitePOMDP:
     if declared != actual:
         raise ValueError(f"declared sizes {declared} do not match tables {actual}")
     return pomdp
-
-
-def write_separation_report(result: dict, path) -> None:
-    """Verification report JSON: max_q_spread, group_count, pass."""
-    payload = {
-        "max_q_spread": result["max_q_spread"],
-        "group_count": result["groups"],
-        "pass": bool(result["pass"]),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

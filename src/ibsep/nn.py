@@ -40,10 +40,6 @@ __all__ = [
     "MLP",
     "OptimizerState",
     "TrainingDiverged",
-    "relu",
-    "softmax",
-    "cross_entropy",
-    "ClampedLogLoss",
     "init_mlp",
     "forward",
     "backward",
@@ -54,7 +50,6 @@ __all__ = [
     "stack_runs",
     "unstack_runs",
     "fit_sweep",
-    "minibatch_sample",
     "LOG_STD_MIN",
     "LOG_STD_MAX",
 ]
@@ -69,24 +64,14 @@ _PROB_FLOOR = 1e-300
 class TrainingDiverged(RuntimeError):
     """Raised when a training loss or gradient becomes non-finite.
 
-    Carries the step and, when runs are stacked on a run axis, the index of
-    the first run that diverged (``run`` is None for a single run).
+    Carries the step and the index of the first run that diverged: its
+    entry on the run axis of stacked losses, and 0 for a scalar loss.
     """
 
-    def __init__(self, step, message=None, run=None):
+    def __init__(self, step, message=None, run=0):
         self.step = step
         self.run = run
         super().__init__(message or f"training loss non-finite at step {step}")
-
-
-class ClampedLogLoss(float):
-    """A cross-entropy value where the predicted probability was floored.
-
-    ``clamped`` marks that the true probability at the label was zero and
-    the floor 1e-300 was substituted to keep the loss finite.
-    """
-
-    clamped = True
 
 
 # ---------------------------------------------------------------------------
@@ -395,44 +380,6 @@ def backward(output: Node) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# plain-array ops (no graph)
-# ---------------------------------------------------------------------------
-
-
-def relu(x):
-    """Elementwise max(0, x)."""
-    return np.maximum(np.asarray(x, dtype=float), 0.0)
-
-
-def softmax(v):
-    """Softmax of a 1-D vector with max-subtraction for stability."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("softmax expects a non-empty 1-D vector")
-    shifted = np.exp(v - v.max())
-    return shifted / shifted.sum()
-
-
-def cross_entropy(predicted, label):
-    """-log(predicted[label]) in nats.
-
-    ``predicted`` must sum to 1 within 1e-9. A zero probability at the
-    label is floored at 1e-300 and the returned float carries a
-    ``clamped`` flag (:class:`ClampedLogLoss`).
-    """
-    p = np.asarray(predicted, dtype=float)
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"predicted probabilities sum to {p.sum()!r}, not 1")
-    label = int(label)
-    if not 0 <= label < p.size:
-        raise IndexError(f"label {label} out of range for {p.size} classes")
-    prob = p[label]
-    if prob <= 0.0:
-        return ClampedLogLoss(-math.log(_PROB_FLOOR))
-    return float(-math.log(prob))
-
-
-# ---------------------------------------------------------------------------
 # MLP
 # ---------------------------------------------------------------------------
 
@@ -588,11 +535,11 @@ def fit(params: dict, loss_fn, state: OptimizerState, steps: int):
     node to descend and a dict of values to log. ``curve[step]`` is
     ``{"step": step, "loss": total, **record}``. ``total`` is a scalar, or
     an (R,) vector of the losses of R independent runs whose parameters are
-    stacked on a leading run axis: fit then descends their sum, which gives
-    each run exactly its own gradient, and logs the per-run list. Overflow
+    stacked on a leading run axis. fit descends its sum, which gives each
+    run exactly its own gradient, and logs the per-run list. Overflow
     while building and differentiating the graph is not an error in itself;
     a non-finite loss or gradient raises :class:`TrainingDiverged` with the
-    step and, for stacked runs, the first run that diverged.
+    step and the first run that diverged.
     """
     curve = []
     for step in range(steps):
@@ -601,8 +548,8 @@ def fit(params: dict, loss_fn, state: OptimizerState, steps: int):
             losses = total.value
             finite = np.isfinite(losses)
             if not finite.all():
-                raise TrainingDiverged(step, run=_first_run(~finite))
-            grads = backward(total.sum() if losses.ndim else total)
+                raise TrainingDiverged(step, run=int(np.argmax(~finite)))
+            grads = backward(total.sum())
         del total  # only one step's graph is alive at a time
         curve.append({"step": step, "loss": losses.tolist(), **record})
         try:
@@ -611,13 +558,8 @@ def fit(params: dict, loss_fn, state: OptimizerState, steps: int):
             bad = np.zeros(losses.shape, dtype=bool)
             for g in grads.values():
                 bad |= ~np.isfinite(g.reshape(*losses.shape, -1)).all(axis=-1)
-            raise TrainingDiverged(step, run=_first_run(bad)) from err
+            raise TrainingDiverged(step, run=int(np.argmax(bad))) from err
     return params, curve
-
-
-def _first_run(bad):
-    """Index of the first True entry of a per-run mask; None for a scalar."""
-    return int(np.argmax(bad)) if bad.ndim else None
 
 
 # ---------------------------------------------------------------------------
@@ -629,28 +571,31 @@ def _first_run(bad):
 class TrainedSweep:
     """The runs of a sweep trained as one graph.
 
-    ``runs[r]`` is the very result a lone call with the r-th config
-    returns. ``curve`` has one row per training step, whose logged values
-    (all but ``step``) are per-run lists.
+    ``runs[r]`` is run r's trained model and ``curves[r]`` its own curve.
+    ``curve`` is the stacked curve: one row per training step, whose
+    logged values (all but ``step``) are per-run lists.
     """
 
     runs: tuple
+    curves: list
     curve: list
 
 
-def sweep_configs(config, kind) -> tuple:
-    """``(lone, configs)`` for one ``kind`` config or a sequence of them.
+def sweep_configs(configs) -> tuple:
+    """The configs of a sweep, given as a list or tuple, as a tuple.
 
-    The configs of a sweep may differ only in ``beta`` and ``seed``;
-    anything else, or an empty sequence, is a ValueError.
+    They may differ only in ``beta`` and ``seed``; anything else, an empty
+    sequence or a bare config is a ValueError.
     """
-    lone = isinstance(config, kind)
-    configs = (config,) if lone else tuple(config)
+    if not isinstance(configs, (list, tuple)):
+        raise ValueError("a sweep takes a list or tuple of configs, "
+                         f"got {type(configs).__name__}")
+    configs = tuple(configs)
     first = configs[0] if configs else None
     if not configs or any(replace(cfg, beta=first.beta, seed=first.seed) != first
                           for cfg in configs):
         raise ValueError("a sweep needs configs that differ only in beta and seed")
-    return lone, configs
+    return configs
 
 
 def stack_runs(params: list) -> dict:
@@ -676,10 +621,10 @@ def fit_sweep(configs, params: list, loss_fn, state: OptimizerState):
 
     ``params[r]`` holds run r's parameter arrays. :func:`fit` descends
     them stacked on a leading run axis for ``configs[0].steps`` steps, and
-    ``loss_fn`` gets the stacked dict and returns (R,) losses. Returns run
-    r's trained parameters and curve, each shaped as for a lone run, and
-    the stacked curve. A divergence raises :class:`TrainingDiverged`
-    naming the step, the run and its β and seed.
+    ``loss_fn`` gets the stacked dict and returns (R,) losses. Returns each
+    run's trained parameters, shaped like ``params[r]``, each run's own
+    curve and the stacked curve. A divergence raises
+    :class:`TrainingDiverged` naming the step, the run and its β and seed.
     """
     try:
         stacked, curve = fit(stack_runs(params), loss_fn, state, configs[0].steps)
@@ -692,29 +637,3 @@ def fit_sweep(configs, params: list, loss_fn, state: OptimizerState):
     curves = [[{key: value if key == "step" else value[r] for key, value in row.items()}
                for row in curve] for r in range(len(params))]
     return unstack_runs(stacked, params[0]), curves, curve
-
-
-def minibatch_sample(dataset, b, rng, scheme="uniform"):
-    """Draw b (y, z) pairs from ``dataset = (ys, zs)``.
-
-    scheme="uniform" samples without replacement, so over many draws every
-    index is included equally often. scheme="contiguous" picks a random
-    start i ~ uniform{0..t-b} and returns the block [i, i+b) — the random
-    contiguous subset used when the data comes as a stream.
-    """
-    ys, zs = dataset
-    ys = np.asarray(ys)
-    zs = np.asarray(zs)
-    t = ys.shape[0]
-    if t == 0:
-        raise ValueError("empty dataset")
-    if not 0 < b <= t:
-        raise ValueError(f"batch size {b} not in 1..{t}")
-    if scheme == "uniform":
-        idx = rng.choice(t, size=b, replace=False)
-    elif scheme == "contiguous":
-        start = int(rng.integers(0, t - b + 1))
-        idx = np.arange(start, start + b)
-    else:
-        raise ValueError(f"unknown sampling scheme {scheme!r}")
-    return ys[idx], zs[idx]

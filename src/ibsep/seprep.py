@@ -35,9 +35,6 @@ __all__ = [
     "DynIBConfig",
     "FiniteHMM",
     "KalmanSepFilter",
-    "HMMExactFilter",
-    "TrainedFilter",
-    "TrainedSweep",
     "init_sep_filter",
     "predictive_nll",
     "dyn_ibl_loss",
@@ -341,15 +338,6 @@ def dyn_ibl_loss(model, trajectories, config: DynIBConfig, samples=None, rng=Non
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TrainedFilter:
-    model: SepFilterModel
-    curve: list
-
-
-TrainedSweep = nn.TrainedSweep
-
-
 def lgss_source(model: lgss.LGSSModel, T: int):
     """Trajectory source drawing from a linear-Gaussian state-space model.
 
@@ -388,34 +376,31 @@ def _time_major(a):
     return a.reshape(*a.shape[:-3], a.shape[-3] * a.shape[-2], a.shape[-1])
 
 
-def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws, beta=None):
-    """Recurrent training graph over a batch; returns (total, ce, info) nodes.
+def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws, beta):
+    """Recurrent training graph of R runs; returns (R,) total, ce, info nodes.
 
-    Only the update φ_t → φ_{t+1} (detached every ``config.tbptt`` steps)
-    runs step by step. The statistics φ_0..φ_{T-1} are then stacked
-    time-major into (T·B, 2d) rows, row t·B + b holding trajectory b at
-    step t, and the KL and the decoders are evaluated once over them:
-    head k reads the first (T-k)·B rows (the steps t <= T-1-k) repeated
-    once per Monte-Carlo sample, so its input is (S·(T-k)·B, ·) with rows
-    ordered (sample, t, b). ``eps_draws[i]`` is the (B, d) draw for the
-    i-th (t, k, sample) triple in lexicographic order.
-
-    R independent runs share one graph when ``ys``, ``us``, ``eps_draws``
-    and every parameter carry a leading run axis of R (biases and φ_0 as
-    (R, 1, ·)) and ``beta`` holds each run's β. The rows are then on
-    axis 1, every sum is per run, and total, ce and info are (R,) nodes
-    whose entry r depends on run r alone.
+    ``ys`` (R, B, T, ·), ``us`` (R, B, T, ctrl_dim), ``eps_draws`` and every
+    parameter carry a leading run axis of R (biases and φ_0 as (R, 1, ·)),
+    and ``beta`` holds each run's β. Only the update φ_t → φ_{t+1}
+    (detached every ``config.tbptt`` steps) runs step by step. Each run's
+    statistics φ_0..φ_{T-1} are then stacked time-major into (T·B, 2d)
+    rows, row t·B + b holding trajectory b at step t, and the KL and the
+    decoders are evaluated once over them: head k reads the first
+    (T-k)·B rows (the steps t <= T-1-k) repeated once per Monte-Carlo
+    sample, so its input is (R, S·(T-k)·B, ·) with rows ordered
+    (sample, t, b). ``eps_draws[r, i]`` is run r's (B, d) draw for the
+    i-th (t, k, sample) triple in lexicographic order. Every sum is per
+    run, so entry r of each returned node depends on run r alone.
     """
-    runs = eps_draws.shape[:-3]  # () for a lone run, (R,) for a sweep
-    B, T = ys.shape[len(runs)], ys.shape[len(runs) + 1]
-    ys = ys.reshape(*runs, B, T, -1)
+    R, B, T = ys.shape[:3]
+    ys = ys.reshape(R, B, T, -1)
     d = model.rep_dim
     n = config.horizon
     S = config.mc_samples
     upd_nodes = nn.param_group(param_nodes, "upd")
     head_nodes = [nn.param_group(param_nodes, f"dec{i}")
                   for i in range(len(model.heads))]
-    phi = nn.constant(np.zeros((*runs, B, 2 * d))) + param_nodes["phi0"]
+    phi = nn.constant(np.zeros((R, B, 2 * d))) + param_nodes["phi0"]
     phis = []
     for t in range(T):
         phis.append(phi)
@@ -438,12 +423,12 @@ def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws, beta=None):
         rows = (T - k) * B
         draws = (first_draw[None, : T - k] + k * S
                  + np.arange(S)[:, None])  # (S, T-k)
-        eps = eps_draws[..., draws, :, :].reshape(*runs, S * rows, d)
+        eps = eps_draws[:, draws].reshape(R, S * rows, d)
         x = (nn.concat([mu[..., :rows, :]] * S, axis=-2)
              + nn.concat([sigma[..., :rows, :]] * S, axis=-2) * nn.constant(eps))
         if model.ctrl_dim:
             window = np.concatenate([us[..., j : T - k + j, :] for j in range(k + 1)],
-                                    axis=-1)  # (..., B, T-k, (k+1)·ctrl_dim)
+                                    axis=-1)  # (R, B, T-k, (k+1)·ctrl_dim)
             x = nn.concat([x, nn.constant(np.tile(_time_major(window), (S, 1)))])
         out = nn.forward(model.heads[k], x, param_nodes=head_nodes[k])
         z = np.tile(_time_major(ys[..., k:, :]), (S, 1))
@@ -454,34 +439,32 @@ def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws, beta=None):
             resid = (nn.constant(z) - mean) * (-dls).exp()
             nll = (0.5 * resid.square() + dls + 0.5 * LOG2PI).sum(axis=(-2, -1))
         else:
-            labels = z.reshape(S * rows).astype(int)
-            nll = -nn.gather_logprob(nn.log_softmax_n(out), labels).sum()
+            labels = z[..., 0].astype(int)
+            nll = -nn.gather_logprob(nn.log_softmax_n(out), labels).sum(axis=-1)
         ce = nll if ce is None else ce + nll
     ce = ce * (1.0 / (B * T * S))
-    total = ce + kl * (config.beta if beta is None else beta)
+    total = ce + kl * beta
     return total, ce, kl
 
 
-def train_filter(source, config, obs_dim=None, ctrl_dim=None):
-    """Train a SepFilterModel on trajectories from ``source``.
+def train_filter(source, configs, obs_dim=None, ctrl_dim=None):
+    """Train SepFilterModels on trajectories from ``source``.
 
     ``source(batch, rng)`` returns ``(ys, us)`` with shapes (B, T, obs_dim)
-    and (B, T, ctrl_dim) (``us`` may be None). Gradients flow through the
-    recurrent update with truncation every ``config.tbptt`` steps. The
-    curve records (step, loss, ce, info). Raises
-    :class:`~ibsep.nn.TrainingDiverged` with the step on a non-finite loss
-    or gradient.
-
-    ``config`` is one :class:`DynIBConfig`, which returns a
-    :class:`TrainedFilter`, or a sequence of configs that differ only in
-    β and seed, which returns a :class:`TrainedSweep`. A sweep of R runs
-    trains as one graph with every parameter stacked on a leading run
-    axis, so each step builds one graph instead of R. Run r keeps its own
-    init, data and noise streams from its seed, and its parameters and
-    curve are bit-identical to a lone call with its config; a lone config
-    is the R = 1 case. A divergence names the run's β and seed.
+    and (B, T, ctrl_dim) (``us`` may be None). ``configs`` is a list or
+    tuple of :class:`DynIBConfig` that differ only in β and seed; a bare
+    config is a ``ValueError``. The R runs train as one graph with every
+    parameter stacked on a leading run axis, so each step builds one
+    graph instead of R. Gradients flow through the recurrent update with
+    truncation every ``tbptt`` steps. Run r keeps its own init, data and
+    noise streams from its seed, so its parameters and curve are
+    bit-identical to its config trained as a one-run sweep. Returns a
+    :class:`~ibsep.nn.TrainedSweep` whose ``runs[r]`` is run r's trained
+    model and whose curves record (step, loss, ce, info). Raises
+    :class:`~ibsep.nn.TrainingDiverged` naming the step and the run's β
+    and seed on a non-finite loss or gradient.
     """
-    lone, configs = nn.sweep_configs(config, DynIBConfig)
+    configs = nn.sweep_configs(configs)
     first = configs[0]
     streams = [np.random.SeedSequence(cfg.seed).spawn(3) for cfg in configs]
     data_rngs = [np.random.default_rng(data_ss) for _, data_ss, _ in streams]
@@ -513,9 +496,8 @@ def train_filter(source, config, obs_dim=None, ctrl_dim=None):
 
     params, curves, curve = nn.fit_sweep(configs, [m.params() for m in models],
                                          loss, state)
-    runs = tuple(TrainedFilter(model.with_params(p), c)
-                 for model, p, c in zip(models, params, curves))
-    return runs[0] if lone else TrainedSweep(runs, curve)
+    runs = tuple(model.with_params(p) for model, p in zip(models, params))
+    return nn.TrainedSweep(runs, curves, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -753,36 +735,6 @@ class FiniteHMM:
         for _ in range(k + 1):
             state = self.trans.T @ state
         return self.emit.T @ state
-
-
-class HMMExactFilter:
-    """Exact Bayes filter over a FiniteHMM in the filtering protocol.
-
-    The statistic is the forward posterior itself; the predictive is the
-    exact p(z_{t+k} | y^t). This is the reference the learned filters are
-    measured against — it attains the entropy lower bound by construction.
-    """
-
-    output = "categorical"
-    ctrl_dim = 0
-
-    def __init__(self, hmm: FiniteHMM):
-        self.hmm = hmm
-
-    def initial_phi(self) -> np.ndarray:
-        return self.hmm.init.copy()
-
-    def step(self, phi, y_next, u=None, t=None):
-        obs = int(np.asarray(y_next).ravel()[0])
-        return self.hmm.forward_update(np.asarray(phi, dtype=float), obs)
-
-    def predict(self, phi, controls=None, samples=1, rng=None) -> dict:
-        k = 0 if controls is None else np.atleast_2d(np.asarray(controls)).shape[0] - 1
-        probs = self.hmm.next_obs_dist(np.asarray(phi, dtype=float), k)
-        return {"family": "categorical", "probs": probs, "component_probs": None}
-
-    def info(self, phi) -> float:
-        return 0.0
 
 
 def hmm_exact_reference(hmm: FiniteHMM, T: int, n: int = 0) -> dict:

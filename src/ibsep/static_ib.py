@@ -16,9 +16,8 @@ information from samples.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "InvarianceReport",
     "Quantization",
     "TrainingDiverged",
-    "TrainResult",
     "make_nuisance_task",
     "random_separated_encoder",
     "constant_encoder",
@@ -42,12 +40,8 @@ __all__ = [
     "eval_accuracy",
     "measure_invariance",
     "stacked_bottleneck_experiment",
-    "weight_info_regularized_loss",
     "train_weight_posterior",
     "flatness_diagnostic",
-    "load_ib_config",
-    "save_ib_config",
-    "write_curve_csv",
 ]
 
 TrainingDiverged = nn.TrainingDiverged
@@ -268,24 +262,15 @@ class IBLConfig:
             raise ValueError("need at least one Monte-Carlo sample")
 
 
-@dataclass
-class TrainResult:
-    encoder: StochasticEncoder
-    decoder: nn.MLP
-    curve: list  # dicts with step, loss, ce, info_bound, acc
-
-
 def _loss_graph(encoder, decoder, param_nodes, y_idx, z_idx, config, eps_draws,
                 beta):
-    """Build the full training graph; returns (total, ce, info) nodes.
+    """Build the training graph of R runs; returns (R,) total, ce, info nodes.
 
-    ``param_nodes`` are named ``enc.*`` and ``dec.*``; ``encoder`` and
-    ``decoder`` give the architecture. ``eps_draws[s]`` is the (B, d) draw
-    of Monte-Carlo sample s. R independent runs share one graph when
-    ``y_idx`` and ``z_idx`` (R, B), ``eps_draws`` (R, S, B, d) and every
-    parameter carry a leading run axis and ``beta`` holds each run's β;
-    total, ce and info are then (R,) nodes whose entry r depends on run r
-    alone.
+    ``param_nodes`` are named ``enc.*`` and ``dec.*``, each with a leading
+    run axis of R (biases as (R, 1, ·)); ``encoder`` and ``decoder`` give
+    the architecture. ``y_idx`` and ``z_idx`` are (R, B), ``eps_draws[r, s]``
+    is run r's (B, d) draw of Monte-Carlo sample s, and ``beta`` holds each
+    run's β. Entry r of each returned node depends on run r alone.
     """
     one_hot = np.eye(encoder.mlp.widths[0])[y_idx]
     dec_nodes = nn.param_group(param_nodes, "dec")
@@ -325,14 +310,15 @@ def ibl_loss(encoder, decoder, batch, config, rng=None) -> dict:
     y_idx = np.asarray(y_idx, dtype=int)
     z_idx = np.asarray(z_idx, dtype=int)
     rng = np.random.default_rng(config.seed) if rng is None else rng
-    eps = rng.standard_normal((config.mc_samples, y_idx.size, config.rep_dim))
-    total, ce, kl = _loss_graph(encoder, decoder,
-                                nn.parameters(_named_params(encoder, decoder)),
-                                y_idx, z_idx, config, eps, config.beta)
+    eps = rng.standard_normal((1, config.mc_samples, y_idx.size, config.rep_dim))
+    params = nn.stack_runs([_named_params(encoder, decoder)])
+    total, ce, kl = _loss_graph(encoder, decoder, nn.parameters(params),
+                                y_idx[None], z_idx[None], config, eps,
+                                np.array([config.beta]))
     return {
-        "total": float(total.value),
-        "cross_entropy_term": float(ce.value),
-        "info_term": float(kl.value),
+        "total": float(total.value[0]),
+        "cross_entropy_term": float(ce.value[0]),
+        "info_term": float(kl.value[0]),
     }
 
 
@@ -364,24 +350,22 @@ def eval_accuracy(encoder, decoder, task, samples, rng) -> float:
     return float(acc)
 
 
-def train_ib(task: NuisanceTask, config):
+def train_ib(task: NuisanceTask, configs):
     """Minimize the bottleneck objective with reparametrized sampling.
 
-    Per-step records (step, loss, ce, info_bound, acc) form the returned
-    curve. Raises :class:`TrainingDiverged` with the offending step when
-    the loss or its gradient stops being finite.
-
-    ``config`` is one :class:`IBLConfig`, which returns a
-    :class:`TrainResult`, or a sequence of configs that differ only in β
-    and seed, which returns a :class:`~ibsep.nn.TrainedSweep` of them. A
-    sweep of R runs trains as one graph with every encoder and decoder
-    parameter stacked on a leading run axis and β an (R,) constant. Run r
-    keeps its own init, train and eval streams from its seed, and its
-    parameters and curve (``acc`` included) are bit-identical to a lone
-    call with its config; a lone config is the R = 1 case. A divergence
-    names the run's β and seed.
+    ``configs`` is a list or tuple of :class:`IBLConfig` that differ only
+    in β and seed; a bare config is a ``ValueError``. The R runs train as
+    one graph with every encoder and decoder parameter stacked on a
+    leading run axis and β an (R,) constant. Run r keeps its own init,
+    train and eval streams from its seed, so its parameters and curve
+    (``acc`` included) are bit-identical to its config trained as a
+    one-run sweep. Returns a :class:`~ibsep.nn.TrainedSweep` whose
+    ``runs[r]`` is run r's ``(encoder, decoder)`` pair and whose curves
+    record (step, loss, ce, info_bound, acc). Raises
+    :class:`TrainingDiverged` naming the step and the run's β and seed
+    when a loss or its gradient stops being finite.
     """
-    lone, configs = nn.sweep_configs(config, IBLConfig)
+    configs = nn.sweep_configs(configs)
     first = configs[0]
     streams = [np.random.SeedSequence(cfg.seed).spawn(3) for cfg in configs]
     train_rngs = [np.random.default_rng(train_ss) for _, train_ss, _ in streams]
@@ -422,8 +406,7 @@ def train_ib(task: NuisanceTask, config):
         }
 
     params, curves, curve = nn.fit_sweep(configs, start, loss, state)
-    runs = tuple(TrainResult(*networks(p), c) for p, c in zip(params, curves))
-    return runs[0] if lone else nn.TrainedSweep(runs, curve)
+    return nn.TrainedSweep(tuple(map(networks, params)), curves, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -701,20 +684,6 @@ def _weight_loss_graph(posterior: WeightPosterior, xs, labels, beta, eps):
     return total, ce, kl
 
 
-def weight_info_regularized_loss(posterior: WeightPosterior, batch, beta, rng=None) -> float:
-    """One-sample noisy-weight cross-entropy plus beta * KL(q(w) || p(w)).
-
-    The KL is the closed-form factorized-Gaussian divergence, the tractable
-    surrogate for the information the weights carry about the data.
-    """
-    xs, labels = batch
-    rng = np.random.default_rng(0) if rng is None else rng
-    eps = {k: rng.standard_normal(v.shape) for k, v in posterior.mu.items()}
-    total, _, _ = _weight_loss_graph(posterior, xs, np.asarray(labels, dtype=int),
-                                     beta, eps)
-    return float(total.value)
-
-
 def train_weight_posterior(xs, labels, widths, beta, seed, steps=300,
                            learning_rate=0.05, momentum=0.9, prior_var=1.0):
     """Train a factorized Gaussian weight posterior on a fixed dataset.
@@ -797,70 +766,3 @@ def flatness_diagnostic(loss_fn, w_hat, beta, K=None, posterior=None,
         "hessian_trace": trace,
         "finite": finite,
     }
-
-
-# ---------------------------------------------------------------------------
-# config and curve files
-# ---------------------------------------------------------------------------
-
-_CONFIG_KEYS = {"task", "beta", "rep_dim", "steps", "batch", "seed"}
-_TASK_KEYS = {"z", "n", "rule", "seed", "y_card"}
-
-
-def save_ib_config(config: IBLConfig, task_spec: dict, path) -> None:
-    payload = {
-        "task": task_spec,
-        "beta": config.beta,
-        "rep_dim": config.rep_dim,
-        "steps": config.steps,
-        "batch": config.batch,
-        "seed": config.seed,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def load_ib_config(path):
-    """Read an experiment config; returns (IBLConfig, NuisanceTask).
-
-    Top-level keys are exactly task, beta, rep_dim, steps, batch, seed;
-    anything else is rejected by name.
-    """
-    with open(path) as fh:
-        payload = json.load(fh)
-    unknown = set(payload) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config key {sorted(unknown)[0]!r}")
-    missing = _CONFIG_KEYS - set(payload)
-    if missing:
-        raise ValueError(f"config missing keys: {sorted(missing)}")
-    task_spec = dict(payload["task"])
-    unknown_task = set(task_spec) - _TASK_KEYS
-    if unknown_task:
-        raise ValueError(f"unknown task key {sorted(unknown_task)[0]!r}")
-    task = make_nuisance_task(
-        task_spec["z"], task_spec["n"],
-        rule=task_spec.get("rule", "bijective"),
-        seed=task_spec.get("seed", 0),
-        y_card=task_spec.get("y_card"),
-    )
-    config = IBLConfig(
-        beta=float(payload["beta"]),
-        rep_dim=int(payload["rep_dim"]),
-        steps=int(payload["steps"]),
-        batch=int(payload["batch"]),
-        seed=int(payload["seed"]),
-    )
-    return config, task
-
-
-def write_curve_csv(curve, path) -> None:
-    """Write training curve rows as step,loss,ce,info_bound,acc."""
-    with open(path, "w") as fh:
-        fh.write("step,loss,ce,info_bound,acc\n")
-        for row in curve:
-            fh.write(
-                f"{row['step']},{row['loss']!r},{row['ce']!r},"
-                f"{row['info_bound']!r},{row['acc']!r}\n"
-            )

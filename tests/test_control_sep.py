@@ -191,16 +191,6 @@ def test_a_nan_action_value_fails_separation():
     assert not report["pass"]
 
 
-def test_separation_report_json(tmp_path):
-    report = cs.verify_separation(tiger_like())
-    path = tmp_path / "separation.json"
-    cs.write_separation_report(report, path)
-    payload = json.loads(path.read_text())
-    assert set(payload) == {"max_q_spread", "group_count", "pass"}
-    assert payload["pass"] is True
-    assert payload["group_count"] == report["groups"]
-
-
 # ---------------------------------------------------------------------------
 # the belief policy
 # ---------------------------------------------------------------------------

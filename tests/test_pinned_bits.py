@@ -28,7 +28,7 @@ def _digest(obj):
 def test_train_ib_curve_is_pinned():
     task = sib.make_nuisance_task(2, 2, seed=3)
     cfg = sib.IBLConfig(beta=1e-2, rep_dim=1, steps=30, batch=16, seed=4)
-    curve = sib.train_ib(task, cfg).curve
+    curve = sib.train_ib(task, [cfg]).curves[0]
     assert curve[-1] == {"step": 29, "loss": 0.6343601034966818,
                          "ce": 0.6318479037522103,
                          "info_bound": 0.251219974447147, "acc": 0.71875}
@@ -56,13 +56,14 @@ def test_train_filter_is_pinned():
     cfg = seprep.DynIBConfig(beta=1e-2, traj_len=8, steps=10, batch=4, seed=5,
                              horizon=1, tbptt=3, rep_dim=2, mc_samples=2,
                              update_hidden=(8,), decoder_hidden=(8,))
-    trained = seprep.train_filter(seprep.lgss_source(model, 8), cfg)
-    assert trained.curve[-1] == {"step": 9, "loss": 2.0352618743227016,
-                                 "ce": 2.032269876044114,
-                                 "info": 0.2991998278587369}
-    assert _digest(trained.curve) == (
+    trained = seprep.train_filter(seprep.lgss_source(model, 8), [cfg])
+    curve = trained.curves[0]
+    assert curve[-1] == {"step": 9, "loss": 2.0352618743227016,
+                         "ce": 2.032269876044114,
+                         "info": 0.2991998278587369}
+    assert _digest(curve) == (
         "a73af0a44bd591d2c1fa9a7d7875af3e473c661688658ad39f9072828579ad09")
-    assert _digest(seprep.save_filter_json(trained.model)) == (
+    assert _digest(seprep.save_filter_json(trained.runs[0])) == (
         "f0a31d13ac12ca04691c96d9bb5e1c40037d84c63723fd85606e43cc8d803b4a")
 
 

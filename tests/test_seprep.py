@@ -214,20 +214,6 @@ def test_constant_representation_carries_zero_information():
     assert out["info_term"] == 0.0
 
 
-def test_exact_hmm_filter_attains_the_entropy_bound():
-    hmm = two_state_hmm()
-    T = 6
-    bound = seprep.hmm_exact_reference(hmm, T)["entropy_lower_bound"]
-    rng = np.random.default_rng(42)
-    ys = np.stack([hmm.simulate(T, rng)[0] for _ in range(2000)])[:, :, None]
-    filt = seprep.HMMExactFilter(hmm)
-    cfg = seprep.DynIBConfig(beta=0.0, traj_len=T, steps=1, batch=2000, seed=0)
-    out = seprep.dyn_ibl_loss(filt, (ys, None), cfg)
-    # MC error at 2000 trajectories is ~0.0034; the nearest suboptimal
-    # candidate (the history-blind marginal) sits 0.027 above the bound
-    assert abs(out["ce_term"] - bound) < 0.012
-
-
 def test_loss_rejects_horizon_beyond_trajectory_length():
     with pytest.raises(ValueError, match="horizon"):
         seprep.DynIBConfig(beta=0.0, traj_len=4, steps=1, batch=1, seed=0,
@@ -255,6 +241,14 @@ def test_multi_step_targets_enter_the_loss():
 
 def _n_draws(T, horizon, mc_samples):
     return mc_samples * sum(min(horizon, T - 1 - t) + 1 for t in range(T))
+
+
+def _one_run_graph(model, ys, us, cfg, eps):
+    """Entry 0 of the (total, ce, info) nodes of a one-run training graph."""
+    nodes = nn.parameters(nn.stack_runs([model.params()]))
+    total, ce, kl = seprep._sep_loss_graph(model, nodes, ys[None], us[None], cfg,
+                                           eps[None], np.array([cfg.beta]))
+    return total[0], ce[0], kl[0]
 
 
 def _graph_case(output, horizon, ctrl_dim, mc_samples):
@@ -292,8 +286,7 @@ def test_graph_objective_matches_array_reference(output, horizon, ctrl_dim,
     model, ys, us, cfg = _graph_case(output, horizon, ctrl_dim, mc_samples)
     B, T = ys.shape[0], ys.shape[1]
     eps = np.zeros((_n_draws(T, horizon, mc_samples), B, cfg.rep_dim))
-    nodes = {k: nn.parameter(v, name=k) for k, v in model.params().items()}
-    total, ce, kl = seprep._sep_loss_graph(model, nodes, ys, us, cfg, eps)
+    total, ce, kl = _one_run_graph(model, ys, us, cfg, eps)
     ref = seprep.dyn_ibl_loss(model, (ys, us if ctrl_dim else None), cfg,
                               rng=None)
     assert abs(float(total.value) - ref["total"]) < 1e-12
@@ -308,8 +301,7 @@ def test_graph_uses_each_draw_at_its_step_offset_and_sample():
     B, T = ys.shape[0], ys.shape[1]
     eps = np.random.default_rng(5).standard_normal(
         (_n_draws(T, 2, 3), B, cfg.rep_dim))
-    nodes = {k: nn.parameter(v, name=k) for k, v in model.params().items()}
-    _, ce, _ = seprep._sep_loss_graph(model, nodes, ys, us, cfg, eps)
+    _, ce, _ = _one_run_graph(model, ys, us, cfg, eps)
     nll = 0.0
     for b in range(B):
         phi, draw = model.initial_phi(), 0
@@ -349,9 +341,7 @@ def test_graph_gradients_match_finite_differences():
     eps = rng.standard_normal((_n_draws(T, 1, 2), B, 2))
 
     def loss(p):
-        nodes = {k: nn.parameter(v, name=k) for k, v in p.items()}
-        return seprep._sep_loss_graph(model.with_params(p), nodes, ys, us,
-                                      cfg, eps)[0]
+        return _one_run_graph(model.with_params(p), ys, us, cfg, eps)[0]
 
     grads = nn.backward(loss(params))
     assert set(grads) == set(params)
@@ -382,11 +372,11 @@ def test_training_is_deterministic():
     cfg = seprep.DynIBConfig(beta=1e-2, traj_len=12, steps=25, batch=4, seed=9,
                              rep_dim=3, learning_rate=0.02,
                              update_hidden=(8,), decoder_hidden=(8,))
-    a = seprep.train_filter(src, cfg)
-    b = seprep.train_filter(src, cfg)
+    a = seprep.train_filter(src, [cfg])
+    b = seprep.train_filter(src, [cfg])
     assert a.curve == b.curve
-    for key, value in a.model.params().items():
-        assert np.array_equal(value, b.model.params()[key])
+    for key, value in a.runs[0].params().items():
+        assert np.array_equal(value, b.runs[0].params()[key])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -394,8 +384,8 @@ def test_training_reduces_prediction_loss(seed):
     src = seprep.lgss_source(scalar_lgss(), 40)
     cfg = seprep.DynIBConfig(beta=1e-3, traj_len=40, steps=300, batch=16,
                              seed=seed, rep_dim=4, learning_rate=0.03)
-    out = seprep.train_filter(src, cfg)
-    first, last = out.curve[0]["loss"], out.curve[-1]["loss"]
+    curve = seprep.train_filter(src, [cfg]).curves[0]
+    first, last = curve[0]["loss"], curve[-1]["loss"]
     assert last < 0.7 * first
 
 
@@ -404,7 +394,7 @@ def test_training_divergence_reports_the_step():
     cfg = seprep.DynIBConfig(beta=1e-3, traj_len=40, steps=200, batch=8,
                              seed=0, rep_dim=4, learning_rate=5.0)
     with pytest.raises(nn.TrainingDiverged) as err:
-        seprep.train_filter(src, cfg)
+        seprep.train_filter(src, [cfg])
     assert isinstance(err.value.step, int)
     assert 0 <= err.value.step < 200
 
@@ -424,15 +414,14 @@ def test_a_sweep_trains_each_run_bit_for_bit_as_a_lone_call():
     src = seprep.lgss_source(scalar_lgss(), 12)
     configs = _sweep_configs([(1e-1, 4), (1e-2, 5), (1e-3, 4)])
     sweep = seprep.train_filter(src, configs)
-    assert len(sweep.curve) == 12 and len(sweep.runs) == 3
+    assert len(sweep.curve) == 12 and len(sweep.runs) == len(sweep.curves) == 3
     for r, cfg in enumerate(configs):
-        lone = seprep.train_filter(src, cfg)
-        run = sweep.runs[r]
-        assert run.curve == lone.curve
+        lone = seprep.train_filter(src, [cfg])
+        assert sweep.curves[r] == lone.curves[0]
         assert [row["loss"][r] for row in sweep.curve] == \
-            [row["loss"] for row in lone.curve]
-        for key, value in lone.model.params().items():
-            got = run.model.params()[key]
+            [row["loss"] for row in lone.curves[0]]
+        for key, value in lone.runs[0].params().items():
+            got = sweep.runs[r].params()[key]
             assert got.shape == value.shape and np.array_equal(got, value), key
 
 
@@ -443,6 +432,8 @@ def test_a_sweep_refuses_configs_that_differ_beyond_beta_and_seed():
         seprep.train_filter(src, [a, dataclasses.replace(b, batch=5)])
     with pytest.raises(ValueError, match="beta and seed"):
         seprep.train_filter(src, [])
+    with pytest.raises(ValueError, match="list or tuple of configs, got DynIBConfig"):
+        seprep.train_filter(src, a)
 
 
 def test_a_diverged_sweep_run_names_its_beta_seed_and_step():
@@ -452,7 +443,7 @@ def test_a_diverged_sweep_run_names_its_beta_seed_and_step():
     configs = _sweep_configs([(1e-3, 1), (100.0, 3), (1e-2, 2)], steps=30,
                              learning_rate=0.05)
     with pytest.raises(nn.TrainingDiverged) as lone:
-        seprep.train_filter(src, configs[1])
+        seprep.train_filter(src, [configs[1]])
     with pytest.raises(nn.TrainingDiverged) as err:
         seprep.train_filter(src, configs)
     assert lone.value.step > 0
@@ -501,9 +492,7 @@ def test_training_graph_size_stays_stacked():
     rng = np.random.default_rng(1)
     ys = rng.standard_normal((B, T, 1))
     eps = rng.standard_normal((_n_draws(T, 0, 1), B, 4))
-    nodes = {k: nn.parameter(v, name=k) for k, v in model.params().items()}
-    total, _, _ = seprep._sep_loss_graph(model, nodes, ys, np.zeros((B, T, 0)),
-                                         cfg, eps)
+    total, _, _ = _one_run_graph(model, ys, np.zeros((B, T, 0)), cfg, eps)
     assert len(nn._toposort(total)) <= 400
 
 

@@ -182,8 +182,8 @@ def test_info_bound_exact_matches_hand_formula():
 def test_train_beta_zero_reaches_high_accuracy():
     task = bijective_task()
     cfg = sib.IBLConfig(beta=0.0, rep_dim=1, steps=400, batch=64, seed=0)
-    result = sib.train_ib(task, cfg)
-    acc = sib.eval_accuracy(result.encoder, result.decoder, task, 256,
+    encoder, decoder = sib.train_ib(task, [cfg]).runs[0]
+    acc = sib.eval_accuracy(encoder, decoder, task, 256,
                             np.random.default_rng(123))
     assert acc >= 0.99
 
@@ -192,9 +192,9 @@ def test_train_large_beta_collapses_representation():
     task = bijective_task()
     cfg = sib.IBLConfig(beta=1e3, rep_dim=1, steps=400, batch=64, seed=0,
                         learning_rate=1e-4)
-    result = sib.train_ib(task, cfg)
-    assert sib.info_bound_exact(result.encoder, task) < 0.01
-    acc = sib.eval_accuracy(result.encoder, result.decoder, task, 512,
+    encoder, decoder = sib.train_ib(task, [cfg]).runs[0]
+    assert sib.info_bound_exact(encoder, task) < 0.01
+    acc = sib.eval_accuracy(encoder, decoder, task, 512,
                             np.random.default_rng(123))
     assert abs(acc - 0.5) < 0.05
 
@@ -202,8 +202,8 @@ def test_train_large_beta_collapses_representation():
 def test_training_curve_deterministic_for_fixed_seed():
     task = bijective_task()
     cfg = sib.IBLConfig(beta=0.1, rep_dim=1, steps=50, batch=32, seed=4)
-    a = sib.train_ib(task, cfg)
-    b = sib.train_ib(task, cfg)
+    a = sib.train_ib(task, [cfg])
+    b = sib.train_ib(task, [cfg])
     assert a.curve == b.curve
 
 
@@ -212,7 +212,7 @@ def test_divergence_aborts_with_step_index():
     cfg = sib.IBLConfig(beta=1e3, rep_dim=1, steps=200, batch=16, seed=0,
                         learning_rate=1e6)
     with pytest.raises(sib.TrainingDiverged) as exc:
-        sib.train_ib(task, cfg)
+        sib.train_ib(task, [cfg])
     assert isinstance(exc.value.step, int)
     assert 0 <= exc.value.step < 200
     assert str(exc.value.step) in str(exc.value)
@@ -221,27 +221,27 @@ def test_divergence_aborts_with_step_index():
 def test_curve_rows_have_expected_fields():
     task = bijective_task()
     cfg = sib.IBLConfig(beta=0.1, rep_dim=1, steps=5, batch=16, seed=1)
-    result = sib.train_ib(task, cfg)
-    assert len(result.curve) == 5
-    assert [row["step"] for row in result.curve] == list(range(5))
-    for row in result.curve:
+    curve = sib.train_ib(task, [cfg]).curves[0]
+    assert len(curve) == 5
+    assert [row["step"] for row in curve] == list(range(5))
+    for row in curve:
         assert set(row) == {"step", "loss", "ce", "info_bound", "acc"}
         assert abs(row["loss"] - (row["ce"] + cfg.beta * row["info_bound"])) < 1e-9
 
 
-def _assert_sweep_matches_lone_calls(task, configs):
+def _assert_sweep_matches_one_run_sweeps(task, configs):
     sweep = sib.train_ib(task, configs)
     assert isinstance(sweep, nn.TrainedSweep)
-    assert len(sweep.runs) == len(configs)
+    assert len(sweep.runs) == len(sweep.curves) == len(configs)
     assert len(sweep.curve) == configs[0].steps
     for r, cfg in enumerate(configs):
-        lone = sib.train_ib(task, cfg)
-        run = sweep.runs[r]
-        assert run.curve == lone.curve
+        lone = sib.train_ib(task, [cfg])
+        (encoder, decoder), (lone_encoder, lone_decoder) = sweep.runs[r], lone.runs[0]
+        assert sweep.curves[r] == lone.curves[0]
         assert [row["acc"][r] for row in sweep.curve] == \
-            [row["acc"] for row in lone.curve]
-        for got, want in ((run.encoder.mlp, lone.encoder.mlp),
-                          (run.decoder, lone.decoder)):
+            [row["acc"] for row in lone.curves[0]]
+        for got, want in ((encoder.mlp, lone_encoder.mlp),
+                          (decoder, lone_decoder)):
             for key, value in want.params().items():
                 other = got.params()[key]
                 assert other.shape == value.shape and np.array_equal(other, value), key
@@ -257,13 +257,13 @@ def test_a_sweep_trains_each_run_bit_for_bit_as_a_lone_call(beta, learning_rate,
     configs = [sib.IBLConfig(beta=beta, rep_dim=1, steps=25, batch=64, seed=seed,
                              learning_rate=learning_rate, mc_samples=mc_samples)
                for seed in (7, 8, 9)]
-    _assert_sweep_matches_lone_calls(bijective_task(), configs)
+    _assert_sweep_matches_one_run_sweeps(bijective_task(), configs)
 
 
 def test_a_sweep_may_mix_betas():
     configs = [sib.IBLConfig(beta=beta, rep_dim=2, steps=10, batch=16, seed=seed)
                for beta, seed in ((0.0, 1), (0.5, 1), (2.0, 3))]
-    _assert_sweep_matches_lone_calls(sib.make_nuisance_task(3, 2, seed=5), configs)
+    _assert_sweep_matches_one_run_sweeps(sib.make_nuisance_task(3, 2, seed=5), configs)
 
 
 def test_a_sweep_refuses_configs_that_differ_beyond_beta_and_seed():
@@ -276,6 +276,8 @@ def test_a_sweep_refuses_configs_that_differ_beyond_beta_and_seed():
             sib.train_ib(task, [a, other])
     with pytest.raises(ValueError, match="beta and seed"):
         sib.train_ib(task, [])
+    with pytest.raises(ValueError, match="list or tuple of configs, got IBLConfig"):
+        sib.train_ib(task, a)
 
 
 def test_a_diverged_sweep_names_the_run_its_beta_and_seed():
@@ -286,7 +288,7 @@ def test_a_diverged_sweep_names_the_run_its_beta_and_seed():
     steps = []
     for cfg in configs:
         with pytest.raises(sib.TrainingDiverged) as lone:
-            sib.train_ib(task, cfg)
+            sib.train_ib(task, [cfg])
         steps.append(lone.value.step)
     with pytest.raises(sib.TrainingDiverged) as err:
         sib.train_ib(task, configs)
@@ -364,8 +366,8 @@ def test_trained_encoder_satisfies_invariance_bound():
     # then sits well inside the grid tolerance
     task = bijective_task()
     cfg = sib.IBLConfig(beta=0.05, rep_dim=1, steps=800, batch=64, seed=2)
-    result = sib.train_ib(task, cfg)
-    report = sib.measure_invariance(result.encoder, task)
+    encoder, _ = sib.train_ib(task, [cfg]).runs[0]
+    report = sib.measure_invariance(encoder, task)
     assert report.prop_slack >= -0.02
     assert report.epsilon >= -0.02
     assert report.epsilon <= report.h_z_given_y + 0.02
@@ -466,8 +468,8 @@ def test_total_correlation_decreases_with_beta():
         for seed in range(5):
             cfg = sib.IBLConfig(beta=beta, rep_dim=2, steps=300, batch=32,
                                 seed=seed)
-            result = sib.train_ib(task, cfg)
-            tcs.append(_aggregate_tc(result.encoder, task))
+            encoder, _ = sib.train_ib(task, [cfg]).runs[0]
+            tcs.append(_aggregate_tc(encoder, task))
         mean_tc.append(float(np.mean(tcs)))
     assert mean_tc[0] > mean_tc[1] > mean_tc[2]
 
@@ -492,10 +494,10 @@ def test_posterior_equal_to_prior_has_zero_kl():
     post.log_var = {k: np.zeros_like(v) for k, v in post.log_var.items()}
     assert post.kl_to_prior() == 0.0
     xs, labels = _blob_data()
-    with_pen = sib.weight_info_regularized_loss(post, (xs, labels), 5.0,
-                                                rng=np.random.default_rng(3))
-    without = sib.weight_info_regularized_loss(post, (xs, labels), 0.0,
-                                               rng=np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    eps = {k: rng.standard_normal(v.shape) for k, v in post.mu.items()}
+    with_pen = float(sib._weight_loss_graph(post, xs, labels, 5.0, eps)[0].value)
+    without = float(sib._weight_loss_graph(post, xs, labels, 0.0, eps)[0].value)
     assert abs(with_pen - without) < 1e-12
 
 
@@ -503,8 +505,9 @@ def test_beta_zero_is_noisy_weight_cross_entropy():
     post = sib.WeightPosterior.from_init([2, 4, 2], ["relu", "identity"],
                                          np.random.default_rng(1))
     xs, labels = _blob_data()
-    loss = sib.weight_info_regularized_loss(post, (xs, labels), 0.0,
-                                            rng=np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    eps = {k: rng.standard_normal(v.shape) for k, v in post.mu.items()}
+    loss = float(sib._weight_loss_graph(post, xs, labels, 0.0, eps)[0].value)
     # replay the same weight draw and compute the cross-entropy by hand
     sampled = post.template.with_params(
         post.sample_weights(np.random.default_rng(7)))
@@ -604,59 +607,3 @@ def test_diagnostic_finite_on_trained_two_layer_model():
     with_post = sib.flatness_diagnostic(loss, w_hat, beta=1e-2,
                                         posterior=post)
     assert abs(with_post["info_estimate"] - post.kl_to_prior()) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# config and curve files
-# ---------------------------------------------------------------------------
-
-
-def test_config_json_round_trip(tmp_path):
-    path = tmp_path / "run.json"
-    cfg = sib.IBLConfig(beta=0.25, rep_dim=2, steps=40, batch=8, seed=17)
-    sib.save_ib_config(cfg, {"z": 2, "n": 2, "rule": "bijective", "seed": 3}, path)
-    loaded_cfg, loaded_task = sib.load_ib_config(path)
-    assert loaded_cfg.beta == 0.25
-    assert loaded_cfg.rep_dim == 2
-    assert loaded_cfg.steps == 40
-    assert loaded_cfg.batch == 8
-    assert loaded_cfg.seed == 17
-    assert np.array_equal(loaded_task.f_map, bijective_task().f_map)
-
-
-def test_config_rejects_unknown_key_by_name(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"task": {"z": 2, "n": 2}, "beta": 0.1, "rep_dim": 1,'
-                    ' "steps": 5, "batch": 4, "seed": 0, "betta": 9}')
-    with pytest.raises(ValueError, match="betta"):
-        sib.load_ib_config(path)
-
-
-def test_config_rejects_missing_and_unknown_task_keys(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"task": {"z": 2, "n": 2}, "beta": 0.1, "rep_dim": 1,'
-                    ' "steps": 5, "batch": 4}')
-    with pytest.raises(ValueError, match="seed"):
-        sib.load_ib_config(path)
-    path.write_text('{"task": {"z": 2, "n": 2, "zz": 1}, "beta": 0.1,'
-                    ' "rep_dim": 1, "steps": 5, "batch": 4, "seed": 0}')
-    with pytest.raises(ValueError, match="zz"):
-        sib.load_ib_config(path)
-
-
-def test_curve_csv_round_trips_exactly(tmp_path):
-    task = bijective_task()
-    cfg = sib.IBLConfig(beta=0.1, rep_dim=1, steps=4, batch=8, seed=3)
-    result = sib.train_ib(task, cfg)
-    path = tmp_path / "curve.csv"
-    sib.write_curve_csv(result.curve, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "step,loss,ce,info_bound,acc"
-    assert len(lines) == 5
-    for row, line in zip(result.curve, lines[1:]):
-        fields = line.split(",")
-        assert int(fields[0]) == row["step"]
-        assert float(fields[1]) == row["loss"]
-        assert float(fields[2]) == row["ce"]
-        assert float(fields[3]) == row["info_bound"]
-        assert float(fields[4]) == row["acc"]
