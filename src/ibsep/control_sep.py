@@ -170,15 +170,15 @@ def _belief_tree(pomdp: FinitePOMDP, depth: int) -> list:
     return levels
 
 
-def _backward_induction(pomdp: FinitePOMDP, deepest_first, immediate) -> dict:
-    """{history: Q} for (history, belief) pairs given deepest first, in order.
+def _backward_induction(pomdp: FinitePOMDP, children_first, immediate) -> dict:
+    """{history: Q} for (history, belief) pairs, each after all its children.
 
     Q(h, a) = immediate(h, belief)[a] + Σ_o p(o|h,a) max_a' Q(h+(a,o), a');
     histories of depth horizon-1 keep only the immediate term.
     """
     A, O, H = pomdp.n_actions, pomdp.n_obs, pomdp.horizon
     q_values, best = {}, {}  # best: history -> max_a Q(h, a), filled bottom-up
-    for history, belief in deepest_first:
+    for history, belief in children_first:
         q = np.array(immediate(history, belief), dtype=float)
         if len(history) < H - 1:
             for a in range(A):
@@ -297,12 +297,17 @@ def reward_sufficiency_check(pomdp: FinitePOMDP, representation, nodes=None) -> 
     branching probabilities still come from the environment. If the
     representation's reward predictions are exact, the rebuilt values must
     equal Q* — that is the sufficiency claim. ``nodes``, when given, is
-    ``brute_force_q``'s result for this instance.
+    ``brute_force_q``'s result for this instance. The histories are queried
+    depth-first, children before parent, so a representation that replays
+    only what a history does not share with the last one makes one Bayes
+    update per history.
     """
     nodes = brute_force_q(pomdp) if nodes is None else nodes
     actions = range(pomdp.n_actions)
+    # a history sorts below its extensions, so descending order is depth-first
+    # with every history after its subtree
     q_from_rep = _backward_induction(
-        pomdp, ((n.history, n.belief) for n in nodes.values()),
+        pomdp, ((history, nodes[history].belief) for history in sorted(nodes, reverse=True)),
         lambda history, belief: [representation(history, (a,)) for a in actions])
 
     # one NumPy reduction, so a NaN prediction reaches max_dev
@@ -325,16 +330,25 @@ def _open_loop_reward(pomdp: FinitePOMDP, belief, actions) -> float:
 def exact_belief_representation(pomdp: FinitePOMDP):
     """Reward predictor carrying the full belief — the sufficient statistic.
 
-    Replays the history with Bayes updates, then propagates the belief
-    open-loop through the planned actions (no intermediate observations)
-    and returns the expected reward of the final action.
+    Replays the history with Bayes updates from b0, then propagates the
+    belief open-loop through the planned actions (no intermediate
+    observations) and returns the expected reward of the final action.
+    It keeps the beliefs along the last history replayed and replays only
+    what a new history does not share with it: a full replay, bit for bit.
     """
+    beliefs, replayed = [pomdp.b0.copy()], []  # beliefs[d]: after replayed[:d]
 
     def predict(history, actions):
-        belief = pomdp.b0.copy()
-        for a, o in history:
-            belief = belief_update(pomdp, belief, a, o)
-        return _open_loop_reward(pomdp, belief, actions)
+        shared = 0
+        for step, seen in zip(history, replayed):
+            if step != seen:
+                break
+            shared += 1
+        del beliefs[shared + 1:], replayed[shared:]
+        for a, o in history[shared:]:
+            beliefs.append(belief_update(pomdp, beliefs[-1], a, o))
+            replayed.append((a, o))
+        return _open_loop_reward(pomdp, beliefs[-1], actions)
 
     return predict
 

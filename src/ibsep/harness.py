@@ -353,11 +353,11 @@ def run_kalman(seed: int, overrides=None) -> list:
         models.append(model)
         T = int(rng.integers(10, 51))
         traj = lgss.simulate(model, None, T, rng)
-        (means, covs), _, _ = lgss.run_filter(model, traj)
+        (means, covs), _, _ = lgss.run_filter(model, [traj])
         for t in (max(1, T // 2), T):
             oracle = lgss.batch_posterior_oracle(model, traj, t)
-            filter_devs += [np.max(np.abs(means[t - 1] - oracle.mean)),
-                            np.max(np.abs(covs[t - 1] - oracle.cov))]
+            filter_devs += [np.max(np.abs(means[0, t - 1] - oracle.mean)),
+                            np.max(np.abs(covs[0, t - 1] - oracle.cov))]
     records = [_gate("kalman", "filter_vs_batch_max_dev", filter_devs, np.max,
                      operator.lt, opts["tol"], opts["tol"], clock)]
 
@@ -365,8 +365,8 @@ def run_kalman(seed: int, overrides=None) -> list:
     for model in models[: max(0, opts["riccati_models"])]:
         fixed = lgss.riccati_iterate(model, 2.0 * np.eye(model.n), 5 * riccati_T)
         traj = lgss.simulate(model, None, riccati_T, rng)
-        (_, covs), _, _ = lgss.run_filter(model, traj)
-        riccati_devs.append(np.max(np.abs(covs[-1] - fixed)))
+        (_, covs), _, _ = lgss.run_filter(model, [traj])
+        riccati_devs.append(np.max(np.abs(covs[0, -1] - fixed)))
     records.append(_gate("kalman", "riccati_vs_filter_max_dev", riccati_devs,
                          np.max, operator.lt, opts["tol"], opts["tol"], clock))
     return records

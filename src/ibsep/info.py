@@ -105,12 +105,6 @@ class DiscreteDistribution:
     def uniform(k: int) -> "DiscreteDistribution":
         return DiscreteDistribution(np.full(k, 1.0 / k))
 
-    @staticmethod
-    def delta(k: int, i: int) -> "DiscreteDistribution":
-        p = np.zeros(k)
-        p[i] = 1.0
-        return DiscreteDistribution(p)
-
 
 @dataclass(frozen=True)
 class DiscreteJoint:

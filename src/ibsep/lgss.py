@@ -214,28 +214,32 @@ def _predict_cov(cov, model: LGSSModel):
     return _finite_symmetric(model.A @ cov @ model.A.T + model.Q)
 
 
-def _update_cov(cov, model: LGSSModel, S=None):
-    """Gain P Cᵀ S⁻¹ and Joseph-form posterior covariance for prior cov P.
-
-    ``S`` is the innovation covariance C P Cᵀ + R, when the caller has it.
-    """
+def _update_cov(cov, model: LGSSModel):
+    """Innovation covariance S = C P Cᵀ + R (symmetrised), gain P Cᵀ S⁻¹ and
+    Joseph-form posterior covariance for prior cov P."""
     C = model.C
-    if S is None:
-        S = C @ cov @ C.T + model.R
+    S = C @ cov @ C.T + model.R
+    S = (S + S.T) / 2.0
     try:
-        chol = cho_factor((S + S.T) / 2.0, lower=True)
+        chol = cho_factor(S, lower=True)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"innovation covariance singular: {exc}")
     # the factor of a finite S is finite; an overflow in C P reaches the
     # posterior covariance, whose check raises
     gain = cho_solve(chol, C @ cov, check_finite=False).T
     U = np.eye(model.n) - gain @ C
-    return gain, _finite_symmetric(U @ cov @ U.T + gain @ model.R @ gain.T)
+    return S, gain, _finite_symmetric(U @ cov @ U.T + gain @ model.R @ gain.T)
+
+
+def _covariance_step(cov, model: LGSSModel):
+    """The data-free step from posterior covariance P: (S, gain, next posterior),
+    bit for bit those of ``kalman_predict`` then ``kalman_update``."""
+    return _update_cov(_predict_cov(cov, model), model)
 
 
 def _riccati_map(cov, model: LGSSModel):
     """Posterior covariance one step later: update(predict(cov)), data-free."""
-    return _update_cov(_predict_cov(cov, model), model)[1]
+    return _covariance_step(cov, model)[2]
 
 
 def _state(mean, cov):
@@ -265,17 +269,16 @@ def kalman_predict(mean, cov, model: LGSSModel, u=None):
     return prior_mean, _predict_cov(cov, model)
 
 
-def kalman_update(mean, cov, y, model: LGSSModel, _innovation=None):
+def kalman_update(mean, cov, y, model: LGSSModel):
     """Measurement update of the prior (mean, cov) with Joseph-form covariance.
 
     Gain solves go through a Cholesky factorization of the innovation
-    covariance S = C P Cᵀ + R; a singular S raises. ``_innovation`` passes
-    an S already computed from this prior. A batch of means takes one row
-    of ``y`` each and shares one gain and posterior covariance.
+    covariance S = C P Cᵀ + R; a singular S raises. A batch of means takes
+    one row of ``y`` each and shares one gain and posterior covariance.
     """
     mean, cov = _state(mean, cov)
     y = np.asarray(y, dtype=float).reshape(*mean.shape[:-1], model.m)
-    gain, post_cov = _update_cov(cov, model, _innovation)
+    _, gain, post_cov = _update_cov(cov, model)
     return _finite(mean + _matvec(gain, y - _matvec(model.C, mean))), post_cov
 
 
@@ -331,19 +334,21 @@ def riccati_iterate(model: LGSSModel, P_init, n_iters: int) -> np.ndarray:
 
 
 def run_filter(model: LGSSModel, trajectories):
-    """Filter one trajectory, or a list of equal-length trajectories.
+    """Filter a list or tuple of N equal-length trajectories (not a bare one).
 
-    Returns ``((means, covs), (pred_means, pred_covs), loglik)``: row t of
-    the (T, n) and (T, n, n) arrays is the posterior after y_{t+1}, row t
-    of the (T, m) and (T, m, m) arrays the one-step predictive density of
-    y_{t+1}, and loglik is the total predictive log-likelihood
-    sum_t log p(y_t | y^{t-1}). The covariances depend on no data, so they
-    are computed once per call, and the means of all N trajectories advance
-    as one batch. A list adds a leading axis of N to every result (the
-    covariances as read-only views), row i being a lone call's result.
+    Returns ``((means, covs), (pred_means, pred_covs), loglik)``: row (i, t)
+    of the (N, T, n) and (N, T, n, n) arrays is trajectory i's posterior
+    after y_{t+1}, of the (N, T, m) and (N, T, m, m) arrays its one-step
+    predictive of y_{t+1}, and loglik[i] its sum_t log p(y_t | y^{t-1}), all
+    bit for bit the per-step predict/update chain. The covariances depend on
+    no data: the rows share them (read-only views), and a covariance step is
+    computed once per distinct posterior covariance, so once the Riccati
+    recursion repeats bit for bit every later step is a lookup.
     """
-    lone = isinstance(trajectories, Trajectory)
-    trajs = [trajectories] if lone else list(trajectories)
+    if not isinstance(trajectories, (list, tuple)):
+        raise ValueError("run_filter takes a list or tuple of trajectories, "
+                         f"got {type(trajectories).__name__}")
+    trajs = list(trajectories)
     if not trajs or any(traj.T != trajs[0].T for traj in trajs):
         raise ValueError("run_filter needs one or more trajectories of equal length")
     N, T, n, m = len(trajs), trajs[0].T, model.n, model.m
@@ -352,22 +357,24 @@ def run_filter(model: LGSSModel, trajectories):
     means, covs = np.empty((N, T, n)), np.empty((T, n, n))
     pred_means, pred_covs = np.empty((N, T, m)), np.empty((T, m, m))
     mean, cov, loglik = np.broadcast_to(model.mu0, (N, n)), model.P0, np.zeros(N)
+    steps, key = {}, cov.tobytes()  # posterior covariance bytes -> its step
     for t in range(T):
-        mean, cov = kalman_predict(mean, cov, model, us[:, t])
-        S = model.C @ cov @ model.C.T + model.R
+        mean = _finite(_matvec(model.A, mean) + _matvec(model.B, us[:, t]))
+        if key not in steps:
+            S, gain, post = _covariance_step(cov, model)
+            chol = np.linalg.cholesky(S)
+            norm = m * math.log(2.0 * math.pi) + 2.0 * np.log(np.diagonal(chol)).sum()
+            steps[key] = gain, post, post.tobytes(), S, chol, norm
+        gain, cov, key, pred_covs[t], chol, norm = steps[key]
+        covs[t] = cov
         pred_means[:, t] = _matvec(model.C, mean)
-        pred_covs[t] = (S + S.T) / 2.0
-        mean, cov = kalman_update(mean, cov, ys[:, t], model, _innovation=S)
-        means[:, t], covs[t] = mean, cov
+        innovation = ys[:, t] - pred_means[:, t]
+        mean = means[:, t] = _finite(mean + _matvec(gain, innovation))
         # info.gaussian_logpdf of every row with one factor; a lone solve per
         # row keeps its bits, and the update has refused a non-finite row
-        chol = np.linalg.cholesky(pred_covs[t])
         dev = np.array([solve_triangular(chol, r, lower=True, check_finite=False)
-                        for r in ys[:, t] - pred_means[:, t]])
-        norm = m * math.log(2.0 * math.pi) + 2.0 * np.log(np.diagonal(chol)).sum()
+                        for r in innovation])
         loglik += -0.5 * (norm + (dev[:, None, :] @ dev[:, :, None])[:, 0, 0])
-    if lone:
-        return (means[0], covs), (pred_means[0], pred_covs), float(loglik[0])
     covs, pred_covs = (np.broadcast_to(a, (N, *a.shape)) for a in (covs, pred_covs))
     return (means, covs), (pred_means, pred_covs), loglik
 

@@ -648,12 +648,6 @@ class WeightPosterior:
             )
         return float(total)
 
-    def sample_weights(self, rng) -> dict:
-        return {
-            name: self.mu[name] + np.exp(0.5 * self.log_var[name]) * rng.standard_normal(self.mu[name].shape)
-            for name in self.mu
-        }
-
     @staticmethod
     def from_init(widths, activations, rng, init_log_var=-6.0, prior_var=1.0) -> "WeightPosterior":
         template = nn.init_mlp(widths, activations, rng)

@@ -276,6 +276,69 @@ def test_a_nan_reward_prediction_is_not_certified_sufficient():
     assert np.isnan(out["max_dev"])
 
 
+def _full_replay(p, history, actions):
+    belief = p.b0
+    for a, o in history:
+        belief = cs.belief_update(p, belief, a, o)
+    for a in actions[:-1]:
+        belief = belief @ p.trans[:, a, :]
+    return float(p.reward[:, actions[-1]] @ belief)
+
+
+def test_the_belief_representation_in_any_query_order_is_a_full_replay():
+    # the representation replays only the suffix a history does not share
+    # with the last one it replayed; shuffled queries, a zero-probability
+    # history that raises midway, and planned sequences of one to three
+    # actions must all leave every answer a full replay from b0, bit for bit
+    rng = np.random.default_rng(43)
+    for p in [cs.random_pomdp(rng, 3, 3, 2, 4), cs.random_pomdp(rng, 4, 2, 3, 4)]:
+        rep = cs.exact_belief_representation(p)
+        histories = list(cs.brute_force_q(p))
+        for i in rng.permutation(len(histories)):
+            actions = tuple(rng.integers(0, p.n_actions, size=rng.integers(1, 4)).tolist())
+            assert rep(histories[i], actions) == _full_replay(p, histories[i], actions)
+    # in state 0 observation 1 has probability zero; action 1 flips the state
+    p = cs.FinitePOMDP(np.stack([np.eye(2), np.eye(2)[::-1]], axis=1),
+                       [[1.0, 0.0], [0.5, 0.5]], [[1.0, 0.0], [-1.0, 0.5]],
+                       [1.0, 0.0], horizon=3)
+    rep = cs.exact_belief_representation(p)
+    refused = 0
+    for history in [((1, 0), (0, 1)), ((1, 1), (1, 1)), ((1, 1), (1, 0), (0, 1)),
+                    ((0, 1),), ((1, 1), (0, 0)), ((1, 1), (1, 0))]:
+        try:
+            want = _full_replay(p, history, (1, 0))
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError, match="zero probability"):
+                rep(history, (1, 0))
+        else:
+            assert rep(history, (1, 0)) == want
+    assert refused == 3
+
+
+def test_reward_sufficiency_makes_one_bayes_update_per_history(monkeypatch):
+    # the histories come children first with each subtree in one run, so
+    # the representation steps into each history once; a replay from b0 per
+    # query makes about A x depth updates per history
+    calls = [0]
+    update = cs.belief_update
+
+    def counting_update(*args):
+        calls[0] += 1
+        return update(*args)
+
+    rng = np.random.default_rng(47)
+    for p in [cs.random_pomdp(rng, 3, 3, 3, 5), cs.random_pomdp(rng, 2, 2, 2, 4),
+              cs.counterexample_pomdp(), cs.belief_collision_pomdp()]:
+        nodes = cs.brute_force_q(p)
+        monkeypatch.setattr(cs, "belief_update", counting_update)
+        calls[0] = 0
+        out = cs.reward_sufficiency_check(p, cs.exact_belief_representation(p), nodes=nodes)
+        monkeypatch.undo()
+        assert out["max_dev"] < 1e-9
+        assert calls[0] <= len(nodes)
+
+
 def test_open_loop_reward_predictions_match_enumeration():
     p = tiger_like()
     rep = cs.exact_belief_representation(p)

@@ -21,7 +21,7 @@ def random_channel(rng, k_in, k_out):
 
 
 def test_entropy_delta_is_zero():
-    assert info.entropy(info.DiscreteDistribution.delta(4, 2)) == 0.0
+    assert info.entropy(info.DiscreteDistribution(np.eye(4)[2])) == 0.0
 
 
 def test_entropy_uniform_closed_form():

@@ -136,7 +136,7 @@ def test_update_singular_innovation_errors():
         lgss.riccati_iterate(bad_model, np.zeros((1, 1)), 3)
     traj = lgss.Trajectory(u=np.zeros((2, 0)), x=np.zeros((2, 1)), y=np.zeros((2, 1)))
     with pytest.raises(np.linalg.LinAlgError):
-        lgss.run_filter(bad_model, traj)
+        lgss.run_filter(bad_model, [traj])
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ def test_riccati_matches_long_filter_covariance():
     rng = np.random.default_rng(10)
     model = lgss.random_stable_model(rng, n=2, m=2)
     traj = lgss.simulate(model, None, 1000, rng)
-    (_, covs), _, _ = lgss.run_filter(model, traj)
+    (_, (covs,)), _, _ = lgss.run_filter(model, [traj])
     P_star = lgss.riccati_iterate(model, model.P0, 1000)
     assert np.max(np.abs(covs[-1] - P_star)) < 1e-8
 
@@ -324,7 +324,8 @@ def test_run_filter_predictives_are_the_one_step_densities():
     for n, m, p in ((3, 2, 2), (1, 1, 0), (4, 3, 1), (5, 1, 0), (2, 3, 2)):
         model = lgss.random_stable_model(rng, n=n, m=m, p=p)
         traj = lgss.simulate(model, rng.normal(size=(12, p)), 12, rng)
-        (means, covs), (pred_means, pred_covs), loglik = lgss.run_filter(model, traj)
+        ((means,), (covs,)), ((pred_means,), (pred_covs,)), (loglik,) = \
+            lgss.run_filter(model, [traj])
         assert means.shape == (12, n) and covs.shape == (12, n, n)
         assert pred_means.shape == (12, m) and pred_covs.shape == (12, m, m)
         mean, cov = model.mu0, model.P0
@@ -341,10 +342,86 @@ def test_run_filter_predictives_are_the_one_step_densities():
         assert loglik == expect_ll
 
 
+def _per_step_chain(model, traj):
+    """The public predict/update chain on one trajectory, stacked like run_filter."""
+    mean, cov, loglik = model.mu0, model.P0, 0.0
+    rows = []
+    for t in range(traj.T):
+        pred = lgss.predictive_density(mean, cov, model, traj.u[t])
+        loglik += pred.logpdf(traj.y[t])
+        mean, cov = lgss.kalman_update(*lgss.kalman_predict(mean, cov, model, traj.u[t]),
+                                       traj.y[t], model)
+        rows.append((mean, cov, pred.mean, pred.cov))
+    return [np.stack(col) for col in zip(*rows)] + [loglik]
+
+
+def _controlled_case(rng, T):
+    model = lgss.random_stable_model(rng, n=int(rng.integers(1, 5)),
+                                     m=int(rng.integers(1, 3)), p=int(rng.integers(1, 3)))
+    return model, lgss.simulate(model, rng.normal(size=(T, model.p)), T, rng)
+
+
+def test_a_long_run_filter_equals_the_per_step_chain_bitwise():
+    # past the first exact repeat of the posterior covariance every step is a
+    # lookup; means, covariances, predictives and loglik keep the chain's bits
+    rng = np.random.default_rng(29)
+    for _ in range(6):
+        model, traj = _controlled_case(rng, 1000)
+        want = _per_step_chain(model, traj)
+        assert len({cov.tobytes() for cov in want[1]}) < 1000
+        got = [a[0] for a in _flat(lgss.run_filter(model, [traj]))]
+        for got_part, want_part in zip(got, want):
+            assert np.array_equal(got_part, want_part)
+
+
+def test_run_filter_steps_each_distinct_posterior_covariance_once(monkeypatch):
+    # P_0..P_{T-1} are distinct below the first repeat mu + lam, so T below
+    # it takes T steps and T past it takes mu + lam; the plain loop takes T
+    calls = []
+    step = lgss._covariance_step
+
+    def counting_step(cov, model):
+        calls.append(cov.tobytes())
+        return step(cov, model)
+
+    monkeypatch.setattr(lgss, "_covariance_step", counting_step)
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        model, _ = _controlled_case(rng, 1)
+        _, mu, lam = _riccati_reference(model, model.P0)
+        assert mu + lam < 1000
+        for T in (mu + lam, 1000):
+            traj = lgss.simulate(model, rng.normal(size=(T, model.p)), T, rng)
+            calls.clear()
+            lgss.run_filter(model, [traj])
+            assert len(calls) == len(set(calls)) == min(T, mu + lam)
+
+
+def test_a_nan_observation_past_the_covariance_repeat_still_raises():
+    rng = np.random.default_rng(37)
+    model, traj = _controlled_case(rng, 400)
+    _, mu, lam = _riccati_reference(model, model.P0)
+    y = traj.y.copy()
+    y[mu + lam + 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite filter state"):
+        lgss.run_filter(model, [lgss.Trajectory(u=traj.u, x=traj.x, y=y)])
+
+
+def test_a_bare_trajectory_is_refused_by_name():
+    model = scalar_model()
+    traj = lgss.simulate(model, None, 5, np.random.default_rng(41))
+    with pytest.raises(ValueError, match="list or tuple of trajectories, got Trajectory"):
+        lgss.run_filter(model, traj)
+    # a tuple is a list of trajectories
+    assert np.array_equal(lgss.run_filter(model, (traj,))[2],
+                          lgss.run_filter(model, [traj])[2])
+
+
 def _filter_rows(model, trajs):
-    """run_filter on the list, and the lone call on each trajectory."""
+    """run_filter on the list, and row 0 of a one-trajectory call on each."""
     batched = lgss.run_filter(model, trajs)
-    return batched, [lgss.run_filter(model, traj) for traj in trajs]
+    return batched, [[a[0] for a in _flat(lgss.run_filter(model, [traj]))]
+                     for traj in trajs]
 
 
 def _flat(result):
@@ -362,8 +439,7 @@ def test_a_list_of_trajectories_filters_row_for_row_like_lone_calls():
     assert batched[0][0].shape == (6, 40, 1) and batched[1][1].shape == (6, 40, 1, 1)
     assert batched[2].shape == (6,)
     for i, result in enumerate(lone):
-        assert type(result[2]) is float
-        for got, want in zip(_flat(batched), _flat(result)):
+        for got, want in zip(_flat(batched), result):
             assert np.array_equal(got[i], want)
 
 
@@ -376,7 +452,7 @@ def test_a_list_of_controlled_trajectories_matches_lone_calls(n, m, p):
              for _ in range(5)]
     batched, lone = _filter_rows(model, trajs)
     for i, result in enumerate(lone):
-        for got, want in zip(_flat(batched), _flat(result)):
+        for got, want in zip(_flat(batched), result):
             assert np.max(np.abs(got[i] - want), initial=0.0) <= \
                 1e-12 * max(1.0, np.max(np.abs(want), initial=0.0))
 
@@ -388,7 +464,7 @@ def test_a_nan_observation_in_one_trajectory_fails_the_batch():
     y = trajs[1].y.copy()
     y[3] = np.nan
     trajs[1] = lgss.Trajectory(u=trajs[1].u, x=trajs[1].x, y=y)
-    for arg in (trajs, trajs[1]):
+    for arg in (trajs, [trajs[1]]):
         with pytest.raises(ValueError, match="non-finite filter state"):
             lgss.run_filter(model, arg)
 
@@ -467,7 +543,7 @@ def test_batch_oracle_agrees_with_recursive_filter():
         T = int(rng.integers(5, 21))
         u = rng.normal(size=(T, p)) if p else None
         traj = lgss.simulate(model, u, T, rng)
-        (means, covs), _, _ = lgss.run_filter(model, traj)
+        ((means,), (covs,)), _, _ = lgss.run_filter(model, [traj])
         for t in (1, max(1, T // 2), T):
             oracle = lgss.batch_posterior_oracle(model, traj, t)
             assert np.max(np.abs(means[t - 1] - oracle.mean)) < 1e-8
