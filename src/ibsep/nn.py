@@ -9,11 +9,14 @@ differences.
 
 Shape conventions: activations are 2-D ``(batch, features)``; weight
 matrices are ``(d_in, d_out)`` and act on the right (``x @ W + b``).
-Independent runs can share one graph by stacking on a leading run axis:
-activations ``(R, batch, features)``, weights ``(R, d_in, d_out)`` and
-biases ``(R, 1, d_out)``. ``matmul`` then multiplies run by run, each
-gradient keeps the run axis of its operand, and the losses reduce per run.
-:func:`fit_sweep` trains such a stack of runs and hands each run back.
+Each layer of ``forward`` is one :func:`affine_n` node, which computes
+``x @ W + b`` and its ReLU with the arithmetic of the unfused ``matmul``,
+add and ``relu_n`` chain. Independent runs can share one graph by stacking
+on a leading run axis: activations ``(R, batch, features)``, weights
+``(R, d_in, d_out)`` and biases ``(R, 1, d_out)``. The layer nodes then
+multiply run by run, each gradient keeps the run axis of its operand, and
+the losses reduce per run. :func:`fit_sweep` trains such a stack of runs
+and hands each run back.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "constant",
     "parameter",
     "matmul",
+    "affine_n",
     "concat",
     "relu_n",
     "log_softmax_n",
@@ -83,19 +87,22 @@ class Node:
     """One vertex of the computation graph.
 
     Holds the cached forward value, references to parent nodes, and one
-    vector-Jacobian product per parent. After ``backward`` the ``grad``
-    field of every reachable node is populated.
+    vector-Jacobian product per parent. ``pre``, when given, maps the
+    node's gradient once per backward visit, and every VJP reads its result.
+    After ``backward`` the ``grad`` field of every reachable node is
+    populated.
     """
 
-    __slots__ = ("value", "parents", "vjps", "grad", "op", "name")
+    __slots__ = ("value", "parents", "vjps", "grad", "op", "name", "pre")
 
-    def __init__(self, value, parents=(), vjps=(), op="leaf", name=None):
+    def __init__(self, value, parents=(), vjps=(), op="leaf", name=None, pre=None):
         self.value = np.asarray(value, dtype=float)
         self.parents = tuple(parents)
         self.vjps = tuple(vjps)
         self.grad = None
         self.op = op
         self.name = name
+        self.pre = pre
 
     def __repr__(self):
         return f"Node(op={self.op}, shape={self.value.shape}, name={self.name})"
@@ -242,6 +249,33 @@ def matmul(a: Node, b: Node) -> Node:
     )
 
 
+def affine_n(x: Node, W: Node, b: Node, relu=False) -> Node:
+    """One layer, ``x @ W + b`` and then a ReLU if ``relu`` is set, as one node.
+
+    Value and gradients are bit for bit those of ``matmul``, add and
+    ``relu_n``: a backward visit masks the gradient once (``pre``), and the
+    VJPs unbroadcast ``gp @ Wᵀ``, ``xᵀ @ gp`` and ``gp`` like the chain's.
+    """
+    x, W, b = _wrap(x), _wrap(W), _wrap(b)
+    xv, Wv, bv = x.value, W.value, b.value
+    prod = xv @ Wv
+    out, pre, shape = prod + bv, None, prod.shape
+    if relu:
+        mask = out > 0
+        out = np.where(mask, out, 0.0)
+        pre = lambda g: g * mask
+    return Node(
+        out,
+        (x, W, b),
+        (lambda g: _unbroadcast(_unbroadcast(g, shape) @ np.swapaxes(Wv, -1, -2),
+                                xv.shape),
+         lambda g: _unbroadcast(np.swapaxes(xv, -1, -2) @ _unbroadcast(g, shape),
+                                Wv.shape),
+         lambda g: _unbroadcast(g, bv.shape)),
+        op="affine", pre=pre,
+    )
+
+
 def concat(nodes, axis=-1) -> Node:
     nodes = [_wrap(n) for n in nodes]
     vals = [n.value for n in nodes]
@@ -360,10 +394,11 @@ def backward(output: Node) -> dict:
     for node in reversed(order):
         if node.grad is None:
             continue
+        g = node.grad if node.pre is None else node.pre(node.grad)
         for parent, vjp in zip(node.parents, node.vjps):
             if not parent.parents and parent.op != "param":
                 continue
-            contrib = vjp(node.grad)
+            contrib = vjp(g)
             if parent.grad is None:
                 parent.grad = np.array(contrib, dtype=float, copy=True)
             else:
@@ -458,12 +493,9 @@ def forward(mlp: MLP, x, param_nodes=None) -> Node:
     if param_nodes is None:
         param_nodes = parameters(mlp.params())
     for k, act in enumerate(mlp.activations):
-        h = matmul(h, param_nodes[f"W{k}"]) + param_nodes[f"b{k}"]
-        if act == "relu":
-            h = relu_n(h)
-        elif act == "softmax":
+        h = affine_n(h, param_nodes[f"W{k}"], param_nodes[f"b{k}"], act == "relu")
+        if act == "softmax":
             h = log_softmax_n(h).exp()
-        # identity: nothing
     if single:
         h = h[0, :]
     return h

@@ -341,11 +341,15 @@ def dyn_ibl_loss(model, trajectories, config: DynIBConfig, samples=None, rng=Non
 def lgss_source(model: lgss.LGSSModel, T: int):
     """Trajectory source drawing from a linear-Gaussian state-space model.
 
-    A draw of ``batch`` trajectories (zero controls) is bit-identical to
-    ``batch`` successive ``lgss.simulate`` calls on the same rng: each row
-    of one standard-normal block holds one trajectory's x_0, w and v draws
-    in that order, and a noise term with an all-zero covariance draws
-    nothing.
+    ``draw(batch, rng)`` returns ``(ys, us)`` (zero controls) of shapes
+    (batch, T, m) and (batch, T, p), bit-identical to ``batch`` successive
+    ``lgss.simulate`` calls on the same rng: each row of one standard-normal
+    block holds one trajectory's x_0, w and v draws in that order, and a
+    noise term with an all-zero covariance draws nothing. ``rng`` may also
+    be a sequence of R generators: run r then draws its block from
+    ``rng[r]``, in order, the state recursion runs once over all R·batch
+    rows, and the arrays gain a leading axis of R whose entry r is what
+    ``draw(batch, rng[r])`` returns.
     """
     roots = [lgss.covariance_root(cov) for cov in (model.P0, model.Q, model.R)]
     shapes = [(1, model.n), (T, model.n), (T, model.m)]  # x_0, w, v
@@ -354,18 +358,22 @@ def lgss_source(model: lgss.LGSSModel, T: int):
     splits = np.cumsum(widths)[:-1]
 
     def draw(batch, rng):
-        blocks = np.split(rng.standard_normal((batch, sum(widths))), splits, axis=1)
+        lone = isinstance(rng, np.random.Generator)
+        rngs = [rng] if lone else list(rng)
+        rows = len(rngs) * batch
+        noise = np.concatenate([r.standard_normal((batch, sum(widths))) for r in rngs])
         x0, w, v = (
-            np.zeros((batch, *shape)) if root is None
-            else block.reshape(batch, *shape) @ root.T
-            for block, root, shape in zip(blocks, roots, shapes)
+            np.zeros((rows, *shape)) if root is None
+            else block.reshape(rows, *shape) @ root.T
+            for block, root, shape in zip(np.split(noise, splits, axis=1), roots, shapes)
         )
         x = model.mu0 + x0[:, 0]
-        ys = np.empty((batch, T, model.m))
+        ys = np.empty((rows, T, model.m))
         for t in range(T):
             x = (model.A @ x[..., None])[..., 0] + w[:, t]
             ys[:, t] = (model.C @ x[..., None])[..., 0] + v[:, t]
-        return ys, np.zeros((batch, T, model.p))
+        lead = (batch,) if lone else (len(rngs), batch)
+        return ys.reshape(*lead, T, model.m), np.zeros((*lead, T, model.p))
 
     return draw
 
@@ -451,7 +459,11 @@ def train_filter(source, configs, obs_dim=None, ctrl_dim=None):
     """Train SepFilterModels on trajectories from ``source``.
 
     ``source(batch, rng)`` returns ``(ys, us)`` with shapes (B, T, obs_dim)
-    and (B, T, ctrl_dim) (``us`` may be None). ``configs`` is a list or
+    and (B, T, ctrl_dim) (``us`` may be None) for one Generator, and
+    ``source(batch, rngs)`` returns them with a leading axis of R for a
+    sequence of R generators, entry r drawn from ``rngs[r]`` as a lone
+    call would; :func:`lgss_source` is such a source. Each step makes one
+    call with the runs' data streams. ``configs`` is a list or
     tuple of :class:`DynIBConfig` that differ only in β and seed; a bare
     config is a ``ValueError``. The R runs train as one graph with every
     parameter stacked on a leading run axis, so each step builds one
@@ -484,14 +496,16 @@ def train_filter(source, configs, obs_dim=None, ctrl_dim=None):
     betas = np.array([cfg.beta for cfg in configs])
 
     def loss(params, step):
-        batches = [_as_batch(source(first.batch, rng), ctrl_dim) for rng in data_rngs]
-        if any(ys.shape[1] != T for ys, _ in batches):
+        ys, us = source(first.batch, data_rngs)
+        ys = np.asarray(ys)
+        if ys.shape[2] != T:
             raise ValueError("source produced trajectories of the wrong length")
+        us = (np.zeros((*ys.shape[:3], ctrl_dim)) if us is None
+              else np.asarray(us, dtype=float))
         eps = np.stack([rng.standard_normal((n_draws, first.batch, first.rep_dim))
                         for rng in noise_rngs])
-        total, ce, kl = _sep_loss_graph(
-            models[0], nn.parameters(params), np.stack([ys for ys, _ in batches]),
-            np.stack([us for _, us in batches]), first, eps, betas)
+        total, ce, kl = _sep_loss_graph(models[0], nn.parameters(params), ys, us,
+                                        first, eps, betas)
         return total, {"ce": ce.value.tolist(), "info": kl.value.tolist()}
 
     params, curves, curve = nn.fit_sweep(configs, [m.params() for m in models],
@@ -514,8 +528,11 @@ class KalmanSepFilter:
     separating statistic — and the predictive is the closed-form Gaussian.
     ``info`` is 0: the statistic is deterministic given the history, so no
     extra stochastic coding cost is charged. Like :class:`SepFilterModel`,
-    ``step`` and ``predict`` take a 2-D ``phi`` as a batch of statistics;
-    each row runs the exact Kalman maps of a lone statistic.
+    ``step`` and ``predict`` take a 2-D ``phi`` as a batch of statistics,
+    and a lone statistic is the one-row batch. Rows whose covariance blocks
+    are equal byte for byte share one ``lgss.kalman_predict`` and
+    ``kalman_update`` call over their batch of means, and each row comes
+    out bit for bit as it would alone.
     """
 
     output = "gaussian"
@@ -527,40 +544,51 @@ class KalmanSepFilter:
     def initial_phi(self) -> np.ndarray:
         return np.concatenate([self.model.mu0, self.model.P0.ravel()])
 
-    def _unpack(self, phi):
+    def _groups(self, phi):
+        """(rows, means, cov) for each distinct covariance block of a 2-D ``phi``."""
         n = self.model.n
-        phi = np.asarray(phi, dtype=float)
-        return phi[:n], phi[n:].reshape(n, n)
+        groups = {}
+        for i, row in enumerate(phi):
+            groups.setdefault(row[n:].tobytes(), []).append(i)
+        for rows in groups.values():
+            yield rows, phi[rows, :n], phi[rows[0], n:].reshape(n, n)
 
     def step(self, phi, y_next, u=None, t=None):
         phi = np.asarray(phi, dtype=float)
-        if phi.ndim > 1:
-            ys = np.reshape(y_next, (len(phi), -1))
-            us = [None] * len(phi) if u is None else np.reshape(u, (len(phi), -1))
-            return np.stack([self.step(*row, t=t) for row in zip(phi, ys, us)])
-        mean, cov = lgss.kalman_predict(*self._unpack(phi), self.model, u)
-        mean, cov = lgss.kalman_update(mean, cov, y_next, self.model)
-        return np.concatenate([mean, cov.ravel()])
+        batch = np.atleast_2d(phi)
+        N, n = len(batch), self.model.n
+        ys = np.reshape(y_next, (N, self.model.m))
+        us = None if u is None else np.reshape(u, (N, self.model.p))
+        out = np.empty_like(batch)
+        for rows, mean, cov in self._groups(batch):
+            mean, cov = lgss.kalman_predict(mean, cov, self.model,
+                                            None if us is None else us[rows])
+            out[rows, :n], cov = lgss.kalman_update(mean, cov, ys[rows], self.model)
+            out[rows, n:] = cov.ravel()
+        return out.reshape(phi.shape)
 
     def predict(self, phi, controls=None, samples=1, rng=None) -> dict:
         phi = np.asarray(phi, dtype=float)
-        if phi.ndim > 1:
-            if controls is None or np.ndim(controls) < 3:
-                controls = [controls] * len(phi)
-            rows = [self.predict(*row) for row in zip(phi, controls)]
-            return {"family": "gaussian",
-                    "mean": np.stack([r["mean"] for r in rows]),
-                    "cov": np.stack([r["cov"] for r in rows]),
-                    "component_means": None, "component_vars": None}
-        u = None
+        batch = np.atleast_2d(phi)
+        N, C, R = len(batch), self.model.C, self.model.R
+        us = None
         if controls is not None:
-            controls = np.atleast_2d(np.asarray(controls, dtype=float))
-            if controls.shape[0] != 1:
+            controls = np.asarray(controls, dtype=float)
+            if controls.ndim < 3:  # one window for every row
+                controls = np.atleast_2d(controls)[None]
+            if controls.shape[1] != 1:
                 raise ValueError("the exact filter predicts one step ahead")
             if self.model.p:
-                u = controls[0].reshape(self.model.p)
-        pred = lgss.predictive_density(*self._unpack(phi), self.model, u)
-        return {"family": "gaussian", "mean": pred.mean, "cov": pred.cov,
+                us = np.broadcast_to(controls[:, 0], (N, self.model.p))
+        means, covs = np.empty((N, self.model.m)), np.empty((N, *R.shape))
+        for rows, mean, cov in self._groups(batch):
+            mean, cov = lgss.kalman_predict(mean, cov, self.model,
+                                            None if us is None else us[rows])
+            means[rows] = lgss._finite(lgss._matvec(C, mean))
+            covs[rows] = info.GaussianDistribution(means[rows[0]], C @ cov @ C.T + R).cov
+        if phi.ndim == 1:
+            means, covs = means[0], covs[0]
+        return {"family": "gaussian", "mean": means, "cov": covs,
                 "component_means": None, "component_vars": None}
 
     def info(self, phi) -> float:

@@ -381,6 +381,61 @@ def test_stacked_runs_get_the_gradients_of_their_lone_graphs():
             assert np.array_equal(grads[key][r].reshape(g.shape), g), key
 
 
+def _signed_zero_layer(rng, runs):
+    """x, W, b (a leading run axis when ``runs``) whose x @ W + b has exact
+    0.0 and -0.0 entries: row 1 of x is 0.0, row 2 underflows to -0.0
+    against W's positive column 0, and b is -0.0 there and 0.0 in column 1."""
+    lead = (runs,) if runs else ()
+    x = rng.standard_normal((*lead, 4, 3))
+    x[..., 1, :] = 0.0
+    x[..., 2, :] = -5e-324
+    W = rng.standard_normal((*lead, 3, 5)) * 0.5
+    W[..., 0] = 0.25
+    b = rng.standard_normal((*lead, 1, 5) if runs else (5,))
+    b[..., 0], b[..., 1] = -0.0, 0.0
+    return x, W, b
+
+
+@pytest.mark.parametrize("runs", [0, 3])
+@pytest.mark.parametrize("relu", [False, True])
+def test_affine_node_equals_the_unfused_chain_bit_for_bit(runs, relu):
+    rng = np.random.default_rng(11)
+    x, W, b = _signed_zero_layer(rng, runs)
+    pre = x @ W + b
+    zeros = np.signbit(pre[pre == 0.0])
+    assert zeros.any() and not zeros.all()  # both 0.0 and -0.0 occur
+    weight = rng.standard_normal(pre.shape)
+
+    def graph(fused):
+        nodes = nn.parameters({"x": x, "W": W, "b": b})
+        if fused:
+            out = nn.affine_n(nodes["x"], nodes["W"], nodes["b"], relu)
+        else:
+            out = nn.matmul(nodes["x"], nodes["W"]) + nodes["b"]
+            out = nn.relu_n(out) if relu else out
+        return out, nn.backward((out * nn.constant(weight)).sum())
+
+    out, grads = graph(True)
+    ref, ref_grads = graph(False)
+    assert out.op == "affine" and out.value.tobytes() == ref.value.tobytes()
+    for name in ("x", "W", "b"):
+        assert grads[name].shape == ref_grads[name].shape
+        assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+
+@pytest.mark.parametrize("acts", [["identity"], ["relu", "softmax"],
+                                  ["relu", "relu", "identity"]])
+def test_forward_adds_one_node_per_layer(acts):
+    rng = np.random.default_rng(4)
+    mlp = nn.init_mlp([3] + [4] * len(acts), acts, rng)
+    out = nn.forward(mlp, rng.standard_normal((6, 3)))
+    ops = [node.op for node in nn._toposort(out)]
+    K = len(acts)
+    assert ops.count("affine") == K
+    softmax = 2 if acts[-1] == "softmax" else 0  # log_softmax, then exp
+    assert len(ops) == 1 + 2 * K + K + softmax  # input, W_k and b_k, layers
+
+
 def test_gather_logprob_picks_per_run_rows_like_lone_calls():
     # R = B and R != B: run r of the stacked pick is the lone 2-D pick
     rng = np.random.default_rng(5)

@@ -483,6 +483,37 @@ def test_lgss_source_matches_per_trajectory_simulation(which):
         assert np.array_equal(us, np.stack([tr.u for tr in trajs]))
 
 
+@pytest.mark.parametrize("which", ["scalar", "random", "noiseless", "controlled"])
+def test_lgss_source_draws_a_sweep_like_its_lone_calls(which):
+    models = {
+        "scalar": scalar_lgss,
+        "random": lambda: lgss.random_stable_model(np.random.default_rng(4), n=3, m=2),
+        "noiseless": lambda: lgss.LGSSModel(
+            A=[[0.8, 0.1], [0.0, 0.7]], B=np.zeros((2, 0)), C=[[1.0, 0.5]],
+            Q=np.zeros((2, 2)), R=[[0.2]], mu0=[0.3, -0.1], P0=np.eye(2)),
+        "controlled": lambda: lgss.random_stable_model(np.random.default_rng(5),
+                                                       n=2, m=1, p=2),
+    }
+    model = models[which]()
+    T, batch, seeds = 9, 5, (17, 3, 8)
+    src = seprep.lgss_source(model, T)
+    sweep_rngs = [np.random.default_rng(s) for s in seeds]
+    lone_rngs = [np.random.default_rng(s) for s in seeds]
+    for _ in range(3):
+        ys, us = src(batch, sweep_rngs)
+        assert ys.shape == (3, batch, T, model.m) and us.shape == (3, batch, T, model.p)
+        for r, rng in enumerate(lone_rngs):
+            lone_ys, lone_us = src(batch, rng)
+            assert ys[r].tobytes() == lone_ys.tobytes()
+            assert us[r].tobytes() == lone_us.tobytes()
+
+
+def test_a_source_of_the_wrong_length_is_refused():
+    short = seprep.lgss_source(scalar_lgss(), 11)  # the configs ask for 12 steps
+    with pytest.raises(ValueError, match="wrong length"):
+        seprep.train_filter(short, _sweep_configs([(1e-1, 4), (1e-2, 5)]))
+
+
 def test_training_graph_size_stays_stacked():
     # battery-shaped step: the per-step loop holds only the recurrence,
     # the KL and the decoder run once over the stacked statistics
@@ -493,7 +524,7 @@ def test_training_graph_size_stays_stacked():
     ys = rng.standard_normal((B, T, 1))
     eps = rng.standard_normal((_n_draws(T, 0, 1), B, 4))
     total, _, _ = _one_run_graph(model, ys, np.zeros((B, T, 0)), cfg, eps)
-    assert len(nn._toposort(total)) <= 400
+    assert len(nn._toposort(total)) <= 220
 
 
 # ---------------------------------------------------------------------------
@@ -531,15 +562,52 @@ def test_batched_step_and_predict_match_lone_statistics():
         for key in ("mean", "cov", "component_means", "component_vars"):
             np.testing.assert_allclose(batch[key][i], lone[key], rtol=1e-13,
                                        atol=1e-14)
-    kalman = seprep.KalmanSepFilter(scalar_lgss())
-    phis = np.stack([kalman.initial_phi(), kalman.step(kalman.initial_phi(), [0.4])])
-    stepped = kalman.step(phis, [[0.1], [-0.3]])
-    predicted = kalman.predict(phis, np.zeros((2, 1, 0)))
-    for i, y in enumerate([0.1, -0.3]):
-        assert np.array_equal(stepped[i], kalman.step(phis[i], [y]))
-        lone = kalman.predict(phis[i], np.zeros((1, 0)))
-        assert np.array_equal(predicted["mean"][i], lone["mean"])
-        assert np.array_equal(predicted["cov"][i], lone["cov"])
+    for lgss_model in (scalar_lgss(),
+                       lgss.random_stable_model(np.random.default_rng(5), n=2, m=1, p=2)):
+        kalman = seprep.KalmanSepFilter(lgss_model)
+        phis = _kalman_rows(kalman, rng)
+        ys = rng.standard_normal((5, lgss_model.m))
+        us = rng.standard_normal((5, lgss_model.p))
+        stepped = kalman.step(phis, ys, us)
+        per_row = kalman.predict(phis, us[:, None])
+        shared = kalman.predict(phis, us[:1])
+        for i in range(5):
+            assert stepped[i].tobytes() == kalman.step(phis[i], ys[i], us[i]).tobytes()
+            for batch, u in ((per_row, us[i]), (shared, us[0])):
+                lone = kalman.predict(phis[i], u[None])
+                assert batch["mean"][i].tobytes() == lone["mean"].tobytes()
+                assert batch["cov"][i].tobytes() == lone["cov"].tobytes()
+
+
+def _kalman_rows(kalman, rng):
+    """Five statistics in three covariance groups, the groups interleaved."""
+    n, m, p = kalman.model.n, kalman.model.m, kalman.model.p
+    start = kalman.initial_phi()
+    moved = start.copy()
+    moved[:n] += rng.standard_normal(n)  # same covariance, another mean
+    once = [kalman.step(start, rng.standard_normal(m), rng.standard_normal(p))
+            for _ in range(2)]  # same covariance, since it depends on no data
+    twice = kalman.step(once[0], rng.standard_normal(m), rng.standard_normal(p))
+    return np.stack([once[0], start, twice, moved, once[1]])
+
+
+def test_a_kalman_step_makes_one_call_per_distinct_covariance(monkeypatch):
+    kalman = seprep.KalmanSepFilter(lgss.random_stable_model(np.random.default_rng(2)))
+    phis = _kalman_rows(kalman, np.random.default_rng(0))
+    calls = {"kalman_predict": 0, "kalman_update": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(lgss, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(lgss, name, counted)
+    kalman.step(phis, np.zeros((5, 1)))
+    assert calls == {"kalman_predict": 3, "kalman_update": 3}
+    kalman.predict(phis)
+    assert calls == {"kalman_predict": 6, "kalman_update": 3}
+    # an evaluation's rows share one covariance: one call per time step
+    seprep.evaluate_vs_kalman(kalman, kalman.model, T=7, num_traj=4, seed=1)
+    assert calls == {"kalman_predict": 6 + 14, "kalman_update": 3 + 7}
 
 
 def _per_step_reference(model, lgss_model, T, num_traj, seed, samples):
