@@ -9,14 +9,12 @@ differences.
 
 Shape conventions: activations are 2-D ``(batch, features)``; weight
 matrices are ``(d_in, d_out)`` and act on the right (``x @ W + b``).
-Each layer of ``forward`` is one :func:`affine_n` node, which computes
-``x @ W + b`` and its ReLU with the arithmetic of the unfused ``matmul``,
-add and ``relu_n`` chain. Independent runs can share one graph by stacking
-on a leading run axis: activations ``(R, batch, features)``, weights
-``(R, d_in, d_out)`` and biases ``(R, 1, d_out)``. The layer nodes then
-multiply run by run, each gradient keeps the run axis of its operand, and
-the losses reduce per run. :func:`fit_sweep` trains such a stack of runs
-and hands each run back.
+Each layer of ``forward`` is one :func:`affine_n` node. Independent runs
+can share one graph by stacking on a leading run axis: activations
+``(R, batch, features)``, weights ``(R, d_in, d_out)`` and biases
+``(R, 1, d_out)``. The layer nodes then multiply run by run, each gradient
+keeps the run axis of its operand, and the losses reduce per run.
+:func:`fit_sweep` trains such a stack of runs and hands each run back.
 """
 
 from __future__ import annotations
@@ -87,10 +85,9 @@ class Node:
     """One vertex of the computation graph.
 
     Holds the cached forward value, references to parent nodes, and one
-    vector-Jacobian product per parent. ``pre``, when given, maps the
-    node's gradient once per backward visit, and every VJP reads its result.
-    After ``backward`` the ``grad`` field of every reachable node is
-    populated.
+    vector-Jacobian product per parent, which reads the node's gradient
+    mapped once by ``pre`` if given. After ``backward`` the ``grad`` field
+    of every reachable node is populated.
     """
 
     __slots__ = ("value", "parents", "vjps", "grad", "op", "name", "pre")
@@ -252,28 +249,21 @@ def matmul(a: Node, b: Node) -> Node:
 def affine_n(x: Node, W: Node, b: Node, relu=False) -> Node:
     """One layer, ``x @ W + b`` and then a ReLU if ``relu`` is set, as one node.
 
-    Value and gradients are bit for bit those of ``matmul``, add and
-    ``relu_n``: a backward visit masks the gradient once (``pre``), and the
-    VJPs unbroadcast ``gp @ Wᵀ``, ``xᵀ @ gp`` and ``gp`` like the chain's.
+    ``b`` broadcasts over the rows of ``x @ W``. Value and gradients are bit
+    for bit those of ``matmul``, add and ``relu_n``: a backward visit masks
+    the gradient once (``pre``), and the VJPs unbroadcast ``gp @ Wᵀ``,
+    ``xᵀ @ gp`` and ``gp`` like the chain's.
     """
     x, W, b = _wrap(x), _wrap(W), _wrap(b)
     xv, Wv, bv = x.value, W.value, b.value
-    prod = xv @ Wv
-    out, pre, shape = prod + bv, None, prod.shape
+    out, pre = xv @ Wv + bv, None
     if relu:
         mask = out > 0
-        out = np.where(mask, out, 0.0)
-        pre = lambda g: g * mask
-    return Node(
-        out,
-        (x, W, b),
-        (lambda g: _unbroadcast(_unbroadcast(g, shape) @ np.swapaxes(Wv, -1, -2),
-                                xv.shape),
-         lambda g: _unbroadcast(np.swapaxes(xv, -1, -2) @ _unbroadcast(g, shape),
-                                Wv.shape),
-         lambda g: _unbroadcast(g, bv.shape)),
-        op="affine", pre=pre,
-    )
+        out, pre = np.where(mask, out, 0.0), lambda g: g * mask
+    return Node(out, (x, W, b), (
+        lambda g: _unbroadcast(g @ np.swapaxes(Wv, -1, -2), xv.shape),
+        lambda g: _unbroadcast(np.swapaxes(xv, -1, -2) @ g, Wv.shape),
+        lambda g: _unbroadcast(g, bv.shape)), op="affine", pre=pre)
 
 
 def concat(nodes, axis=-1) -> Node:

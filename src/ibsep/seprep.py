@@ -341,15 +341,13 @@ def dyn_ibl_loss(model, trajectories, config: DynIBConfig, samples=None, rng=Non
 def lgss_source(model: lgss.LGSSModel, T: int):
     """Trajectory source drawing from a linear-Gaussian state-space model.
 
-    ``draw(batch, rng)`` returns ``(ys, us)`` (zero controls) of shapes
-    (batch, T, m) and (batch, T, p), bit-identical to ``batch`` successive
-    ``lgss.simulate`` calls on the same rng: each row of one standard-normal
-    block holds one trajectory's x_0, w and v draws in that order, and a
-    noise term with an all-zero covariance draws nothing. ``rng`` may also
-    be a sequence of R generators: run r then draws its block from
-    ``rng[r]``, in order, the state recursion runs once over all R·batch
-    rows, and the arrays gain a leading axis of R whose entry r is what
-    ``draw(batch, rng[r])`` returns.
+    A draw of ``batch`` trajectories (zero controls) is bit-identical to
+    ``batch`` successive ``lgss.simulate`` calls on the same rng: each row
+    of one standard-normal block holds one trajectory's x_0, w and v draws
+    in that order, and a noise term with an all-zero covariance draws
+    nothing. Given a sequence of R generators, run r draws its block from
+    the r-th, the state recursion runs once over all R·batch rows, and the
+    arrays gain a leading run axis.
     """
     roots = [lgss.covariance_root(cov) for cov in (model.P0, model.Q, model.R)]
     shapes = [(1, model.n), (T, model.n), (T, model.m)]  # x_0, w, v
@@ -459,11 +457,9 @@ def train_filter(source, configs, obs_dim=None, ctrl_dim=None):
     """Train SepFilterModels on trajectories from ``source``.
 
     ``source(batch, rng)`` returns ``(ys, us)`` with shapes (B, T, obs_dim)
-    and (B, T, ctrl_dim) (``us`` may be None) for one Generator, and
-    ``source(batch, rngs)`` returns them with a leading axis of R for a
-    sequence of R generators, entry r drawn from ``rngs[r]`` as a lone
-    call would; :func:`lgss_source` is such a source. Each step makes one
-    call with the runs' data streams. ``configs`` is a list or
+    and (B, T, ctrl_dim) (``us`` may be None); given a sequence of R
+    generators, as once per step here, it adds a leading axis of R whose
+    entry r is what ``source(batch, rngs[r])`` returns. ``configs`` is a list or
     tuple of :class:`DynIBConfig` that differ only in β and seed; a bare
     config is a ``ValueError``. The R runs train as one graph with every
     parameter stacked on a leading run axis, so each step builds one
@@ -528,11 +524,9 @@ class KalmanSepFilter:
     separating statistic — and the predictive is the closed-form Gaussian.
     ``info`` is 0: the statistic is deterministic given the history, so no
     extra stochastic coding cost is charged. Like :class:`SepFilterModel`,
-    ``step`` and ``predict`` take a 2-D ``phi`` as a batch of statistics,
-    and a lone statistic is the one-row batch. Rows whose covariance blocks
-    are equal byte for byte share one ``lgss.kalman_predict`` and
-    ``kalman_update`` call over their batch of means, and each row comes
-    out bit for bit as it would alone.
+    ``step`` and ``predict`` take a 2-D ``phi`` as a batch of statistics
+    (a lone one is the one-row batch). The rows whose covariance blocks are
+    equal byte for byte share one Kalman call over their batch of means.
     """
 
     output = "gaussian"
@@ -544,25 +538,23 @@ class KalmanSepFilter:
     def initial_phi(self) -> np.ndarray:
         return np.concatenate([self.model.mu0, self.model.P0.ravel()])
 
-    def _groups(self, phi):
-        """(rows, means, cov) for each distinct covariance block of a 2-D ``phi``."""
+    def _predicted(self, phi, us):
+        """(rows, prior means, prior cov) per covariance group of a 2-D ``phi``."""
         n = self.model.n
         groups = {}
         for i, row in enumerate(phi):
             groups.setdefault(row[n:].tobytes(), []).append(i)
         for rows in groups.values():
-            yield rows, phi[rows, :n], phi[rows[0], n:].reshape(n, n)
+            yield rows, *lgss.kalman_predict(phi[rows, :n], phi[rows[0], n:].reshape(n, n),
+                                             self.model, None if us is None else us[rows])
 
     def step(self, phi, y_next, u=None, t=None):
         phi = np.asarray(phi, dtype=float)
         batch = np.atleast_2d(phi)
         N, n = len(batch), self.model.n
-        ys = np.reshape(y_next, (N, self.model.m))
         us = None if u is None else np.reshape(u, (N, self.model.p))
-        out = np.empty_like(batch)
-        for rows, mean, cov in self._groups(batch):
-            mean, cov = lgss.kalman_predict(mean, cov, self.model,
-                                            None if us is None else us[rows])
+        ys, out = np.reshape(y_next, (N, self.model.m)), np.empty_like(batch)
+        for rows, mean, cov in self._predicted(batch, us):
             out[rows, :n], cov = lgss.kalman_update(mean, cov, ys[rows], self.model)
             out[rows, n:] = cov.ravel()
         return out.reshape(phi.shape)
@@ -572,18 +564,14 @@ class KalmanSepFilter:
         batch = np.atleast_2d(phi)
         N, C, R = len(batch), self.model.C, self.model.R
         us = None
-        if controls is not None:
-            controls = np.asarray(controls, dtype=float)
-            if controls.ndim < 3:  # one window for every row
-                controls = np.atleast_2d(controls)[None]
-            if controls.shape[1] != 1:
+        if controls is not None:  # one (1, p) window, or one per row
+            controls = np.atleast_2d(np.asarray(controls, dtype=float))
+            if controls.shape[-2] != 1:
                 raise ValueError("the exact filter predicts one step ahead")
             if self.model.p:
-                us = np.broadcast_to(controls[:, 0], (N, self.model.p))
+                us = np.broadcast_to(controls[..., 0, :], (N, self.model.p))
         means, covs = np.empty((N, self.model.m)), np.empty((N, *R.shape))
-        for rows, mean, cov in self._groups(batch):
-            mean, cov = lgss.kalman_predict(mean, cov, self.model,
-                                            None if us is None else us[rows])
+        for rows, mean, cov in self._predicted(batch, us):
             means[rows] = lgss._finite(lgss._matvec(C, mean))
             covs[rows] = info.GaussianDistribution(means[rows[0]], C @ cov @ C.T + R).cov
         if phi.ndim == 1:
