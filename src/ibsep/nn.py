@@ -85,21 +85,19 @@ class Node:
     """One vertex of the computation graph.
 
     Holds the cached forward value, references to parent nodes, and one
-    vector-Jacobian product per parent, which reads the node's gradient
-    mapped once by ``pre`` if given. After ``backward`` the ``grad`` field
-    of every reachable node is populated.
+    vector-Jacobian product per parent. After ``backward`` the ``grad``
+    field of every reachable node is populated.
     """
 
-    __slots__ = ("value", "parents", "vjps", "grad", "op", "name", "pre")
+    __slots__ = ("value", "parents", "vjps", "grad", "op", "name")
 
-    def __init__(self, value, parents=(), vjps=(), op="leaf", name=None, pre=None):
+    def __init__(self, value, parents=(), vjps=(), op="leaf", name=None):
         self.value = np.asarray(value, dtype=float)
         self.parents = tuple(parents)
         self.vjps = tuple(vjps)
         self.grad = None
         self.op = op
         self.name = name
-        self.pre = pre
 
     def __repr__(self):
         return f"Node(op={self.op}, shape={self.value.shape}, name={self.name})"
@@ -249,21 +247,26 @@ def matmul(a: Node, b: Node) -> Node:
 def affine_n(x: Node, W: Node, b: Node, relu=False) -> Node:
     """One layer, ``x @ W + b`` and then a ReLU if ``relu`` is set, as one node.
 
-    ``b`` broadcasts over the rows of ``x @ W``. Value and gradients are bit
-    for bit those of ``matmul``, add and ``relu_n``: a backward visit masks
-    the gradient once (``pre``), and the VJPs unbroadcast ``gp @ Wᵀ``,
-    ``xᵀ @ gp`` and ``gp`` like the chain's.
+    Value and gradients are bit for bit those of ``matmul``, add and
+    ``relu_n``, with ``b`` broadcast over the rows of ``x @ W``. A backward
+    visit masks the incoming gradient once and keeps it until the next.
     """
     x, W, b = _wrap(x), _wrap(W), _wrap(b)
     xv, Wv, bv = x.value, W.value, b.value
-    out, pre = xv @ Wv + bv, None
+    out, last = xv @ Wv + bv, [None, None]  # the last gradient and its gp
     if relu:
         mask = out > 0
-        out, pre = np.where(mask, out, 0.0), lambda g: g * mask
+        out = np.where(mask, out, 0.0)
+
+    def gp(g):
+        if relu and last[0] is not g:
+            last[:] = g, g * mask
+        return last[1] if relu else g
+
     return Node(out, (x, W, b), (
-        lambda g: _unbroadcast(g @ np.swapaxes(Wv, -1, -2), xv.shape),
-        lambda g: _unbroadcast(np.swapaxes(xv, -1, -2) @ g, Wv.shape),
-        lambda g: _unbroadcast(g, bv.shape)), op="affine", pre=pre)
+        lambda g: _unbroadcast(gp(g) @ np.swapaxes(Wv, -1, -2), xv.shape),
+        lambda g: _unbroadcast(np.swapaxes(xv, -1, -2) @ gp(g), Wv.shape),
+        lambda g: _unbroadcast(gp(g), bv.shape)), op="affine")
 
 
 def concat(nodes, axis=-1) -> Node:
@@ -384,11 +387,10 @@ def backward(output: Node) -> dict:
     for node in reversed(order):
         if node.grad is None:
             continue
-        g = node.grad if node.pre is None else node.pre(node.grad)
         for parent, vjp in zip(node.parents, node.vjps):
             if not parent.parents and parent.op != "param":
                 continue
-            contrib = vjp(g)
+            contrib = vjp(node.grad)
             if parent.grad is None:
                 parent.grad = np.array(contrib, dtype=float, copy=True)
             else:

@@ -345,9 +345,8 @@ def lgss_source(model: lgss.LGSSModel, T: int):
     ``batch`` successive ``lgss.simulate`` calls on the same rng: each row
     of one standard-normal block holds one trajectory's x_0, w and v draws
     in that order, and a noise term with an all-zero covariance draws
-    nothing. Given a sequence of R generators, run r draws its block from
-    the r-th, the state recursion runs once over all R·batch rows, and the
-    arrays gain a leading run axis.
+    nothing. Given R generators, run r draws its block from the r-th, one
+    state recursion covers all R·batch rows, and a leading run axis is added.
     """
     roots = [lgss.covariance_root(cov) for cov in (model.P0, model.Q, model.R)]
     shapes = [(1, model.n), (T, model.n), (T, model.m)]  # x_0, w, v
