@@ -46,7 +46,7 @@ def loss(w):
 
 
 w_hat = np.concatenate([post.mu[k].ravel() for k in names])
-out = static_ib.flatness_diagnostic(loss, w_hat, beta=1e-2, K=w_hat.size)
+out = static_ib.flatness_diagnostic(loss, w_hat, beta=1e-2)
 print(f"  all curvature probes finite : {out['finite']}")
 print(f"  Hessian trace (2nd diffs)   : {out['hessian_trace']:.4f}")
 print(f"  posterior info estimate     : {out['info_estimate']:.4f} nats")
@@ -55,5 +55,5 @@ print(f"  curvature bound rhs         : {out['bound_rhs']:.4f}")
 print("\nsanity: quadratic loss with known curvature")
 lam, K = 0.7, 6
 probe = static_ib.flatness_diagnostic(
-    lambda w: 0.5 * lam * float(np.dot(w, w)), np.full(K, 0.3), beta=1e-2, K=K)
+    lambda w: 0.5 * lam * float(np.dot(w, w)), np.full(K, 0.3), beta=1e-2)
 print(f"  measured trace {probe['hessian_trace']:.8f} vs exact {lam * K}")

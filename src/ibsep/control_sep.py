@@ -216,14 +216,14 @@ def _belief_key(depth: int, belief) -> tuple:
     return (depth, tuple(rounded.tolist()))
 
 
-def verify_separation(pomdp: FinitePOMDP, tol: float = 1e-9, nodes=None) -> dict:
+def verify_separation(pomdp: FinitePOMDP, nodes=None) -> dict:
     """Group equal-belief histories and measure the Q* spread inside groups.
 
     Histories of the same depth whose beliefs agree after rounding to
     1e-10 share a group; ``max_q_spread`` is the largest (max - min) of
-    any action's Q* within a group, and ``pass`` holds iff it stays below
-    ``tol``. The separation claim is exactly this: equal beliefs must give
-    equal action values.
+    any action's Q* within a group, and ``groups`` the number of groups.
+    The separation claim is exactly this: equal beliefs must give equal
+    action values.
     """
     nodes = brute_force_q(pomdp) if nodes is None else nodes
     groups = {}
@@ -232,12 +232,7 @@ def verify_separation(pomdp: FinitePOMDP, tol: float = 1e-9, nodes=None) -> dict
     # one NumPy reduction, so a NaN action value reaches max_q_spread
     spreads = [np.ptp([m.q_values for m in members], axis=0)
                for members in groups.values() if len(members) > 1]
-    max_spread = float(np.max(spreads, initial=0.0))
-    return {
-        "max_q_spread": max_spread,
-        "groups": len(groups),
-        "pass": max_spread < tol,
-    }
+    return {"max_q_spread": float(np.max(spreads, initial=0.0)), "groups": len(groups)}
 
 
 def belief_policy(pomdp: FinitePOMDP, nodes=None) -> dict:

@@ -402,7 +402,7 @@ def _flatness_records(opts, seed, clock) -> list:
         return -float(np.mean(logp[np.arange(labels.size), labels]))
 
     w_hat = np.concatenate([post.mu[k].ravel() for k in names])
-    out = static_ib.flatness_diagnostic(loss, w_hat, beta=1e-2, K=w_hat.size)
+    out = static_ib.flatness_diagnostic(loss, w_hat, beta=1e-2)
     records = [
         _gate("static-ib", "flatness_all_finite", [float(out["finite"])], np.min,
               operator.ge, 1.0, None, clock),
@@ -413,8 +413,7 @@ def _flatness_records(opts, seed, clock) -> list:
     # analytic probe: quadratic loss with known Hessian trace
     lam, K = 0.7, 6
     probe = static_ib.flatness_diagnostic(
-        lambda w: 0.5 * lam * float(np.dot(w, w)), np.full(K, 0.3),
-        beta=1e-2, K=K)
+        lambda w: 0.5 * lam * float(np.dot(w, w)), np.full(K, 0.3), beta=1e-2)
     records.append(_gate("static-ib", "flatness_quadratic_trace_err",
                          [abs(probe["hessian_trace"] - lam * K)], np.max,
                          operator.lt, 1e-6, 1e-6, clock))

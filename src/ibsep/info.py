@@ -10,8 +10,7 @@ Conventions
 * All quantities are in nats (natural logarithm).
 * ``0 * log 0 := 0`` throughout.
 * A KL divergence whose absolute-continuity requirement fails does not
-  raise; it returns ``+inf`` carrying a ``diverged`` flag (see
-  :class:`DivergedKL`) so that inequality checks stay total.
+  raise; it returns ``+inf``, so that inequality checks stay total.
 * Covariance matrices are symmetrized on construction and validated as
   positive semi-definite with eigenvalue tolerance ``-1e-10``.
 """
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -31,7 +30,6 @@ __all__ = [
     "DiscreteJoint",
     "DiscreteChannel",
     "GaussianDistribution",
-    "DivergedKL",
     "entropy",
     "cross_entropy_discrete",
     "kl_discrete",
@@ -42,7 +40,6 @@ __all__ = [
     "gaussian_logpdf",
     "kl_to_standard_normal",
     "total_correlation_gaussian",
-    "compose_channels",
     "joint_from_prior_channel",
     "gaussian_bin_masses",
 ]
@@ -51,16 +48,6 @@ _SUM_TOL = 1e-12
 # Distributions may arrive with sums off by accumulated roundoff; anything
 # within this tolerance is renormalized exactly, anything worse is rejected.
 _RENORM_TOL = 1e-9
-
-
-class DivergedKL(float):
-    """A ``+inf`` KL value flagging an absolute-continuity violation.
-
-    Behaves exactly like ``float('inf')`` in arithmetic and comparisons;
-    the ``diverged`` attribute records why it is infinite.
-    """
-
-    diverged = True
 
 
 def _as_prob_array(table, name="probability table"):
@@ -100,10 +87,6 @@ class DiscreteDistribution:
 
     def __len__(self):
         return self.probs.shape[0]
-
-    @staticmethod
-    def uniform(k: int) -> "DiscreteDistribution":
-        return DiscreteDistribution(np.full(k, 1.0 / k))
 
 
 @dataclass(frozen=True)
@@ -189,14 +172,6 @@ class DiscreteChannel:
     def in_size(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def out_size(self) -> int:
-        return self.matrix.shape[1]
-
-    @staticmethod
-    def identity(k: int) -> "DiscreteChannel":
-        return DiscreteChannel(np.eye(k))
-
     def push(self, prior: DiscreteDistribution) -> DiscreteDistribution:
         """Output marginal induced by ``prior`` on the input."""
         return DiscreteDistribution(prior.probs @ self.matrix)
@@ -266,8 +241,7 @@ def entropy(p) -> float:
 def cross_entropy_discrete(p, q) -> float:
     """Cross-entropy -sum p log q in nats.
 
-    Returns ``+inf`` (flagged, see :class:`DivergedKL`) when q assigns zero
-    mass where p does not.
+    Returns ``+inf`` when q assigns zero mass where p does not.
     """
     pa = p.probs if isinstance(p, DiscreteDistribution) else _as_prob_array(p)
     qa = q.probs if isinstance(q, DiscreteDistribution) else _as_prob_array(q)
@@ -275,7 +249,7 @@ def cross_entropy_discrete(p, q) -> float:
         raise ValueError("alphabet sizes differ")
     mask = pa > 0
     if np.any(qa[mask] == 0.0):
-        return DivergedKL(math.inf)
+        return math.inf
     return float(-np.sum(pa[mask] * np.log(qa[mask])))
 
 
@@ -283,7 +257,7 @@ def kl_discrete(p, q) -> float:
     """KL divergence sum p log(p/q) in nats.
 
     An absolute-continuity violation (p puts mass where q has none) yields
-    ``+inf`` flagged as :class:`DivergedKL` instead of raising.
+    ``+inf`` instead of raising.
     """
     pa = p.probs if isinstance(p, DiscreteDistribution) else _as_prob_array(p)
     qa = q.probs if isinstance(q, DiscreteDistribution) else _as_prob_array(q)
@@ -291,7 +265,7 @@ def kl_discrete(p, q) -> float:
         raise ValueError("alphabet sizes differ")
     mask = pa > 0
     if np.any(qa[mask] == 0.0):
-        return DivergedKL(math.inf)
+        return math.inf
     return float(np.sum(pa[mask] * (np.log(pa[mask]) - np.log(qa[mask]))))
 
 
@@ -379,18 +353,20 @@ def kl_gaussian(p: GaussianDistribution, q: GaussianDistribution) -> float:
     logdet_q = 2.0 * np.sum(np.log(np.diag(chol_q)))
     sign_p, logdet_p = np.linalg.slogdet(p.cov)
     if sign_p <= 0:
-        return DivergedKL(math.inf)
+        return math.inf
     half = solve_triangular(chol_q, p.cov, lower=True)
     trace_term = np.trace(solve_triangular(chol_q, half.T, lower=True))
     dev = solve_triangular(chol_q, q.mean - p.mean, lower=True)
     return float(0.5 * (trace_term + dev @ dev - d + logdet_q - logdet_p))
 
 
-def kl_to_standard_normal(mean, std):
-    """KL(N(mean, diag std²) || N(0, I)) in nats, summed over the last axis."""
-    mean = np.asarray(mean, dtype=float)
-    std = np.asarray(std, dtype=float)
-    return 0.5 * np.sum(mean**2 + std**2 - 1.0 - 2.0 * np.log(std), axis=-1)
+def kl_to_standard_normal(mean, var, log_var):
+    """KL(N(mean, diag var) || N(0, I)) in nats, summed over the last axis.
+
+    Takes the variance and its log both, as the caller holds them: deriving
+    one from the other here would round differently from the caller's own.
+    """
+    return 0.5 * np.sum(mean**2 + var - 1.0 - log_var, axis=-1)
 
 
 def total_correlation_gaussian(cov) -> float:
@@ -401,15 +377,6 @@ def total_correlation_gaussian(cov) -> float:
     if sign <= 0 or np.any(np.diag(cov) <= 0):
         raise ValueError("covariance must be positive definite")
     return float(0.5 * (np.sum(np.log(np.diag(cov))) - logdet))
-
-
-def compose_channels(c1: DiscreteChannel, c2: DiscreteChannel) -> DiscreteChannel:
-    """Compose y→x1 with x1→x2 into y→x2 by the matrix product."""
-    if c1.out_size != c2.in_size:
-        raise ValueError(
-            f"cannot chain alphabets: {c1.out_size} -> {c2.in_size}"
-        )
-    return DiscreteChannel(c1.matrix @ c2.matrix)
 
 
 def gaussian_bin_masses(means, stds, edges) -> np.ndarray:

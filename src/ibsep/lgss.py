@@ -19,14 +19,13 @@ explicitly and conditions by Schur complement.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .info import GaussianDistribution, _read_json_object
+from .info import GaussianDistribution
 
 __all__ = [
     "LGSSModel",
@@ -40,8 +39,6 @@ __all__ = [
     "riccati_iterate",
     "batch_posterior_oracle",
     "run_filter",
-    "model_to_json",
-    "model_from_json",
     "trajectory_to_csv",
     "trajectory_from_csv",
 ]
@@ -106,16 +103,11 @@ class LGSSModel:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Simulated rollout: controls u_0..T-1, states x_1..T, observations y_1..T.
-
-    ``z`` optionally carries task targets z_1..T (None when the task is
-    defined elsewhere, e.g. next-observation prediction).
-    """
+    """Simulated rollout: controls u_0..T-1, states x_1..T, observations y_1..T."""
 
     u: np.ndarray  # (T, p)
     x: np.ndarray  # (T, n)
     y: np.ndarray  # (T, m)
-    z: np.ndarray | None = None
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -127,23 +119,18 @@ class Trajectory:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        if self.z is not None:
-            z = np.asarray(self.z, dtype=float)
-            if z.shape[0] != T:
-                raise ValueError("task targets length differs from horizon")
-            object.__setattr__(self, "z", z)
 
     @property
     def T(self) -> int:
         return self.y.shape[0]
 
 
-def random_stable_model(rng, n=2, m=1, p=0, max_radius=0.95) -> LGSSModel:
-    """Random well-posed model: A rescaled to spectral radius <= max_radius."""
+def random_stable_model(rng, n=2, m=1, p=0) -> LGSSModel:
+    """Random well-posed model: A rescaled to spectral radius <= 0.95."""
     A = rng.standard_normal((n, n))
     radius = max(np.abs(np.linalg.eigvals(A)))
     if radius > 0:
-        A = A * (max_radius * rng.uniform(0.5, 1.0) / radius)
+        A = A * (0.95 * rng.uniform(0.5, 1.0) / radius)
     B = rng.standard_normal((n, p)) if p else np.zeros((n, 0))
     C = rng.standard_normal((m, n))
     q_root = rng.standard_normal((n, n)) * 0.3
@@ -440,38 +427,9 @@ def batch_posterior_oracle(model: LGSSModel, trajectory: Trajectory, t: int) -> 
 # ---------------------------------------------------------------------------
 
 
-_MODEL_KEYS = ("A", "B", "C", "Q", "R", "mu0", "P0")
-
-
-def model_to_json(model: LGSSModel, path=None) -> str:
-    """Serialize to JSON with keys n, m, p, A, B, C, Q, R, mu0, P0."""
-    payload = {"n": model.n, "m": model.m, "p": model.p,
-               **{key: getattr(model, key).tolist() for key in _MODEL_KEYS}}
-    text = json.dumps(payload, indent=2)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
-
-
-def model_from_json(source) -> LGSSModel:
-    """Load a model written by :func:`model_to_json` (path, text or file)."""
-    payload = _read_json_object(source)
-    missing = {"n", "m", "p", *_MODEL_KEYS} - payload.keys()
-    if missing:
-        raise ValueError(f"model JSON missing keys: {sorted(missing)}")
-    n, m, p = (int(payload[key]) for key in ("n", "m", "p"))
-    shapes = {"A": (n, n), "B": (n, p), "C": (m, n), "Q": (n, n), "R": (m, m),
-              "mu0": (n,), "P0": (n, n)}
-    return LGSSModel(**{key: np.array(payload[key], dtype=float).reshape(shape)
-                        for key, shape in shapes.items()})
-
-
 def trajectory_to_csv(trajectory: Trajectory, path) -> None:
-    """Write rows t, u..., y..., x..., z... (t = 1..T; row t carries u_{t-1})."""
+    """Write rows t, u..., y..., x... (t = 1..T; row t carries u_{t-1})."""
     blocks = {"u": trajectory.u, "y": trajectory.y, "x": trajectory.x}
-    if trajectory.z is not None:
-        blocks["z"] = trajectory.z
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"{name}{i}" for name, block in blocks.items()
@@ -487,11 +445,10 @@ def trajectory_from_csv(path) -> Trajectory:
         reader = csv.reader(fh)
         columns = next(reader)[1:]
         rows = [[float(v) for v in row[1:]] for row in reader if row]
-    unknown = [col for col in columns if col[:1] not in ("u", "y", "x", "z")]
+    unknown = [col for col in columns if col[:1] not in ("u", "y", "x")]
     if unknown:
         raise ValueError(f"unknown trajectory columns {unknown}")
     table = np.array(rows, dtype=float).reshape(len(rows), len(columns))
     blocks = {name: table[:, [c for c, col in enumerate(columns) if col[0] == name]]
-              for name in "uyxz"}
-    z = blocks["z"] if blocks["z"].shape[1] else None
-    return Trajectory(u=blocks["u"], x=blocks["x"], y=blocks["y"], z=z)
+              for name in "uyx"}
+    return Trajectory(**blocks)

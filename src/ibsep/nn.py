@@ -503,13 +503,11 @@ class OptimizerState:
     """Heavy-ball SGD state.
 
     ``schedule`` maps the (0-based) step counter to a positive learning
-    rate; a bare float is treated as a constant schedule. ``nesterov``
-    switches to Nesterov's variant of the momentum update.
+    rate; a bare float is treated as a constant schedule.
     """
 
     schedule: object = 0.01
     momentum: float = 0.0
-    nesterov: bool = False
     step: int = 0
     buffers: dict = field(default_factory=dict)
 
@@ -525,8 +523,7 @@ def sgd_step(params: dict, grads: dict, state: OptimizerState):
     """One descent step: buffer ← momentum·buffer + grad; param ← param − η·buffer.
 
     Functional: returns ``(new_params, new_state)`` without touching the
-    inputs. With ``nesterov`` the parameter moves along
-    ``grad + momentum·buffer_new`` instead of the buffer alone.
+    inputs.
     """
     lr = state.learning_rate()
     new_params, new_buffers = {}, {}
@@ -538,17 +535,9 @@ def sgd_step(params: dict, grads: dict, state: OptimizerState):
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         buf = state.buffers.get(name)
         buf = g.copy() if buf is None else state.momentum * buf + g
-        step_dir = g + state.momentum * buf if state.nesterov else buf
-        new_params[name] = value - lr * step_dir
+        new_params[name] = value - lr * buf
         new_buffers[name] = buf
-    new_state = OptimizerState(
-        schedule=state.schedule,
-        momentum=state.momentum,
-        nesterov=state.nesterov,
-        step=state.step + 1,
-        buffers=new_buffers,
-    )
-    return new_params, new_state
+    return new_params, replace(state, step=state.step + 1, buffers=new_buffers)
 
 
 def fit(params: dict, loss_fn, state: OptimizerState, steps: int):

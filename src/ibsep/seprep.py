@@ -216,7 +216,8 @@ class SepFilterModel:
 
     def info(self, phi) -> float:
         """Closed-form KL(q(x|φ) || N(0, I)) — the per-step information rate."""
-        return float(info.kl_to_standard_normal(*self.posterior_params(phi)))
+        mu, std = self.posterior_params(phi)
+        return float(info.kl_to_standard_normal(mu, std**2, 2.0 * np.log(std)))
 
 
 def init_sep_filter(rep_dim, obs_dim, ctrl_dim=0, horizon=0, output="gaussian",
@@ -249,13 +250,7 @@ def predictive_nll(params: dict, z) -> float:
     means = params.get("component_means")
     if means is None:
         return float(-info.GaussianDistribution(params["mean"], params["cov"]).logpdf(z))
-    variances = params["component_vars"]
-    logps = -0.5 * (
-        np.sum((z - means) ** 2 / variances, axis=1)
-        + np.sum(np.log(variances), axis=1)
-        + z.size * LOG2PI
-    )
-    return float(-(logsumexp(logps) - math.log(means.shape[0])))
+    return float(_mixture_nll(means, params["component_vars"], z))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +447,7 @@ def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws, beta):
     return total, ce, kl
 
 
-def train_filter(source, configs, obs_dim=None, ctrl_dim=None):
+def train_filter(source, configs):
     """Train SepFilterModels on trajectories from ``source``.
 
     ``source(batch, rng)`` returns ``(ys, us)`` with shapes (B, T, obs_dim)
@@ -478,8 +473,7 @@ def train_filter(source, configs, obs_dim=None, ctrl_dim=None):
     noise_rngs = [np.random.default_rng(noise_ss) for _, _, noise_ss in streams]
 
     probe_ys, probe_us = _as_batch(source(1, np.random.default_rng(streams[0][1])))
-    obs_dim = probe_ys.shape[2] if obs_dim is None else obs_dim
-    ctrl_dim = probe_us.shape[2] if ctrl_dim is None else ctrl_dim
+    obs_dim, ctrl_dim = probe_ys.shape[2], probe_us.shape[2]
     models = [init_sep_filter(
         first.rep_dim, obs_dim, ctrl_dim, first.horizon, "gaussian",
         update_hidden=first.update_hidden, decoder_hidden=first.decoder_hidden,
@@ -729,16 +723,6 @@ class FiniteHMM:
     @property
     def n_obs(self) -> int:
         return self.emit.shape[1]
-
-    def simulate(self, T, rng):
-        states = np.empty(T, dtype=int)
-        obs = np.empty(T, dtype=int)
-        s = rng.choice(self.n_states, p=self.init)
-        for t in range(T):
-            s = rng.choice(self.n_states, p=self.trans[s])
-            states[t] = s
-            obs[t] = rng.choice(self.n_obs, p=self.emit[s])
-        return obs, states
 
     def forward_update(self, belief, obs):
         """One Bayes step: p(s_t | y^t) from p(s_{t-1} | y^{t-1}) and y_t."""

@@ -29,11 +29,9 @@ __all__ = [
     "IBLConfig",
     "WeightPosterior",
     "InvarianceReport",
-    "Quantization",
     "TrainingDiverged",
     "make_nuisance_task",
     "random_separated_encoder",
-    "constant_encoder",
     "ibl_loss",
     "info_bound_exact",
     "train_ib",
@@ -137,8 +135,6 @@ def make_nuisance_task(z_card, n_card, rule="bijective", seed=0, y_card=None) ->
             rng.integers(0, y_card, size=total - y_card),
         ])
         f_map = rng.permutation(values).reshape(z_card, n_card)
-    elif rule == "constant":
-        f_map = np.zeros((z_card, n_card), dtype=int)
     else:
         raise ValueError(f"unknown construction rule {rule!r}")
     return NuisanceTask(
@@ -201,37 +197,28 @@ class StochasticEncoder:
         return means, np.exp(log_stds)
 
 
-def random_separated_encoder(task: NuisanceTask, rng, rep_dim=1,
-                             spacing=0.3, spread=3.0,
-                             log_std_range=(-6.0, -3.5)) -> StochasticEncoder:
+def random_separated_encoder(task: NuisanceTask, rng, rep_dim=1) -> StochasticEncoder:
     """Random near-deterministic encoder with well-separated means.
 
-    Means are drawn without replacement from a lattice of pitch ``spacing``
-    (several quantization cells apart), and noise is kept small. This is
-    the regime in which the representation stays an injective, essentially
-    deterministic function of y — exactly the sufficient encoders for which
-    the invariance bound I(x;n) <= I(x;y) - I(y;z) is guaranteed; a blurry
-    or collapsing encoder is not sufficient for the task and can sit
-    outside the bound (a constant encoder is the extreme case).
+    Means are drawn without replacement from a lattice of pitch 0.3 on
+    [-3, 3] (several quantization cells apart), and log-stds uniformly from
+    [-6, -3.5], so noise is small. This is the regime in which the
+    representation stays an injective, essentially deterministic function
+    of y — exactly the sufficient encoders for which the invariance bound
+    I(x;n) <= I(x;y) - I(y;z) is guaranteed; a blurry or collapsing encoder
+    is not sufficient for the task and can sit outside the bound (a
+    constant encoder is the extreme case).
     """
     y_card = task.y_card
-    lattice = np.arange(-spread, spread + spacing / 2, spacing)
+    lattice = np.arange(-3.0, 3.0 + 0.3 / 2, 0.3)
     if lattice.size < y_card:
         raise ValueError("lattice too small for the observation alphabet")
     means = np.stack(
         [rng.choice(lattice, size=y_card, replace=False) for _ in range(rep_dim)],
         axis=1,
     )
-    log_stds = rng.uniform(log_std_range[0], log_std_range[1], size=(y_card, rep_dim))
+    log_stds = rng.uniform(-6.0, -3.5, size=(y_card, rep_dim))
     return StochasticEncoder.from_table(means, log_stds)
-
-
-def constant_encoder(task: NuisanceTask, rep_dim=1) -> StochasticEncoder:
-    """Encoder emitting the reference marginal N(0, I) for every y."""
-    y_card = task.y_card
-    return StochasticEncoder.from_table(
-        np.zeros((y_card, rep_dim)), np.zeros((y_card, rep_dim))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +236,6 @@ class IBLConfig:
     batch: int
     seed: int
     mc_samples: int = 1
-    eval_samples: int = 64
     learning_rate: float = 0.05
     momentum: float = 0.9
     encoder_hidden: tuple = (16,)
@@ -326,7 +312,8 @@ def info_bound_exact(encoder, task: NuisanceTask) -> float:
     """Exact E_y KL(q(x|y) || N(0,I)) under the task's observation prior."""
     means, stds = encoder.posterior_table(task.y_card)
     p_y = task.observation_prior()
-    return float(np.dot(p_y, info.kl_to_standard_normal(means, stds)))
+    kls = info.kl_to_standard_normal(means, stds**2, 2.0 * np.log(stds))
+    return float(np.dot(p_y, kls))
 
 
 def eval_accuracy(encoder, decoder, task, samples, rng) -> float:
@@ -415,14 +402,6 @@ def train_ib(task: NuisanceTask, configs):
 
 
 @dataclass(frozen=True)
-class Quantization:
-    """Grid used to discretize the representation for exact enumeration."""
-
-    step: float = 0.05
-    range_sigmas: float = 5.0
-
-
-@dataclass(frozen=True)
 class InvarianceReport:
     """Exactly enumerated information quantities for one encoder/task pair.
 
@@ -447,12 +426,13 @@ class InvarianceReport:
         return self.i_xy - self.i_yz - self.i_xn
 
 
-def _cell_table(encoder: StochasticEncoder, task: NuisanceTask, quant: Quantization):
-    """p(cell | y) over a product grid.
+def _cell_table(encoder: StochasticEncoder, task: NuisanceTask, step: float):
+    """p(cell | y) over a product grid of pitch ``step``.
 
     Returns (table (Y, cells), per-dim bin edges). The grid for each
-    dimension spans ``range_sigmas`` standard deviations of the aggregate
-    posterior, and the two edge bins extend to infinity so rows sum to 1.
+    dimension spans five standard deviations of the aggregate posterior
+    either side of its mean, and the two edge bins extend to infinity so
+    rows sum to 1.
     """
     means, stds = encoder.posterior_table(task.y_card)
     p_y = task.observation_prior()
@@ -462,8 +442,8 @@ def _cell_table(encoder: StochasticEncoder, task: NuisanceTask, quant: Quantizat
         m, s = means[:, dim], stds[:, dim]
         agg_mean = float(np.dot(p_y, m))
         agg_var = float(np.dot(p_y, s**2 + m**2) - agg_mean**2)
-        half = quant.range_sigmas * math.sqrt(max(agg_var, 1e-12))
-        edges = np.arange(agg_mean - half, agg_mean + half + quant.step / 2, quant.step)
+        half = 5.0 * math.sqrt(max(agg_var, 1e-12))
+        edges = np.arange(agg_mean - half, agg_mean + half + step / 2, step)
         all_edges.append(edges)
         masses = info.gaussian_bin_masses(m, s, edges)
         if rows is None:
@@ -491,19 +471,15 @@ def _bin_representatives(edges, step):
                            [edges[-1] + step / 2]])
 
 
-def measure_invariance(encoder, task: NuisanceTask, quantization=None) -> InvarianceReport:
+def measure_invariance(encoder, task: NuisanceTask, step=0.05) -> InvarianceReport:
     """Enumerate I(x;y), I(x;z), I(y;z), I(x;n), I(x;z|n), H(z|y), epsilon.
 
     All quantities come from explicit joint tables: the (z, n) structure is
     finite and the Gaussian posterior over x is quantized on a fixed grid
-    (masses via the normal CDF, unbounded edge bins), so every value is an
-    exact discrete computation up to the documented grid coarseness.
+    of pitch ``step`` (masses via the normal CDF, unbounded edge bins), so
+    every value is an exact discrete computation up to the grid coarseness.
     """
-    if quantization is None:
-        quantization = Quantization()
-    elif isinstance(quantization, (int, float)):
-        quantization = Quantization(step=float(quantization))
-    cell_rows, _ = _cell_table(encoder, task, quantization)
+    cell_rows, _ = _cell_table(encoder, task, step)
     n_cells = cell_rows.shape[1]
     joint, joint_yx = _channel_joints(task, cell_rows)
 
@@ -521,7 +497,7 @@ def measure_invariance(encoder, task: NuisanceTask, quantization=None) -> Invari
         h_z_given_y=h_z_given_y,
         epsilon=i_xz_given_n - i_yz,
         cells=n_cells,
-        step=quantization.step,
+        step=step,
     )
     return report
 
@@ -552,7 +528,7 @@ def _monotone_pwl(rng, segments, lo, hi):
 
 
 def stacked_bottleneck_experiment(task: NuisanceTask, widths, noise_levels,
-                                  seed=0, quantization=None, layer_maps=None) -> list:
+                                  seed=0, layer_maps=None) -> list:
     """Stack representations y -> x1 -> x2 -> ... and enumerate each layer.
 
     Layer 1 is a separated stochastic encoder with noise ``noise_levels[0]``;
@@ -569,17 +545,15 @@ def stacked_bottleneck_experiment(task: NuisanceTask, widths, noise_levels,
         raise ValueError("need at least two layers to stack")
     if len(noise_levels) != len(widths):
         raise ValueError("need one noise level per layer")
-    if quantization is None:
-        quantization = Quantization()
     rng = np.random.default_rng(seed)
 
-    step = quantization.step
+    step = 0.05
     encoder = random_separated_encoder(task, rng, rep_dim=1)
     means, _ = encoder.posterior_table(task.y_card)
     noisy = StochasticEncoder.from_table(
         means, np.full_like(means, math.log(max(noise_levels[0], 1e-3)))
     )
-    cell_rows, cell_edges = _cell_table(noisy, task, quantization)
+    cell_rows, cell_edges = _cell_table(noisy, task, step)
     reps = _bin_representatives(cell_edges[0], step)
 
     def layer_report(channel_rows):
@@ -629,31 +603,27 @@ class WeightPosterior:
     """Fully factorized Gaussian over the weights of a fixed architecture.
 
     ``mu`` and ``log_var`` are per-parameter arrays keyed like the MLP's
-    parameters; the prior is N(0, prior_var * I) shared across weights.
+    parameters; the prior is N(0, I) shared across weights.
     """
 
     template: nn.MLP
     mu: dict
     log_var: dict
-    prior_var: float = 1.0
 
     def kl_to_prior(self) -> float:
         total = 0.0
-        for name in self.mu:
-            var = np.exp(self.log_var[name])
-            mu = self.mu[name]
-            total += 0.5 * np.sum(
-                var / self.prior_var + mu**2 / self.prior_var
-                - 1.0 - self.log_var[name] + math.log(self.prior_var)
-            )
+        for name, mu in self.mu.items():
+            log_var = self.log_var[name].ravel()
+            total += info.kl_to_standard_normal(mu.ravel(), np.exp(log_var), log_var)
         return float(total)
 
     @staticmethod
-    def from_init(widths, activations, rng, init_log_var=-6.0, prior_var=1.0) -> "WeightPosterior":
+    def from_init(widths, activations, rng) -> "WeightPosterior":
+        """Means at a seeded MLP init, every log-variance at -6."""
         template = nn.init_mlp(widths, activations, rng)
         mu = {k: v.copy() for k, v in template.params().items()}
-        log_var = {k: np.full_like(v, init_log_var) for k, v in mu.items()}
-        return WeightPosterior(template, mu, log_var, prior_var)
+        log_var = {k: np.full_like(v, -6.0) for k, v in mu.items()}
+        return WeightPosterior(template, mu, log_var)
 
 
 def _weight_loss_graph(posterior: WeightPosterior, xs, labels, beta, eps):
@@ -667,23 +637,21 @@ def _weight_loss_graph(posterior: WeightPosterior, xs, labels, beta, eps):
                         param_nodes=w_nodes)
     ce = -nn.gather_logprob(nn.log_softmax_n(logits), labels).mean()
     kl = None
-    log_pv = math.log(posterior.prior_var)
     for k in mu_nodes:
         var = lv_nodes[k].exp()
-        term = (0.5 * (var * (1.0 / posterior.prior_var)
-                       + mu_nodes[k] * mu_nodes[k] * (1.0 / posterior.prior_var)
-                       - 1.0 + log_pv) - 0.5 * lv_nodes[k]).sum()
+        term = (0.5 * (var + mu_nodes[k] * mu_nodes[k] - 1.0)
+                - 0.5 * lv_nodes[k]).sum()
         kl = term if kl is None else kl + term
     total = ce + beta * kl
     return total, ce, kl
 
 
-def train_weight_posterior(xs, labels, widths, beta, seed, steps=300,
-                           learning_rate=0.05, momentum=0.9, prior_var=1.0):
+def train_weight_posterior(xs, labels, widths, beta, seed, steps=300):
     """Train a factorized Gaussian weight posterior on a fixed dataset.
 
-    Returns (posterior, final_kl, final_ce); used by the regularizer sweep
-    checks, where growing beta must shrink the final KL(q || p). Raises
+    SGD with learning rate 0.05 and momentum 0.9. Returns (posterior,
+    final_kl, final_ce); used by the regularizer sweep checks, where
+    growing beta must shrink the final KL(q || p). Raises
     :class:`TrainingDiverged` with the step when the loss or its gradient
     stops being finite.
     """
@@ -691,13 +659,12 @@ def train_weight_posterior(xs, labels, widths, beta, seed, steps=300,
     init_ss, train_ss = seq.spawn(2)
     posterior = WeightPosterior.from_init(
         widths, ["relu"] * (len(widths) - 2) + ["identity"],
-        np.random.default_rng(init_ss), prior_var=prior_var,
-    )
+        np.random.default_rng(init_ss))
     rng = np.random.default_rng(train_ss)
     labels = np.asarray(labels, dtype=int)
     params = {f"mu.{k}": v for k, v in posterior.mu.items()}
     params.update({f"lv.{k}": v for k, v in posterior.log_var.items()})
-    state = nn.OptimizerState(schedule=learning_rate, momentum=momentum)
+    state = nn.OptimizerState(schedule=0.05, momentum=0.9)
 
     def set_posterior(params):
         posterior.mu = nn.param_group(params, "mu")
@@ -715,20 +682,18 @@ def train_weight_posterior(xs, labels, widths, beta, seed, steps=300,
     return posterior, posterior.kl_to_prior(), ce_val
 
 
-def flatness_diagnostic(loss_fn, w_hat, beta, K=None, posterior=None,
-                        prior_var=1.0, fd_step=1e-3) -> dict:
+def flatness_diagnostic(loss_fn, w_hat, beta) -> dict:
     """Curvature-based report on a trained minimum. Report only: no pass/fail.
 
-    ``hessian_trace`` comes from central second differences along each
-    coordinate (step 1e-3). ``bound_rhs`` evaluates
+    ``hessian_trace`` comes from central second differences along each of
+    the K coordinates of ``w_hat`` (step 1e-3). ``bound_rhs`` evaluates
     0.5*K*(ln ||w||^2 + ln tr(H) - K ln(K^2 beta / 2)). ``info_estimate``
-    is KL(q || p) for the supplied posterior; when none is given, a
-    quadratic-approximation diagonal posterior with variances
-    beta / (H_ii + beta / prior_var) centered at the minimum is used.
+    is KL(q || N(0, I)) for the quadratic-approximation diagonal posterior
+    q with variances beta / (H_ii + beta) centered at the minimum.
     Non-finite curvature does not raise; the ``finite`` flag records it.
     """
     w_hat = np.asarray(w_hat, dtype=float).reshape(-1)
-    K = w_hat.size if K is None else int(K)
+    K, fd_step = w_hat.size, 1e-3
     base = float(loss_fn(w_hat))
     diag = np.empty(K)
     for i in range(K):
@@ -746,16 +711,10 @@ def flatness_diagnostic(loss_fn, w_hat, beta, K=None, posterior=None,
             math.log(norm_sq) + (math.log(trace) if finite and trace > 0 else math.nan)
             - K * math.log(K**2 * beta / 2.0)
         ) if beta > 0 and norm_sq > 0 else math.nan
-    if posterior is not None:
-        info_estimate = posterior.kl_to_prior()
-    else:
-        variances = beta / (np.clip(diag, 0.0, None) + beta / prior_var)
-        info_estimate = float(0.5 * np.sum(
-            variances / prior_var + w_hat**2 / prior_var
-            - 1.0 - np.log(variances / prior_var)
-        ))
+    variances = beta / (np.clip(diag, 0.0, None) + beta)
     return {
-        "info_estimate": info_estimate,
+        "info_estimate": float(info.kl_to_standard_normal(w_hat, variances,
+                                                          np.log(variances))),
         "bound_rhs": float(bound_rhs) if bound_rhs == bound_rhs else math.nan,
         "hessian_trace": trace,
         "finite": finite,

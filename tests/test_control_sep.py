@@ -164,9 +164,7 @@ def test_separation_holds_on_random_instances():
     rng = np.random.default_rng(0)
     for _ in range(20):
         p = cs.random_pomdp(rng, 3, 2, 2, 4)
-        report = cs.verify_separation(p)
-        assert report["pass"]
-        assert report["max_q_spread"] < 1e-9
+        assert cs.verify_separation(p)["max_q_spread"] < 1e-9
 
 
 def test_collision_instance_has_belief_groups():
@@ -178,7 +176,6 @@ def test_collision_instance_has_belief_groups():
     assert report["groups"] < len(nodes)
     np.testing.assert_allclose(nodes[((0, 1),)].belief,
                                nodes[((1, 1),)].belief, rtol=0, atol=1e-15)
-    assert report["pass"]
     assert report["max_q_spread"] == 0.0
 
 
@@ -188,7 +185,7 @@ def test_a_nan_action_value_fails_separation():
              for h, n in cs.brute_force_q(p).items()}
     report = cs.verify_separation(p, nodes=nodes)
     assert np.isnan(report["max_q_spread"])
-    assert not report["pass"]
+    assert not report["max_q_spread"] < 1e-9
 
 
 # ---------------------------------------------------------------------------

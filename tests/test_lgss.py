@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -599,25 +598,6 @@ def test_joseph_form_minimum_eigenvalue():
 # ---------------------------------------------------------------------------
 
 
-def test_model_json_round_trip(tmp_path):
-    rng = np.random.default_rng(16)
-    model = lgss.random_stable_model(rng, n=3, m=2, p=1)
-    path = tmp_path / "model.json"
-    lgss.model_to_json(model, path)
-    payload = json.loads(path.read_text())
-    assert set(payload) == {"n", "m", "p", "A", "B", "C", "Q", "R", "mu0", "P0"}
-    loaded = lgss.model_from_json(path)
-    for name in ("A", "B", "C", "Q", "R", "mu0", "P0"):
-        assert np.array_equal(getattr(loaded, name), getattr(model, name))
-
-
-def test_model_json_missing_key_errors(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"n": 1, "m": 1, "p": 0}))
-    with pytest.raises(ValueError, match="missing"):
-        lgss.model_from_json(path)
-
-
 def test_trajectory_csv_round_trip(tmp_path):
     rng = np.random.default_rng(17)
     model = lgss.random_stable_model(rng, n=2, m=2, p=1)
@@ -634,16 +614,16 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert header == "t,u0,y0,y1,x0,x1"
 
 
-def test_trajectory_csv_round_trips_task_targets_and_refuses_unknown_columns(tmp_path):
+def test_trajectory_csv_round_trips_no_controls_and_refuses_unknown_columns(tmp_path):
     rng = np.random.default_rng(18)
     model = lgss.random_stable_model(rng, n=1, m=1)
     traj = lgss.simulate(model, None, 4, rng)
-    traj = lgss.Trajectory(u=traj.u, x=traj.x, y=traj.y, z=rng.normal(size=(4, 2)))
     path = tmp_path / "traj.csv"
     lgss.trajectory_to_csv(traj, path)
-    assert path.read_text().splitlines()[0] == "t,y0,x0,z0,z1"
+    assert path.read_text().splitlines()[0] == "t,y0,x0"
     loaded = lgss.trajectory_from_csv(path)
-    assert np.array_equal(loaded.z, traj.z) and loaded.u.shape == (4, 0)
-    path.write_text("t,y0,w0\n1,0.5,1.0\n")
-    with pytest.raises(ValueError, match=r"unknown trajectory columns \['w0'\]"):
-        lgss.trajectory_from_csv(path)
+    assert np.array_equal(loaded.y, traj.y) and loaded.u.shape == (4, 0)
+    for extra in ("w0", "z0"):
+        path.write_text(f"t,y0,{extra}\n1,0.5,1.0\n")
+        with pytest.raises(ValueError, match=rf"unknown trajectory columns \['{extra}'\]"):
+            lgss.trajectory_from_csv(path)

@@ -18,7 +18,7 @@ import hashlib
 
 import numpy as np
 
-from ibsep import control_sep, lgss, seprep, static_ib as sib
+from ibsep import control_sep, harness, lgss, seprep, static_ib as sib
 
 
 def _digest(obj):
@@ -48,6 +48,34 @@ def test_train_weight_posterior_is_pinned():
         "cb14498b2b6ae3562fe39e7fd80481ccf2ba4528dddcc06d7e256a1dbf4dfc67")
     assert _digest({k: v.tolist() for k, v in post.log_var.items()}) == (
         "af6c75d2b26778890233d2d0bdc801bd00067b35447c0a73595116a570a29ed1")
+
+
+def test_battery_weight_posterior_is_pinned():
+    # the static-ib battery's flatness posterior: its data, widths, beta,
+    # seed and 150 steps, at three root seeds; long enough that a change in
+    # the order of the gradient sums at a log-variance leaf shows
+    pinned = {
+        0: ("56.07940781767332", "0.009668495515164304",
+            "f750525b734ec13b0426d061eeaf7e5850d27401b99d9378889ca64a0b592426",
+            "49fc8a65dc3371fd663e6dab1d520a7acfd16402e713ba3c26a3125c26fa3068"),
+        4: ("56.340787010785796", "0.013566849355175981",
+            "0dc9c6ae0ebe62785e82a18483eedef94fa715fd18f0c21357d120f7214c602a",
+            "82fc0d130e33dc9f1cf62e56283048e973167712beb2778039f42b533c2ac9ec"),
+        12: ("55.96110846625638", "0.008245614027577102",
+             "e7dbccea6649e54d3f5101d5e7b6e2293ca881ebd30a32889411b4042bda4c94",
+             "6abd88b6005f31d14d0f6ccc3e69766b9cc2cfa7b00addaebc729560397a8598"),
+    }
+    for root, (kl, ce, mu, log_var) in pinned.items():
+        seed = harness.experiment_seed(root, "static-ib")
+        rng = np.random.default_rng(seed)
+        xs = np.vstack([rng.normal(-1.0, 0.4, (20, 2)),
+                        rng.normal(1.0, 0.4, (20, 2))])
+        labels = np.array([0] * 20 + [1] * 20)
+        post, got_kl, got_ce = sib.train_weight_posterior(xs, labels, [2, 4, 2],
+                                                          1e-2, seed, steps=150)
+        assert (repr(got_kl), repr(got_ce)) == (kl, ce), root
+        assert _digest({k: v.tolist() for k, v in post.mu.items()}) == mu, root
+        assert _digest({k: v.tolist() for k, v in post.log_var.items()}) == log_var, root
 
 
 def test_train_filter_is_pinned():

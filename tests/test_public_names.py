@@ -1,5 +1,5 @@
-"""Every public name of the package resolves, and so does every function that
-the benchmark's span tracer wraps.
+"""Every public name of the package resolves and has a caller outside the
+tests, and every function that the benchmark's span tracer wraps resolves.
 
 ``benchmarks/spans.py`` replaces each function of its ``TARGETS`` table with
 a timing wrapper through ``getattr``, so deleting or renaming one of them
@@ -7,13 +7,15 @@ breaks a traced benchmark run. These checks read that table without
 running the benchmark.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import ibsep
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "benchmarks" / "spans.py"
 
 
 def _submodules():
@@ -41,3 +43,39 @@ def test_every_function_the_benchmark_traces_exists():
         for fn_name in functions:
             assert callable(getattr(modules[mod_name], fn_name, None)), \
                 f"ibsep.{mod_name}.{fn_name}"
+
+
+# Public names that only tests call, each kept as the reference another code
+# path is checked against, with the test that does so.
+TEST_REFERENCES = {
+    ("nn", "matmul"): "test_nn.py::test_affine_node_equals_the_unfused_chain_bit_for_bit",
+    ("nn", "relu_n"): "test_nn.py::test_affine_node_equals_the_unfused_chain_bit_for_bit",
+    ("lgss", "predictive_density"):
+        "test_lgss.py::test_run_filter_predictives_are_the_one_step_densities",
+    ("static_ib", "ibl_loss"): "test_static_ib.py::test_info_term_scales_linearly_with_beta",
+    ("seprep", "dyn_ibl_loss"): "test_seprep.py::test_graph_objective_matches_array_reference",
+}
+
+
+def _referenced_names():
+    """Every name and attribute the code outside ``tests/`` refers to."""
+    seen = set()
+    for folder in ("src", "demos", "benchmarks", "tools"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    seen.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    seen.add(node.attr)
+    return seen
+
+
+def test_every_public_name_has_a_caller():
+    seen = _referenced_names()
+    uncalled = [(mod_name, entry) for mod_name, module in _submodules().items()
+                for entry in module.__all__
+                if entry not in seen and (mod_name, entry) not in TEST_REFERENCES]
+    assert not uncalled, uncalled
+    for (mod_name, entry), test in TEST_REFERENCES.items():
+        file_name, test_name = test.split("::")
+        assert f"def {test_name}(" in (ROOT / "tests" / file_name).read_text(), test

@@ -756,15 +756,6 @@ def test_next_obs_dist_chains_transitions():
                                    hmm.emit.T @ state, rtol=0, atol=1e-15)
 
 
-def test_simulate_is_seeded_and_in_range():
-    hmm = two_state_hmm()
-    obs, states = hmm.simulate(25, np.random.default_rng(7))
-    obs2, states2 = hmm.simulate(25, np.random.default_rng(7))
-    assert np.array_equal(obs, obs2) and np.array_equal(states, states2)
-    assert obs.shape == (25,) and states.shape == (25,)
-    assert np.all((0 <= obs) & (obs < 2))
-
-
 def test_deterministic_chain_has_zero_entropy_bound():
     # cyclic deterministic transitions, identity emissions, point init:
     # every next observation is certain, so the per-step entropy is 0
