@@ -145,7 +145,11 @@ def _typed(name: str, key: str, value, default):
             return tuple(float(_number(key, v)) for v in value)
         raise ValueError(f"{key} must be a list of at least two numbers, got {value!r}")
     if isinstance(default, float):
-        return float(_number(key, value))
+        value = float(_number(key, value))
+        # a zero step divides by zero, a negative one disarms the kink margin
+        if key == "fd_step" and not value > 0:
+            raise ValueError(f"{key} must be positive, got {value!r}")
+        return value
     return _integer(key, value, *_INT_BOUNDS.get((name, key), (1, math.inf)))
 
 
@@ -211,22 +215,33 @@ def _report(experiment, key, value, clock) -> MetricRecord:
 # ---------------------------------------------------------------------------
 
 
-def _fd_gradients(loss_fn, params, step):
-    grads = {}
+def _fd_gradients(graph_loss, params, step):
+    """Central differences of ``graph_loss`` in each entry of ``params``.
+
+    The +step and -step copies of every entry go on one run axis, so one
+    forward gives all their losses, each bit for bit a lone forward's.
+    """
+    probes = []
     for name, value in params.items():
-        g = np.zeros_like(value)
-        flat = value.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = loss_fn(params)
-            flat[i] = orig - step
-            lo = loss_fn(params)
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2 * step)
-        grads[name] = g
-    return grads
+        for i in range(value.size):
+            for delta in (step, -step):
+                probe = {k: v.copy() for k, v in params.items()}
+                probe[name].reshape(-1)[i] += delta
+                probes.append(probe)
+    losses = graph_loss(nn.stack_runs(probes)).value
+    ends = np.cumsum([value.size for value in params.values()])[:-1]
+    diffs = np.split((losses[0::2] - losses[1::2]) / (2 * step), ends)
+    return {name: d.reshape(v.shape) for (name, v), d in zip(params.items(), diffs)}
+
+
+def _graph_loss(mlp, x, mode, labels, nodes):
+    """The loss of ``mlp`` on ``x``: one per run for parameters on a run axis."""
+    out = nn.forward(mlp, x, param_nodes=nodes)
+    if mode == "ce":
+        logp = nn.log_softmax_n(out)
+        rows = np.broadcast_to(labels, logp.value.shape[:-1])
+        return -nn.gather_logprob(logp, rows).mean(axis=-1)
+    return out.square().sum(axis=(-2, -1)) * 0.5
 
 
 def _min_preactivation_gap(mlp, x) -> float:
@@ -243,18 +258,15 @@ def _min_preactivation_gap(mlp, x) -> float:
     return gap
 
 
-def run_gradcheck(seed: int, overrides=None) -> list:
-    """Random MLP battery: analytic gradients vs central finite differences.
+def _gradcheck_models(seed, opts):
+    """The battery's ``(mlp, x, mode, labels)`` cases, in order.
 
     Finite differences are only valid away from the ReLU kink, so each
     (model, input) pair is resampled until every hidden pre-activation
     clears the kink by more than any FD perturbation can move it.
     """
-    opts = _opts("gradcheck", overrides)
     rng = np.random.default_rng(seed)
-    clock = _Clock()
     margin = 50.0 * opts["fd_step"]
-    errors = []
     for index in range(opts["models"]):
         while True:
             depth = int(rng.integers(1, 3))
@@ -270,21 +282,19 @@ def run_gradcheck(seed: int, overrides=None) -> list:
             if _min_preactivation_gap(mlp, x) > margin:
                 break
         mode = "ce" if index % 2 == 0 else "quad"
-        labels = rng.integers(0, widths[-1], size=3)
+        yield mlp, x, mode, rng.integers(0, widths[-1], size=3)
 
-        def graph_loss(nodes):
-            out = nn.forward(mlp, x, param_nodes=nodes)
-            if mode == "ce":
-                return -(nn.gather_logprob(nn.log_softmax_n(out), labels).mean())
-            return (out.square().sum()) * 0.5
 
-        nodes = {k: nn.parameter(v, name=k) for k, v in params.items()}
-        analytic = nn.backward(graph_loss(nodes))
-        fd = _fd_gradients(
-            lambda p: float(graph_loss({k: nn.constant(v) for k, v in p.items()}).value),
-            {k: v.copy() for k, v in params.items()},
-            opts["fd_step"],
-        )
+def run_gradcheck(seed: int, overrides=None) -> list:
+    """Random MLP battery: analytic gradients vs central finite differences."""
+    opts = _opts("gradcheck", overrides)
+    clock = _Clock()
+    errors = []
+    for mlp, x, mode, labels in _gradcheck_models(seed, opts):
+        params = mlp.params()
+        analytic = nn.backward(_graph_loss(mlp, x, mode, labels, nn.parameters(params)))
+        fd = _fd_gradients(lambda nodes: _graph_loss(mlp, x, mode, labels, nodes),
+                           params, opts["fd_step"])
         for name in params:
             a, f = analytic[name], fd[name]
             denom = max(1e-8, float(np.max(np.abs(a))), float(np.max(np.abs(f))))

@@ -167,12 +167,6 @@ class StochasticEncoder:
             raise ValueError("encoder output must have dimension 2*rep_dim")
 
     @staticmethod
-    def random(y_card, rep_dim, rng, hidden=(16,)) -> "StochasticEncoder":
-        widths = [y_card, *hidden, 2 * rep_dim]
-        acts = ["relu"] * len(hidden) + ["identity"]
-        return StochasticEncoder(nn.init_mlp(widths, acts, rng), rep_dim)
-
-    @staticmethod
     def from_table(means, log_stds) -> "StochasticEncoder":
         """Encoder with an explicit per-y posterior table.
 
@@ -188,12 +182,12 @@ class StochasticEncoder:
         mlp = nn.MLP((y_card, 2 * rep_dim), (W,), (np.zeros(2 * rep_dim),), ("identity",))
         return StochasticEncoder(mlp, rep_dim)
 
-    def posterior_table(self, y_card=None):
-        """(means, stds) arrays of shape (y_card, rep_dim), log-std clamped."""
-        y_card = self.mlp.widths[0] if y_card is None else y_card
-        out = nn.forward(self.mlp, np.eye(y_card)).value
-        means = out[:, : self.rep_dim]
-        log_stds = np.clip(out[:, self.rep_dim :], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
+    def posterior_table(self, params=None):
+        """(means, stds) arrays of shape (y_card, rep_dim), log-std clamped, or
+        (R, y_card, rep_dim) from ``params`` holding R runs on a run axis."""
+        out = nn.forward(self.mlp, np.eye(self.mlp.widths[0]), param_nodes=params).value
+        means = out[..., : self.rep_dim]
+        log_stds = np.clip(out[..., self.rep_dim :], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
         return means, np.exp(log_stds)
 
 
@@ -235,45 +229,37 @@ class IBLConfig:
     steps: int
     batch: int
     seed: int
-    mc_samples: int = 1
     learning_rate: float = 0.05
     momentum: float = 0.9
-    encoder_hidden: tuple = (16,)
-    decoder_hidden: tuple = (16,)
 
     def __post_init__(self):
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
-        if self.mc_samples < 1:
-            raise ValueError("need at least one Monte-Carlo sample")
 
 
-def _loss_graph(encoder, decoder, param_nodes, y_idx, z_idx, config, eps_draws,
-                beta):
+def _init_mlp(d_in, d_out, rng) -> nn.MLP:
+    """A seeded encoder or decoder of ``train_ib``: one hidden ReLU layer of 16."""
+    return nn.init_mlp([d_in, 16, d_out], ["relu", "identity"], rng)
+
+
+def _loss_graph(encoder, decoder, param_nodes, y_idx, z_idx, eps, beta):
     """Build the training graph of R runs; returns (R,) total, ce, info nodes.
 
     ``param_nodes`` are named ``enc.*`` and ``dec.*``, each with a leading
     run axis of R (biases as (R, 1, ·)); ``encoder`` and ``decoder`` give
-    the architecture. ``y_idx`` and ``z_idx`` are (R, B), ``eps_draws[r, s]``
-    is run r's (B, d) draw of Monte-Carlo sample s, and ``beta`` holds each
-    run's β. Entry r of each returned node depends on run r alone.
+    the architecture. ``y_idx`` and ``z_idx`` are (R, B), ``eps[r]`` is
+    run r's (B, d) draw of the one Monte-Carlo sample, and ``beta`` holds
+    each run's β. Entry r of each returned node depends on run r alone.
     """
     one_hot = np.eye(encoder.mlp.widths[0])[y_idx]
-    dec_nodes = nn.param_group(param_nodes, "dec")
     out = nn.forward(encoder.mlp, nn.constant(one_hot),
                      param_nodes=nn.param_group(param_nodes, "enc"))
     d = encoder.rep_dim
     mu = out[..., :d]
     log_std = nn.clip_n(out[..., d:], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
-    sigma = log_std.exp()
-    ce = None
-    for s in range(config.mc_samples):
-        x = mu + sigma * nn.constant(eps_draws[..., s, :, :])
-        logits = nn.forward(decoder, x, param_nodes=dec_nodes)
-        term = -nn.gather_logprob(nn.log_softmax_n(logits), z_idx).mean(axis=-1)
-        ce = term if ce is None else ce + term
-    if config.mc_samples > 1:
-        ce = ce * (1.0 / config.mc_samples)
+    x = mu + log_std.exp() * nn.constant(eps)
+    logits = nn.forward(decoder, x, param_nodes=nn.param_group(param_nodes, "dec"))
+    ce = -nn.gather_logprob(nn.log_softmax_n(logits), z_idx).mean(axis=-1)
     kl = nn.kl_to_standard_normal_n(mu, log_std)
     total = ce + kl * beta
     return total, ce, kl
@@ -296,11 +282,10 @@ def ibl_loss(encoder, decoder, batch, config, rng=None) -> dict:
     y_idx = np.asarray(y_idx, dtype=int)
     z_idx = np.asarray(z_idx, dtype=int)
     rng = np.random.default_rng(config.seed) if rng is None else rng
-    eps = rng.standard_normal((1, config.mc_samples, y_idx.size, config.rep_dim))
+    eps = rng.standard_normal((1, y_idx.size, config.rep_dim))
     params = nn.stack_runs([_named_params(encoder, decoder)])
     total, ce, kl = _loss_graph(encoder, decoder, nn.parameters(params),
-                                y_idx[None], z_idx[None], config, eps,
-                                np.array([config.beta]))
+                                y_idx[None], z_idx[None], eps, np.array([config.beta]))
     return {
         "total": float(total.value[0]),
         "cross_entropy_term": float(ce.value[0]),
@@ -310,7 +295,7 @@ def ibl_loss(encoder, decoder, batch, config, rng=None) -> dict:
 
 def info_bound_exact(encoder, task: NuisanceTask) -> float:
     """Exact E_y KL(q(x|y) || N(0,I)) under the task's observation prior."""
-    means, stds = encoder.posterior_table(task.y_card)
+    means, stds = encoder.posterior_table()
     p_y = task.observation_prior()
     kls = info.kl_to_standard_normal(means, stds**2, 2.0 * np.log(stds))
     return float(np.dot(p_y, kls))
@@ -324,17 +309,28 @@ def eval_accuracy(encoder, decoder, task, samples, rng) -> float:
     share one decoder forward over the stacked rows, and the accuracy sums
     each pair's hit rate weighted by p(z) p(n).
     """
-    means, stds = encoder.posterior_table(task.y_card)
+    params = nn.stack_runs([_named_params(encoder, decoder)])
+    return _accuracies(encoder, decoder, params, task, samples, [rng])[0]
+
+
+def _accuracies(encoder, decoder, params, task, samples, rngs) -> list:
+    """:func:`eval_accuracy` of R runs, one forward each for encoder and decoder.
+
+    ``params`` holds the runs' ``enc.*`` and ``dec.*`` arrays on a leading
+    run axis and run r draws from ``rngs[r]``; entry r is bit for bit run
+    r's lone accuracy.
+    """
+    means, stds = encoder.posterior_table(nn.param_group(params, "enc"))
     weights = np.outer(task.p_z, task.p_n)
     zs, ns = np.nonzero(weights)
     ys = np.repeat(task.f_map[zs, ns], samples)
-    x = means[ys] + stds[ys] * rng.standard_normal((ys.size, encoder.rep_dim))
-    logits = nn.forward(decoder, x).value
-    hits = (np.argmax(logits, axis=1) == np.repeat(zs, samples)).reshape(-1, samples)
-    acc = 0.0
-    for w, rate in zip(weights[zs, ns], hits.mean(axis=1)):
-        acc += w * float(rate)
-    return float(acc)
+    eps = np.stack([rng.standard_normal((ys.size, encoder.rep_dim)) for rng in rngs])
+    logits = nn.forward(decoder, means[:, ys] + stds[:, ys] * eps,
+                        param_nodes=nn.param_group(params, "dec")).value
+    hits = np.argmax(logits, axis=-1) == np.repeat(zs, samples)
+    rates = hits.reshape(len(rngs), -1, samples).mean(axis=-1)
+    # a running sum adds each run's weighted hit rates in (z, n) order
+    return np.cumsum(weights[zs, ns] * rates, axis=-1)[:, -1].tolist()
 
 
 def train_ib(task: NuisanceTask, configs):
@@ -357,17 +353,13 @@ def train_ib(task: NuisanceTask, configs):
     streams = [np.random.SeedSequence(cfg.seed).spawn(3) for cfg in configs]
     train_rngs = [np.random.default_rng(train_ss) for _, train_ss, _ in streams]
     eval_rngs = [np.random.default_rng(eval_ss) for _, _, eval_ss in streams]
-    nets = []
+    start = []  # each run's init; the last run's networks serve as templates
     for init_ss, _, _ in streams:
         init_rng = np.random.default_rng(init_ss)
-        nets.append((
-            StochasticEncoder.random(task.y_card, first.rep_dim, init_rng,
-                                     hidden=first.encoder_hidden),
-            nn.init_mlp([first.rep_dim, *first.decoder_hidden, task.z_card],
-                        ["relu"] * len(first.decoder_hidden) + ["identity"],
-                        init_rng)))
-    encoder, decoder = nets[0]
-    start = [_named_params(enc, dec) for enc, dec in nets]
+        encoder = StochasticEncoder(_init_mlp(task.y_card, 2 * first.rep_dim, init_rng),
+                                    first.rep_dim)
+        decoder = _init_mlp(first.rep_dim, task.z_card, init_rng)
+        start.append(_named_params(encoder, decoder))
     state = nn.OptimizerState(schedule=first.learning_rate, momentum=first.momentum)
     betas = np.array([cfg.beta for cfg in configs])
 
@@ -378,18 +370,16 @@ def train_ib(task: NuisanceTask, configs):
 
     def draw(rng):
         y_idx, z_idx = task.sample_batch(first.batch, rng)
-        return y_idx, z_idx, rng.standard_normal((first.mc_samples, first.batch,
-                                                  first.rep_dim))
+        return y_idx, z_idx, rng.standard_normal((first.batch, first.rep_dim))
 
     def loss(params, step):
         y_idx, z_idx, eps = (np.stack(block) for block in zip(*map(draw, train_rngs)))
         total, ce, kl = _loss_graph(encoder, decoder, nn.parameters(params), y_idx,
-                                    z_idx, first, eps, betas)
+                                    z_idx, eps, betas)
         return total, {
             "ce": ce.value.tolist(),
             "info_bound": kl.value.tolist(),
-            "acc": [eval_accuracy(*networks(run), task, 8, rng)
-                    for run, rng in zip(nn.unstack_runs(params, start[0]), eval_rngs)],
+            "acc": _accuracies(encoder, decoder, params, task, 8, eval_rngs),
         }
 
     params, curves, curve = nn.fit_sweep(configs, start, loss, state)
@@ -434,7 +424,7 @@ def _cell_table(encoder: StochasticEncoder, task: NuisanceTask, step: float):
     either side of its mean, and the two edge bins extend to infinity so
     rows sum to 1.
     """
-    means, stds = encoder.posterior_table(task.y_card)
+    means, stds = encoder.posterior_table()
     p_y = task.observation_prior()
     rows = None
     all_edges = []
@@ -549,7 +539,7 @@ def stacked_bottleneck_experiment(task: NuisanceTask, widths, noise_levels,
 
     step = 0.05
     encoder = random_separated_encoder(task, rng, rep_dim=1)
-    means, _ = encoder.posterior_table(task.y_card)
+    means, _ = encoder.posterior_table()
     noisy = StochasticEncoder.from_table(
         means, np.full_like(means, math.log(max(noise_levels[0], 1e-3)))
     )

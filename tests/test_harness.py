@@ -1,5 +1,6 @@
 """Tests for experiment orchestration, config files, and the sepctl CLI."""
 
+import functools
 import json
 import math
 import operator
@@ -259,6 +260,58 @@ def test_cli_rejects_a_riccati_horizon_below_one(riccati_t, tmp_path, capsys):
                          "--set", f"riccati_T={riccati_t}"])
     assert code == 2
     assert "riccati_T" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fd_step", ["0", "-1e-4"])
+def test_cli_rejects_a_non_positive_fd_step(fd_step, tmp_path, capsys):
+    # zero divides by zero; a negative step makes the kink margin negative
+    code = harness.main(["gradcheck", "--out", str(tmp_path), "--set", "models=2",
+                         "--set", f"fd_step={fd_step}"])
+    assert code == 2
+    assert "fd_step" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def _fd_loop(mlp, x, mode, labels, params, step):
+    """Central differences one entry at a time, each from a lone forward."""
+    def loss(p):
+        out = nn.forward(mlp, x, param_nodes={k: nn.constant(v) for k, v in p.items()})
+        if mode == "ce":
+            return float(-(nn.gather_logprob(nn.log_softmax_n(out), labels).mean()).value)
+        return float(((out.square().sum()) * 0.5).value)
+
+    params = {k: v.copy() for k, v in params.items()}
+    grads = {}
+    for name, value in params.items():
+        flat, g = value.reshape(-1), np.zeros(value.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = loss(params)
+            flat[i] = orig - step
+            lo = loss(params)
+            flat[i] = orig
+            g[i] = (hi - lo) / (2 * step)
+        grads[name] = g.reshape(value.shape)
+    return grads
+
+
+def test_batched_fd_equals_the_per_entry_loop_bit_for_bit():
+    # the battery's own first models at root seed 7, both loss modes
+    opts = harness._opts("gradcheck", {"models": 10})
+    cases = list(harness._gradcheck_models(harness.experiment_seed(7, "gradcheck"),
+                                           opts))
+    assert {mode for _, _, mode, _ in cases} == {"ce", "quad"}
+    for mlp, x, mode, labels in cases:
+        params = mlp.params()
+        want = _fd_loop(mlp, x, mode, labels, params, opts["fd_step"])
+        got = harness._fd_gradients(
+            functools.partial(harness._graph_loss, mlp, x, mode, labels), params,
+            opts["fd_step"])
+        assert list(got) == list(want)
+        for name, value in want.items():
+            assert got[name].shape == value.shape
+            assert np.array_equal(got[name], value), (mode, name)
 
 
 # sizes that would check nothing, and values of the wrong type: each must

@@ -205,6 +205,49 @@ def test_train_large_beta_collapses_representation():
     assert abs(acc - 0.5) < 0.05
 
 
+def _lone_accuracy(encoder, decoder, task, samples, rng):
+    """Accuracy from a lone posterior table and decoder forward, summed in a loop."""
+    means, stds = encoder.posterior_table()
+    weights = np.outer(task.p_z, task.p_n)
+    zs, ns = np.nonzero(weights)
+    ys = np.repeat(task.f_map[zs, ns], samples)
+    x = means[ys] + stds[ys] * rng.standard_normal((ys.size, encoder.rep_dim))
+    logits = nn.forward(decoder, x).value
+    hits = (np.argmax(logits, axis=1) == np.repeat(zs, samples)).reshape(-1, samples)
+    acc = 0.0
+    for w, rate in zip(weights[zs, ns], hits.mean(axis=1)):
+        acc += w * float(rate)
+    return float(acc)
+
+
+def test_stacked_accuracies_equal_lone_eval_accuracy_calls():
+    # three runs with different networks and generators: one stacked
+    # evaluation gives each run its lone accuracy and consumes each
+    # generator exactly as a lone call does; p(z, n) = 1/6 is not dyadic,
+    # so the hit rates' summation order shows in the bits
+    task = sib.make_nuisance_task(3, 2, seed=5)
+    nets = []
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        nets.append((sib.StochasticEncoder(sib._init_mlp(task.y_card, 4, rng), 2),
+                     sib._init_mlp(2, task.z_card, rng)))
+    params = nn.stack_runs([sib._named_params(*pair) for pair in nets])
+    seeds = (10, 20, 30)
+    stacked_rngs, lone_rngs, loop_rngs = (
+        [np.random.default_rng(seed) for seed in seeds] for _ in range(3))
+    for _ in range(3):
+        got = sib._accuracies(*nets[0], params, task, 8, stacked_rngs)
+        lone = [sib.eval_accuracy(*pair, task, 8, rng)
+                for pair, rng in zip(nets, lone_rngs)]
+        want = [_lone_accuracy(*pair, task, 8, rng) for pair, rng in zip(nets, loop_rngs)]
+        assert all(type(a) is float for a in got + lone)
+        assert got == lone == want
+        assert len(set(want)) > 1
+    assert [rng.standard_normal() for rng in stacked_rngs] == \
+        [rng.standard_normal() for rng in lone_rngs] == \
+        [rng.standard_normal() for rng in loop_rngs]
+
+
 def test_training_curve_deterministic_for_fixed_seed():
     task = bijective_task()
     cfg = sib.IBLConfig(beta=0.1, rep_dim=1, steps=50, batch=32, seed=4)
@@ -253,15 +296,12 @@ def _assert_sweep_matches_one_run_sweeps(task, configs):
                 assert other.shape == value.shape and np.array_equal(other, value), key
 
 
-@pytest.mark.parametrize("beta, learning_rate, mc_samples", [
-    (0.0, 0.05, 1), (1e3, 1e-4, 1), (0.1, 0.05, 2)],
-    ids=["harness-beta0", "harness-hi-beta", "mc2"])
-def test_a_sweep_trains_each_run_bit_for_bit_as_a_lone_call(beta, learning_rate,
-                                                            mc_samples):
-    # the two seed groups of the static-ib battery, and a group that
-    # averages two Monte-Carlo samples
+@pytest.mark.parametrize("beta, learning_rate", [(0.0, 0.05), (1e3, 1e-4)],
+                         ids=["harness-beta0", "harness-hi-beta"])
+def test_a_sweep_trains_each_run_bit_for_bit_as_a_lone_call(beta, learning_rate):
+    # the two seed groups of the static-ib battery
     configs = [sib.IBLConfig(beta=beta, rep_dim=1, steps=25, batch=64, seed=seed,
-                             learning_rate=learning_rate, mc_samples=mc_samples)
+                             learning_rate=learning_rate)
                for seed in (7, 8, 9)]
     _assert_sweep_matches_one_run_sweeps(bijective_task(), configs)
 
@@ -310,8 +350,6 @@ def test_a_diverged_sweep_names_the_run_its_beta_and_seed():
 def test_config_validation():
     with pytest.raises(ValueError):
         sib.IBLConfig(beta=-0.5, rep_dim=1, steps=1, batch=1, seed=0)
-    with pytest.raises(ValueError):
-        sib.IBLConfig(beta=0.0, rep_dim=1, steps=1, batch=1, seed=0, mc_samples=0)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +489,7 @@ def test_stack_needs_two_layers():
 
 
 def _aggregate_tc(encoder, task):
-    means, stds = encoder.posterior_table(task.y_card)
+    means, stds = encoder.posterior_table()
     p_y = task.observation_prior()
     m_bar = p_y @ means
     cov = -np.outer(m_bar, m_bar)
