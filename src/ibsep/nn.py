@@ -15,10 +15,19 @@ can share one graph by stacking on a leading run axis: activations
 ``(R, 1, d_out)``. The layer nodes then multiply run by run, each gradient
 keeps the run axis of its operand, and the losses reduce per run.
 :func:`fit_sweep` trains such a stack of runs and hands each run back.
+
+A recurrence is one node too: :func:`scan_n` runs every step of
+φ_{t+1} = net(φ_t ‖ inputs_t) forward, and its truncated BPTT in one
+backward visit, with the bits of the per-step chain of layer nodes.
+:func:`fit` pins glibc's heap thresholds for the process, so that
+freeing one step's graph does not hand pages back to the kernel which
+the next step would fault in again; where there is no ``mallopt`` this
+does nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field, replace
 
@@ -30,6 +39,7 @@ __all__ = [
     "parameter",
     "matmul",
     "affine_n",
+    "scan_n",
     "concat",
     "relu_n",
     "log_softmax_n",
@@ -61,6 +71,9 @@ LOG_STD_MIN = -6.0
 LOG_STD_MAX = 2.0
 # Floor for a zero probability inside a log loss.
 _PROB_FLOOR = 1e-300
+# glibc's mallopt parameters, and the thresholds fit pins them to.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_TRIM_BYTES, _HEAP_MMAP_BYTES = 256 << 20, 32 << 20
 
 
 class TrainingDiverged(RuntimeError):
@@ -267,6 +280,79 @@ def affine_n(x: Node, W: Node, b: Node, relu=False) -> Node:
         lambda g: _unbroadcast(gp(g) @ np.swapaxes(Wv, -1, -2), xv.shape),
         lambda g: _unbroadcast(np.swapaxes(xv, -1, -2) @ gp(g), Wv.shape),
         lambda g: _unbroadcast(gp(g), bv.shape)), op="affine")
+
+
+def scan_n(phi0: Node, layers, inputs, tbptt: int) -> Node:
+    """A recurrence φ_{t+1} = net(φ_t ‖ inputs_t) and its truncated BPTT, as one node.
+
+    ``layers`` lists the network's ``(W, b, relu)`` layers, ``inputs`` is
+    the constant (..., B, T, e) block of per-step exogenous columns, and
+    ``phi0`` broadcasts to the (..., B, 2d) first statistic. The value is
+    the time-major stack of φ_0..φ_{T-1}, shape (..., T·B, 2d), row t·B + b
+    holding trajectory b at step t. No gradient flows from φ_t into the
+    step before it when t is a multiple of ``tbptt``.
+
+    Value and gradients are bit for bit those of the unfused chain: per
+    step a concat of φ_t and inputs_t and one :func:`affine_n` per layer,
+    a :func:`detach` after every ``tbptt``-th step, and one concat of the
+    φ_t. A backward visit runs the BPTT once and keeps the parents'
+    gradients until the next. Each parameter's gradient is summed in the
+    order in which ``backward`` sums it over the unfused chain: window by
+    window in time order, and in descending t within a window.
+    """
+    phi0 = _wrap(phi0)
+    layers = [(_wrap(W), _wrap(b), relu) for W, b, relu in layers]
+    inputs = np.asarray(inputs, dtype=float)
+    *lead, B, T, _ = inputs.shape
+    width = phi0.value.shape[-1]
+    phi = np.zeros((*lead, B, width)) + phi0.value
+    phis, tape = [phi], {}  # tape[t]: each layer's input and ReLU mask at step t
+    for t in range(T - 1):  # φ_T is never read
+        h, kept = np.concatenate([phi, inputs[..., t, :]], axis=-1), []
+        for W, b, relu in layers:
+            x, h, mask = h, h @ W.value + b.value, None
+            if relu:
+                mask = h > 0
+                h = np.where(mask, h, 0.0)
+            kept.append((x, mask))
+        if (t + 1) % tbptt:  # otherwise φ_{t+1} is detached
+            tape[t] = kept
+        phi = h
+        phis.append(phi)
+    last = [None, None]  # the last gradient and the parents' gradients from it
+
+    def bptt(g):
+        sums = [None] * (2 * len(layers))  # W0, b0, W1, b1, ...
+        for start in range(0, T, tbptt):
+            carry = None  # φ_t's gradient through step t, from φ_{t+1}
+            for t in range(min(start + tbptt, T) - 1, start - 1, -1):
+                gt = g[..., t * B:(t + 1) * B, :]
+                if carry is not None:
+                    gt = gt + carry
+                if t == 0:
+                    first = gt
+                if t == start:
+                    continue
+                for i in range(len(layers) - 1, -1, -1):  # back through step t-1
+                    W, _, relu = layers[i]
+                    x, mask = tape[t - 1][i]
+                    gp = gt * mask if relu else gt
+                    for j, contrib in ((2 * i, np.swapaxes(x, -1, -2) @ gp), (2 * i + 1, gp)):
+                        contrib = _unbroadcast(contrib, parents[1 + j].value.shape)
+                        sums[j] = contrib if sums[j] is None else sums[j] + contrib
+                    gt = _unbroadcast(gp @ np.swapaxes(W.value, -1, -2), x.shape)
+                carry = gt[..., :width]
+        return [_unbroadcast(first, phi0.value.shape)] + [
+            np.zeros_like(p.value) if s is None else s for p, s in zip(parents[1:], sums)]
+
+    def grads(g):
+        if last[0] is not g:
+            last[:] = g, bptt(g)
+        return last[1]
+
+    parents = [phi0] + [p for W, b, _ in layers for p in (W, b)]
+    return Node(np.concatenate(phis, axis=-2), parents,
+                [lambda g, i=i: grads(g)[i] for i in range(len(parents))], op="scan")
 
 
 def concat(nodes, axis=-1) -> Node:
@@ -540,6 +626,34 @@ def sgd_step(params: dict, grads: dict, state: OptimizerState):
     return new_params, replace(state, step=state.step + 1, buffers=new_buffers)
 
 
+def _libc_mallopt():
+    """The C library's ``mallopt(int, int) -> int``, or None where there is none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt
+
+
+def _pin_heap():
+    """Fix glibc's heap trim and mmap thresholds for the whole process.
+
+    By default glibc hands the top of the heap back to the kernel whenever
+    more than 128 KiB of it is free, and it moves the mmap threshold as
+    blocks come and go. Whether freeing one step's graph then returns pages
+    that the next step faults back in depends on the order of the graph's
+    allocations. With the trim threshold far above a training step's heap
+    and the mmap threshold at the ceiling glibc's own adjustment reaches
+    on 64-bit hosts, the heap keeps its pages from step to step whatever
+    that order is. Idempotent; a no-op without ``mallopt``.
+    """
+    mallopt = _libc_mallopt()
+    if mallopt is not None:
+        mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_BYTES)
+        mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_BYTES)
+
+
 def fit(params: dict, loss_fn, state: OptimizerState, steps: int):
     """Descend ``loss_fn`` for ``steps`` SGD steps; returns ``(params, curve)``.
 
@@ -552,8 +666,10 @@ def fit(params: dict, loss_fn, state: OptimizerState, steps: int):
     run exactly its own gradient, and logs the per-run list. Overflow
     while building and differentiating the graph is not an error in itself;
     a non-finite loss or gradient raises :class:`TrainingDiverged` with the
-    step and the first run that diverged.
+    step and the first run that diverged. It first pins the heap's
+    thresholds (:func:`_pin_heap`), so that the steps reuse its pages.
     """
+    _pin_heap()
     curve = []
     for step in range(steps):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -381,11 +381,12 @@ def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws, beta):
 
     ``ys`` (R, B, T, ·), ``us`` (R, B, T, ctrl_dim), ``eps_draws`` and every
     parameter carry a leading run axis of R (biases and φ_0 as (R, 1, ·)),
-    and ``beta`` holds each run's β. Only the update φ_t → φ_{t+1}
-    (detached every ``config.tbptt`` steps) runs step by step. Each run's
-    statistics φ_0..φ_{T-1} are then stacked time-major into (T·B, 2d)
-    rows, row t·B + b holding trajectory b at step t, and the KL and the
-    decoders are evaluated once over them: head k reads the first
+    and ``beta`` holds each run's β. The update φ_t → φ_{t+1} (detached
+    every ``config.tbptt`` steps) is one :func:`~ibsep.nn.scan_n` node over
+    the exogenous columns y_t (and u_t with controls). Its value stacks
+    each run's statistics φ_0..φ_{T-1} time-major into (T·B, 2d) rows, row
+    t·B + b holding trajectory b at step t, and the KL and the decoders
+    are evaluated once over them: head k reads the first
     (T-k)·B rows (the steps t <= T-1-k) repeated once per Monte-Carlo
     sample, so its input is (R, S·(T-k)·B, ·) with rows ordered
     (sample, t, b). ``eps_draws[r, i]`` is run r's (B, d) draw for the
@@ -400,17 +401,10 @@ def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws, beta):
     upd_nodes = nn.param_group(param_nodes, "upd")
     head_nodes = [nn.param_group(param_nodes, f"dec{i}")
                   for i in range(len(model.heads))]
-    phi = nn.constant(np.zeros((R, B, 2 * d))) + param_nodes["phi0"]
-    phis = []
-    for t in range(T):
-        phis.append(phi)
-        obs = ys[..., t, :].astype(float)
-        upd_in = nn.concat([phi, nn.constant(obs), nn.constant(us[..., t, :])]) \
-            if model.ctrl_dim else nn.concat([phi, nn.constant(obs)])
-        phi = nn.forward(model.update, upd_in, param_nodes=upd_nodes)
-        if (t + 1) % config.tbptt == 0:
-            phi = nn.detach(phi)
-    stacked = nn.concat(phis, axis=-2)
+    layers = [(upd_nodes[f"W{k}"], upd_nodes[f"b{k}"], act == "relu")
+              for k, act in enumerate(model.update.activations)]
+    inputs = np.concatenate([ys, us], axis=-1) if model.ctrl_dim else ys
+    stacked = nn.scan_n(param_nodes["phi0"], layers, inputs, config.tbptt)
     mu = stacked[..., :d]
     log_std = nn.clip_n(stacked[..., d:], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
     sigma = log_std.exp()
@@ -794,14 +788,18 @@ def nstep_bound_check(reference: dict, candidate) -> dict:
     want = (reference["hmm"].n_obs,)
     loss = 0.0
     for (t, k), truths in reference["truths"].items():
-        for prefix, truth in truths.items():
+        guesses = []
+        for prefix in truths:
             guess = np.asarray(candidate(prefix, k), dtype=float)
             if guess.shape != want:
                 raise ValueError(f"candidate guess for history {prefix}, k={k} has "
                                  f"shape {guess.shape}, need {want}")
-            with np.errstate(divide="ignore"):
-                logs = np.log(np.maximum(guess, nn._PROB_FLOOR))
-            loss += probs[prefix] * float(-(truth * logs).sum())
+            guesses.append(guess)
+        with np.errstate(divide="ignore"):  # one log and one row sum per level
+            logs = np.log(np.maximum(guesses, nn._PROB_FLOOR))
+        terms = -(np.array(list(truths.values())) * logs).sum(axis=1)
+        for prefix, term in zip(truths, terms.tolist()):
+            loss += probs[prefix] * term
     loss /= reference["T"]
     bound = reference["entropy_lower_bound"]
     return {"loss": loss, "bound": bound, "slack": loss - bound}

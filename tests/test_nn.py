@@ -348,6 +348,30 @@ def test_fit_names_the_diverged_run_of_stacked_losses():
     assert (err.value.step, err.value.run) == (0, 1)
 
 
+def _fit_a_scan(steps=4):
+    """The curve of a short fit through a scan node (3 runs, T 6, tbptt 4)."""
+    params, relus, inputs, weight = _scan_case(np.random.default_rng(9), 3, 6, 4, 1)
+
+    def loss(p, step):
+        stack, _ = _scan_loss(p, relus, inputs, weight, 4, True)
+        return (stack * stack * nn.constant(weight)).sum(axis=(-2, -1)), {}
+
+    return nn.fit(params, loss, nn.OptimizerState(schedule=0.01, momentum=0.9), steps)[1]
+
+
+def test_fit_pins_the_heap_thresholds(monkeypatch):
+    calls = []
+    monkeypatch.setattr(nn, "_libc_mallopt", lambda: lambda *args: calls.append(args))
+    _fit_a_scan(1)
+    assert calls == [(-1, 256 << 20), (-3, 32 << 20)]  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+
+
+def test_fit_trains_alike_without_mallopt(monkeypatch):
+    want = _fit_a_scan()
+    monkeypatch.setattr(nn, "_libc_mallopt", lambda: None)
+    assert _fit_a_scan() == want
+
+
 def test_stacked_runs_get_the_gradients_of_their_lone_graphs():
     # R MLPs stacked on a run axis: forward values, the per-run loss and
     # every gradient equal the R lone graphs bit for bit
@@ -426,6 +450,87 @@ def test_forward_adds_one_node_per_layer(acts):
     assert ops.count("affine") == K
     softmax = 2 if acts[-1] == "softmax" else 0  # log_softmax, then exp
     assert len(ops) == 1 + 2 * K + K + softmax  # input, W_k and b_k, layers
+
+
+def _scan_case(rng, runs, T, tbptt, exo, hidden=(5,)):
+    """φ_0, the update's stacked (W, b, relu) arrays, the exogenous block and
+    an upstream weight for a scan over ``runs`` runs of 3 rows and width 4."""
+    B, width = 3, 4
+    widths = [width + exo, *hidden, width]
+    acts = ["relu"] * len(hidden) + ["identity"]
+    mlps = [nn.init_mlp(widths, acts, rng) for _ in range(runs)]
+    params = nn.stack_runs([m.params() for m in mlps])
+    for name in params:
+        if name.startswith("b"):  # off the ReLU kinks
+            params[name] = rng.normal(0.0, 0.3, size=params[name].shape)
+    params["phi0"] = rng.normal(0.0, 0.5, size=(runs, 1, width))
+    inputs = rng.standard_normal((runs, B, T, exo))
+    weight = rng.standard_normal((runs, T * B, width))
+    return params, [act == "relu" for act in acts], inputs, weight
+
+
+def _scan_loss(params, relus, inputs, weight, tbptt, fused):
+    """(stack, loss) of the scan, as one node or as the per-step chain."""
+    nodes = nn.parameters(params)
+    layers = [(nodes[f"W{k}"], nodes[f"b{k}"], relu) for k, relu in enumerate(relus)]
+    if fused:
+        stack = nn.scan_n(nodes["phi0"], layers, inputs, tbptt)
+    else:
+        B, T = inputs.shape[-3:-1]
+        phi = nn.constant(np.zeros((len(inputs), B, 4))) + nodes["phi0"]
+        phis = []
+        for t in range(T):
+            phis.append(phi)
+            h = nn.concat([phi, nn.constant(inputs[..., t, :])])
+            for W, b, relu in layers:
+                h = nn.affine_n(h, W, b, relu)
+            phi = nn.detach(h) if (t + 1) % tbptt == 0 else h
+        stack = nn.concat(phis, axis=-2)
+    return stack, (stack * nn.constant(weight)).sum()
+
+
+@pytest.mark.parametrize("T,tbptt,exo,hidden", [
+    (7, 3, 1, (5,)),       # tbptt does not divide T: a partial last window
+    (5, 8, 1, (5,)),       # tbptt >= T: nothing truncates
+    (8, 4, 1, (5,)),       # T a multiple of tbptt
+    (7, 3, 3, (5,)),       # controls beside the observation
+    (6, 4, 2, (5, 3)),     # two hidden layers
+    (4, 1, 1, (5,)),       # every step detached: only φ_0 gets a gradient
+])
+def test_scan_node_equals_the_unfused_chain_bit_for_bit(T, tbptt, exo, hidden):
+    params, relus, inputs, weight = _scan_case(np.random.default_rng(T * tbptt + exo),
+                                               3, T, tbptt, exo, hidden)
+    stack, loss = _scan_loss(params, relus, inputs, weight, tbptt, True)
+    ref, ref_loss = _scan_loss(params, relus, inputs, weight, tbptt, False)
+    assert stack.op == "scan" and stack.value.shape == (3, T * 3, 4)
+    assert stack.value.tobytes() == ref.value.tobytes()
+    grads, ref_grads = nn.backward(loss), nn.backward(ref_loss)
+    for name, value in params.items():
+        want = ref_grads.get(name, np.zeros_like(value))  # unreached: no gradient
+        assert grads[name].shape == want.shape, name
+        assert grads[name].tobytes() == want.tobytes(), name
+
+
+def test_scan_node_gradients_match_finite_differences():
+    T = 5
+    params, relus, inputs, weight = _scan_case(np.random.default_rng(8), 2, T, T, 2)
+
+    def loss(p):
+        return float(_scan_loss(p, relus, inputs, weight, T, True)[1].value)
+
+    grads = nn.backward(_scan_loss(params, relus, inputs, weight, T, True)[1])
+    fd = fd_gradients(loss, params, step=1e-5)
+    for name in params:
+        assert rel_error(grads[name], fd[name]) < 1e-6, name
+
+
+def test_scan_node_runs_its_bptt_once_per_gradient():
+    params, relus, inputs, weight = _scan_case(np.random.default_rng(2), 2, 6, 4, 1)
+    stack, _ = _scan_loss(params, relus, inputs, weight, 4, True)
+    first = [vjp(weight) for vjp in stack.vjps]
+    assert all(a is b for a, b in zip(first, [vjp(weight) for vjp in stack.vjps]))
+    fresh = [vjp(weight.copy()) for vjp in stack.vjps]  # a new gradient, a new pass
+    assert all(a is not b and np.array_equal(a, b) for a, b in zip(first, fresh))
 
 
 def test_gather_logprob_picks_per_run_rows_like_lone_calls():

@@ -362,6 +362,22 @@ def test_graph_gradients_match_finite_differences():
         assert float(np.max(np.abs(grads[name] - fd))) / denom < 1e-5, name
 
 
+def test_battery_shaped_step_builds_one_recurrence_node():
+    # the seprep battery's training step: 9 runs, batch 16, T 40, d 4; the
+    # recurrence is one scan node, so the graph no longer grows with T
+    R, B, T, d = 9, 16, 40, 4
+    cfg = seprep.DynIBConfig(beta=0.1, traj_len=T, steps=1, batch=B, seed=0, rep_dim=d)
+    rng = np.random.default_rng(0)
+    models = [seprep.init_sep_filter(d, 1, rng=rng) for _ in range(R)]
+    nodes = nn.parameters(nn.stack_runs([m.params() for m in models]))
+    total, _, _ = seprep._sep_loss_graph(
+        models[0], nodes, rng.standard_normal((R, B, T, 1)), np.zeros((R, B, T, 0)),
+        cfg, rng.standard_normal((R, T, B, d)), np.full(R, 0.1))
+    order = nn._toposort(total.sum())  # the graph fit differentiates
+    assert len(order) <= 60
+    assert [node.op for node in order].count("scan") == 1
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
