@@ -348,30 +348,6 @@ def test_fit_names_the_diverged_run_of_stacked_losses():
     assert (err.value.step, err.value.run) == (0, 1)
 
 
-def _fit_a_scan(steps=4):
-    """The curve of a short fit through a scan node (3 runs, T 6, tbptt 4)."""
-    params, relus, inputs, weight = _scan_case(np.random.default_rng(9), 3, 6, 4, 1)
-
-    def loss(p, step):
-        stack, _ = _scan_loss(p, relus, inputs, weight, 4, True)
-        return (stack * stack * nn.constant(weight)).sum(axis=(-2, -1)), {}
-
-    return nn.fit(params, loss, nn.OptimizerState(schedule=0.01, momentum=0.9), steps)[1]
-
-
-def test_fit_pins_the_heap_thresholds(monkeypatch):
-    calls = []
-    monkeypatch.setattr(nn, "_libc_mallopt", lambda: lambda *args: calls.append(args))
-    _fit_a_scan(1)
-    assert calls == [(-1, 256 << 20), (-3, 32 << 20)]  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
-
-
-def test_fit_trains_alike_without_mallopt(monkeypatch):
-    want = _fit_a_scan()
-    monkeypatch.setattr(nn, "_libc_mallopt", lambda: None)
-    assert _fit_a_scan() == want
-
-
 def test_stacked_runs_get_the_gradients_of_their_lone_graphs():
     # R MLPs stacked on a run axis: forward values, the per-run loss and
     # every gradient equal the R lone graphs bit for bit
@@ -531,6 +507,30 @@ def test_scan_node_runs_its_bptt_once_per_gradient():
     assert all(a is b for a, b in zip(first, [vjp(weight) for vjp in stack.vjps]))
     fresh = [vjp(weight.copy()) for vjp in stack.vjps]  # a new gradient, a new pass
     assert all(a is not b and np.array_equal(a, b) for a, b in zip(first, fresh))
+
+
+def _fit_a_scan(steps=4):
+    """The curve of a short fit through a scan node (3 runs, T 6, tbptt 4)."""
+    params, relus, inputs, weight = _scan_case(np.random.default_rng(9), 3, 6, 4, 1)
+
+    def loss(p, step):
+        stack, _ = _scan_loss(p, relus, inputs, weight, 4, True)
+        return (stack * stack * nn.constant(weight)).sum(axis=(-2, -1)), {}
+
+    return nn.fit(params, loss, nn.OptimizerState(schedule=0.01, momentum=0.9), steps)[1]
+
+
+def test_fit_pins_the_heap_thresholds(monkeypatch):
+    calls = []
+    monkeypatch.setattr(nn, "_libc_mallopt", lambda: lambda *args: calls.append(args))
+    _fit_a_scan(1)
+    assert calls == [(-1, 256 << 20), (-3, 32 << 20)]  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+
+
+def test_fit_trains_alike_without_mallopt(monkeypatch):
+    want = _fit_a_scan()
+    monkeypatch.setattr(nn, "_libc_mallopt", lambda: None)
+    assert _fit_a_scan() == want
 
 
 def test_gather_logprob_picks_per_run_rows_like_lone_calls():

@@ -27,16 +27,17 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT_SEED = 7
 
 
-def run_battery(src: Path, seed: int) -> dict:
+def run_battery(src: Path) -> dict:
     """Wall, user and system seconds, minor faults and metrics digest of one run."""
     env = dict(os.environ, PYTHONPATH=str(src))
     with tempfile.TemporaryDirectory() as out:
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         started = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "ibsep.harness", "seprep", "--seed", str(seed),
+            [sys.executable, "-m", "ibsep.harness", "seprep", "--seed", str(ROOT_SEED),
              "--out", out], env=env, capture_output=True, text=True)
         wall = time.perf_counter() - started
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -55,7 +56,6 @@ def main(argv=None) -> int:
     parser.add_argument("srcs", nargs="*", type=Path, default=[SRC],
                         help="the src directories to run, in turn (default: this one)")
     parser.add_argument("--rounds", type=int, default=2, help="runs of each src")
-    parser.add_argument("--seed", type=int, default=7, help="root seed")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -65,7 +65,7 @@ def main(argv=None) -> int:
     for round_ in range(1, args.rounds + 1):
         for src in args.srcs:
             try:
-                got = run_battery(src.resolve(), args.seed)
+                got = run_battery(src.resolve())
             except RuntimeError as err:
                 print(f"{src} round {round_}: no metrics, {err}", flush=True)
                 return 2
