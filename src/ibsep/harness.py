@@ -17,7 +17,7 @@ import numbers
 import operator
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -475,16 +475,16 @@ def run_static_ib(seed: int, overrides=None) -> list:
                          [b.i_xn - a.i_xn for a, b in zip(noisy, noisy[1:])],
                          np.max, operator.le, 1e-12, 1e-12, clock))
 
-    # training endpoints, averaged over seeds
+    # training endpoints, averaged over seeds; the free (beta 0) and squeezed
+    # (beta 1e3, a smaller step) seeds train as one sweep
     task = static_ib.make_nuisance_task(2, 2, seed=0)
     steps = opts["train_steps"]
     n_seeds = opts["train_seeds"]
-    free_runs = static_ib.train_ib(task, [static_ib.IBLConfig(
-        beta=0.0, rep_dim=1, steps=steps, batch=64, seed=seed + s)
-        for s in range(n_seeds)]).runs
-    squeezed_runs = static_ib.train_ib(task, [static_ib.IBLConfig(
-        beta=1e3, rep_dim=1, steps=steps, batch=64, seed=seed + s,
-        learning_rate=1e-4) for s in range(n_seeds)]).runs
+    configs = [static_ib.IBLConfig(beta=0.0, rep_dim=1, steps=steps, batch=64,
+                                   seed=seed + s) for s in range(n_seeds)]
+    configs += [replace(cfg, beta=1e3, learning_rate=1e-4) for cfg in configs]
+    runs = static_ib.train_ib(task, configs).runs
+    free_runs, squeezed_runs = runs[:n_seeds], runs[n_seeds:]
     accs, bounds, devs = [], [], []
     for s, (free, squeezed) in enumerate(zip(free_runs, squeezed_runs)):
         accs.append(static_ib.eval_accuracy(*free, task, 256,

@@ -15,6 +15,9 @@ can share one graph by stacking on a leading run axis: activations
 ``(R, 1, d_out)``. The layer nodes then multiply run by run, each gradient
 keeps the run axis of its operand, and the losses reduce per run.
 :func:`fit_sweep` trains such a stack of runs and hands each run back.
+The runs of a sweep may differ in β, seed and learning rate: the
+optimizer then holds one schedule per run, and :func:`sgd_step` scales
+each run's slice of a stacked parameter by that run's rate.
 
 A recurrence is one node too: :func:`scan_n` runs every step of
 φ_{t+1} = net(φ_t ‖ inputs_t) forward, and its truncated BPTT in one
@@ -269,7 +272,7 @@ def affine_n(x: Node, W: Node, b: Node, relu=False) -> Node:
     out, last = xv @ Wv + bv, [None, None]  # the last gradient and its gp
     if relu:
         mask = out > 0
-        out = np.where(mask, out, 0.0)
+        out = _relu(out)
 
     def gp(g):
         if relu and last[0] is not g:
@@ -313,7 +316,7 @@ def scan_n(phi0: Node, layers, inputs, tbptt: int) -> Node:
             x, h, mask = h, h @ W.value + b.value, None
             if relu:
                 mask = h > 0
-                h = np.where(mask, h, 0.0)
+                h = _relu(h)
             kept.append((x, mask))
         if (t + 1) % tbptt:  # otherwise φ_{t+1} is detached
             tape[t] = kept
@@ -374,11 +377,23 @@ def concat(nodes, axis=-1) -> Node:
                 op="concat")
 
 
+def _relu(x):
+    """``np.where(x > 0, x, 0.0)`` bit for bit, in a tenth of its time.
+
+    ``fmax`` maps NaN to 0.0 as ``where`` does, but may keep a -0.0 input
+    (NumPy's scalar loop does, its vector loop does not); adding +0.0
+    turns that -0.0 into +0.0 and leaves every other value as it is.
+    """
+    out = np.fmax(x, 0.0)
+    out += 0.0
+    return out
+
+
 def relu_n(x: Node) -> Node:
     x = _wrap(x)
     val = x.value
     mask = val > 0
-    return Node(np.where(mask, val, 0.0), (x,), (lambda g: g * mask,), op="relu")
+    return Node(_relu(val), (x,), (lambda g: g * mask,), op="relu")
 
 
 def log_softmax_n(x: Node) -> Node:
@@ -584,12 +599,18 @@ def forward(mlp: MLP, x, param_nodes=None) -> Node:
 # ---------------------------------------------------------------------------
 
 
+def _rate(schedule, step) -> float:
+    """The rate of ``schedule``, a float or a callable of the step, at ``step``."""
+    return float(schedule(step) if callable(schedule) else schedule)
+
+
 @dataclass
 class OptimizerState:
     """Heavy-ball SGD state.
 
     ``schedule`` maps the (0-based) step counter to a positive learning
-    rate; a bare float is treated as a constant schedule.
+    rate; a bare float is treated as a constant schedule. A tuple of such
+    schedules gives each of R runs stacked on a leading axis its own rate.
     """
 
     schedule: object = 0.01
@@ -597,9 +618,20 @@ class OptimizerState:
     step: int = 0
     buffers: dict = field(default_factory=dict)
 
-    def learning_rate(self) -> float:
-        lr = self.schedule(self.step) if callable(self.schedule) else self.schedule
-        lr = float(lr)
+    def learning_rate(self):
+        """This step's rate: a float, or an (R,) array for a tuple of schedules.
+
+        A rate that is not positive (NaN included) is a ValueError, which
+        names its run when there is a run axis.
+        """
+        if isinstance(self.schedule, tuple):
+            lr = np.array([_rate(s, self.step) for s in self.schedule])
+            bad = np.flatnonzero(~(lr > 0))
+            if bad.size:
+                raise ValueError(f"learning rate of run {bad[0]} must be positive, "
+                                 f"got {float(lr[bad[0]])!r}")
+            return lr
+        lr = _rate(self.schedule, self.step)
         if not lr > 0:
             raise ValueError(f"learning rate must be positive, got {lr!r}")
         return lr
@@ -609,7 +641,8 @@ def sgd_step(params: dict, grads: dict, state: OptimizerState):
     """One descent step: buffer ← momentum·buffer + grad; param ← param − η·buffer.
 
     Functional: returns ``(new_params, new_state)`` without touching the
-    inputs.
+    inputs. An (R,) rate scales run r's slice ``param[r]`` by ``η[r]``, the
+    same product as a lone run's step with that rate.
     """
     lr = state.learning_rate()
     new_params, new_buffers = {}, {}
@@ -621,7 +654,8 @@ def sgd_step(params: dict, grads: dict, state: OptimizerState):
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         buf = state.buffers.get(name)
         buf = g.copy() if buf is None else state.momentum * buf + g
-        new_params[name] = value - lr * buf
+        rate = np.reshape(lr, np.shape(lr) + (1,) * (value.ndim - np.ndim(lr)))
+        new_params[name] = value - rate * buf
         new_buffers[name] = buf
     return new_params, replace(state, step=state.step + 1, buffers=new_buffers)
 
@@ -713,17 +747,21 @@ class TrainedSweep:
 def sweep_configs(configs) -> tuple:
     """The configs of a sweep, given as a list or tuple, as a tuple.
 
-    They may differ only in ``beta`` and ``seed``; anything else, an empty
-    sequence or a bare config is a ValueError.
+    They may differ only in ``beta``, ``seed`` and ``learning_rate``, so
+    every run trains for the same steps on the same batch shape with the
+    same momentum; anything else, an empty sequence or a bare config is a
+    ValueError.
     """
     if not isinstance(configs, (list, tuple)):
         raise ValueError("a sweep takes a list or tuple of configs, "
                          f"got {type(configs).__name__}")
     configs = tuple(configs)
     first = configs[0] if configs else None
-    if not configs or any(replace(cfg, beta=first.beta, seed=first.seed) != first
+    if not configs or any(replace(cfg, beta=first.beta, seed=first.seed,
+                                  learning_rate=first.learning_rate) != first
                           for cfg in configs):
-        raise ValueError("a sweep needs configs that differ only in beta and seed")
+        raise ValueError("a sweep needs configs that differ only in beta, seed "
+                         "and learning_rate")
     return configs
 
 
@@ -745,16 +783,21 @@ def unstack_runs(stacked: dict, like: dict) -> list:
             for r in range(runs)]
 
 
-def fit_sweep(configs, params: list, loss_fn, state: OptimizerState):
+def fit_sweep(configs, params: list, loss_fn):
     """Train the runs of ``configs`` as one graph; ``(params, curves, curve)``.
 
+    ``configs`` is a sweep as :func:`sweep_configs` returns it and
     ``params[r]`` holds run r's parameter arrays. :func:`fit` descends
-    them stacked on a leading run axis for ``configs[0].steps`` steps, and
-    ``loss_fn`` gets the stacked dict and returns (R,) losses. Returns each
-    run's trained parameters, shaped like ``params[r]``, each run's own
-    curve and the stacked curve. A divergence raises
+    them stacked on a leading run axis for ``configs[0].steps`` steps, with
+    the configs' common momentum and each run's own ``learning_rate`` (a
+    float or a callable of the step), and ``loss_fn`` gets the stacked
+    dict and returns (R,) losses. Returns each run's trained parameters,
+    shaped like ``params[r]``, each run's own curve and the stacked
+    curve. A divergence raises
     :class:`TrainingDiverged` naming the step, the run and its β and seed.
     """
+    state = OptimizerState(schedule=tuple(cfg.learning_rate for cfg in configs),
+                           momentum=configs[0].momentum)
     try:
         stacked, curve = fit(stack_runs(params), loss_fn, state, configs[0].steps)
     except TrainingDiverged as err:

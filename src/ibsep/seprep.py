@@ -472,7 +472,6 @@ def train_filter(source, configs):
         first.rep_dim, obs_dim, ctrl_dim, first.horizon, "gaussian",
         update_hidden=first.update_hidden, decoder_hidden=first.decoder_hidden,
         rng=np.random.default_rng(init_ss)) for init_ss, _, _ in streams]
-    state = nn.OptimizerState(schedule=first.learning_rate, momentum=first.momentum)
 
     T, n = first.traj_len, first.horizon
     n_draws = first.mc_samples * sum(min(n, T - 1 - t) + 1 for t in range(T))
@@ -491,8 +490,7 @@ def train_filter(source, configs):
                                         first, eps, betas)
         return total, {"ce": ce.value.tolist(), "info": kl.value.tolist()}
 
-    params, curves, curve = nn.fit_sweep(configs, [m.params() for m in models],
-                                         loss, state)
+    params, curves, curve = nn.fit_sweep(configs, [m.params() for m in models], loss)
     runs = tuple(model.with_params(p) for model, p in zip(models, params))
     return nn.TrainedSweep(runs, curves, curve)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,10 +101,22 @@ class NuisanceTask:
     def observation_prior(self) -> np.ndarray:
         return self.joint_zny().marginal_table("y")
 
+    @cached_property
+    def _cdfs(self):
+        """The CDFs of p(z) and p(n), normalised as ``Generator.choice`` does."""
+        return tuple(cdf / cdf[-1] for cdf in (self.p_z.cumsum(), self.p_n.cumsum()))
+
     def sample_batch(self, batch, rng):
-        """Draw (y indices, z labels) from the generative model."""
-        z = rng.choice(self.z_card, size=batch, p=self.p_z)
-        n = rng.choice(self.n_card, size=batch, p=self.p_n)
+        """Draw (y indices, z labels) from the generative model.
+
+        The draws are ``rng.choice(k, size=batch, p=p)``'s for z and then
+        n, bit for bit and with the same use of ``rng``: that method's
+        search of uniform draws in the prior's CDF, without its check of
+        ``p`` on every call, which the constructor has already made.
+        """
+        z_cdf, n_cdf = self._cdfs
+        z = z_cdf.searchsorted(rng.random(batch), side="right")
+        n = n_cdf.searchsorted(rng.random(batch), side="right")
         return self.f_map[z, n], z
 
 
@@ -337,10 +350,11 @@ def train_ib(task: NuisanceTask, configs):
     """Minimize the bottleneck objective with reparametrized sampling.
 
     ``configs`` is a list or tuple of :class:`IBLConfig` that differ only
-    in β and seed; a bare config is a ``ValueError``. The R runs train as
-    one graph with every encoder and decoder parameter stacked on a
-    leading run axis and β an (R,) constant. Run r keeps its own init,
-    train and eval streams from its seed, so its parameters and curve
+    in β, seed and learning rate; a bare config is a ``ValueError``. The
+    R runs train as one graph with every encoder and decoder parameter
+    stacked on a leading run axis, β an (R,) constant and each run
+    stepped at its own rate. Run r keeps its own init, train and eval
+    streams from its seed, so its parameters and curve
     (``acc`` included) are bit-identical to its config trained as a
     one-run sweep. Returns a :class:`~ibsep.nn.TrainedSweep` whose
     ``runs[r]`` is run r's ``(encoder, decoder)`` pair and whose curves
@@ -360,7 +374,6 @@ def train_ib(task: NuisanceTask, configs):
                                     first.rep_dim)
         decoder = _init_mlp(first.rep_dim, task.z_card, init_rng)
         start.append(_named_params(encoder, decoder))
-    state = nn.OptimizerState(schedule=first.learning_rate, momentum=first.momentum)
     betas = np.array([cfg.beta for cfg in configs])
 
     def networks(params):
@@ -382,7 +395,7 @@ def train_ib(task: NuisanceTask, configs):
             "acc": _accuracies(encoder, decoder, params, task, 8, eval_rngs),
         }
 
-    params, curves, curve = nn.fit_sweep(configs, start, loss, state)
+    params, curves, curve = nn.fit_sweep(configs, start, loss)
     return nn.TrainedSweep(tuple(map(networks, params)), curves, curve)
 
 

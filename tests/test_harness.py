@@ -449,9 +449,9 @@ def test_run_seprep_builds_each_exact_reference_once(monkeypatch):
 
 
 def test_run_static_ib_trains_each_group_of_seeds_as_one_sweep(monkeypatch):
-    # the beta = 0 seeds and the beta = 1e3 seeds are two sweeps, where one
-    # call per (seed, group) made six; the benchmark counts the calls and
-    # reads ``len(result.curve)`` as each call's steps
+    # the beta = 0 seeds and the beta = 1e3 seeds, which step at a smaller
+    # rate, are one sweep, where one call per group made two; the benchmark
+    # counts the calls and reads ``len(result.curve)`` as each call's steps
     small = {"encoders": 2, "train_seeds": 3, "train_steps": 4,
              "flatness_steps": 5}
     trained = []
@@ -463,10 +463,10 @@ def test_run_static_ib_trains_each_group_of_seeds_as_one_sweep(monkeypatch):
 
     monkeypatch.setattr(harness.static_ib, "train_ib", counted)
     records = harness.run_static_ib(5, small)
-    assert len(trained) == 2
-    for sweep in trained:
-        assert len(sweep.runs) == 3
-        assert len(sweep.curve) == small["train_steps"]
+    assert len(trained) == 1
+    sweep, = trained
+    assert len(sweep.runs) == 2 * small["train_seeds"]
+    assert len(sweep.curve) == small["train_steps"]
     counts = {r.key: r.instances for r in records}
     assert counts["beta0_mean_accuracy"] == counts["hi_beta_mean_info_bound"] == 3
 

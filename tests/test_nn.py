@@ -289,6 +289,38 @@ def test_sgd_nonfinite_gradient_names_parameter():
         nn.sgd_step(params, grads, state)
 
 
+def _stacked_steps(rates, steps=3, momentum=0.9):
+    """Per-run parameters stepped ``steps`` times stacked at per-run ``rates``
+    and lone at each rate; returns (the stacked runs unstacked, the lone runs)."""
+    rng = np.random.default_rng(8)
+    runs = [{"W": rng.standard_normal((4, 3)), "b": rng.standard_normal(3)}
+            for _ in rates]
+    params = nn.stack_runs(runs)
+    state = nn.OptimizerState(schedule=tuple(rates), momentum=momentum)
+    lone = [(p, nn.OptimizerState(schedule=r, momentum=momentum))
+            for p, r in zip(runs, rates)]
+    for _ in range(steps):
+        grads = [{k: rng.standard_normal(v.shape) for k, v in p.items()} for p in runs]
+        params, state = nn.sgd_step(params, nn.stack_runs(grads), state)
+        lone = [nn.sgd_step(p, g, s) for (p, s), g in zip(lone, grads)]
+    return nn.unstack_runs(params, runs[0]), [p for p, _ in lone]
+
+
+def test_sgd_per_run_rates_equal_lone_steps_bit_for_bit():
+    got, want = _stacked_steps([0.05, 1e-4, lambda k: 0.3 / (k + 1)])
+    assert np.shape(nn.OptimizerState(schedule=(0.1, 0.2)).learning_rate()) == (2,)
+    for run, lone in zip(got, want):
+        for key, value in lone.items():
+            assert run[key].shape == value.shape
+            assert run[key].tobytes() == value.tobytes(), key
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_sgd_refuses_a_per_run_rate_that_is_not_positive_and_names_the_run(bad):
+    with pytest.raises(ValueError, match=r"learning rate of run 1 must be positive"):
+        _stacked_steps([0.1, lambda k: bad if k == 1 else 0.1, 0.2])
+
+
 def test_fit_descends_and_records_the_curve():
     def loss(params, step):
         w = nn.parameter(params["w"], name="w")
@@ -413,6 +445,29 @@ def test_affine_node_equals_the_unfused_chain_bit_for_bit(runs, relu):
     for name in ("x", "W", "b"):
         assert grads[name].shape == ref_grads[name].shape
         assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+
+def test_relu_keeps_the_bits_of_where():
+    # fmax maps NaN to 0.0 like where but may keep -0.0 (NumPy's vector loop
+    # gives +0.0 and its scalar tail -0.0), which the + 0.0 then turns into
+    # +0.0; every other value must pass through unchanged
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0,
+                        math.nan])
+    rng = np.random.default_rng(6)
+    blocks = [special, special[::-1]] + [special[i:i + 1] for i in range(special.size)]
+    for shape in ((3, 64, 32), (3, 5, 7)) * 2:
+        block = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300)
+        block[rng.random(block.shape) < 0.1] = -0.0
+        block[rng.random(block.shape) < 0.05] = math.nan
+        blocks.append(block)
+    for x in blocks:
+        want = np.where(x > 0, x, 0.0).view(np.int64)
+        assert np.array_equal(nn.relu_n(x).value.view(np.int64), want)
+    for runs in (0, 3):
+        x, W, b = _signed_zero_layer(rng, runs)
+        pre = x @ W + b
+        out = nn.affine_n(x, W, b, relu=True).value
+        assert np.array_equal(out.view(np.int64), np.where(pre > 0, pre, 0.0).view(np.int64))
 
 
 @pytest.mark.parametrize("acts", [["identity"], ["relu", "softmax"],

@@ -444,9 +444,13 @@ def test_a_sweep_trains_each_run_bit_for_bit_as_a_lone_call():
 def test_a_sweep_refuses_configs_that_differ_beyond_beta_and_seed():
     src = seprep.lgss_source(scalar_lgss(), 12)
     a, b = _sweep_configs([(1e-1, 4), (1e-2, 5)])
-    with pytest.raises(ValueError, match="beta and seed"):
-        seprep.train_filter(src, [a, dataclasses.replace(b, batch=5)])
-    with pytest.raises(ValueError, match="beta and seed"):
+    # each run steps at its own rate
+    seprep.train_filter(src, [a, dataclasses.replace(b, learning_rate=0.01)])
+    for other in (dataclasses.replace(b, momentum=0.5),
+                  dataclasses.replace(b, batch=5)):
+        with pytest.raises(ValueError, match="beta, seed and learning_rate"):
+            seprep.train_filter(src, [a, other])
+    with pytest.raises(ValueError, match="beta, seed and learning_rate"):
         seprep.train_filter(src, [])
     with pytest.raises(ValueError, match="list or tuple of configs, got DynIBConfig"):
         seprep.train_filter(src, a)

@@ -81,6 +81,25 @@ def test_sample_batch_matches_generative_model():
     assert np.all(np.abs(freq - 0.25) < 0.02)
 
 
+@pytest.mark.parametrize("p_z, p_n", [([0.3, 0.7], [0.2, 0.0, 0.8]),
+                                      ([0.05, 0.1, 0.15, 0.2, 0.1, 0.3, 0.1], [0.5, 0.5])],
+                         ids=["2x3-with-a-zero", "7x2"])
+def test_sample_batch_draws_what_rng_choice_draws(p_z, p_n):
+    # the cached-CDF draw must be rng.choice's, index for index, and leave
+    # the generator where rng.choice leaves it
+    z_card, n_card = len(p_z), len(p_n)
+    task = sib.NuisanceTask(z_card, n_card, np.array(p_z), np.array(p_n),
+                            np.arange(z_card * n_card).reshape(z_card, n_card))
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for batch in (1, 64, 2000):
+        y_idx, z_idx = task.sample_batch(batch, rng)
+        z = ref.choice(z_card, size=batch, p=task.p_z)
+        n = ref.choice(n_card, size=batch, p=task.p_n)
+        assert z_idx.dtype == z.dtype and np.array_equal(z_idx, z)
+        assert np.array_equal(y_idx, task.f_map[z, n])
+    assert rng.random() == ref.random()
+
+
 # ---------------------------------------------------------------------------
 # encoders
 # ---------------------------------------------------------------------------
@@ -296,13 +315,15 @@ def _assert_sweep_matches_one_run_sweeps(task, configs):
                 assert other.shape == value.shape and np.array_equal(other, value), key
 
 
-@pytest.mark.parametrize("beta, learning_rate", [(0.0, 0.05), (1e3, 1e-4)],
-                         ids=["harness-beta0", "harness-hi-beta"])
-def test_a_sweep_trains_each_run_bit_for_bit_as_a_lone_call(beta, learning_rate):
-    # the two seed groups of the static-ib battery
+@pytest.mark.parametrize("groups", [[(0.0, 0.05)], [(1e3, 1e-4)],
+                                    [(0.0, 0.05), (1e3, 1e-4)]],
+                         ids=["harness-beta0", "harness-hi-beta", "harness-both"])
+def test_a_sweep_trains_each_run_bit_for_bit_as_a_lone_call(groups):
+    # the two seed groups of the static-ib battery, each alone and as the
+    # battery's one sweep, where the groups also differ in learning rate
     configs = [sib.IBLConfig(beta=beta, rep_dim=1, steps=25, batch=64, seed=seed,
                              learning_rate=learning_rate)
-               for seed in (7, 8, 9)]
+               for beta, learning_rate in groups for seed in (7, 8, 9)]
     _assert_sweep_matches_one_run_sweeps(bijective_task(), configs)
 
 
@@ -316,11 +337,13 @@ def test_a_sweep_refuses_configs_that_differ_beyond_beta_and_seed():
     task = bijective_task()
     a = sib.IBLConfig(beta=0.0, rep_dim=1, steps=2, batch=8, seed=0)
     b = dataclasses.replace(a, beta=1.0, seed=1)
-    for other in (dataclasses.replace(b, learning_rate=1e-4),
+    # each run steps at its own rate
+    sib.train_ib(task, [a, dataclasses.replace(b, learning_rate=1e-4)])
+    for other in (dataclasses.replace(b, momentum=0.5),
                   dataclasses.replace(b, batch=9)):
-        with pytest.raises(ValueError, match="beta and seed"):
+        with pytest.raises(ValueError, match="beta, seed and learning_rate"):
             sib.train_ib(task, [a, other])
-    with pytest.raises(ValueError, match="beta and seed"):
+    with pytest.raises(ValueError, match="beta, seed and learning_rate"):
         sib.train_ib(task, [])
     with pytest.raises(ValueError, match="list or tuple of configs, got IBLConfig"):
         sib.train_ib(task, a)
