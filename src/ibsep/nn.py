@@ -378,7 +378,7 @@ def concat(nodes, axis=-1) -> Node:
 
 
 def _relu(x):
-    """``np.where(x > 0, x, 0.0)`` bit for bit, in a tenth of its time.
+    """``np.where(x > 0, x, 0.0)`` bit for bit, at a fraction of its cost.
 
     ``fmax`` maps NaN to 0.0 as ``where`` does, but may keep a -0.0 input
     (NumPy's scalar loop does, its vector loop does not); adding +0.0
