@@ -218,19 +218,24 @@ def _report(experiment, key, value, clock) -> MetricRecord:
 def _fd_gradients(graph_loss, params, step):
     """Central differences of ``graph_loss`` in each entry of ``params``.
 
-    The +step and -step copies of every entry go on one run axis, so one
-    forward gives all their losses, each bit for bit a lone forward's.
+    The parameters' K entries in turn, each moved by +step and then by
+    -step, make 2K probes on one run axis, shaped as ``nn.stack_runs``
+    shapes them, so one forward gives all their losses, each bit for bit
+    a lone forward's. Each parameter is built as one array: its value
+    repeated on every probe row, with ``step`` added to its own entries on
+    their rows.
     """
-    probes = []
-    for name, value in params.items():
-        for i in range(value.size):
-            for delta in (step, -step):
-                probe = {k: v.copy() for k, v in params.items()}
-                probe[name].reshape(-1)[i] += delta
-                probes.append(probe)
-    losses = graph_loss(nn.stack_runs(probes)).value
-    ends = np.cumsum([value.size for value in params.values()])[:-1]
-    diffs = np.split((losses[0::2] - losses[1::2]) / (2 * step), ends)
+    sizes = [value.size for value in params.values()]
+    rows, probes, at = 2 * sum(sizes), {}, 0
+    for (name, value), size in zip(params.items(), sizes):
+        probe = np.repeat(value.reshape(1, -1), rows, axis=0)
+        entries = np.arange(size)
+        probe[2 * (at + entries), entries] += step
+        probe[2 * (at + entries) + 1, entries] += -step
+        probes[name] = probe.reshape(rows, *(value.shape if value.ndim > 1 else (1, size)))
+        at += size
+    losses = graph_loss(probes).value
+    diffs = np.split((losses[0::2] - losses[1::2]) / (2 * step), np.cumsum(sizes)[:-1])
     return {name: d.reshape(v.shape) for (name, v), d in zip(params.items(), diffs)}
 
 
@@ -363,7 +368,7 @@ def run_kalman(seed: int, overrides=None) -> list:
         models.append(model)
         T = int(rng.integers(10, 51))
         traj = lgss.simulate(model, None, T, rng)
-        (means, covs), _, _ = lgss.run_filter(model, [traj])
+        (means, covs), _ = lgss.run_filter(model, [traj])
         for t in (max(1, T // 2), T):
             oracle = lgss.batch_posterior_oracle(model, traj, t)
             filter_devs += [np.max(np.abs(means[0, t - 1] - oracle.mean)),
@@ -375,7 +380,7 @@ def run_kalman(seed: int, overrides=None) -> list:
     for model in models[: max(0, opts["riccati_models"])]:
         fixed = lgss.riccati_iterate(model, 2.0 * np.eye(model.n), 5 * riccati_T)
         traj = lgss.simulate(model, None, riccati_T, rng)
-        (_, covs), _, _ = lgss.run_filter(model, [traj])
+        (_, covs), _ = lgss.run_filter(model, [traj])
         riccati_devs.append(np.max(np.abs(covs[0, -1] - fixed)))
     records.append(_gate("kalman", "riccati_vs_filter_max_dev", riccati_devs,
                          np.max, operator.lt, opts["tol"], opts["tol"], clock))
@@ -540,6 +545,25 @@ def _marginal_slack_identity_err(reference) -> float:
     return abs(out["slack"] - mi_sum / T)
 
 
+def _random_candidate(reference, rng):
+    """A candidate of random guesses, drawn from ``rng`` one (t, k) level at a time.
+
+    The first call for a level draws a Dirichlet(1) guess for each of the
+    level's histories, in the reference's order, with one ``dirichlet``
+    call, which gives the numbers of one call per history in that order.
+    """
+    n_obs, truths, levels = reference["hmm"].n_obs, reference["truths"], {}
+
+    def candidate(history, k):
+        key = (len(history), k)
+        if key not in levels:
+            level = truths[key]
+            levels[key] = dict(zip(level, rng.dirichlet(np.ones(n_obs), size=len(level))))
+        return levels[key][history]
+
+    return candidate
+
+
 def run_seprep(seed: int, overrides=None) -> list:
     """Entropy bounds on enumerable HMMs, the Kalman embedding, training."""
     opts = _opts("seprep", overrides)
@@ -558,15 +582,8 @@ def run_seprep(seed: int, overrides=None) -> list:
         exact_slacks.append(abs(out["slack"]))
         marginal_errs.append(_marginal_slack_identity_err(reference))
         for _ in range(opts["rand_candidates"]):
-            table = {}
-
-            def candidate(history, k, _t=table, _h=hmm):
-                key = (history, k)
-                if key not in _t:
-                    _t[key] = rng.dirichlet(np.ones(_h.n_obs))
-                return _t[key]
-
-            slacks.append(seprep.nstep_bound_check(reference, candidate)["slack"])
+            slacks.append(seprep.nstep_bound_check(
+                reference, _random_candidate(reference, rng))["slack"])
     records.append(_gate("seprep", "hmm_exact_candidate_max_abs_slack",
                          exact_slacks, np.max, operator.lt, 1e-9, 1e-9, clock))
     records.append(_gate("seprep", "hmm_marginal_slack_identity_err",

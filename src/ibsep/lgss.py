@@ -9,9 +9,11 @@ with x_0 ~ N(mu0, P0). The posterior over x_t given y_1..y_t is exactly
 Gaussian, so the filter state is the plain ``(mean, cov)`` pair of
 arrays: ``kalman_predict`` and ``kalman_update`` (Joseph-form covariance,
 Cholesky gain solve) map one pair to the next, and ``run_filter`` returns
-the stacked posteriors, the stacked one-step predictives of y_t and the
-total log-likelihood; the covariances depend on no data, so a batch of
-means shares one covariance pass. The recursive filter is checked against
+the stacked posteriors and the stacked one-step predictives of y_t; the
+covariances depend on no data, so a batch of means shares one covariance
+pass. ``predictive_loglik`` scores the trajectories under those
+predictives, for the callers that want the log-likelihood. The recursive
+filter is checked against
 an independent oracle that builds the joint Gaussian of (x_t, y_1..y_t)
 explicitly and conditions by Schur complement.
 """
@@ -39,6 +41,7 @@ __all__ = [
     "riccati_iterate",
     "batch_posterior_oracle",
     "run_filter",
+    "predictive_loglik",
     "trajectory_to_csv",
     "trajectory_from_csv",
 ]
@@ -320,50 +323,81 @@ def riccati_iterate(model: LGSSModel, P_init, n_iters: int) -> np.ndarray:
     return P
 
 
-def run_filter(model: LGSSModel, trajectories):
-    """Filter a list or tuple of N equal-length trajectories (not a bare one).
-
-    Returns ``((means, covs), (pred_means, pred_covs), loglik)``: row (i, t)
-    of the (N, T, n) and (N, T, n, n) arrays is trajectory i's posterior
-    after y_{t+1}, of the (N, T, m) and (N, T, m, m) arrays its one-step
-    predictive of y_{t+1}, and loglik[i] its sum_t log p(y_t | y^{t-1}), all
-    bit for bit the per-step predict/update chain. The covariances depend on
-    no data: the rows share them (read-only views), and a covariance step is
-    computed once per distinct posterior covariance, so once the Riccati
-    recursion repeats bit for bit every later step is a lookup.
-    """
+def _observations(trajectories, m: int, caller: str) -> np.ndarray:
+    """The (N, T, m) observations of a list or tuple of N equal-length trajectories."""
     if not isinstance(trajectories, (list, tuple)):
-        raise ValueError("run_filter takes a list or tuple of trajectories, "
+        raise ValueError(f"{caller} takes a list or tuple of trajectories, "
                          f"got {type(trajectories).__name__}")
     trajs = list(trajectories)
     if not trajs or any(traj.T != trajs[0].T for traj in trajs):
-        raise ValueError("run_filter needs one or more trajectories of equal length")
-    N, T, n, m = len(trajs), trajs[0].T, model.n, model.m
-    ys = np.stack([traj.y.reshape(T, m) for traj in trajs])
-    us = np.stack([traj.u.reshape(T, model.p) for traj in trajs])
+        raise ValueError(f"{caller} needs one or more trajectories of equal length")
+    return np.stack([traj.y.reshape(traj.T, m) for traj in trajs])
+
+
+def run_filter(model: LGSSModel, trajectories):
+    """Filter a list or tuple of N equal-length trajectories (not a bare one).
+
+    Returns ``((means, covs), (pred_means, pred_covs))``: row (i, t) of the
+    (N, T, n) and (N, T, n, n) arrays is trajectory i's posterior after
+    y_{t+1}, and of the (N, T, m) and (N, T, m, m) arrays its one-step
+    predictive of y_{t+1}, all bit for bit the per-step predict/update
+    chain. :func:`predictive_loglik` turns the predictives into each
+    trajectory's log-likelihood. The covariances depend on no data: the
+    rows share them (read-only views), and a covariance step is computed
+    once per distinct posterior covariance, so once the Riccati recursion
+    repeats bit for bit every later step is a lookup.
+    """
+    ys = _observations(trajectories, model.m, "run_filter")
+    (N, T, m), n = ys.shape, model.n
+    us = np.stack([traj.u.reshape(T, model.p) for traj in trajectories])
     means, covs = np.empty((N, T, n)), np.empty((T, n, n))
     pred_means, pred_covs = np.empty((N, T, m)), np.empty((T, m, m))
-    mean, cov, loglik = np.broadcast_to(model.mu0, (N, n)), model.P0, np.zeros(N)
+    mean, cov = np.broadcast_to(model.mu0, (N, n)), model.P0
     steps, key = {}, cov.tobytes()  # posterior covariance bytes -> its step
     for t in range(T):
         mean = _finite(_matvec(model.A, mean) + _matvec(model.B, us[:, t]))
         if key not in steps:
             S, gain, post = _covariance_step(cov, model)
-            chol = np.linalg.cholesky(S)
-            norm = m * math.log(2.0 * math.pi) + 2.0 * np.log(np.diagonal(chol)).sum()
-            steps[key] = gain, post, post.tobytes(), S, chol, norm
-        gain, cov, key, pred_covs[t], chol, norm = steps[key]
+            steps[key] = gain, post, post.tobytes(), S
+        gain, cov, key, pred_covs[t] = steps[key]
         covs[t] = cov
         pred_means[:, t] = _matvec(model.C, mean)
-        innovation = ys[:, t] - pred_means[:, t]
-        mean = means[:, t] = _finite(mean + _matvec(gain, innovation))
-        # info.gaussian_logpdf of every row with one factor; a lone solve per
-        # row keeps its bits, and the update has refused a non-finite row
-        dev = np.array([solve_triangular(chol, r, lower=True, check_finite=False)
-                        for r in innovation])
-        loglik += -0.5 * (norm + (dev[:, None, :] @ dev[:, :, None])[:, 0, 0])
+        mean = means[:, t] = _finite(mean + _matvec(gain, ys[:, t] - pred_means[:, t]))
     covs, pred_covs = (np.broadcast_to(a, (N, *a.shape)) for a in (covs, pred_covs))
-    return (means, covs), (pred_means, pred_covs), loglik
+    return (means, covs), (pred_means, pred_covs)
+
+
+def predictive_loglik(trajectories, pred_means, pred_covs) -> np.ndarray:
+    """Each trajectory's Σ_t log p(y_t | y^{t-1}) under its one-step predictives.
+
+    ``pred_means`` and ``pred_covs`` are the (N, T, m) and (N, T, m, m)
+    predictives that :func:`run_filter` returns for the same list of
+    trajectories. Entry i adds trajectory i's Gaussian log-densities in
+    time order, each ``info.gaussian_logpdf``'s through the Cholesky
+    factor of its covariance, with one factor per distinct covariance and
+    one triangular solve per row.
+    """
+    ys = _observations(trajectories, pred_means.shape[-1], "predictive_loglik")
+    if ys.shape != pred_means.shape or pred_covs.shape != ys.shape + ys.shape[-1:]:
+        raise ValueError(f"predictives of shapes {pred_means.shape} and {pred_covs.shape} "
+                         f"do not fit observations of shape {ys.shape}")
+    N, T, m = ys.shape
+    loglik, factors = np.zeros(N), {}  # covariance bytes -> (factor, log-norm)
+    for t in range(T):
+        rows = []
+        for cov in pred_covs[:, t]:
+            key = cov.tobytes()
+            if key not in factors:
+                chol = np.linalg.cholesky(cov)
+                factors[key] = chol, (m * math.log(2.0 * math.pi)
+                                      + 2.0 * np.log(np.diagonal(chol)).sum())
+            rows.append(factors[key])
+        innovation = ys[:, t] - pred_means[:, t]
+        dev = np.array([solve_triangular(chol, r, lower=True, check_finite=False)
+                        for (chol, _), r in zip(rows, innovation)])
+        norm = np.array([norm for _, norm in rows])
+        loglik += -0.5 * (norm + (dev[:, None, :] @ dev[:, :, None])[:, 0, 0])
+    return loglik
 
 
 def batch_posterior_oracle(model: LGSSModel, trajectory: Trajectory, t: int) -> GaussianDistribution:

@@ -19,6 +19,12 @@ The runs of a sweep may differ in β, seed and learning rate: the
 optimizer then holds one schedule per run, and :func:`sgd_step` scales
 each run's slice of a stacked parameter by that run's rate.
 
+``backward`` copies a gradient only for a parameter leaf, so that every
+gradient it returns is an array of its own. An interior node takes its
+first contribution as its VJP returns it, which may be an array another
+node also holds; that is safe because sums are formed out of place and no
+VJP or optimizer step writes into a gradient.
+
 A recurrence is one node too: :func:`scan_n` runs every step of
 φ_{t+1} = net(φ_t ‖ inputs_t) forward, and its truncated BPTT in one
 backward visit, with the bits of the per-step chain of layer nodes.
@@ -156,10 +162,12 @@ class Node:
     def sum(self, axis=None):
         """Sum over ``axis`` (an int or tuple; all axes by default)."""
         val = self.value
-        kept = () if axis is None else axis
+        shape, kept = val.shape, _kept_shape(val, axis)
 
         def vjp(g):
-            return np.broadcast_to(np.expand_dims(g, kept), val.shape).copy()
+            full = np.empty(shape)
+            full[...] = g.reshape(kept)
+            return full
 
         return Node(val.sum(axis=axis), (self,), (vjp,), op="sum")
 
@@ -168,10 +176,12 @@ class Node:
         val = self.value
         out = val.mean(axis=axis)
         n = val.size // out.size
-        kept = () if axis is None else axis
+        shape, kept = val.shape, _kept_shape(val, axis)
 
         def vjp(g):
-            return np.broadcast_to(np.expand_dims(g / n, kept), val.shape).copy()
+            full = np.empty(shape)
+            full[...] = (g / n).reshape(kept)
+            return full
 
         return Node(out, (self,), (vjp,), op="mean")
 
@@ -188,6 +198,14 @@ class Node:
 
 def _wrap(x):
     return x if isinstance(x, Node) else Node(np.asarray(x, dtype=float))
+
+
+def _kept_shape(value, axis):
+    """``value``'s shape with each axis that ``axis`` reduces (all for None) as 1."""
+    ndim = value.ndim
+    axes = (range(ndim) if axis is None
+            else {a % ndim for a in (axis if isinstance(axis, tuple) else (axis,))})
+    return tuple(1 if i in axes else size for i, size in enumerate(value.shape))
 
 
 def _unbroadcast(grad, shape):
@@ -424,12 +442,13 @@ def gather_logprob(logp: Node, labels) -> Node:
     if labels.shape != shape[:-1]:
         raise ValueError(f"labels of shape {labels.shape} do not index the rows "
                          f"of a log-prob of shape {shape}")
-    index = labels[..., None]
-    picked = np.take_along_axis(logp.value, index, axis=-1)[..., 0]
+    picked = np.take_along_axis(logp.value, labels[..., None], axis=-1)[..., 0]
+    # the flat index of each picked entry; take_along_axis has bounded the labels
+    flat = np.arange(0, logp.value.size, shape[-1]) + (labels % shape[-1]).ravel()
 
     def vjp(g):
         full = np.zeros(shape)
-        np.put_along_axis(full, index, g[..., None], axis=-1)
+        full.reshape(-1)[flat] = g.reshape(-1)
         return full
 
     return Node(picked, (logp,), (vjp,), op="gather")
@@ -454,19 +473,26 @@ def kl_to_standard_normal_n(mu: Node, log_std: Node) -> Node:
 
 
 def _toposort(root: Node):
-    order, seen, stack = [], set(), [(root, False)]
+    """The nodes reachable from ``root``, each after all of its parents.
+
+    A depth-first walk; ``expanded[i]`` tells whether ``stack[i]`` was
+    pushed back to be emitted once its parents are, or is still to visit.
+    """
+    order, seen, stack, expanded = [], set(), [root], [False]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
+        node = stack.pop()
+        if expanded.pop():
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
+        seen.add(node)
+        stack.append(node)
+        expanded.append(True)
         for p in node.parents:
-            if id(p) not in seen:
-                stack.append((p, False))
+            if p not in seen:
+                stack.append(p)
+                expanded.append(False)
     return order  # parents before children
 
 
@@ -474,10 +500,11 @@ def backward(output: Node) -> dict:
     """Reverse-mode gradients of a scalar node.
 
     Returns a dict mapping each reachable named parameter node's name to
-    its gradient array, which is also that node's ``grad`` field. Only
-    parameter leaves keep a gradient: an interior node's is freed once it
-    has been passed to its parents, and a constant leaf gets none, so the
-    gradients alive at once are a frontier of the graph, not all of it.
+    its gradient array, which is also that node's ``grad`` field and is
+    no other node's. Only parameter leaves keep a gradient: an interior
+    node's is freed once it has been passed to its parents, and a
+    constant leaf gets none, so the gradients alive at once are a
+    frontier of the graph, not all of it.
     """
     if output.value.size != 1:
         raise ValueError(f"backward needs a scalar output, got shape {output.value.shape}")
@@ -492,10 +519,12 @@ def backward(output: Node) -> dict:
             if not parent.parents and parent.op != "param":
                 continue
             contrib = vjp(node.grad)
-            if parent.grad is None:
-                parent.grad = np.array(contrib, dtype=float, copy=True)
-            else:
+            if parent.grad is not None:
                 parent.grad = parent.grad + contrib
+            elif parent.parents:  # a VJP may hand on its own input
+                parent.grad = contrib
+            else:  # a parameter keeps an array of its own
+                parent.grad = np.array(contrib, dtype=float, copy=True)
         if node.parents:
             node.grad = None
     grads = {}
@@ -645,16 +674,20 @@ def sgd_step(params: dict, grads: dict, state: OptimizerState):
     same product as a lone run's step with that rate.
     """
     lr = state.learning_rate()
+    rates = {}  # the rate shaped for each parameter rank
     new_params, new_buffers = {}, {}
     for name, value in params.items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(value)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         buf = state.buffers.get(name)
         buf = g.copy() if buf is None else state.momentum * buf + g
-        rate = np.reshape(lr, np.shape(lr) + (1,) * (value.ndim - np.ndim(lr)))
+        rate = rates.get(value.ndim)
+        if rate is None:
+            rate = rates[value.ndim] = np.reshape(
+                lr, np.shape(lr) + (1,) * (value.ndim - np.ndim(lr)))
         new_params[name] = value - rate * buf
         new_buffers[name] = buf
     return new_params, replace(state, step=state.step + 1, buffers=new_buffers)

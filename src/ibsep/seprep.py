@@ -632,7 +632,7 @@ def evaluate_vs_kalman(model, lgss_model: lgss.LGSSModel, T: int, num_traj: int,
     trajs = [lgss.simulate(lgss_model, None, T, np.random.default_rng(sim_ss))
              for sim_ss, _ in streams]
     eval_rngs = [np.random.default_rng(eval_ss) for _, eval_ss in streams]
-    _, (kal_means, kal_covs), _ = lgss.run_filter(lgss_model, trajs)
+    _, (kal_means, kal_covs) = lgss.run_filter(lgss_model, trajs)
     ys = np.stack([traj.y for traj in trajs])
     us = np.stack([traj.u for traj in trajs])
     nll_learned = np.empty((num_traj, T))

@@ -45,6 +45,10 @@ __all__ = [
 
 TrainingDiverged = nn.TrainingDiverged
 
+# train_ib scores its accuracy curve this many steps at a time; scoring all
+# of the battery's 400 steps at the end would hold about 13 MB at once
+_ACC_CHUNK = 50
+
 
 # ---------------------------------------------------------------------------
 # tasks
@@ -326,22 +330,26 @@ def eval_accuracy(encoder, decoder, task, samples, rng) -> float:
     return _accuracies(encoder, decoder, params, task, samples, [rng])[0]
 
 
-def _accuracies(encoder, decoder, params, task, samples, rngs) -> list:
-    """:func:`eval_accuracy` of R runs, one forward each for encoder and decoder.
+def _accuracies(encoder, decoder, params, task, samples, rngs, steps=1) -> list:
+    """:func:`eval_accuracy` of R runs at ``steps`` steps each, one forward each
+    for encoder and decoder.
 
-    ``params`` holds the runs' ``enc.*`` and ``dec.*`` arrays on a leading
-    run axis and run r draws from ``rngs[r]``; entry r is bit for bit run
-    r's lone accuracy.
+    ``params`` holds the ``enc.*`` and ``dec.*`` arrays of steps·R parameter
+    sets on a leading run axis, step-major: entry c·R + r is run r at step
+    c. Run r draws the normals of all its steps from ``rngs[r]`` in one call,
+    the numbers of ``steps`` lone calls in turn, so entry c·R + r is bit for
+    bit run r's lone accuracy at step c.
     """
     means, stds = encoder.posterior_table(nn.param_group(params, "enc"))
     weights = np.outer(task.p_z, task.p_n)
     zs, ns = np.nonzero(weights)
     ys = np.repeat(task.f_map[zs, ns], samples)
-    eps = np.stack([rng.standard_normal((ys.size, encoder.rep_dim)) for rng in rngs])
-    logits = nn.forward(decoder, means[:, ys] + stds[:, ys] * eps,
+    draws = (steps, ys.size, encoder.rep_dim)
+    eps = np.stack([rng.standard_normal(draws) for rng in rngs], axis=1)
+    logits = nn.forward(decoder, means[:, ys] + stds[:, ys] * eps.reshape(-1, *draws[1:]),
                         param_nodes=nn.param_group(params, "dec")).value
     hits = np.argmax(logits, axis=-1) == np.repeat(zs, samples)
-    rates = hits.reshape(len(rngs), -1, samples).mean(axis=-1)
+    rates = hits.reshape(steps * len(rngs), -1, samples).mean(axis=-1)
     # a running sum adds each run's weighted hit rates in (z, n) order
     return np.cumsum(weights[zs, ns] * rates, axis=-1)[:, -1].tolist()
 
@@ -361,6 +369,10 @@ def train_ib(task: NuisanceTask, configs):
     record (step, loss, ce, info_bound, acc). Raises
     :class:`TrainingDiverged` naming the step and the run's β and seed
     when a loss or its gradient stops being finite.
+
+    The accuracy curve is scored ``_ACC_CHUNK`` steps at a time: the steps'
+    parameters are kept, and one :func:`_accuracies` call scores them as
+    that many times R runs on the run axis, with each step's bits.
     """
     configs = nn.sweep_configs(configs)
     first = configs[0]
@@ -385,17 +397,31 @@ def train_ib(task: NuisanceTask, configs):
         y_idx, z_idx = task.sample_batch(first.batch, rng)
         return y_idx, z_idx, rng.standard_normal((first.batch, first.rep_dim))
 
+    kept, accs = [], []  # the unscored steps' parameters; each step's (R,) accuracies
+
+    def score():
+        chunk = {key: np.concatenate([p[key] for p in kept]) for key in kept[0]}
+        flat = _accuracies(encoder, decoder, chunk, task, 8, eval_rngs, len(kept))
+        accs.extend(flat[c:c + len(configs)] for c in range(0, len(flat), len(configs)))
+        kept.clear()
+
     def loss(params, step):
         y_idx, z_idx, eps = (np.stack(block) for block in zip(*map(draw, train_rngs)))
         total, ce, kl = _loss_graph(encoder, decoder, nn.parameters(params), y_idx,
                                     z_idx, eps, betas)
-        return total, {
-            "ce": ce.value.tolist(),
-            "info_bound": kl.value.tolist(),
-            "acc": _accuracies(encoder, decoder, params, task, 8, eval_rngs),
-        }
+        kept.append(params)
+        if len(kept) == _ACC_CHUNK:
+            score()
+        return total, {"ce": ce.value.tolist(), "info_bound": kl.value.tolist()}
 
     params, curves, curve = nn.fit_sweep(configs, start, loss)
+    if kept:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as fit's
+            score()
+    for step, row in enumerate(curve):
+        row["acc"] = accs[step]
+        for r, run_curve in enumerate(curves):
+            run_curve[step]["acc"] = accs[step][r]
     return nn.TrainedSweep(tuple(map(networks, params)), curves, curve)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ibsep import control_sep, harness, info, nn
+from ibsep import control_sep, harness, info, nn, seprep
 
 # shrunk parameters so the full pipeline runs in seconds
 FAST = {"models": 3, "instances": 5, "encoders": 3, "train_steps": 5,
@@ -446,6 +446,41 @@ def test_run_seprep_builds_each_exact_reference_once(monkeypatch):
     assert calls["hmm_exact_reference"] == 2
     assert calls["evaluate_vs_kalman"] == 2
     assert calls["run_filter"] == calls["evaluate_vs_kalman"]
+
+
+def _lazy_random_candidate(rng, n_obs):
+    """One Dirichlet(1) draw per history, at its first call."""
+    table = {}
+
+    def candidate(history, k):
+        if (history, k) not in table:
+            table[history, k] = rng.dirichlet(np.ones(n_obs))
+        return table[history, k]
+
+    return candidate
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_level_drawn_random_candidates_score_as_per_history_draws(n):
+    # the battery's two HMMs (2 and 3 outcomes) and a 4-outcome one, each
+    # candidate drawn a level at a time: the same slacks, bit for bit, and
+    # the generator ends where the per-history draws leave it
+    seed = harness.experiment_seed(7, "seprep")
+    hmms = harness._hmm_instances(np.random.default_rng(seed))
+    hmms.append(seprep.FiniteHMM(trans=np.full((2, 2), 0.5),
+                                 emit=[[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]],
+                                 init=[0.5, 0.5]))
+    assert [hmm.n_obs for hmm in hmms] == [2, 3, 4]
+    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for hmm in hmms:
+        reference = seprep.hmm_exact_reference(hmm, 4, n)
+        for _ in range(3):
+            got = seprep.nstep_bound_check(reference,
+                                           harness._random_candidate(reference, mine))
+            want = seprep.nstep_bound_check(reference,
+                                            _lazy_random_candidate(theirs, hmm.n_obs))
+            assert got == want
+    assert mine.random() == theirs.random()
 
 
 def test_run_static_ib_trains_each_group_of_seeds_as_one_sweep(monkeypatch):

@@ -211,7 +211,7 @@ def test_riccati_matches_long_filter_covariance():
     rng = np.random.default_rng(10)
     model = lgss.random_stable_model(rng, n=2, m=2)
     traj = lgss.simulate(model, None, 1000, rng)
-    (_, (covs,)), _, _ = lgss.run_filter(model, [traj])
+    (_, (covs,)), _ = lgss.run_filter(model, [traj])
     P_star = lgss.riccati_iterate(model, model.P0, 1000)
     assert np.max(np.abs(covs[-1] - P_star)) < 1e-8
 
@@ -323,8 +323,9 @@ def test_run_filter_predictives_are_the_one_step_densities():
     for n, m, p in ((3, 2, 2), (1, 1, 0), (4, 3, 1), (5, 1, 0), (2, 3, 2)):
         model = lgss.random_stable_model(rng, n=n, m=m, p=p)
         traj = lgss.simulate(model, rng.normal(size=(12, p)), 12, rng)
-        ((means,), (covs,)), ((pred_means,), (pred_covs,)), (loglik,) = \
-            lgss.run_filter(model, [traj])
+        filtered, predictives = lgss.run_filter(model, [traj])
+        ((means,), (covs,)), ((pred_means,), (pred_covs,)) = filtered, predictives
+        (loglik,) = lgss.predictive_loglik([traj], *predictives)
         assert means.shape == (12, n) and covs.shape == (12, n, n)
         assert pred_means.shape == (12, m) and pred_covs.shape == (12, m, m)
         mean, cov = model.mu0, model.P0
@@ -368,7 +369,7 @@ def test_a_long_run_filter_equals_the_per_step_chain_bitwise():
         model, traj = _controlled_case(rng, 1000)
         want = _per_step_chain(model, traj)
         assert len({cov.tobytes() for cov in want[1]}) < 1000
-        got = [a[0] for a in _flat(lgss.run_filter(model, [traj]))]
+        got = [a[0] for a in _flat(_with_loglik([traj], lgss.run_filter(model, [traj])))]
         for got_part, want_part in zip(got, want):
             assert np.array_equal(got_part, want_part)
 
@@ -412,15 +413,34 @@ def test_a_bare_trajectory_is_refused_by_name():
     with pytest.raises(ValueError, match="list or tuple of trajectories, got Trajectory"):
         lgss.run_filter(model, traj)
     # a tuple is a list of trajectories
-    assert np.array_equal(lgss.run_filter(model, (traj,))[2],
-                          lgss.run_filter(model, [traj])[2])
+    assert np.array_equal(_with_loglik((traj,), lgss.run_filter(model, (traj,)))[2],
+                          _with_loglik([traj], lgss.run_filter(model, [traj]))[2])
+
+
+def test_predictive_loglik_refuses_predictives_of_other_trajectories():
+    rng = np.random.default_rng(43)
+    model = lgss.random_stable_model(rng, n=2, m=2)
+    trajs = [lgss.simulate(model, None, 6, rng) for _ in range(3)]
+    _, (pred_means, pred_covs) = lgss.run_filter(model, trajs)
+    assert lgss.predictive_loglik(trajs, pred_means, pred_covs).shape == (3,)
+    for others in (trajs[:2], [lgss.simulate(model, None, 5, rng)] * 3):
+        with pytest.raises(ValueError, match="do not fit observations"):
+            lgss.predictive_loglik(others, pred_means, pred_covs)
+    with pytest.raises(ValueError, match="list or tuple of trajectories, got Trajectory"):
+        lgss.predictive_loglik(trajs[0], pred_means, pred_covs)
 
 
 def _filter_rows(model, trajs):
     """run_filter on the list, and row 0 of a one-trajectory call on each."""
-    batched = lgss.run_filter(model, trajs)
-    return batched, [[a[0] for a in _flat(lgss.run_filter(model, [traj]))]
+    batched = _with_loglik(trajs, lgss.run_filter(model, trajs))
+    return batched, [[a[0] for a in _flat(_with_loglik([traj],
+                                                      lgss.run_filter(model, [traj])))]
                      for traj in trajs]
+
+
+def _with_loglik(trajs, result):
+    """run_filter's result with the trajectories' log-likelihoods appended."""
+    return (*result, lgss.predictive_loglik(trajs, *result[1]))
 
 
 def _flat(result):
@@ -542,7 +562,7 @@ def test_batch_oracle_agrees_with_recursive_filter():
         T = int(rng.integers(5, 21))
         u = rng.normal(size=(T, p)) if p else None
         traj = lgss.simulate(model, u, T, rng)
-        ((means,), (covs,)), _, _ = lgss.run_filter(model, [traj])
+        ((means,), (covs,)), _ = lgss.run_filter(model, [traj])
         for t in (1, max(1, T // 2), T):
             oracle = lgss.batch_posterior_oracle(model, traj, t)
             assert np.max(np.abs(means[t - 1] - oracle.mean)) < 1e-8

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ibsep import info, nn
+from ibsep import info, nn, seprep, static_ib
 
 
 def random_mlp(rng, max_layers=3, max_width=16, final="softmax"):
@@ -183,6 +183,59 @@ def test_backward_rejects_nonscalar():
     w = nn.parameter(np.ones(3), name="w")
     with pytest.raises(ValueError):
         nn.backward(w * w)
+
+
+def test_backward_hands_each_parameter_a_gradient_of_its_own():
+    # the sum's VJP hands both operands of the add the same incoming array
+    a = nn.parameter(np.array([1.0, -2.0, 3.0]), name="a")
+    b = nn.parameter(np.array([0.5, 0.25, -4.0]), name="b")
+    grads = nn.backward((a + b).sum())
+    assert grads["a"] is not grads["b"]
+    assert np.array_equal(grads["a"], np.ones(3)) and np.array_equal(grads["b"], np.ones(3))
+    grads["a"][0] = 7.0
+    assert np.array_equal(grads["b"], np.ones(3))
+    assert grads["a"] is a.grad and grads["b"] is b.grad
+
+
+# incoming gradients with every value whose bits a careless copy could move
+_SPECIAL = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1.5, -2.25e-308])
+
+
+def _special_gradient(rng, shape):
+    return rng.choice(_SPECIAL, size=shape) if shape else np.float64(rng.choice(_SPECIAL))
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(
+        np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+@pytest.mark.parametrize("axis", [None, 0, -1, 2, (0, 2), (-2, -1), (1,)])
+def test_sum_and_mean_vjps_keep_the_bits_of_a_broadcast_copy(axis):
+    rng = np.random.default_rng(12)
+    val = rng.standard_normal((3, 4, 5))
+    kept = () if axis is None else axis
+    for _ in range(5):
+        total, mean = nn.Node(val).sum(axis=axis), nn.Node(val).mean(axis=axis)
+        g = _special_gradient(rng, total.value.shape)
+        n = val.size // total.value.size
+        want_sum = np.broadcast_to(np.expand_dims(g, kept), val.shape).copy()
+        want_mean = np.broadcast_to(np.expand_dims(g / n, kept), val.shape).copy()
+        assert _same_bits(total.vjps[0](g), want_sum)
+        assert _same_bits(mean.vjps[0](g), want_mean)
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 5), (3, 4, 5)])
+def test_the_gather_vjp_keeps_the_bits_of_put_along_axis(shape):
+    rng = np.random.default_rng(13)
+    logp = rng.standard_normal(shape)
+    for _ in range(5):
+        labels = rng.integers(-shape[-1], shape[-1], size=shape[:-1])
+        node = nn.gather_logprob(logp, labels)
+        g = _special_gradient(rng, labels.shape)
+        want = np.zeros(shape)
+        np.put_along_axis(want, labels[..., None], np.asarray(g)[..., None], axis=-1)
+        assert _same_bits(node.vjps[0](g), want)
 
 
 def test_backward_matches_finite_differences_mlp():
@@ -468,6 +521,58 @@ def test_relu_keeps_the_bits_of_where():
         pre = x @ W + b
         out = nn.affine_n(x, W, b, relu=True).value
         assert np.array_equal(out.view(np.int64), np.where(pre > 0, pre, 0.0).view(np.int64))
+
+
+def _reference_toposort(root):
+    """The depth-first order, with ids for membership and a tuple per push."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node.parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    return order
+
+
+def _static_ib_graph(rng):
+    task = static_ib.make_nuisance_task(2, 2, seed=0)
+    encoder = static_ib.StochasticEncoder(static_ib._init_mlp(4, 2, rng), 1)
+    decoder = static_ib._init_mlp(1, 2, rng)
+    params = nn.stack_runs([static_ib._named_params(encoder, decoder)] * 3)
+    y_idx, z_idx = task.sample_batch(3 * 16, rng)
+    total, _, _ = static_ib._loss_graph(
+        encoder, decoder, nn.parameters(params), y_idx.reshape(3, 16),
+        z_idx.reshape(3, 16), rng.standard_normal((3, 16, 1)), np.array([0.0, 1.0, 1e3]))
+    return total.sum()
+
+
+def _seprep_graph(rng):
+    R, B, T, d = 3, 4, 20, 2
+    cfg = seprep.DynIBConfig(beta=0.1, traj_len=T, steps=1, batch=B, seed=0, rep_dim=d)
+    models = [seprep.init_sep_filter(d, 1, rng=rng) for _ in range(R)]
+    nodes = nn.parameters(nn.stack_runs([m.params() for m in models]))
+    total, _, _ = seprep._sep_loss_graph(
+        models[0], nodes, rng.standard_normal((R, B, T, 1)), np.zeros((R, B, T, 0)),
+        cfg, rng.standard_normal((R, T, B, d)), np.full(R, 0.1))
+    return total.sum()
+
+
+@pytest.mark.parametrize("graph", [_static_ib_graph, _seprep_graph],
+                         ids=["static-ib", "seprep"])
+def test_toposort_keeps_the_depth_first_order_node_for_node(graph):
+    # backward sums each gradient in this order, so it fixes the bits
+    root = graph(np.random.default_rng(14))
+    order = nn._toposort(root)
+    want = _reference_toposort(root)
+    assert len(order) == len(want) > 20
+    assert all(a is b for a, b in zip(order, want))
 
 
 @pytest.mark.parametrize("acts", [["identity"], ["relu", "softmax"],

@@ -637,7 +637,7 @@ def _per_step_reference(model, lgss_model, T, num_traj, seed, samples):
         sim_ss, eval_ss = child.spawn(2)
         traj = lgss.simulate(lgss_model, None, T, np.random.default_rng(sim_ss))
         eval_rng = np.random.default_rng(eval_ss)
-        _, ((pred_means,), (pred_covs,)), _ = lgss.run_filter(lgss_model, [traj])
+        _, ((pred_means,), (pred_covs,)) = lgss.run_filter(lgss_model, [traj])
         phi = model.initial_phi()
         for t in range(T):
             params = model.predict(phi, traj.u[t : t + 1], samples, eval_rng)

@@ -297,6 +297,61 @@ def test_curve_rows_have_expected_fields():
         assert abs(row["loss"] - (row["ce"] + cfg.beta * row["info_bound"])) < 1e-9
 
 
+def _sweep_configs(steps):
+    return [sib.IBLConfig(beta=beta, rep_dim=1, steps=steps, batch=16, seed=seed,
+                          learning_rate=learning_rate)
+            for beta, seed, learning_rate in ((0.0, 3, 0.05), (0.5, 4, 0.05),
+                                              (1e3, 3, 1e-4))]
+
+
+@pytest.mark.parametrize("steps", [1, 49, 50, 73])
+def test_the_chunked_accuracy_curve_equals_per_step_scoring(steps, monkeypatch):
+    # train_ib scores its accuracy curve 50 steps at a time; each step's
+    # parameters scored alone, from fresh eval streams, give the same
+    # curve and leave the streams where train_ib leaves its own
+    task, configs = bijective_task(), _sweep_configs(steps)
+    stepped, eval_rngs = [], []
+    sgd_step, accuracies = nn.sgd_step, sib._accuracies
+
+    def recording_step(params, grads, state):
+        stepped.append(params)
+        return sgd_step(params, grads, state)
+
+    def recording_accuracies(*args, **kwargs):
+        eval_rngs[:] = args[5]
+        return accuracies(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "sgd_step", recording_step)
+    monkeypatch.setattr(sib, "_accuracies", recording_accuracies)
+    sweep = sib.train_ib(task, configs)
+    assert len(stepped) == steps
+    rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2])
+            for cfg in configs]
+    want = [accuracies(*sweep.runs[0], params, task, 8, rngs) for params in stepped]
+    assert [row["acc"] for row in sweep.curve] == want
+    for r, curve in enumerate(sweep.curves):
+        assert [row["acc"] for row in curve] == [accs[r] for accs in want]
+        assert all(list(row) == ["step", "loss", "ce", "info_bound", "acc"]
+                   for row in curve)
+    assert [rng.standard_normal() for rng in eval_rngs] == \
+        [rng.standard_normal() for rng in rngs]
+
+
+@pytest.mark.parametrize("steps", [1, 49, 50, 73])
+def test_train_ib_scores_its_accuracy_curve_once_per_chunk_of_steps(steps, monkeypatch):
+    calls = []
+    accuracies = sib._accuracies
+
+    def counting(*args, **kwargs):
+        calls.append(args[6] if len(args) > 6 else 1)
+        return accuracies(*args, **kwargs)
+
+    monkeypatch.setattr(sib, "_accuracies", counting)
+    sib.train_ib(bijective_task(), _sweep_configs(steps))
+    assert len(calls) == math.ceil(steps / sib._ACC_CHUNK)
+    assert sum(calls) == steps and max(calls) <= sib._ACC_CHUNK
+
+
 def _assert_sweep_matches_one_run_sweeps(task, configs):
     sweep = sib.train_ib(task, configs)
     assert isinstance(sweep, nn.TrainedSweep)
