@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,11 @@ class FinitePOMDP:
             raise ValueError("observation table must have shape (S, O)")
         if reward.shape != (S, A):
             raise ValueError("reward table must have shape (S, A)")
+        for axis, size in (("state", S), ("action", A), ("observation", obs.shape[1])):
+            if size == 0:
+                raise ValueError(f"POMDP has an empty {axis} axis: transition table of "
+                                 f"shape {trans.shape}, observation table of shape "
+                                 f"{obs.shape}")
         for name, table in (("transition table", trans), ("observation table", obs),
                             ("reward table", reward), ("initial distribution", b0)):
             if not np.all(np.isfinite(table)):
@@ -116,6 +122,11 @@ class HistoryNode:
     def depth(self) -> int:
         return len(self.history)
 
+    @cached_property
+    def key(self) -> tuple:
+        """The canonical (depth, rounded belief) grouping key, computed once."""
+        return _belief_key(self.depth, self.belief)
+
 
 # ---------------------------------------------------------------------------
 # beliefs
@@ -134,8 +145,12 @@ def belief_update(pomdp: FinitePOMDP, belief, a: int, o: int) -> np.ndarray:
     Raises on observations with zero probability under (belief, a); such
     branches are pruned by the tree construction instead of updated.
     """
-    belief = np.asarray(belief, dtype=float)
-    pushed = belief @ pomdp.trans[:, a, :]
+    pushed = np.asarray(belief, dtype=float) @ pomdp.trans[:, a, :]
+    return _condition(pomdp, pushed, a, o)
+
+
+def _condition(pomdp: FinitePOMDP, pushed, a: int, o: int) -> np.ndarray:
+    """The Bayes step's weighting and normalising of the push b @ T[:, a, :]."""
     weighted = pushed * pomdp.obs[:, o]
     total = weighted.sum()
     if total <= 0.0:
@@ -154,6 +169,8 @@ def _belief_tree(pomdp: FinitePOMDP, depth: int) -> list:
     Each maps ((a_1, o_1), ..., (a_t, o_t)) to (belief, reach), reach being
     the history's probability under uniformly drawn actions. Children come
     action-major, then by observation; zero-probability ones are pruned.
+    Each (history, action) pushes its belief once, and the branch
+    probabilities and every child's Bayes update come from that push.
     """
     A, O = pomdp.n_actions, pomdp.n_obs
     levels = [{(): (pomdp.b0.copy(), 1.0)}]
@@ -161,11 +178,12 @@ def _belief_tree(pomdp: FinitePOMDP, depth: int) -> list:
         level = {}
         for history, (belief, reach) in levels[-1].items():
             for a in range(A):
-                p_obs = obs_probability(pomdp, belief, a)
+                pushed = belief @ pomdp.trans[:, a, :]
+                p_obs = pushed @ pomdp.obs
                 for o in range(O):
                     if p_obs[o] > 0.0:
                         level[history + ((a, o),)] = (
-                            belief_update(pomdp, belief, a, o), reach * p_obs[o] / A)
+                            _condition(pomdp, pushed, a, o), reach * p_obs[o] / A)
         levels.append(level)
     return levels
 
@@ -176,17 +194,17 @@ def _backward_induction(pomdp: FinitePOMDP, children_first, immediate) -> dict:
     Q(h, a) = immediate(h, belief)[a] + Σ_o p(o|h,a) max_a' Q(h+(a,o), a');
     histories of depth horizon-1 keep only the immediate term.
     """
-    A, O, H = pomdp.n_actions, pomdp.n_obs, pomdp.horizon
+    A, H = pomdp.n_actions, pomdp.horizon
     q_values, best = {}, {}  # best: history -> max_a Q(h, a), filled bottom-up
     for history, belief in children_first:
         q = np.array(immediate(history, belief), dtype=float)
         if len(history) < H - 1:
             for a in range(A):
-                p_obs = obs_probability(pomdp, belief, a)
+                # Python floats: the same IEEE products and sums as NumPy scalars
                 cont = 0.0
-                for o in range(O):
-                    if p_obs[o] > 0.0:
-                        cont += p_obs[o] * best[history + ((a, o),)]
+                for o, p in enumerate(obs_probability(pomdp, belief, a).tolist()):
+                    if p > 0.0:
+                        cont += p * best[history + ((a, o),)]
                 q[a] += cont
         q_values[history] = q
         best[history] = float(q.max())
@@ -211,7 +229,7 @@ def brute_force_q(pomdp: FinitePOMDP) -> dict:
 
 
 def _belief_key(depth: int, belief) -> tuple:
-    rounded = np.round(np.asarray(belief, dtype=float), _GROUP_DECIMALS)
+    rounded = np.asarray(belief, dtype=float).round(_GROUP_DECIMALS)
     rounded += 0.0  # normalize -0.0
     return (depth, tuple(rounded.tolist()))
 
@@ -228,7 +246,7 @@ def verify_separation(pomdp: FinitePOMDP, nodes=None) -> dict:
     nodes = brute_force_q(pomdp) if nodes is None else nodes
     groups = {}
     for node in nodes.values():
-        groups.setdefault(_belief_key(node.depth, node.belief), []).append(node)
+        groups.setdefault(node.key, []).append(node)
     # one NumPy reduction, so a NaN action value reaches max_q_spread
     spreads = [np.ptp([m.q_values for m in members], axis=0)
                for members in groups.values() if len(members) > 1]
@@ -244,10 +262,9 @@ def belief_policy(pomdp: FinitePOMDP, nodes=None) -> dict:
     nodes = brute_force_q(pomdp) if nodes is None else nodes
     policy = {}
     for node in nodes.values():
-        key = _belief_key(node.depth, node.belief)
-        if key not in policy:
+        if node.key not in policy:
             # ties broken toward the lowest action index by argmax
-            policy[key] = int(np.argmax(node.q_values))
+            policy[node.key] = int(np.argmax(node.q_values))
     return policy
 
 

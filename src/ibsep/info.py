@@ -55,11 +55,11 @@ def _as_prob_array(table, name="probability table"):
     arr = np.asarray(table, dtype=float)
     if arr.size == 0:
         raise ValueError(f"{name} is empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
-    if np.any(arr < -_SUM_TOL):
+    if (arr < -_SUM_TOL).any():
         raise ValueError(f"{name} contains negative entries")
-    arr = np.clip(arr, 0.0, None)
+    arr = arr.clip(0.0, None)
     total = arr.sum()
     if abs(total - 1.0) > _RENORM_TOL:
         raise ValueError(f"{name} sums to {total!r}, not 1")
@@ -158,13 +158,15 @@ class DiscreteChannel:
         mat = np.asarray(self.matrix, dtype=float)
         if mat.ndim != 2:
             raise ValueError("channel matrix must be 2-D")
-        if not np.all(np.isfinite(mat)):
+        if mat.size == 0:
+            raise ValueError(f"channel matrix of shape {mat.shape} is empty")
+        if not np.isfinite(mat).all():
             raise ValueError("channel matrix contains non-finite entries")
-        if np.any(mat < -_SUM_TOL):
+        if (mat < -_SUM_TOL).any():
             raise ValueError("channel matrix contains negative entries")
-        mat = np.clip(mat, 0.0, None)
+        mat = mat.clip(0.0, None)
         sums = mat.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > _RENORM_TOL):
+        if (np.abs(sums - 1.0) > _RENORM_TOL).any():
             raise ValueError("channel rows must sum to 1")
         object.__setattr__(self, "matrix", mat / sums[:, None])
 
@@ -226,7 +228,7 @@ def gaussian_logpdf(mean, cov, x) -> float:
 def _entropy_table(table) -> float:
     t = np.asarray(table, dtype=float)
     pos = t[t > 0]
-    return float(-np.sum(pos * np.log(pos)))
+    return float(-(pos * np.log(pos)).sum())
 
 
 def entropy(p) -> float:
@@ -248,9 +250,9 @@ def cross_entropy_discrete(p, q) -> float:
     if pa.shape != qa.shape:
         raise ValueError("alphabet sizes differ")
     mask = pa > 0
-    if np.any(qa[mask] == 0.0):
+    if (qa[mask] == 0.0).any():
         return math.inf
-    return float(-np.sum(pa[mask] * np.log(qa[mask])))
+    return float(-(pa[mask] * np.log(qa[mask])).sum())
 
 
 def kl_discrete(p, q) -> float:
@@ -264,9 +266,9 @@ def kl_discrete(p, q) -> float:
     if pa.shape != qa.shape:
         raise ValueError("alphabet sizes differ")
     mask = pa > 0
-    if np.any(qa[mask] == 0.0):
+    if (qa[mask] == 0.0).any():
         return math.inf
-    return float(np.sum(pa[mask] * (np.log(pa[mask]) - np.log(qa[mask]))))
+    return float((pa[mask] * (np.log(pa[mask]) - np.log(qa[mask]))).sum())
 
 
 def mutual_information(joint: DiscreteJoint, axes_a, axes_b, given=()) -> float:

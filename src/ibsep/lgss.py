@@ -179,13 +179,11 @@ def simulate(model: LGSSModel, controls, T: int, rng) -> Trajectory:
     w = _sample_gaussian(rng, model.Q, T)
     v = _sample_gaussian(rng, model.R, T)
     xs = np.empty((T, model.n))
-    ys = np.empty((T, model.m))
     x = x0
     for t in range(T):
-        x = model.A @ x + model.B @ u[t] + w[t]
-        xs[t] = x
-        ys[t] = model.C @ x + v[t]
-    return Trajectory(u=u, x=xs, y=ys)
+        x = xs[t] = model.A @ x + model.B @ u[t] + w[t]
+    # one stacked product, each row the lone matvec C x_t
+    return Trajectory(u=u, x=xs, y=_matvec(model.C, xs) + v)
 
 
 def _finite(values):
@@ -414,36 +412,31 @@ def batch_posterior_oracle(model: LGSSModel, trajectory: Trajectory, t: int) -> 
     if t == 0:
         return GaussianDistribution(model.mu0, model.P0)
 
-    # State means and pairwise covariances Sigma[s, r] = Cov(x_s, x_r).
+    # State means and pairwise covariances joint[s, :, r, :] = Cov(x_s, x_r).
     means = [model.mu0]
     for s in range(t):
         means.append(model.A @ means[-1] + model.B @ trajectory.u[s])
-    cov = np.zeros(((t + 1) * n, (t + 1) * n))
-
-    def blk(i, j):
-        return (slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n))
-
-    cov[blk(0, 0)] = model.P0
+    joint = np.zeros((t + 1, n, t + 1, n))
+    joint[0, :, 0, :] = model.P0
     for s in range(t):
-        prev = cov[blk(s, s)]
-        cov[blk(s + 1, s + 1)] = model.A @ prev @ model.A.T + model.Q
-        for r in range(s + 1):
-            c = cov[blk(r, s)] @ model.A.T
-            cov[blk(r, s + 1)] = c
-            cov[blk(s + 1, r)] = c.T
+        joint[s + 1, :, s + 1, :] = model.A @ joint[s, :, s, :] @ model.A.T + model.Q
+        # Cov(x_r, x_{s+1}) = Cov(x_r, x_s) Aᵀ for r <= s, one product per block
+        column = joint[:s + 1, :, s, :] @ model.A.T
+        joint[:s + 1, :, s + 1, :] = column
+        joint[s + 1, :, :s + 1, :] = column.transpose(2, 0, 1)
 
     # Joint of (x_t, y_1..y_t): y_s = C x_s + v_s with independent v_s.
     mean_xt = means[t]
     mean_y = np.concatenate([model.C @ means[s] for s in range(1, t + 1)])
-    cov_xx = cov[blk(t, t)]
-    cov_xy = np.hstack([cov[blk(t, s)] @ model.C.T for s in range(1, t + 1)])
-    cov_yy = np.zeros((t * m, t * m))
-    for s in range(1, t + 1):
-        for r in range(1, t + 1):
-            block = model.C @ cov[blk(s, r)] @ model.C.T
-            if s == r:
-                block = block + model.R
-            cov_yy[(s - 1) * m : s * m, (r - 1) * m : r * m] = block
+    cov_xx = joint[t, :, t, :]
+    # the Cholesky solve and the products below see C-ordered arrays, as
+    # they would for blocks assembled one by one
+    cov_xy = np.ascontiguousarray(
+        (joint[t, :, 1:, :].transpose(1, 0, 2) @ model.C.T)
+        .transpose(1, 0, 2).reshape(n, t * m))
+    obs_blocks = model.C @ joint[1:, :, 1:, :].transpose(0, 2, 1, 3) @ model.C.T
+    obs_blocks[np.arange(t), np.arange(t)] += model.R
+    cov_yy = np.ascontiguousarray(obs_blocks.transpose(0, 2, 1, 3).reshape(t * m, t * m))
 
     try:
         chol = cho_factor((cov_yy + cov_yy.T) / 2.0, lower=True)

@@ -54,6 +54,17 @@ def test_non_finite_tables_are_rejected_by_name(table, name):
         cs.FinitePOMDP(horizon=3, **tables)
 
 
+@pytest.mark.parametrize("shape, axis", [
+    ((0, 2, 0, 2), "state"), ((2, 0, 2, 2), "action"), ((2, 2, 2, 0), "observation")])
+def test_an_empty_axis_is_rejected_by_name(shape, axis):
+    S, A, S_next, O = shape
+    trans = np.full((S, A, S_next), 1.0 / max(S_next, 1))
+    obs = np.full((S, O), 1.0 / max(O, 1))
+    b0 = np.full(S, 1.0 / max(S, 1))
+    with pytest.raises(ValueError, match=f"empty {axis} axis"):
+        cs.FinitePOMDP(trans, obs, np.zeros((S, A)), b0, 3)
+
+
 def test_pomdp_json_rejects_a_nan_entry():
     # json reads NaN; the instance must not load and then verify vacuously
     payload = json.loads(cs.pomdp_to_json(tiger_like()))
@@ -153,6 +164,45 @@ def test_zero_probability_branches_are_pruned():
     # the state never leaves 0, so only observation 0 ever appears
     assert ((0, 1),) not in nodes
     assert ((0, 0),) in nodes
+
+
+def _sparse_pomdp(seed):
+    """A random instance; for odd seeds some observation entries are zero,
+    so some branches have zero probability."""
+    rng = np.random.default_rng(seed)
+    p = cs.random_pomdp(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)),
+                        int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+    if seed % 2:
+        obs = np.where(rng.random(p.obs.shape) < 0.4, 0.0, p.obs)
+        obs[obs.sum(axis=1) == 0.0, 0] = 1.0
+        p = cs.FinitePOMDP(p.trans, obs / obs.sum(axis=1, keepdims=True),
+                           p.reward, p.b0, p.horizon)
+    return p
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_every_tree_child_is_the_bayes_update_of_its_parent(seed):
+    p = _sparse_pomdp(seed)
+    levels = cs._belief_tree(p, p.horizon - 1)
+    for parents, children in zip(levels, levels[1:]):
+        for history, (belief, _) in children.items():
+            a, o = history[-1]
+            want = cs.belief_update(p, parents[history[:-1]][0], a, o)
+            assert belief.tobytes() == want.tobytes(), history
+
+
+def test_one_tree_is_keyed_once_per_node(monkeypatch):
+    p = cs.random_pomdp(np.random.default_rng(4), 3, 2, 2, 4)
+    nodes = cs.brute_force_q(p)
+    calls = []
+    key = cs._belief_key
+    monkeypatch.setattr(cs, "_belief_key",
+                        lambda depth, belief: calls.append(depth) or key(depth, belief))
+    report = cs.verify_separation(p, nodes=nodes)
+    policy = cs.belief_policy(p, nodes=nodes)
+    assert len(calls) == len(nodes)
+    assert report["groups"] == len(policy)
+    assert all(node.key == key(node.depth, node.belief) for node in nodes.values())
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,41 @@ def test_distribution_validation():
     assert d.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ([], "is empty"),
+    ([0.5, np.nan], "non-finite"),
+    ([0.5, np.inf], "non-finite"),
+    ([1.0, -np.inf], "non-finite"),
+    ([1.0 + 2e-12, -2e-12], "negative"),
+    ([0.5, 0.5 + 2e-9], "sums to"),
+])
+def test_a_bad_probability_table_is_rejected_with_its_reason(bad, message):
+    with pytest.raises(ValueError, match=message):
+        info.DiscreteDistribution(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.zeros((0, 3)), r"shape \(0, 3\) is empty"),
+    (np.zeros((2, 0)), r"shape \(2, 0\) is empty"),
+    ([0.5, 0.5], "2-D"),
+    ([[0.5, np.nan], [0.5, 0.5]], "non-finite"),
+    ([[0.5, np.inf], [0.5, 0.5]], "non-finite"),
+    ([[0.5, 0.5], [-np.inf, 1.0]], "non-finite"),
+    ([[1.0 + 2e-12, -2e-12], [0.5, 0.5]], "negative"),
+    ([[0.5, 0.5], [0.5, 0.5 + 2e-9]], "rows must sum to 1"),
+])
+def test_a_bad_channel_matrix_is_rejected_with_its_reason(bad, message):
+    with pytest.raises(ValueError, match=message):
+        info.DiscreteChannel(bad)
+
+
+def test_entries_just_below_zero_are_clipped():
+    dist = info.DiscreteDistribution([1.0 + 1e-12, -1e-12])
+    assert dist.probs.tolist() == [1.0, 0.0]
+    channel = info.DiscreteChannel([[1.0 + 1e-12, -1e-12], [0.5, 0.5]])
+    assert channel.matrix.tolist() == [[1.0, 0.0], [0.5, 0.5]]
+
+
 def test_joint_marginal_ordering():
     table = np.arange(1, 7, dtype=float).reshape(2, 3)
     table /= table.sum()

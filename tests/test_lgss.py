@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from ibsep import harness, lgss
 from ibsep.info import GaussianDistribution
@@ -576,6 +577,86 @@ def test_batch_oracle_sharp_observation_limit():
     traj = lgss.simulate(model, None, 4, np.random.default_rng(13))
     post = lgss.batch_posterior_oracle(model, traj, 4)
     assert np.max(np.abs(post.mean - traj.y[3])) < 1e-5
+
+
+def _per_block_oracle(model, trajectory, t):
+    """``batch_posterior_oracle`` as it was built block by block: the reference
+    the stacked construction must match bit for bit."""
+    n, m = model.n, model.m
+    means = [model.mu0]
+    for s in range(t):
+        means.append(model.A @ means[-1] + model.B @ trajectory.u[s])
+    cov = np.zeros(((t + 1) * n, (t + 1) * n))
+
+    def blk(i, j):
+        return (slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n))
+
+    cov[blk(0, 0)] = model.P0
+    for s in range(t):
+        prev = cov[blk(s, s)]
+        cov[blk(s + 1, s + 1)] = model.A @ prev @ model.A.T + model.Q
+        for r in range(s + 1):
+            c = cov[blk(r, s)] @ model.A.T
+            cov[blk(r, s + 1)] = c
+            cov[blk(s + 1, r)] = c.T
+    mean_y = np.concatenate([model.C @ means[s] for s in range(1, t + 1)])
+    cov_xx = cov[blk(t, t)]
+    cov_xy = np.hstack([cov[blk(t, s)] @ model.C.T for s in range(1, t + 1)])
+    cov_yy = np.zeros((t * m, t * m))
+    for s in range(1, t + 1):
+        for r in range(1, t + 1):
+            block = model.C @ cov[blk(s, r)] @ model.C.T
+            if s == r:
+                block = block + model.R
+            cov_yy[(s - 1) * m : s * m, (r - 1) * m : r * m] = block
+    chol = cho_factor((cov_yy + cov_yy.T) / 2.0, lower=True)
+    gain = cho_solve(chol, cov_xy.T).T
+    mean_post = means[t] + gain @ (trajectory.y[:t].reshape(-1) - mean_y)
+    return GaussianDistribution(mean_post, cov_xx - gain @ cov_xy.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2])
+def test_batch_oracle_equals_the_per_block_construction_bit_for_bit(n, m):
+    rng = np.random.default_rng(100 * n + m)
+    for T, p in ((3, 0), (24, 1), (50, 2)):
+        model = lgss.random_stable_model(rng, n=n, m=m, p=p)
+        traj = lgss.simulate(model, rng.normal(size=(T, p)), T, rng)
+        for t in sorted({1, 2, T // 2, T}):
+            got = lgss.batch_posterior_oracle(model, traj, t)
+            want = _per_block_oracle(model, traj, t)
+            assert got.mean.tobytes() == want.mean.tobytes(), (T, t)
+            assert got.cov.tobytes() == want.cov.tobytes(), (T, t)
+
+
+def _per_step_simulate(model, controls, T, rng):
+    """``simulate`` with each observation computed inside the state loop."""
+    u = np.zeros((T, model.p)) if controls is None else controls.reshape(T, model.p)
+    x = model.mu0 + lgss._sample_gaussian(rng, model.P0, 1)[0]
+    w = lgss._sample_gaussian(rng, model.Q, T)
+    v = lgss._sample_gaussian(rng, model.R, T)
+    xs, ys = np.empty((T, model.n)), np.empty((T, model.m))
+    for t in range(T):
+        x = model.A @ x + model.B @ u[t] + w[t]
+        xs[t] = x
+        ys[t] = model.C @ x + v[t]
+    return xs, ys
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_simulate_equals_the_per_step_loop_bit_for_bit(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    for p in (0, 1, 2):
+        model = lgss.random_stable_model(rng, n=n, m=m, p=p)
+        for T in (0, 1, 60):
+            controls = rng.normal(size=(T, p)) if p else None
+            seed = int(rng.integers(2**32))
+            traj = lgss.simulate(model, controls, T, np.random.default_rng(seed))
+            xs, ys = _per_step_simulate(model, controls, T, np.random.default_rng(seed))
+            assert traj.x.tobytes() == xs.tobytes(), (p, T)
+            assert traj.y.tobytes() == ys.tobytes(), (p, T)
+            assert traj.y.shape == (T, m)
 
 
 # ---------------------------------------------------------------------------
