@@ -75,9 +75,8 @@ class FinitePOMDP:
             raise ValueError("reward table must have shape (S, A)")
         for axis, size in (("state", S), ("action", A), ("observation", obs.shape[1])):
             if size == 0:
-                raise ValueError(f"POMDP has an empty {axis} axis: transition table of "
-                                 f"shape {trans.shape}, observation table of shape "
-                                 f"{obs.shape}")
+                raise ValueError(f"POMDP has an empty {axis} axis (transition table "
+                                 f"{trans.shape}, observation table {obs.shape})")
         for name, table in (("transition table", trans), ("observation table", obs),
                             ("reward table", reward), ("initial distribution", b0)):
             if not np.all(np.isfinite(table)):
