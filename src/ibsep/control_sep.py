@@ -123,7 +123,7 @@ class HistoryNode:
 
     @cached_property
     def key(self) -> tuple:
-        """The canonical (depth, rounded belief) grouping key, computed once."""
+        """The canonical (depth, rounded belief) key; brute_force_q's nodes come keyed."""
         return _belief_key(self.depth, self.belief)
 
 
@@ -144,13 +144,7 @@ def belief_update(pomdp: FinitePOMDP, belief, a: int, o: int) -> np.ndarray:
     Raises on observations with zero probability under (belief, a); such
     branches are pruned by the tree construction instead of updated.
     """
-    pushed = np.asarray(belief, dtype=float) @ pomdp.trans[:, a, :]
-    return _condition(pomdp, pushed, a, o)
-
-
-def _condition(pomdp: FinitePOMDP, pushed, a: int, o: int) -> np.ndarray:
-    """The Bayes step's weighting and normalising of the push b @ T[:, a, :]."""
-    weighted = pushed * pomdp.obs[:, o]
+    weighted = (np.asarray(belief, dtype=float) @ pomdp.trans[:, a, :]) * pomdp.obs[:, o]
     total = weighted.sum()
     if total <= 0.0:
         raise ValueError(f"observation {o} has zero probability after action {a}")
@@ -162,52 +156,80 @@ def _condition(pomdp: FinitePOMDP, pushed, a: int, o: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _belief_tree(pomdp: FinitePOMDP, depth: int) -> list:
-    """Reachable histories down to ``depth`` steps, one dict per level.
+@dataclass(frozen=True)
+class _Level:
+    """The nodes of one depth of the history tree, in tree order."""
 
-    Each maps ((a_1, o_1), ..., (a_t, o_t)) to (belief, reach), reach being
-    the history's probability under uniformly drawn actions. Children come
-    action-major, then by observation; zero-probability ones are pruned.
-    Each (history, action) pushes its belief once, and the branch
-    probabilities and every child's Bayes update come from that push.
+    histories: list  # ((a_1, o_1), ..., (a_t, o_t)) per node
+    beliefs: np.ndarray  # (N, S)
+    reach: np.ndarray  # (N,) probability under uniformly drawn actions
+    p_obs: np.ndarray = None  # (N, A, O) p(o | history, a); None on the last level
+    child: np.ndarray = None  # (N, A, O) the branch's row in the next level, -1 if pruned
+
+
+def _belief_tree(pomdp: FinitePOMDP, depth: int) -> list:
+    """Reachable histories down to ``depth`` steps, one :class:`_Level` per depth.
+
+    Children come parent by parent, then action-major, then by
+    observation; zero-probability ones are pruned. Each level makes one
+    stacked push per action, and the branch probabilities and every
+    child's Bayes update come from that push, bit for bit the per-node
+    ``belief @ trans[:, a, :]``, ``@ obs`` and :func:`belief_update`.
     """
-    A, O = pomdp.n_actions, pomdp.n_obs
-    levels = [{(): (pomdp.b0.copy(), 1.0)}]
+    A = pomdp.n_actions
+    histories, beliefs, reach = [()], pomdp.b0[None, :].copy(), np.ones(1)
+    levels = []
     for _ in range(depth):
-        level = {}
-        for history, (belief, reach) in levels[-1].items():
-            for a in range(A):
-                pushed = belief @ pomdp.trans[:, a, :]
-                p_obs = pushed @ pomdp.obs
-                for o in range(O):
-                    if p_obs[o] > 0.0:
-                        level[history + ((a, o),)] = (
-                            _condition(pomdp, pushed, a, o), reach * p_obs[o] / A)
-        levels.append(level)
+        pushed = np.stack([(beliefs[:, None, :] @ pomdp.trans[:, a, :])[:, 0, :]
+                           for a in range(A)], axis=1)  # (N, A, S)
+        p_obs = (pushed[:, :, None, :] @ pomdp.obs)[:, :, 0, :]
+        kept = p_obs > 0.0
+        child = np.full(kept.shape, -1)
+        child[kept] = np.arange(np.count_nonzero(kept))
+        levels.append(_Level(histories, beliefs, reach, p_obs, child))
+        weighted = (pushed[:, :, None, :] * pomdp.obs.T)[kept]
+        beliefs = weighted / weighted.sum(axis=1)[:, None]
+        reach = (reach[:, None, None] * p_obs / A)[kept]
+        histories = [histories[n] + ((a, o),)
+                     for n, a, o in zip(*(index.tolist() for index in kept.nonzero()))]
+    levels.append(_Level(histories, beliefs, reach))
     return levels
 
 
-def _backward_induction(pomdp: FinitePOMDP, children_first, immediate) -> dict:
-    """{history: Q} for (history, belief) pairs, each after all its children.
+def _induction(levels: list, immediate: list) -> list:
+    """Q of each level's nodes, an (N, A) array per level.
 
-    Q(h, a) = immediate(h, belief)[a] + Σ_o p(o|h,a) max_a' Q(h+(a,o), a');
-    histories of depth horizon-1 keep only the immediate term.
+    Q(h, a) = immediate(h)[a] + Σ_o p(o|h,a) max_a' Q(h+(a,o), a'), the sum
+    taken in observation order over the unpruned branches; the last level
+    keeps only the immediate term. ``immediate`` holds one (N, A) table
+    per level.
     """
-    A, H = pomdp.n_actions, pomdp.horizon
-    q_values, best = {}, {}  # best: history -> max_a Q(h, a), filled bottom-up
-    for history, belief in children_first:
-        q = np.array(immediate(history, belief), dtype=float)
-        if len(history) < H - 1:
-            for a in range(A):
-                # Python floats: the same IEEE products and sums as NumPy scalars
-                cont = 0.0
-                for o, p in enumerate(obs_probability(pomdp, belief, a).tolist()):
-                    if p > 0.0:
-                        cont += p * best[history + ((a, o),)]
-                q[a] += cont
-        q_values[history] = q
-        best[history] = float(q.max())
-    return q_values
+    q_levels, best = [], None
+    for level, q in zip(levels[::-1], immediate[::-1]):
+        q = np.array(q, dtype=float)
+        if level.p_obs is not None:
+            best = np.append(best, 0.0)  # row -1: a pruned branch adds ±0
+            cont = np.zeros(q.shape)
+            for o in range(level.p_obs.shape[2]):
+                cont += level.p_obs[:, :, o] * best[level.child[:, :, o]]
+            q += cont
+        best = q.max(axis=1)
+        q_levels.append(q)
+    return q_levels[::-1]
+
+
+class _HistoryTree(dict):
+    """``brute_force_q``'s {history: HistoryNode}, keeping the levels and Q* tables."""
+
+    def __init__(self, levels: list, q_levels: list):
+        super().__init__()
+        self.levels, self.q_levels = levels, q_levels
+        for depth in reversed(range(len(levels))):
+            level, keys = levels[depth], _belief_keys(depth, levels[depth].beliefs)
+            for history, reach, belief, q_values, key in zip(
+                    level.histories, level.reach.tolist(), level.beliefs, q_levels[depth], keys):
+                node = self[history] = HistoryNode(history, reach, belief, q_values)
+                vars(node)["key"] = key  # fills the cached property
 
 
 def brute_force_q(pomdp: FinitePOMDP) -> dict:
@@ -219,18 +241,20 @@ def brute_force_q(pomdp: FinitePOMDP) -> dict:
     est = sum((pomdp.n_actions * pomdp.n_obs) ** t for t in range(pomdp.horizon))
     if est > _NODE_CAP:
         raise ValueError(f"history tree would need {est} nodes (cap {_NODE_CAP})")
-    levels = _belief_tree(pomdp, pomdp.horizon - 1)[::-1]
-    q = _backward_induction(
-        pomdp, ((h, b) for level in levels for h, (b, _) in level.items()),
-        lambda history, belief: pomdp.reward.T @ belief)
-    return {h: HistoryNode(h, reach, belief, q[h])
-            for level in levels for h, (belief, reach) in level.items()}
+    levels = _belief_tree(pomdp, pomdp.horizon - 1)
+    rewards = [(pomdp.reward.T @ level.beliefs[:, :, None])[:, :, 0] for level in levels]
+    return _HistoryTree(levels, _induction(levels, rewards))
+
+
+def _belief_keys(depth: int, beliefs) -> list:
+    """The (depth, belief rounded to 10 decimals) key of each row of ``beliefs``."""
+    rounded = np.asarray(beliefs, dtype=float).round(_GROUP_DECIMALS)
+    rounded += 0.0  # normalize -0.0
+    return [(depth, tuple(row)) for row in rounded.tolist()]
 
 
 def _belief_key(depth: int, belief) -> tuple:
-    rounded = np.asarray(belief, dtype=float).round(_GROUP_DECIMALS)
-    rounded += 0.0  # normalize -0.0
-    return (depth, tuple(rounded.tolist()))
+    return _belief_keys(depth, [belief])[0]
 
 
 def verify_separation(pomdp: FinitePOMDP, nodes=None) -> dict:
@@ -305,7 +329,8 @@ def reward_sufficiency_check(pomdp: FinitePOMDP, representation, nodes=None) -> 
     is executed after ``history``. The reconstruction runs the same
     backward induction as ``brute_force_q`` but replaces every expected
     immediate reward with the representation's prediction; observation
-    branching probabilities still come from the environment. If the
+    branching probabilities still come from the environment, read from the
+    tree that ``nodes`` carries rather than recomputed. If the
     representation's reward predictions are exact, the rebuilt values must
     equal Q* — that is the sufficiency claim. ``nodes``, when given, is
     ``brute_force_q``'s result for this instance. The histories are queried
@@ -317,15 +342,15 @@ def reward_sufficiency_check(pomdp: FinitePOMDP, representation, nodes=None) -> 
     actions = range(pomdp.n_actions)
     # a history sorts below its extensions, so descending order is depth-first
     # with every history after its subtree
-    q_from_rep = _backward_induction(
-        pomdp, ((history, nodes[history].belief) for history in sorted(nodes, reverse=True)),
-        lambda history, belief: [representation(history, (a,)) for a in actions])
-
+    predicted = {history: [representation(history, (a,)) for a in actions]
+                 for history in sorted(nodes, reverse=True)}
+    q_levels = _induction(nodes.levels, [[predicted[history] for history in level.histories]
+                                         for level in nodes.levels])
     # one NumPy reduction, so a NaN prediction reaches max_dev
-    max_dev = float(np.max([np.abs(q - nodes[history].q_values)
-                            for history, q in q_from_rep.items()]))
+    max_dev = float(np.max(np.abs(np.concatenate(q_levels) - np.concatenate(nodes.q_levels))))
     return {
-        "q_from_rep": q_from_rep,
+        "q_from_rep": {history: q_values for level, q in zip(nodes.levels, q_levels)
+                       for history, q_values in zip(level.histories, q)},
         "q_star": {h: n.q_values for h, n in nodes.items()},
         "max_dev": max_dev,
     }

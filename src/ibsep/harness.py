@@ -673,11 +673,12 @@ def run_control_sep(seed: int, overrides=None) -> list:
             n_obs=int(rng.integers(2, 4)),
             horizon=int(rng.integers(3, 6)),
         ))
-    spreads, gaps, devs = [], [], []
+    spreads, gaps, devs, compressions = [], [], [], []
     for pomdp in instances:
         nodes = control_sep.brute_force_q(pomdp)
-        spreads.append(control_sep.verify_separation(
-            pomdp, nodes=nodes)["max_q_spread"])
+        report = control_sep.verify_separation(pomdp, nodes=nodes)
+        spreads.append(report["max_q_spread"])
+        compressions.append(len(nodes) - report["groups"])
         policy = control_sep.belief_policy(pomdp, nodes=nodes)
         gaps.append(abs(control_sep.policy_return(pomdp, policy)
                         - control_sep.optimal_return(pomdp, nodes=nodes)))
@@ -692,15 +693,12 @@ def run_control_sep(seed: int, overrides=None) -> list:
         _gate("control-sep", "reward_sufficiency_max_dev", devs, np.max,
               operator.lt, 1e-9, 1e-9, clock),
     ]
-    collision = instances[0]
-    nodes = control_sep.brute_force_q(collision)
-    report = control_sep.verify_separation(collision, nodes=nodes)
+    # instance 0 is the collision instance
     records.append(_gate("control-sep", "collision_group_compression",
-                         [len(nodes) - report["groups"]], np.min, operator.ge,
-                         1, None, clock))
+                         compressions[:1], np.min, operator.ge, 1, None, clock))
+    counterexample = control_sep.counterexample_pomdp()
     insufficient = control_sep.reward_sufficiency_check(
-        control_sep.counterexample_pomdp(),
-        control_sep.collapsing_representation(control_sep.counterexample_pomdp()))
+        counterexample, control_sep.collapsing_representation(counterexample))
     records.append(_gate("control-sep", "collapsing_rep_max_dev",
                          [insufficient["max_dev"]], np.max, operator.gt, 1e-3,
                          None, clock))

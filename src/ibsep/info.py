@@ -265,6 +265,11 @@ def kl_discrete(p, q) -> float:
     qa = q.probs if isinstance(q, DiscreteDistribution) else _as_prob_array(q)
     if pa.shape != qa.shape:
         raise ValueError("alphabet sizes differ")
+    return _kl_arrays(pa, qa)
+
+
+def _kl_arrays(pa, qa) -> float:
+    """KL(pa || qa) of two validated probability vectors of one shape."""
     mask = pa > 0
     if (qa[mask] == 0.0).any():
         return math.inf
@@ -323,12 +328,15 @@ def mi_identity_check(prior: DiscreteDistribution, channel: DiscreteChannel) -> 
     """
     joint = joint_from_prior_channel(prior, channel)
     lhs = mutual_information(joint, "x", "y")
-    marginal = channel.push(prior)
+    marginal = channel.push(prior).probs
+    # the channel is validated: its rows are renormalised once more, as a
+    # DiscreteDistribution of each would, without validating them again
+    rows = channel.matrix / channel.matrix.sum(axis=1)[:, None]
     rhs = 0.0
-    for py, row in zip(prior.probs, channel.matrix):
+    for py, row in zip(prior.probs, rows):
         if py == 0.0:
             continue
-        rhs += py * kl_discrete(DiscreteDistribution(row), marginal)
+        rhs += py * _kl_arrays(row, marginal)
     return {"lhs": lhs, "rhs": float(rhs)}
 
 

@@ -347,13 +347,13 @@ def run_filter(model: LGSSModel, trajectories):
     """
     ys = _observations(trajectories, model.m, "run_filter")
     (N, T, m), n = ys.shape, model.n
-    us = np.stack([traj.u.reshape(T, model.p) for traj in trajectories])
+    controls = _matvec(model.B, np.stack([traj.u.reshape(T, model.p) for traj in trajectories]))
     means, covs = np.empty((N, T, n)), np.empty((T, n, n))
     pred_means, pred_covs = np.empty((N, T, m)), np.empty((T, m, m))
     mean, cov = np.broadcast_to(model.mu0, (N, n)), model.P0
     steps, key = {}, cov.tobytes()  # posterior covariance bytes -> its step
     for t in range(T):
-        mean = _finite(_matvec(model.A, mean) + _matvec(model.B, us[:, t]))
+        mean = _finite(_matvec(model.A, mean) + controls[:, t])
         if key not in steps:
             S, gain, post = _covariance_step(cov, model)
             steps[key] = gain, post, post.tobytes(), S

@@ -748,16 +748,18 @@ def hmm_exact_reference(hmm: FiniteHMM, T: int, n: int = 0) -> dict:
                          f"|O| <= {_ENUM_MAX_OBS}, got T={T}, |O|={hmm.n_obs}")
     if n < 0 or n >= T:
         raise ValueError("need 0 <= n < T")
-    levels = [{tuple(o for _, o in history): node  # the only action is 0
-               for history, node in level.items()}
-              for level in control_sep._belief_tree(hmm.pomdp, T)]
-    posteriors = {p: belief for level in levels for p, (belief, _) in level.items()}
-    probs = {p: float(reach) for level in levels for p, (_, reach) in level.items()}
+    levels = control_sep._belief_tree(hmm.pomdp, T)
+    prefixes = [[tuple(o for _, o in history) for history in level.histories]
+                for level in levels]  # the only action is 0
+    posteriors = {p: belief for level, ps in zip(levels, prefixes)
+                  for p, belief in zip(ps, level.beliefs)}
+    probs = {p: reach for level, ps in zip(levels, prefixes)
+             for p, reach in zip(ps, level.reach.tolist())}
     truths, term_entropies = {}, {}
     for k in range(n + 1):
         for t in range(T - k):
             truths[t, k] = {p: hmm.next_obs_dist(belief, k)
-                            for p, (belief, _) in levels[t].items()}
+                            for p, belief in zip(prefixes[t], levels[t].beliefs)}
             term_entropies[t, k] = sum(probs[p] * info._entropy_table(truth)
                                        for p, truth in truths[t, k].items())
     return {

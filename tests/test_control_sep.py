@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ibsep import control_sep as cs
+from ibsep import control_sep as cs, harness
 
 
 def tiger_like():
@@ -185,24 +185,143 @@ def test_every_tree_child_is_the_bayes_update_of_its_parent(seed):
     p = _sparse_pomdp(seed)
     levels = cs._belief_tree(p, p.horizon - 1)
     for parents, children in zip(levels, levels[1:]):
-        for history, (belief, _) in children.items():
-            a, o = history[-1]
-            want = cs.belief_update(p, parents[history[:-1]][0], a, o)
-            assert belief.tobytes() == want.tobytes(), history
+        rows = []
+        for (n, a, o), row in np.ndenumerate(parents.child):
+            if row < 0:
+                assert not parents.p_obs[n, a, o] > 0.0
+                continue
+            history = children.histories[row]
+            assert history == parents.histories[n] + ((a, o),)
+            want = cs.belief_update(p, parents.beliefs[n], a, o)
+            assert children.beliefs[row].tobytes() == want.tobytes(), history
+            rows.append(row)
+        # every child has one parent branch, and they come in tree order
+        assert rows == list(range(len(children.histories)))
 
 
 def test_one_tree_is_keyed_once_per_node(monkeypatch):
     p = cs.random_pomdp(np.random.default_rng(4), 3, 2, 2, 4)
-    nodes = cs.brute_force_q(p)
     calls = []
+    keys = cs._belief_keys
+    monkeypatch.setattr(cs, "_belief_keys",
+                        lambda depth, beliefs: calls.append(len(beliefs)) or keys(depth, beliefs))
+    nodes = cs.brute_force_q(p)
+    # one array call per level, one key per node
+    assert len(calls) == p.horizon and sum(calls) == len(nodes)
+    calls.clear()
     key = cs._belief_key
     monkeypatch.setattr(cs, "_belief_key",
                         lambda depth, belief: calls.append(depth) or key(depth, belief))
     report = cs.verify_separation(p, nodes=nodes)
     policy = cs.belief_policy(p, nodes=nodes)
-    assert len(calls) == len(nodes)
+    assert calls == []  # the nodes came keyed
     assert report["groups"] == len(policy)
     assert all(node.key == key(node.depth, node.belief) for node in nodes.values())
+
+
+def test_the_battery_oracles_make_no_obs_probability_call(monkeypatch):
+    # the tree's pushes serve both inductions; policy_return keeps its own
+    inside, calls = [0], {True: 0, False: 0}
+    obs_probability = cs.obs_probability
+
+    def counting(*args):
+        calls[inside[0] > 0] += 1
+        return obs_probability(*args)
+
+    def scoped(fn):
+        def run(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+        return run
+
+    monkeypatch.setattr(cs, "obs_probability", counting)
+    for name in ("brute_force_q", "reward_sufficiency_check"):
+        monkeypatch.setattr(cs, name, scoped(getattr(cs, name)))
+    records = harness.run_control_sep(7)
+    assert all(r.status == "pass" for r in records)
+    assert calls[True] == 0
+    assert calls[False] > 0  # the counter sees policy_return's calls
+
+
+def _reference_tree(p, immediate):
+    """The per-node dict walk: Bayes steps and branch probabilities from
+    ``belief_update`` and ``obs_probability``, one history at a time."""
+    A, O, H = p.n_actions, p.n_obs, p.horizon
+    levels = [{(): (p.b0.copy(), 1.0)}]
+    for _ in range(H - 1):
+        level = {}
+        for history, (belief, reach) in levels[-1].items():
+            for a in range(A):
+                p_obs = cs.obs_probability(p, belief, a)
+                for o in range(O):
+                    if p_obs[o] > 0.0:
+                        level[history + ((a, o),)] = (cs.belief_update(p, belief, a, o),
+                                                      reach * p_obs[o] / A)
+        levels.append(level)
+    q_values, best = {}, {}
+    for level in levels[::-1]:
+        for history, (belief, _) in level.items():
+            q = np.array(immediate(history, belief), dtype=float)
+            if len(history) < H - 1:
+                for a in range(A):
+                    cont = 0.0
+                    for o, prob in enumerate(cs.obs_probability(p, belief, a).tolist()):
+                        if prob > 0.0:
+                            cont += prob * best[history + ((a, o),)]
+                    q[a] += cont
+            q_values[history] = q
+            best[history] = float(q.max())
+    return {h: node for level in levels for h, node in level.items()}, q_values
+
+
+def _stochastic(rng, shape, kind):
+    """Row-stochastic rows on the last axis: dense, sparse or deterministic."""
+    table = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    if kind == "sparse":
+        table = np.where(rng.random(shape) < 0.5, 0.0, table)
+        table[..., 0] += table.sum(axis=-1) == 0.0
+    elif kind == "deterministic":
+        table = np.eye(shape[-1])[rng.integers(shape[-1], size=shape[:-1])]
+    return table / table.sum(axis=-1, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 4),
+       n_actions=st.integers(1, 3), n_obs=st.integers(1, 3), horizon=st.integers(1, 4),
+       trans_kind=st.sampled_from(["dense", "sparse", "deterministic"]),
+       obs_kind=st.sampled_from(["dense", "sparse", "deterministic", "duplicated"]))
+def test_the_level_tree_is_the_per_node_walk_bit_for_bit(seed, n_states, n_actions, n_obs,
+                                                        horizon, trans_kind, obs_kind):
+    rng = np.random.default_rng(seed)
+    trans = _stochastic(rng, (n_states, n_actions, n_states), trans_kind)
+    if obs_kind == "duplicated":
+        # the last observation splits the first one's likelihood: equal
+        # columns, so their histories share beliefs
+        obs = _stochastic(rng, (n_states, n_obs), "dense")
+        obs = np.hstack([obs, obs[:, :1]])
+        obs[:, [0, -1]] /= 2.0
+    else:
+        obs = _stochastic(rng, (n_states, n_obs), obs_kind)
+    p = cs.FinitePOMDP(trans, obs, rng.uniform(-1.0, 1.0, (n_states, n_actions)),
+                       rng.dirichlet(np.ones(n_states)), horizon)
+    want, q_star = _reference_tree(p, lambda history, belief: p.reward.T @ belief)
+    nodes = cs.brute_force_q(p)
+    assert list(nodes) == sorted(want, key=len, reverse=True)  # deepest level first
+    for history, (belief, reach) in want.items():
+        node = nodes[history]
+        assert node.belief.tobytes() == belief.tobytes(), history
+        assert np.float64(node.reach).tobytes() == np.float64(reach).tobytes(), history
+        assert node.q_values.tobytes() == q_star[history].tobytes(), history
+    rep = cs.exact_belief_representation(p)
+    _, q_rep = _reference_tree(p, lambda history, belief: [
+        rep(history, (a,)) for a in range(p.n_actions)])
+    out = cs.reward_sufficiency_check(p, cs.exact_belief_representation(p), nodes=nodes)
+    assert out["q_from_rep"].keys() == q_rep.keys()
+    for history, q in q_rep.items():
+        assert out["q_from_rep"][history].tobytes() == q.tobytes(), history
 
 
 # ---------------------------------------------------------------------------
