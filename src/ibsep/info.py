@@ -329,8 +329,8 @@ def mi_identity_check(prior: DiscreteDistribution, channel: DiscreteChannel) -> 
     joint = joint_from_prior_channel(prior, channel)
     lhs = mutual_information(joint, "x", "y")
     marginal = channel.push(prior).probs
-    # the channel is validated: its rows are renormalised once more, as a
-    # DiscreteDistribution of each would, without validating them again
+    # the validated rows are renormalised once more, as DiscreteDistribution
+    # does, so that the KL terms keep their bits
     rows = channel.matrix / channel.matrix.sum(axis=1)[:, None]
     rhs = 0.0
     for py, row in zip(prior.probs, rows):
