@@ -95,6 +95,24 @@ def test_train_filter_is_pinned():
         "f0a31d13ac12ca04691c96d9bb5e1c40037d84c63723fd85606e43cc8d803b4a")
 
 
+def test_battery_shaped_train_filter_is_pinned():
+    # the seprep battery's filter shape with every default option: T 40,
+    # rep_dim 4, (32,) hidden layers, one sample, truncation every 16 steps
+    # (so the last window is a partial one of 8), batch 16
+    model = lgss.LGSSModel(A=[[0.9]], B=np.zeros((1, 0)), C=[[1.0]],
+                           Q=[[0.1]], R=[[0.1]], mu0=[0.0], P0=[[1.0]])
+    cfg = seprep.DynIBConfig(beta=1e-2, traj_len=40, steps=6, batch=16, seed=5)
+    trained = seprep.train_filter(seprep.lgss_source(model, 40), [cfg])
+    curve = trained.curves[0]
+    assert curve[-1] == {"step": 5, "loss": 1.3330980612382881,
+                         "ce": 1.3307084526267248,
+                         "info": 0.23896086115633666}
+    assert _digest(curve) == (
+        "51a50ea62bc5e920e161605fdc7ef45c1a086821bf846c6aa3439be31ed4499b")
+    assert _digest(seprep.save_filter_json(trained.runs[0])) == (
+        "d3baca7b178aa97ea72664e619eaa377a03c0f69eac019c06bec044deb471e9f")
+
+
 def test_run_filter_is_pinned():
     pinned = [
         ((3, 2, 2), -64.55408319518162,
