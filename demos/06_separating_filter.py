@@ -48,7 +48,7 @@ print(f"  per-step rows written to {csv_path}")
 path = os.path.join(tempfile.gettempdir(), "demo_filter.json")
 seprep.save_filter_json(learned, path)
 back = seprep.load_filter_json(path)
-a = back.predict(back.initial_phi(), np.zeros((1, 0)), 1, None)
-b = learned.predict(learned.initial_phi(), np.zeros((1, 0)), 1, None)
+a = back.predict(back.initial_phi(), 1, None)
+b = learned.predict(learned.initial_phi(), 1, None)
 print(f"  JSON round trip: predictive mean agrees -> "
       f"{np.allclose(a['mean'], b['mean']) and np.allclose(a['cov'], b['cov'])}")

@@ -1,16 +1,24 @@
 """Learned separating representations for time series.
 
-A recurrent filter keeps a finite-dimensional statistic φ_t of the history
-(y^t, u^t) and uses it two ways: a task decoder predicts z_{t+k} from
-samples of the diagonal-Gaussian posterior q(x_t | φ_t), and an update
-network maps (φ_t, y_{t+1}, u_t) to φ_{t+1}. The update consumes only the
-previous statistic and the new data — no observation likelihood is ever
-evaluated, which is the structural point of the construction. Training
-minimizes per-step prediction cross-entropy plus β times a closed-form
-KL(q(x_t|φ_t) || N(0, I)) information penalty. A β × seed sweep trains as
-one graph with its runs stacked on a leading run axis, and the filters
-step and predict over a batch of statistics, so an evaluation advances all
-of its trajectories together.
+A recurrent filter keeps a finite-dimensional statistic φ_t of the
+observations y^t and uses it two ways: a decoder predicts the next
+observation from a sample of the diagonal-Gaussian posterior q(x_t | φ_t),
+and an update network maps (φ_t, y_{t+1}) to φ_{t+1}. The update consumes
+only the previous statistic and the new data — no observation likelihood
+is ever evaluated, which is the structural point of the construction.
+Training minimizes the per-step prediction cross-entropy plus β times a
+closed-form KL(q(x_t|φ_t) || N(0, I)) information penalty. A β × seed
+sweep trains as one graph with its runs stacked on a leading run axis, and
+the filters step and predict over a batch of statistics, so an evaluation
+advances all of its trajectories together.
+
+A filter follows a duck-typed protocol: ``initial_phi()``, ``step(phi,
+y_next, t)``, ``predict(phi, samples, rng)`` (a Gaussian predictive of the
+next observation) and ``info(phi)``. The learned filter has one shape, the
+one the batteries certify: no control inputs, one decoder head for the
+next observation, one posterior sample per step in training, truncated
+backpropagation every :data:`TBPTT` steps and :data:`HIDDEN` hidden layers
+in the update and the decoder.
 
 Two exact references keep the learner honest: a hand-built filter that
 packs the Kalman mean and covariance into φ and reproduces the optimal
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +60,8 @@ __all__ = [
 ]
 
 LOG2PI = math.log(2.0 * math.pi)
+HIDDEN = (32,)  # hidden widths of the update network and of the decoder
+TBPTT = 16  # training detaches the statistic every TBPTT steps
 
 
 # ---------------------------------------------------------------------------
@@ -62,40 +73,28 @@ LOG2PI = math.log(2.0 * math.pi)
 class SepFilterModel:
     """Recurrent filter with posterior parameters φ ∈ R^{2d}.
 
-    ``update`` maps (φ_t, y_{t+1}, u_t) to φ_{t+1}; ``heads[k]`` maps a
-    sample of x_t (and the controls u_t..u_{t+k}, when there are controls)
-    to the parameters of the predictive over z_{t+k}. ``output`` selects
-    the predictive family: "gaussian" heads emit (mean, log-std) per target
-    dimension, "categorical" heads emit logits. Log-stds are clamped to
-    [-6, 2] wherever they are interpreted.
+    ``update`` maps (φ_t, y_{t+1}) to φ_{t+1}; ``head`` maps a sample of
+    x_t to the (mean, log-std) of a diagonal Gaussian over the next
+    observation. Log-stds are clamped to [-6, 2] wherever they are
+    interpreted.
     """
 
     rep_dim: int
     obs_dim: int
-    ctrl_dim: int
-    horizon: int
-    output: str
-    target_dim: int
     update: nn.MLP
-    heads: tuple
+    head: nn.MLP
     phi0: np.ndarray
 
     def __post_init__(self):
-        if self.output not in ("gaussian", "categorical"):
-            raise ValueError(f"unknown output family {self.output!r}")
         d = self.rep_dim
-        if self.update.widths[0] != 2 * d + self.obs_dim + self.ctrl_dim:
+        if self.update.widths[0] != 2 * d + self.obs_dim:
             raise ValueError("update network input dimension inconsistent")
         if self.update.widths[-1] != 2 * d:
             raise ValueError("update network output dimension inconsistent")
-        if len(self.heads) != self.horizon + 1:
-            raise ValueError("need one decoder head per prediction offset")
-        for k, head in enumerate(self.heads):
-            if head.widths[0] != d + self.ctrl_dim * (k + 1):
-                raise ValueError(f"decoder head {k} input dimension inconsistent")
-            want = 2 * self.target_dim if self.output == "gaussian" else self.target_dim
-            if head.widths[-1] != want:
-                raise ValueError(f"decoder head {k} output dimension inconsistent")
+        if self.head.widths[0] != d:
+            raise ValueError("decoder head input dimension inconsistent")
+        if self.head.widths[-1] != 2 * self.obs_dim:
+            raise ValueError("decoder head output dimension inconsistent")
         phi0 = np.asarray(self.phi0, dtype=float).reshape(2 * d)
         object.__setattr__(self, "phi0", phi0)
 
@@ -105,18 +104,15 @@ class SepFilterModel:
         out = {"phi0": self.phi0}
         for name, value in self.update.params().items():
             out[f"upd.{name}"] = value
-        for k, head in enumerate(self.heads):
-            for name, value in head.params().items():
-                out[f"dec{k}.{name}"] = value
+        for name, value in self.head.params().items():
+            out[f"dec0.{name}"] = value
         return out
 
     def with_params(self, params: dict) -> "SepFilterModel":
-        update = self.update.with_params(nn.param_group(params, "upd"))
-        heads = tuple(head.with_params(nn.param_group(params, f"dec{i}"))
-                      for i, head in enumerate(self.heads))
-        return SepFilterModel(self.rep_dim, self.obs_dim, self.ctrl_dim,
-                              self.horizon, self.output, self.target_dim,
-                              update, heads, params["phi0"])
+        return SepFilterModel(self.rep_dim, self.obs_dim,
+                              self.update.with_params(nn.param_group(params, "upd")),
+                              self.head.with_params(nn.param_group(params, "dec0")),
+                              params["phi0"])
 
     # -- filtering protocol ---------------------------------------------------
 
@@ -130,53 +126,38 @@ class SepFilterModel:
         log_std = np.clip(phi[..., self.rep_dim :], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
         return mu, np.exp(log_std)
 
-    def step(self, phi, y_next, u=None, t=None):
-        """Advance the statistic one step: φ_{t+1} = g(φ_t, y_{t+1}, u_t).
+    def step(self, phi, y_next, t=None):
+        """Advance the statistic one step: φ_{t+1} = g(φ_t, y_{t+1}).
 
         Purely functional and deterministic; raises with the time index when
         the update produces a non-finite state. A 2-D ``phi`` is a batch of
-        statistics, one per row, advanced together; ``y_next`` and ``u``
-        then hold one row each.
+        statistics, one per row, advanced together; ``y_next`` then holds
+        one row each.
         """
         phi = np.asarray(phi, dtype=float)
-        rows = phi.shape[:-1]  # () for one statistic
-        y_next = np.asarray(y_next, dtype=float).reshape(*rows, self.obs_dim)
-        u = (np.zeros((*rows, self.ctrl_dim)) if u is None
-             else np.asarray(u, dtype=float).reshape(*rows, self.ctrl_dim))
-        out = nn.forward(self.update,
-                         np.concatenate([phi, y_next, u], axis=-1)).value
+        y_next = np.asarray(y_next, dtype=float).reshape(*phi.shape[:-1], self.obs_dim)
+        out = nn.forward(self.update, np.concatenate([phi, y_next], axis=-1)).value
         if not np.all(np.isfinite(out)):
             at = "" if t is None else f" at step {t}"
             raise FloatingPointError(f"filter update produced non-finite state{at}")
         return out
 
-    def predict(self, phi, controls=None, samples=1, rng=None) -> dict:
-        """Monte-Carlo predictive over z_{t+k} from ``samples`` posterior draws.
+    def predict(self, phi, samples=1, rng=None) -> dict:
+        """Monte-Carlo predictive of the next observation from ``samples``
+        posterior draws.
 
-        ``controls`` stacks u_t..u_{t+k} (its length selects the offset k).
         With ``rng=None`` the draw collapses to the posterior mean — the
-        degenerate/Dirac evaluation. Gaussian outputs report the mixture
+        degenerate/Dirac evaluation. The result holds the mixture
         components and the moment-matched (mean, cov).
 
         A 2-D ``phi`` is a batch of N statistics, and every returned array
-        gains a leading axis of N. ``controls`` is then (N, k+1, ctrl_dim),
-        or one (k+1, ctrl_dim) stack for every row, and ``rng`` is one
-        Generator or a sequence of N: row i then draws from ``rng[i]``
-        exactly what a lone prediction from that Generator would.
+        gains a leading axis of N. ``rng`` is then one Generator or a
+        sequence of N: row i then draws from ``rng[i]`` exactly what a lone
+        prediction from that Generator would.
         """
         phi = np.asarray(phi, dtype=float)
         mu, sigma = self.posterior_params(phi.reshape(-1, 2 * self.rep_dim))
         N = mu.shape[0]
-        controls = (np.zeros((1, self.ctrl_dim)) if controls is None
-                    else np.asarray(controls, dtype=float))
-        if self.ctrl_dim and controls.ndim < 3:
-            controls = controls.reshape(-1, self.ctrl_dim)
-        if controls.ndim not in (2, 3) or controls.shape[-1] != self.ctrl_dim:
-            raise ValueError("select the offset with controls of shape "
-                             "(k+1, ctrl_dim), so (k+1, 0) without controls")
-        k = controls.shape[-2] - 1
-        if not 0 <= k <= self.horizon:
-            raise ValueError(f"offset {k} outside trained horizon {self.horizon}")
         if rng is None:
             eps = np.zeros((N, samples, self.rep_dim))
         elif isinstance(rng, np.random.Generator):
@@ -184,34 +165,20 @@ class SepFilterModel:
         else:
             eps = np.stack([r.standard_normal((samples, self.rep_dim)) for r in rng])
         x = mu[:, None] + sigma[:, None] * eps  # (N, samples, d)
-        if self.ctrl_dim:
-            width = (k + 1) * self.ctrl_dim
-            window = np.broadcast_to(controls, (N, k + 1, self.ctrl_dim))
-            x = np.concatenate([x, np.broadcast_to(window.reshape(N, 1, width),
-                                                   (N, samples, width))], axis=-1)
-        out = nn.forward(self.heads[k], x.reshape(N * samples, -1)).value
+        out = nn.forward(self.head, x.reshape(N * samples, -1)).value
         out = out.reshape(N, samples, -1)
-        if self.output == "gaussian":
-            means = out[..., : self.target_dim]
-            log_stds = np.clip(out[..., self.target_dim :], nn.LOG_STD_MIN,
-                               nn.LOG_STD_MAX)
-            variances = np.exp(2.0 * log_stds)
-            mean = means.mean(axis=-2)
-            var = (variances + means**2).mean(axis=-2) - mean**2
-            cov = np.zeros((N, self.target_dim, self.target_dim))
-            diag = np.arange(self.target_dim)
-            cov[:, diag, diag] = np.maximum(var, 1e-300)
-            params = {"family": "gaussian", "mean": mean, "cov": cov,
-                      "component_means": means, "component_vars": variances}
-        else:
-            shifted = out - out.max(axis=-1, keepdims=True)
-            probs = np.exp(shifted)
-            probs /= probs.sum(axis=-1, keepdims=True)
-            params = {"family": "categorical", "probs": probs.mean(axis=-2),
-                      "component_probs": probs}
+        means = out[..., : self.obs_dim]
+        log_stds = np.clip(out[..., self.obs_dim :], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
+        variances = np.exp(2.0 * log_stds)
+        mean = means.mean(axis=-2)
+        var = (variances + means**2).mean(axis=-2) - mean**2
+        cov = np.zeros((N, self.obs_dim, self.obs_dim))
+        diag = np.arange(self.obs_dim)
+        cov[:, diag, diag] = np.maximum(var, 1e-300)
+        params = {"mean": mean, "cov": cov, "component_means": means,
+                  "component_vars": variances}
         if phi.ndim == 1:
-            params = {key: value if key == "family" else value[0]
-                      for key, value in params.items()}
+            params = {key: value[0] for key, value in params.items()}
         return params
 
     def info(self, phi) -> float:
@@ -220,32 +187,18 @@ class SepFilterModel:
         return float(info.kl_to_standard_normal(mu, std**2, 2.0 * np.log(std)))
 
 
-def init_sep_filter(rep_dim, obs_dim, ctrl_dim=0, horizon=0, output="gaussian",
-                    target_dim=None, update_hidden=(32,), decoder_hidden=(32,),
-                    rng=None) -> SepFilterModel:
-    """Seeded construction; the default task target is the next observation."""
+def init_sep_filter(rep_dim, obs_dim, rng=None) -> SepFilterModel:
+    """Seeded construction: the update network first, then the decoder."""
     rng = np.random.default_rng(0) if rng is None else rng
-    if target_dim is None:
-        if output != "gaussian":
-            raise ValueError("categorical output needs an explicit target_dim")
-        target_dim = obs_dim
-    upd_widths = [2 * rep_dim + obs_dim + ctrl_dim, *update_hidden, 2 * rep_dim]
-    update = nn.init_mlp(upd_widths, ["relu"] * len(update_hidden) + ["identity"], rng)
-    heads = []
-    out_dim = 2 * target_dim if output == "gaussian" else target_dim
-    for k in range(horizon + 1):
-        widths = [rep_dim + ctrl_dim * (k + 1), *decoder_hidden, out_dim]
-        heads.append(nn.init_mlp(widths, ["relu"] * len(decoder_hidden) + ["identity"], rng))
+    activations = ["relu"] * len(HIDDEN) + ["identity"]
+    update = nn.init_mlp([2 * rep_dim + obs_dim, *HIDDEN, 2 * rep_dim], activations, rng)
+    head = nn.init_mlp([rep_dim, *HIDDEN, 2 * obs_dim], activations, rng)
     phi0 = np.zeros(2 * rep_dim)  # q(x_0) starts at the reference N(0, I)
-    return SepFilterModel(rep_dim, obs_dim, ctrl_dim, horizon, output,
-                          target_dim, update, tuple(heads), phi0)
+    return SepFilterModel(rep_dim, obs_dim, update, head, phi0)
 
 
 def predictive_nll(params: dict, z) -> float:
     """Negative log-likelihood of a target under predictive parameters."""
-    if params["family"] == "categorical":
-        prob = params["probs"][int(np.asarray(z).ravel()[0])]
-        return float(-math.log(max(prob, nn._PROB_FLOOR)))
     z = np.asarray(z, dtype=float).reshape(-1)
     means = params.get("component_means")
     if means is None:
@@ -267,58 +220,35 @@ class DynIBConfig:
     steps: int
     batch: int
     seed: int
-    horizon: int = 0
-    tbptt: int = 16
     rep_dim: int = 4
-    mc_samples: int = 1
     learning_rate: float = 0.03
     momentum: float = 0.9
-    update_hidden: tuple = (32,)
-    decoder_hidden: tuple = (32,)
 
     def __post_init__(self):
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
-        if not 0 <= self.horizon < self.traj_len:
-            raise ValueError("horizon must be shorter than the trajectories")
-        if self.tbptt < 1:
-            raise ValueError("backpropagation window must be positive")
+        if self.traj_len < 1:
+            raise ValueError(f"traj_len must be at least 1, got {self.traj_len!r}")
 
 
-def _as_batch(trajectories, ctrl_dim_hint=0):
-    ys, us = trajectories
-    ys = np.asarray(ys)
-    if us is None:
-        us = np.zeros((ys.shape[0], ys.shape[1], ctrl_dim_hint))
-    else:
-        us = np.asarray(us, dtype=float)
-    return ys, us
-
-
-def dyn_ibl_loss(model, trajectories, config: DynIBConfig, samples=None, rng=None) -> dict:
+def dyn_ibl_loss(model, ys, config: DynIBConfig, samples=1, rng=None) -> dict:
     """Evaluate total = ce_term + β·info_term over a batch of trajectories.
 
-    ce_term is (1/T) Σ_t Σ_{k=0..n} NLL(z_{t+k} | predict from φ_t);
-    info_term is (1/T) Σ_t KL(q(x_t|φ_t) || N(0,I)), the per-step upper
-    bound on the representation's information about the history. The
-    target is the next observation: z_{t+k} = y_{t+k+1}.
+    ``ys`` is (B, T, obs_dim). ce_term is (1/T) Σ_t NLL(y_{t+1} | predict
+    from φ_t); info_term is (1/T) Σ_t KL(q(x_t|φ_t) || N(0,I)), the
+    per-step upper bound on the representation's information about the
+    history. Both are averaged over the batch. This per-step loop is the
+    reference the training graph is checked against.
     """
-    ys, us = _as_batch(trajectories, getattr(model, "ctrl_dim", 0))
+    ys = np.asarray(ys, dtype=float)
     B, T = ys.shape[0], ys.shape[1]
-    n = config.horizon
-    if n >= T:
-        raise ValueError("horizon must be shorter than the trajectories")
-    samples = config.mc_samples if samples is None else samples
-    ce_total = 0.0
-    info_total = 0.0
+    ce_total = info_total = 0.0
     for b in range(B):
         phi = model.initial_phi()
         for t in range(T):
             info_total += model.info(phi)
-            for k in range(min(n, T - 1 - t) + 1):
-                params = model.predict(phi, us[b, t : t + k + 1], samples, rng)
-                ce_total += predictive_nll(params, ys[b, t + k])
-            phi = model.step(phi, ys[b, t], us[b, t], t)
+            ce_total += predictive_nll(model.predict(phi, samples, rng), ys[b, t])
+            phi = model.step(phi, ys[b, t], t)
     ce_term = ce_total / (B * T)
     info_term = info_total / (B * T)
     return {
@@ -334,7 +264,7 @@ def dyn_ibl_loss(model, trajectories, config: DynIBConfig, samples=None, rng=Non
 
 
 def lgss_source(model: lgss.LGSSModel, T: int):
-    """Trajectory source drawing from a linear-Gaussian state-space model.
+    """Observation source drawing from a linear-Gaussian state-space model.
 
     A draw of ``batch`` trajectories (zero controls) is bit-identical to
     ``batch`` successive ``lgss.simulate`` calls on the same rng: each row
@@ -365,78 +295,42 @@ def lgss_source(model: lgss.LGSSModel, T: int):
             x = (model.A @ x[..., None])[..., 0] + w[:, t]
             ys[:, t] = (model.C @ x[..., None])[..., 0] + v[:, t]
         lead = (batch,) if lone else (len(rngs), batch)
-        return ys.reshape(*lead, T, model.m), np.zeros((*lead, T, model.p))
+        return ys.reshape(*lead, T, model.m)
 
     return draw
 
 
-def _time_major(a):
-    """(..., B, T', f) -> (..., T'·B, f) with row t·B + b holding a[..., b, t]."""
-    a = np.swapaxes(a, -3, -2)
-    return a.reshape(*a.shape[:-3], a.shape[-3] * a.shape[-2], a.shape[-1])
-
-
-def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws, beta):
+def _sep_loss_graph(model, param_nodes, ys, eps_draws, beta):
     """Recurrent training graph of R runs; returns (R,) total, ce, info nodes.
 
-    ``ys`` (R, B, T, ·), ``us`` (R, B, T, ctrl_dim), ``eps_draws`` and every
+    ``ys`` (R, B, T, obs_dim), ``eps_draws`` (R, T, B, d) and every
     parameter carry a leading run axis of R (biases and φ_0 as (R, 1, ·)),
     and ``beta`` holds each run's β. The update φ_t → φ_{t+1} (detached
-    every ``config.tbptt`` steps) is one :func:`~ibsep.nn.scan_n` node over
-    the exogenous columns y_t (and u_t with controls). Its value stacks
-    each run's statistics φ_0..φ_{T-1} time-major into (T·B, 2d) rows, row
-    t·B + b holding trajectory b at step t, and the KL and the decoders
-    are evaluated once over them: head k reads the first
-    (T-k)·B rows (the steps t <= T-1-k) repeated once per Monte-Carlo
-    sample, so its input is (R, S·(T-k)·B, ·) with rows ordered
-    (sample, t, b). ``eps_draws[r, i]`` is run r's (B, d) draw for the
-    i-th (t, k, sample) triple in lexicographic order. Every sum is per
-    run, so entry r of each returned node depends on run r alone.
+    every :data:`TBPTT` steps) is one :func:`~ibsep.nn.scan_n` node over
+    the columns y_t. Its value stacks each run's statistics φ_0..φ_{T-1}
+    time-major into (T·B, 2d) rows, row t·B + b holding trajectory b at
+    step t, and the KL and the decoder are evaluated once over them. Row
+    t·B + b of the decoder's input is x_t = μ + σ·ε with ε =
+    ``eps_draws[r, t, b]``, so the draws reshape to the rows. Every sum is
+    per run, so entry r of each returned node depends on run r alone.
     """
     R, B, T = ys.shape[:3]
-    ys = ys.reshape(R, B, T, -1)
     d = model.rep_dim
-    n = config.horizon
-    S = config.mc_samples
     upd_nodes = nn.param_group(param_nodes, "upd")
-    head_nodes = [nn.param_group(param_nodes, f"dec{i}")
-                  for i in range(len(model.heads))]
     layers = [(upd_nodes[f"W{k}"], upd_nodes[f"b{k}"], act == "relu")
               for k, act in enumerate(model.update.activations)]
-    inputs = np.concatenate([ys, us], axis=-1) if model.ctrl_dim else ys
-    stacked = nn.scan_n(param_nodes["phi0"], layers, inputs, config.tbptt)
+    stacked = nn.scan_n(param_nodes["phi0"], layers, ys, TBPTT)
     mu = stacked[..., :d]
     log_std = nn.clip_n(stacked[..., d:], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
-    sigma = log_std.exp()
     kl = nn.kl_to_standard_normal_n(mu, log_std)
-
-    per_step = S * (np.minimum(n, T - 1 - np.arange(T)) + 1)
-    first_draw = np.concatenate([[0], np.cumsum(per_step)[:-1]])
-    ce = None
-    for k in range(n + 1):
-        rows = (T - k) * B
-        draws = (first_draw[None, : T - k] + k * S
-                 + np.arange(S)[:, None])  # (S, T-k)
-        eps = eps_draws[:, draws].reshape(R, S * rows, d)
-        x = (nn.concat([mu[..., :rows, :]] * S, axis=-2)
-             + nn.concat([sigma[..., :rows, :]] * S, axis=-2) * nn.constant(eps))
-        if model.ctrl_dim:
-            window = np.concatenate([us[..., j : T - k + j, :] for j in range(k + 1)],
-                                    axis=-1)  # (R, B, T-k, (k+1)·ctrl_dim)
-            x = nn.concat([x, nn.constant(np.tile(_time_major(window), (S, 1)))])
-        out = nn.forward(model.heads[k], x, param_nodes=head_nodes[k])
-        z = np.tile(_time_major(ys[..., k:, :]), (S, 1))
-        if model.output == "gaussian":
-            mean = out[..., : model.target_dim]
-            dls = nn.clip_n(out[..., model.target_dim :], nn.LOG_STD_MIN,
-                            nn.LOG_STD_MAX)
-            resid = (nn.constant(z) - mean) * (-dls).exp()
-            nll = (0.5 * resid.square() + dls + 0.5 * LOG2PI).sum(axis=(-2, -1))
-        else:
-            labels = z[..., 0].astype(int)
-            nll = -nn.gather_logprob(nn.log_softmax_n(out), labels).sum(axis=-1)
-        ce = nll if ce is None else ce + nll
-    ce = ce * (1.0 / (B * T * S))
+    x = mu + log_std.exp() * nn.constant(eps_draws.reshape(R, T * B, d))
+    out = nn.forward(model.head, x, param_nodes=nn.param_group(param_nodes, "dec0"))
+    mean = out[..., : model.obs_dim]
+    dls = nn.clip_n(out[..., model.obs_dim :], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
+    z = ys.swapaxes(1, 2).reshape(R, T * B, -1)  # time-major, as the rows
+    resid = (nn.constant(z) - mean) * (-dls).exp()
+    nll = (0.5 * resid.square() + dls + 0.5 * LOG2PI).sum(axis=(-2, -1))
+    ce = nll * (1.0 / (B * T))
     total = ce + kl * beta
     return total, ce, kl
 
@@ -444,15 +338,16 @@ def _sep_loss_graph(model, param_nodes, ys, us, config, eps_draws, beta):
 def train_filter(source, configs):
     """Train SepFilterModels on trajectories from ``source``.
 
-    ``source(batch, rng)`` returns ``(ys, us)`` with shapes (B, T, obs_dim)
-    and (B, T, ctrl_dim) (``us`` may be None); given a sequence of R
-    generators, as once per step here, it adds a leading axis of R whose
-    entry r is what ``source(batch, rngs[r])`` returns. ``configs`` is a list or
-    tuple of :class:`DynIBConfig` that differ only in β and seed; a bare
-    config is a ``ValueError``. The R runs train as one graph with every
-    parameter stacked on a leading run axis, so each step builds one
+    ``source(batch, rng)`` returns the observations ``ys`` of shape
+    (B, T, obs_dim); given a sequence of R generators, as once per step
+    here, it adds a leading axis of R whose entry r is what
+    ``source(batch, rngs[r])`` returns. ``configs`` is a list or tuple of
+    :class:`DynIBConfig` that differ only in β, seed and learning rate; a
+    bare config is a ``ValueError``. The R runs train as one graph with
+    every parameter stacked on a leading run axis, so each step builds one
     graph instead of R. Gradients flow through the recurrent update with
-    truncation every ``tbptt`` steps. Run r keeps its own init, data and
+    truncation every :data:`TBPTT` steps, and each step draws one posterior
+    sample per trajectory and time step. Run r keeps its own init, data and
     noise streams from its seed, so its parameters and curve are
     bit-identical to its config trained as a one-run sweep. Returns a
     :class:`~ibsep.nn.TrainedSweep` whose ``runs[r]`` is run r's trained
@@ -466,28 +361,19 @@ def train_filter(source, configs):
     data_rngs = [np.random.default_rng(data_ss) for _, data_ss, _ in streams]
     noise_rngs = [np.random.default_rng(noise_ss) for _, _, noise_ss in streams]
 
-    probe_ys, probe_us = _as_batch(source(1, np.random.default_rng(streams[0][1])))
-    obs_dim, ctrl_dim = probe_ys.shape[2], probe_us.shape[2]
-    models = [init_sep_filter(
-        first.rep_dim, obs_dim, ctrl_dim, first.horizon, "gaussian",
-        update_hidden=first.update_hidden, decoder_hidden=first.decoder_hidden,
-        rng=np.random.default_rng(init_ss)) for init_ss, _, _ in streams]
-
-    T, n = first.traj_len, first.horizon
-    n_draws = first.mc_samples * sum(min(n, T - 1 - t) + 1 for t in range(T))
+    obs_dim = np.shape(source(1, np.random.default_rng(streams[0][1])))[2]
+    models = [init_sep_filter(first.rep_dim, obs_dim, np.random.default_rng(init_ss))
+              for init_ss, _, _ in streams]
+    T = first.traj_len
     betas = np.array([cfg.beta for cfg in configs])
 
     def loss(params, step):
-        ys, us = source(first.batch, data_rngs)
-        ys = np.asarray(ys)
+        ys = np.asarray(source(first.batch, data_rngs))
         if ys.shape[2] != T:
             raise ValueError("source produced trajectories of the wrong length")
-        us = (np.zeros((*ys.shape[:3], ctrl_dim)) if us is None
-              else np.asarray(us, dtype=float))
-        eps = np.stack([rng.standard_normal((n_draws, first.batch, first.rep_dim))
+        eps = np.stack([rng.standard_normal((T, first.batch, first.rep_dim))
                         for rng in noise_rngs])
-        total, ce, kl = _sep_loss_graph(models[0], nn.parameters(params), ys, us,
-                                        first, eps, betas)
+        total, ce, kl = _sep_loss_graph(models[0], nn.parameters(params), ys, eps, betas)
         return total, {"ce": ce.value.tolist(), "info": kl.value.tolist()}
 
     params, curves, curve = nn.fit_sweep(configs, [m.params() for m in models], loss)
@@ -504,9 +390,9 @@ class KalmanSepFilter:
     """The Kalman filter packed into the filtering protocol.
 
     φ stacks the posterior mean and flattened covariance, the update is the
-    exact Kalman predict/update map — a deterministic function of
-    (φ_t, y_{t+1}, u_t), which is what makes the Kalman filter itself a
-    separating statistic — and the predictive is the closed-form Gaussian.
+    exact Kalman predict/update map with zero controls — a deterministic
+    function of (φ_t, y_{t+1}), which is what makes the Kalman filter itself
+    a separating statistic — and the predictive is the closed-form Gaussian.
     ``info`` is 0: the statistic is deterministic given the history, so no
     extra stochastic coding cost is charged. Like :class:`SepFilterModel`,
     ``step`` and ``predict`` take a 2-D ``phi`` as a batch of statistics
@@ -514,16 +400,13 @@ class KalmanSepFilter:
     equal byte for byte share one Kalman call over their batch of means.
     """
 
-    output = "gaussian"
-
     def __init__(self, model: lgss.LGSSModel):
         self.model = model
-        self.ctrl_dim = model.p
 
     def initial_phi(self) -> np.ndarray:
         return np.concatenate([self.model.mu0, self.model.P0.ravel()])
 
-    def _predicted(self, phi, us):
+    def _predicted(self, phi):
         """(rows, prior means, prior cov) per covariance group of a 2-D ``phi``."""
         n = self.model.n
         groups = {}
@@ -531,41 +414,34 @@ class KalmanSepFilter:
             groups.setdefault(row[n:].tobytes(), []).append(i)
         for rows in groups.values():
             yield rows, *lgss.kalman_predict(phi[rows, :n], phi[rows[0], n:].reshape(n, n),
-                                             self.model, None if us is None else us[rows])
+                                             self.model)
 
-    def step(self, phi, y_next, u=None, t=None):
+    def step(self, phi, y_next, t=None):
         phi = np.asarray(phi, dtype=float)
         batch = np.atleast_2d(phi)
         N, n = len(batch), self.model.n
-        us = None if u is None else np.reshape(u, (N, self.model.p))
         ys, out = np.reshape(y_next, (N, self.model.m)), np.empty_like(batch)
-        for rows, mean, cov in self._predicted(batch, us):
+        for rows, mean, cov in self._predicted(batch):
             out[rows, :n], cov = lgss.kalman_update(mean, cov, ys[rows], self.model)
             out[rows, n:] = cov.ravel()
         return out.reshape(phi.shape)
 
-    def predict(self, phi, controls=None, samples=1, rng=None) -> dict:
+    def predict(self, phi, samples=1, rng=None) -> dict:
         phi = np.asarray(phi, dtype=float)
         batch = np.atleast_2d(phi)
         N, C, R = len(batch), self.model.C, self.model.R
-        us = None
-        if controls is not None:  # one (1, p) window, or one per row
-            controls = np.atleast_2d(np.asarray(controls, dtype=float))
-            if controls.shape[-2] != 1:
-                raise ValueError("the exact filter predicts one step ahead")
-            if self.model.p:
-                us = np.broadcast_to(controls[..., 0, :], (N, self.model.p))
         means, covs = np.empty((N, self.model.m)), np.empty((N, *R.shape))
-        for rows, mean, cov in self._predicted(batch, us):
+        for rows, mean, cov in self._predicted(batch):
             means[rows] = lgss._finite(lgss._matvec(C, mean))
             covs[rows] = info.GaussianDistribution(means[rows[0]], C @ cov @ C.T + R).cov
         if phi.ndim == 1:
             means, covs = means[0], covs[0]
-        return {"family": "gaussian", "mean": means, "cov": covs,
-                "component_means": None, "component_vars": None}
+        return {"mean": means, "cov": covs, "component_means": None,
+                "component_vars": None}
 
     def info(self, phi) -> float:
         return 0.0
+
 
 
 # ---------------------------------------------------------------------------
@@ -634,12 +510,11 @@ def evaluate_vs_kalman(model, lgss_model: lgss.LGSSModel, T: int, num_traj: int,
     eval_rngs = [np.random.default_rng(eval_ss) for _, eval_ss in streams]
     _, (kal_means, kal_covs) = lgss.run_filter(lgss_model, trajs)
     ys = np.stack([traj.y for traj in trajs])
-    us = np.stack([traj.u for traj in trajs])
     nll_learned = np.empty((num_traj, T))
     kls = np.empty((num_traj, T))
     phi = np.stack([model.initial_phi()] * num_traj)
     for t in range(T):
-        params = model.predict(phi, us[:, t : t + 1], samples, eval_rngs)
+        params = model.predict(phi, samples, eval_rngs)
         mean, cov = params["mean"], params["cov"]
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError(f"non-finite learned predictive at step {t}")
@@ -649,7 +524,7 @@ def evaluate_vs_kalman(model, lgss_model: lgss.LGSSModel, T: int, num_traj: int,
             nll_learned[:, t] = _mixture_nll(params["component_means"],
                                              params["component_vars"], ys[:, t])
         kls[:, t] = _kl_gaussian(kal_means[:, t], kal_covs[:, t], mean, cov)
-        phi = model.step(phi, ys[:, t], us[:, t], t)
+        phi = model.step(phi, ys[:, t], t)
     nll_kalman = _gaussian_nll(kal_means, kal_covs, ys)
     records = [{"traj_id": j, "t": t, "nll_learned": float(nll_learned[j, t]),
                 "nll_kalman": float(nll_kalman[j, t]), "kl": float(kls[j, t])}
@@ -707,10 +582,6 @@ class FiniteHMM:
         object.__setattr__(self, "emit", pomdp.obs)
         object.__setattr__(self, "init", pomdp.b0)
         object.__setattr__(self, "pomdp", pomdp)
-
-    @property
-    def n_states(self) -> int:
-        return self.init.size
 
     @property
     def n_obs(self) -> int:
@@ -835,7 +706,17 @@ def marginal_candidate(hmm: FiniteHMM, T: int):
 # serialization
 # ---------------------------------------------------------------------------
 
-_ARCH_KEYS = {"rep_dim", "obs_dim", "ctrl_dim", "horizon", "output", "target_dim"}
+# keys of the general format (controls, offsets, output families), fixed here
+_FIXED_KEYS = {"ctrl_dim": 0, "horizon": 0, "output": "gaussian"}
+_MLP_KEYS = {"widths", "activations", "weights", "biases"}
+
+
+def _parsed(key: str, convert, value):
+    """``convert(value)``, or a ``ValueError`` naming the model file key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"model file key {key!r}: {err}") from None
 
 
 def _mlp_payload(mlp: nn.MLP) -> dict:
@@ -847,31 +728,35 @@ def _mlp_payload(mlp: nn.MLP) -> dict:
     }
 
 
-def _mlp_from_payload(payload: dict) -> nn.MLP:
-    return nn.MLP(
-        tuple(payload["widths"]),
-        tuple(np.asarray(w, dtype=float) for w in payload["weights"]),
-        tuple(np.asarray(b, dtype=float) for b in payload["biases"]),
-        tuple(payload["activations"]),
-    )
+def _mlp_from_payload(key: str, payload) -> nn.MLP:
+    missing = _MLP_KEYS - set(payload) if isinstance(payload, dict) else _MLP_KEYS
+    if missing:
+        raise ValueError(f"model file key {key!r} missing keys: {sorted(missing)}")
+    weights, biases = (_parsed(f"{key}.{name}",
+                               lambda v: tuple(np.asarray(a, dtype=float) for a in v),
+                               payload[name])
+                       for name in ("weights", "biases"))
+    return _parsed(key, lambda p: nn.MLP(tuple(p["widths"]), weights, biases,
+                                         tuple(p["activations"])), payload)
 
 
 def save_filter_json(model: SepFilterModel, path=None) -> str:
     """Serialize architecture and weights; floats round-trip exactly.
 
     Values are written with shortest round-trip formatting (at most 17
-    significant digits), so loading reproduces the arrays bit for bit.
+    significant digits), so loading reproduces the arrays bit for bit. The
+    fixed shape is written out as ``ctrl_dim`` 0, ``horizon`` 0, ``output``
+    "gaussian", ``target_dim`` equal to ``obs_dim`` and a one-entry
+    ``heads`` list.
     """
     payload = {
         "rep_dim": model.rep_dim,
         "obs_dim": model.obs_dim,
-        "ctrl_dim": model.ctrl_dim,
-        "horizon": model.horizon,
-        "output": model.output,
-        "target_dim": model.target_dim,
+        **_FIXED_KEYS,
+        "target_dim": model.obs_dim,
         "phi0": model.phi0.tolist(),
         "update": _mlp_payload(model.update),
-        "heads": [_mlp_payload(h) for h in model.heads],
+        "heads": [_mlp_payload(model.head)],
     }
     text = json.dumps(payload, indent=2)
     if path is not None:
@@ -882,19 +767,30 @@ def save_filter_json(model: SepFilterModel, path=None) -> str:
 
 
 def load_filter_json(source) -> SepFilterModel:
-    """Load a model written by :func:`save_filter_json` (path, text or file)."""
+    """Load a model written by :func:`save_filter_json` (path, text or file).
+
+    A missing key, a value of the wrong type or a file of another shape
+    (controls, more than one head, another output family or target) is a
+    ``ValueError`` that names the key.
+    """
     payload = info._read_json_object(source)
-    missing = (_ARCH_KEYS | {"phi0", "update", "heads"}) - set(payload)
+    missing = ({"rep_dim", "obs_dim", "target_dim", "phi0", "update", "heads"}
+               | set(_FIXED_KEYS)) - set(payload)
     if missing:
         raise ValueError(f"model file missing keys: {sorted(missing)}")
+    rep_dim = _parsed("rep_dim", operator.index, payload["rep_dim"])
+    obs_dim = _parsed("obs_dim", operator.index, payload["obs_dim"])
+    for key, value in {**_FIXED_KEYS, "target_dim": obs_dim}.items():
+        if payload[key] != value:
+            raise ValueError(f"model file key {key!r} must be {value!r}, got {payload[key]!r}")
+    heads = payload["heads"]
+    if not isinstance(heads, list) or len(heads) != 1:
+        raise ValueError("model file key 'heads' must be a list of one decoder")
     return SepFilterModel(
-        rep_dim=int(payload["rep_dim"]),
-        obs_dim=int(payload["obs_dim"]),
-        ctrl_dim=int(payload["ctrl_dim"]),
-        horizon=int(payload["horizon"]),
-        output=payload["output"],
-        target_dim=int(payload["target_dim"]),
-        update=_mlp_from_payload(payload["update"]),
-        heads=tuple(_mlp_from_payload(h) for h in payload["heads"]),
-        phi0=np.asarray(payload["phi0"], dtype=float),
+        rep_dim=rep_dim,
+        obs_dim=obs_dim,
+        update=_mlp_from_payload("update", payload["update"]),
+        head=_mlp_from_payload("heads", heads[0]),
+        phi0=_parsed("phi0", lambda v: np.asarray(v, dtype=float).reshape(2 * rep_dim),
+                     payload["phi0"]),
     )

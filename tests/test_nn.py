@@ -555,12 +555,11 @@ def _static_ib_graph(rng):
 
 def _seprep_graph(rng):
     R, B, T, d = 3, 4, 20, 2
-    cfg = seprep.DynIBConfig(beta=0.1, traj_len=T, steps=1, batch=B, seed=0, rep_dim=d)
     models = [seprep.init_sep_filter(d, 1, rng=rng) for _ in range(R)]
     nodes = nn.parameters(nn.stack_runs([m.params() for m in models]))
     total, _, _ = seprep._sep_loss_graph(
-        models[0], nodes, rng.standard_normal((R, B, T, 1)), np.zeros((R, B, T, 0)),
-        cfg, rng.standard_normal((R, T, B, d)), np.full(R, 0.1))
+        models[0], nodes, rng.standard_normal((R, B, T, 1)),
+        rng.standard_normal((R, T, B, d)), np.full(R, 0.1))
     return total.sum()
 
 

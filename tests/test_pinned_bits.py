@@ -1,5 +1,5 @@
-"""Exact results of three short training runs, of the Kalman filter and of
-the exact belief trees, pinned bit for bit.
+"""Exact results of short training runs, of the Kalman filter and of the
+exact belief trees, pinned bit for bit.
 
 The other training tests check that two runs agree with each other or
 that the loss falls; these check that a run gives the very same floats
@@ -76,23 +76,6 @@ def test_battery_weight_posterior_is_pinned():
         assert (repr(got_kl), repr(got_ce)) == (kl, ce), root
         assert _digest({k: v.tolist() for k, v in post.mu.items()}) == mu, root
         assert _digest({k: v.tolist() for k, v in post.log_var.items()}) == log_var, root
-
-
-def test_train_filter_is_pinned():
-    model = lgss.LGSSModel(A=[[0.9]], B=np.zeros((1, 0)), C=[[1.0]],
-                           Q=[[0.1]], R=[[0.1]], mu0=[0.0], P0=[[1.0]])
-    cfg = seprep.DynIBConfig(beta=1e-2, traj_len=8, steps=10, batch=4, seed=5,
-                             horizon=1, tbptt=3, rep_dim=2, mc_samples=2,
-                             update_hidden=(8,), decoder_hidden=(8,))
-    trained = seprep.train_filter(seprep.lgss_source(model, 8), [cfg])
-    curve = trained.curves[0]
-    assert curve[-1] == {"step": 9, "loss": 2.0352618743227016,
-                         "ce": 2.032269876044114,
-                         "info": 0.2991998278587369}
-    assert _digest(curve) == (
-        "a73af0a44bd591d2c1fa9a7d7875af3e473c661688658ad39f9072828579ad09")
-    assert _digest(seprep.save_filter_json(trained.runs[0])) == (
-        "f0a31d13ac12ca04691c96d9bb5e1c40037d84c63723fd85606e43cc8d803b4a")
 
 
 def test_battery_shaped_train_filter_is_pinned():

@@ -51,6 +51,7 @@ TEST_REFERENCES = {
     ("nn", "matmul"): "test_nn.py::test_affine_node_equals_the_unfused_chain_bit_for_bit",
     ("nn", "relu_n"): "test_nn.py::test_affine_node_equals_the_unfused_chain_bit_for_bit",
     ("nn", "detach"): "test_nn.py::test_scan_node_equals_the_unfused_chain_bit_for_bit",
+    ("nn", "concat"): "test_nn.py::test_scan_node_equals_the_unfused_chain_bit_for_bit",
     ("lgss", "predictive_density"):
         "test_lgss.py::test_run_filter_predictives_are_the_one_step_densities",
     ("static_ib", "ibl_loss"): "test_static_ib.py::test_info_term_scales_linearly_with_beta",

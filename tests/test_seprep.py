@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import re
 
@@ -22,8 +23,8 @@ def two_state_hmm():
                             init=[0.6, 0.4])
 
 
-def small_model(rng_seed=3, **kw):
-    return seprep.init_sep_filter(4, 1, rng=np.random.default_rng(rng_seed), **kw)
+def small_model(rng_seed=3):
+    return seprep.init_sep_filter(4, 1, rng=np.random.default_rng(rng_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -32,17 +33,28 @@ def small_model(rng_seed=3, **kw):
 
 
 def test_update_network_consumes_only_fixed_size_state():
-    # the statistic has fixed width 2d; the update sees (phi, y, u), never
+    # the statistic has fixed width 2d; the update sees (phi, y), never
     # the growing history — that is the structural point of the filter
-    model = seprep.init_sep_filter(3, 2, ctrl_dim=1, rng=np.random.default_rng(0))
-    assert model.update.widths[0] == 2 * 3 + 2 + 1
-    assert model.update.widths[-1] == 2 * 3
+    model = seprep.init_sep_filter(3, 2, rng=np.random.default_rng(0))
+    assert model.update.widths == (2 * 3 + 2, *seprep.HIDDEN, 2 * 3)
+    assert model.head.widths == (3, *seprep.HIDDEN, 2 * 2)
     phi = model.initial_phi()
     rng = np.random.default_rng(1)
     for t in range(50):
-        phi = model.step(phi, rng.standard_normal(2), rng.standard_normal(1),
-                         t)
+        phi = model.step(phi, rng.standard_normal(2), t)
         assert phi.shape == (6,)
+
+
+def test_parameters_keep_their_names_and_order():
+    # a sweep stacks the runs' parameters by name, and init draws them in
+    # this order: the update network first, then the one decoder head
+    model = seprep.init_sep_filter(4, 1, rng=np.random.default_rng(0))
+    assert list(model.params()) == ["phi0", "upd.W0", "upd.b0", "upd.W1", "upd.b1",
+                                    "dec0.W0", "dec0.b0", "dec0.W1", "dec0.b1"]
+    again = seprep.init_sep_filter(4, 1, rng=np.random.default_rng(0))
+    update = nn.init_mlp(list(model.update.widths), ["relu", "identity"],
+                         np.random.default_rng(0))
+    assert all(np.array_equal(a, b) for a, b in zip(again.update.weights, update.weights))
 
 
 def test_initial_phi_is_the_reference_prior():
@@ -53,25 +65,16 @@ def test_initial_phi_is_the_reference_prior():
     assert model.info(phi0) == 0.0
 
 
-def test_decoder_head_widths_cover_each_offset():
-    model = seprep.init_sep_filter(2, 1, ctrl_dim=2, horizon=3,
-                                   rng=np.random.default_rng(0))
-    assert len(model.heads) == 4
-    for k, head in enumerate(model.heads):
-        assert head.widths[0] == 2 + 2 * (k + 1)
-
-
 def test_step_matches_manual_network_evaluation():
-    model = seprep.init_sep_filter(2, 1, ctrl_dim=1, update_hidden=(8,),
-                                   rng=np.random.default_rng(5))
+    model = seprep.init_sep_filter(2, 1, rng=np.random.default_rng(5))
     params = model.params()
     w0, b0 = params["upd.W0"], params["upd.b0"]
     w1, b1 = params["upd.W1"], params["upd.b1"]
     phi = np.array([0.3, -0.1, 0.2, 0.05])
-    y, u = np.array([0.7]), np.array([-0.4])
-    inp = np.concatenate([phi, y, u])
+    y = np.array([0.7])
+    inp = np.concatenate([phi, y])
     expect = np.maximum(inp @ w0 + b0, 0.0) @ w1 + b1
-    got = model.step(phi, y, u)
+    got = model.step(phi, y)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-14)
 
 
@@ -101,11 +104,10 @@ def test_prediction_without_rng_collapses_to_posterior_mean():
     model = small_model()
     phi = np.array([0.5, -0.2, 0.1, 0.4, -1.0, -0.5, -1.5, -0.2])
     params = model.predict(phi, samples=5, rng=None)
-    assert params["family"] == "gaussian"
     assert params["component_means"].shape == (5, 1)
     # every draw is the posterior mean; rows agree to a BLAS ulp
     assert np.ptp(params["component_means"]) < 1e-14
-    direct = nn.forward(model.heads[0], phi[:4][None, :]).value
+    direct = nn.forward(model.head, phi[:4][None, :]).value
     np.testing.assert_allclose(params["component_means"][0], direct[0, :1],
                                rtol=1e-12, atol=1e-14)
 
@@ -125,8 +127,7 @@ def test_mixture_moments_match_law_of_total_variance():
 def test_predictive_nll_single_gaussian_is_exact():
     mean = np.array([0.4, -1.2])
     cov = np.array([[0.5, 0.1], [0.1, 0.3]])
-    params = {"family": "gaussian", "mean": mean, "cov": cov,
-              "component_means": None}
+    params = {"mean": mean, "cov": cov, "component_means": None}
     z = np.array([0.1, -0.9])
     expect = -info.GaussianDistribution(mean, cov).logpdf(z)
     assert seprep.predictive_nll(params, z) == pytest.approx(expect, abs=1e-12)
@@ -135,8 +136,7 @@ def test_predictive_nll_single_gaussian_is_exact():
 def test_predictive_nll_mixture_matches_direct_sum():
     means = np.array([[0.0], [1.0], [-0.5]])
     variances = np.array([[0.2], [0.5], [1.0]])
-    params = {"family": "gaussian", "mean": means.mean(0),
-              "cov": np.eye(1), "component_means": means,
+    params = {"mean": means.mean(0), "cov": np.eye(1), "component_means": means,
               "component_vars": variances}
     z = 0.3
     dens = [math.exp(-0.5 * (z - m) ** 2 / v) / math.sqrt(2 * math.pi * v)
@@ -156,30 +156,6 @@ def test_mc_predictive_stabilizes_for_sharp_posteriors():
     assert abs(a - b) < 1e-3
 
 
-def test_offset_selection_validates_control_rows():
-    model = seprep.init_sep_filter(2, 1, ctrl_dim=1, horizon=1,
-                                   rng=np.random.default_rng(0))
-    # rows of the control stack select the offset: 2 rows => k=1, fine
-    model.predict(model.initial_phi(), np.zeros((2, 1)))
-    with pytest.raises(ValueError, match="horizon"):
-        model.predict(model.initial_phi(), np.zeros((3, 1)))
-    free = small_model()  # ctrl_dim 0: the offset row count still applies
-    with pytest.raises(ValueError, match=r"\(k\+1, 0\)"):
-        free.predict(free.initial_phi(), np.zeros(2))
-
-
-def test_categorical_predictions_normalize():
-    model = seprep.init_sep_filter(3, 1, output="categorical", target_dim=4,
-                                   rng=np.random.default_rng(8))
-    params = model.predict(np.linspace(-1, 1, 6), samples=16,
-                           rng=np.random.default_rng(1))
-    assert params["family"] == "categorical"
-    assert params["probs"].shape == (4,)
-    assert params["probs"].sum() == pytest.approx(1.0, abs=1e-12)
-    nll = seprep.predictive_nll(params, 2)
-    assert nll == pytest.approx(-math.log(params["probs"][2]), abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # the objective
 # ---------------------------------------------------------------------------
@@ -192,7 +168,7 @@ def test_loss_is_affine_in_beta():
     parts = {}
     for beta in (0.0, 1.0, 2.5):
         cfg = seprep.DynIBConfig(beta=beta, traj_len=10, steps=1, batch=3, seed=0)
-        parts[beta] = seprep.dyn_ibl_loss(model, (ys, None), cfg)
+        parts[beta] = seprep.dyn_ibl_loss(model, ys, cfg)
     assert parts[0.0]["total"] == parts[0.0]["ce_term"]
     for beta in (1.0, 2.5):
         assert parts[beta]["ce_term"] == parts[0.0]["ce_term"]
@@ -209,139 +185,85 @@ def test_constant_representation_carries_zero_information():
     frozen = model.with_params(params)
     ys = np.random.default_rng(1).standard_normal((2, 8, 1))
     cfg = seprep.DynIBConfig(beta=1.0, traj_len=8, steps=1, batch=2, seed=0)
-    out = seprep.dyn_ibl_loss(frozen, (ys, None), cfg)
+    out = seprep.dyn_ibl_loss(frozen, ys, cfg)
     # phi stays at zero => q(x|phi) = N(0, I) at every step
     assert out["info_term"] == 0.0
 
 
-def test_loss_rejects_horizon_beyond_trajectory_length():
-    with pytest.raises(ValueError, match="horizon"):
-        seprep.DynIBConfig(beta=0.0, traj_len=4, steps=1, batch=1, seed=0,
-                           horizon=5)
-    # a valid config still rejects shorter trajectories at evaluation time
-    model = small_model(horizon=5)
-    cfg = seprep.DynIBConfig(beta=0.0, traj_len=6, steps=1, batch=1, seed=0,
-                             horizon=5)
-    with pytest.raises(ValueError, match="horizon"):
-        seprep.dyn_ibl_loss(model, (np.zeros((1, 4, 1)), None), cfg)
+@pytest.mark.parametrize("traj_len", [0, -3])
+def test_config_refuses_trajectories_without_a_step(traj_len):
+    with pytest.raises(ValueError, match="traj_len"):
+        seprep.DynIBConfig(beta=0.0, traj_len=traj_len, steps=1, batch=1, seed=0)
 
 
-def test_multi_step_targets_enter_the_loss():
-    model = seprep.init_sep_filter(2, 1, horizon=1,
-                                   rng=np.random.default_rng(4))
-    ys = np.random.default_rng(2).standard_normal((2, 6, 1))
-    cfg0 = seprep.DynIBConfig(beta=0.0, traj_len=6, steps=1, batch=2, seed=0)
-    cfg1 = seprep.DynIBConfig(beta=0.0, traj_len=6, steps=1, batch=2, seed=0,
-                              horizon=1)
-    ce0 = seprep.dyn_ibl_loss(model, (ys, None), cfg0)["ce_term"]
-    ce1 = seprep.dyn_ibl_loss(model, (ys, None), cfg1)["ce_term"]
-    # horizon 1 adds a k=1 NLL term at every step that has one
-    assert ce1 > ce0
-
-
-def _n_draws(T, horizon, mc_samples):
-    return mc_samples * sum(min(horizon, T - 1 - t) + 1 for t in range(T))
-
-
-def _one_run_graph(model, ys, us, cfg, eps):
+def _one_run_graph(model, ys, beta, eps):
     """Entry 0 of the (total, ce, info) nodes of a one-run training graph."""
     nodes = nn.parameters(nn.stack_runs([model.params()]))
-    total, ce, kl = seprep._sep_loss_graph(model, nodes, ys[None], us[None], cfg,
-                                           eps[None], np.array([cfg.beta]))
+    total, ce, kl = seprep._sep_loss_graph(model, nodes, ys[None], eps[None],
+                                           np.array([beta]))
     return total[0], ce[0], kl[0]
 
 
-def _graph_case(output, horizon, ctrl_dim, mc_samples):
-    """A small filter, a batch and a config for the training graph."""
-    T, B = 7, 3
+def _graph_case():
+    """A small filter with a moved phi0 and a batch whose length T 19 is not
+    a multiple of TBPTT, so the last window is a partial one."""
+    T, B = 19, 3
     rng = np.random.default_rng(0)
-    kw = {"target_dim": 3} if output == "categorical" else {}
-    model = seprep.init_sep_filter(3, 1, ctrl_dim=ctrl_dim, horizon=horizon,
-                                   output=output, update_hidden=(5,),
-                                   decoder_hidden=(5,), rng=rng, **kw)
+    model = seprep.init_sep_filter(3, 1, rng=rng)
     params = model.params()
     params["phi0"] = rng.normal(0.0, 0.5, size=params["phi0"].shape)
-    model = model.with_params(params)
-    if output == "categorical":
-        ys = rng.integers(0, 3, size=(B, T)).astype(float)
-    else:
-        ys = rng.standard_normal((B, T, 1))
-    us = rng.standard_normal((B, T, ctrl_dim))
-    # tbptt=3 does not divide T=7: the last window is a partial one
-    cfg = seprep.DynIBConfig(beta=0.7, traj_len=T, steps=1, batch=B, seed=0,
-                             horizon=horizon, tbptt=3, rep_dim=3,
-                             mc_samples=mc_samples)
-    return model, ys, us, cfg
+    return model.with_params(params), rng.standard_normal((B, T, 1))
 
 
-@pytest.mark.parametrize(
-    "output,horizon,ctrl_dim,mc_samples",
-    [("gaussian", h, c, s) for h in (0, 2) for c in (0, 1) for s in (1, 3)]
-    + [("categorical", 1, 0, 2)],
-)
-def test_graph_objective_matches_array_reference(output, horizon, ctrl_dim,
-                                                 mc_samples):
+def test_graph_objective_matches_array_reference():
     # with every posterior draw at zero the graph and the per-step array
     # reference evaluate the same objective, term for term
-    model, ys, us, cfg = _graph_case(output, horizon, ctrl_dim, mc_samples)
+    model, ys = _graph_case()
     B, T = ys.shape[0], ys.shape[1]
-    eps = np.zeros((_n_draws(T, horizon, mc_samples), B, cfg.rep_dim))
-    total, ce, kl = _one_run_graph(model, ys, us, cfg, eps)
-    ref = seprep.dyn_ibl_loss(model, (ys, us if ctrl_dim else None), cfg,
-                              rng=None)
+    total, ce, kl = _one_run_graph(model, ys, 0.7, np.zeros((T, B, 3)))
+    cfg = seprep.DynIBConfig(beta=0.7, traj_len=T, steps=1, batch=B, seed=0, rep_dim=3)
+    ref = seprep.dyn_ibl_loss(model, ys, cfg, rng=None)
     assert abs(float(total.value) - ref["total"]) < 1e-12
     assert abs(float(ce.value) - ref["ce_term"]) < 1e-12
     assert abs(float(kl.value) - ref["info_term"]) < 1e-12
 
 
-def test_graph_uses_each_draw_at_its_step_offset_and_sample():
-    # eps_draws[i] is the i-th (t, k, sample) triple in lexicographic order;
-    # the reference walks that order one trajectory at a time
-    model, ys, us, cfg = _graph_case("gaussian", 2, 1, 3)
+def test_graph_uses_each_draw_at_its_step():
+    # eps_draws[t, b] is the draw of trajectory b at step t; the reference
+    # walks the steps one trajectory at a time
+    model, ys = _graph_case()
     B, T = ys.shape[0], ys.shape[1]
-    eps = np.random.default_rng(5).standard_normal(
-        (_n_draws(T, 2, 3), B, cfg.rep_dim))
-    _, ce, _ = _one_run_graph(model, ys, us, cfg, eps)
+    eps = np.random.default_rng(5).standard_normal((T, B, 3))
+    _, ce, _ = _one_run_graph(model, ys, 0.7, eps)
     nll = 0.0
     for b in range(B):
-        phi, draw = model.initial_phi(), 0
+        phi = model.initial_phi()
         for t in range(T):
             mu, sigma = model.posterior_params(phi)
-            for k in range(min(2, T - 1 - t) + 1):
-                for _ in range(3):
-                    x = np.concatenate([mu + sigma * eps[draw, b],
-                                        us[b, t : t + k + 1].ravel()])
-                    draw += 1
-                    mean, log_std = nn.forward(model.heads[k], x).value
-                    log_std = np.clip(log_std, nn.LOG_STD_MIN,
-                                      nn.LOG_STD_MAX)
-                    nll += (0.5 * ((ys[b, t + k, 0] - mean) / math.exp(log_std)) ** 2
-                            + log_std + 0.5 * seprep.LOG2PI)
-            phi = model.step(phi, ys[b, t], us[b, t], t)
-    assert abs(float(ce.value) - nll / (B * T * 3)) < 1e-12
+            mean, log_std = nn.forward(model.head, mu + sigma * eps[t, b]).value
+            log_std = np.clip(log_std, nn.LOG_STD_MIN, nn.LOG_STD_MAX)
+            nll += (0.5 * ((ys[b, t, 0] - mean) / math.exp(log_std)) ** 2
+                    + log_std + 0.5 * seprep.LOG2PI)
+            phi = model.step(phi, ys[b, t], t)
+    assert abs(float(ce.value) - nll / (B * T)) < 1e-12
 
 
 def test_graph_gradients_match_finite_differences():
-    # gradients through the recurrence (tbptt >= T, so nothing truncates),
-    # the stacked KL and two decoder heads with controls, phi0 included
+    # gradients through the recurrence (T <= TBPTT, so nothing truncates),
+    # the stacked KL and the decoder, phi0 included
     rng = np.random.default_rng(21)
     T, B = 5, 2
-    model = seprep.init_sep_filter(2, 1, ctrl_dim=1, horizon=1,
-                                   update_hidden=(3,), decoder_hidden=(3,),
-                                   rng=rng)
+    model = seprep.init_sep_filter(2, 1, rng=rng)
     params = model.params()
     for name in params:
         # jittered biases and phi0 keep every ReLU off its kink
         if name == "phi0" or ".b" in name:
             params[name] = rng.normal(0.0, 0.3, size=params[name].shape)
     ys = rng.standard_normal((B, T, 1))
-    us = rng.standard_normal((B, T, 1))
-    cfg = seprep.DynIBConfig(beta=0.5, traj_len=T, steps=1, batch=B, seed=0,
-                             horizon=1, tbptt=T, rep_dim=2, mc_samples=2)
-    eps = rng.standard_normal((_n_draws(T, 1, 2), B, 2))
+    eps = rng.standard_normal((T, B, 2))
 
     def loss(p):
-        return _one_run_graph(model.with_params(p), ys, us, cfg, eps)[0]
+        return _one_run_graph(model.with_params(p), ys, 0.5, eps)[0]
 
     grads = nn.backward(loss(params))
     assert set(grads) == set(params)
@@ -366,13 +288,12 @@ def test_battery_shaped_step_builds_one_recurrence_node():
     # the seprep battery's training step: 9 runs, batch 16, T 40, d 4; the
     # recurrence is one scan node, so the graph no longer grows with T
     R, B, T, d = 9, 16, 40, 4
-    cfg = seprep.DynIBConfig(beta=0.1, traj_len=T, steps=1, batch=B, seed=0, rep_dim=d)
     rng = np.random.default_rng(0)
     models = [seprep.init_sep_filter(d, 1, rng=rng) for _ in range(R)]
     nodes = nn.parameters(nn.stack_runs([m.params() for m in models]))
     total, _, _ = seprep._sep_loss_graph(
-        models[0], nodes, rng.standard_normal((R, B, T, 1)), np.zeros((R, B, T, 0)),
-        cfg, rng.standard_normal((R, T, B, d)), np.full(R, 0.1))
+        models[0], nodes, rng.standard_normal((R, B, T, 1)),
+        rng.standard_normal((R, T, B, d)), np.full(R, 0.1))
     order = nn._toposort(total.sum())  # the graph fit differentiates
     assert len(order) <= 60
     assert [node.op for node in order].count("scan") == 1
@@ -386,8 +307,7 @@ def test_battery_shaped_step_builds_one_recurrence_node():
 def test_training_is_deterministic():
     src = seprep.lgss_source(scalar_lgss(), 12)
     cfg = seprep.DynIBConfig(beta=1e-2, traj_len=12, steps=25, batch=4, seed=9,
-                             rep_dim=3, learning_rate=0.02,
-                             update_hidden=(8,), decoder_hidden=(8,))
+                             rep_dim=3, learning_rate=0.02)
     a = seprep.train_filter(src, [cfg])
     b = seprep.train_filter(src, [cfg])
     assert a.curve == b.curve
@@ -405,6 +325,15 @@ def test_training_reduces_prediction_loss(seed):
     assert last < 0.7 * first
 
 
+def test_training_takes_the_observation_width_from_the_source():
+    model = lgss.random_stable_model(np.random.default_rng(4), n=3, m=2)
+    cfg = seprep.DynIBConfig(beta=1e-2, traj_len=20, steps=3, batch=4, seed=1)
+    trained = seprep.train_filter(seprep.lgss_source(model, 20), [cfg])
+    filt = trained.runs[0]
+    assert (filt.obs_dim, filt.update.widths[0], filt.head.widths[-1]) == (2, 10, 4)
+    assert all(math.isfinite(row["loss"]) for row in trained.curves[0])
+
+
 def test_training_divergence_reports_the_step():
     src = seprep.lgss_source(scalar_lgss(), 40)
     cfg = seprep.DynIBConfig(beta=1e-3, traj_len=40, steps=200, batch=8,
@@ -420,9 +349,7 @@ def _sweep_configs(betas_seeds, steps=12, learning_rate=0.02):
         return learning_rate
 
     return [seprep.DynIBConfig(beta=beta, traj_len=12, steps=steps, batch=4,
-                               seed=seed, horizon=1, rep_dim=3, mc_samples=2,
-                               learning_rate=schedule, update_hidden=(8,),
-                               decoder_hidden=(8,))
+                               seed=seed, rep_dim=3, learning_rate=schedule)
             for beta, seed in betas_seeds]
 
 
@@ -475,9 +402,7 @@ def test_a_diverged_sweep_run_names_its_beta_seed_and_step():
 
 def test_lgss_source_shapes():
     src = seprep.lgss_source(scalar_lgss(), 15)
-    ys, us = src(4, np.random.default_rng(0))
-    assert ys.shape == (4, 15, 1)
-    assert us.shape == (4, 15, 0)
+    assert src(4, np.random.default_rng(0)).shape == (4, 15, 1)
 
 
 @pytest.mark.parametrize("which", ["scalar", "random", "noiseless", "controlled"])
@@ -497,10 +422,9 @@ def test_lgss_source_matches_per_trajectory_simulation(which):
     rng_batched = np.random.default_rng(17)
     rng_loop = np.random.default_rng(17)
     for _ in range(3):
-        ys, us = src(batch, rng_batched)
+        ys = src(batch, rng_batched)
         trajs = [lgss.simulate(model, None, T, rng_loop) for _ in range(batch)]
         assert np.array_equal(ys, np.stack([tr.y for tr in trajs]))
-        assert np.array_equal(us, np.stack([tr.u for tr in trajs]))
 
 
 @pytest.mark.parametrize("which", ["scalar", "random", "noiseless", "controlled"])
@@ -520,12 +444,10 @@ def test_lgss_source_draws_a_sweep_like_its_lone_calls(which):
     sweep_rngs = [np.random.default_rng(s) for s in seeds]
     lone_rngs = [np.random.default_rng(s) for s in seeds]
     for _ in range(3):
-        ys, us = src(batch, sweep_rngs)
-        assert ys.shape == (3, batch, T, model.m) and us.shape == (3, batch, T, model.p)
+        ys = src(batch, sweep_rngs)
+        assert ys.shape == (3, batch, T, model.m)
         for r, rng in enumerate(lone_rngs):
-            lone_ys, lone_us = src(batch, rng)
-            assert ys[r].tobytes() == lone_ys.tobytes()
-            assert us[r].tobytes() == lone_us.tobytes()
+            assert ys[r].tobytes() == src(batch, rng).tobytes()
 
 
 def test_a_source_of_the_wrong_length_is_refused():
@@ -539,11 +461,10 @@ def test_training_graph_size_stays_stacked():
     # the KL and the decoder run once over the stacked statistics
     T, B = 40, 16
     model = seprep.init_sep_filter(4, 1, rng=np.random.default_rng(0))
-    cfg = seprep.DynIBConfig(beta=1e-3, traj_len=T, steps=1, batch=B, seed=0)
     rng = np.random.default_rng(1)
     ys = rng.standard_normal((B, T, 1))
-    eps = rng.standard_normal((_n_draws(T, 0, 1), B, 4))
-    total, _, _ = _one_run_graph(model, ys, np.zeros((B, T, 0)), cfg, eps)
+    eps = rng.standard_normal((T, B, 4))
+    total, _, _ = _one_run_graph(model, ys, 1e-3, eps)
     assert len(nn._toposort(total)) <= 220
 
 
@@ -554,31 +475,26 @@ def test_training_graph_size_stays_stacked():
 
 def test_kalman_wrapper_follows_the_protocol():
     filt = seprep.KalmanSepFilter(scalar_lgss())
-    assert filt.output == "gaussian"
     phi = filt.initial_phi()
     assert filt.info(phi) == 0.0
-    params = filt.predict(phi, np.zeros((1, 0)))
-    assert params["family"] == "gaussian"
+    params = filt.predict(phi)
     assert params["component_means"] is None  # exact, not Monte Carlo
-    phi = filt.step(phi, [0.3], np.zeros(0), 0)
+    phi = filt.step(phi, [0.3], 0)
     assert filt.info(phi) == 0.0
 
 
 def test_batched_step_and_predict_match_lone_statistics():
-    model = seprep.init_sep_filter(3, 1, ctrl_dim=1, horizon=1,
-                                   rng=np.random.default_rng(6))
+    model = seprep.init_sep_filter(3, 1, rng=np.random.default_rng(6))
     rng = np.random.default_rng(7)
     phis = rng.normal(0.0, 0.5, size=(4, 6))
-    ys, us = rng.standard_normal((4, 1)), rng.standard_normal((4, 1))
-    stepped = model.step(phis, ys, us, 0)
-    controls = rng.standard_normal((4, 2, 1))
-    batch = model.predict(phis, controls, samples=5,
+    ys = rng.standard_normal((4, 1))
+    stepped = model.step(phis, ys, 0)
+    batch = model.predict(phis, samples=5,
                           rng=[np.random.default_rng(i) for i in range(4)])
     for i in range(4):
-        np.testing.assert_allclose(stepped[i], model.step(phis[i], ys[i], us[i]),
+        np.testing.assert_allclose(stepped[i], model.step(phis[i], ys[i]),
                                    rtol=0, atol=1e-14)
-        lone = model.predict(phis[i], controls[i], samples=5,
-                             rng=np.random.default_rng(i))
+        lone = model.predict(phis[i], samples=5, rng=np.random.default_rng(i))
         for key in ("mean", "cov", "component_means", "component_vars"):
             np.testing.assert_allclose(batch[key][i], lone[key], rtol=1e-13,
                                        atol=1e-14)
@@ -587,27 +503,24 @@ def test_batched_step_and_predict_match_lone_statistics():
         kalman = seprep.KalmanSepFilter(lgss_model)
         phis = _kalman_rows(kalman, rng)
         ys = rng.standard_normal((5, lgss_model.m))
-        us = rng.standard_normal((5, lgss_model.p))
-        stepped = kalman.step(phis, ys, us)
-        per_row = kalman.predict(phis, us[:, None])
-        shared = kalman.predict(phis, us[:1])
+        stepped = kalman.step(phis, ys)
+        batch = kalman.predict(phis)
         for i in range(5):
-            assert stepped[i].tobytes() == kalman.step(phis[i], ys[i], us[i]).tobytes()
-            for batch, u in ((per_row, us[i]), (shared, us[0])):
-                lone = kalman.predict(phis[i], u[None])
-                assert batch["mean"][i].tobytes() == lone["mean"].tobytes()
-                assert batch["cov"][i].tobytes() == lone["cov"].tobytes()
+            assert stepped[i].tobytes() == kalman.step(phis[i], ys[i]).tobytes()
+            lone = kalman.predict(phis[i])
+            assert batch["mean"][i].tobytes() == lone["mean"].tobytes()
+            assert batch["cov"][i].tobytes() == lone["cov"].tobytes()
 
 
 def _kalman_rows(kalman, rng):
     """Five statistics in three covariance groups, the groups interleaved."""
-    n, m, p = kalman.model.n, kalman.model.m, kalman.model.p
+    n, m = kalman.model.n, kalman.model.m
     start = kalman.initial_phi()
     moved = start.copy()
     moved[:n] += rng.standard_normal(n)  # same covariance, another mean
-    once = [kalman.step(start, rng.standard_normal(m), rng.standard_normal(p))
+    once = [kalman.step(start, rng.standard_normal(m))
             for _ in range(2)]  # same covariance, since it depends on no data
-    twice = kalman.step(once[0], rng.standard_normal(m), rng.standard_normal(p))
+    twice = kalman.step(once[0], rng.standard_normal(m))
     return np.stack([once[0], start, twice, moved, once[1]])
 
 
@@ -640,14 +553,14 @@ def _per_step_reference(model, lgss_model, T, num_traj, seed, samples):
         _, ((pred_means,), (pred_covs,)) = lgss.run_filter(lgss_model, [traj])
         phi = model.initial_phi()
         for t in range(T):
-            params = model.predict(phi, traj.u[t : t + 1], samples, eval_rng)
+            params = model.predict(phi, samples, eval_rng)
             rows.append((
                 seprep.predictive_nll(params, traj.y[t]),
                 -info.gaussian_logpdf(pred_means[t], pred_covs[t], traj.y[t]),
                 info.kl_gaussian(info.GaussianDistribution(pred_means[t], pred_covs[t]),
                                  info.GaussianDistribution(params["mean"],
                                                            params["cov"]))))
-            phi = model.step(phi, traj.y[t], traj.u[t], t)
+            phi = model.step(phi, traj.y[t], t)
     return rows
 
 
@@ -686,6 +599,16 @@ def test_kalman_embedding_is_exact():
     model = scalar_lgss()
     result = seprep.evaluate_vs_kalman(seprep.KalmanSepFilter(model), model,
                                        T=30, num_traj=10, seed=5)
+    assert abs(result["gap"]) < 1e-9
+    assert result["mean_kl"] < 1e-9
+
+
+def test_kalman_embedding_of_a_controlled_model_runs_with_zero_controls():
+    # the embedding takes no controls: a model with p > 0 inputs is filtered
+    # with u = 0, as its trajectories are simulated
+    model = lgss.random_stable_model(np.random.default_rng(5), n=2, m=1, p=2)
+    result = seprep.evaluate_vs_kalman(seprep.KalmanSepFilter(model), model,
+                                       T=12, num_traj=4, seed=5)
     assert abs(result["gap"]) < 1e-9
     assert result["mean_kl"] < 1e-9
 
@@ -974,27 +897,59 @@ def test_a_guess_of_the_wrong_shape_is_refused_by_name(guess):
 
 
 def test_filter_json_round_trip_is_exact(tmp_path):
-    model = seprep.init_sep_filter(3, 2, ctrl_dim=1, horizon=1,
-                                   rng=np.random.default_rng(13))
+    model = seprep.init_sep_filter(3, 2, rng=np.random.default_rng(13))
     path = tmp_path / "filter.json"
     seprep.save_filter_json(model, path)
     loaded = seprep.load_filter_json(path)
     for key, value in model.params().items():
         assert np.array_equal(value, loaded.params()[key]), key
     phi = np.linspace(-0.5, 0.5, 6)
-    a = model.predict(phi, np.zeros((2, 1)), samples=3,
-                      rng=np.random.default_rng(0))
-    b = loaded.predict(phi, np.zeros((2, 1)), samples=3,
-                       rng=np.random.default_rng(0))
+    a = model.predict(phi, samples=3, rng=np.random.default_rng(0))
+    b = loaded.predict(phi, samples=3, rng=np.random.default_rng(0))
     assert np.array_equal(a["mean"], b["mean"])
     assert np.array_equal(a["component_means"], b["component_means"])
 
 
 def test_filter_json_missing_key_rejected(tmp_path):
-    import json as _json
-
     model = small_model()
-    payload = _json.loads(seprep.save_filter_json(model))
+    payload = json.loads(seprep.save_filter_json(model))
     del payload["update"]
     with pytest.raises(ValueError, match="update"):
-        seprep.load_filter_json(_json.dumps(payload))
+        seprep.load_filter_json(json.dumps(payload))
+
+
+def test_filter_json_writes_the_fixed_shape_in_the_general_format():
+    # the keys of a filter with controls, offsets and other output families
+    # stay in the file, at the values of the one shape that is built
+    payload = json.loads(seprep.save_filter_json(seprep.init_sep_filter(
+        3, 2, rng=np.random.default_rng(1))))
+    assert list(payload) == ["rep_dim", "obs_dim", "ctrl_dim", "horizon", "output",
+                             "target_dim", "phi0", "update", "heads"]
+    assert (payload["ctrl_dim"], payload["horizon"], payload["output"],
+            payload["target_dim"], len(payload["heads"])) == (0, 0, "gaussian", 2, 1)
+
+
+def _without_widths(payload):
+    del payload["update"]["widths"]
+
+
+@pytest.mark.parametrize("edit, key", [
+    (_without_widths, "widths"),
+    (lambda p: p.update(rep_dim="abc"), "'rep_dim'"),
+    (lambda p: p["heads"][0].update(weights=[[["x"]]]), "'heads.weights'"),
+    (lambda p: p.update(phi0=[0.0]), "'phi0'"),
+    (lambda p: p.update(horizon=1), "'horizon'"),
+    (lambda p: p.update(ctrl_dim=1), "'ctrl_dim'"),
+    (lambda p: p.update(output="categorical"), "'output'"),
+    (lambda p: p.update(target_dim=2), "'target_dim'"),
+    (lambda p: p["heads"].append(p["heads"][0]), "'heads'"),
+    (lambda p: p.update(heads=[]), "'heads'"),
+], ids=["no-widths", "rep_dim-text", "weights-text", "phi0-length", "horizon",
+        "ctrl_dim", "output", "target_dim", "two-heads", "no-heads"])
+def test_filter_json_refuses_a_bad_value_or_another_shape_by_key(edit, key):
+    # a file of another filter shape, or a value of the wrong type, is a
+    # ValueError that names the key, never a KeyError or a bare int() error
+    payload = json.loads(seprep.save_filter_json(small_model()))
+    edit(payload)
+    with pytest.raises(ValueError, match=key):
+        seprep.load_filter_json(json.dumps(payload))

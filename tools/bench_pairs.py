@@ -18,8 +18,7 @@ least nine tenths of the pairs, and its median is better than the
 parent's by more than the parent's interquartile range. It names every
 metric whose change median is worse than the parent's by more than the
 metric's relative ``bound``. Separate processes are the benchmark's own
-conditions: an in-process comparison (``tools/battery_ab.py``) can read a
-larger gain.
+conditions: an in-process comparison can read a larger gain.
 """
 
 from __future__ import annotations
