@@ -12,6 +12,7 @@ estimated.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -218,21 +219,57 @@ def _induction(levels: list, immediate: list) -> list:
     return q_levels[::-1]
 
 
-class _HistoryTree(dict):
-    """``brute_force_q``'s {history: HistoryNode}, keeping the levels and Q* tables."""
+@dataclass(frozen=True, eq=False)
+class _HistoryTree(Mapping):
+    """``brute_force_q``'s read-only {history: HistoryNode} over the level arrays.
 
-    def __init__(self, levels: list, q_levels: list):
-        super().__init__()
-        self.levels, self.q_levels = levels, q_levels
-        for depth in reversed(range(len(levels))):
-            level, keys = levels[depth], _belief_keys(depth, levels[depth].beliefs)
-            for history, reach, belief, q_values, key in zip(
-                    level.histories, level.reach.tolist(), level.beliefs, q_levels[depth], keys):
-                node = self[history] = HistoryNode(history, reach, belief, q_values)
-                vars(node)["key"] = key  # fills the cached property
+    It iterates deepest level first, each level in tree order, and makes a
+    keyed :class:`HistoryNode` only when a history is looked up; the
+    oracles read ``levels``, ``q_levels`` and ``belief_keys`` directly.
+    """
+
+    levels: list  # one _Level per depth
+    q_levels: list  # (N, A) Q* per level
+    belief_keys: list  # each node's (depth, rounded belief) key, per level
+
+    def __getitem__(self, history) -> HistoryNode:
+        depth, row = self._locate(history)
+        level = self.levels[depth]
+        node = HistoryNode(level.histories[row], float(level.reach[row]),
+                           level.beliefs[row], self.q_levels[depth][row])
+        vars(node)["key"] = self.belief_keys[depth][row]  # fills the cached property
+        return node
+
+    def _locate(self, history) -> tuple:
+        """(depth, row) of ``history``, down the levels' child arrays."""
+        if not isinstance(history, tuple) or len(history) >= len(self.levels):
+            raise KeyError(history)
+        row = 0
+        for level, step in zip(self.levels, history):
+            _, A, O = level.child.shape
+            if not (isinstance(step, tuple) and len(step) == 2
+                    and step[0] in range(A) and step[1] in range(O)):
+                raise KeyError(history)
+            row = int(level.child[row, int(step[0]), int(step[1])])
+            if row < 0:
+                raise KeyError(history)
+        return len(history), row
+
+    def __iter__(self):
+        for level in reversed(self.levels):
+            yield from level.histories
+
+    def __len__(self) -> int:
+        return sum(len(level.histories) for level in self.levels)
 
 
-def brute_force_q(pomdp: FinitePOMDP) -> dict:
+def _by_history(levels: list, tables: list) -> dict:
+    """{history: its row of the level's table}, deepest level first."""
+    return {history: row for level, table in zip(levels[::-1], tables[::-1])
+            for history, row in zip(level.histories, table)}
+
+
+def brute_force_q(pomdp: FinitePOMDP) -> _HistoryTree:
     """Q* for every reachable history, deepest first: {history: HistoryNode}.
 
     Backward induction with the immediate term E_b[r(s, a)]. The full tree
@@ -243,7 +280,8 @@ def brute_force_q(pomdp: FinitePOMDP) -> dict:
         raise ValueError(f"history tree would need {est} nodes (cap {_NODE_CAP})")
     levels = _belief_tree(pomdp, pomdp.horizon - 1)
     rewards = [(pomdp.reward.T @ level.beliefs[:, :, None])[:, :, 0] for level in levels]
-    return _HistoryTree(levels, _induction(levels, rewards))
+    keys = [_belief_keys(depth, level.beliefs) for depth, level in enumerate(levels)]
+    return _HistoryTree(levels, _induction(levels, rewards), keys)
 
 
 def _belief_keys(depth: int, beliefs) -> list:
@@ -267,13 +305,15 @@ def verify_separation(pomdp: FinitePOMDP, nodes=None) -> dict:
     action values.
     """
     nodes = brute_force_q(pomdp) if nodes is None else nodes
-    groups = {}
-    for node in nodes.values():
-        groups.setdefault(node.key, []).append(node)
+    spreads, n_groups = [], 0
+    for keys, q in zip(nodes.belief_keys, nodes.q_levels):
+        groups = {}
+        for row, key in enumerate(keys):
+            groups.setdefault(key, []).append(row)
+        n_groups += len(groups)
+        spreads += [np.ptp(q[rows], axis=0) for rows in groups.values() if len(rows) > 1]
     # one NumPy reduction, so a NaN action value reaches max_q_spread
-    spreads = [np.ptp([m.q_values for m in members], axis=0)
-               for members in groups.values() if len(members) > 1]
-    return {"max_q_spread": float(np.max(spreads, initial=0.0)), "groups": len(groups)}
+    return {"max_q_spread": float(np.max(spreads, initial=0.0)), "groups": n_groups}
 
 
 def belief_policy(pomdp: FinitePOMDP, nodes=None) -> dict:
@@ -284,10 +324,10 @@ def belief_policy(pomdp: FinitePOMDP, nodes=None) -> dict:
     """
     nodes = brute_force_q(pomdp) if nodes is None else nodes
     policy = {}
-    for node in nodes.values():
-        if node.key not in policy:
-            # ties broken toward the lowest action index by argmax
-            policy[node.key] = int(np.argmax(node.q_values))
+    for keys, q in zip(nodes.belief_keys[::-1], nodes.q_levels[::-1]):
+        # ties broken toward the lowest action index by argmax
+        for key, action in zip(keys, q.argmax(axis=1).tolist()):
+            policy.setdefault(key, action)
     return policy
 
 
@@ -313,7 +353,7 @@ def policy_return(pomdp: FinitePOMDP, policy: dict) -> float:
 def optimal_return(pomdp: FinitePOMDP, nodes=None) -> float:
     """max_a Q*(∅, a): the history-tree optimum."""
     nodes = brute_force_q(pomdp) if nodes is None else nodes
-    return float(nodes[()].q_values.max())
+    return float(nodes.q_levels[0][0].max())
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +389,8 @@ def reward_sufficiency_check(pomdp: FinitePOMDP, representation, nodes=None) -> 
     # one NumPy reduction, so a NaN prediction reaches max_dev
     max_dev = float(np.max(np.abs(np.concatenate(q_levels) - np.concatenate(nodes.q_levels))))
     return {
-        "q_from_rep": {history: q_values for level, q in zip(nodes.levels, q_levels)
-                       for history, q_values in zip(level.histories, q)},
-        "q_star": {h: n.q_values for h, n in nodes.items()},
+        "q_from_rep": _by_history(nodes.levels, q_levels),
+        "q_star": _by_history(nodes.levels, nodes.q_levels),
         "max_dev": max_dev,
     }
 

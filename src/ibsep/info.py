@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import ndtr
 
 __all__ = [
     "DiscreteDistribution",
@@ -115,6 +113,15 @@ class DiscreteJoint:
             )
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "table", table)
+
+    @classmethod
+    def _derived(cls, axes, table) -> "DiscreteJoint":
+        """A joint on a nonnegative table built from validated ones: no checks,
+        but the constructor's renormalising division, so the same bits."""
+        joint = object.__new__(cls)
+        object.__setattr__(joint, "axes", tuple(axes))
+        object.__setattr__(joint, "table", table / table.sum())
+        return joint
 
     def _axis_indices(self, names):
         if isinstance(names, str):
@@ -220,7 +227,7 @@ def gaussian_logpdf(mean, cov, x) -> float:
     """Log density of N(mean, cov) at ``x``; cov must be positive definite."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     chol = np.linalg.cholesky(cov)
-    dev = solve_triangular(chol, x - mean, lower=True)
+    dev = np.linalg.solve(chol, x - mean)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     return float(-0.5 * (mean.size * math.log(2.0 * math.pi) + logdet + dev @ dev))
 
@@ -364,9 +371,9 @@ def kl_gaussian(p: GaussianDistribution, q: GaussianDistribution) -> float:
     sign_p, logdet_p = np.linalg.slogdet(p.cov)
     if sign_p <= 0:
         return math.inf
-    half = solve_triangular(chol_q, p.cov, lower=True)
-    trace_term = np.trace(solve_triangular(chol_q, half.T, lower=True))
-    dev = solve_triangular(chol_q, q.mean - p.mean, lower=True)
+    half = np.linalg.solve(chol_q, p.cov)
+    trace_term = np.trace(np.linalg.solve(chol_q, half.T))
+    dev = np.linalg.solve(chol_q, q.mean - p.mean)
     return float(0.5 * (trace_term + dev @ dev - d + logdet_q - logdet_p))
 
 
@@ -387,6 +394,71 @@ def total_correlation_gaussian(cov) -> float:
     if sign <= 0 or np.any(np.diag(cov) <= 0):
         raise ValueError("covariance must be positive definite")
     return float(0.5 * (np.sum(np.log(np.diag(cov))) - logdet))
+
+
+# Cephes ndtr (Moshier, "Methods and Programs for Mathematical Functions",
+# 1989), the normal CDF that scipy.special.ndtr runs: erf(x) = x T(x²)/U(x²)
+# for |x| < 1, erfc(z) = exp(-z²) P(z)/Q(z) for 1 <= z < 8 and R(z)/S(z)
+# beyond; U, Q and S have a leading coefficient of 1.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2  # ln of the largest double
+_SQRT1_2 = 7.07106781186547524401E-1
+
+
+def _polevl(x, coefs, monic=False):
+    """Horner's rule in Cephes' order; ``monic`` prepends a leading 1."""
+    y = x + coefs[0] if monic else coefs[0]
+    for c in coefs[1:]:
+        y = y * x + c
+    return y
+
+
+def _normal_cdf(a) -> np.ndarray:
+    """The standard normal CDF, bit for bit Cephes' ``ndtr``.
+
+    With x = a/√2 and z = |x|, the CDF is ½ + ½ erf(x) for z < 1/√2 and
+    ½ erfc(z), reflected for x > 0, beyond. Cephes takes erfc(z) as
+    1 − erf(z) for z < 1, saturates to exactly 0 or 1 once z² > MAXLOG,
+    and takes exp(−z²) from libm, which ``math.exp`` calls (``np.exp``
+    rounds some results differently). Only the unsaturated elements are
+    computed, each branch on its own.
+    """
+    x = np.asarray(a, dtype=float) * _SQRT1_2
+    cdf = np.heaviside(x, 0.0)  # the saturated tails; NaN stays NaN
+    with np.errstate(over="ignore"):
+        # from x = 6 on, 1 − ½ erfc(x) rounds to 1: erfc(6) < 2⁻⁵⁴
+        live = np.flatnonzero((x < 6.0) & (x * x <= _MAXLOG))
+    x = x.take(live)
+    z = np.abs(x)
+    out = np.empty(x.size)  # the CDF for z < 1/√2, ½ erfc(z) beyond
+    inner = z < 1.0
+    xi = x[inner]
+    erf = xi * _polevl(xi * xi, _ERF_T) / _polevl(xi * xi, _ERF_U, monic=True)
+    out[inner] = np.where(z[inner] < _SQRT1_2, 0.5 + 0.5 * erf, 0.5 * (1.0 - np.abs(erf)))
+    zt = z[~inner]
+    erfc = np.fromiter(map(math.exp, (-zt * zt).tolist()), float, count=zt.size)
+    near = zt < 8.0
+    for part, num, den in ((near, _ERFC_P, _ERFC_Q), (~near, _ERFC_R, _ERFC_S)):
+        zp = zt[part]
+        erfc[part] = erfc[part] * _polevl(zp, num) / _polevl(zp, den, monic=True)
+    out[~inner] = 0.5 * erfc
+    upper = (x > 0) & (z >= _SQRT1_2)
+    out[upper] = 1.0 - out[upper]
+    np.put(cdf, live, out)
+    return cdf
 
 
 def gaussian_bin_masses(means, stds, edges) -> np.ndarray:
@@ -411,7 +483,7 @@ def gaussian_bin_masses(means, stds, edges) -> np.ndarray:
     if np.any(stds <= 0):
         raise ValueError("standard deviations must be positive")
     edges = np.asarray(edges, dtype=float)[None, :]
-    cdf = ndtr((edges - means) / stds)  # the standard normal CDF
+    cdf = _normal_cdf((edges - means) / stds)
     left = cdf[:, :1]
     right = 1.0 - cdf[:, -1:]
     inner = np.diff(cdf, axis=1)

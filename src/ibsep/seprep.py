@@ -35,7 +35,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import control_sep, info, lgss, nn
 
@@ -457,6 +456,26 @@ def _gaussian_nll(mean, cov, z):
     return 0.5 * (z.shape[-1] * LOG2PI + logdet + (dev * dev).sum(axis=-1))
 
 
+def _logsumexp(a):
+    """log Σ exp(a) over the last axis, in scipy.special.logsumexp's order.
+
+    With M the maximum and m the count of entries equal to it, the result
+    is log1p(s / m) + log(m) + M, s the sum of exp(a - M) over the other
+    entries; where that is not finite (M infinite or NaN), it is the plain
+    log of the sum of exp(a).
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        plain = np.log(np.exp(a).sum(axis=-1))
+        top = a.max(axis=-1, keepdims=True)
+        is_top = a == top
+        count = is_top.sum(axis=-1, dtype=float)
+        rest = np.exp(np.where(is_top, -np.inf, a) - top).sum(axis=-1)
+        rest = np.where(rest == 0, rest, rest / count)
+        out = np.log1p(rest) + np.log(count) + top[..., 0]
+    return np.where(np.isfinite(out), out, plain)
+
+
 def _mixture_nll(means, variances, z):
     """-log of the equal-weight diagonal-Gaussian mixture at z.
 
@@ -465,7 +484,7 @@ def _mixture_nll(means, variances, z):
     """
     logps = -0.5 * (np.sum((z[..., None, :] - means) ** 2 / variances, axis=-1)
                     + np.sum(np.log(variances), axis=-1) + z.shape[-1] * LOG2PI)
-    return -(logsumexp(logps, axis=-1) - math.log(means.shape[-2]))
+    return -(_logsumexp(logps) - math.log(means.shape[-2]))
 
 
 def _kl_gaussian(mean_p, cov_p, mean_q, cov_q):

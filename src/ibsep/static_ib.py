@@ -95,15 +95,24 @@ class NuisanceTask:
         return int(self.f_map.max()) + 1
 
     def joint_zny(self) -> info.DiscreteJoint:
-        """Exact joint p(z, n, y) as a three-axis table."""
+        """Exact joint p(z, n, y) as a three-axis table, built once per task."""
+        return self._tables[0]
+
+    def observation_prior(self) -> np.ndarray:
+        """p(y), the joint's y marginal, built once per task."""
+        return self._tables[1]
+
+    @cached_property
+    def _tables(self):
+        """The joint p(z, n, y) and its y marginal, their tables read-only."""
         table = np.zeros((self.z_card, self.n_card, self.y_card))
         for z in range(self.z_card):
             for n in range(self.n_card):
                 table[z, n, self.f_map[z, n]] = self.p_z[z] * self.p_n[n]
-        return info.DiscreteJoint(("z", "n", "y"), table)
-
-    def observation_prior(self) -> np.ndarray:
-        return self.joint_zny().marginal_table("y")
+        joint = info.DiscreteJoint(("z", "n", "y"), table)
+        prior = joint.marginal_table("y")
+        joint.table.flags.writeable = prior.flags.writeable = False
+        return joint, prior
 
     @cached_property
     def _cdfs(self):
@@ -483,14 +492,14 @@ def _cell_table(encoder: StochasticEncoder, task: NuisanceTask, step: float):
 
 
 def _channel_joints(task: NuisanceTask, rows):
-    """The (z, n, x) and (y, x) joints of the channel p(x | y) in ``rows``."""
+    """The (z, n, x) and (y, x) joints of the channel p(x | y) in ``rows``.
+
+    Both come from the task's validated tables and the channel's rows, so
+    they skip the checks but keep the renormalising division.
+    """
     p_zn = task.joint_zny().marginal_table(("z", "n"))
-    table = np.zeros((task.z_card, task.n_card, rows.shape[1]))
-    for z in range(task.z_card):
-        for n in range(task.n_card):
-            table[z, n] = p_zn[z, n] * rows[task.f_map[z, n]]
-    return (info.DiscreteJoint(("z", "n", "x"), table),
-            info.DiscreteJoint(("y", "x"), task.observation_prior()[:, None] * rows))
+    return (info.DiscreteJoint._derived(("z", "n", "x"), p_zn[:, :, None] * rows[task.f_map]),
+            info.DiscreteJoint._derived(("y", "x"), task.observation_prior()[:, None] * rows))
 
 
 def _bin_representatives(edges, step):

@@ -350,8 +350,8 @@ def test_collision_instance_has_belief_groups():
 
 def test_a_nan_action_value_fails_separation():
     p = cs.belief_collision_pomdp()
-    nodes = {h: dataclasses.replace(n, q_values=np.full_like(n.q_values, np.nan))
-             for h, n in cs.brute_force_q(p).items()}
+    tree = cs.brute_force_q(p)
+    nodes = dataclasses.replace(tree, q_levels=[np.full_like(q, np.nan) for q in tree.q_levels])
     report = cs.verify_separation(p, nodes=nodes)
     assert np.isnan(report["max_q_spread"])
     assert not report["max_q_spread"] < 1e-9

@@ -412,6 +412,30 @@ def test_gaussian_bin_masses_equal_the_normal_cdf_formula_bit_for_bit():
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_normal_cdf_equals_scipy_ndtr_bit_for_bit():
+    # scipy is a test-only reference for the Cephes port
+    from scipy.special import ndtr
+
+    rng = np.random.default_rng(13)
+    wide = [rng.normal(0.0, scale, 100_000) for scale in (0.5, 2.0, 10.0, 40.0)]
+    # the branch edges |x| = 1, √2 and 8√2, and the saturation edge, where
+    # (x/√2)² passes MAXLOG, each with its 64 neighbours in ulps either side
+    edges = []
+    for edge in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * info._MAXLOG)):
+        near = edge + np.arange(-64, 65) * np.spacing(edge)
+        edges += [near, -near]
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300])
+    x = np.concatenate(wide + edges + [special])
+    got, want = info._normal_cdf(x), ndtr(x)
+    assert got.tobytes() == want.tobytes()
+    saturated = np.abs(x) > math.sqrt(2.0 * info._MAXLOG) + 1e-9
+    assert set(got[saturated]) == {0.0, 1.0}
+    assert np.isnan(info._normal_cdf(np.array([np.nan]))).all()
+    # the shape is kept, as the bin masses need
+    grid = x[:60].reshape(3, 4, 5)
+    assert info._normal_cdf(grid).tobytes() == ndtr(grid).tobytes()
+
+
 def test_gaussian_bin_masses_rows_sum_to_one():
     edges = np.arange(-5.0, 5.0001, 0.05)
     masses = info.gaussian_bin_masses([0.0, 1.3], [1.0, 0.1], edges)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cho_factor, cho_solve
 
 from ibsep import harness, lgss
 from ibsep.info import GaussianDistribution
@@ -130,13 +129,26 @@ def _singular_innovation_model():
 
 def test_update_singular_innovation_errors():
     bad_model = _singular_innovation_model()
-    with pytest.raises(np.linalg.LinAlgError):
+    singular = "innovation covariance singular"
+    with pytest.raises(np.linalg.LinAlgError, match=singular):
         lgss.kalman_update(np.zeros(1), np.zeros((1, 1)), [0.0], bad_model)
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(np.linalg.LinAlgError, match=singular):
         lgss.riccati_iterate(bad_model, np.zeros((1, 1)), 3)
     traj = lgss.Trajectory(u=np.zeros((2, 0)), x=np.zeros((2, 1)), y=np.zeros((2, 1)))
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(np.linalg.LinAlgError, match=singular):
         lgss.run_filter(bad_model, [traj])
+
+
+def test_an_overflowing_innovation_covariance_is_non_finite():
+    # C P Cᵀ overflows to inf: a non-finite state, not a singular matrix
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite filter state"):
+        lgss.kalman_update(np.zeros(1), [[1e200]], [0.0], scalar_model(c=1e60))
+
+
+def test_oracle_singular_observation_covariance_errors():
+    traj = lgss.Trajectory(u=np.zeros((2, 0)), x=np.zeros((2, 1)), y=np.zeros((2, 1)))
+    with pytest.raises(np.linalg.LinAlgError, match="joint observation covariance singular"):
+        lgss.batch_posterior_oracle(_singular_innovation_model(), traj, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +591,10 @@ def test_batch_oracle_sharp_observation_limit():
     assert np.max(np.abs(post.mean - traj.y[3])) < 1e-5
 
 
-def _per_block_oracle(model, trajectory, t):
+def _per_block_oracle(model, trajectory, t, gain=lgss._conditioning_gain):
     """``batch_posterior_oracle`` as it was built block by block: the reference
-    the stacked construction must match bit for bit."""
+    the stacked construction must match bit for bit. ``gain`` solves the
+    conditioning system, by default with the module's own solve."""
     n, m = model.n, model.m
     means = [model.mu0]
     for s in range(t):
@@ -609,8 +622,7 @@ def _per_block_oracle(model, trajectory, t):
             if s == r:
                 block = block + model.R
             cov_yy[(s - 1) * m : s * m, (r - 1) * m : r * m] = block
-    chol = cho_factor((cov_yy + cov_yy.T) / 2.0, lower=True)
-    gain = cho_solve(chol, cov_xy.T).T
+    gain = gain(cov_xy, cov_yy)
     mean_post = means[t] + gain @ (trajectory.y[:t].reshape(-1) - mean_y)
     return GaussianDistribution(mean_post, cov_xx - gain @ cov_xy.T)
 
@@ -627,6 +639,40 @@ def test_batch_oracle_equals_the_per_block_construction_bit_for_bit(n, m):
             want = _per_block_oracle(model, traj, t)
             assert got.mean.tobytes() == want.mean.tobytes(), (T, t)
             assert got.cov.tobytes() == want.cov.tobytes(), (T, t)
+
+
+def _scipy_gain(cov_xy, cov_yy):
+    from scipy.linalg import cho_factor, cho_solve
+
+    return cho_solve(cho_factor((cov_yy + cov_yy.T) / 2.0, lower=True), cov_xy.T).T
+
+
+def test_cholesky_solve_agrees_with_scipy_cho_solve():
+    # sizes on both sides of the 64-row blocks, one and several right-hand sides
+    from scipy.linalg import cho_solve
+
+    rng = np.random.default_rng(31)
+    for n in (1, 3, 64, 65, 100, 150):
+        root = rng.standard_normal((n, n))
+        chol = np.linalg.cholesky(root @ root.T + 0.5 * np.eye(n))
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 4))):
+            got, want = lgss._cho_solve(chol, b), cho_solve((chol, True), b)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
+
+
+def test_batch_oracle_agrees_with_scipy_cho_solve():
+    # scipy is a test-only reference: the per-block oracle conditioned by
+    # its Cholesky solve, against the module's own
+    rng = np.random.default_rng(29)
+    for n, m, p in ((1, 1, 0), (2, 1, 1), (3, 2, 1), (4, 2, 2)):
+        model = lgss.random_stable_model(rng, n=n, m=m, p=p)
+        traj = lgss.simulate(model, rng.normal(size=(100, p)), 100, rng)
+        for t in (1, 2, 25, 100):
+            got = lgss.batch_posterior_oracle(model, traj, t)
+            want = _per_block_oracle(model, traj, t, gain=_scipy_gain)
+            for a, b in ((got.mean, want.mean), (got.cov, want.cov)):
+                assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(b))), (n, m, t)
 
 
 def _per_step_simulate(model, controls, T, rng):

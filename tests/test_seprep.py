@@ -145,6 +145,25 @@ def test_predictive_nll_mixture_matches_direct_sum():
     assert seprep.predictive_nll(params, [z]) == pytest.approx(expect, abs=1e-12)
 
 
+def test_logsumexp_equals_scipy_bit_for_bit():
+    # scipy is a test-only reference for the transcription of its order
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(41)
+    ties = np.round(rng.normal(0.0, 2.0, (200, 6)))
+    ties[:50, 1] = ties[:50, 0]
+    with_neg_inf = rng.normal(0.0, 30.0, (200, 5))
+    with_neg_inf[rng.random((200, 5)) < 0.3] = -np.inf
+    with_neg_inf[:3] = -np.inf  # rows with no finite entry
+    cases = [rng.normal(0.0, scale, (300, 7)) for scale in (1e-3, 1.0, 30.0, 800.0)]
+    cases += [ties, with_neg_inf, rng.normal(0.0, 5.0, (100, 1)),
+              rng.normal(0.0, 5.0, (3, 4, 9)), np.array([-np.inf]), np.array([2.5])]
+    for a in cases:
+        got, want = seprep._logsumexp(a), np.asarray(logsumexp(a, axis=-1))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_mc_predictive_stabilizes_for_sharp_posteriors():
     model = small_model()
     phi = np.array([0.5, -0.2, 0.1, 0.4, -2.5, -3.0, -2.8, -3.5])
