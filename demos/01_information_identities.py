@@ -41,8 +41,7 @@ print(f"  (equals H(x) = {info.entropy(info.DiscreteDistribution(px)):.6f} "
 
 print("\nGaussian KL and TC in closed form")
 cov = np.array([[1.0, 0.6], [0.6, 1.5]])
-p = info.GaussianDistribution(np.array([0.3, -0.1]), cov)
-q = info.GaussianDistribution(np.zeros(2), np.eye(2))
-print(f"  KL(N(m, C) || N(0, I)) = {info.kl_gaussian(p, q):.6f}")
+kl = info.kl_gaussian(np.array([0.3, -0.1]), cov, np.zeros(2), np.eye(2))
+print(f"  KL(N(m, C) || N(0, I)) = {kl:.6f}")
 print(f"  TC of C (off-diagonal coupling) = "
       f"{info.total_correlation_gaussian(cov):.6f}")

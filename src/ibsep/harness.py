@@ -141,9 +141,13 @@ def _number(key: str, value):
 def _typed(name: str, key: str, value, default):
     """``value`` converted to its default's type, or a ValueError naming ``key``."""
     if isinstance(default, tuple):  # betas: the sweep gate compares neighbours
-        if isinstance(value, (list, tuple)) and len(value) >= 2:
-            return tuple(float(_number(key, v)) for v in value)
-        raise ValueError(f"{key} must be a list of at least two numbers, got {value!r}")
+        if not (isinstance(value, (list, tuple)) and len(value) >= 2):
+            raise ValueError(f"{key} must be a list of at least two numbers, got {value!r}")
+        betas = tuple(float(_number(key, v)) for v in value)
+        # a repeated beta would make the gate compare a beta with itself
+        if min(betas) < 0 or len(set(betas)) < len(betas):
+            raise ValueError(f"{key} must be distinct non-negative numbers, got {value!r}")
+        return betas
     if isinstance(default, float):
         value = float(_number(key, value))
         # a zero step divides by zero, a negative one disarms the kink margin

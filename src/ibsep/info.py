@@ -42,6 +42,7 @@ __all__ = [
     "gaussian_bin_masses",
 ]
 
+_LOG2PI = math.log(2.0 * math.pi)
 _SUM_TOL = 1e-12
 # Distributions may arrive with sums off by accumulated roundoff; anything
 # within this tolerance is renormalized exactly, anything worse is rejected.
@@ -214,22 +215,17 @@ class GaussianDistribution:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    @property
-    def dim(self) -> int:
-        return self.mean.size
 
-    def logpdf(self, x) -> float:
-        """Log density at ``x``; requires a positive-definite covariance."""
-        return gaussian_logpdf(self.mean, self.cov, x)
+def gaussian_logpdf(mean, cov, x):
+    """Log density of N(mean, cov) at ``x`` over any leading batch axes.
 
-
-def gaussian_logpdf(mean, cov, x) -> float:
-    """Log density of N(mean, cov) at ``x``; cov must be positive definite."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    ``cov`` must be positive definite; one mean, covariance and point give
+    a scalar.
+    """
     chol = np.linalg.cholesky(cov)
-    dev = np.linalg.solve(chol, x - mean)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return float(-0.5 * (mean.size * math.log(2.0 * math.pi) + logdet + dev @ dev))
+    dev = np.linalg.solve(chol, np.subtract(x, mean)[..., None])[..., 0]
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    return -(0.5 * (dev.shape[-1] * _LOG2PI + logdet + (dev * dev).sum(axis=-1)))
 
 
 def _entropy_table(table) -> float:
@@ -357,24 +353,27 @@ def total_correlation_discrete(joint: DiscreteJoint) -> float:
     return float(tc)
 
 
-def kl_gaussian(p: GaussianDistribution, q: GaussianDistribution) -> float:
-    """Closed-form KL(p || q) between multivariate Gaussians, in nats.
+def kl_gaussian(mean_p, cov_p, mean_q, cov_q):
+    """Closed-form KL(N(mean_p, cov_p) || N(mean_q, cov_q)) in nats, over any
+    leading batch axes; one pair gives a scalar.
 
-    Raises ``numpy.linalg.LinAlgError`` when q's covariance is singular.
-    A singular p covariance gives ``+inf`` (absolute-continuity failure).
+    Mismatched dimensions raise ``ValueError``, and a q covariance that is
+    not positive definite ``numpy.linalg.LinAlgError``. A singular p
+    covariance gives ``+inf`` (absolute-continuity failure).
     """
-    if p.dim != q.dim:
+    d = np.shape(mean_p)[-1]
+    shapes = np.shape(mean_q)[-1:], np.shape(cov_p)[-2:], np.shape(cov_q)[-2:]
+    if shapes != ((d,), (d, d), (d, d)):
         raise ValueError("dimension mismatch")
-    d = p.dim
-    chol_q = np.linalg.cholesky(q.cov)  # raises LinAlgError if singular
-    logdet_q = 2.0 * np.sum(np.log(np.diag(chol_q)))
-    sign_p, logdet_p = np.linalg.slogdet(p.cov)
-    if sign_p <= 0:
-        return math.inf
-    half = np.linalg.solve(chol_q, p.cov)
-    trace_term = np.trace(np.linalg.solve(chol_q, half.T))
-    dev = np.linalg.solve(chol_q, q.mean - p.mean)
-    return float(0.5 * (trace_term + dev @ dev - d + logdet_q - logdet_p))
+    chol_q = np.linalg.cholesky(cov_q)
+    logdet_q = 2.0 * np.log(np.diagonal(chol_q, axis1=-2, axis2=-1)).sum(axis=-1)
+    sign_p, logdet_p = np.linalg.slogdet(cov_p)
+    half = np.linalg.solve(chol_q, cov_p)
+    trace = np.trace(np.linalg.solve(chol_q, np.swapaxes(half, -1, -2)),
+                     axis1=-2, axis2=-1)
+    dev = np.linalg.solve(chol_q, np.subtract(mean_q, mean_p)[..., None])[..., 0]
+    kl = 0.5 * (trace + (dev * dev).sum(axis=-1) - d + logdet_q - logdet_p)
+    return np.where(sign_p > 0, kl, math.inf)[()]  # [()] unwraps one pair's 0-d array
 
 
 def kl_to_standard_normal(mean, var, log_var):

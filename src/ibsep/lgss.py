@@ -5,28 +5,31 @@ The model is
     x_{t+1} = A x_t + B u_t + w_t,   w_t ~ N(0, Q)
     y_t     = C x_t + v_t,           v_t ~ N(0, R)
 
-with x_0 ~ N(mu0, P0). The posterior over x_t given y_1..y_t is exactly
+with x_0 ~ N(mu0, P0). ``simulate`` draws one rollout and
+``seprep.lgss_source`` batches of them through one sampler: each rollout
+is one row of a standard-normal block, mapped through noise roots
+computed once per model. The posterior over x_t given y_1..y_t is exactly
 Gaussian, so the filter state is the plain ``(mean, cov)`` pair of
 arrays: ``kalman_predict`` and ``kalman_update`` (Joseph-form covariance,
 Cholesky gain solve) map one pair to the next, and ``run_filter`` returns
 the stacked posteriors and the stacked one-step predictives of y_t; the
 covariances depend on no data, so a batch of means shares one covariance
 pass. ``predictive_loglik`` scores the trajectories under those
-predictives, for the callers that want the log-likelihood. The recursive
-filter is checked against
-an independent oracle that builds the joint Gaussian of (x_t, y_1..y_t)
-explicitly and conditions by Schur complement.
+predictives with ``info.gaussian_logpdf``, for the callers that want the
+log-likelihood. The recursive filter is checked against an independent
+oracle that builds the joint Gaussian of (x_t, y_1..y_t) explicitly and
+conditions by Schur complement.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .info import GaussianDistribution
+from . import info
 
 __all__ = [
     "LGSSModel",
@@ -102,6 +105,11 @@ class LGSSModel:
     def p(self) -> int:
         return self.B.shape[1]
 
+    @cached_property
+    def _noise_roots(self):
+        """The covariance roots of x_0, w and v, computed once per model."""
+        return [covariance_root(cov) for cov in (self.P0, self.Q, self.R)]
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -157,12 +165,41 @@ def covariance_root(cov):
     return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
 
 
-def _sample_gaussian(rng, cov, size):
-    """Draw size samples of N(0, cov) without requiring PD (PSD is enough)."""
-    root = covariance_root(cov)
-    if root is None:
-        return np.zeros((size, cov.shape[0]))
-    return rng.standard_normal((size, cov.shape[0])) @ root.T
+def _rollouts(model: LGSSModel, T: int, rngs, batch: int, drift=None):
+    """States (rows, T, n) and observations (rows, T, m) of ``batch`` rollouts
+    from each generator of ``rngs``, rows = len(rngs)·batch, generator-major.
+
+    Each rollout takes one row of a standard-normal block drawn from its
+    generator, holding its x_0, w and v draws in that order; a noise term
+    with an all-zero covariance draws nothing. ``drift``, when given, is
+    the (T, n) stack of B u_t, added to each transition before the noise.
+    One state recursion covers all rows, and the observations are one
+    stacked C x after it.
+    """
+    roots = model._noise_roots
+    shapes = [(1, model.n), (T, model.n), (T, model.m)]  # x_0, w, v
+    widths = [0 if root is None else rows * cols
+              for root, (rows, cols) in zip(roots, shapes)]
+    rows = len(rngs) * batch
+    noise = np.empty((len(rngs), batch, sum(widths)))
+    for r, rng in enumerate(rngs):
+        rng.standard_normal(out=noise[r])
+    x0, w, v = (
+        np.zeros((rows, *shape)) if root is None
+        else block.reshape(rows, *shape) @ root.T
+        for block, root, shape in zip(np.split(noise.reshape(rows, -1),
+                                               np.cumsum(widths)[:-1], axis=1),
+                                      roots, shapes)
+    )
+    del noise  # free the raw draws before the state recursion
+    x = model.mu0 + x0[:, 0]
+    xs = np.empty((rows, T, model.n))
+    for t in range(T):
+        x = _matvec(model.A, x)
+        if drift is not None:
+            x = x + drift[t]
+        x = xs[:, t] = x + w[:, t]
+    return xs, _matvec(model.C, xs) + v
 
 
 def simulate(model: LGSSModel, controls, T: int, rng) -> Trajectory:
@@ -171,18 +208,13 @@ def simulate(model: LGSSModel, controls, T: int, rng) -> Trajectory:
     ``controls`` is (T, p) (or None when p == 0); row t is u_t, applied in
     the transition from x_t to x_{t+1}. Deterministic given the rng state.
     """
-    if controls is None:
-        controls = np.zeros((T, model.p))
-    u = np.asarray(controls, dtype=float).reshape(T, model.p)
-    x0 = model.mu0 + _sample_gaussian(rng, model.P0, 1)[0]
-    w = _sample_gaussian(rng, model.Q, T)
-    v = _sample_gaussian(rng, model.R, T)
-    xs = np.empty((T, model.n))
-    x = x0
-    for t in range(T):
-        x = xs[t] = model.A @ x + model.B @ u[t] + w[t]
-    # one stacked product, each row the lone matvec C x_t
-    return Trajectory(u=u, x=xs, y=_matvec(model.C, xs) + v)
+    if controls is None:  # zero controls add nothing to the transitions
+        u, drift = np.zeros((T, model.p)), None
+    else:
+        u = np.asarray(controls, dtype=float).reshape(T, model.p)
+        drift = _matvec(model.B, u)
+    (xs,), (ys,) = _rollouts(model, T, [rng], 1, drift)
+    return Trajectory(u=u, x=xs, y=ys)
 
 
 def _finite(values):
@@ -294,14 +326,14 @@ def kalman_update(mean, cov, y, model: LGSSModel):
     return _finite(mean + _matvec(gain, y - _matvec(model.C, mean))), post_cov
 
 
-def predictive_density(mean, cov, model: LGSSModel, u=None) -> GaussianDistribution:
+def predictive_density(mean, cov, model: LGSSModel, u=None) -> info.GaussianDistribution:
     """Exact one-step predictive p(y_{t+1} | data up to t, u_t).
 
     The posterior (mean, cov) predicts the prior N(m, P) over x_{t+1},
     whose observation density is N(C m, C P Cᵀ + R).
     """
     mean, cov = kalman_predict(mean, cov, model, u)
-    return GaussianDistribution(model.C @ mean, model.C @ cov @ model.C.T + model.R)
+    return info.GaussianDistribution(model.C @ mean, model.C @ cov @ model.C.T + model.R)
 
 
 def riccati_iterate(model: LGSSModel, P_init, n_iters: int) -> np.ndarray:
@@ -394,30 +426,17 @@ def predictive_loglik(trajectories, pred_means, pred_covs) -> np.ndarray:
 
     ``pred_means`` and ``pred_covs`` are the (N, T, m) and (N, T, m, m)
     predictives that :func:`run_filter` returns for the same list of
-    trajectories. Entry i adds trajectory i's Gaussian log-densities in
-    time order, each ``info.gaussian_logpdf``'s through the Cholesky
-    factor of its covariance, with one factor per distinct covariance and
-    one stacked solve per step.
+    trajectories. Entry i is the sum, in time order, of
+    ``info.gaussian_logpdf`` over trajectory i's steps.
     """
     ys = _observations(trajectories, pred_means.shape[-1], "predictive_loglik")
     if ys.shape != pred_means.shape or pred_covs.shape != ys.shape + ys.shape[-1:]:
         raise ValueError(f"predictives of shapes {pred_means.shape} and {pred_covs.shape} "
                          f"do not fit observations of shape {ys.shape}")
-    N, T, m = ys.shape
-    loglik, factors = np.zeros(N), {}  # covariance bytes -> (factor, log-norm)
-    for t in range(T):
-        rows = []
-        for cov in pred_covs[:, t]:
-            key = cov.tobytes()
-            if key not in factors:
-                chol = np.linalg.cholesky(cov)
-                factors[key] = chol, (m * math.log(2.0 * math.pi)
-                                      + 2.0 * np.log(np.diagonal(chol)).sum())
-            rows.append(factors[key])
-        innovation = ys[:, t] - pred_means[:, t]
-        dev = np.linalg.solve(np.stack([chol for chol, _ in rows]), innovation[:, :, None])[:, :, 0]
-        norm = np.array([norm for _, norm in rows])
-        loglik += -0.5 * (norm + (dev[:, None, :] @ dev[:, :, None])[:, 0, 0])
+    logpdfs = info.gaussian_logpdf(pred_means, pred_covs, ys)
+    loglik = np.zeros(len(ys))
+    for column in logpdfs.T:
+        loglik += column
     return loglik
 
 
@@ -431,7 +450,8 @@ def _conditioning_gain(cov_xy, cov_yy):
     return _cho_solve(chol, cov_xy.T).T
 
 
-def batch_posterior_oracle(model: LGSSModel, trajectory: Trajectory, t: int) -> GaussianDistribution:
+def batch_posterior_oracle(model: LGSSModel, trajectory: Trajectory,
+                           t: int) -> info.GaussianDistribution:
     """Posterior over x_t given y_1..t by explicit joint-Gaussian conditioning.
 
     Builds the mean and covariance of the joint Gaussian of
@@ -443,7 +463,7 @@ def batch_posterior_oracle(model: LGSSModel, trajectory: Trajectory, t: int) -> 
         raise ValueError(f"t={t} outside 0..{trajectory.T}")
     n, m = model.n, model.m
     if t == 0:
-        return GaussianDistribution(model.mu0, model.P0)
+        return info.GaussianDistribution(model.mu0, model.P0)
 
     # State means and pairwise covariances joint[s, :, r, :] = Cov(x_s, x_r).
     means = [model.mu0]
@@ -475,7 +495,7 @@ def batch_posterior_oracle(model: LGSSModel, trajectory: Trajectory, t: int) -> 
     gain = _conditioning_gain(cov_xy, cov_yy)
     mean_post = mean_xt + gain @ (y_stack - mean_y)
     cov_post = cov_xx - gain @ cov_xy.T
-    return GaussianDistribution(mean_post, cov_post)
+    return info.GaussianDistribution(mean_post, cov_post)
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def predictive_nll(params: dict, z) -> float:
     z = np.asarray(z, dtype=float).reshape(-1)
     means = params.get("component_means")
     if means is None:
-        return float(-info.GaussianDistribution(params["mean"], params["cov"]).logpdf(z))
+        return float(-info.gaussian_logpdf(params["mean"], params["cov"], z))
     return float(_mixture_nll(means, params["component_vars"], z))
 
 
@@ -266,35 +266,18 @@ def lgss_source(model: lgss.LGSSModel, T: int):
     """Observation source drawing from a linear-Gaussian state-space model.
 
     A draw of ``batch`` trajectories (zero controls) is bit-identical to
-    ``batch`` successive ``lgss.simulate`` calls on the same rng: each row
-    of one standard-normal block holds one trajectory's x_0, w and v draws
-    in that order, and a noise term with an all-zero covariance draws
-    nothing. Given R generators, run r draws its block from the r-th, one
-    state recursion covers all R·batch rows, and a leading run axis is added.
+    ``batch`` successive ``lgss.simulate`` calls on the same rng: both run
+    the one sampler of :mod:`ibsep.lgss`, each trajectory one row of a
+    standard-normal block. Given R generators, run r draws its block from
+    the r-th, one state recursion covers all R·batch rows, and a leading
+    run axis is added.
     """
-    roots = [lgss.covariance_root(cov) for cov in (model.P0, model.Q, model.R)]
-    shapes = [(1, model.n), (T, model.n), (T, model.m)]  # x_0, w, v
-    widths = [0 if root is None else rows * cols
-              for root, (rows, cols) in zip(roots, shapes)]
-    splits = np.cumsum(widths)[:-1]
 
     def draw(batch, rng):
         lone = isinstance(rng, np.random.Generator)
         rngs = [rng] if lone else list(rng)
-        rows = len(rngs) * batch
-        noise = np.concatenate([r.standard_normal((batch, sum(widths))) for r in rngs])
-        x0, w, v = (
-            np.zeros((rows, *shape)) if root is None
-            else block.reshape(rows, *shape) @ root.T
-            for block, root, shape in zip(np.split(noise, splits, axis=1), roots, shapes)
-        )
-        x = model.mu0 + x0[:, 0]
-        ys = np.empty((rows, T, model.m))
-        for t in range(T):
-            x = (model.A @ x[..., None])[..., 0] + w[:, t]
-            ys[:, t] = (model.C @ x[..., None])[..., 0] + v[:, t]
         lead = (batch,) if lone else (len(rngs), batch)
-        return ys.reshape(*lead, T, model.m)
+        return lgss._rollouts(model, T, rngs, batch)[1].reshape(*lead, T, model.m)
 
     return draw
 
@@ -432,7 +415,7 @@ class KalmanSepFilter:
         means, covs = np.empty((N, self.model.m)), np.empty((N, *R.shape))
         for rows, mean, cov in self._predicted(batch):
             means[rows] = lgss._finite(lgss._matvec(C, mean))
-            covs[rows] = info.GaussianDistribution(means[rows[0]], C @ cov @ C.T + R).cov
+            covs[rows] = lgss._finite_symmetric(C @ cov @ C.T + R)
         if phi.ndim == 1:
             means, covs = means[0], covs[0]
         return {"mean": means, "cov": covs, "component_means": None,
@@ -446,14 +429,6 @@ class KalmanSepFilter:
 # ---------------------------------------------------------------------------
 # evaluation against the Kalman oracle
 # ---------------------------------------------------------------------------
-
-
-def _gaussian_nll(mean, cov, z):
-    """-log N(z; mean, cov) over any leading batch axes; cov positive definite."""
-    chol = np.linalg.cholesky(cov)
-    dev = np.linalg.solve(chol, (z - mean)[..., None])[..., 0]
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    return 0.5 * (z.shape[-1] * LOG2PI + logdet + (dev * dev).sum(axis=-1))
 
 
 def _logsumexp(a):
@@ -485,24 +460,6 @@ def _mixture_nll(means, variances, z):
     logps = -0.5 * (np.sum((z[..., None, :] - means) ** 2 / variances, axis=-1)
                     + np.sum(np.log(variances), axis=-1) + z.shape[-1] * LOG2PI)
     return -(_logsumexp(logps) - math.log(means.shape[-2]))
-
-
-def _kl_gaussian(mean_p, cov_p, mean_q, cov_q):
-    """KL(N(mean_p, cov_p) || N(mean_q, cov_q)) over any leading batch axes.
-
-    The closed form of :func:`ibsep.info.kl_gaussian`: +inf where cov_p is
-    singular, and ``LinAlgError`` where cov_q is not positive definite.
-    """
-    chol_q = np.linalg.cholesky(cov_q)
-    logdet_q = 2.0 * np.log(np.diagonal(chol_q, axis1=-2, axis2=-1)).sum(axis=-1)
-    sign_p, logdet_p = np.linalg.slogdet(cov_p)
-    half = np.linalg.solve(chol_q, cov_p)
-    trace = np.trace(np.linalg.solve(chol_q, np.swapaxes(half, -1, -2)),
-                     axis1=-2, axis2=-1)
-    dev = np.linalg.solve(chol_q, (mean_q - mean_p)[..., None])[..., 0]
-    kl = 0.5 * (trace + (dev * dev).sum(axis=-1) - mean_p.shape[-1]
-                + logdet_q - logdet_p)
-    return np.where(sign_p > 0, kl, math.inf)
 
 
 def evaluate_vs_kalman(model, lgss_model: lgss.LGSSModel, T: int, num_traj: int,
@@ -538,13 +495,13 @@ def evaluate_vs_kalman(model, lgss_model: lgss.LGSSModel, T: int, num_traj: int,
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError(f"non-finite learned predictive at step {t}")
         if params["component_means"] is None:
-            nll_learned[:, t] = _gaussian_nll(mean, cov, ys[:, t])
+            nll_learned[:, t] = -info.gaussian_logpdf(mean, cov, ys[:, t])
         else:
             nll_learned[:, t] = _mixture_nll(params["component_means"],
                                              params["component_vars"], ys[:, t])
-        kls[:, t] = _kl_gaussian(kal_means[:, t], kal_covs[:, t], mean, cov)
+        kls[:, t] = info.kl_gaussian(kal_means[:, t], kal_covs[:, t], mean, cov)
         phi = model.step(phi, ys[:, t], t)
-    nll_kalman = _gaussian_nll(kal_means, kal_covs, ys)
+    nll_kalman = -info.gaussian_logpdf(kal_means, kal_covs, ys)
     records = [{"traj_id": j, "t": t, "nll_learned": float(nll_learned[j, t]),
                 "nll_kalman": float(nll_kalman[j, t]), "kl": float(kls[j, t])}
                for j in range(num_traj) for t in range(T)]

@@ -1,4 +1,4 @@
-"""Smoke tests: the user-facing demo scripts run to completion."""
+"""Smoke tests: every user-facing demo script runs to completion."""
 
 import subprocess
 import sys
@@ -16,17 +16,16 @@ def _run_demo(name, env, tmp_path):
                           capture_output=True, text=True, timeout=300)
 
 
-def test_kalman_oracles_demo_runs(subprocess_env, tmp_path):
-    # the one script that drives riccati_iterate and run_filter end to end
-    proc = _run_demo("02_kalman_oracles.py", subprocess_env, tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert "Riccati fixed point" in proc.stdout
-
-
-# the scripts that call train_ib, train_weight_posterior and train_filter,
-# the HMM prediction floors, and the filter and POMDP JSON loaders
+# one line of each demo's output: the gradient check, the closed-form
+# Gaussian KL, riccati_iterate and run_filter end to end, the stacked
+# channels, train_ib, train_weight_posterior and train_filter, the HMM
+# prediction floors, and the filter and POMDP JSON loaders
 @pytest.mark.parametrize("name, marker", [
+    ("00_autodiff_gradcheck.py", "worst over all parameters"),
+    ("01_information_identities.py", "KL(N(m, C) || N(0, I)) = 0.234486"),
+    ("02_kalman_oracles.py", "Riccati fixed point"),
     ("03_static_bottleneck.py", "invariance slack"),
+    ("04_stacked_channels.py", "I(x2;y) = 1.386294361120  (identical)"),
     ("05_weight_information.py", "curvature bound rhs"),
     ("06_separating_filter.py", "JSON round trip: predictive mean agrees -> True"),
     ("07_hmm_prediction_bounds.py", "n=2: floor 1.62632888, Bayes slack"),

@@ -382,6 +382,18 @@ def test_an_ambiguous_or_misdirected_key_exits_2_by_name(
     assert not seen and not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("betas", ["[-1, 0.1]", "[0.1, 0.1]"])
+def test_a_negative_or_repeated_beta_exits_2_before_any_battery(
+        betas, tmp_path, monkeypatch, capsys):
+    # a negative beta is no DynIBConfig, and a repeated one would make the
+    # sweep gate compare a beta with itself; the batteries before seprep
+    # must not run and write their results first
+    seen = _record_overrides(monkeypatch)
+    assert harness.main(["all", "--out", str(tmp_path), "--set", f"betas={betas}"]) == 2
+    assert "betas must be distinct non-negative numbers" in capsys.readouterr().err
+    assert not seen and not list(tmp_path.iterdir())
+
+
 def test_a_bare_key_still_reaches_the_one_battery_that_knows_it(tmp_path,
                                                               monkeypatch):
     seen = _record_overrides(monkeypatch)

@@ -240,26 +240,69 @@ def test_tc_equals_mi_on_two_axes():
 # ---------------------------------------------------------------------------
 
 
+def _random_gaussians(rng, lead, d):
+    """Means and positive-definite covariances of shape lead + (d,) and lead + (d, d)."""
+    roots = rng.normal(size=(*lead, d, d))
+    covs = roots @ np.swapaxes(roots, -1, -2) + 0.1 * np.eye(d)
+    return rng.normal(size=(*lead, d)), covs
+
+
 def test_kl_gaussian_identical_zero():
-    g = info.GaussianDistribution([1.0, -2.0], [[2.0, 0.3], [0.3, 1.0]])
-    assert info.kl_gaussian(g, g) == pytest.approx(0.0, abs=1e-12)
+    mean, cov = [1.0, -2.0], [[2.0, 0.3], [0.3, 1.0]]
+    assert info.kl_gaussian(mean, cov, mean, cov) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_gaussian_scalar_closed_forms():
-    n01 = info.GaussianDistribution([0.0], [[1.0]])
-    n11 = info.GaussianDistribution([1.0], [[1.0]])
-    n02 = info.GaussianDistribution([0.0], [[2.0]])
-    assert info.kl_gaussian(n01, n11) == pytest.approx(0.5, abs=1e-14)
+    n01, n11, n02 = ([0.0], [[1.0]]), ([1.0], [[1.0]]), ([0.0], [[2.0]])
+    assert info.kl_gaussian(*n01, *n11) == pytest.approx(0.5, abs=1e-14)
     expected = 0.5 * (2.0 - 1.0 - math.log(2.0))
-    assert info.kl_gaussian(n02, n01) == pytest.approx(expected, abs=1e-14)
-    assert info.kl_gaussian(n02, n01) == pytest.approx(0.153426, abs=5e-7)
+    assert info.kl_gaussian(*n02, *n01) == pytest.approx(expected, abs=1e-14)
+    assert info.kl_gaussian(*n02, *n01) == pytest.approx(0.153426, abs=5e-7)
 
 
 def test_kl_gaussian_singular_q_errors():
-    p = info.GaussianDistribution([0.0, 0.0], np.eye(2))
-    q = info.GaussianDistribution([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
+    # alone, and as one row of a batch
+    singular = [[1.0, 1.0], [1.0, 1.0]]
     with pytest.raises(np.linalg.LinAlgError):
-        info.kl_gaussian(p, q)
+        info.kl_gaussian([0.0, 0.0], np.eye(2), [0.0, 0.0], singular)
+    cov_q = np.stack([np.eye(2), singular, np.eye(2)])
+    with pytest.raises(np.linalg.LinAlgError):
+        info.kl_gaussian(np.zeros((3, 2)), np.stack([np.eye(2)] * 3), np.zeros((3, 2)), cov_q)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_kl_gaussian_singular_p_is_infinite(lead):
+    # absolute continuity fails in the singular row alone
+    mean, cov_q = _random_gaussians(np.random.default_rng(6), lead, 2)
+    cov_p = cov_q.copy()
+    cov_p[(0,) * len(lead)] = [[1.0, 1.0], [1.0, 1.0]]
+    kl = np.atleast_1d(info.kl_gaussian(mean, cov_p, mean, cov_q))
+    assert kl[0] == math.inf
+    assert np.isfinite(kl[1:]).all()
+
+
+@pytest.mark.parametrize("d_p, d_q", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("lead", [(), (4,)])
+def test_kl_gaussian_refuses_mismatched_dimensions(d_p, d_q, lead):
+    rng = np.random.default_rng(7)
+    p, q = _random_gaussians(rng, lead, d_p), _random_gaussians(rng, lead, d_q)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        info.kl_gaussian(*p, *q)
+
+
+@pytest.mark.parametrize("lead", [(5,), (3, 4)])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_batched_gaussian_closed_forms_are_their_lone_calls_bit_for_bit(lead, d):
+    rng = np.random.default_rng(10 * d + len(lead))
+    mean_p, cov_p = _random_gaussians(rng, lead, d)
+    mean_q, cov_q = _random_gaussians(rng, lead, d)
+    x = rng.normal(size=(*lead, d))
+    logpdf = info.gaussian_logpdf(mean_p, cov_p, x)
+    kl = info.kl_gaussian(mean_p, cov_p, mean_q, cov_q)
+    assert logpdf.shape == kl.shape == lead
+    for row in np.ndindex(*lead):
+        assert logpdf[row] == info.gaussian_logpdf(mean_p[row], cov_p[row], x[row])
+        assert kl[row] == info.kl_gaussian(mean_p[row], cov_p[row], mean_q[row], cov_q[row])
 
 
 def test_kl_gaussian_matches_numerical_integration():
@@ -268,13 +311,12 @@ def test_kl_gaussian_matches_numerical_integration():
     for _ in range(5):
         mp, mq = rng.normal(0, 1), rng.normal(0, 1)
         sp, sq = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
-        p = info.GaussianDistribution([mp], [[sp**2]])
-        q = info.GaussianDistribution([mq], [[sq**2]])
         xs = np.arange(mp - 10 * sp, mp + 10 * sp, 1e-3) + 0.5e-3
         logp = -0.5 * ((xs - mp) / sp) ** 2 - math.log(sp * math.sqrt(2 * math.pi))
         logq = -0.5 * ((xs - mq) / sq) ** 2 - math.log(sq * math.sqrt(2 * math.pi))
         grid = np.sum(np.exp(logp) * (logp - logq)) * 1e-3
-        assert info.kl_gaussian(p, q) == pytest.approx(grid, abs=1e-4)
+        kl = info.kl_gaussian([mp], [[sp**2]], [mq], [[sq**2]])
+        assert kl == pytest.approx(grid, abs=1e-4)
 
 
 def test_kl_to_standard_normal_matches_kl_gaussian():
@@ -282,10 +324,9 @@ def test_kl_to_standard_normal_matches_kl_gaussian():
     mean = rng.normal(size=(4, 3))
     log_var = rng.uniform(-4.0, 2.0, size=(4, 3))
     got = info.kl_to_standard_normal(mean, np.exp(log_var), log_var)
-    standard = info.GaussianDistribution(np.zeros(3), np.eye(3))
     for row in range(4):
-        q = info.GaussianDistribution(mean[row], np.diag(np.exp(log_var[row])))
-        assert abs(got[row] - info.kl_gaussian(q, standard)) < 1e-12
+        kl = info.kl_gaussian(mean[row], np.diag(np.exp(log_var[row])), np.zeros(3), np.eye(3))
+        assert abs(got[row] - kl) < 1e-12
     assert info.kl_to_standard_normal(np.zeros(3), np.ones(3), np.zeros(3)) == 0.0
 
 

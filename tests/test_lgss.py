@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ibsep import harness, lgss
+from ibsep import harness, info, lgss
 from ibsep.info import GaussianDistribution
 
 
@@ -183,7 +183,7 @@ def test_predictive_logpdf_closed_form():
     y = 0.7
     s = pred.cov[0, 0]
     expected = -0.5 * (math.log(2 * math.pi * s) + (y - pred.mean[0]) ** 2 / s)
-    assert pred.logpdf([y]) == pytest.approx(expected, abs=1e-12)
+    assert info.gaussian_logpdf(pred.mean, pred.cov, [y]) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +347,7 @@ def test_run_filter_predictives_are_the_one_step_densities():
             expect = lgss.predictive_density(mean, cov, model, traj.u[t])
             assert np.array_equal(pred_means[t], expect.mean)
             assert np.array_equal(pred_covs[t], expect.cov)
-            expect_ll += expect.logpdf(traj.y[t])
+            expect_ll += info.gaussian_logpdf(expect.mean, expect.cov, traj.y[t])
             prior = lgss.kalman_predict(mean, cov, model, traj.u[t])
             mean, cov = lgss.kalman_update(*prior, traj.y[t], model)
             assert np.array_equal(means[t], mean)
@@ -361,7 +361,7 @@ def _per_step_chain(model, traj):
     rows = []
     for t in range(traj.T):
         pred = lgss.predictive_density(mean, cov, model, traj.u[t])
-        loglik += pred.logpdf(traj.y[t])
+        loglik += info.gaussian_logpdf(pred.mean, pred.cov, traj.y[t])
         mean, cov = lgss.kalman_update(*lgss.kalman_predict(mean, cov, model, traj.u[t]),
                                        traj.y[t], model)
         rows.append((mean, cov, pred.mean, pred.cov))
@@ -675,12 +675,21 @@ def test_batch_oracle_agrees_with_scipy_cho_solve():
                 assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(b))), (n, m, t)
 
 
+def _sample_gaussian(rng, cov, size):
+    """size draws of N(0, cov) through its eigen root; none for an all-zero cov."""
+    if not cov.any():
+        return np.zeros((size, cov.shape[0]))
+    eigval, eigvec = np.linalg.eigh(cov)
+    root = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+    return rng.standard_normal((size, cov.shape[0])) @ root.T
+
+
 def _per_step_simulate(model, controls, T, rng):
     """``simulate`` with each observation computed inside the state loop."""
     u = np.zeros((T, model.p)) if controls is None else controls.reshape(T, model.p)
-    x = model.mu0 + lgss._sample_gaussian(rng, model.P0, 1)[0]
-    w = lgss._sample_gaussian(rng, model.Q, T)
-    v = lgss._sample_gaussian(rng, model.R, T)
+    x = model.mu0 + _sample_gaussian(rng, model.P0, 1)[0]
+    w = _sample_gaussian(rng, model.Q, T)
+    v = _sample_gaussian(rng, model.R, T)
     xs, ys = np.empty((T, model.n)), np.empty((T, model.m))
     for t in range(T):
         x = model.A @ x + model.B @ u[t] + w[t]
