@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .info import _read_json_object
+from .info import _integer, _parsed, _read_json_object
 
 __all__ = [
     "FinitePOMDP",
@@ -542,10 +542,9 @@ def pomdp_from_json(source) -> FinitePOMDP:
     unknown = set(payload) - _POMDP_KEYS
     if unknown:
         raise ValueError(f"unknown POMDP key {sorted(unknown)[0]!r}")
-    pomdp = FinitePOMDP(payload["T"], payload["Omega"], payload["r"],
-                        payload["b0"], int(payload["H"]))
-    declared = (int(payload["S"]), int(payload["A"]), int(payload["O"]))
-    actual = (pomdp.n_states, pomdp.n_actions, pomdp.n_obs)
+    *declared, horizon = (_parsed(key, _integer, payload[key]) for key in "SAOH")
+    pomdp = FinitePOMDP(payload["T"], payload["Omega"], payload["r"], payload["b0"], horizon)
+    declared, actual = tuple(declared), (pomdp.n_states, pomdp.n_actions, pomdp.n_obs)
     if declared != actual:
         raise ValueError(f"declared sizes {declared} do not match tables {actual}")
     return pomdp

@@ -415,10 +415,8 @@ def _flatness_records(opts, seed, clock) -> list:
         return parts
 
     def loss(w):
-        logits = nn.forward(post.template.with_params(unflatten(w)), xs).value
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        return -float(np.mean(logp[np.arange(labels.size), labels]))
+        mlp = post.template.with_params(unflatten(w))
+        return float(_graph_loss(mlp, xs, "ce", labels, None).value)
 
     w_hat = np.concatenate([post.mu[k].ravel() for k in names])
     out = static_ib.flatness_diagnostic(loss, w_hat, beta=1e-2)

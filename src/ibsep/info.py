@@ -502,3 +502,18 @@ def _read_json_object(source) -> dict:
     if not isinstance(payload, dict):
         raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
     return payload
+
+
+def _parsed(key: str, convert, value):
+    """``convert(value)``, or a ``ValueError`` naming the file key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"file key {key!r}: {err}") from None
+
+
+def _integer(value) -> int:
+    """A JSON integer: an int or an integral float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)

@@ -5,17 +5,18 @@ The model is
     x_{t+1} = A x_t + B u_t + w_t,   w_t ~ N(0, Q)
     y_t     = C x_t + v_t,           v_t ~ N(0, R)
 
-with x_0 ~ N(mu0, P0). ``simulate`` draws one rollout and
-``seprep.lgss_source`` batches of them through one sampler: each rollout
-is one row of a standard-normal block, mapped through noise roots
-computed once per model. The posterior over x_t given y_1..y_t is exactly
-Gaussian, so the filter state is the plain ``(mean, cov)`` pair of
-arrays: ``kalman_predict`` and ``kalman_update`` (Joseph-form covariance,
+with x_0 ~ N(mu0, P0). ``simulate`` draws one rollout and ``seprep``
+batches of them through one sampler: each rollout is one row of a
+standard-normal block, mapped through noise roots computed once per
+model. The posterior over x_t given y_1..y_t is exactly Gaussian, so the
+filter state is the plain ``(mean, cov)`` pair of arrays:
+``kalman_predict`` and ``kalman_update`` (Joseph-form covariance,
 Cholesky gain solve) map one pair to the next, and ``run_filter`` returns
 the stacked posteriors and the stacked one-step predictives of y_t; the
 covariances depend on no data, so a batch of means shares one covariance
-pass. ``predictive_loglik`` scores the trajectories under those
-predictives with ``info.gaussian_logpdf``, for the callers that want the
+pass, drawn like ``riccati_iterate``'s from one step memo.
+``predictive_loglik`` scores the trajectories under those predictives
+with ``info.gaussian_logpdf``, for the callers that want the
 log-likelihood. The recursive filter is checked against an independent
 oracle that builds the joint Gaussian of (x_t, y_1..y_t) explicitly and
 conditions by Schur complement.
@@ -275,15 +276,23 @@ def _cho_solve(chol, b):
     return x
 
 
-def _covariance_step(cov, model: LGSSModel):
-    """The data-free step from posterior covariance P: (S, gain, next posterior),
-    bit for bit those of ``kalman_predict`` then ``kalman_update``."""
-    return _update_cov(_predict_cov(cov, model), model)
+def _covariance_steps(cov, n: int, model: LGSSModel) -> list:
+    """The first n data-free steps ``(S, gain, P_{t+1})`` from posterior P_0 = ``cov``.
 
-
-def _riccati_map(cov, model: LGSSModel):
-    """Posterior covariance one step later: update(predict(cov)), data-free."""
-    return _covariance_step(cov, model)[2]
+    A step is ``kalman_predict`` then ``kalman_update`` bit for bit, and
+    depends on the bytes of P_t alone: once P_k repeats P_j, step t >= j
+    is step j + (t - j) mod (k - j), and no step is computed twice.
+    """
+    steps, first_seen = [], {}  # posterior covariance bytes -> its index
+    while len(steps) < n:
+        key = cov.tobytes()
+        if key in first_seen:
+            j, k = first_seen[key], len(steps)
+            return steps + [steps[j + (t - j) % (k - j)] for t in range(k, n)]
+        first_seen[key] = len(steps)
+        steps.append(_update_cov(_predict_cov(cov, model), model))
+        cov = steps[-1][2]
+    return steps
 
 
 def _state(mean, cov):
@@ -340,41 +349,16 @@ def riccati_iterate(model: LGSSModel, P_init, n_iters: int) -> np.ndarray:
     """Iterate the posterior-covariance map (predict then update) n times.
 
     The iteration is independent of data; its fixed point is the
-    steady-state posterior covariance of the filter.
-
-    The map depends on P alone and is deterministic, so once an iterate
-    repeats bit for bit the rest of the sequence is periodic: P_k equal
-    to P_{k-λ} gives P_j = P_{j+λ} for every j >= k-λ. Brent's cycle
-    detection (Brent 1980) finds such a repeat while keeping only two
-    iterates, compared byte for byte; the n-th iterate is then the one
-    (n - k) mod λ maps past P_{k-λ}, the very array the plain loop would
-    return. That costs at most n + λ - 1 < 2n map evaluations, and a
-    sequence that does not repeat within n steps is simply the plain loop.
+    steady-state posterior covariance of the filter. The iterates come
+    from :func:`run_filter`'s step memo, so past the first bitwise repeat
+    they are lookups, the very arrays of the plain loop.
     ``n_iters`` <= 0 returns the input unchanged.
     """
     P = np.atleast_2d(np.asarray(P_init, dtype=float))
     n_iters = int(n_iters)
     if n_iters <= 0:
         return P
-    # tortoise is P_{k-lam} (reset at powers of two), P is the hare P_k
-    tortoise = _finite_symmetric(P)
-    tortoise_bytes = tortoise.tobytes()
-    P = _riccati_map(tortoise, model)
-    k, lam, power = 1, 1, 1
-    while k < n_iters:
-        P_bytes = P.tobytes()
-        if P_bytes == tortoise_bytes:
-            for _ in range((n_iters - k) % lam):
-                tortoise = _riccati_map(tortoise, model)
-            return tortoise
-        if lam == power:
-            tortoise, tortoise_bytes = P, P_bytes
-            power *= 2
-            lam = 0
-        P = _riccati_map(P, model)
-        k += 1
-        lam += 1
-    return P
+    return _covariance_steps(_finite_symmetric(P), n_iters, model)[-1][2]
 
 
 def _observations(trajectories, m: int, caller: str) -> np.ndarray:
@@ -406,15 +390,10 @@ def run_filter(model: LGSSModel, trajectories):
     controls = _matvec(model.B, np.stack([traj.u.reshape(T, model.p) for traj in trajectories]))
     means, covs = np.empty((N, T, n)), np.empty((T, n, n))
     pred_means, pred_covs = np.empty((N, T, m)), np.empty((T, m, m))
-    mean, cov = np.broadcast_to(model.mu0, (N, n)), model.P0
-    steps, key = {}, cov.tobytes()  # posterior covariance bytes -> its step
-    for t in range(T):
+    mean = np.broadcast_to(model.mu0, (N, n))
+    for t, (S, gain, cov) in enumerate(_covariance_steps(model.P0, T, model)):
+        pred_covs[t], covs[t] = S, cov
         mean = _finite(_matvec(model.A, mean) + controls[:, t])
-        if key not in steps:
-            S, gain, post = _covariance_step(cov, model)
-            steps[key] = gain, post, post.tobytes(), S
-        gain, cov, key, pred_covs[t] = steps[key]
-        covs[t] = cov
         pred_means[:, t] = _matvec(model.C, mean)
         mean = means[:, t] = _finite(mean + _matvec(gain, ys[:, t] - pred_means[:, t]))
     covs, pred_covs = (np.broadcast_to(a, (N, *a.shape)) for a in (covs, pred_covs))
@@ -516,11 +495,18 @@ def trajectory_to_csv(trajectory: Trajectory, path) -> None:
 
 
 def trajectory_from_csv(path) -> Trajectory:
-    """Read a trajectory written by :func:`trajectory_to_csv`."""
+    """Read a trajectory written by :func:`trajectory_to_csv`; refuse a malformed one."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        columns = next(reader)[1:]
-        rows = [[float(v) for v in row[1:]] for row in reader if row]
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"trajectory file {path} is empty")
+        columns, rows = header[1:], []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ValueError(f"trajectory file {path} line {reader.line_num}: "
+                                 f"{len(row)} fields for {len(header)} columns")
+            rows.append([float(v) for v in row[1:]])
     unknown = [col for col in columns if col[:1] not in ("u", "y", "x")]
     if unknown:
         raise ValueError(f"unknown trajectory columns {unknown}")

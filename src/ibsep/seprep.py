@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -481,11 +480,12 @@ def evaluate_vs_kalman(model, lgss_model: lgss.LGSSModel, T: int, num_traj: int,
     learned predictive raises ``ValueError``.
     """
     streams = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(num_traj)]
-    trajs = [lgss.simulate(lgss_model, None, T, np.random.default_rng(sim_ss))
-             for sim_ss, _ in streams]
+    sim_rngs = [np.random.default_rng(sim_ss) for sim_ss, _ in streams]
     eval_rngs = [np.random.default_rng(eval_ss) for _, eval_ss in streams]
+    xs, ys = lgss._rollouts(lgss_model, T, sim_rngs, 1)
+    no_controls = np.zeros((T, lgss_model.p))
+    trajs = [lgss.Trajectory(u=no_controls, x=x, y=y) for x, y in zip(xs, ys)]
     _, (kal_means, kal_covs) = lgss.run_filter(lgss_model, trajs)
-    ys = np.stack([traj.y for traj in trajs])
     nll_learned = np.empty((num_traj, T))
     kls = np.empty((num_traj, T))
     phi = np.stack([model.initial_phi()] * num_traj)
@@ -687,14 +687,6 @@ _FIXED_KEYS = {"ctrl_dim": 0, "horizon": 0, "output": "gaussian"}
 _MLP_KEYS = {"widths", "activations", "weights", "biases"}
 
 
-def _parsed(key: str, convert, value):
-    """``convert(value)``, or a ``ValueError`` naming the model file key."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"model file key {key!r}: {err}") from None
-
-
 def _mlp_payload(mlp: nn.MLP) -> dict:
     return {
         "widths": list(mlp.widths),
@@ -708,12 +700,12 @@ def _mlp_from_payload(key: str, payload) -> nn.MLP:
     missing = _MLP_KEYS - set(payload) if isinstance(payload, dict) else _MLP_KEYS
     if missing:
         raise ValueError(f"model file key {key!r} missing keys: {sorted(missing)}")
-    weights, biases = (_parsed(f"{key}.{name}",
-                               lambda v: tuple(np.asarray(a, dtype=float) for a in v),
-                               payload[name])
+    weights, biases = (info._parsed(f"{key}.{name}",
+                                    lambda v: tuple(np.asarray(a, dtype=float) for a in v),
+                                    payload[name])
                        for name in ("weights", "biases"))
-    return _parsed(key, lambda p: nn.MLP(tuple(p["widths"]), weights, biases,
-                                         tuple(p["activations"])), payload)
+    return info._parsed(key, lambda p: nn.MLP(tuple(p["widths"]), weights, biases,
+                                              tuple(p["activations"])), payload)
 
 
 def save_filter_json(model: SepFilterModel, path=None) -> str:
@@ -754,8 +746,8 @@ def load_filter_json(source) -> SepFilterModel:
                | set(_FIXED_KEYS)) - set(payload)
     if missing:
         raise ValueError(f"model file missing keys: {sorted(missing)}")
-    rep_dim = _parsed("rep_dim", operator.index, payload["rep_dim"])
-    obs_dim = _parsed("obs_dim", operator.index, payload["obs_dim"])
+    rep_dim, obs_dim = (info._parsed(key, info._integer, payload[key])
+                        for key in ("rep_dim", "obs_dim"))
     for key, value in {**_FIXED_KEYS, "target_dim": obs_dim}.items():
         if payload[key] != value:
             raise ValueError(f"model file key {key!r} must be {value!r}, got {payload[key]!r}")
@@ -767,6 +759,6 @@ def load_filter_json(source) -> SepFilterModel:
         obs_dim=obs_dim,
         update=_mlp_from_payload("update", payload["update"]),
         head=_mlp_from_payload("heads", heads[0]),
-        phi0=_parsed("phi0", lambda v: np.asarray(v, dtype=float).reshape(2 * rep_dim),
-                     payload["phi0"]),
+        phi0=info._parsed("phi0", lambda v: np.asarray(v, dtype=float).reshape(2 * rep_dim),
+                          payload["phi0"]),
     )

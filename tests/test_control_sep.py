@@ -548,6 +548,10 @@ def test_pomdp_json_rejects_bad_payloads():
     lying = dict(payload, S=5)
     with pytest.raises(ValueError, match="declared"):
         cs.pomdp_from_json(json.dumps(lying))
+    # a size or horizon must be an integer: no bool, string or fraction
+    for key, value in (("H", 2.7), ("H", True), ("H", "3"), ("S", 2.9)):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            cs.pomdp_from_json(json.dumps(dict(payload, **{key: value})))
 
 
 def test_random_pomdp_is_well_formed():

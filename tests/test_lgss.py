@@ -304,27 +304,41 @@ def test_riccati_iterate_rejects_a_non_finite_start():
         lgss.riccati_iterate(model, P_init, 5)
 
 
-def test_kalman_battery_riccati_work_stays_short(monkeypatch):
-    # each riccati_iterate(..., 5000) of the battery at root seed 7 stops at
-    # its first exact repeat; the plain loop evaluates all 5,000 maps
+def _count_steps(monkeypatch):
+    """Patch the data-free step so each one computed appends its posterior's bytes."""
     calls = []
-    riccati_map = lgss._riccati_map
+    predict_cov = lgss._predict_cov
+
+    def counting_predict_cov(cov, model):
+        calls.append(cov.tobytes())
+        return predict_cov(cov, model)
+
+    monkeypatch.setattr(lgss, "_predict_cov", counting_predict_cov)
+    return calls
+
+
+def test_kalman_battery_riccati_work_stays_short(monkeypatch):
+    # each riccati_iterate(..., 5000) of the battery at root seed 7 computes
+    # the steps up to its first exact repeat mu + lam, each once; the plain
+    # loop computes all 5,000
+    steps = _count_steps(monkeypatch)
+    runs = []
     riccati_iterate = lgss.riccati_iterate
 
-    def counting_map(cov, model):
-        calls[-1] += 1
-        return riccati_map(cov, model)
-
     def counting_iterate(model, P_init, n_iters):
-        calls.append(0)
-        return riccati_iterate(model, P_init, n_iters)
+        before = len(steps)
+        out = riccati_iterate(model, P_init, n_iters)
+        runs.append((model, P_init, n_iters, steps[before:]))
+        return out
 
-    monkeypatch.setattr(lgss, "_riccati_map", counting_map)
     monkeypatch.setattr(lgss, "riccati_iterate", counting_iterate)
     records = harness.run_kalman(harness.experiment_seed(7, "kalman"))
     assert [r.status for r in records] == ["pass", "pass"]
-    assert len(calls) == 5
-    assert all(0 < c <= 400 for c in calls), calls
+    assert len(runs) == 5
+    for model, P_init, n_iters, computed in runs:
+        _, mu, lam = _riccati_reference(model, P_init)
+        assert mu + lam < n_iters
+        assert len(computed) == len(set(computed)) == mu + lam
 
 
 def test_run_filter_predictives_are_the_one_step_densities():
@@ -390,14 +404,7 @@ def test_a_long_run_filter_equals_the_per_step_chain_bitwise():
 def test_run_filter_steps_each_distinct_posterior_covariance_once(monkeypatch):
     # P_0..P_{T-1} are distinct below the first repeat mu + lam, so T below
     # it takes T steps and T past it takes mu + lam; the plain loop takes T
-    calls = []
-    step = lgss._covariance_step
-
-    def counting_step(cov, model):
-        calls.append(cov.tobytes())
-        return step(cov, model)
-
-    monkeypatch.setattr(lgss, "_covariance_step", counting_step)
+    calls = _count_steps(monkeypatch)
     rng = np.random.default_rng(31)
     for _ in range(6):
         model, _ = _controlled_case(rng, 1)
@@ -783,3 +790,10 @@ def test_trajectory_csv_round_trips_no_controls_and_refuses_unknown_columns(tmp_
         path.write_text(f"t,y0,{extra}\n1,0.5,1.0\n")
         with pytest.raises(ValueError, match=rf"unknown trajectory columns \['{extra}'\]"):
             lgss.trajectory_from_csv(path)
+    # an empty file and a short row are refused by file name, the row by line
+    path.write_text("")
+    with pytest.raises(ValueError, match=r"traj\.csv is empty"):
+        lgss.trajectory_from_csv(path)
+    path.write_text("t,y0,x0\n1,0.5,1.0\n2,0.5\n")
+    with pytest.raises(ValueError, match=r"traj\.csv line 3: 2 fields for 3 columns"):
+        lgss.trajectory_from_csv(path)

@@ -954,6 +954,8 @@ def _without_widths(payload):
 @pytest.mark.parametrize("edit, key", [
     (_without_widths, "widths"),
     (lambda p: p.update(rep_dim="abc"), "'rep_dim'"),
+    (lambda p: p.update(rep_dim=True), "'rep_dim'"),
+    (lambda p: p.update(obs_dim=True), "'obs_dim'"),
     (lambda p: p["heads"][0].update(weights=[[["x"]]]), "'heads.weights'"),
     (lambda p: p.update(phi0=[0.0]), "'phi0'"),
     (lambda p: p.update(horizon=1), "'horizon'"),
@@ -962,7 +964,7 @@ def _without_widths(payload):
     (lambda p: p.update(target_dim=2), "'target_dim'"),
     (lambda p: p["heads"].append(p["heads"][0]), "'heads'"),
     (lambda p: p.update(heads=[]), "'heads'"),
-], ids=["no-widths", "rep_dim-text", "weights-text", "phi0-length", "horizon",
+], ids=["no-widths", "rep_dim-text", "rep_dim-bool", "obs_dim-bool", "weights-text", "phi0-length", "horizon",
         "ctrl_dim", "output", "target_dim", "two-heads", "no-heads"])
 def test_filter_json_refuses_a_bad_value_or_another_shape_by_key(edit, key):
     # a file of another filter shape, or a value of the wrong type, is a
