@@ -7,6 +7,8 @@ the same claims. Batteries are shared per module scope: the trained-model
 checks run their training once.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,22 @@ def test_criterion_12_flatness_diagnostic(static_ib_records):
     assert static_ib_records["flatness_info_estimate"].status == "report"
     assert static_ib_records["flatness_bound_rhs"].status == "report"
     assert np.isfinite(static_ib_records["flatness_hessian_trace"].value)
+
+
+def test_every_root_7_record_is_pinned(gradcheck_records, info_records,
+                                       kalman_records, static_ib_records,
+                                       seprep_records, control_sep_records):
+    # the refactor oracle, a byte-identical root-7 metrics.csv, as a test:
+    # every record's experiment, key, value, tolerance, status and instance
+    # count, exact to the bit (the value and tolerance as float.hex), in
+    # battery order. Recorded with numpy 2.4 and OpenBLAS on x86-64, as
+    # test_pinned_bits.py's digests are.
+    batteries = (gradcheck_records, info_records, kalman_records,
+                 static_ib_records, seprep_records, control_sep_records)
+    keys = [(r.experiment, r.key, float(r.value).hex(),
+             None if r.tolerance is None else float(r.tolerance).hex(),
+             r.status, r.instances)
+            for records in batteries for r in records.values()]
+    assert len(keys) == 33
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == (
+        "850669123463e86e4f65b2887c36c989c85312111e0416b9e9847d90e4a7bc81")
