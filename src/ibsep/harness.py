@@ -36,7 +36,6 @@ __all__ = [
     "run_seprep",
     "run_control_sep",
     "run",
-    "load_config",
     "write_metrics_csv",
     "main",
 ]
@@ -783,33 +782,6 @@ def run(config: ExperimentConfig) -> list:
     return all_records
 
 
-_CONFIG_KEYS = {"experiment", "seed", "out", "overrides"}
-
-
-def load_config(path) -> ExperimentConfig:
-    """Read a JSON config; unknown keys are rejected by name."""
-    try:
-        text = Path(path).read_text()
-    except OSError as err:
-        raise ValueError(f"cannot read config {path}: {err}")
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"config {path}: {err}")  # message carries line/column
-    if not isinstance(payload, dict):
-        raise ValueError(f"config {path}: expected a JSON object")
-    unknown = sorted(set(payload) - _CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config key {unknown[0]!r}")
-    if "experiment" not in payload:
-        raise ValueError("config missing required key 'experiment'")
-    overrides = payload.get("overrides", {})
-    if not isinstance(overrides, dict):
-        raise ValueError("'overrides' must be a JSON object")
-    return ExperimentConfig(payload["experiment"], payload.get("seed", 0),
-                            payload.get("out", "results"), dict(overrides))
-
-
 def _parse_set(text: str) -> tuple:
     if "=" not in text:
         raise ValueError(f"--set expects key=value, got {text!r}")
@@ -822,35 +794,23 @@ def _parse_set(text: str) -> tuple:
 
 
 def main(argv=None) -> int:
-    """``sepctl <experiment> [--seed N] [--config PATH] [--out DIR]
-    [--set key=value]...`` — run a battery and persist its metrics.
+    """``sepctl <experiment> [--seed N] [--out DIR] [--set key=value]...`` —
+    run a battery and persist its metrics.
 
     Exit codes: 0 all checks pass, 1 a check failed, 2 usage/config error.
-    CLI flags take precedence over config-file values.
     """
     parser = argparse.ArgumentParser(
         prog="sepctl",
         description="Run verification experiment batteries.")
     parser.add_argument("experiment", choices=EXPERIMENT_NAMES + ("all",))
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--config", default=None)
-    parser.add_argument("--out", default=None)
+    parser.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    parser.add_argument("--out", default=ExperimentConfig.out)
     parser.add_argument("--set", action="append", default=[], dest="sets",
                         metavar="KEY=VALUE")
     args = parser.parse_args(argv)
     try:
-        if args.config is not None:
-            base = load_config(args.config)
-        else:
-            base = ExperimentConfig(args.experiment)
-        overrides = dict(base.overrides)
-        overrides.update(dict(_parse_set(s) for s in args.sets))
-        config = ExperimentConfig(
-            args.experiment,
-            base.seed if args.seed is None else args.seed,
-            base.out if args.out is None else args.out,
-            overrides,
-        )
+        config = ExperimentConfig(args.experiment, args.seed, args.out,
+                                  dict(_parse_set(s) for s in args.sets))
         records = run(config)
     except (ValueError, OSError) as err:
         print(f"sepctl: {err}", file=sys.stderr)

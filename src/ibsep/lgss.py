@@ -40,7 +40,6 @@ __all__ = [
     "simulate",
     "kalman_predict",
     "kalman_update",
-    "predictive_density",
     "riccati_iterate",
     "batch_posterior_oracle",
     "run_filter",
@@ -77,22 +76,26 @@ class LGSSModel:
     P0: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        fields = {name: np.asarray(getattr(self, name), dtype=float)
+                  for name in ("A", "B", "C", "Q", "R", "mu0", "P0")}
+        for name, value in fields.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} has non-finite entries")
+        A = np.atleast_2d(fields["A"])
         n = A.shape[0]
-        B = np.asarray(self.B, dtype=float).reshape(n, -1)
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
+        B = fields["B"].reshape(n, -1)
+        C = np.atleast_2d(fields["C"])
         m = C.shape[0]
         if A.shape != (n, n) or C.shape != (m, n):
             raise ValueError("A must be n×n and C must be m×n")
-        mu0 = np.asarray(self.mu0, dtype=float).reshape(n)
-        Q = _check_psd(self.Q, "Q")
-        R = _check_psd(self.R, "R", strict=True)
-        P0 = _check_psd(self.P0, "P0")
+        mu0 = fields["mu0"].reshape(n)
+        Q = _check_psd(fields["Q"], "Q")
+        R = _check_psd(fields["R"], "R", strict=True)
+        P0 = _check_psd(fields["P0"], "P0")
         if Q.shape != (n, n) or R.shape != (m, m) or P0.shape != (n, n):
             raise ValueError("noise covariance dimensions inconsistent")
-        for field_name, value in (("A", A), ("B", B), ("C", C), ("Q", Q),
-                                  ("R", R), ("mu0", mu0), ("P0", P0)):
-            object.__setattr__(self, field_name, value)
+        for name, value in zip(fields, (A, B, C, Q, R, mu0, P0)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -335,16 +338,6 @@ def kalman_update(mean, cov, y, model: LGSSModel):
     return _finite(mean + _matvec(gain, y - _matvec(model.C, mean))), post_cov
 
 
-def predictive_density(mean, cov, model: LGSSModel, u=None) -> info.GaussianDistribution:
-    """Exact one-step predictive p(y_{t+1} | data up to t, u_t).
-
-    The posterior (mean, cov) predicts the prior N(m, P) over x_{t+1},
-    whose observation density is N(C m, C P Cᵀ + R).
-    """
-    mean, cov = kalman_predict(mean, cov, model, u)
-    return info.GaussianDistribution(model.C @ mean, model.C @ cov @ model.C.T + model.R)
-
-
 def riccati_iterate(model: LGSSModel, P_init, n_iters: int) -> np.ndarray:
     """Iterate the posterior-covariance map (predict then update) n times.
 
@@ -494,23 +487,46 @@ def trajectory_to_csv(trajectory: Trajectory, path) -> None:
                                        for v in block[t]])
 
 
+def _csv_field(value: str, path, line: int, column: str) -> float:
+    try:
+        number = float(value)
+    except ValueError:
+        number = np.nan
+    if not np.isfinite(number):
+        raise ValueError(f"trajectory file {path} line {line}: column {column} "
+                         f"holds {value!r}, not a finite number")
+    return number
+
+
 def trajectory_from_csv(path) -> Trajectory:
-    """Read a trajectory written by :func:`trajectory_to_csv`; refuse a malformed one."""
+    """Read a trajectory written by :func:`trajectory_to_csv`; refuse a malformed one.
+
+    The header must be the writer's, ``t`` and then ``u0..``, ``y0..`` and
+    ``x0..`` in that order, and every field after ``t`` a finite number.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"trajectory file {path} is empty")
-        columns, rows = header[1:], []
+        columns = header[1:]
+        unknown = [col for col in columns if col[:1] not in ("u", "y", "x")]
+        if unknown:
+            raise ValueError(f"trajectory file {path}: unknown trajectory columns {unknown}")
+        widths = [sum(col[0] == name for col in columns) for name in "uyx"]
+        expected = ["t"] + [f"{name}{i}" for name, width in zip("uyx", widths)
+                            for i in range(width)]
+        for c, (col, want) in enumerate(zip(header, expected), 1):
+            if col != want:
+                raise ValueError(f"trajectory file {path} column {c}: "
+                                 f"{col!r} where {want!r} belongs")
+        rows = []
         for row in filter(None, reader):
             if len(row) != len(header):
                 raise ValueError(f"trajectory file {path} line {reader.line_num}: "
                                  f"{len(row)} fields for {len(header)} columns")
-            rows.append([float(v) for v in row[1:]])
-    unknown = [col for col in columns if col[:1] not in ("u", "y", "x")]
-    if unknown:
-        raise ValueError(f"unknown trajectory columns {unknown}")
+            rows.append([_csv_field(v, path, reader.line_num, col)
+                         for v, col in zip(row[1:], columns)])
     table = np.array(rows, dtype=float).reshape(len(rows), len(columns))
-    blocks = {name: table[:, [c for c, col in enumerate(columns) if col[0] == name]]
-              for name in "uyx"}
-    return Trajectory(**blocks)
+    u, y, x = np.split(table, np.cumsum(widths[:2]), axis=1)
+    return Trajectory(u=u, x=x, y=y)

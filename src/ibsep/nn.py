@@ -46,16 +46,13 @@ __all__ = [
     "Node",
     "constant",
     "parameter",
-    "matmul",
     "affine_n",
     "scan_n",
-    "concat",
-    "relu_n",
     "log_softmax_n",
     "gather_logprob",
     "clip_n",
     "kl_to_standard_normal_n",
-    "detach",
+    "gaussian_bottleneck_n",
     "parameters",
     "param_group",
     "MLP",
@@ -151,10 +148,6 @@ class Node:
     def exp(self):
         out_val = np.exp(self.value)
         return Node(out_val, (self,), (lambda g: g * out_val,), op="exp")
-
-    def log(self):
-        val = self.value
-        return Node(np.log(val), (self,), (lambda g: g / val,), op="log")
 
     def square(self):
         return self * self
@@ -260,30 +253,14 @@ def param_group(params: dict, prefix: str) -> dict:
             if k.startswith(prefix + ".")}
 
 
-def detach(node: Node) -> Node:
-    """Copy of ``node``'s value with no graph history (stops gradients)."""
-    return Node(node.value.copy(), op="const")
-
-
-def matmul(a: Node, b: Node) -> Node:
-    """``a @ b`` over the last two axes; leading (run) axes broadcast."""
-    a, b = _wrap(a), _wrap(b)
-    av, bv = a.value, b.value
-    return Node(
-        av @ bv,
-        (a, b),
-        (lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape),
-         lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)),
-        op="matmul",
-    )
-
-
 def affine_n(x: Node, W: Node, b: Node, relu=False) -> Node:
     """One layer, ``x @ W + b`` and then a ReLU if ``relu`` is set, as one node.
 
-    Value and gradients are bit for bit those of ``matmul``, add and
-    ``relu_n``, with ``b`` broadcast over the rows of ``x @ W``. A backward
-    visit masks the incoming gradient once and keeps it until the next.
+    Value and gradients are bit for bit those of the unfused chain of a
+    matmul node, an add and a ReLU node (the references in
+    ``tests/references.py``), with ``b`` broadcast over the rows of
+    ``x @ W``. A backward visit masks the incoming gradient once and keeps
+    it until the next.
     """
     x, W, b = _wrap(x), _wrap(W), _wrap(b)
     xv, Wv, bv = x.value, W.value, b.value
@@ -314,10 +291,11 @@ def scan_n(phi0: Node, layers, inputs, tbptt: int) -> Node:
     step before it when t is a multiple of ``tbptt``.
 
     Value and gradients are bit for bit those of the unfused chain: per
-    step a concat of φ_t and inputs_t and one :func:`affine_n` per layer,
-    a :func:`detach` after every ``tbptt``-th step, and one concat of the
-    φ_t. A backward visit runs the BPTT once and keeps the parents'
-    gradients until the next. Each parameter's gradient is summed in the
+    step a concat node of φ_t and inputs_t and one :func:`affine_n` per
+    layer, a detached copy after every ``tbptt``-th step, and one concat
+    node of the φ_t (the references in ``tests/references.py``). A
+    backward visit runs the BPTT once and keeps the parents' gradients
+    until the next. Each parameter's gradient is summed in the
     order in which ``backward`` sums it over the unfused chain: window by
     window in time order, and in descending t within a window.
     """
@@ -376,25 +354,6 @@ def scan_n(phi0: Node, layers, inputs, tbptt: int) -> Node:
                 [lambda g, i=i: grads(g)[i] for i in range(len(parents))], op="scan")
 
 
-def concat(nodes, axis=-1) -> Node:
-    nodes = [_wrap(n) for n in nodes]
-    vals = [n.value for n in nodes]
-    out = np.concatenate(vals, axis=axis)
-    sizes = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_vjp(i):
-        def vjp(g):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(offsets[i], offsets[i + 1])
-            return g[tuple(index)]
-
-        return vjp
-
-    return Node(out, tuple(nodes), tuple(make_vjp(i) for i in range(len(nodes))),
-                op="concat")
-
-
 def _relu(x):
     """``np.where(x > 0, x, 0.0)`` bit for bit, at a fraction of its cost.
 
@@ -405,13 +364,6 @@ def _relu(x):
     out = np.fmax(x, 0.0)
     out += 0.0
     return out
-
-
-def relu_n(x: Node) -> Node:
-    x = _wrap(x)
-    val = x.value
-    mask = val > 0
-    return Node(_relu(val), (x,), (lambda g: g * mask,), op="relu")
 
 
 def log_softmax_n(x: Node) -> Node:
@@ -470,6 +422,21 @@ def kl_to_standard_normal_n(mu: Node, log_std: Node) -> Node:
     var = (log_std * 2.0).exp()
     total = (0.5 * (mu * mu + var - 1.0) - log_std).sum(axis=(-2, -1))
     return total * (1.0 / mu.value.shape[-2])
+
+
+def gaussian_bottleneck_n(stats: Node, eps) -> tuple:
+    """The (x, kl) nodes of a diagonal-Gaussian bottleneck with statistics ``stats``.
+
+    The last axis of ``stats`` holds μ and then the log-std, which is
+    clipped to [LOG_STD_MIN, LOG_STD_MAX]; x = μ + exp(log-std)·ε is the
+    reparametrized sample for the standard-normal draws ``eps`` (shaped
+    like μ), and kl is :func:`kl_to_standard_normal_n` of μ and the
+    clipped log-std.
+    """
+    d = stats.value.shape[-1] // 2
+    mu = stats[..., :d]
+    log_std = clip_n(stats[..., d:], LOG_STD_MIN, LOG_STD_MAX)
+    return mu + log_std.exp() * constant(eps), kl_to_standard_normal_n(mu, log_std)
 
 
 def _toposort(root: Node):

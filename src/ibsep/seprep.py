@@ -13,12 +13,12 @@ the filters step and predict over a batch of statistics, so an evaluation
 advances all of its trajectories together.
 
 A filter follows a duck-typed protocol: ``initial_phi()``, ``step(phi,
-y_next, t)``, ``predict(phi, samples, rng)`` (a Gaussian predictive of the
-next observation) and ``info(phi)``. The learned filter has one shape, the
-one the batteries certify: no control inputs, one decoder head for the
-next observation, one posterior sample per step in training, truncated
-backpropagation every :data:`TBPTT` steps and :data:`HIDDEN` hidden layers
-in the update and the decoder.
+y_next, t)`` and ``predict(phi, samples, rng)`` (a Gaussian predictive of
+the next observation, which :func:`predictive_nll` scores). The learned
+filter has one shape, the one the batteries certify: no control inputs,
+one decoder head for the next observation, one posterior sample per step
+in training, truncated backpropagation every :data:`TBPTT` steps and
+:data:`HIDDEN` hidden layers in the update and the decoder.
 
 Two exact references keep the learner honest: a hand-built filter that
 packs the Kalman mean and covariance into φ and reproduces the optimal
@@ -44,7 +44,6 @@ __all__ = [
     "KalmanSepFilter",
     "init_sep_filter",
     "predictive_nll",
-    "dyn_ibl_loss",
     "train_filter",
     "lgss_source",
     "evaluate_vs_kalman",
@@ -179,11 +178,6 @@ class SepFilterModel:
             params = {key: value[0] for key, value in params.items()}
         return params
 
-    def info(self, phi) -> float:
-        """Closed-form KL(q(x|φ) || N(0, I)) — the per-step information rate."""
-        mu, std = self.posterior_params(phi)
-        return float(info.kl_to_standard_normal(mu, std**2, 2.0 * np.log(std)))
-
 
 def init_sep_filter(rep_dim, obs_dim, rng=None) -> SepFilterModel:
     """Seeded construction: the update network first, then the decoder."""
@@ -193,15 +187,6 @@ def init_sep_filter(rep_dim, obs_dim, rng=None) -> SepFilterModel:
     head = nn.init_mlp([rep_dim, *HIDDEN, 2 * obs_dim], activations, rng)
     phi0 = np.zeros(2 * rep_dim)  # q(x_0) starts at the reference N(0, I)
     return SepFilterModel(rep_dim, obs_dim, update, head, phi0)
-
-
-def predictive_nll(params: dict, z) -> float:
-    """Negative log-likelihood of a target under predictive parameters."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    means = params.get("component_means")
-    if means is None:
-        return float(-info.gaussian_logpdf(params["mean"], params["cov"], z))
-    return float(_mixture_nll(means, params["component_vars"], z))
 
 
 # ---------------------------------------------------------------------------
@@ -227,33 +212,6 @@ class DynIBConfig:
             raise ValueError("beta must be non-negative")
         if self.traj_len < 1:
             raise ValueError(f"traj_len must be at least 1, got {self.traj_len!r}")
-
-
-def dyn_ibl_loss(model, ys, config: DynIBConfig, samples=1, rng=None) -> dict:
-    """Evaluate total = ce_term + β·info_term over a batch of trajectories.
-
-    ``ys`` is (B, T, obs_dim). ce_term is (1/T) Σ_t NLL(y_{t+1} | predict
-    from φ_t); info_term is (1/T) Σ_t KL(q(x_t|φ_t) || N(0,I)), the
-    per-step upper bound on the representation's information about the
-    history. Both are averaged over the batch. This per-step loop is the
-    reference the training graph is checked against.
-    """
-    ys = np.asarray(ys, dtype=float)
-    B, T = ys.shape[0], ys.shape[1]
-    ce_total = info_total = 0.0
-    for b in range(B):
-        phi = model.initial_phi()
-        for t in range(T):
-            info_total += model.info(phi)
-            ce_total += predictive_nll(model.predict(phi, samples, rng), ys[b, t])
-            phi = model.step(phi, ys[b, t], t)
-    ce_term = ce_total / (B * T)
-    info_term = info_total / (B * T)
-    return {
-        "total": ce_term + config.beta * info_term,
-        "ce_term": ce_term,
-        "info_term": info_term,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +259,7 @@ def _sep_loss_graph(model, param_nodes, ys, eps_draws, beta):
     layers = [(upd_nodes[f"W{k}"], upd_nodes[f"b{k}"], act == "relu")
               for k, act in enumerate(model.update.activations)]
     stacked = nn.scan_n(param_nodes["phi0"], layers, ys, TBPTT)
-    mu = stacked[..., :d]
-    log_std = nn.clip_n(stacked[..., d:], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
-    kl = nn.kl_to_standard_normal_n(mu, log_std)
-    x = mu + log_std.exp() * nn.constant(eps_draws.reshape(R, T * B, d))
+    x, kl = nn.gaussian_bottleneck_n(stacked, eps_draws.reshape(R, T * B, d))
     out = nn.forward(model.head, x, param_nodes=nn.param_group(param_nodes, "dec0"))
     mean = out[..., : model.obs_dim]
     dls = nn.clip_n(out[..., model.obs_dim :], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
@@ -374,11 +329,10 @@ class KalmanSepFilter:
     exact Kalman predict/update map with zero controls — a deterministic
     function of (φ_t, y_{t+1}), which is what makes the Kalman filter itself
     a separating statistic — and the predictive is the closed-form Gaussian.
-    ``info`` is 0: the statistic is deterministic given the history, so no
-    extra stochastic coding cost is charged. Like :class:`SepFilterModel`,
-    ``step`` and ``predict`` take a 2-D ``phi`` as a batch of statistics
-    (a lone one is the one-row batch). The rows whose covariance blocks are
-    equal byte for byte share one Kalman call over their batch of means.
+    Like :class:`SepFilterModel`, ``step`` and ``predict`` take a 2-D
+    ``phi`` as a batch of statistics (a lone one is the one-row batch). The
+    rows whose covariance blocks are equal byte for byte share one Kalman
+    call over their batch of means.
     """
 
     def __init__(self, model: lgss.LGSSModel):
@@ -420,10 +374,6 @@ class KalmanSepFilter:
         return {"mean": means, "cov": covs, "component_means": None,
                 "component_vars": None}
 
-    def info(self, phi) -> float:
-        return 0.0
-
-
 
 # ---------------------------------------------------------------------------
 # evaluation against the Kalman oracle
@@ -450,12 +400,20 @@ def _logsumexp(a):
     return np.where(np.isfinite(out), out, plain)
 
 
-def _mixture_nll(means, variances, z):
-    """-log of the equal-weight diagonal-Gaussian mixture at z.
+def predictive_nll(params: dict, z):
+    """Negative log-likelihood of targets under predictive parameters.
 
-    Components are on axis -2 of ``means`` and ``variances``; leading axes
-    are a batch, matched by those of ``z``.
+    The predictive of one statistic scores a lone target as a 0-d result;
+    that of a batch of N statistics scores N targets, one row each. An
+    exact predictive is scored as its Gaussian, a Monte Carlo one as the
+    equal-weight mixture of its diagonal-Gaussian components, which are on
+    axis -2 of ``component_means`` and ``component_vars``.
     """
+    z = np.asarray(z, dtype=float)
+    means = params.get("component_means")
+    if means is None:
+        return -info.gaussian_logpdf(params["mean"], params["cov"], z)
+    variances = params["component_vars"]
     logps = -0.5 * (np.sum((z[..., None, :] - means) ** 2 / variances, axis=-1)
                     + np.sum(np.log(variances), axis=-1) + z.shape[-1] * LOG2PI)
     return -(_logsumexp(logps) - math.log(means.shape[-2]))
@@ -494,11 +452,7 @@ def evaluate_vs_kalman(model, lgss_model: lgss.LGSSModel, T: int, num_traj: int,
         mean, cov = params["mean"], params["cov"]
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError(f"non-finite learned predictive at step {t}")
-        if params["component_means"] is None:
-            nll_learned[:, t] = -info.gaussian_logpdf(mean, cov, ys[:, t])
-        else:
-            nll_learned[:, t] = _mixture_nll(params["component_means"],
-                                             params["component_vars"], ys[:, t])
+        nll_learned[:, t] = predictive_nll(params, ys[:, t])
         kls[:, t] = info.kl_gaussian(kal_means[:, t], kal_covs[:, t], mean, cov)
         phi = model.step(phi, ys[:, t], t)
     nll_kalman = -info.gaussian_logpdf(kal_means, kal_covs, ys)

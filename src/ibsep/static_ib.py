@@ -33,7 +33,6 @@ __all__ = [
     "TrainingDiverged",
     "make_nuisance_task",
     "random_separated_encoder",
-    "ibl_loss",
     "info_bound_exact",
     "train_ib",
     "eval_accuracy",
@@ -280,13 +279,9 @@ def _loss_graph(encoder, decoder, param_nodes, y_idx, z_idx, eps, beta):
     one_hot = np.eye(encoder.mlp.widths[0])[y_idx]
     out = nn.forward(encoder.mlp, nn.constant(one_hot),
                      param_nodes=nn.param_group(param_nodes, "enc"))
-    d = encoder.rep_dim
-    mu = out[..., :d]
-    log_std = nn.clip_n(out[..., d:], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
-    x = mu + log_std.exp() * nn.constant(eps)
+    x, kl = nn.gaussian_bottleneck_n(out, eps)
     logits = nn.forward(decoder, x, param_nodes=nn.param_group(param_nodes, "dec"))
     ce = -nn.gather_logprob(nn.log_softmax_n(logits), z_idx).mean(axis=-1)
-    kl = nn.kl_to_standard_normal_n(mu, log_std)
     total = ce + kl * beta
     return total, ce, kl
 
@@ -295,28 +290,6 @@ def _named_params(encoder, decoder) -> dict:
     """The flat ``enc.*``/``dec.*`` parameter dict of a network pair."""
     return {**{f"enc.{k}": v for k, v in encoder.mlp.params().items()},
             **{f"dec.{k}": v for k, v in decoder.params().items()}}
-
-
-def ibl_loss(encoder, decoder, batch, config, rng=None) -> dict:
-    """Bottleneck objective on one batch of (y indices, z labels).
-
-    Returns ``total``, ``cross_entropy_term`` and ``info_term`` as floats;
-    total = ce + beta * mean_y KL(q(x|y) || N(0, I)). The KL term upper
-    bounds the representation's mutual information with y.
-    """
-    y_idx, z_idx = batch
-    y_idx = np.asarray(y_idx, dtype=int)
-    z_idx = np.asarray(z_idx, dtype=int)
-    rng = np.random.default_rng(config.seed) if rng is None else rng
-    eps = rng.standard_normal((1, y_idx.size, config.rep_dim))
-    params = nn.stack_runs([_named_params(encoder, decoder)])
-    total, ce, kl = _loss_graph(encoder, decoder, nn.parameters(params),
-                                y_idx[None], z_idx[None], eps, np.array([config.beta]))
-    return {
-        "total": float(total.value[0]),
-        "cross_entropy_term": float(ce.value[0]),
-        "info_term": float(kl.value[0]),
-    }
 
 
 def info_bound_exact(encoder, task: NuisanceTask) -> float:

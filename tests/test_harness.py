@@ -1,4 +1,4 @@
-"""Tests for experiment orchestration, config files, and the sepctl CLI."""
+"""Tests for experiment orchestration, run configs, and the sepctl CLI."""
 
 import functools
 import json
@@ -57,37 +57,6 @@ def test_metric_record_validates_status_and_finiteness():
     harness.MetricRecord("info", "x", float("nan"), None, "report", 0.0)
 
 
-def test_load_config_minimal_fills_defaults(tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text('{"experiment": "info"}')
-    cfg = harness.load_config(path)
-    assert cfg.experiment == "info"
-    assert cfg.seed == 0
-    assert cfg.out == "results"
-    assert cfg.overrides == {}
-
-
-def test_load_config_rejects_unknown_key(tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text('{"experiment": "info", "betta": 0.1}')
-    with pytest.raises(ValueError, match="betta"):
-        harness.load_config(path)
-
-
-def test_load_config_reports_parse_errors_with_line(tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text('{\n  "experiment": "info",\n  oops\n}')
-    with pytest.raises(ValueError, match="line 3"):
-        harness.load_config(path)
-
-
-def test_load_config_requires_experiment(tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text('{"seed": 4}')
-    with pytest.raises(ValueError, match="experiment"):
-        harness.load_config(path)
-
-
 @pytest.mark.parametrize("key, value", [
     ("seed", None), ("seed", "abc"), ("seed", 1.7), ("seed", True),
     ("out", None), ("out", 3),
@@ -95,18 +64,17 @@ def test_load_config_requires_experiment(tmp_path):
 def test_config_seed_and_out_are_checked_by_name(tmp_path, monkeypatch, capsys,
                                                  key, value):
     monkeypatch.chdir(tmp_path)  # a wrongly accepted out lands here
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"experiment": "info", key: value}))
     with pytest.raises(ValueError, match=key):
-        harness.load_config(path)
-    assert harness.main(["info", "--config", str(path)]) == 2
-    assert key in capsys.readouterr().err
+        harness.ExperimentConfig("info", **{key: value})
+    if key == "seed" and value is not None:  # what the CLI can spell
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["info", "--seed", str(value)])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
-def test_config_seed_accepts_an_integral_number(tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text('{"experiment": "info", "seed": 4.0}')
-    seed = harness.load_config(path).seed
+def test_config_seed_accepts_an_integral_number():
+    seed = harness.ExperimentConfig("info", seed=4.0).seed
     assert seed == 4 and type(seed) is int
     with pytest.raises(ValueError, match="seed"):
         harness.ExperimentConfig("info", seed=1.7)
@@ -197,9 +165,11 @@ def test_cli_failure_exit_code(tmp_path):
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
-    code = harness.main(["info", "--config", str(tmp_path / "absent.json")])
+    code = harness.main(["info", "--out", str(tmp_path), "--set", "betta=1"])
     assert code == 2
-    assert "sepctl:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "sepctl:" in err and "betta" in err
+    assert not (tmp_path / "info").exists()  # refused before any battery ran
 
 
 def test_cli_unknown_experiment_is_usage_error(capsys):
@@ -209,16 +179,11 @@ def test_cli_unknown_experiment_is_usage_error(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_cli_flags_override_config_file(tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"experiment": "gradcheck", "seed": 5,
-                                "out": str(tmp_path / "from_file"),
-                                "overrides": {"instances": 9}}))
-    # positional experiment and --seed beat the file; file out is kept
-    code = harness.main(["info", "--config", str(path), "--seed", "9"])
+def test_cli_seed_out_and_sets_reach_the_summary(tmp_path):
+    code = harness.main(["info", "--seed", "9", "--out", str(tmp_path / "flags"),
+                         "--set", "instances=9"])
     assert code == 0
-    summary = json.loads(
-        (tmp_path / "from_file" / "info" / "summary.json").read_text())
+    summary = json.loads((tmp_path / "flags" / "info" / "summary.json").read_text())
     assert summary["root_seed"] == 9
     assert summary["overrides"] == {"instances": 9}
 

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from ibsep import harness, info, lgss
 from ibsep.info import GaussianDistribution
 
+import references
+
 
 def scalar_model(a=0.9, c=1.0, q=0.1, r=0.1, mu0=0.0, p0=1.0, b=None):
     B = np.zeros((1, 0)) if b is None else np.array([[b]])
@@ -160,14 +162,14 @@ def test_predictive_zero_dynamics():
     model = lgss.LGSSModel(A=np.zeros((2, 2)), B=np.zeros((2, 0)), C=np.eye(2),
                            Q=np.zeros((2, 2)), R=np.eye(2),
                            mu0=[0.0, 0.0], P0=np.eye(2))
-    pred = lgss.predictive_density(model.mu0, model.P0, model)
+    pred = references.predictive_density(model.mu0, model.P0, model)
     assert np.allclose(pred.mean, 0.0)
     assert np.allclose(pred.cov, np.eye(2))
 
 
 def test_predictive_matches_monte_carlo():
     model = scalar_model(a=0.8, c=1.5, q=0.3, r=0.2, mu0=0.4, p0=0.5)
-    pred = lgss.predictive_density(model.mu0, model.P0, model)
+    pred = references.predictive_density(model.mu0, model.P0, model)
     rng = np.random.default_rng(8)
     n = 100_000
     x1 = 0.8 * (0.4 + math.sqrt(0.5) * rng.standard_normal(n)) + math.sqrt(0.3) * rng.standard_normal(n)
@@ -179,7 +181,7 @@ def test_predictive_matches_monte_carlo():
 
 def test_predictive_logpdf_closed_form():
     model = scalar_model()
-    pred = lgss.predictive_density(model.mu0, model.P0, model)
+    pred = references.predictive_density(model.mu0, model.P0, model)
     y = 0.7
     s = pred.cov[0, 0]
     expected = -0.5 * (math.log(2 * math.pi * s) + (y - pred.mean[0]) ** 2 / s)
@@ -358,7 +360,7 @@ def test_run_filter_predictives_are_the_one_step_densities():
         mean, cov = model.mu0, model.P0
         expect_ll = 0.0
         for t in range(traj.T):
-            expect = lgss.predictive_density(mean, cov, model, traj.u[t])
+            expect = references.predictive_density(mean, cov, model, traj.u[t])
             assert np.array_equal(pred_means[t], expect.mean)
             assert np.array_equal(pred_covs[t], expect.cov)
             expect_ll += info.gaussian_logpdf(expect.mean, expect.cov, traj.y[t])
@@ -374,7 +376,7 @@ def _per_step_chain(model, traj):
     mean, cov, loglik = model.mu0, model.P0, 0.0
     rows = []
     for t in range(traj.T):
-        pred = lgss.predictive_density(mean, cov, model, traj.u[t])
+        pred = references.predictive_density(mean, cov, model, traj.u[t])
         loglik += info.gaussian_logpdf(pred.mean, pred.cov, traj.y[t])
         mean, cov = lgss.kalman_update(*lgss.kalman_predict(mean, cov, model, traj.u[t]),
                                        traj.y[t], model)
@@ -733,7 +735,7 @@ def test_innovation_whiteness():
     mean, cov = model.mu0, model.P0
     innovations = []
     for t in range(traj.T):
-        pred = lgss.predictive_density(mean, cov, model)
+        pred = references.predictive_density(mean, cov, model)
         innovations.append((traj.y[t] - pred.mean) / math.sqrt(pred.cov[0, 0]))
         prior_mean, prior_cov = lgss.kalman_predict(mean, cov, model)
         mean, cov = lgss.kalman_update(prior_mean, prior_cov, traj.y[t], model)
@@ -759,6 +761,16 @@ def test_joseph_form_minimum_eigenvalue():
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C", "Q", "R", "mu0", "P0"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_model_refuses_non_finite_entries_by_name(name, bad):
+    fields = dict(A=[[0.9]], B=[[1.0]], C=[[1.0]], Q=[[0.1]], R=[[0.1]],
+                  mu0=[0.0], P0=[[1.0]])
+    fields[name] = np.full(np.shape(fields[name]), bad)
+    with pytest.raises(ValueError, match=rf"^{name} has non-finite entries$"):
+        lgss.LGSSModel(**fields)
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -797,3 +809,16 @@ def test_trajectory_csv_round_trips_no_controls_and_refuses_unknown_columns(tmp_
     path.write_text("t,y0,x0\n1,0.5,1.0\n2,0.5\n")
     with pytest.raises(ValueError, match=r"traj\.csv line 3: 2 fields for 3 columns"):
         lgss.trajectory_from_csv(path)
+    # a field that is not a finite number is refused by line and column
+    for field in ("abc", "nan", "inf", "-inf", ""):
+        path.write_text(f"t,y0,x0\n1,0.5,1.0\n2,{field},1.0\n")
+        with pytest.raises(ValueError, match=r"traj\.csv line 3: column y0 holds"):
+            lgss.trajectory_from_csv(path)
+    # columns out of the writer's order, or twice, would load into the wrong
+    # slots; they are refused by file and column
+    for header, column, bad in (("t,y1,y0", 2, "y1"), ("t,y0,y0", 3, "y0"),
+                                ("t,x0,y0", 2, "x0"), ("s,y0,x0", 1, "s"),
+                                ("t,y0,u0", 2, "y0")):
+        path.write_text(f"{header}\n1,1.0,2.0\n")
+        with pytest.raises(ValueError, match=rf"traj\.csv column {column}: '{bad}' where"):
+            lgss.trajectory_from_csv(path)

