@@ -15,7 +15,7 @@ from ibsep import lgss
 
 rng = np.random.default_rng(7)
 model = lgss.random_stable_model(rng, n=3, m=2)
-traj = lgss.simulate(model, controls=None, T=40, rng=rng)
+traj = lgss.simulate(model, T=40, rng=rng)
 print(f"simulated T={traj.T}, state dim {model.n}, obs dim {model.m}")
 
 (means, covs), (pred_means, pred_covs) = lgss.run_filter(model, [traj])
@@ -30,7 +30,7 @@ for t in (5, 20, 40):
 
 print("\nRiccati fixed point vs long-run filter covariance")
 P_star = lgss.riccati_iterate(model, np.eye(model.n), 5000)
-(_, long_covs), _ = lgss.run_filter(model, [lgss.simulate(model, None, 1000, rng)])
+(_, long_covs), _ = lgss.run_filter(model, [lgss.simulate(model, 1000, rng)])
 print(f"  ||P_filter(1000) - P*||_max = "
       f"{np.max(np.abs(long_covs[0, -1] - P_star)):.3e}")
 print(f"  steady posterior variance diag: {np.round(np.diag(P_star), 6)}")

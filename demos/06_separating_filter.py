@@ -14,7 +14,7 @@ import numpy as np
 
 from ibsep import lgss, seprep
 
-model = lgss.LGSSModel(A=[[0.9]], B=np.zeros((1, 0)), C=[[1.0]],
+model = lgss.LGSSModel(A=[[0.9]], C=[[1.0]],
                        Q=[[0.1]], R=[[0.1]], mu0=[0.0], P0=[[1.0]])
 
 print("exact filter embedded behind the learned-filter interface")

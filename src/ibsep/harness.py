@@ -164,11 +164,15 @@ def _integer(key: str, value, low=-math.inf, high=math.inf) -> int:
 
 
 def _opts(name: str, overrides) -> dict:
-    """The battery's defaults with the overrides it knows, typed and checked."""
+    """The battery's defaults with the overrides, typed and checked.
+
+    A key the battery does not know is a ValueError naming it.
+    """
     merged = dict(_DEFAULTS[name])
     for key, value in (overrides or {}).items():
-        if key in merged:
-            merged[key] = _typed(name, key, value, merged[key])
+        if key not in merged:
+            raise ValueError(f"unknown override key {key!r} for {name!r}")
+        merged[key] = _typed(name, key, value, merged[key])
     return merged
 
 
@@ -370,7 +374,7 @@ def run_kalman(seed: int, overrides=None) -> list:
         model = lgss.random_stable_model(rng, n=n, m=m)
         models.append(model)
         T = int(rng.integers(10, 51))
-        traj = lgss.simulate(model, None, T, rng)
+        traj = lgss.simulate(model, T, rng)
         (means, covs), _ = lgss.run_filter(model, [traj])
         for t in (max(1, T // 2), T):
             oracle = lgss.batch_posterior_oracle(model, traj, t)
@@ -382,7 +386,7 @@ def run_kalman(seed: int, overrides=None) -> list:
     riccati_devs = []
     for model in models[: max(0, opts["riccati_models"])]:
         fixed = lgss.riccati_iterate(model, 2.0 * np.eye(model.n), 5 * riccati_T)
-        traj = lgss.simulate(model, None, riccati_T, rng)
+        traj = lgss.simulate(model, riccati_T, rng)
         (_, covs), _ = lgss.run_filter(model, [traj])
         riccati_devs.append(np.max(np.abs(covs[0, -1] - fixed)))
     records.append(_gate("kalman", "riccati_vs_filter_max_dev", riccati_devs,
@@ -517,7 +521,7 @@ def run_static_ib(seed: int, overrides=None) -> list:
 
 
 def _scalar_lgss() -> lgss.LGSSModel:
-    return lgss.LGSSModel(A=[[0.9]], B=np.zeros((1, 0)), C=[[1.0]],
+    return lgss.LGSSModel(A=[[0.9]], C=[[1.0]],
                           Q=[[0.1]], R=[[0.1]], mu0=[0.0], P0=[[1.0]])
 
 

@@ -2,8 +2,8 @@
 
 The model is
 
-    x_{t+1} = A x_t + B u_t + w_t,   w_t ~ N(0, Q)
-    y_t     = C x_t + v_t,           v_t ~ N(0, R)
+    x_{t+1} = A x_t + w_t,   w_t ~ N(0, Q)
+    y_t     = C x_t + v_t,   v_t ~ N(0, R)
 
 with x_0 ~ N(mu0, P0). ``simulate`` draws one rollout and ``seprep``
 batches of them through one sampler: each rollout is one row of a
@@ -65,10 +65,9 @@ def _check_psd(mat, name, strict=False):
 
 @dataclass(frozen=True)
 class LGSSModel:
-    """Parameters (A, B, C, Q, R, mu0, P0) with dimensions (n, m, p)."""
+    """Parameters (A, C, Q, R, mu0, P0) with dimensions (n, m)."""
 
     A: np.ndarray
-    B: np.ndarray
     C: np.ndarray
     Q: np.ndarray
     R: np.ndarray
@@ -77,13 +76,12 @@ class LGSSModel:
 
     def __post_init__(self):
         fields = {name: np.asarray(getattr(self, name), dtype=float)
-                  for name in ("A", "B", "C", "Q", "R", "mu0", "P0")}
+                  for name in ("A", "C", "Q", "R", "mu0", "P0")}
         for name, value in fields.items():
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} has non-finite entries")
         A = np.atleast_2d(fields["A"])
         n = A.shape[0]
-        B = fields["B"].reshape(n, -1)
         C = np.atleast_2d(fields["C"])
         m = C.shape[0]
         if A.shape != (n, n) or C.shape != (m, n):
@@ -94,7 +92,7 @@ class LGSSModel:
         P0 = _check_psd(fields["P0"], "P0")
         if Q.shape != (n, n) or R.shape != (m, m) or P0.shape != (n, n):
             raise ValueError("noise covariance dimensions inconsistent")
-        for name, value in zip(fields, (A, B, C, Q, R, mu0, P0)):
+        for name, value in zip(fields, (A, C, Q, R, mu0, P0)):
             object.__setattr__(self, name, value)
 
     @property
@@ -105,10 +103,6 @@ class LGSSModel:
     def m(self) -> int:
         return self.C.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.B.shape[1]
-
     @cached_property
     def _noise_roots(self):
         """The covariance roots of x_0, w and v, computed once per model."""
@@ -117,20 +111,16 @@ class LGSSModel:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Simulated rollout: controls u_0..T-1, states x_1..T, observations y_1..T."""
+    """Simulated rollout: states x_1..T and observations y_1..T."""
 
-    u: np.ndarray  # (T, p)
     x: np.ndarray  # (T, n)
     y: np.ndarray  # (T, m)
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        T = y.shape[0]
-        if x.shape[0] != T or u.shape[0] != T:
-            raise ValueError("controls/states/observations lengths differ")
-        object.__setattr__(self, "u", u)
+        if x.shape[0] != y.shape[0]:
+            raise ValueError("states/observations lengths differ")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -139,13 +129,12 @@ class Trajectory:
         return self.y.shape[0]
 
 
-def random_stable_model(rng, n=2, m=1, p=0) -> LGSSModel:
+def random_stable_model(rng, n=2, m=1) -> LGSSModel:
     """Random well-posed model: A rescaled to spectral radius <= 0.95."""
     A = rng.standard_normal((n, n))
     radius = max(np.abs(np.linalg.eigvals(A)))
     if radius > 0:
         A = A * (0.95 * rng.uniform(0.5, 1.0) / radius)
-    B = rng.standard_normal((n, p)) if p else np.zeros((n, 0))
     C = rng.standard_normal((m, n))
     q_root = rng.standard_normal((n, n)) * 0.3
     Q = q_root @ q_root.T + 0.05 * np.eye(n)
@@ -154,7 +143,7 @@ def random_stable_model(rng, n=2, m=1, p=0) -> LGSSModel:
     mu0 = rng.standard_normal(n)
     p_root = rng.standard_normal((n, n)) * 0.3
     P0 = p_root @ p_root.T + 0.05 * np.eye(n)
-    return LGSSModel(A=A, B=B, C=C, Q=Q, R=R, mu0=mu0, P0=P0)
+    return LGSSModel(A=A, C=C, Q=Q, R=R, mu0=mu0, P0=P0)
 
 
 def covariance_root(cov):
@@ -169,16 +158,14 @@ def covariance_root(cov):
     return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
 
 
-def _rollouts(model: LGSSModel, T: int, rngs, batch: int, drift=None):
+def _rollouts(model: LGSSModel, T: int, rngs, batch: int):
     """States (rows, T, n) and observations (rows, T, m) of ``batch`` rollouts
     from each generator of ``rngs``, rows = len(rngs)·batch, generator-major.
 
     Each rollout takes one row of a standard-normal block drawn from its
     generator, holding its x_0, w and v draws in that order; a noise term
-    with an all-zero covariance draws nothing. ``drift``, when given, is
-    the (T, n) stack of B u_t, added to each transition before the noise.
-    One state recursion covers all rows, and the observations are one
-    stacked C x after it.
+    with an all-zero covariance draws nothing. One state recursion covers
+    all rows, and the observations are one stacked C x after it.
     """
     roots = model._noise_roots
     shapes = [(1, model.n), (T, model.n), (T, model.m)]  # x_0, w, v
@@ -199,26 +186,14 @@ def _rollouts(model: LGSSModel, T: int, rngs, batch: int, drift=None):
     x = model.mu0 + x0[:, 0]
     xs = np.empty((rows, T, model.n))
     for t in range(T):
-        x = _matvec(model.A, x)
-        if drift is not None:
-            x = x + drift[t]
-        x = xs[:, t] = x + w[:, t]
+        x = xs[:, t] = _matvec(model.A, x) + w[:, t]
     return xs, _matvec(model.C, xs) + v
 
 
-def simulate(model: LGSSModel, controls, T: int, rng) -> Trajectory:
-    """Roll the generative model forward for T steps.
-
-    ``controls`` is (T, p) (or None when p == 0); row t is u_t, applied in
-    the transition from x_t to x_{t+1}. Deterministic given the rng state.
-    """
-    if controls is None:  # zero controls add nothing to the transitions
-        u, drift = np.zeros((T, model.p)), None
-    else:
-        u = np.asarray(controls, dtype=float).reshape(T, model.p)
-        drift = _matvec(model.B, u)
-    (xs,), (ys,) = _rollouts(model, T, [rng], 1, drift)
-    return Trajectory(u=u, x=xs, y=ys)
+def simulate(model: LGSSModel, T: int, rng) -> Trajectory:
+    """Roll the generative model forward for T steps; deterministic given the rng state."""
+    (xs,), (ys,) = _rollouts(model, T, [rng], 1)
+    return Trajectory(x=xs, y=ys)
 
 
 def _finite(values):
@@ -313,16 +288,13 @@ def _matvec(mat, vecs):
     return (mat @ vecs[..., None])[..., 0]
 
 
-def kalman_predict(mean, cov, model: LGSSModel, u=None):
+def kalman_predict(mean, cov, model: LGSSModel):
     """Time update: the prior (mean, cov) over x_{t+1} given data up to t.
 
-    A batch of means (and of controls, one row each) shares one covariance.
+    A batch of means shares one covariance.
     """
     mean, cov = _state(mean, cov)
-    u = (np.zeros(model.p) if u is None
-         else np.asarray(u, dtype=float).reshape(*mean.shape[:-1], model.p))
-    prior_mean = _finite(_matvec(model.A, mean) + _matvec(model.B, u))
-    return prior_mean, _predict_cov(cov, model)
+    return _finite(_matvec(model.A, mean)), _predict_cov(cov, model)
 
 
 def kalman_update(mean, cov, y, model: LGSSModel):
@@ -380,13 +352,12 @@ def run_filter(model: LGSSModel, trajectories):
     """
     ys = _observations(trajectories, model.m, "run_filter")
     (N, T, m), n = ys.shape, model.n
-    controls = _matvec(model.B, np.stack([traj.u.reshape(T, model.p) for traj in trajectories]))
     means, covs = np.empty((N, T, n)), np.empty((T, n, n))
     pred_means, pred_covs = np.empty((N, T, m)), np.empty((T, m, m))
     mean = np.broadcast_to(model.mu0, (N, n))
     for t, (S, gain, cov) in enumerate(_covariance_steps(model.P0, T, model)):
         pred_covs[t], covs[t] = S, cov
-        mean = _finite(_matvec(model.A, mean) + controls[:, t])
+        mean = _finite(_matvec(model.A, mean))
         pred_means[:, t] = _matvec(model.C, mean)
         mean = means[:, t] = _finite(mean + _matvec(gain, ys[:, t] - pred_means[:, t]))
     covs, pred_covs = (np.broadcast_to(a, (N, *a.shape)) for a in (covs, pred_covs))
@@ -440,7 +411,7 @@ def batch_posterior_oracle(model: LGSSModel, trajectory: Trajectory,
     # State means and pairwise covariances joint[s, :, r, :] = Cov(x_s, x_r).
     means = [model.mu0]
     for s in range(t):
-        means.append(model.A @ means[-1] + model.B @ trajectory.u[s])
+        means.append(model.A @ means[-1])
     joint = np.zeros((t + 1, n, t + 1, n))
     joint[0, :, 0, :] = model.P0
     for s in range(t):
@@ -476,8 +447,8 @@ def batch_posterior_oracle(model: LGSSModel, trajectory: Trajectory,
 
 
 def trajectory_to_csv(trajectory: Trajectory, path) -> None:
-    """Write rows t, u..., y..., x... (t = 1..T; row t carries u_{t-1})."""
-    blocks = {"u": trajectory.u, "y": trajectory.y, "x": trajectory.x}
+    """Write rows t, y..., x... (t = 1..T)."""
+    blocks = {"y": trajectory.y, "x": trajectory.x}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"{name}{i}" for name, block in blocks.items()
@@ -501,8 +472,9 @@ def _csv_field(value: str, path, line: int, column: str) -> float:
 def trajectory_from_csv(path) -> Trajectory:
     """Read a trajectory written by :func:`trajectory_to_csv`; refuse a malformed one.
 
-    The header must be the writer's, ``t`` and then ``u0..``, ``y0..`` and
-    ``x0..`` in that order, and every field after ``t`` a finite number.
+    The header must be the writer's, ``t`` and then ``y0..`` and ``x0..``
+    in that order, ``t`` must number the rows 1, 2, ... as the writer does,
+    and every field after it must be a finite number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -510,11 +482,11 @@ def trajectory_from_csv(path) -> Trajectory:
         if header is None:
             raise ValueError(f"trajectory file {path} is empty")
         columns = header[1:]
-        unknown = [col for col in columns if col[:1] not in ("u", "y", "x")]
+        unknown = [col for col in columns if col[:1] not in ("y", "x")]
         if unknown:
             raise ValueError(f"trajectory file {path}: unknown trajectory columns {unknown}")
-        widths = [sum(col[0] == name for col in columns) for name in "uyx"]
-        expected = ["t"] + [f"{name}{i}" for name, width in zip("uyx", widths)
+        widths = [sum(col[0] == name for col in columns) for name in "yx"]
+        expected = ["t"] + [f"{name}{i}" for name, width in zip("yx", widths)
                             for i in range(width)]
         for c, (col, want) in enumerate(zip(header, expected), 1):
             if col != want:
@@ -525,8 +497,11 @@ def trajectory_from_csv(path) -> Trajectory:
             if len(row) != len(header):
                 raise ValueError(f"trajectory file {path} line {reader.line_num}: "
                                  f"{len(row)} fields for {len(header)} columns")
+            if row[0] != str(len(rows) + 1):
+                raise ValueError(f"trajectory file {path} line {reader.line_num}: column t "
+                                 f"holds {row[0]!r} where {len(rows) + 1} belongs")
             rows.append([_csv_field(v, path, reader.line_num, col)
                          for v, col in zip(row[1:], columns)])
     table = np.array(rows, dtype=float).reshape(len(rows), len(columns))
-    u, y, x = np.split(table, np.cumsum(widths[:2]), axis=1)
-    return Trajectory(u=u, x=x, y=y)
+    y, x = np.split(table, widths[:1], axis=1)
+    return Trajectory(x=x, y=y)

@@ -143,22 +143,20 @@ class SepFilterModel:
         """Monte-Carlo predictive of the next observation from ``samples``
         posterior draws.
 
-        With ``rng=None`` the draw collapses to the posterior mean — the
-        degenerate/Dirac evaluation. The result holds the mixture
-        components and the moment-matched (mean, cov).
+        ``rng`` is a sequence of one Generator per statistic, or None: the
+        draw then collapses to the posterior mean — the degenerate/Dirac
+        evaluation. The result holds the mixture components and the
+        moment-matched (mean, cov).
 
         A 2-D ``phi`` is a batch of N statistics, and every returned array
-        gains a leading axis of N. ``rng`` is then one Generator or a
-        sequence of N: row i then draws from ``rng[i]`` exactly what a lone
-        prediction from that Generator would.
+        gains a leading axis of N; row i draws from ``rng[i]`` exactly what
+        a lone prediction from that Generator would.
         """
         phi = np.asarray(phi, dtype=float)
         mu, sigma = self.posterior_params(phi.reshape(-1, 2 * self.rep_dim))
         N = mu.shape[0]
         if rng is None:
             eps = np.zeros((N, samples, self.rep_dim))
-        elif isinstance(rng, np.random.Generator):
-            eps = rng.standard_normal((N, samples, self.rep_dim))
         else:
             eps = np.stack([r.standard_normal((samples, self.rep_dim)) for r in rng])
         x = mu[:, None] + sigma[:, None] * eps  # (N, samples, d)
@@ -222,8 +220,8 @@ class DynIBConfig:
 def lgss_source(model: lgss.LGSSModel, T: int):
     """Observation source drawing from a linear-Gaussian state-space model.
 
-    A draw of ``batch`` trajectories (zero controls) is bit-identical to
-    ``batch`` successive ``lgss.simulate`` calls on the same rng: both run
+    A draw of ``batch`` trajectories is bit-identical to ``batch``
+    successive ``lgss.simulate`` calls on the same rng: both run
     the one sampler of :mod:`ibsep.lgss`, each trajectory one row of a
     standard-normal block. Given R generators, run r draws its block from
     the r-th, one state recursion covers all R·batch rows, and a leading
@@ -326,9 +324,9 @@ class KalmanSepFilter:
     """The Kalman filter packed into the filtering protocol.
 
     φ stacks the posterior mean and flattened covariance, the update is the
-    exact Kalman predict/update map with zero controls — a deterministic
-    function of (φ_t, y_{t+1}), which is what makes the Kalman filter itself
-    a separating statistic — and the predictive is the closed-form Gaussian.
+    exact Kalman predict/update map — a deterministic function of
+    (φ_t, y_{t+1}), which is what makes the Kalman filter itself a
+    separating statistic — and the predictive is the closed-form Gaussian.
     Like :class:`SepFilterModel`, ``step`` and ``predict`` take a 2-D
     ``phi`` as a batch of statistics (a lone one is the one-row batch). The
     rows whose covariance blocks are equal byte for byte share one Kalman
@@ -423,9 +421,9 @@ def evaluate_vs_kalman(model, lgss_model: lgss.LGSSModel, T: int, num_traj: int,
                        seed: int, samples: int = 64) -> dict:
     """Held-out comparison of a filter against the exact Kalman predictives.
 
-    Fresh trajectories are simulated from ``lgss_model`` (zero controls);
-    for every step the learned one-step predictive of y_{t+1} is scored
-    beside the Kalman one. Returns nll_learned, nll_kalman, their gap, and
+    Fresh trajectories are simulated from ``lgss_model``; for every step
+    the learned one-step predictive of y_{t+1} is scored beside the Kalman
+    one. Returns nll_learned, nll_kalman, their gap, and
     mean_kl = average KL(kalman || moment-matched learned); ``records``
     carries the per-(trajectory, step) rows.
 
@@ -441,8 +439,7 @@ def evaluate_vs_kalman(model, lgss_model: lgss.LGSSModel, T: int, num_traj: int,
     sim_rngs = [np.random.default_rng(sim_ss) for sim_ss, _ in streams]
     eval_rngs = [np.random.default_rng(eval_ss) for _, eval_ss in streams]
     xs, ys = lgss._rollouts(lgss_model, T, sim_rngs, 1)
-    no_controls = np.zeros((T, lgss_model.p))
-    trajs = [lgss.Trajectory(u=no_controls, x=x, y=y) for x, y in zip(xs, ys)]
+    trajs = [lgss.Trajectory(x=x, y=y) for x, y in zip(xs, ys)]
     _, (kal_means, kal_covs) = lgss.run_filter(lgss_model, trajs)
     nll_learned = np.empty((num_traj, T))
     kls = np.empty((num_traj, T))
@@ -636,8 +633,7 @@ def marginal_candidate(hmm: FiniteHMM, T: int):
 # serialization
 # ---------------------------------------------------------------------------
 
-# keys of the general format (controls, offsets, output families), fixed here
-_FIXED_KEYS = {"ctrl_dim": 0, "horizon": 0, "output": "gaussian"}
+_FILTER_KEYS = {"rep_dim", "obs_dim", "phi0", "update", "head"}
 _MLP_KEYS = {"widths", "activations", "weights", "biases"}
 
 
@@ -666,19 +662,14 @@ def save_filter_json(model: SepFilterModel, path=None) -> str:
     """Serialize architecture and weights; floats round-trip exactly.
 
     Values are written with shortest round-trip formatting (at most 17
-    significant digits), so loading reproduces the arrays bit for bit. The
-    fixed shape is written out as ``ctrl_dim`` 0, ``horizon`` 0, ``output``
-    "gaussian", ``target_dim`` equal to ``obs_dim`` and a one-entry
-    ``heads`` list.
+    significant digits), so loading reproduces the arrays bit for bit.
     """
     payload = {
         "rep_dim": model.rep_dim,
         "obs_dim": model.obs_dim,
-        **_FIXED_KEYS,
-        "target_dim": model.obs_dim,
         "phi0": model.phi0.tolist(),
         "update": _mlp_payload(model.update),
-        "heads": [_mlp_payload(model.head)],
+        "head": _mlp_payload(model.head),
     }
     text = json.dumps(payload, indent=2)
     if path is not None:
@@ -691,28 +682,23 @@ def save_filter_json(model: SepFilterModel, path=None) -> str:
 def load_filter_json(source) -> SepFilterModel:
     """Load a model written by :func:`save_filter_json` (path, text or file).
 
-    A missing key, a value of the wrong type or a file of another shape
-    (controls, more than one head, another output family or target) is a
+    A missing or an unknown key, or a value of the wrong type, is a
     ``ValueError`` that names the key.
     """
     payload = info._read_json_object(source)
-    missing = ({"rep_dim", "obs_dim", "target_dim", "phi0", "update", "heads"}
-               | set(_FIXED_KEYS)) - set(payload)
+    missing = _FILTER_KEYS - set(payload)
     if missing:
         raise ValueError(f"model file missing keys: {sorted(missing)}")
+    unknown = set(payload) - _FILTER_KEYS
+    if unknown:
+        raise ValueError(f"unknown model file key {sorted(unknown)[0]!r}")
     rep_dim, obs_dim = (info._parsed(key, info._integer, payload[key])
                         for key in ("rep_dim", "obs_dim"))
-    for key, value in {**_FIXED_KEYS, "target_dim": obs_dim}.items():
-        if payload[key] != value:
-            raise ValueError(f"model file key {key!r} must be {value!r}, got {payload[key]!r}")
-    heads = payload["heads"]
-    if not isinstance(heads, list) or len(heads) != 1:
-        raise ValueError("model file key 'heads' must be a list of one decoder")
     return SepFilterModel(
         rep_dim=rep_dim,
         obs_dim=obs_dim,
         update=_mlp_from_payload("update", payload["update"]),
-        head=_mlp_from_payload("heads", heads[0]),
+        head=_mlp_from_payload("head", payload["head"]),
         phi0=info._parsed("phi0", lambda v: np.asarray(v, dtype=float).reshape(2 * rep_dim),
                           payload["phi0"]),
     )

@@ -66,13 +66,13 @@ def detach(node):
 # ---------------------------------------------------------------------------
 
 
-def predictive_density(mean, cov, model, u=None):
-    """Exact one-step predictive p(y_{t+1} | data up to t, u_t).
+def predictive_density(mean, cov, model):
+    """Exact one-step predictive p(y_{t+1} | data up to t).
 
     The posterior (mean, cov) predicts the prior N(m, P) over x_{t+1},
     whose observation density is N(C m, C P Cᵀ + R).
     """
-    mean, cov = lgss.kalman_predict(mean, cov, model, u)
+    mean, cov = lgss.kalman_predict(mean, cov, model)
     return info.GaussianDistribution(model.C @ mean, model.C @ cov @ model.C.T + model.R)
 
 
@@ -115,13 +115,14 @@ def dyn_ibl_loss(model, ys, config, samples=1, rng=None):
     """
     ys = np.asarray(ys, dtype=float)
     B, T = ys.shape[0], ys.shape[1]
+    rngs = None if rng is None else [rng]
     ce_total = info_total = 0.0
     for b in range(B):
         phi = model.initial_phi()
         for t in range(T):
             mu, std = model.posterior_params(phi)
             info_total += float(info.kl_to_standard_normal(mu, std**2, 2.0 * np.log(std)))
-            ce_total += float(seprep.predictive_nll(model.predict(phi, samples, rng),
+            ce_total += float(seprep.predictive_nll(model.predict(phi, samples, rngs),
                                                     ys[b, t]))
             phi = model.step(phi, ys[b, t], t)
     ce_term = ce_total / (B * T)

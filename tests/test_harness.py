@@ -132,6 +132,9 @@ def test_run_rejects_unknown_override():
     cfg = harness.ExperimentConfig("info", overrides={"betta": 1})
     with pytest.raises(ValueError, match="betta"):
         harness.run(cfg)
+    # a battery called directly refuses it too, instead of running its defaults
+    with pytest.raises(ValueError, match="unknown override key 'instancez' for 'info'"):
+        harness.run_info(harness.experiment_seed(7, "info"), {"instancez": 5})
 
 
 def test_seed_changes_random_battery_draws(tmp_path):

@@ -10,9 +10,8 @@ from ibsep.info import GaussianDistribution
 import references
 
 
-def scalar_model(a=0.9, c=1.0, q=0.1, r=0.1, mu0=0.0, p0=1.0, b=None):
-    B = np.zeros((1, 0)) if b is None else np.array([[b]])
-    return lgss.LGSSModel(A=[[a]], B=B, C=[[c]], Q=[[q]], R=[[r]],
+def scalar_model(a=0.9, c=1.0, q=0.1, r=0.1, mu0=0.0, p0=1.0):
+    return lgss.LGSSModel(A=[[a]], C=[[c]], Q=[[q]], R=[[r]],
                           mu0=[mu0], P0=[[p0]])
 
 
@@ -22,18 +21,18 @@ def scalar_model(a=0.9, c=1.0, q=0.1, r=0.1, mu0=0.0, p0=1.0, b=None):
 
 
 def test_simulate_noiseless_fixed_point():
-    model = lgss.LGSSModel(A=np.eye(2), B=np.zeros((2, 0)), C=np.eye(2),
+    model = lgss.LGSSModel(A=np.eye(2), C=np.eye(2),
                            Q=np.zeros((2, 2)), R=1e-300 * np.eye(2),
                            mu0=[1.0, -2.0], P0=np.zeros((2, 2)))
     # R must be PD; use a negligible floor and compare loosely enough
-    traj = lgss.simulate(model, None, 10, np.random.default_rng(0))
+    traj = lgss.simulate(model, 10, np.random.default_rng(0))
     assert np.allclose(traj.y, np.tile([1.0, -2.0], (10, 1)), atol=1e-9)
     assert np.allclose(traj.x, np.tile([1.0, -2.0], (10, 1)))
 
 
 def test_simulate_ar1_autocorrelation():
     model = scalar_model(a=0.9, q=1.0, r=1e-6, p0=1.0 / (1 - 0.81))
-    traj = lgss.simulate(model, None, 100_000, np.random.default_rng(1))
+    traj = lgss.simulate(model, 100_000, np.random.default_rng(1))
     x = traj.x[:, 0]
     x = x - x.mean()
     rho = np.dot(x[:-1], x[1:]) / np.dot(x, x)
@@ -41,10 +40,9 @@ def test_simulate_ar1_autocorrelation():
 
 
 def test_simulate_deterministic_given_seed():
-    model = lgss.random_stable_model(np.random.default_rng(2), n=3, m=2, p=1)
-    u = np.random.default_rng(3).normal(size=(20, 1))
-    t1 = lgss.simulate(model, u, 20, np.random.default_rng(7))
-    t2 = lgss.simulate(model, u, 20, np.random.default_rng(7))
+    model = lgss.random_stable_model(np.random.default_rng(2), n=3, m=2)
+    t1 = lgss.simulate(model, 20, np.random.default_rng(7))
+    t2 = lgss.simulate(model, 20, np.random.default_rng(7))
     assert np.array_equal(t1.x, t2.x)
     assert np.array_equal(t1.y, t2.y)
 
@@ -55,7 +53,7 @@ def test_simulate_deterministic_given_seed():
 
 
 def test_predict_identity_dynamics_fixed_point():
-    model = lgss.LGSSModel(A=np.eye(2), B=np.zeros((2, 0)), C=np.eye(2),
+    model = lgss.LGSSModel(A=np.eye(2), C=np.eye(2),
                            Q=np.zeros((2, 2)), R=np.eye(2),
                            mu0=[0.5, 1.5], P0=np.eye(2))
     mean, cov = lgss.kalman_predict(model.mu0, model.P0, model)
@@ -80,7 +78,7 @@ def test_predict_keeps_symmetric_psd():
 
 
 def test_update_uninformative_observation():
-    model = lgss.LGSSModel(A=np.eye(2), B=np.zeros((2, 0)), C=np.zeros((1, 2)),
+    model = lgss.LGSSModel(A=np.eye(2), C=np.zeros((1, 2)),
                            Q=np.eye(2), R=np.eye(1), mu0=[0.0, 0.0], P0=np.eye(2))
     prior_mean, prior_cov = np.array([1.0, 2.0]), 2.0 * np.eye(2)
     mean, cov = lgss.kalman_update(prior_mean, prior_cov, [3.0], model)
@@ -120,7 +118,6 @@ def _singular_innovation_model():
     # model validator forbids R = 0, so build the instance unvalidated
     bad_model = lgss.LGSSModel.__new__(lgss.LGSSModel)
     object.__setattr__(bad_model, "A", np.eye(1))
-    object.__setattr__(bad_model, "B", np.zeros((1, 0)))
     object.__setattr__(bad_model, "C", np.array([[1.0]]))
     object.__setattr__(bad_model, "Q", np.zeros((1, 1)))
     object.__setattr__(bad_model, "R", np.zeros((1, 1)))
@@ -136,7 +133,7 @@ def test_update_singular_innovation_errors():
         lgss.kalman_update(np.zeros(1), np.zeros((1, 1)), [0.0], bad_model)
     with pytest.raises(np.linalg.LinAlgError, match=singular):
         lgss.riccati_iterate(bad_model, np.zeros((1, 1)), 3)
-    traj = lgss.Trajectory(u=np.zeros((2, 0)), x=np.zeros((2, 1)), y=np.zeros((2, 1)))
+    traj = lgss.Trajectory(x=np.zeros((2, 1)), y=np.zeros((2, 1)))
     with pytest.raises(np.linalg.LinAlgError, match=singular):
         lgss.run_filter(bad_model, [traj])
 
@@ -148,7 +145,7 @@ def test_an_overflowing_innovation_covariance_is_non_finite():
 
 
 def test_oracle_singular_observation_covariance_errors():
-    traj = lgss.Trajectory(u=np.zeros((2, 0)), x=np.zeros((2, 1)), y=np.zeros((2, 1)))
+    traj = lgss.Trajectory(x=np.zeros((2, 1)), y=np.zeros((2, 1)))
     with pytest.raises(np.linalg.LinAlgError, match="joint observation covariance singular"):
         lgss.batch_posterior_oracle(_singular_innovation_model(), traj, 2)
 
@@ -159,7 +156,7 @@ def test_oracle_singular_observation_covariance_errors():
 
 
 def test_predictive_zero_dynamics():
-    model = lgss.LGSSModel(A=np.zeros((2, 2)), B=np.zeros((2, 0)), C=np.eye(2),
+    model = lgss.LGSSModel(A=np.zeros((2, 2)), C=np.eye(2),
                            Q=np.zeros((2, 2)), R=np.eye(2),
                            mu0=[0.0, 0.0], P0=np.eye(2))
     pred = references.predictive_density(model.mu0, model.P0, model)
@@ -194,7 +191,7 @@ def test_predictive_logpdf_closed_form():
 
 
 def test_riccati_trace_shrinks_with_sharp_observations():
-    model = lgss.LGSSModel(A=0.9 * np.eye(2), B=np.zeros((2, 0)), C=np.eye(2),
+    model = lgss.LGSSModel(A=0.9 * np.eye(2), C=np.eye(2),
                            Q=np.zeros((2, 2)), R=1e-4 * np.eye(2),
                            mu0=np.zeros(2), P0=np.eye(2))
     P = np.eye(2)
@@ -225,7 +222,7 @@ def test_riccati_scalar_golden_ratio():
 def test_riccati_matches_long_filter_covariance():
     rng = np.random.default_rng(10)
     model = lgss.random_stable_model(rng, n=2, m=2)
-    traj = lgss.simulate(model, None, 1000, rng)
+    traj = lgss.simulate(model, 1000, rng)
     (_, (covs,)), _ = lgss.run_filter(model, [traj])
     P_star = lgss.riccati_iterate(model, model.P0, 1000)
     assert np.max(np.abs(covs[-1] - P_star)) < 1e-8
@@ -346,12 +343,12 @@ def test_kalman_battery_riccati_work_stays_short(monkeypatch):
 def test_run_filter_predictives_are_the_one_step_densities():
     # bitwise the per-step loop over the public predict/update: row t of
     # the posteriors is kalman_update(kalman_predict(row t-1)), row t of the
-    # predictives is predictive_density at row t-1, controls included, and
-    # loglik is their running sum
+    # predictives is predictive_density at row t-1, and loglik is their
+    # running sum
     rng = np.random.default_rng(13)
-    for n, m, p in ((3, 2, 2), (1, 1, 0), (4, 3, 1), (5, 1, 0), (2, 3, 2)):
-        model = lgss.random_stable_model(rng, n=n, m=m, p=p)
-        traj = lgss.simulate(model, rng.normal(size=(12, p)), 12, rng)
+    for n, m in ((3, 2), (1, 1), (4, 3), (5, 1), (2, 3)):
+        model = lgss.random_stable_model(rng, n=n, m=m)
+        traj = lgss.simulate(model, 12, rng)
         filtered, predictives = lgss.run_filter(model, [traj])
         ((means,), (covs,)), ((pred_means,), (pred_covs,)) = filtered, predictives
         (loglik,) = lgss.predictive_loglik([traj], *predictives)
@@ -360,11 +357,11 @@ def test_run_filter_predictives_are_the_one_step_densities():
         mean, cov = model.mu0, model.P0
         expect_ll = 0.0
         for t in range(traj.T):
-            expect = references.predictive_density(mean, cov, model, traj.u[t])
+            expect = references.predictive_density(mean, cov, model)
             assert np.array_equal(pred_means[t], expect.mean)
             assert np.array_equal(pred_covs[t], expect.cov)
             expect_ll += info.gaussian_logpdf(expect.mean, expect.cov, traj.y[t])
-            prior = lgss.kalman_predict(mean, cov, model, traj.u[t])
+            prior = lgss.kalman_predict(mean, cov, model)
             mean, cov = lgss.kalman_update(*prior, traj.y[t], model)
             assert np.array_equal(means[t], mean)
             assert np.array_equal(covs[t], cov)
@@ -376,18 +373,18 @@ def _per_step_chain(model, traj):
     mean, cov, loglik = model.mu0, model.P0, 0.0
     rows = []
     for t in range(traj.T):
-        pred = references.predictive_density(mean, cov, model, traj.u[t])
+        pred = references.predictive_density(mean, cov, model)
         loglik += info.gaussian_logpdf(pred.mean, pred.cov, traj.y[t])
-        mean, cov = lgss.kalman_update(*lgss.kalman_predict(mean, cov, model, traj.u[t]),
+        mean, cov = lgss.kalman_update(*lgss.kalman_predict(mean, cov, model),
                                        traj.y[t], model)
         rows.append((mean, cov, pred.mean, pred.cov))
     return [np.stack(col) for col in zip(*rows)] + [loglik]
 
 
-def _controlled_case(rng, T):
+def _random_case(rng, T):
     model = lgss.random_stable_model(rng, n=int(rng.integers(1, 5)),
-                                     m=int(rng.integers(1, 3)), p=int(rng.integers(1, 3)))
-    return model, lgss.simulate(model, rng.normal(size=(T, model.p)), T, rng)
+                                     m=int(rng.integers(1, 3)))
+    return model, lgss.simulate(model, T, rng)
 
 
 def test_a_long_run_filter_equals_the_per_step_chain_bitwise():
@@ -395,7 +392,7 @@ def test_a_long_run_filter_equals_the_per_step_chain_bitwise():
     # lookup; means, covariances, predictives and loglik keep the chain's bits
     rng = np.random.default_rng(29)
     for _ in range(6):
-        model, traj = _controlled_case(rng, 1000)
+        model, traj = _random_case(rng, 1000)
         want = _per_step_chain(model, traj)
         assert len({cov.tobytes() for cov in want[1]}) < 1000
         got = [a[0] for a in _flat(_with_loglik([traj], lgss.run_filter(model, [traj])))]
@@ -409,11 +406,11 @@ def test_run_filter_steps_each_distinct_posterior_covariance_once(monkeypatch):
     calls = _count_steps(monkeypatch)
     rng = np.random.default_rng(31)
     for _ in range(6):
-        model, _ = _controlled_case(rng, 1)
+        model, _ = _random_case(rng, 1)
         _, mu, lam = _riccati_reference(model, model.P0)
         assert mu + lam < 1000
         for T in (mu + lam, 1000):
-            traj = lgss.simulate(model, rng.normal(size=(T, model.p)), T, rng)
+            traj = lgss.simulate(model, T, rng)
             calls.clear()
             lgss.run_filter(model, [traj])
             assert len(calls) == len(set(calls)) == min(T, mu + lam)
@@ -421,17 +418,17 @@ def test_run_filter_steps_each_distinct_posterior_covariance_once(monkeypatch):
 
 def test_a_nan_observation_past_the_covariance_repeat_still_raises():
     rng = np.random.default_rng(37)
-    model, traj = _controlled_case(rng, 400)
+    model, traj = _random_case(rng, 400)
     _, mu, lam = _riccati_reference(model, model.P0)
     y = traj.y.copy()
     y[mu + lam + 5] = np.nan
     with pytest.raises(ValueError, match="non-finite filter state"):
-        lgss.run_filter(model, [lgss.Trajectory(u=traj.u, x=traj.x, y=y)])
+        lgss.run_filter(model, [lgss.Trajectory(x=traj.x, y=y)])
 
 
 def test_a_bare_trajectory_is_refused_by_name():
     model = scalar_model()
-    traj = lgss.simulate(model, None, 5, np.random.default_rng(41))
+    traj = lgss.simulate(model, 5, np.random.default_rng(41))
     with pytest.raises(ValueError, match="list or tuple of trajectories, got Trajectory"):
         lgss.run_filter(model, traj)
     # a tuple is a list of trajectories
@@ -442,10 +439,10 @@ def test_a_bare_trajectory_is_refused_by_name():
 def test_predictive_loglik_refuses_predictives_of_other_trajectories():
     rng = np.random.default_rng(43)
     model = lgss.random_stable_model(rng, n=2, m=2)
-    trajs = [lgss.simulate(model, None, 6, rng) for _ in range(3)]
+    trajs = [lgss.simulate(model, 6, rng) for _ in range(3)]
     _, (pred_means, pred_covs) = lgss.run_filter(model, trajs)
     assert lgss.predictive_loglik(trajs, pred_means, pred_covs).shape == (3,)
-    for others in (trajs[:2], [lgss.simulate(model, None, 5, rng)] * 3):
+    for others in (trajs[:2], [lgss.simulate(model, 5, rng)] * 3):
         with pytest.raises(ValueError, match="do not fit observations"):
             lgss.predictive_loglik(others, pred_means, pred_covs)
     with pytest.raises(ValueError, match="list or tuple of trajectories, got Trajectory"):
@@ -475,7 +472,7 @@ def test_a_list_of_trajectories_filters_row_for_row_like_lone_calls():
     # lone result, bit for bit on the scalar model of the seprep battery
     rng = np.random.default_rng(17)
     model = scalar_model()
-    trajs = [lgss.simulate(model, None, 40, rng) for _ in range(6)]
+    trajs = [lgss.simulate(model, 40, rng) for _ in range(6)]
     batched, lone = _filter_rows(model, trajs)
     assert batched[0][0].shape == (6, 40, 1) and batched[1][1].shape == (6, 40, 1, 1)
     assert batched[2].shape == (6,)
@@ -484,13 +481,12 @@ def test_a_list_of_trajectories_filters_row_for_row_like_lone_calls():
             assert np.array_equal(got[i], want)
 
 
-@pytest.mark.parametrize("n, m, p", [(2, 1, 1), (3, 2, 2), (4, 2, 1), (4, 1, 2)])
-def test_a_list_of_controlled_trajectories_matches_lone_calls(n, m, p):
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (4, 2), (4, 1)])
+def test_a_list_of_trajectories_of_a_vector_model_matches_lone_calls(n, m):
     # a batched product may round differently from a lone matvec when n > 1
-    rng = np.random.default_rng(n * 100 + m * 10 + p)
-    model = lgss.random_stable_model(rng, n=n, m=m, p=p)
-    trajs = [lgss.simulate(model, rng.normal(size=(25, p)), 25, rng)
-             for _ in range(5)]
+    rng = np.random.default_rng(n * 100 + m * 10)
+    model = lgss.random_stable_model(rng, n=n, m=m)
+    trajs = [lgss.simulate(model, 25, rng) for _ in range(5)]
     batched, lone = _filter_rows(model, trajs)
     for i, result in enumerate(lone):
         for got, want in zip(_flat(batched), result):
@@ -501,10 +497,10 @@ def test_a_list_of_controlled_trajectories_matches_lone_calls(n, m, p):
 def test_a_nan_observation_in_one_trajectory_fails_the_batch():
     rng = np.random.default_rng(19)
     model = lgss.random_stable_model(rng, n=2, m=1)
-    trajs = [lgss.simulate(model, None, 8, rng) for _ in range(3)]
+    trajs = [lgss.simulate(model, 8, rng) for _ in range(3)]
     y = trajs[1].y.copy()
     y[3] = np.nan
-    trajs[1] = lgss.Trajectory(u=trajs[1].u, x=trajs[1].x, y=y)
+    trajs[1] = lgss.Trajectory(x=trajs[1].x, y=y)
     for arg in (trajs, [trajs[1]]):
         with pytest.raises(ValueError, match="non-finite filter state"):
             lgss.run_filter(model, arg)
@@ -513,7 +509,7 @@ def test_a_nan_observation_in_one_trajectory_fails_the_batch():
 def test_trajectories_of_unequal_length_are_refused():
     rng = np.random.default_rng(23)
     model = scalar_model()
-    trajs = [lgss.simulate(model, None, T, rng) for T in (8, 9)]
+    trajs = [lgss.simulate(model, T, rng) for T in (8, 9)]
     for arg in (trajs, []):
         with pytest.raises(ValueError, match="equal length"):
             lgss.run_filter(model, arg)
@@ -524,16 +520,16 @@ def test_trajectories_of_unequal_length_are_refused():
 # ---------------------------------------------------------------------------
 
 SEEDS = st.integers(0, 2**32 - 1)
-DIMS = {"n": st.integers(1, 4), "m": st.integers(1, 3), "p": st.integers(0, 2)}
+DIMS = {"n": st.integers(1, 4), "m": st.integers(1, 3)}
 
 
 @settings(max_examples=50, deadline=None)
 @given(seed=SEEDS, **DIMS)
-def test_one_step_is_symmetric_psd_shrinking_and_matches_the_oracle(seed, n, m, p):
+def test_one_step_is_symmetric_psd_shrinking_and_matches_the_oracle(seed, n, m):
     rng = np.random.default_rng(seed)
-    model = lgss.random_stable_model(rng, n=n, m=m, p=p)
-    traj = lgss.simulate(model, rng.normal(size=(1, p)), 1, rng)
-    prior_mean, prior_cov = lgss.kalman_predict(model.mu0, model.P0, model, traj.u[0])
+    model = lgss.random_stable_model(rng, n=n, m=m)
+    traj = lgss.simulate(model, 1, rng)
+    prior_mean, prior_cov = lgss.kalman_predict(model.mu0, model.P0, model)
     mean, cov = lgss.kalman_update(prior_mean, prior_cov, traj.y[0], model)
     assert np.array_equal(cov, cov.T)
     assert np.linalg.eigvalsh(cov).min() >= -1e-12 * max(1.0, np.abs(cov).max())
@@ -548,8 +544,8 @@ def test_one_step_is_symmetric_psd_shrinking_and_matches_the_oracle(seed, n, m, 
 @settings(max_examples=50, deadline=None)
 @given(seed=SEEDS, **DIMS, in_cov=st.booleans(), update=st.booleans(),
        at=st.integers(0, 15))
-def test_a_nan_anywhere_in_the_state_raises(seed, n, m, p, in_cov, update, at):
-    model = lgss.random_stable_model(np.random.default_rng(seed), n=n, m=m, p=p)
+def test_a_nan_anywhere_in_the_state_raises(seed, n, m, in_cov, update, at):
+    model = lgss.random_stable_model(np.random.default_rng(seed), n=n, m=m)
     mean, cov = model.mu0.copy(), model.P0.copy()
     bad = cov if in_cov else mean
     bad.flat[at % bad.size] = np.nan
@@ -568,7 +564,7 @@ def test_a_nan_anywhere_in_the_state_raises(seed, n, m, p, in_cov, update, at):
 def test_batch_oracle_t0_is_prior():
     rng = np.random.default_rng(11)
     model = lgss.random_stable_model(rng, n=2, m=1)
-    traj = lgss.simulate(model, None, 5, rng)
+    traj = lgss.simulate(model, 5, rng)
     post = lgss.batch_posterior_oracle(model, traj, 0)
     assert np.allclose(post.mean, model.mu0)
     assert np.allclose(post.cov, model.P0)
@@ -579,11 +575,9 @@ def test_batch_oracle_agrees_with_recursive_filter():
     for _ in range(5):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 4))
-        p = int(rng.integers(0, 3))
-        model = lgss.random_stable_model(rng, n=n, m=m, p=p)
+        model = lgss.random_stable_model(rng, n=n, m=m)
         T = int(rng.integers(5, 21))
-        u = rng.normal(size=(T, p)) if p else None
-        traj = lgss.simulate(model, u, T, rng)
+        traj = lgss.simulate(model, T, rng)
         ((means,), (covs,)), _ = lgss.run_filter(model, [traj])
         for t in (1, max(1, T // 2), T):
             oracle = lgss.batch_posterior_oracle(model, traj, t)
@@ -592,10 +586,10 @@ def test_batch_oracle_agrees_with_recursive_filter():
 
 
 def test_batch_oracle_sharp_observation_limit():
-    model = lgss.LGSSModel(A=np.eye(2), B=np.zeros((2, 0)), C=np.eye(2),
+    model = lgss.LGSSModel(A=np.eye(2), C=np.eye(2),
                            Q=0.1 * np.eye(2), R=1e-12 * np.eye(2),
                            mu0=np.zeros(2), P0=np.eye(2))
-    traj = lgss.simulate(model, None, 4, np.random.default_rng(13))
+    traj = lgss.simulate(model, 4, np.random.default_rng(13))
     post = lgss.batch_posterior_oracle(model, traj, 4)
     assert np.max(np.abs(post.mean - traj.y[3])) < 1e-5
 
@@ -607,7 +601,7 @@ def _per_block_oracle(model, trajectory, t, gain=lgss._conditioning_gain):
     n, m = model.n, model.m
     means = [model.mu0]
     for s in range(t):
-        means.append(model.A @ means[-1] + model.B @ trajectory.u[s])
+        means.append(model.A @ means[-1])
     cov = np.zeros(((t + 1) * n, (t + 1) * n))
 
     def blk(i, j):
@@ -640,9 +634,9 @@ def _per_block_oracle(model, trajectory, t, gain=lgss._conditioning_gain):
 @pytest.mark.parametrize("m", [1, 2])
 def test_batch_oracle_equals_the_per_block_construction_bit_for_bit(n, m):
     rng = np.random.default_rng(100 * n + m)
-    for T, p in ((3, 0), (24, 1), (50, 2)):
-        model = lgss.random_stable_model(rng, n=n, m=m, p=p)
-        traj = lgss.simulate(model, rng.normal(size=(T, p)), T, rng)
+    for T in (3, 24, 50):
+        model = lgss.random_stable_model(rng, n=n, m=m)
+        traj = lgss.simulate(model, T, rng)
         for t in sorted({1, 2, T // 2, T}):
             got = lgss.batch_posterior_oracle(model, traj, t)
             want = _per_block_oracle(model, traj, t)
@@ -674,9 +668,9 @@ def test_batch_oracle_agrees_with_scipy_cho_solve():
     # scipy is a test-only reference: the per-block oracle conditioned by
     # its Cholesky solve, against the module's own
     rng = np.random.default_rng(29)
-    for n, m, p in ((1, 1, 0), (2, 1, 1), (3, 2, 1), (4, 2, 2)):
-        model = lgss.random_stable_model(rng, n=n, m=m, p=p)
-        traj = lgss.simulate(model, rng.normal(size=(100, p)), 100, rng)
+    for n, m in ((1, 1), (2, 1), (3, 2), (4, 2)):
+        model = lgss.random_stable_model(rng, n=n, m=m)
+        traj = lgss.simulate(model, 100, rng)
         for t in (1, 2, 25, 100):
             got = lgss.batch_posterior_oracle(model, traj, t)
             want = _per_block_oracle(model, traj, t, gain=_scipy_gain)
@@ -693,15 +687,14 @@ def _sample_gaussian(rng, cov, size):
     return rng.standard_normal((size, cov.shape[0])) @ root.T
 
 
-def _per_step_simulate(model, controls, T, rng):
+def _per_step_simulate(model, T, rng):
     """``simulate`` with each observation computed inside the state loop."""
-    u = np.zeros((T, model.p)) if controls is None else controls.reshape(T, model.p)
     x = model.mu0 + _sample_gaussian(rng, model.P0, 1)[0]
     w = _sample_gaussian(rng, model.Q, T)
     v = _sample_gaussian(rng, model.R, T)
     xs, ys = np.empty((T, model.n)), np.empty((T, model.m))
     for t in range(T):
-        x = model.A @ x + model.B @ u[t] + w[t]
+        x = model.A @ x + w[t]
         xs[t] = x
         ys[t] = model.C @ x + v[t]
     return xs, ys
@@ -711,15 +704,14 @@ def _per_step_simulate(model, controls, T, rng):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_simulate_equals_the_per_step_loop_bit_for_bit(n, m):
     rng = np.random.default_rng(10 * n + m)
-    for p in (0, 1, 2):
-        model = lgss.random_stable_model(rng, n=n, m=m, p=p)
+    for k in range(3):
+        model = lgss.random_stable_model(rng, n=n, m=m)
         for T in (0, 1, 60):
-            controls = rng.normal(size=(T, p)) if p else None
             seed = int(rng.integers(2**32))
-            traj = lgss.simulate(model, controls, T, np.random.default_rng(seed))
-            xs, ys = _per_step_simulate(model, controls, T, np.random.default_rng(seed))
-            assert traj.x.tobytes() == xs.tobytes(), (p, T)
-            assert traj.y.tobytes() == ys.tobytes(), (p, T)
+            traj = lgss.simulate(model, T, np.random.default_rng(seed))
+            xs, ys = _per_step_simulate(model, T, np.random.default_rng(seed))
+            assert traj.x.tobytes() == xs.tobytes(), (k, T)
+            assert traj.y.tobytes() == ys.tobytes(), (k, T)
             assert traj.y.shape == (T, m)
 
 
@@ -731,7 +723,7 @@ def test_simulate_equals_the_per_step_loop_bit_for_bit(n, m):
 def test_innovation_whiteness():
     rng = np.random.default_rng(14)
     model = lgss.random_stable_model(rng, n=2, m=1)
-    traj = lgss.simulate(model, None, 10_000, rng)
+    traj = lgss.simulate(model, 10_000, rng)
     mean, cov = model.mu0, model.P0
     innovations = []
     for t in range(traj.T):
@@ -748,7 +740,7 @@ def test_innovation_whiteness():
 def test_joseph_form_minimum_eigenvalue():
     rng = np.random.default_rng(15)
     model = lgss.random_stable_model(rng, n=3, m=2)
-    traj = lgss.simulate(model, None, 10_000, rng)
+    traj = lgss.simulate(model, 10_000, rng)
     mean, cov = model.mu0, model.P0
     min_eig = np.inf
     for t in range(traj.T):
@@ -763,10 +755,10 @@ def test_joseph_form_minimum_eigenvalue():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["A", "B", "C", "Q", "R", "mu0", "P0"])
+@pytest.mark.parametrize("name", ["A", "C", "Q", "R", "mu0", "P0"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_model_refuses_non_finite_entries_by_name(name, bad):
-    fields = dict(A=[[0.9]], B=[[1.0]], C=[[1.0]], Q=[[0.1]], R=[[0.1]],
+    fields = dict(A=[[0.9]], C=[[1.0]], Q=[[0.1]], R=[[0.1]],
                   mu0=[0.0], P0=[[1.0]])
     fields[name] = np.full(np.shape(fields[name]), bad)
     with pytest.raises(ValueError, match=rf"^{name} has non-finite entries$"):
@@ -775,30 +767,29 @@ def test_model_refuses_non_finite_entries_by_name(name, bad):
 
 def test_trajectory_csv_round_trip(tmp_path):
     rng = np.random.default_rng(17)
-    model = lgss.random_stable_model(rng, n=2, m=2, p=1)
-    u = rng.normal(size=(6, 1))
-    traj = lgss.simulate(model, u, 6, rng)
+    model = lgss.random_stable_model(rng, n=2, m=2)
+    traj = lgss.simulate(model, 6, rng)
     path = tmp_path / "traj.csv"
     lgss.trajectory_to_csv(traj, path)
     loaded = lgss.trajectory_from_csv(path)
     # repr round-trips floats exactly
-    assert np.array_equal(loaded.u, traj.u)
     assert np.array_equal(loaded.x, traj.x)
     assert np.array_equal(loaded.y, traj.y)
     header = path.read_text().splitlines()[0]
-    assert header == "t,u0,y0,y1,x0,x1"
+    assert header == "t,y0,y1,x0,x1"
 
 
 def test_trajectory_csv_round_trips_no_controls_and_refuses_unknown_columns(tmp_path):
     rng = np.random.default_rng(18)
     model = lgss.random_stable_model(rng, n=1, m=1)
-    traj = lgss.simulate(model, None, 4, rng)
+    traj = lgss.simulate(model, 4, rng)
     path = tmp_path / "traj.csv"
     lgss.trajectory_to_csv(traj, path)
     assert path.read_text().splitlines()[0] == "t,y0,x0"
     loaded = lgss.trajectory_from_csv(path)
-    assert np.array_equal(loaded.y, traj.y) and loaded.u.shape == (4, 0)
-    for extra in ("w0", "z0"):
+    assert np.array_equal(loaded.y, traj.y)
+    # a control column is no column of a trajectory file
+    for extra in ("w0", "z0", "u0"):
         path.write_text(f"t,y0,{extra}\n1,0.5,1.0\n")
         with pytest.raises(ValueError, match=rf"unknown trajectory columns \['{extra}'\]"):
             lgss.trajectory_from_csv(path)
@@ -814,11 +805,17 @@ def test_trajectory_csv_round_trips_no_controls_and_refuses_unknown_columns(tmp_
         path.write_text(f"t,y0,x0\n1,0.5,1.0\n2,{field},1.0\n")
         with pytest.raises(ValueError, match=r"traj\.csv line 3: column y0 holds"):
             lgss.trajectory_from_csv(path)
+    # t must number the rows 1, 2, ... as the writer does: a row that is
+    # missing, repeated or out of order is refused by line and column
+    for rows, line in (("foo,0.5,1.0\n9,0.25,1.0", 2), ("1,0.5,1.0\n1,0.25,1.0", 3),
+                       ("2,0.5,1.0\n1,0.25,1.0", 2), ("1,0.5,1.0\n3,0.25,1.0", 3)):
+        path.write_text(f"t,y0,x0\n{rows}\n")
+        with pytest.raises(ValueError, match=rf"traj\.csv line {line}: column t holds"):
+            lgss.trajectory_from_csv(path)
     # columns out of the writer's order, or twice, would load into the wrong
     # slots; they are refused by file and column
     for header, column, bad in (("t,y1,y0", 2, "y1"), ("t,y0,y0", 3, "y0"),
-                                ("t,x0,y0", 2, "x0"), ("s,y0,x0", 1, "s"),
-                                ("t,y0,u0", 2, "y0")):
+                                ("t,x0,y0", 2, "x0"), ("s,y0,x0", 1, "s")):
         path.write_text(f"{header}\n1,1.0,2.0\n")
         with pytest.raises(ValueError, match=rf"traj\.csv column {column}: '{bad}' where"):
             lgss.trajectory_from_csv(path)

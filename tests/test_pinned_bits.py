@@ -82,7 +82,7 @@ def test_battery_shaped_train_filter_is_pinned():
     # the seprep battery's filter shape with every default option: T 40,
     # rep_dim 4, (32,) hidden layers, one sample, truncation every 16 steps
     # (so the last window is a partial one of 8), batch 16
-    model = lgss.LGSSModel(A=[[0.9]], B=np.zeros((1, 0)), C=[[1.0]],
+    model = lgss.LGSSModel(A=[[0.9]], C=[[1.0]],
                            Q=[[0.1]], R=[[0.1]], mu0=[0.0], P0=[[1.0]])
     cfg = seprep.DynIBConfig(beta=1e-2, traj_len=40, steps=6, batch=16, seed=5)
     trained = seprep.train_filter(seprep.lgss_source(model, 40), [cfg])
@@ -109,7 +109,7 @@ def test_run_filter_is_pinned():
     rng = np.random.default_rng(21)
     for (n, m), loglik, digest in pinned:
         model = lgss.random_stable_model(rng, n=n, m=m)
-        traj = lgss.simulate(model, None, 30, rng)
+        traj = lgss.simulate(model, 30, rng)
         ((means,), (covs,)), predictives = lgss.run_filter(model, [traj])
         ((pred_means,), (pred_covs,)) = predictives
         (got,) = lgss.predictive_loglik([traj], *predictives)

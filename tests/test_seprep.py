@@ -15,7 +15,7 @@ import references
 
 
 def scalar_lgss():
-    return lgss.LGSSModel(A=[[0.9]], B=np.zeros((1, 0)), C=[[1.0]],
+    return lgss.LGSSModel(A=[[0.9]], C=[[1.0]],
                           Q=[[0.1]], R=[[0.1]], mu0=[0.0], P0=[[1.0]])
 
 
@@ -115,7 +115,7 @@ def test_prediction_without_rng_collapses_to_posterior_mean():
 def test_mixture_moments_match_law_of_total_variance():
     model = small_model()
     phi = np.array([0.5, -0.2, 0.1, 0.4, -0.3, -0.6, -0.4, -0.8])
-    params = model.predict(phi, samples=64, rng=np.random.default_rng(2))
+    params = model.predict(phi, samples=64, rng=[np.random.default_rng(2)])
     means = params["component_means"]
     variances = params["component_vars"]
     mean = means.mean(axis=0)
@@ -168,8 +168,8 @@ def test_mc_predictive_stabilizes_for_sharp_posteriors():
     model = small_model()
     phi = np.array([0.5, -0.2, 0.1, 0.4, -2.5, -3.0, -2.8, -3.5])
     z = np.array([0.3])
-    p256 = model.predict(phi, samples=256, rng=np.random.default_rng(11))
-    p512 = model.predict(phi, samples=512, rng=np.random.default_rng(12))
+    p256 = model.predict(phi, samples=256, rng=[np.random.default_rng(11)])
+    p512 = model.predict(phi, samples=512, rng=[np.random.default_rng(12)])
     a = seprep.predictive_nll(p256, z)
     b = seprep.predictive_nll(p512, z)
     assert abs(a - b) < 1e-3
@@ -424,38 +424,34 @@ def test_lgss_source_shapes():
     assert src(4, np.random.default_rng(0)).shape == (4, 15, 1)
 
 
-@pytest.mark.parametrize("which", ["scalar", "random", "noiseless", "controlled"])
+@pytest.mark.parametrize("which", ["scalar", "random", "noiseless"])
 def test_lgss_source_matches_per_trajectory_simulation(which):
     if which == "scalar":
         model = scalar_lgss()
     elif which == "random":
         model = lgss.random_stable_model(np.random.default_rng(4), n=3, m=2)
-    elif which == "noiseless":  # Q = 0: the process noise draws nothing
-        model = lgss.LGSSModel(A=[[0.8, 0.1], [0.0, 0.7]], B=np.zeros((2, 0)),
+    else:  # Q = 0: the process noise draws nothing
+        model = lgss.LGSSModel(A=[[0.8, 0.1], [0.0, 0.7]],
                                C=[[1.0, 0.5]], Q=np.zeros((2, 2)), R=[[0.2]],
                                mu0=[0.3, -0.1], P0=np.eye(2))
-    else:  # p > 0 with zero controls
-        model = lgss.random_stable_model(np.random.default_rng(5), n=2, m=1, p=2)
     T, batch = 9, 5
     src = seprep.lgss_source(model, T)
     rng_batched = np.random.default_rng(17)
     rng_loop = np.random.default_rng(17)
     for _ in range(3):
         ys = src(batch, rng_batched)
-        trajs = [lgss.simulate(model, None, T, rng_loop) for _ in range(batch)]
+        trajs = [lgss.simulate(model, T, rng_loop) for _ in range(batch)]
         assert np.array_equal(ys, np.stack([tr.y for tr in trajs]))
 
 
-@pytest.mark.parametrize("which", ["scalar", "random", "noiseless", "controlled"])
+@pytest.mark.parametrize("which", ["scalar", "random", "noiseless"])
 def test_lgss_source_draws_a_sweep_like_its_lone_calls(which):
     models = {
         "scalar": scalar_lgss,
         "random": lambda: lgss.random_stable_model(np.random.default_rng(4), n=3, m=2),
         "noiseless": lambda: lgss.LGSSModel(
-            A=[[0.8, 0.1], [0.0, 0.7]], B=np.zeros((2, 0)), C=[[1.0, 0.5]],
+            A=[[0.8, 0.1], [0.0, 0.7]], C=[[1.0, 0.5]],
             Q=np.zeros((2, 2)), R=[[0.2]], mu0=[0.3, -0.1], P0=np.eye(2)),
-        "controlled": lambda: lgss.random_stable_model(np.random.default_rng(5),
-                                                       n=2, m=1, p=2),
     }
     model = models[which]()
     T, batch, seeds = 9, 5, (17, 3, 8)
@@ -511,12 +507,12 @@ def test_batched_step_and_predict_match_lone_statistics():
     for i in range(4):
         np.testing.assert_allclose(stepped[i], model.step(phis[i], ys[i]),
                                    rtol=0, atol=1e-14)
-        lone = model.predict(phis[i], samples=5, rng=np.random.default_rng(i))
+        lone = model.predict(phis[i], samples=5, rng=[np.random.default_rng(i)])
         for key in ("mean", "cov", "component_means", "component_vars"):
             np.testing.assert_allclose(batch[key][i], lone[key], rtol=1e-13,
                                        atol=1e-14)
     for lgss_model in (scalar_lgss(),
-                       lgss.random_stable_model(np.random.default_rng(5), n=2, m=1, p=2)):
+                       lgss.random_stable_model(np.random.default_rng(5), n=2, m=1)):
         kalman = seprep.KalmanSepFilter(lgss_model)
         phis = _kalman_rows(kalman, rng)
         ys = rng.standard_normal((5, lgss_model.m))
@@ -565,12 +561,12 @@ def _per_step_reference(model, lgss_model, T, num_traj, seed, samples):
     rows = []
     for child in np.random.SeedSequence(seed).spawn(num_traj):
         sim_ss, eval_ss = child.spawn(2)
-        traj = lgss.simulate(lgss_model, None, T, np.random.default_rng(sim_ss))
+        traj = lgss.simulate(lgss_model, T, np.random.default_rng(sim_ss))
         eval_rng = np.random.default_rng(eval_ss)
         _, ((pred_means,), (pred_covs,)) = lgss.run_filter(lgss_model, [traj])
         phi = model.initial_phi()
         for t in range(T):
-            params = model.predict(phi, samples, eval_rng)
+            params = model.predict(phi, samples, [eval_rng])
             rows.append((
                 seprep.predictive_nll(params, traj.y[t]),
                 -info.gaussian_logpdf(pred_means[t], pred_covs[t], traj.y[t]),
@@ -615,16 +611,6 @@ def test_kalman_embedding_is_exact():
     model = scalar_lgss()
     result = seprep.evaluate_vs_kalman(seprep.KalmanSepFilter(model), model,
                                        T=30, num_traj=10, seed=5)
-    assert abs(result["gap"]) < 1e-9
-    assert result["mean_kl"] < 1e-9
-
-
-def test_kalman_embedding_of_a_controlled_model_runs_with_zero_controls():
-    # the embedding takes no controls: a model with p > 0 inputs is filtered
-    # with u = 0, as its trajectories are simulated
-    model = lgss.random_stable_model(np.random.default_rng(5), n=2, m=1, p=2)
-    result = seprep.evaluate_vs_kalman(seprep.KalmanSepFilter(model), model,
-                                       T=12, num_traj=4, seed=5)
     assert abs(result["gap"]) < 1e-9
     assert result["mean_kl"] < 1e-9
 
@@ -920,8 +906,8 @@ def test_filter_json_round_trip_is_exact(tmp_path):
     for key, value in model.params().items():
         assert np.array_equal(value, loaded.params()[key]), key
     phi = np.linspace(-0.5, 0.5, 6)
-    a = model.predict(phi, samples=3, rng=np.random.default_rng(0))
-    b = loaded.predict(phi, samples=3, rng=np.random.default_rng(0))
+    a = model.predict(phi, samples=3, rng=[np.random.default_rng(0)])
+    b = loaded.predict(phi, samples=3, rng=[np.random.default_rng(0)])
     assert np.array_equal(a["mean"], b["mean"])
     assert np.array_equal(a["component_means"], b["component_means"])
 
@@ -934,15 +920,10 @@ def test_filter_json_missing_key_rejected(tmp_path):
         seprep.load_filter_json(json.dumps(payload))
 
 
-def test_filter_json_writes_the_fixed_shape_in_the_general_format():
-    # the keys of a filter with controls, offsets and other output families
-    # stay in the file, at the values of the one shape that is built
+def test_filter_json_writes_exactly_the_keys_of_the_one_filter_shape():
     payload = json.loads(seprep.save_filter_json(seprep.init_sep_filter(
         3, 2, rng=np.random.default_rng(1))))
-    assert list(payload) == ["rep_dim", "obs_dim", "ctrl_dim", "horizon", "output",
-                             "target_dim", "phi0", "update", "heads"]
-    assert (payload["ctrl_dim"], payload["horizon"], payload["output"],
-            payload["target_dim"], len(payload["heads"])) == (0, 0, "gaussian", 2, 1)
+    assert list(payload) == ["rep_dim", "obs_dim", "phi0", "update", "head"]
 
 
 def _without_widths(payload):
@@ -954,19 +935,20 @@ def _without_widths(payload):
     (lambda p: p.update(rep_dim="abc"), "'rep_dim'"),
     (lambda p: p.update(rep_dim=True), "'rep_dim'"),
     (lambda p: p.update(obs_dim=True), "'obs_dim'"),
-    (lambda p: p["heads"][0].update(weights=[[["x"]]]), "'heads.weights'"),
+    (lambda p: p["head"].update(weights=[[["x"]]]), "'head.weights'"),
     (lambda p: p.update(phi0=[0.0]), "'phi0'"),
     (lambda p: p.update(horizon=1), "'horizon'"),
     (lambda p: p.update(ctrl_dim=1), "'ctrl_dim'"),
     (lambda p: p.update(output="categorical"), "'output'"),
     (lambda p: p.update(target_dim=2), "'target_dim'"),
-    (lambda p: p["heads"].append(p["heads"][0]), "'heads'"),
-    (lambda p: p.update(heads=[]), "'heads'"),
+    (lambda p: p.update(heads=[p["head"], p["head"]]), "'heads'"),
+    (lambda p: p.pop("head"), "'head'"),
 ], ids=["no-widths", "rep_dim-text", "rep_dim-bool", "obs_dim-bool", "weights-text", "phi0-length", "horizon",
         "ctrl_dim", "output", "target_dim", "two-heads", "no-heads"])
 def test_filter_json_refuses_a_bad_value_or_another_shape_by_key(edit, key):
-    # a file of another filter shape, or a value of the wrong type, is a
-    # ValueError that names the key, never a KeyError or a bare int() error
+    # a file of another filter shape (a key of controls, offsets, output
+    # families or several heads, or no head), or a value of the wrong type,
+    # is a ValueError that names the key, never a KeyError or a bare int() error
     payload = json.loads(seprep.save_filter_json(small_model()))
     edit(payload)
     with pytest.raises(ValueError, match=key):
