@@ -12,9 +12,7 @@ estimated.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +20,6 @@ from .info import _integer, _parsed, _read_json_object
 
 __all__ = [
     "FinitePOMDP",
-    "HistoryNode",
     "belief_update",
     "obs_probability",
     "brute_force_q",
@@ -107,25 +104,6 @@ class FinitePOMDP:
     @property
     def n_obs(self) -> int:
         return self.obs.shape[1]
-
-
-@dataclass(frozen=True)
-class HistoryNode:
-    """One node of the history tree: the interleaved (a, o) prefix."""
-
-    history: tuple  # ((a_1, o_1), ..., (a_t, o_t))
-    reach: float  # probability under uniform exploration
-    belief: np.ndarray  # p(s_t | history)
-    q_values: np.ndarray  # (A,) optimal action values
-
-    @property
-    def depth(self) -> int:
-        return len(self.history)
-
-    @cached_property
-    def key(self) -> tuple:
-        """The canonical (depth, rounded belief) key; brute_force_q's nodes come keyed."""
-        return _belief_key(self.depth, self.belief)
 
 
 # ---------------------------------------------------------------------------
@@ -220,60 +198,24 @@ def _induction(levels: list, immediate: list) -> list:
 
 
 @dataclass(frozen=True, eq=False)
-class _HistoryTree(Mapping):
-    """``brute_force_q``'s read-only {history: HistoryNode} over the level arrays.
-
-    It iterates deepest level first, each level in tree order, and makes a
-    keyed :class:`HistoryNode` only when a history is looked up; the
-    oracles read ``levels``, ``q_levels`` and ``belief_keys`` directly.
-    """
+class _LevelTree:
+    """``brute_force_q``'s history tree as per-depth arrays; its length is the node count."""
 
     levels: list  # one _Level per depth
     q_levels: list  # (N, A) Q* per level
     belief_keys: list  # each node's (depth, rounded belief) key, per level
 
-    def __getitem__(self, history) -> HistoryNode:
-        depth, row = self._locate(history)
-        level = self.levels[depth]
-        node = HistoryNode(level.histories[row], float(level.reach[row]),
-                           level.beliefs[row], self.q_levels[depth][row])
-        vars(node)["key"] = self.belief_keys[depth][row]  # fills the cached property
-        return node
-
-    def _locate(self, history) -> tuple:
-        """(depth, row) of ``history``, down the levels' child arrays."""
-        if not isinstance(history, tuple) or len(history) >= len(self.levels):
-            raise KeyError(history)
-        row = 0
-        for level, step in zip(self.levels, history):
-            _, A, O = level.child.shape
-            if not (isinstance(step, tuple) and len(step) == 2
-                    and step[0] in range(A) and step[1] in range(O)):
-                raise KeyError(history)
-            row = int(level.child[row, int(step[0]), int(step[1])])
-            if row < 0:
-                raise KeyError(history)
-        return len(history), row
-
-    def __iter__(self):
-        for level in reversed(self.levels):
-            yield from level.histories
-
     def __len__(self) -> int:
         return sum(len(level.histories) for level in self.levels)
 
 
-def _by_history(levels: list, tables: list) -> dict:
-    """{history: its row of the level's table}, deepest level first."""
-    return {history: row for level, table in zip(levels[::-1], tables[::-1])
-            for history, row in zip(level.histories, table)}
-
-
-def brute_force_q(pomdp: FinitePOMDP) -> _HistoryTree:
-    """Q* for every reachable history, deepest first: {history: HistoryNode}.
+def brute_force_q(pomdp: FinitePOMDP) -> _LevelTree:
+    """Q* for every reachable history, one (N, A) array per depth.
 
     Backward induction with the immediate term E_b[r(s, a)]. The full tree
-    is enumerated — a size guard rejects instances above 10^6 nodes.
+    is enumerated — a size guard rejects instances above 10^6 nodes. The
+    result also carries the levels and each node's belief key, and the
+    oracles below take it in place of the instance.
     """
     est = sum((pomdp.n_actions * pomdp.n_obs) ** t for t in range(pomdp.horizon))
     if est > _NODE_CAP:
@@ -281,7 +223,7 @@ def brute_force_q(pomdp: FinitePOMDP) -> _HistoryTree:
     levels = _belief_tree(pomdp, pomdp.horizon - 1)
     rewards = [(pomdp.reward.T @ level.beliefs[:, :, None])[:, :, 0] for level in levels]
     keys = [_belief_keys(depth, level.beliefs) for depth, level in enumerate(levels)]
-    return _HistoryTree(levels, _induction(levels, rewards), keys)
+    return _LevelTree(levels, _induction(levels, rewards), keys)
 
 
 def _belief_keys(depth: int, beliefs) -> list:
@@ -291,11 +233,7 @@ def _belief_keys(depth: int, beliefs) -> list:
     return [(depth, tuple(row)) for row in rounded.tolist()]
 
 
-def _belief_key(depth: int, belief) -> tuple:
-    return _belief_keys(depth, [belief])[0]
-
-
-def verify_separation(pomdp: FinitePOMDP, nodes=None) -> dict:
+def verify_separation(tree: _LevelTree) -> dict:
     """Group equal-belief histories and measure the Q* spread inside groups.
 
     Histories of the same depth whose beliefs agree after rounding to
@@ -304,9 +242,8 @@ def verify_separation(pomdp: FinitePOMDP, nodes=None) -> dict:
     The separation claim is exactly this: equal beliefs must give equal
     action values.
     """
-    nodes = brute_force_q(pomdp) if nodes is None else nodes
     spreads, n_groups = [], 0
-    for keys, q in zip(nodes.belief_keys, nodes.q_levels):
+    for keys, q in zip(tree.belief_keys, tree.q_levels):
         groups = {}
         for row, key in enumerate(keys):
             groups.setdefault(key, []).append(row)
@@ -316,15 +253,14 @@ def verify_separation(pomdp: FinitePOMDP, nodes=None) -> dict:
     return {"max_q_spread": float(np.max(spreads, initial=0.0)), "groups": n_groups}
 
 
-def belief_policy(pomdp: FinitePOMDP, nodes=None) -> dict:
+def belief_policy(tree: _LevelTree) -> dict:
     """Greedy policy tabulated on reachable beliefs.
 
     Maps the canonical (depth, rounded-belief) key to the argmax action of
     the group's Q* (lowest index on ties).
     """
-    nodes = brute_force_q(pomdp) if nodes is None else nodes
     policy = {}
-    for keys, q in zip(nodes.belief_keys[::-1], nodes.q_levels[::-1]):
+    for keys, q in zip(tree.belief_keys[::-1], tree.q_levels[::-1]):
         # ties broken toward the lowest action index by argmax
         for key, action in zip(keys, q.argmax(axis=1).tolist()):
             policy.setdefault(key, action)
@@ -334,26 +270,23 @@ def belief_policy(pomdp: FinitePOMDP, nodes=None) -> dict:
 def policy_return(pomdp: FinitePOMDP, policy: dict) -> float:
     """Exact expected return of a belief-keyed policy."""
 
-    def value(history, belief, depth):
-        a = policy[_belief_key(depth, belief)]
+    def value(belief, depth):
+        a = policy[_belief_keys(depth, [belief])[0]]
         total = float(pomdp.reward[:, a] @ belief)
         if depth < pomdp.horizon - 1:
             p_obs = obs_probability(pomdp, belief, a)
             for o in range(pomdp.n_obs):
                 if p_obs[o] <= 0.0:
                     continue
-                total += p_obs[o] * value(history + ((a, o),),
-                                          belief_update(pomdp, belief, a, o),
-                                          depth + 1)
+                total += p_obs[o] * value(belief_update(pomdp, belief, a, o), depth + 1)
         return total
 
-    return value((), pomdp.b0.copy(), 0)
+    return value(pomdp.b0.copy(), 0)
 
 
-def optimal_return(pomdp: FinitePOMDP, nodes=None) -> float:
+def optimal_return(tree: _LevelTree) -> float:
     """max_a Q*(∅, a): the history-tree optimum."""
-    nodes = brute_force_q(pomdp) if nodes is None else nodes
-    return float(nodes.q_levels[0][0].max())
+    return float(tree.q_levels[0][0].max())
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +294,7 @@ def optimal_return(pomdp: FinitePOMDP, nodes=None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def reward_sufficiency_check(pomdp: FinitePOMDP, representation, nodes=None) -> dict:
+def reward_sufficiency_check(tree: _LevelTree, representation) -> dict:
     """Rebuild the action values using only reward predictions.
 
     ``representation(history, actions)`` must return the expected reward
@@ -369,30 +302,26 @@ def reward_sufficiency_check(pomdp: FinitePOMDP, representation, nodes=None) -> 
     is executed after ``history``. The reconstruction runs the same
     backward induction as ``brute_force_q`` but replaces every expected
     immediate reward with the representation's prediction; observation
-    branching probabilities still come from the environment, read from the
-    tree that ``nodes`` carries rather than recomputed. If the
-    representation's reward predictions are exact, the rebuilt values must
-    equal Q* — that is the sufficiency claim. ``nodes``, when given, is
-    ``brute_force_q``'s result for this instance. The histories are queried
-    depth-first, children before parent, so a representation that replays
-    only what a history does not share with the last one makes one Bayes
-    update per history.
+    branching probabilities still come from the environment, read from
+    ``brute_force_q``'s ``tree`` rather than recomputed. If the
+    representation's reward predictions are exact, the rebuilt values
+    (``q_levels``, one array per depth) must equal Q* — that is the
+    sufficiency claim. The histories are queried depth-first, children
+    before parent, so a representation that replays only what a history
+    does not share with the last one makes one Bayes update per history.
     """
-    nodes = brute_force_q(pomdp) if nodes is None else nodes
-    actions = range(pomdp.n_actions)
+    actions = range(tree.q_levels[0].shape[1])
     # a history sorts below its extensions, so descending order is depth-first
     # with every history after its subtree
+    histories = sorted((history for level in tree.levels for history in level.histories),
+                       reverse=True)
     predicted = {history: [representation(history, (a,)) for a in actions]
-                 for history in sorted(nodes, reverse=True)}
-    q_levels = _induction(nodes.levels, [[predicted[history] for history in level.histories]
-                                         for level in nodes.levels])
+                 for history in histories}
+    q_levels = _induction(tree.levels, [[predicted[history] for history in level.histories]
+                                        for level in tree.levels])
     # one NumPy reduction, so a NaN prediction reaches max_dev
-    max_dev = float(np.max(np.abs(np.concatenate(q_levels) - np.concatenate(nodes.q_levels))))
-    return {
-        "q_from_rep": _by_history(nodes.levels, q_levels),
-        "q_star": _by_history(nodes.levels, nodes.q_levels),
-        "max_dev": max_dev,
-    }
+    max_dev = float(np.max(np.abs(np.concatenate(q_levels) - np.concatenate(tree.q_levels))))
+    return {"q_levels": q_levels, "max_dev": max_dev}
 
 
 def _open_loop_reward(pomdp: FinitePOMDP, belief, actions) -> float:

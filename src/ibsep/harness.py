@@ -680,16 +680,15 @@ def run_control_sep(seed: int, overrides=None) -> list:
         ))
     spreads, gaps, devs, compressions = [], [], [], []
     for pomdp in instances:
-        nodes = control_sep.brute_force_q(pomdp)
-        report = control_sep.verify_separation(pomdp, nodes=nodes)
+        tree = control_sep.brute_force_q(pomdp)
+        report = control_sep.verify_separation(tree)
         spreads.append(report["max_q_spread"])
-        compressions.append(len(nodes) - report["groups"])
-        policy = control_sep.belief_policy(pomdp, nodes=nodes)
+        compressions.append(len(tree) - report["groups"])
+        policy = control_sep.belief_policy(tree)
         gaps.append(abs(control_sep.policy_return(pomdp, policy)
-                        - control_sep.optimal_return(pomdp, nodes=nodes)))
+                        - control_sep.optimal_return(tree)))
         rep = control_sep.exact_belief_representation(pomdp)
-        devs.append(control_sep.reward_sufficiency_check(
-            pomdp, rep, nodes=nodes)["max_dev"])
+        devs.append(control_sep.reward_sufficiency_check(tree, rep)["max_dev"])
     records = [
         _gate("control-sep", "separation_max_q_spread", spreads, np.max,
               operator.lt, 1e-9, 1e-9, clock),
@@ -703,7 +702,8 @@ def run_control_sep(seed: int, overrides=None) -> list:
                          compressions[:1], np.min, operator.ge, 1, None, clock))
     counterexample = control_sep.counterexample_pomdp()
     insufficient = control_sep.reward_sufficiency_check(
-        counterexample, control_sep.collapsing_representation(counterexample))
+        control_sep.brute_force_q(counterexample),
+        control_sep.collapsing_representation(counterexample))
     records.append(_gate("control-sep", "collapsing_rep_max_dev",
                          [insufficient["max_dev"]], np.max, operator.gt, 1e-3,
                          None, clock))

@@ -127,7 +127,7 @@ def test_observation_probabilities_normalize():
 def test_backward_induction_matches_hand_rollout():
     p = tiger_like()
     short = cs.FinitePOMDP(p.trans, p.obs, p.reward, p.b0, horizon=2)
-    nodes = cs.brute_force_q(short)
+    tree = cs.brute_force_q(short)
     for a in range(2):
         immediate = float(short.b0 @ short.reward[:, a])
         cont = 0.0
@@ -136,16 +136,14 @@ def test_backward_induction_matches_hand_rollout():
             child = cs.belief_update(short, short.b0, a, o)
             cont += p_obs[o] * max(float(child @ short.reward[:, a2])
                                    for a2 in range(2))
-        assert nodes[()].q_values[a] == pytest.approx(immediate + cont, abs=1e-12)
+        assert tree.q_levels[0][0, a] == pytest.approx(immediate + cont, abs=1e-12)
 
 
 def test_reach_probabilities_sum_to_one_per_depth():
-    nodes = cs.brute_force_q(tiger_like())
-    totals = {}
-    for node in nodes.values():
-        totals[node.depth] = totals.get(node.depth, 0.0) + node.reach
-    for depth, total in totals.items():
-        assert total == pytest.approx(1.0, abs=1e-12), depth
+    tree = cs.brute_force_q(tiger_like())
+    assert len(tree.levels) == tiger_like().horizon
+    for depth, level in enumerate(tree.levels):
+        assert sum(level.reach.tolist()) == pytest.approx(1.0, abs=1e-12), depth
 
 
 def test_tree_size_cap_is_enforced():
@@ -160,10 +158,10 @@ def test_zero_probability_branches_are_pruned():
         np.eye(2),  # deterministic observation of the (fixed) state
         np.array([[1.0, 0.0], [0.0, 1.0]]), [1.0, 0.0], 3,
     )
-    nodes = cs.brute_force_q(p)
+    root = cs.brute_force_q(p).levels[0]
     # the state never leaves 0, so only observation 0 ever appears
-    assert ((0, 1),) not in nodes
-    assert ((0, 0),) in nodes
+    assert root.child[0, 0, 1] == -1
+    assert root.child[0, 0, 0] >= 0
 
 
 def _sparse_pomdp(seed):
@@ -205,18 +203,16 @@ def test_one_tree_is_keyed_once_per_node(monkeypatch):
     keys = cs._belief_keys
     monkeypatch.setattr(cs, "_belief_keys",
                         lambda depth, beliefs: calls.append(len(beliefs)) or keys(depth, beliefs))
-    nodes = cs.brute_force_q(p)
+    tree = cs.brute_force_q(p)
     # one array call per level, one key per node
-    assert len(calls) == p.horizon and sum(calls) == len(nodes)
+    assert len(calls) == p.horizon and sum(calls) == len(tree)
     calls.clear()
-    key = cs._belief_key
-    monkeypatch.setattr(cs, "_belief_key",
-                        lambda depth, belief: calls.append(depth) or key(depth, belief))
-    report = cs.verify_separation(p, nodes=nodes)
-    policy = cs.belief_policy(p, nodes=nodes)
-    assert calls == []  # the nodes came keyed
+    report = cs.verify_separation(tree)
+    policy = cs.belief_policy(tree)
+    assert calls == []  # the tree came keyed
     assert report["groups"] == len(policy)
-    assert all(node.key == key(node.depth, node.belief) for node in nodes.values())
+    for depth, level in enumerate(tree.levels):
+        assert tree.belief_keys[depth] == [keys(depth, [belief])[0] for belief in level.beliefs]
 
 
 def test_the_battery_oracles_make_no_obs_probability_call(monkeypatch):
@@ -308,20 +304,23 @@ def test_the_level_tree_is_the_per_node_walk_bit_for_bit(seed, n_states, n_actio
     p = cs.FinitePOMDP(trans, obs, rng.uniform(-1.0, 1.0, (n_states, n_actions)),
                        rng.dirichlet(np.ones(n_states)), horizon)
     want, q_star = _reference_tree(p, lambda history, belief: p.reward.T @ belief)
-    nodes = cs.brute_force_q(p)
-    assert list(nodes) == sorted(want, key=len, reverse=True)  # deepest level first
-    for history, (belief, reach) in want.items():
-        node = nodes[history]
-        assert node.belief.tobytes() == belief.tobytes(), history
-        assert np.float64(node.reach).tobytes() == np.float64(reach).tobytes(), history
-        assert node.q_values.tobytes() == q_star[history].tobytes(), history
+    tree = cs.brute_force_q(p)
+    assert [history for level in tree.levels for history in level.histories] == list(want)
+    for level, q_level in zip(tree.levels, tree.q_levels, strict=True):
+        assert len(q_level) == len(level.histories)
+        for history, belief, reach, q in zip(level.histories, level.beliefs, level.reach,
+                                             q_level):
+            assert belief.tobytes() == want[history][0].tobytes(), history
+            assert reach.tobytes() == np.float64(want[history][1]).tobytes(), history
+            assert q.tobytes() == q_star[history].tobytes(), history
     rep = cs.exact_belief_representation(p)
     _, q_rep = _reference_tree(p, lambda history, belief: [
         rep(history, (a,)) for a in range(p.n_actions)])
-    out = cs.reward_sufficiency_check(p, cs.exact_belief_representation(p), nodes=nodes)
-    assert out["q_from_rep"].keys() == q_rep.keys()
-    for history, q in q_rep.items():
-        assert out["q_from_rep"][history].tobytes() == q.tobytes(), history
+    out = cs.reward_sufficiency_check(tree, cs.exact_belief_representation(p))
+    for level, q_level in zip(tree.levels, out["q_levels"], strict=True):
+        assert len(q_level) == len(level.histories)
+        for history, q in zip(level.histories, q_level):
+            assert q.tobytes() == q_rep[history].tobytes(), history
 
 
 # ---------------------------------------------------------------------------
@@ -333,26 +332,27 @@ def test_separation_holds_on_random_instances():
     rng = np.random.default_rng(0)
     for _ in range(20):
         p = cs.random_pomdp(rng, 3, 2, 2, 4)
-        assert cs.verify_separation(p)["max_q_spread"] < 1e-9
+        assert cs.verify_separation(cs.brute_force_q(p))["max_q_spread"] < 1e-9
 
 
 def test_collision_instance_has_belief_groups():
     p = cs.belief_collision_pomdp()
-    nodes = cs.brute_force_q(p)
-    report = cs.verify_separation(p, nodes=nodes)
+    tree = cs.brute_force_q(p)
+    report = cs.verify_separation(tree)
     # mixing transitions: the belief depends only on the last observation,
     # so distinct histories genuinely collide and the check has teeth
-    assert report["groups"] < len(nodes)
-    np.testing.assert_allclose(nodes[((0, 1),)].belief,
-                               nodes[((1, 1),)].belief, rtol=0, atol=1e-15)
+    assert report["groups"] < len(tree)
+    root, depth_1 = tree.levels[:2]
+    np.testing.assert_allclose(depth_1.beliefs[root.child[0, 0, 1]],
+                               depth_1.beliefs[root.child[0, 1, 1]], rtol=0, atol=1e-15)
     assert report["max_q_spread"] == 0.0
 
 
 def test_a_nan_action_value_fails_separation():
     p = cs.belief_collision_pomdp()
     tree = cs.brute_force_q(p)
-    nodes = dataclasses.replace(tree, q_levels=[np.full_like(q, np.nan) for q in tree.q_levels])
-    report = cs.verify_separation(p, nodes=nodes)
+    poisoned = dataclasses.replace(tree, q_levels=[np.full_like(q, np.nan) for q in tree.q_levels])
+    report = cs.verify_separation(poisoned)
     assert np.isnan(report["max_q_spread"])
     assert not report["max_q_spread"] < 1e-9
 
@@ -366,9 +366,9 @@ def test_belief_policy_achieves_the_tree_optimum():
     rng = np.random.default_rng(1)
     for _ in range(10):
         p = cs.random_pomdp(rng, 3, 2, 2, 4)
-        nodes = cs.brute_force_q(p)
-        policy = cs.belief_policy(p, nodes=nodes)
-        gap = cs.policy_return(p, policy) - cs.optimal_return(p, nodes=nodes)
+        tree = cs.brute_force_q(p)
+        policy = cs.belief_policy(tree)
+        gap = cs.policy_return(p, policy) - cs.optimal_return(tree)
         assert abs(gap) < 1e-9
 
 
@@ -379,7 +379,7 @@ def test_policy_ties_break_to_the_lowest_action():
     reward = np.array([[1.0, 1.0], [-0.5, -0.5]])
     p = cs.FinitePOMDP(trans, np.array([[0.9, 0.1], [0.2, 0.8]]), reward,
                        [0.5, 0.5], 3)
-    policy = cs.belief_policy(p)
+    policy = cs.belief_policy(cs.brute_force_q(p))
     assert set(policy.values()) == {0}
 
 
@@ -393,17 +393,15 @@ def test_identity_observations_reduce_to_the_mdp():
     go = np.array([[0.5, 0.5], [0.7, 0.3]])
     p = cs.FinitePOMDP(np.stack([stay, go], axis=1), np.eye(2),
                        [[1.0, 0.0], [-0.3, 0.6]], [0.4, 0.6], 4)
-    nodes = cs.brute_force_q(p)
+    tree = cs.brute_force_q(p)
     q_mdp = cs.mdp_value_iteration(p)
-    np.testing.assert_allclose(nodes[()].q_values, p.b0 @ q_mdp[0],
+    np.testing.assert_allclose(tree.q_levels[0][0], p.b0 @ q_mdp[0],
                                rtol=0, atol=1e-12)
-    for node in nodes.values():
-        if node.depth == 0:
-            continue
-        state = int(np.argmax(node.belief))
-        assert node.belief[state] == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(node.q_values, q_mdp[node.depth][state],
-                                   rtol=0, atol=1e-12)
+    for depth in range(1, p.horizon):
+        for belief, q in zip(tree.levels[depth].beliefs, tree.q_levels[depth], strict=True):
+            state = int(np.argmax(belief))
+            assert belief[state] == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(q, q_mdp[depth][state], rtol=0, atol=1e-12)
 
 
 def test_value_iteration_on_a_one_state_chain():
@@ -426,19 +424,20 @@ def test_exact_reward_prediction_reconstructs_q():
     instances += [cs.random_pomdp(rng, 3, 2, 2, 4) for _ in range(5)]
     for p in instances:
         rep = cs.exact_belief_representation(p)
-        out = cs.reward_sufficiency_check(p, rep)
+        out = cs.reward_sufficiency_check(cs.brute_force_q(p), rep)
         assert out["max_dev"] < 1e-9
 
 
 def test_observation_blind_representation_is_insufficient():
     p = cs.counterexample_pomdp()
-    out = cs.reward_sufficiency_check(p, cs.collapsing_representation(p))
+    out = cs.reward_sufficiency_check(cs.brute_force_q(p), cs.collapsing_representation(p))
     assert out["max_dev"] > 0.1
 
 
 def test_a_nan_reward_prediction_is_not_certified_sufficient():
     p = cs.belief_collision_pomdp()
-    out = cs.reward_sufficiency_check(p, lambda history, actions: float("nan"))
+    out = cs.reward_sufficiency_check(cs.brute_force_q(p),
+                                      lambda history, actions: float("nan"))
     assert np.isnan(out["max_dev"])
 
 
@@ -459,7 +458,9 @@ def test_the_belief_representation_in_any_query_order_is_a_full_replay():
     rng = np.random.default_rng(43)
     for p in [cs.random_pomdp(rng, 3, 3, 2, 4), cs.random_pomdp(rng, 4, 2, 3, 4)]:
         rep = cs.exact_belief_representation(p)
-        histories = list(cs.brute_force_q(p))
+        # deepest level first, each level in tree order
+        histories = [history for level in cs.brute_force_q(p).levels[::-1]
+                     for history in level.histories]
         for i in rng.permutation(len(histories)):
             actions = tuple(rng.integers(0, p.n_actions, size=rng.integers(1, 4)).tolist())
             assert rep(histories[i], actions) == _full_replay(p, histories[i], actions)
@@ -496,13 +497,13 @@ def test_reward_sufficiency_makes_one_bayes_update_per_history(monkeypatch):
     rng = np.random.default_rng(47)
     for p in [cs.random_pomdp(rng, 3, 3, 3, 5), cs.random_pomdp(rng, 2, 2, 2, 4),
               cs.counterexample_pomdp(), cs.belief_collision_pomdp()]:
-        nodes = cs.brute_force_q(p)
+        tree = cs.brute_force_q(p)
         monkeypatch.setattr(cs, "belief_update", counting_update)
         calls[0] = 0
-        out = cs.reward_sufficiency_check(p, cs.exact_belief_representation(p), nodes=nodes)
+        out = cs.reward_sufficiency_check(tree, cs.exact_belief_representation(p))
         monkeypatch.undo()
         assert out["max_dev"] < 1e-9
-        assert calls[0] <= len(nodes)
+        assert calls[0] <= len(tree)
 
 
 def test_open_loop_reward_predictions_match_enumeration():

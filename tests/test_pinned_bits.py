@@ -159,8 +159,12 @@ def test_brute_force_q_is_pinned():
          "326047cf1a51cefbdaee0529b4ae6aa5b2f05bed69d15006e21c2146c33bc111"),
     ]
     for pomdp, count, best, digest in pinned:
-        nodes = control_sep.brute_force_q(pomdp)
-        assert len(nodes) == count
-        assert float(nodes[()].q_values.max()) == best
-        assert _digest({h: (n.belief.tolist(), float(n.reach), n.q_values.tolist())
-                        for h, n in nodes.items()}) == digest
+        tree = control_sep.brute_force_q(pomdp)
+        assert len(tree) == count
+        assert float(tree.q_levels[0][0].max()) == best
+        # {history: (belief, reach, Q*)}, deepest level first, each in tree order
+        nodes = {history: (belief.tolist(), float(reach), q.tolist())
+                 for level, q_level in zip(tree.levels[::-1], tree.q_levels[::-1])
+                 for history, belief, reach, q in zip(level.histories, level.beliefs,
+                                                      level.reach, q_level)}
+        assert _digest(nodes) == digest
