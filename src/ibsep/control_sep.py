@@ -337,21 +337,29 @@ def exact_belief_representation(pomdp: FinitePOMDP):
     Replays the history with Bayes updates from b0, then propagates the
     belief open-loop through the planned actions (no intermediate
     observations) and returns the expected reward of the final action.
-    It keeps the beliefs along the last history replayed and replays only
-    what a new history does not share with it: a full replay, bit for bit.
+    It keeps the beliefs along the last history replayed, reuses them
+    as they are for a repeat of that history and otherwise replays only
+    what the new history does not share with it: a full replay, bit for
+    bit.
     """
-    beliefs, replayed = [pomdp.b0.copy()], []  # beliefs[d]: after replayed[:d]
+    beliefs, replayed = [pomdp.b0.copy()], ()  # beliefs[d]: after replayed[:d]
 
     def predict(history, actions):
-        shared = 0
-        for step, seen in zip(history, replayed):
-            if step != seen:
-                break
-            shared += 1
-        del beliefs[shared + 1:], replayed[shared:]
-        for a, o in history[shared:]:
-            beliefs.append(belief_update(pomdp, beliefs[-1], a, o))
-            replayed.append((a, o))
+        nonlocal replayed
+        history = tuple(history)
+        if history != replayed:
+            shared = 0
+            for step, seen in zip(history, replayed):
+                if step != seen:
+                    break
+                shared += 1
+            # until the replay is done only the shared prefix is known good,
+            # so a Bayes update that raises leaves a consistent state
+            del beliefs[shared + 1:]
+            replayed = history[:shared]
+            for a, o in history[shared:]:
+                beliefs.append(belief_update(pomdp, beliefs[-1], a, o))
+            replayed = history
         return _open_loop_reward(pomdp, beliefs[-1], actions)
 
     return predict

@@ -415,6 +415,8 @@ _ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.204895398080966
            1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
 _MAXLOG = 7.09782712893383996843E2  # ln of the largest double
 _SQRT1_2 = 7.07106781186547524401E-1
+# CDF arguments per block of gaussian_bin_masses: bounds its scratch memory
+_BIN_BLOCK = 1 << 14
 
 
 def _polevl(x, coefs, monic=False):
@@ -468,7 +470,7 @@ def gaussian_bin_masses(means, stds, edges) -> np.ndarray:
     means, stds : array_like, shape (k,)
         Parameters of k univariate Gaussians.
     edges : array_like, shape (B+1,)
-        Increasing interior bin edges. Two extra unbounded bins
+        Strictly increasing interior bin edges. Two extra unbounded bins
         (-inf, edges[0]) and (edges[-1], inf) are prepended/appended so
         every row sums to 1 exactly.
 
@@ -476,18 +478,39 @@ def gaussian_bin_masses(means, stds, edges) -> np.ndarray:
     -------
     ndarray, shape (k, B+2)
         Row i is the probability of each bin under N(means[i], stds[i]²).
+
+    Working memory: the result is allocated once and filled in blocks of
+    whole rows, each of at most ``_BIN_BLOCK`` CDF arguments, or one row
+    if a row alone has more. A block needs about 100 bytes per argument
+    when none saturates, so beyond the result the call needs at most
+    about 1.6 MB for any number of rows on a grid of up to ``_BIN_BLOCK``
+    edges, and about 100 bytes per edge on a wider one.
     """
-    means = np.asarray(means, dtype=float)[:, None]
-    stds = np.asarray(stds, dtype=float)[:, None]
+    means = np.asarray(means, dtype=float)
+    stds = np.asarray(stds, dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    if means.ndim != 1 or means.shape != stds.shape:
+        raise ValueError("means and stds must be 1-D of one length, "
+                         f"got shapes {means.shape} and {stds.shape}")
     if np.any(stds <= 0):
         raise ValueError("standard deviations must be positive")
-    edges = np.asarray(edges, dtype=float)[None, :]
-    cdf = _normal_cdf((edges - means) / stds)
-    left = cdf[:, :1]
-    right = 1.0 - cdf[:, -1:]
-    inner = np.diff(cdf, axis=1)
-    masses = np.concatenate([left, inner, right], axis=1)
-    return np.clip(masses, 0.0, None)
+    if edges.ndim != 1 or edges.size == 0:
+        raise ValueError(f"edges must be a non-empty 1-D grid, got shape {edges.shape}")
+    bad = np.flatnonzero(~(edges[1:] > edges[:-1]))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"edges must strictly increase: edges[{i + 1}] = {float(edges[i + 1])!r} "
+                         f"does not exceed edges[{i}] = {float(edges[i])!r}")
+    masses = np.empty((means.size, edges.size + 1))
+    rows = max(1, _BIN_BLOCK // edges.size)
+    for start in range(0, means.size, rows):
+        block = slice(start, start + rows)
+        cdf = _normal_cdf((edges - means[block, None]) / stds[block, None])
+        out = masses[block]
+        out[:, 0] = cdf[:, 0]
+        np.subtract(cdf[:, 1:], cdf[:, :-1], out=out[:, 1:-1])
+        np.subtract(1.0, cdf[:, -1], out=out[:, -1])
+    return np.clip(masses, 0.0, None, out=masses)
 
 
 def _read_json_object(source) -> dict:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,6 +438,14 @@ def test_joint_marginal_ordering():
 def test_gaussian_bin_masses_equal_the_normal_cdf_formula_bit_for_bit():
     from scipy.stats import norm
 
+    def check(means, stds, edges):
+        cdf = norm.cdf((edges[None, :] - means[:, None]) / stds[:, None])
+        want = np.clip(np.concatenate([cdf[:, :1], np.diff(cdf, axis=1),
+                                       1.0 - cdf[:, -1:]], axis=1), 0.0, None)
+        got = info.gaussian_bin_masses(means, stds, edges)
+        assert got.shape == (means.size, edges.size + 1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     rng = np.random.default_rng(12)
     for scale in (0.01, 1.0, 40.0):
         means = rng.normal(0.0, scale, size=500)
@@ -445,12 +454,49 @@ def test_gaussian_bin_masses_equal_the_normal_cdf_formula_bit_for_bit():
         # unbounded outer edges and an edge exactly at a mean (a zero z)
         edges = np.concatenate([[-np.inf], edges, [np.inf]])
         means[0] = edges[5]
-        cdf = norm.cdf((edges[None, :] - means[:, None]) / stds[:, None])
-        want = np.clip(np.concatenate([cdf[:, :1], np.diff(cdf, axis=1),
-                                       1.0 - cdf[:, -1:]], axis=1), 0.0, None)
-        got = info.gaussian_bin_masses(means, stds, edges)
-        assert got.shape == (500, 34)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        check(means, stds, edges)
+    # the masses are filled in blocks of whole rows: no row, one row, and
+    # one block less one row, exactly and plus one row
+    block = info._BIN_BLOCK // edges.size
+    for k in (0, 1, block - 1, block, block + 1):
+        check(rng.normal(0.0, 2.0, size=k), rng.uniform(0.1, 2.0, size=k), edges)
+    # a grid wider than the block budget: one row per block
+    wide = np.concatenate([[-np.inf], np.linspace(-6.0, 6.0, info._BIN_BLOCK + 1), [np.inf]])
+    check(rng.normal(0.0, 2.0, size=3), rng.uniform(0.1, 2.0, size=3), wide)
+
+
+def test_gaussian_bin_masses_refuse_a_bad_grid():
+    # edges that fall back would give a row summing to more than one
+    with pytest.raises(ValueError, match=r"strictly increase: edges\[1\] = 0.0"):
+        info.gaussian_bin_masses([0.0], [1.0], [1.0, 0.0, -1.0])
+    with pytest.raises(ValueError, match="strictly increase"):
+        info.gaussian_bin_masses([0.0], [1.0], [-1.0, 0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="strictly increase"):
+        info.gaussian_bin_masses([0.0], [1.0], [-1.0, np.nan, 1.0])
+
+
+def test_gaussian_bin_masses_refuse_means_and_stds_of_different_lengths():
+    with pytest.raises(ValueError, match=r"means and stds .* \(3,\) and \(2,\)"):
+        info.gaussian_bin_masses([0.0, 1.0, 2.0], [1.0, 1.0], [-1.0, 0.0, 1.0])
+
+
+def test_gaussian_bin_masses_work_in_bounded_memory():
+    # beyond its result, a call needs one block's scratch memory however
+    # many rows it has; every argument here is unsaturated, the costliest
+    # case (about 100 bytes each)
+    rng = np.random.default_rng(14)
+    for k, width in ((2_000, 500), (64, 2_000)):
+        means = rng.normal(0.0, 1.0, size=k)
+        stds = rng.uniform(0.5, 2.0, size=k)
+        edges = np.linspace(-6.0, 6.0, width - 1)
+        tracemalloc.start()
+        try:
+            masses = info.gaussian_bin_masses(means, stds, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert masses.shape == (k, width)
+        assert peak - masses.nbytes < 2 * 2**20, (k, width, peak - masses.nbytes)
 
 
 def test_normal_cdf_equals_scipy_ndtr_bit_for_bit():
