@@ -342,24 +342,19 @@ def exact_belief_representation(pomdp: FinitePOMDP):
     what the new history does not share with it: a full replay, bit for
     bit.
     """
-    beliefs, replayed = [pomdp.b0.copy()], ()  # beliefs[d]: after replayed[:d]
+    beliefs, replayed = [pomdp.b0.copy()], []  # beliefs[d]: after replayed[:d]
 
     def predict(history, actions):
-        nonlocal replayed
-        history = tuple(history)
-        if history != replayed:
+        if list(history) != replayed:
             shared = 0
             for step, seen in zip(history, replayed):
                 if step != seen:
                     break
                 shared += 1
-            # until the replay is done only the shared prefix is known good,
-            # so a Bayes update that raises leaves a consistent state
-            del beliefs[shared + 1:]
-            replayed = history[:shared]
+            del beliefs[shared + 1:], replayed[shared:]
             for a, o in history[shared:]:
                 beliefs.append(belief_update(pomdp, beliefs[-1], a, o))
-            replayed = history
+                replayed.append((a, o))
         return _open_loop_reward(pomdp, beliefs[-1], actions)
 
     return predict

@@ -483,6 +483,22 @@ def test_the_belief_representation_in_any_query_order_is_a_full_replay():
     assert refused == 3
 
 
+def test_the_belief_representation_after_a_refused_history_is_a_full_replay():
+    # a history refused partway keeps the beliefs it did reach; asking again
+    # for the shared prefix, or for the empty history, must not answer from
+    # a belief further along the refused history
+    p = cs.FinitePOMDP(np.stack([np.eye(2), np.eye(2)[::-1]], axis=1),
+                       [[1.0, 0.0], [0.5, 0.5]], [[1.0, 0.0], [-1.0, 0.5]],
+                       [1.0, 0.0], horizon=3)
+    for prefix in [((1, 1),), ()]:
+        rep = cs.exact_belief_representation(p)
+        assert rep(prefix, (1, 0)) == _full_replay(p, prefix, (1, 0))
+        with pytest.raises(ValueError, match="zero probability"):
+            rep(((1, 1), (1, 0), (0, 1)), (1, 0))
+        for history in [prefix, ((1, 1),), ((1, 1), (1, 0)), (), prefix]:
+            assert rep(history, (1, 0)) == _full_replay(p, history, (1, 0))
+
+
 def test_reward_sufficiency_makes_one_bayes_update_per_history(monkeypatch):
     # the histories come children first with each subtree in one run, so
     # the representation steps into each history once; a replay from b0 per
