@@ -30,7 +30,6 @@ __all__ = [
     "IBLConfig",
     "WeightPosterior",
     "InvarianceReport",
-    "TrainingDiverged",
     "make_nuisance_task",
     "random_separated_encoder",
     "info_bound_exact",
@@ -41,13 +40,6 @@ __all__ = [
     "train_weight_posterior",
     "flatness_diagnostic",
 ]
-
-TrainingDiverged = nn.TrainingDiverged
-
-# train_ib scores its accuracy curve this many steps at a time; scoring all
-# of the battery's 400 steps at the end would hold about 13 MB at once
-_ACC_CHUNK = 50
-
 
 # ---------------------------------------------------------------------------
 # tasks
@@ -207,12 +199,11 @@ class StochasticEncoder:
         mlp = nn.MLP((y_card, 2 * rep_dim), (W,), (np.zeros(2 * rep_dim),), ("identity",))
         return StochasticEncoder(mlp, rep_dim)
 
-    def posterior_table(self, params=None):
-        """(means, stds) arrays of shape (y_card, rep_dim), log-std clamped, or
-        (R, y_card, rep_dim) from ``params`` holding R runs on a run axis."""
-        out = nn.forward(self.mlp, np.eye(self.mlp.widths[0]), param_nodes=params).value
-        means = out[..., : self.rep_dim]
-        log_stds = np.clip(out[..., self.rep_dim :], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
+    def posterior_table(self):
+        """(means, stds) arrays of shape (y_card, rep_dim), log-std clamped."""
+        out = nn.forward(self.mlp, np.eye(self.mlp.widths[0])).value
+        means = out[:, : self.rep_dim]
+        log_stds = np.clip(out[:, self.rep_dim :], nn.LOG_STD_MIN, nn.LOG_STD_MAX)
         return means, np.exp(log_stds)
 
 
@@ -308,32 +299,14 @@ def eval_accuracy(encoder, decoder, task, samples, rng) -> float:
     share one decoder forward over the stacked rows, and the accuracy sums
     each pair's hit rate weighted by p(z) p(n).
     """
-    params = nn.stack_runs([_named_params(encoder, decoder)])
-    return _accuracies(encoder, decoder, params, task, samples, [rng])[0]
-
-
-def _accuracies(encoder, decoder, params, task, samples, rngs, steps=1) -> list:
-    """:func:`eval_accuracy` of R runs at ``steps`` steps each, one forward each
-    for encoder and decoder.
-
-    ``params`` holds the ``enc.*`` and ``dec.*`` arrays of steps·R parameter
-    sets on a leading run axis, step-major: entry c·R + r is run r at step
-    c. Run r draws the normals of all its steps from ``rngs[r]`` in one call,
-    the numbers of ``steps`` lone calls in turn, so entry c·R + r is bit for
-    bit run r's lone accuracy at step c.
-    """
-    means, stds = encoder.posterior_table(nn.param_group(params, "enc"))
+    means, stds = encoder.posterior_table()
     weights = np.outer(task.p_z, task.p_n)
     zs, ns = np.nonzero(weights)
     ys = np.repeat(task.f_map[zs, ns], samples)
-    draws = (steps, ys.size, encoder.rep_dim)
-    eps = np.stack([rng.standard_normal(draws) for rng in rngs], axis=1)
-    logits = nn.forward(decoder, means[:, ys] + stds[:, ys] * eps.reshape(-1, *draws[1:]),
-                        param_nodes=nn.param_group(params, "dec")).value
-    hits = np.argmax(logits, axis=-1) == np.repeat(zs, samples)
-    rates = hits.reshape(steps * len(rngs), -1, samples).mean(axis=-1)
-    # a running sum adds each run's weighted hit rates in (z, n) order
-    return np.cumsum(weights[zs, ns] * rates, axis=-1)[:, -1].tolist()
+    x = means[ys] + stds[ys] * rng.standard_normal((ys.size, encoder.rep_dim))
+    hits = np.argmax(nn.forward(decoder, x).value, axis=-1) == np.repeat(zs, samples)
+    # a running sum adds the weighted hit rates in (z, n) order
+    return float(np.cumsum(weights[zs, ns] * hits.reshape(-1, samples).mean(axis=-1))[-1])
 
 
 def train_ib(task: NuisanceTask, configs):
@@ -343,26 +316,21 @@ def train_ib(task: NuisanceTask, configs):
     in β, seed and learning rate; a bare config is a ``ValueError``. The
     R runs train as one graph with every encoder and decoder parameter
     stacked on a leading run axis, β an (R,) constant and each run
-    stepped at its own rate. Run r keeps its own init, train and eval
-    streams from its seed, so its parameters and curve
-    (``acc`` included) are bit-identical to its config trained as a
-    one-run sweep. Returns a :class:`~ibsep.nn.TrainedSweep` whose
-    ``runs[r]`` is run r's ``(encoder, decoder)`` pair and whose curves
-    record (step, loss, ce, info_bound, acc). Raises
-    :class:`TrainingDiverged` naming the step and the run's β and seed
-    when a loss or its gradient stops being finite.
-
-    The accuracy curve is scored ``_ACC_CHUNK`` steps at a time: the steps'
-    parameters are kept, and one :func:`_accuracies` call scores them as
-    that many times R runs on the run axis, with each step's bits.
+    stepped at its own rate. Run r keeps its own init and train streams
+    from its seed, so its parameters and curve are bit-identical to its
+    config trained as a one-run sweep. Returns a
+    :class:`~ibsep.nn.TrainedSweep` whose ``runs[r]`` is run r's
+    ``(encoder, decoder)`` pair and whose curves record (step, loss, ce,
+    info_bound). Raises :class:`~ibsep.nn.TrainingDiverged` naming the
+    step and the run's β and seed when a loss or its gradient stops being
+    finite.
     """
     configs = nn.sweep_configs(configs)
     first = configs[0]
-    streams = [np.random.SeedSequence(cfg.seed).spawn(3) for cfg in configs]
-    train_rngs = [np.random.default_rng(train_ss) for _, train_ss, _ in streams]
-    eval_rngs = [np.random.default_rng(eval_ss) for _, _, eval_ss in streams]
+    streams = [np.random.SeedSequence(cfg.seed).spawn(2) for cfg in configs]
+    train_rngs = [np.random.default_rng(train_ss) for _, train_ss in streams]
     start = []  # each run's init; the last run's networks serve as templates
-    for init_ss, _, _ in streams:
+    for init_ss, _ in streams:
         init_rng = np.random.default_rng(init_ss)
         encoder = StochasticEncoder(_init_mlp(task.y_card, 2 * first.rep_dim, init_rng),
                                     first.rep_dim)
@@ -379,31 +347,13 @@ def train_ib(task: NuisanceTask, configs):
         y_idx, z_idx = task.sample_batch(first.batch, rng)
         return y_idx, z_idx, rng.standard_normal((first.batch, first.rep_dim))
 
-    kept, accs = [], []  # the unscored steps' parameters; each step's (R,) accuracies
-
-    def score():
-        chunk = {key: np.concatenate([p[key] for p in kept]) for key in kept[0]}
-        flat = _accuracies(encoder, decoder, chunk, task, 8, eval_rngs, len(kept))
-        accs.extend(flat[c:c + len(configs)] for c in range(0, len(flat), len(configs)))
-        kept.clear()
-
     def loss(params, step):
         y_idx, z_idx, eps = (np.stack(block) for block in zip(*map(draw, train_rngs)))
         total, ce, kl = _loss_graph(encoder, decoder, nn.parameters(params), y_idx,
                                     z_idx, eps, betas)
-        kept.append(params)
-        if len(kept) == _ACC_CHUNK:
-            score()
         return total, {"ce": ce.value.tolist(), "info_bound": kl.value.tolist()}
 
     params, curves, curve = nn.fit_sweep(configs, start, loss)
-    if kept:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as fit's
-            score()
-    for step, row in enumerate(curve):
-        row["acc"] = accs[step]
-        for r, run_curve in enumerate(curves):
-            run_curve[step]["acc"] = accs[step][r]
     return nn.TrainedSweep(tuple(map(networks, params)), curves, curve)
 
 
@@ -663,7 +613,7 @@ def train_weight_posterior(xs, labels, widths, beta, seed, steps=300):
     SGD with learning rate 0.05 and momentum 0.9. Returns (posterior,
     final_kl, final_ce); used by the regularizer sweep checks, where
     growing beta must shrink the final KL(q || p). Raises
-    :class:`TrainingDiverged` with the step when the loss or its gradient
+    :class:`~ibsep.nn.TrainingDiverged` with the step when the loss or its gradient
     stops being finite.
     """
     seq = np.random.SeedSequence(seed)

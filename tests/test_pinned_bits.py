@@ -31,9 +31,32 @@ def test_train_ib_curve_is_pinned():
     curve = sib.train_ib(task, [cfg]).curves[0]
     assert curve[-1] == {"step": 29, "loss": 0.6343601034966818,
                          "ce": 0.6318479037522103,
-                         "info_bound": 0.251219974447147, "acc": 0.71875}
+                         "info_bound": 0.251219974447147}
     assert _digest(curve) == (
-        "3497d48c847e43e27df2c0f1e70c0b75b59fca9b6ffbff28a36754fb95679670")
+        "bd602a837d70ec03403651092944fc238ce1d34f994ba5e72e2556e7a8c78fa8")
+
+
+def test_eval_accuracy_is_pinned():
+    # a trained pair of rep_dim 1 and of rep_dim 2, each scored at 8 and 512
+    # draws per (z, n) pair; the parameters are pinned so that a miss here
+    # says whether training or scoring moved
+    pinned = [
+        ((2, 2, "bijective", 1, 3), (0.8125, 0.787109375),
+         "f9257eedb52dfa48c69c4500f005a48a86f65f2dc11297d8e058125c87e4881b"),
+        ((3, 2, "lossy", 2, 5), (0.3125, 0.40917968749999994),
+         "ac796e12363f4997419ca0a499c164996abf73ea965f8a2090c7eca5eaee0521"),
+    ]
+    for (z_card, n_card, rule, rep_dim, seed), accs, digest in pinned:
+        task = sib.make_nuisance_task(z_card, n_card, rule=rule, seed=seed)
+        cfg = sib.IBLConfig(beta=1e-2, rep_dim=rep_dim, steps=20, batch=16, seed=seed)
+        encoder, decoder = sib.train_ib(task, [cfg]).runs[0]
+        params = b"".join(value.tobytes() for net in (encoder.mlp, decoder)
+                          for value in net.params().values())
+        assert hashlib.sha256(params).hexdigest() == digest
+        got = tuple(sib.eval_accuracy(encoder, decoder, task, samples,
+                                      np.random.default_rng(samples))
+                    for samples in (8, 512))
+        assert tuple(map(repr, got)) == tuple(map(repr, accs)), rep_dim
 
 
 def test_train_weight_posterior_is_pinned():

@@ -228,7 +228,7 @@ def test_train_large_beta_collapses_representation():
 
 
 def _lone_accuracy(encoder, decoder, task, samples, rng):
-    """Accuracy from a lone posterior table and decoder forward, summed in a loop."""
+    """Accuracy from the posterior table and a decoder forward, summed in a loop."""
     means, stds = encoder.posterior_table()
     weights = np.outer(task.p_z, task.p_n)
     zs, ns = np.nonzero(weights)
@@ -242,31 +242,28 @@ def _lone_accuracy(encoder, decoder, task, samples, rng):
     return float(acc)
 
 
-def test_stacked_accuracies_equal_lone_eval_accuracy_calls():
-    # three runs with different networks and generators: one stacked
-    # evaluation gives each run its lone accuracy and consumes each
-    # generator exactly as a lone call does; p(z, n) = 1/6 is not dyadic,
-    # so the hit rates' summation order shows in the bits
+def test_eval_accuracy_equals_a_summed_loop():
+    # three networks with their own generators: each eval_accuracy call
+    # gives the loop's accuracy and consumes its generator as the loop
+    # does; p(z, n) = 1/6 is not dyadic, so the hit rates' summation order
+    # shows in the bits
     task = sib.make_nuisance_task(3, 2, seed=5)
     nets = []
     for seed in (1, 2, 3):
         rng = np.random.default_rng(seed)
         nets.append((sib.StochasticEncoder(sib._init_mlp(task.y_card, 4, rng), 2),
                      sib._init_mlp(2, task.z_card, rng)))
-    params = nn.stack_runs([sib._named_params(*pair) for pair in nets])
     seeds = (10, 20, 30)
-    stacked_rngs, lone_rngs, loop_rngs = (
-        [np.random.default_rng(seed) for seed in seeds] for _ in range(3))
+    lone_rngs, loop_rngs = ([np.random.default_rng(seed) for seed in seeds]
+                            for _ in range(2))
     for _ in range(3):
-        got = sib._accuracies(*nets[0], params, task, 8, stacked_rngs)
-        lone = [sib.eval_accuracy(*pair, task, 8, rng)
-                for pair, rng in zip(nets, lone_rngs)]
+        got = [sib.eval_accuracy(*pair, task, 8, rng)
+               for pair, rng in zip(nets, lone_rngs)]
         want = [_lone_accuracy(*pair, task, 8, rng) for pair, rng in zip(nets, loop_rngs)]
-        assert all(type(a) is float for a in got + lone)
-        assert got == lone == want
+        assert all(type(a) is float for a in got)
+        assert got == want
         assert len(set(want)) > 1
-    assert [rng.standard_normal() for rng in stacked_rngs] == \
-        [rng.standard_normal() for rng in lone_rngs] == \
+    assert [rng.standard_normal() for rng in lone_rngs] == \
         [rng.standard_normal() for rng in loop_rngs]
 
 
@@ -282,7 +279,7 @@ def test_divergence_aborts_with_step_index():
     task = bijective_task()
     cfg = sib.IBLConfig(beta=1e3, rep_dim=1, steps=200, batch=16, seed=0,
                         learning_rate=1e6)
-    with pytest.raises(sib.TrainingDiverged) as exc:
+    with pytest.raises(nn.TrainingDiverged) as exc:
         sib.train_ib(task, [cfg])
     assert isinstance(exc.value.step, int)
     assert 0 <= exc.value.step < 200
@@ -296,63 +293,8 @@ def test_curve_rows_have_expected_fields():
     assert len(curve) == 5
     assert [row["step"] for row in curve] == list(range(5))
     for row in curve:
-        assert set(row) == {"step", "loss", "ce", "info_bound", "acc"}
+        assert set(row) == {"step", "loss", "ce", "info_bound"}
         assert abs(row["loss"] - (row["ce"] + cfg.beta * row["info_bound"])) < 1e-9
-
-
-def _sweep_configs(steps):
-    return [sib.IBLConfig(beta=beta, rep_dim=1, steps=steps, batch=16, seed=seed,
-                          learning_rate=learning_rate)
-            for beta, seed, learning_rate in ((0.0, 3, 0.05), (0.5, 4, 0.05),
-                                              (1e3, 3, 1e-4))]
-
-
-@pytest.mark.parametrize("steps", [1, 49, 50, 73])
-def test_the_chunked_accuracy_curve_equals_per_step_scoring(steps, monkeypatch):
-    # train_ib scores its accuracy curve 50 steps at a time; each step's
-    # parameters scored alone, from fresh eval streams, give the same
-    # curve and leave the streams where train_ib leaves its own
-    task, configs = bijective_task(), _sweep_configs(steps)
-    stepped, eval_rngs = [], []
-    sgd_step, accuracies = nn.sgd_step, sib._accuracies
-
-    def recording_step(params, grads, state):
-        stepped.append(params)
-        return sgd_step(params, grads, state)
-
-    def recording_accuracies(*args, **kwargs):
-        eval_rngs[:] = args[5]
-        return accuracies(*args, **kwargs)
-
-    monkeypatch.setattr(nn, "sgd_step", recording_step)
-    monkeypatch.setattr(sib, "_accuracies", recording_accuracies)
-    sweep = sib.train_ib(task, configs)
-    assert len(stepped) == steps
-    rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2])
-            for cfg in configs]
-    want = [accuracies(*sweep.runs[0], params, task, 8, rngs) for params in stepped]
-    assert [row["acc"] for row in sweep.curve] == want
-    for r, curve in enumerate(sweep.curves):
-        assert [row["acc"] for row in curve] == [accs[r] for accs in want]
-        assert all(list(row) == ["step", "loss", "ce", "info_bound", "acc"]
-                   for row in curve)
-    assert [rng.standard_normal() for rng in eval_rngs] == \
-        [rng.standard_normal() for rng in rngs]
-
-
-@pytest.mark.parametrize("steps", [1, 49, 50, 73])
-def test_train_ib_scores_its_accuracy_curve_once_per_chunk_of_steps(steps, monkeypatch):
-    calls = []
-    accuracies = sib._accuracies
-
-    def counting(*args, **kwargs):
-        calls.append(args[6] if len(args) > 6 else 1)
-        return accuracies(*args, **kwargs)
-
-    monkeypatch.setattr(sib, "_accuracies", counting)
-    sib.train_ib(bijective_task(), _sweep_configs(steps))
-    assert len(calls) == math.ceil(steps / sib._ACC_CHUNK)
-    assert sum(calls) == steps and max(calls) <= sib._ACC_CHUNK
 
 
 def _assert_sweep_matches_one_run_sweeps(task, configs):
@@ -364,8 +306,6 @@ def _assert_sweep_matches_one_run_sweeps(task, configs):
         lone = sib.train_ib(task, [cfg])
         (encoder, decoder), (lone_encoder, lone_decoder) = sweep.runs[r], lone.runs[0]
         assert sweep.curves[r] == lone.curves[0]
-        assert [row["acc"][r] for row in sweep.curve] == \
-            [row["acc"] for row in lone.curves[0]]
         for got, want in ((encoder.mlp, lone_encoder.mlp),
                           (decoder, lone_decoder)):
             for key, value in want.params().items():
@@ -414,10 +354,10 @@ def test_a_diverged_sweep_names_the_run_its_beta_and_seed():
                for beta, seed in ((10.0, 2), (1e3, 4), (1e3, 0))]
     steps = []
     for cfg in configs:
-        with pytest.raises(sib.TrainingDiverged) as lone:
+        with pytest.raises(nn.TrainingDiverged) as lone:
             sib.train_ib(task, [cfg])
         steps.append(lone.value.step)
-    with pytest.raises(sib.TrainingDiverged) as err:
+    with pytest.raises(nn.TrainingDiverged) as err:
         sib.train_ib(task, configs)
     cfg = configs[err.value.run]
     # run 0 would diverge a step later than the other two
