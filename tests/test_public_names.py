@@ -1,5 +1,6 @@
-"""Every public name of the package resolves and has a caller outside the
-tests, and every function that the benchmark's span tracer wraps resolves.
+"""Every public name of the package resolves, is defined in its own module
+and has a caller outside the tests, and every function that the benchmark's
+span tracer wraps resolves.
 
 ``benchmarks/spans.py`` replaces each function of its ``TARGETS`` table with
 a timing wrapper through ``getattr``, so deleting or renaming one of them
@@ -10,6 +11,7 @@ running the benchmark.
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import ibsep
@@ -63,3 +65,13 @@ def test_every_public_name_has_a_caller():
     uncalled = [(mod_name, entry) for mod_name, module in _submodules().items()
                 for entry in module.__all__ if entry not in seen]
     assert not uncalled, uncalled
+
+
+def test_no_public_name_is_borrowed_from_another_module():
+    # an alias such as ``X = other.X`` shares its original's name, so the
+    # caller check above counts the original's callers for it
+    borrowed = [(mod_name, entry, obj.__module__)
+                for mod_name, module in _submodules().items() for entry in module.__all__
+                if (inspect.isclass(obj := getattr(module, entry)) or inspect.isfunction(obj))
+                and obj.__module__ != module.__name__]
+    assert not borrowed, borrowed
