@@ -468,7 +468,7 @@ def gaussian_bin_masses(means, stds, edges) -> np.ndarray:
     Parameters
     ----------
     means, stds : array_like, shape (k,)
-        Parameters of k univariate Gaussians.
+        Parameters of k univariate Gaussians, finite and with stds > 0.
     edges : array_like, shape (B+1,)
         Strictly increasing interior bin edges. Two extra unbounded bins
         (-inf, edges[0]) and (edges[-1], inf) are prepended/appended so
@@ -492,6 +492,11 @@ def gaussian_bin_masses(means, stds, edges) -> np.ndarray:
     if means.ndim != 1 or means.shape != stds.shape:
         raise ValueError("means and stds must be 1-D of one length, "
                          f"got shapes {means.shape} and {stds.shape}")
+    for name, values in (("means", means), ("stds", stds)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"{name} must be finite: {name}[{i}] = {float(values[i])!r}")
     if np.any(stds <= 0):
         raise ValueError("standard deviations must be positive")
     if edges.ndim != 1 or edges.size == 0:

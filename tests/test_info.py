@@ -480,6 +480,20 @@ def test_gaussian_bin_masses_refuse_means_and_stds_of_different_lengths():
         info.gaussian_bin_masses([0.0, 1.0, 2.0], [1.0, 1.0], [-1.0, 0.0, 1.0])
 
 
+def test_gaussian_bin_masses_refuse_non_finite_means_and_stds():
+    # unchecked, a NaN std gives a NaN row and an infinite std the finite
+    # row [0.5, 0, 0.5]
+    edges = [-1.0, 1.0]
+    with pytest.raises(ValueError, match=r"stds must be finite: stds\[1\] = nan"):
+        info.gaussian_bin_masses([0.0, 0.0, 0.0], [1.0, np.nan, np.inf], edges)
+    with pytest.raises(ValueError, match=r"stds must be finite: stds\[0\] = inf"):
+        info.gaussian_bin_masses([0.0], [np.inf], edges)
+    with pytest.raises(ValueError, match=r"means must be finite: means\[2\] = -inf"):
+        info.gaussian_bin_masses([0.0, 1.0, -np.inf], [1.0, 1.0, 1.0], edges)
+    with pytest.raises(ValueError, match=r"means must be finite: means\[0\] = inf"):
+        info.gaussian_bin_masses([np.inf], [1.0], [-np.inf, 0.0])
+
+
 def test_gaussian_bin_masses_work_in_bounded_memory():
     # beyond its result, a call needs one block's scratch memory however
     # many rows it has; every argument here is unsaturated, the costliest
