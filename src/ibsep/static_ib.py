@@ -305,8 +305,9 @@ def eval_accuracy(encoder, decoder, task, samples, rng) -> float:
     ys = np.repeat(task.f_map[zs, ns], samples)
     x = means[ys] + stds[ys] * rng.standard_normal((ys.size, encoder.rep_dim))
     hits = np.argmax(nn.forward(decoder, x).value, axis=-1) == np.repeat(zs, samples)
+    rates = hits.reshape(-1, samples).mean(axis=-1)
     # a running sum adds the weighted hit rates in (z, n) order
-    return float(np.cumsum(weights[zs, ns] * hits.reshape(-1, samples).mean(axis=-1))[-1])
+    return float(np.cumsum(weights[zs, ns] * rates)[-1])
 
 
 def train_ib(task: NuisanceTask, configs):
@@ -613,8 +614,8 @@ def train_weight_posterior(xs, labels, widths, beta, seed, steps=300):
     SGD with learning rate 0.05 and momentum 0.9. Returns (posterior,
     final_kl, final_ce); used by the regularizer sweep checks, where
     growing beta must shrink the final KL(q || p). Raises
-    :class:`~ibsep.nn.TrainingDiverged` with the step when the loss or its gradient
-    stops being finite.
+    :class:`~ibsep.nn.TrainingDiverged` with the step when the loss or its
+    gradient stops being finite.
     """
     seq = np.random.SeedSequence(seed)
     init_ss, train_ss = seq.spawn(2)

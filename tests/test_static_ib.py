@@ -228,7 +228,7 @@ def test_train_large_beta_collapses_representation():
 
 
 def _lone_accuracy(encoder, decoder, task, samples, rng):
-    """Accuracy from the posterior table and a decoder forward, summed in a loop."""
+    """Accuracy from a lone posterior table and decoder forward, summed in a loop."""
     means, stds = encoder.posterior_table()
     weights = np.outer(task.p_z, task.p_n)
     zs, ns = np.nonzero(weights)
