@@ -6,9 +6,6 @@ conditioning oracle (which never recurses).  Then iterates the Riccati map
 to its fixed point and checks the filter covariance converges to it.
 """
 
-import os
-import tempfile
-
 import numpy as np
 
 from ibsep import lgss
@@ -34,9 +31,3 @@ P_star = lgss.riccati_iterate(model, np.eye(model.n), 5000)
 print(f"  ||P_filter(1000) - P*||_max = "
       f"{np.max(np.abs(long_covs[0, -1] - P_star)):.3e}")
 print(f"  steady posterior variance diag: {np.round(np.diag(P_star), 6)}")
-
-print("\ntrajectory CSV round trip")
-csv_path = os.path.join(tempfile.gettempdir(), "demo_traj.csv")
-lgss.trajectory_to_csv(traj, csv_path)
-back = lgss.trajectory_from_csv(csv_path)
-print(f"  y round trips exactly: {np.array_equal(back.y, traj.y)}")

@@ -7,11 +7,6 @@ filter also embeds into the same interface, which pins the evaluation
 harness itself to zero gap.
 """
 
-import os
-import tempfile
-
-import numpy as np
-
 from ibsep import lgss, seprep
 
 model = lgss.LGSSModel(A=[[0.9]], C=[[1.0]],
@@ -40,15 +35,3 @@ rel = report["gap"] / abs(report["nll_kalman"])
 print(f"  held-out NLL: learned {report['nll_learned']:.4f} vs "
       f"Kalman {report['nll_kalman']:.4f}  (rel gap {rel:.3%})")
 print(f"  mean KL(kalman || learned) = {report['mean_kl']:.4f} nats")
-
-csv_path = os.path.join(tempfile.gettempdir(), "demo_filter_eval.csv")
-seprep.write_eval_csv(report["records"], csv_path)
-print(f"  per-step rows written to {csv_path}")
-
-path = os.path.join(tempfile.gettempdir(), "demo_filter.json")
-seprep.save_filter_json(learned, path)
-back = seprep.load_filter_json(path)
-a = back.predict(back.initial_phi(), 1, None)
-b = learned.predict(learned.initial_phi(), 1, None)
-print(f"  JSON round trip: predictive mean agrees -> "
-      f"{np.allclose(a['mean'], b['mean']) and np.allclose(a['cov'], b['cov'])}")

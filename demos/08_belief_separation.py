@@ -7,9 +7,6 @@ a representation that reproduces the belief recovers the optimal values
 exactly, while one that forgets observations pays a measurable price.
 """
 
-import os
-import tempfile
-
 import numpy as np
 
 from ibsep import control_sep
@@ -52,9 +49,3 @@ qs = control_sep.mdp_value_iteration(ident)
 root_q = control_sep.brute_force_q(ident).q_levels[0][0]
 print(f"  root Q from histories vs b0 @ Q_mdp: max dev = "
       f"{np.max(np.abs(root_q - ident.b0 @ qs[0])):.3e}")
-
-path = os.path.join(tempfile.gettempdir(), "demo_pomdp.json")
-control_sep.pomdp_to_json(pomdp, path)
-back = control_sep.pomdp_from_json(path)
-print(f"\nJSON round trip exact: "
-      f"{np.array_equal(back.trans, pomdp.trans) and np.array_equal(back.reward, pomdp.reward)}")

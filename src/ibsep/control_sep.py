@@ -11,12 +11,9 @@ estimated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
-
-from .info import _integer, _parsed, _read_json_object
 
 __all__ = [
     "FinitePOMDP",
@@ -34,8 +31,6 @@ __all__ = [
     "random_pomdp",
     "belief_collision_pomdp",
     "counterexample_pomdp",
-    "pomdp_to_json",
-    "pomdp_from_json",
 ]
 
 _NODE_CAP = 10**6
@@ -436,47 +431,3 @@ def counterexample_pomdp() -> FinitePOMDP:
     reward = np.array([[1.0, 0.0], [-1.0, 0.25]])
     b0 = np.array([0.5, 0.5])
     return FinitePOMDP(trans, obs, reward, b0, horizon=3)
-
-
-# ---------------------------------------------------------------------------
-# files
-# ---------------------------------------------------------------------------
-
-_POMDP_KEYS = {"S", "A", "O", "T", "Omega", "r", "b0", "H"}
-
-
-def pomdp_to_json(pomdp: FinitePOMDP, path=None) -> str:
-    """Serialize with keys S, A, O, T, Omega, r, b0, H (row-major tables)."""
-    payload = {
-        "S": pomdp.n_states,
-        "A": pomdp.n_actions,
-        "O": pomdp.n_obs,
-        "T": pomdp.trans.tolist(),
-        "Omega": pomdp.obs.tolist(),
-        "r": pomdp.reward.tolist(),
-        "b0": pomdp.b0.tolist(),
-        "H": pomdp.horizon,
-    }
-    text = json.dumps(payload, indent=2)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
-    return text
-
-
-def pomdp_from_json(source) -> FinitePOMDP:
-    """Load an instance written by :func:`pomdp_to_json` (path, text or file)."""
-    payload = _read_json_object(source)
-    missing = _POMDP_KEYS - set(payload)
-    if missing:
-        raise ValueError(f"POMDP file missing keys: {sorted(missing)}")
-    unknown = set(payload) - _POMDP_KEYS
-    if unknown:
-        raise ValueError(f"unknown POMDP key {sorted(unknown)[0]!r}")
-    *declared, horizon = (_parsed(key, _integer, payload[key]) for key in "SAOH")
-    pomdp = FinitePOMDP(payload["T"], payload["Omega"], payload["r"], payload["b0"], horizon)
-    declared, actual = tuple(declared), (pomdp.n_states, pomdp.n_actions, pomdp.n_obs)
-    if declared != actual:
-        raise ValueError(f"declared sizes {declared} do not match tables {actual}")
-    return pomdp

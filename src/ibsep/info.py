@@ -17,7 +17,6 @@ Conventions
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -516,32 +515,3 @@ def gaussian_bin_masses(means, stds, edges) -> np.ndarray:
         np.subtract(cdf[:, 1:], cdf[:, :-1], out=out[:, 1:-1])
         np.subtract(1.0, cdf[:, -1], out=out[:, -1])
     return np.clip(masses, 0.0, None, out=masses)
-
-
-def _read_json_object(source) -> dict:
-    """The JSON object in ``source``: a path, JSON text, or an open file."""
-    if hasattr(source, "read"):
-        payload = json.load(source)
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        payload = json.loads(source)
-    else:
-        with open(source) as fh:
-            payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
-    return payload
-
-
-def _parsed(key: str, convert, value):
-    """``convert(value)``, or a ``ValueError`` naming the file key."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"file key {key!r}: {err}") from None
-
-
-def _integer(value) -> int:
-    """A JSON integer: an int or an integral float, never a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)

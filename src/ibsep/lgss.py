@@ -24,7 +24,6 @@ conditions by Schur complement.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,8 +43,6 @@ __all__ = [
     "batch_posterior_oracle",
     "run_filter",
     "predictive_loglik",
-    "trajectory_to_csv",
-    "trajectory_from_csv",
 ]
 
 
@@ -439,69 +436,3 @@ def batch_posterior_oracle(model: LGSSModel, trajectory: Trajectory,
     mean_post = mean_xt + gain @ (y_stack - mean_y)
     cov_post = cov_xx - gain @ cov_xy.T
     return info.GaussianDistribution(mean_post, cov_post)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def trajectory_to_csv(trajectory: Trajectory, path) -> None:
-    """Write rows t, y..., x... (t = 1..T)."""
-    blocks = {"y": trajectory.y, "x": trajectory.x}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"{name}{i}" for name, block in blocks.items()
-                                 for i in range(block.shape[1])])
-        for t in range(trajectory.T):
-            writer.writerow([t + 1] + [repr(float(v)) for block in blocks.values()
-                                       for v in block[t]])
-
-
-def _csv_field(value: str, path, line: int, column: str) -> float:
-    try:
-        number = float(value)
-    except ValueError:
-        number = np.nan
-    if not np.isfinite(number):
-        raise ValueError(f"trajectory file {path} line {line}: column {column} "
-                         f"holds {value!r}, not a finite number")
-    return number
-
-
-def trajectory_from_csv(path) -> Trajectory:
-    """Read a trajectory written by :func:`trajectory_to_csv`; refuse a malformed one.
-
-    The header must be the writer's, ``t`` and then ``y0..`` and ``x0..``
-    in that order, ``t`` must number the rows 1, 2, ... as the writer does,
-    and every field after it must be a finite number.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"trajectory file {path} is empty")
-        columns = header[1:]
-        unknown = [col for col in columns if col[:1] not in ("y", "x")]
-        if unknown:
-            raise ValueError(f"trajectory file {path}: unknown trajectory columns {unknown}")
-        widths = [sum(col[0] == name for col in columns) for name in "yx"]
-        expected = ["t"] + [f"{name}{i}" for name, width in zip("yx", widths)
-                            for i in range(width)]
-        for c, (col, want) in enumerate(zip(header, expected), 1):
-            if col != want:
-                raise ValueError(f"trajectory file {path} column {c}: "
-                                 f"{col!r} where {want!r} belongs")
-        rows = []
-        for row in filter(None, reader):
-            if len(row) != len(header):
-                raise ValueError(f"trajectory file {path} line {reader.line_num}: "
-                                 f"{len(row)} fields for {len(header)} columns")
-            if row[0] != str(len(rows) + 1):
-                raise ValueError(f"trajectory file {path} line {reader.line_num}: column t "
-                                 f"holds {row[0]!r} where {len(rows) + 1} belongs")
-            rows.append([_csv_field(v, path, reader.line_num, col)
-                         for v, col in zip(row[1:], columns)])
-    table = np.array(rows, dtype=float).reshape(len(rows), len(columns))
-    y, x = np.split(table, widths[:1], axis=1)
-    return Trajectory(x=x, y=y)

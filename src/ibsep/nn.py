@@ -507,15 +507,14 @@ def backward(output: Node) -> dict:
 # MLP
 # ---------------------------------------------------------------------------
 
-_NONLINEARITIES = ("relu", "softmax", "identity")
+_NONLINEARITIES = ("relu", "identity")
 
 
 @dataclass(frozen=True)
 class MLP:
     """Feedforward network: widths d_0..d_K, weights (d_{k-1} x d_k), biases.
 
-    ``activations[k]`` names the nonlinearity applied after layer k+1;
-    softmax may only appear at the output.
+    ``activations[k]`` names the nonlinearity applied after layer k+1.
     """
 
     widths: tuple
@@ -534,8 +533,6 @@ class MLP:
                 raise ValueError(f"bias {k} has shape {self.biases[k].shape}")
             if self.activations[k] not in _NONLINEARITIES:
                 raise ValueError(f"unknown nonlinearity {self.activations[k]!r}")
-            if self.activations[k] == "softmax" and k != K - 1:
-                raise ValueError("softmax is only allowed on the final layer")
 
     def params(self) -> dict:
         out = {}
@@ -583,8 +580,6 @@ def forward(mlp: MLP, x, param_nodes=None) -> Node:
         param_nodes = parameters(mlp.params())
     for k, act in enumerate(mlp.activations):
         h = affine_n(h, param_nodes[f"W{k}"], param_nodes[f"b{k}"], act == "relu")
-        if act == "softmax":
-            h = log_softmax_n(h).exp()
     if single:
         h = h[0, :]
     return h

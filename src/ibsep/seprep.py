@@ -29,7 +29,6 @@ candidate must respect.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -47,13 +46,10 @@ __all__ = [
     "train_filter",
     "lgss_source",
     "evaluate_vs_kalman",
-    "write_eval_csv",
     "hmm_exact_reference",
     "nstep_bound_check",
     "exact_posterior_candidate",
     "marginal_candidate",
-    "save_filter_json",
-    "load_filter_json",
 ]
 
 LOG2PI = math.log(2.0 * math.pi)
@@ -466,17 +462,6 @@ def evaluate_vs_kalman(model, lgss_model: lgss.LGSSModel, T: int, num_traj: int,
     }
 
 
-def write_eval_csv(records, path) -> None:
-    """Write evaluation rows as traj_id,t,nll_learned,nll_kalman,kl."""
-    with open(path, "w") as fh:
-        fh.write("traj_id,t,nll_learned,nll_kalman,kl\n")
-        for r in records:
-            fh.write(
-                f"{r['traj_id']},{r['t']},{r['nll_learned']!r},"
-                f"{r['nll_kalman']!r},{r['kl']!r}\n"
-            )
-
-
 # ---------------------------------------------------------------------------
 # exact finite-HMM references
 # ---------------------------------------------------------------------------
@@ -627,78 +612,3 @@ def marginal_candidate(hmm: FiniteHMM, T: int):
         return marginals[len(history) + k]
 
     return candidate
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-_FILTER_KEYS = {"rep_dim", "obs_dim", "phi0", "update", "head"}
-_MLP_KEYS = {"widths", "activations", "weights", "biases"}
-
-
-def _mlp_payload(mlp: nn.MLP) -> dict:
-    return {
-        "widths": list(mlp.widths),
-        "activations": list(mlp.activations),
-        "weights": [w.tolist() for w in mlp.weights],
-        "biases": [b.tolist() for b in mlp.biases],
-    }
-
-
-def _mlp_from_payload(key: str, payload) -> nn.MLP:
-    missing = _MLP_KEYS - set(payload) if isinstance(payload, dict) else _MLP_KEYS
-    if missing:
-        raise ValueError(f"model file key {key!r} missing keys: {sorted(missing)}")
-    weights, biases = (info._parsed(f"{key}.{name}",
-                                    lambda v: tuple(np.asarray(a, dtype=float) for a in v),
-                                    payload[name])
-                       for name in ("weights", "biases"))
-    return info._parsed(key, lambda p: nn.MLP(tuple(p["widths"]), weights, biases,
-                                              tuple(p["activations"])), payload)
-
-
-def save_filter_json(model: SepFilterModel, path=None) -> str:
-    """Serialize architecture and weights; floats round-trip exactly.
-
-    Values are written with shortest round-trip formatting (at most 17
-    significant digits), so loading reproduces the arrays bit for bit.
-    """
-    payload = {
-        "rep_dim": model.rep_dim,
-        "obs_dim": model.obs_dim,
-        "phi0": model.phi0.tolist(),
-        "update": _mlp_payload(model.update),
-        "head": _mlp_payload(model.head),
-    }
-    text = json.dumps(payload, indent=2)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
-    return text
-
-
-def load_filter_json(source) -> SepFilterModel:
-    """Load a model written by :func:`save_filter_json` (path, text or file).
-
-    A missing or an unknown key, or a value of the wrong type, is a
-    ``ValueError`` that names the key.
-    """
-    payload = info._read_json_object(source)
-    missing = _FILTER_KEYS - set(payload)
-    if missing:
-        raise ValueError(f"model file missing keys: {sorted(missing)}")
-    unknown = set(payload) - _FILTER_KEYS
-    if unknown:
-        raise ValueError(f"unknown model file key {sorted(unknown)[0]!r}")
-    rep_dim, obs_dim = (info._parsed(key, info._integer, payload[key])
-                        for key in ("rep_dim", "obs_dim"))
-    return SepFilterModel(
-        rep_dim=rep_dim,
-        obs_dim=obs_dim,
-        update=_mlp_from_payload("update", payload["update"]),
-        head=_mlp_from_payload("head", payload["head"]),
-        phi0=info._parsed("phi0", lambda v: np.asarray(v, dtype=float).reshape(2 * rep_dim),
-                          payload["phi0"]),
-    )

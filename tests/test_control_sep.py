@@ -1,7 +1,6 @@
 """Tests for the finite-POMDP separation checks."""
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -65,12 +64,10 @@ def test_an_empty_axis_is_rejected_by_name(shape, axis):
         cs.FinitePOMDP(trans, obs, np.zeros((S, A)), b0, 3)
 
 
-def test_pomdp_json_rejects_a_nan_entry():
-    # json reads NaN; the instance must not load and then verify vacuously
-    payload = json.loads(cs.pomdp_to_json(tiger_like()))
-    payload["T"][0][0][0] = float("nan")
-    with pytest.raises(ValueError, match="transition table"):
-        cs.pomdp_from_json(json.dumps(payload))
+def test_random_pomdp_is_well_formed():
+    p = cs.random_pomdp(np.random.default_rng(3), 4, 3, 2, 3)
+    assert (p.n_states, p.n_actions, p.n_obs) == (4, 3, 2)
+    assert np.all(np.abs(p.reward) <= 1.0)
 
 
 def test_belief_update_matches_manual_bayes():
@@ -533,45 +530,3 @@ def test_open_loop_reward_predictions_match_enumeration():
     # single action: expected immediate reward under the belief
     assert rep(history, (1,)) == pytest.approx(float(b @ p.reward[:, 1]),
                                                abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_pomdp_json_round_trip(tmp_path):
-    p = tiger_like()
-    path = tmp_path / "pomdp.json"
-    cs.pomdp_to_json(p, path)
-    loaded = cs.pomdp_from_json(path)
-    assert np.array_equal(p.trans, loaded.trans)
-    assert np.array_equal(p.obs, loaded.obs)
-    assert np.array_equal(p.reward, loaded.reward)
-    assert np.array_equal(p.b0, loaded.b0)
-    assert p.horizon == loaded.horizon
-
-
-def test_pomdp_json_rejects_bad_payloads():
-    p = tiger_like()
-    payload = json.loads(cs.pomdp_to_json(p))
-    missing = dict(payload)
-    del missing["Omega"]
-    with pytest.raises(ValueError, match="Omega"):
-        cs.pomdp_from_json(json.dumps(missing))
-    extra = dict(payload, gamma=0.9)
-    with pytest.raises(ValueError, match="gamma"):
-        cs.pomdp_from_json(json.dumps(extra))
-    lying = dict(payload, S=5)
-    with pytest.raises(ValueError, match="declared"):
-        cs.pomdp_from_json(json.dumps(lying))
-    # a size or horizon must be an integer: no bool, string or fraction
-    for key, value in (("H", 2.7), ("H", True), ("H", "3"), ("S", 2.9)):
-        with pytest.raises(ValueError, match=f"'{key}'"):
-            cs.pomdp_from_json(json.dumps(dict(payload, **{key: value})))
-
-
-def test_random_pomdp_is_well_formed():
-    p = cs.random_pomdp(np.random.default_rng(3), 4, 3, 2, 3)
-    assert (p.n_states, p.n_actions, p.n_obs) == (4, 3, 2)
-    assert np.all(np.abs(p.reward) <= 1.0)

@@ -557,44 +557,3 @@ def test_cross_entropy_discrete_decomposition():
         rhs = info.entropy(p) + info.kl_discrete(p, q)
         assert abs(lhs - rhs) < 1e-12
 
-
-# ---------------------------------------------------------------------------
-# the JSON loaders share one reader
-# ---------------------------------------------------------------------------
-
-
-def _loader_cases():
-    from ibsep import control_sep, seprep
-
-    rng = np.random.default_rng(40)
-    filt = seprep.init_sep_filter(2, 1, rng=rng)
-    pomdp = control_sep.random_pomdp(rng)
-    return {
-        "seprep": (seprep.save_filter_json(filt), seprep.load_filter_json,
-                   lambda m: m.update.weights[0]),
-        "control_sep": (control_sep.pomdp_to_json(pomdp),
-                        control_sep.pomdp_from_json, lambda m: m.trans),
-    }
-
-
-@pytest.mark.parametrize("which", ["seprep", "control_sep"])
-def test_loaders_accept_paths_text_and_open_files(which, tmp_path):
-    text, load, key = _loader_cases()[which]
-    path = tmp_path / "object.json"
-    path.write_text(text)
-    want = key(load(text))
-    with open(path) as fh:
-        loaded = [load(str(path)), load(path), load(fh)]
-    for model in loaded:
-        assert np.array_equal(key(model), want)
-
-
-@pytest.mark.parametrize("which", ["seprep", "control_sep"])
-def test_loaders_reject_a_json_list(which, tmp_path):
-    _, load, _ = _loader_cases()[which]
-    path = tmp_path / "list.json"
-    path.write_text("[1, 2]\n")
-    with pytest.raises(ValueError, match="JSON object"):
-        load(path)
-    with open(path) as fh, pytest.raises(ValueError, match="JSON object"):
-        load(fh)

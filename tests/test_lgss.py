@@ -751,7 +751,7 @@ def test_joseph_form_minimum_eigenvalue():
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# model validation
 # ---------------------------------------------------------------------------
 
 
@@ -764,58 +764,3 @@ def test_model_refuses_non_finite_entries_by_name(name, bad):
     with pytest.raises(ValueError, match=rf"^{name} has non-finite entries$"):
         lgss.LGSSModel(**fields)
 
-
-def test_trajectory_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(17)
-    model = lgss.random_stable_model(rng, n=2, m=2)
-    traj = lgss.simulate(model, 6, rng)
-    path = tmp_path / "traj.csv"
-    lgss.trajectory_to_csv(traj, path)
-    loaded = lgss.trajectory_from_csv(path)
-    # repr round-trips floats exactly
-    assert np.array_equal(loaded.x, traj.x)
-    assert np.array_equal(loaded.y, traj.y)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,y0,y1,x0,x1"
-
-
-def test_trajectory_csv_round_trips_no_controls_and_refuses_unknown_columns(tmp_path):
-    rng = np.random.default_rng(18)
-    model = lgss.random_stable_model(rng, n=1, m=1)
-    traj = lgss.simulate(model, 4, rng)
-    path = tmp_path / "traj.csv"
-    lgss.trajectory_to_csv(traj, path)
-    assert path.read_text().splitlines()[0] == "t,y0,x0"
-    loaded = lgss.trajectory_from_csv(path)
-    assert np.array_equal(loaded.y, traj.y)
-    # a control column is no column of a trajectory file
-    for extra in ("w0", "z0", "u0"):
-        path.write_text(f"t,y0,{extra}\n1,0.5,1.0\n")
-        with pytest.raises(ValueError, match=rf"unknown trajectory columns \['{extra}'\]"):
-            lgss.trajectory_from_csv(path)
-    # an empty file and a short row are refused by file name, the row by line
-    path.write_text("")
-    with pytest.raises(ValueError, match=r"traj\.csv is empty"):
-        lgss.trajectory_from_csv(path)
-    path.write_text("t,y0,x0\n1,0.5,1.0\n2,0.5\n")
-    with pytest.raises(ValueError, match=r"traj\.csv line 3: 2 fields for 3 columns"):
-        lgss.trajectory_from_csv(path)
-    # a field that is not a finite number is refused by line and column
-    for field in ("abc", "nan", "inf", "-inf", ""):
-        path.write_text(f"t,y0,x0\n1,0.5,1.0\n2,{field},1.0\n")
-        with pytest.raises(ValueError, match=r"traj\.csv line 3: column y0 holds"):
-            lgss.trajectory_from_csv(path)
-    # t must number the rows 1, 2, ... as the writer does: a row that is
-    # missing, repeated or out of order is refused by line and column
-    for rows, line in (("foo,0.5,1.0\n9,0.25,1.0", 2), ("1,0.5,1.0\n1,0.25,1.0", 3),
-                       ("2,0.5,1.0\n1,0.25,1.0", 2), ("1,0.5,1.0\n3,0.25,1.0", 3)):
-        path.write_text(f"t,y0,x0\n{rows}\n")
-        with pytest.raises(ValueError, match=rf"traj\.csv line {line}: column t holds"):
-            lgss.trajectory_from_csv(path)
-    # columns out of the writer's order, or twice, would load into the wrong
-    # slots; they are refused by file and column
-    for header, column, bad in (("t,y1,y0", 2, "y1"), ("t,y0,y0", 3, "y0"),
-                                ("t,x0,y0", 2, "x0"), ("s,y0,x0", 1, "s")):
-        path.write_text(f"{header}\n1,1.0,2.0\n")
-        with pytest.raises(ValueError, match=rf"traj\.csv column {column}: '{bad}' where"):
-            lgss.trajectory_from_csv(path)

@@ -8,7 +8,7 @@ from ibsep import info, nn, seprep, static_ib
 import references
 
 
-def random_mlp(rng, max_layers=3, max_width=16, final="softmax"):
+def random_mlp(rng, max_layers=3, max_width=16, final="identity"):
     depth = int(rng.integers(1, max_layers + 1))
     widths = [int(rng.integers(2, max_width + 1)) for _ in range(depth + 1)]
     acts = ["relu"] * (depth - 1) + [final]
@@ -53,7 +53,7 @@ def rel_error(a, b):
 
 
 def _softmax(v):
-    """The softmax output layer of an MLP: exp of the log-softmax node."""
+    """Softmax as the exp of the log-softmax node."""
     return nn.log_softmax_n(nn.constant(v)).exp().value
 
 
@@ -138,13 +138,11 @@ def test_forward_zero_weights_relu():
 
 def test_forward_matches_straight_reevaluation():
     rng = np.random.default_rng(4)
-    mlp = nn.init_mlp([3, 5, 4], ["relu", "softmax"], rng)
+    mlp = nn.init_mlp([3, 5, 4], ["relu", "identity"], rng)
     x = rng.normal(size=3)
     out = nn.forward(mlp, x).value
     h = np.maximum(x @ mlp.weights[0] + mlp.biases[0], 0.0)
-    logits = h @ mlp.weights[1] + mlp.biases[1]
-    expected = np.exp(logits - logits.max())
-    expected /= expected.sum()
+    expected = h @ mlp.weights[1] + mlp.biases[1]
     assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -155,10 +153,13 @@ def test_forward_dimension_mismatch():
         nn.forward(mlp, np.zeros(4))
 
 
-def test_softmax_only_final_layer():
+def test_softmax_is_an_unknown_nonlinearity():
+    # every loss takes log_softmax_n of identity logits, so no layer is a
+    # softmax, at the output or before it
     rng = np.random.default_rng(6)
-    with pytest.raises(ValueError):
-        nn.init_mlp([2, 3, 2], ["softmax", "identity"], rng)
+    for acts in (["relu", "softmax"], ["softmax", "identity"]):
+        with pytest.raises(ValueError, match="unknown nonlinearity 'softmax'"):
+            nn.init_mlp([2, 3, 2], acts, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +243,7 @@ def test_the_gather_vjp_keeps_the_bits_of_put_along_axis(shape):
 
 def test_backward_matches_finite_differences_mlp():
     rng = np.random.default_rng(7)
-    mlp = nn.init_mlp([4, 6, 5, 3], ["relu", "relu", "softmax"], rng)
+    mlp = nn.init_mlp([4, 6, 5, 3], ["relu", "relu", "identity"], rng)
     xs = rng.normal(size=(2, 4))
     labels = np.array([0, 2])
 
@@ -253,9 +254,8 @@ def test_backward_matches_finite_differences_mlp():
             h = h @ model.weights[k] + model.biases[k]
             if act == "relu":
                 h = np.maximum(h, 0.0)
-            elif act == "softmax":
-                e = np.exp(h - h.max(axis=-1, keepdims=True))
-                h = e / e.sum(axis=-1, keepdims=True)
+        e = np.exp(h - h.max(axis=-1, keepdims=True))
+        h = e / e.sum(axis=-1, keepdims=True)
         return float(np.mean([-math.log(h[i, labels[i]]) for i in range(len(labels))]))
 
     param_nodes = {k: nn.parameter(v, name=k) for k, v in mlp.params().items()}
@@ -576,7 +576,7 @@ def test_toposort_keeps_the_depth_first_order_node_for_node(graph):
     assert all(a is b for a, b in zip(order, want))
 
 
-@pytest.mark.parametrize("acts", [["identity"], ["relu", "softmax"],
+@pytest.mark.parametrize("acts", [["identity"], ["relu", "identity"],
                                   ["relu", "relu", "identity"]])
 def test_forward_adds_one_node_per_layer(acts):
     rng = np.random.default_rng(4)
@@ -585,8 +585,7 @@ def test_forward_adds_one_node_per_layer(acts):
     ops = [node.op for node in nn._toposort(out)]
     K = len(acts)
     assert ops.count("affine") == K
-    softmax = 2 if acts[-1] == "softmax" else 0  # log_softmax, then exp
-    assert len(ops) == 1 + 2 * K + K + softmax  # input, W_k and b_k, layers
+    assert len(ops) == 1 + 2 * K + K  # input, W_k and b_k, layers
 
 
 def _scan_case(rng, runs, T, tbptt, exo, hidden=(5,)):
@@ -793,7 +792,7 @@ def test_training_determinism_bitwise():
     # identical seed -> bit-identical parameter trajectory
     def train(seed):
         rng = np.random.default_rng(seed)
-        mlp = nn.init_mlp([3, 8, 2], ["relu", "softmax"], rng)
+        mlp = nn.init_mlp([3, 8, 2], ["relu", "identity"], rng)
         params = mlp.params()
         state = nn.OptimizerState(schedule=0.05, momentum=0.9)
         xs = rng.normal(size=(40, 3))

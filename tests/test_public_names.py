@@ -1,6 +1,7 @@
 """Every public name of the package resolves, is defined in its own module
-and has a caller outside the tests, and every function that the benchmark's
-span tracer wraps resolves.
+and has a caller outside the tests, every function that the benchmark's
+span tracer wraps resolves, and no module but the harness reads or writes
+a file.
 
 ``benchmarks/spans.py`` replaces each function of its ``TARGETS`` table with
 a timing wrapper through ``getattr``, so deleting or renaming one of them
@@ -75,3 +76,19 @@ def test_no_public_name_is_borrowed_from_another_module():
                 if (inspect.isclass(obj := getattr(module, entry)) or inspect.isfunction(obj))
                 and obj.__module__ != module.__name__]
     assert not borrowed, borrowed
+
+
+def _touches_files(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name in ("csv", "json") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module in ("csv", "json")
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "open")
+
+
+def test_only_the_harness_reads_or_writes_files():
+    # sepctl's metrics.csv and summary.json are the package's only files
+    touching = {path.name for path in (ROOT / "src" / "ibsep").glob("*.py")
+                if any(map(_touches_files, ast.walk(ast.parse(path.read_text(), str(path)))))}
+    assert touching == {"harness.py"}, sorted(touching)
