@@ -440,9 +440,12 @@ def _flatness_records(opts, seed, clock) -> list:
     return records
 
 
-def run_static_ib(seed: int, overrides=None) -> list:
-    """Invariance battery, stacked channels, training endpoints, flatness."""
-    opts = _opts("static-ib", overrides)
+def _exact_static_ib(opts, seed) -> tuple:
+    """static-ib's checks that read no trained network, on a clock of their own.
+
+    Returns the invariance and stacking records, which alone read the
+    battery's ``rng``, and the flatness records.
+    """
     rng = np.random.default_rng(seed)
     clock = _Clock()
     records = []
@@ -484,7 +487,26 @@ def run_static_ib(seed: int, overrides=None) -> list:
     records.append(_gate("static-ib", "stack_noisy_nuisance_max_increase",
                          [b.i_xn - a.i_xn for a, b in zip(noisy, noisy[1:])],
                          np.max, operator.le, 1e-12, 1e-12, clock))
+    return records, _flatness_records(opts, seed, clock)
 
+
+def run_static_ib(seed: int, overrides=None) -> list:
+    """Invariance battery, stacked channels, training endpoints, flatness.
+
+    The exact checks run :func:`~ibsep.nn.beside` the training and its
+    evaluations, and the records keep the order of this docstring.
+    """
+    opts = _opts("static-ib", overrides)
+    with nn.beside(lambda: _exact_static_ib(opts, seed)) as exact:
+        trained = _trained_static_ib(opts, seed)
+        checked, flatness = exact()
+    return checked + trained + flatness
+
+
+def _trained_static_ib(opts, seed) -> list:
+    """static-ib's training records, on a clock of their own."""
+    clock = _Clock()
+    records = []
     # training endpoints, averaged over seeds; the free (beta 0) and squeezed
     # (beta 1e3, a smaller step) seeds train as one sweep
     task = static_ib.make_nuisance_task(2, 2, seed=0)
@@ -510,8 +532,6 @@ def run_static_ib(seed: int, overrides=None) -> list:
                          np.mean, operator.lt, 0.01, 0.01, clock))
     records.append(_gate("static-ib", "hi_beta_mean_accuracy_dev", devs,
                          np.mean, operator.le, 0.05, 0.05, clock))
-
-    records.extend(_flatness_records(opts, seed, clock))
     return records
 
 

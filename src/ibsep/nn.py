@@ -32,12 +32,21 @@ backward visit, with the bits of the per-step chain of layer nodes.
 freeing one step's graph does not hand pages back to the kernel which
 the next step would fault in again; where there is no ``mallopt`` this
 does nothing.
+
+:func:`beside` computes a function in a forked worker while the caller
+does other work, where a second CPU is usable, and in process otherwise;
+the result is the same either way, so callers split independent work
+across the two without moving a bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,6 +77,8 @@ __all__ = [
     "stack_runs",
     "unstack_runs",
     "fit_sweep",
+    "worker_available",
+    "beside",
     "LOG_STD_MIN",
     "LOG_STD_MAX",
 ]
@@ -87,12 +98,26 @@ class TrainingDiverged(RuntimeError):
 
     Carries the step and the index of the first run that diverged: its
     entry on the run axis of stacked losses, and 0 for a scalar loss.
+    ``gradient`` is whether every loss of the step was finite and a
+    gradient was not; :func:`fit` checks the losses first.
     """
 
-    def __init__(self, step, message=None, run=0):
+    def __init__(self, step, message=None, run=0, gradient=False):
         self.step = step
         self.run = run
+        self.gradient = gradient
         super().__init__(message or f"training loss non-finite at step {step}")
+
+    def __reduce__(self):
+        # the default would call the class with ``args``, the message alone
+        return type(self), (self.step, self.args[0], self.run, self.gradient)
+
+    @classmethod
+    def in_sweep(cls, configs, step, run, gradient=False):
+        """Run ``run`` of the sweep ``configs`` diverged at ``step``; names its β and seed."""
+        cfg = configs[run]
+        return cls(step, f"training loss non-finite at step {step} "
+                         f"(run {run}: beta={cfg.beta!r}, seed={cfg.seed})", run, gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +741,7 @@ def fit(params: dict, loss_fn, state: OptimizerState, steps: int):
             bad = np.zeros(losses.shape, dtype=bool)
             for g in grads.values():
                 bad |= ~np.isfinite(g.reshape(*losses.shape, -1)).all(axis=-1)
-            raise TrainingDiverged(step, run=int(np.argmax(bad))) from err
+            raise TrainingDiverged(step, run=int(np.argmax(bad)), gradient=True) from err
     return params, curve
 
 
@@ -796,11 +821,110 @@ def fit_sweep(configs, params: list, loss_fn):
     try:
         stacked, curve = fit(stack_runs(params), loss_fn, state, configs[0].steps)
     except TrainingDiverged as err:
-        cfg = configs[err.run]
-        raise TrainingDiverged(
-            err.step, f"training loss non-finite at step {err.step} "
-                      f"(run {err.run}: beta={cfg.beta!r}, seed={cfg.seed})",
-            err.run) from err
+        raise TrainingDiverged.in_sweep(configs, err.step, err.run, err.gradient) from err
     curves = [[{key: value if key == "step" else value[r] for key, value in row.items()}
                for row in curve] for r in range(len(params))]
     return unstack_runs(stacked, params[0]), curves, curve
+
+
+# ---------------------------------------------------------------------------
+# a worker process beside the caller
+# ---------------------------------------------------------------------------
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else 1
+
+
+def worker_available() -> bool:
+    """Whether :func:`beside` forks: ``os.fork`` exists and two CPUs are usable."""
+    return hasattr(os, "fork") and _usable_cpus() >= 2
+
+
+def _called(fn) -> tuple:
+    """``(True, fn())``, or ``(False, exception)`` when fn raised one."""
+    try:
+        return True, fn()
+    except Exception as err:
+        return False, err
+
+
+def _returned(outcome):
+    ok, value = outcome
+    if not ok:
+        raise value
+    return value
+
+
+class _Forked:
+    """``fn()`` computed in a forked child that pickles its outcome into a pipe."""
+
+    def __init__(self, fn):
+        self._fd, write_fd = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:
+            os.close(self._fd)
+            os.close(write_fd)
+            raise
+        if self._pid == 0:  # the child never returns into the caller's code
+            status = 1
+            try:
+                os.close(self._fd)
+                try:
+                    payload = pickle.dumps(_called(fn))
+                except Exception as err:  # a result or exception that will not pickle
+                    payload = pickle.dumps((False, RuntimeError(
+                        f"worker outcome did not pickle: {err!r}")))
+                view = memoryview(payload)
+                while view:
+                    view = view[os.write(write_fd, view):]
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+
+    def join(self):
+        """Wait for the child; return its result or raise its exception."""
+        chunks = []
+        while chunk := os.read(self._fd, 1 << 20):
+            chunks.append(chunk)
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        if not chunks:
+            raise RuntimeError(f"worker exited with status {status} and no result")
+        return _returned(pickle.loads(b"".join(chunks)))
+
+    def close(self):
+        """Kill and reap a child never joined; release the pipe."""
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        os.close(self._fd)
+
+
+@contextlib.contextmanager
+def beside(fn):
+    """Compute ``fn()`` beside the work of the ``with`` block; yields its join.
+
+    Where :func:`worker_available`, a forked worker calls ``fn`` while the
+    block runs, and the yielded ``join()`` waits for it and returns its
+    result or raises its exception, each passed back pickled. Otherwise
+    ``fn`` is called in process on entry, before the block, and ``join()``
+    returns or raises the same. So ``fn`` must not depend on what the
+    block does, and neither sees the other's side effects. Leaving the
+    block reaps the worker on every path; one never joined, because the
+    block raised first, is killed.
+    """
+    if not worker_available():
+        outcome = _called(fn)
+        yield lambda: _returned(outcome)
+        return
+    worker = _Forked(fn)
+    try:
+        yield worker.join
+    finally:
+        worker.close()

@@ -486,6 +486,70 @@ def test_run_static_ib_trains_each_group_of_seeds_as_one_sweep(monkeypatch):
     assert counts["beta0_mean_accuracy"] == counts["hi_beta_mean_info_bound"] == 3
 
 
+def _small(name, **more):
+    return {**{k: v for k, v in FAST.items() if k in harness._DEFAULTS[name]}, **more}
+
+
+def _record_bits(records):
+    """Every field of each record but its wall-clock seconds, floats as hex."""
+    return [(r.experiment, r.key, float(r.value).hex(), r.tolerance, r.status,
+             r.instances) for r in records]
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@needs_fork
+@pytest.mark.parametrize("name, battery, small", [
+    ("static-ib", harness.run_static_ib, _small("static-ib")),
+    ("seprep", harness.run_seprep, _small("seprep", train_seeds=2)),
+], ids=["static-ib", "seprep"])
+def test_a_battery_gives_the_same_records_in_one_process_and_in_two(
+        monkeypatch, name, battery, small):
+    # static-ib's exact checks and half of seprep's sweep run in a forked
+    # worker where two CPUs are usable; with one, all of it runs in process
+    seed = harness.experiment_seed(7, name)
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
+    one = battery(seed, small)
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
+    two = battery(seed, small)
+    assert _record_bits(two) == _record_bits(one)
+
+
+def _raising_on(side, real):
+    """``real``, but raising LookupError(side) in the worker or in the caller."""
+    caller = os.getpid()
+
+    def wrapped(*args, **kwargs):
+        if (os.getpid() == caller) == (side == "caller"):
+            raise LookupError(side)
+        return real(*args, **kwargs)
+
+    return wrapped
+
+
+@needs_fork
+@pytest.mark.parametrize("name, battery, module, in_worker, in_caller", [
+    ("static-ib", harness.run_static_ib, harness.static_ib, "measure_invariance",
+     "train_ib"),
+    ("seprep", harness.run_seprep, harness.seprep, "_train_sweep", "_train_sweep"),
+], ids=["static-ib", "seprep"])
+@pytest.mark.parametrize("side", [None, "worker", "caller"])
+def test_no_worker_outlives_a_battery(monkeypatch, name, battery, module,
+                                      in_worker, in_caller, side):
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
+    small = _small(name, train_seeds=2)  # seprep splits a sweep of 6 runs
+    if side is not None:
+        target = in_worker if side == "worker" else in_caller
+        monkeypatch.setattr(module, target, _raising_on(side, getattr(module, target)))
+        with pytest.raises(LookupError, match=side):
+            battery(5, small)
+    else:
+        assert battery(5, small)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_import_leaves_scipy_out():
     # the package needs numpy and the standard library only; scipy's import
     # would cost more start-up time than a whole exact-oracles pass saves

@@ -1,4 +1,7 @@
 import math
+import os
+import pickle
+import time
 
 import numpy as np
 import pytest
@@ -397,8 +400,7 @@ def test_fit_reports_the_step_of_a_non_finite_loss():
 
     with pytest.raises(nn.TrainingDiverged) as err:
         nn.fit({"w": np.array(1.0)}, loss, nn.OptimizerState(schedule=0.1), 10)
-    assert err.value.step == 3
-    assert err.value.run == 0
+    assert (err.value.step, err.value.run, err.value.gradient) == (3, 0, False)
 
 
 def test_fit_reports_the_step_of_a_non_finite_gradient():
@@ -412,7 +414,7 @@ def test_fit_reports_the_step_of_a_non_finite_gradient():
 
     with pytest.raises(nn.TrainingDiverged) as err:
         nn.fit({"w": np.array(1.0)}, loss, nn.OptimizerState(schedule=0.1), 10)
-    assert err.value.step == 2
+    assert (err.value.step, err.value.gradient) == (2, True)
     assert isinstance(err.value.__cause__, FloatingPointError)
 
 
@@ -815,3 +817,75 @@ def test_training_determinism_bitwise():
     b = train(123)
     for name in a:
         assert np.array_equal(a[name], b[name])
+
+
+# ---------------------------------------------------------------------------
+# a worker beside the caller
+# ---------------------------------------------------------------------------
+
+
+def test_training_diverged_survives_pickling():
+    # a forked worker hands its divergence back pickled; the default reduce
+    # would rebuild the message from the message
+    err = nn.TrainingDiverged(5, "training loss non-finite at step 5 "
+                                 "(run 2: beta=0.1, seed=3)", 2, gradient=True)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is nn.TrainingDiverged
+    assert (back.step, back.run, back.gradient, str(back)) == (5, 2, True, str(err))
+    plain = pickle.loads(pickle.dumps(nn.TrainingDiverged(4)))
+    assert (plain.step, plain.run, plain.gradient, str(plain)) == (
+        4, 0, False, "training loss non-finite at step 4")
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
+def cpus(request, monkeypatch):
+    """The CPU count ``nn.beside`` sees: 1 calls in process, 2 forks."""
+    if request.param > 1 and not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+def test_beside_returns_the_result_or_raises_the_error_at_the_join(cpus):
+    caller = os.getpid()
+    with nn.beside(lambda: (os.getpid() != caller, np.arange(3.0))) as join:
+        forked, values = join()
+    assert forked == (cpus > 1) == nn.worker_available()
+    assert np.array_equal(values, np.arange(3.0))
+
+    def diverge():
+        raise nn.TrainingDiverged(3, "training loss non-finite at step 3 "
+                                     "(run 1: beta=0.5, seed=2)", 1)
+
+    with nn.beside(diverge) as join:
+        with pytest.raises(nn.TrainingDiverged) as err:
+            join()
+    assert (err.value.step, err.value.run, str(err.value)) == (
+        3, 1, "training loss non-finite at step 3 (run 1: beta=0.5, seed=2)")
+    _no_child_left()
+
+
+def test_beside_kills_the_worker_of_a_block_that_raises(cpus):
+    started = time.perf_counter()
+    with pytest.raises(LookupError):
+        with nn.beside(lambda: time.sleep(60) if cpus > 1 else None):
+            raise LookupError("the caller's own work failed")
+    assert time.perf_counter() - started < 30
+    _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_beside_reports_a_worker_without_a_usable_outcome(monkeypatch):
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
+    with nn.beside(lambda: (lambda: None)) as join:  # a result that will not pickle
+        with pytest.raises(RuntimeError, match="did not pickle"):
+            join()
+    with nn.beside(lambda: os._exit(3)) as join:
+        with pytest.raises(RuntimeError, match="no result"):
+            join()
+    _no_child_left()
