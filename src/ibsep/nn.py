@@ -36,13 +36,15 @@ does nothing.
 :func:`beside` computes a function in a forked worker while the caller
 does other work, where a second CPU is usable, and in process otherwise;
 the result is the same either way, so callers split independent work
-across the two without moving a bit.
+across the two without moving a bit. Meanwhile NumPy's BLAS keeps to one
+thread, which leaves the second CPU to the worker.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
 import os
 import pickle
@@ -77,7 +79,6 @@ __all__ = [
     "stack_runs",
     "unstack_runs",
     "fit_sweep",
-    "worker_available",
     "beside",
     "LOG_STD_MIN",
     "LOG_STD_MAX",
@@ -98,26 +99,16 @@ class TrainingDiverged(RuntimeError):
 
     Carries the step and the index of the first run that diverged: its
     entry on the run axis of stacked losses, and 0 for a scalar loss.
-    ``gradient`` is whether every loss of the step was finite and a
-    gradient was not; :func:`fit` checks the losses first.
     """
 
-    def __init__(self, step, message=None, run=0, gradient=False):
+    def __init__(self, step, message=None, run=0):
         self.step = step
         self.run = run
-        self.gradient = gradient
         super().__init__(message or f"training loss non-finite at step {step}")
 
     def __reduce__(self):
         # the default would call the class with ``args``, the message alone
-        return type(self), (self.step, self.args[0], self.run, self.gradient)
-
-    @classmethod
-    def in_sweep(cls, configs, step, run, gradient=False):
-        """Run ``run`` of the sweep ``configs`` diverged at ``step``; names its β and seed."""
-        cfg = configs[run]
-        return cls(step, f"training loss non-finite at step {step} "
-                         f"(run {run}: beta={cfg.beta!r}, seed={cfg.seed})", run, gradient)
+        return type(self), (self.step, self.args[0], self.run)
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +732,7 @@ def fit(params: dict, loss_fn, state: OptimizerState, steps: int):
             bad = np.zeros(losses.shape, dtype=bool)
             for g in grads.values():
                 bad |= ~np.isfinite(g.reshape(*losses.shape, -1)).all(axis=-1)
-            raise TrainingDiverged(step, run=int(np.argmax(bad)), gradient=True) from err
+            raise TrainingDiverged(step, run=int(np.argmax(bad))) from err
     return params, curve
 
 
@@ -821,7 +812,11 @@ def fit_sweep(configs, params: list, loss_fn):
     try:
         stacked, curve = fit(stack_runs(params), loss_fn, state, configs[0].steps)
     except TrainingDiverged as err:
-        raise TrainingDiverged.in_sweep(configs, err.step, err.run, err.gradient) from err
+        cfg = configs[err.run]
+        raise TrainingDiverged(
+            err.step, f"training loss non-finite at step {err.step} "
+                      f"(run {err.run}: beta={cfg.beta!r}, seed={cfg.seed})",
+            err.run) from err
     curves = [[{key: value if key == "step" else value[r] for key, value in row.items()}
                for row in curve] for r in range(len(params))]
     return unstack_runs(stacked, params[0]), curves, curve
@@ -833,14 +828,64 @@ def fit_sweep(configs, params: list, loss_fn):
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot say."""
+    """The CPUs this process may run on; 1 where the platform cannot say.
+
+    This is the CPU affinity; a cgroup's CPU quota is not read.
+    """
     getaffinity = getattr(os, "sched_getaffinity", None)
     return len(getaffinity(0)) if getaffinity else 1
 
 
-def worker_available() -> bool:
+def _worker_available() -> bool:
     """Whether :func:`beside` forks: ``os.fork`` exists and two CPUs are usable."""
     return hasattr(os, "fork") and _usable_cpus() >= 2
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_threads():
+    """NumPy's OpenBLAS ``(get_num_threads, set_num_threads)``, or None.
+
+    Looks the symbols up through NumPy's core extension, whose lookup
+    searches the BLAS it links, under the names of OpenBLAS builds with
+    and without NumPy's symbol prefix and 64-bit suffix. None where NumPy
+    links another BLAS.
+    """
+    core = getattr(np, "_core", None) or np.core
+    try:
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Keep NumPy's BLAS to one thread in the block; a no-op without OpenBLAS.
+
+    With a worker beside the caller, the pool's second thread would take
+    the core the worker runs on. OpenBLAS splits the sum of a long dot
+    product across its threads, so a thread count can move bits; the
+    block keeps the one thread in either process layout.
+    """
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def _called(fn) -> tuple:
@@ -910,21 +955,23 @@ class _Forked:
 def beside(fn):
     """Compute ``fn()`` beside the work of the ``with`` block; yields its join.
 
-    Where :func:`worker_available`, a forked worker calls ``fn`` while the
-    block runs, and the yielded ``join()`` waits for it and returns its
+    Where :func:`_worker_available`, a forked worker calls ``fn`` while
+    the block runs, and the yielded ``join()`` waits for it and returns its
     result or raises its exception, each passed back pickled. Otherwise
     ``fn`` is called in process on entry, before the block, and ``join()``
     returns or raises the same. So ``fn`` must not depend on what the
-    block does, and neither sees the other's side effects. Leaving the
-    block reaps the worker on every path; one never joined, because the
-    block raised first, is killed.
+    block does, and neither sees the other's side effects. NumPy's BLAS
+    keeps to one thread for ``fn`` and the block on both paths. Leaving
+    the block reaps the worker on every path; one never joined, because
+    the block raised first, is killed.
     """
-    if not worker_available():
-        outcome = _called(fn)
-        yield lambda: _returned(outcome)
-        return
-    worker = _Forked(fn)
-    try:
-        yield worker.join
-    finally:
-        worker.close()
+    with _one_blas_thread():
+        if not _worker_available():
+            outcome = _called(fn)
+            yield lambda: _returned(outcome)
+            return
+        worker = _Forked(fn)
+        try:
+            yield worker.join
+        finally:
+            worker.close()

@@ -284,43 +284,8 @@ def train_filter(source, configs):
     model and whose curves record (step, loss, ce, info). Raises
     :class:`~ibsep.nn.TrainingDiverged` naming the step and the run's β
     and seed on a non-finite loss or gradient.
-
-    Where :func:`~ibsep.nn.worker_available` and R is at least 4, the
-    first ⌊R/2⌋ runs train as one sweep in a worker :func:`~ibsep.nn.beside`
-    the rest, which changes no bit. (A 3-run sweep split 1 + 2 was slower
-    than in one process: a stacked step costs far less than R lone ones.)
-    A divergence then waits for both halves and names what the R-run
-    sweep would: the earliest step, at that step a non-finite loss before
-    a non-finite gradient, and then the lowest run.
     """
     configs = nn.sweep_configs(configs)
-    half = len(configs) // 2 if nn.worker_available() else 0
-    if half < 2:
-        return _train_sweep(source, configs)
-    with nn.beside(lambda: _train_sweep(source, configs[:half])) as first:
-        rest, rest_err = _trained_or_diverged(lambda: _train_sweep(source, configs[half:]))
-        head, head_err = _trained_or_diverged(first)
-    diverged = [(err.step, err.gradient, offset + err.run)
-                for err, offset in ((head_err, 0), (rest_err, half)) if err is not None]
-    if diverged:
-        step, gradient, run = min(diverged)
-        raise nn.TrainingDiverged.in_sweep(configs, step, run, gradient)
-    curve = [{key: value if key == "step" else value + later[key]
-              for key, value in row.items()}
-             for row, later in zip(head.curve, rest.curve)]
-    return nn.TrainedSweep(head.runs + rest.runs, head.curves + rest.curves, curve)
-
-
-def _trained_or_diverged(train) -> tuple:
-    """``(train(), None)``, or ``(None, err)`` when it raised ``TrainingDiverged``."""
-    try:
-        return train(), None
-    except nn.TrainingDiverged as err:
-        return None, err
-
-
-def _train_sweep(source, configs):
-    """:func:`train_filter`'s sweep of ``configs`` in this process, as one graph."""
     first = configs[0]
     streams = [np.random.SeedSequence(cfg.seed).spawn(3) for cfg in configs]
     data_rngs = [np.random.default_rng(data_ss) for _, data_ss, _ in streams]

@@ -486,8 +486,8 @@ def test_run_static_ib_trains_each_group_of_seeds_as_one_sweep(monkeypatch):
     assert counts["beta0_mean_accuracy"] == counts["hi_beta_mean_info_bound"] == 3
 
 
-def _small(name, **more):
-    return {**{k: v for k, v in FAST.items() if k in harness._DEFAULTS[name]}, **more}
+def _small(name):
+    return {k: v for k, v in FAST.items() if k in harness._DEFAULTS[name]}
 
 
 def _record_bits(records):
@@ -500,19 +500,14 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
 @needs_fork
-@pytest.mark.parametrize("name, battery, small", [
-    ("static-ib", harness.run_static_ib, _small("static-ib")),
-    ("seprep", harness.run_seprep, _small("seprep", train_seeds=2)),
-], ids=["static-ib", "seprep"])
-def test_a_battery_gives_the_same_records_in_one_process_and_in_two(
-        monkeypatch, name, battery, small):
-    # static-ib's exact checks and half of seprep's sweep run in a forked
-    # worker where two CPUs are usable; with one, all of it runs in process
-    seed = harness.experiment_seed(7, name)
+def test_static_ib_gives_the_same_records_in_one_process_and_in_two(monkeypatch):
+    # static-ib's exact checks run in a forked worker where two CPUs are
+    # usable; with one, all of it runs in process
+    seed = harness.experiment_seed(7, "static-ib")
     monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
-    one = battery(seed, small)
+    one = harness.run_static_ib(seed, _small("static-ib"))
     monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
-    two = battery(seed, small)
+    two = harness.run_static_ib(seed, _small("static-ib"))
     assert _record_bits(two) == _record_bits(one)
 
 
@@ -529,23 +524,18 @@ def _raising_on(side, real):
 
 
 @needs_fork
-@pytest.mark.parametrize("name, battery, module, in_worker, in_caller", [
-    ("static-ib", harness.run_static_ib, harness.static_ib, "measure_invariance",
-     "train_ib"),
-    ("seprep", harness.run_seprep, harness.seprep, "_train_sweep", "_train_sweep"),
-], ids=["static-ib", "seprep"])
 @pytest.mark.parametrize("side", [None, "worker", "caller"])
-def test_no_worker_outlives_a_battery(monkeypatch, name, battery, module,
-                                      in_worker, in_caller, side):
+def test_no_worker_outlives_static_ib(monkeypatch, side):
     monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
-    small = _small(name, train_seeds=2)  # seprep splits a sweep of 6 runs
+    small = _small("static-ib")
     if side is not None:
-        target = in_worker if side == "worker" else in_caller
-        monkeypatch.setattr(module, target, _raising_on(side, getattr(module, target)))
+        target = "measure_invariance" if side == "worker" else "train_ib"
+        monkeypatch.setattr(harness.static_ib, target,
+                            _raising_on(side, getattr(harness.static_ib, target)))
         with pytest.raises(LookupError, match=side):
-            battery(5, small)
+            harness.run_static_ib(5, small)
     else:
-        assert battery(5, small)
+        assert harness.run_static_ib(5, small)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import math
-import os
 import re
 
 import numpy as np
@@ -385,63 +384,6 @@ def test_a_sweep_trains_each_run_bit_for_bit_as_a_lone_call():
         for key, value in lone.runs[0].params().items():
             got = sweep.runs[r].params()[key]
             assert got.shape == value.shape and np.array_equal(got, value), key
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("spikes, want", [
-    ({1: 3}, (4, 1)),  # in the worker's half (runs 0 and 1)
-    ({3: 3}, (4, 3)),  # in the caller's half (runs 2 to 4)
-    ({0: 5, 4: 2}, (3, 4)),  # the earliest step wins over the lowest run
-    ({1: 3, 3: 3}, (4, 1)),  # at one step, the lowest run
-], ids=["worker", "caller", "earliest", "lowest"])
-def test_a_split_sweep_raises_the_divergence_of_the_one_process_sweep(
-        monkeypatch, spikes, want):
-    # a learning rate of 1e300 at step s sends run r's loss past float range
-    # at step s + 1; with two usable CPUs the 5 runs train as 2 + 3
-    def rate(at):
-        return lambda k: 1e300 if k == at else 0.02
-
-    src = seprep.lgss_source(scalar_lgss(), 12)
-    configs = [seprep.DynIBConfig(beta=10.0 ** -r, traj_len=12, steps=12, batch=4,
-                                  seed=r, rep_dim=3,
-                                  learning_rate=rate(spikes.get(r)))
-               for r in range(5)]
-    raised = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: cpus)
-        with pytest.raises(nn.TrainingDiverged) as err:
-            seprep.train_filter(src, configs)
-        raised.append((err.value.step, err.value.run, str(err.value)))
-    assert raised[0][:2] == want
-    assert raised[1] == raised[0]
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_split_sweep_names_a_non_finite_loss_before_a_non_finite_gradient(
-        monkeypatch):
-    # per-run loss exp(exp(w + c)) from w = 0: c = log 709 leaves run 0's
-    # loss finite and overflows its gradient, while c = 1000 overflows run
-    # 3's loss; the one-process sweep checks every loss before any gradient
-    def toy_sweep(source, configs):
-        def loss(params, step):
-            c = np.array([[[{0: math.log(709.0), 3: 1000.0}.get(cfg.seed, 0.0)]]
-                          for cfg in configs])
-            w = nn.parameter(params["w"], name="w")
-            return (w + c).exp().exp().sum(axis=(1, 2)), {}
-
-        nn.fit_sweep(configs, [{"w": np.zeros((1, 1))} for _ in configs], loss)
-
-    monkeypatch.setattr(seprep, "_train_sweep", toy_sweep)
-    configs = [seprep.DynIBConfig(beta=10.0 ** -r, traj_len=1, steps=5, batch=1, seed=r)
-               for r in range(4)]
-    raised = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: cpus)
-        with pytest.raises(nn.TrainingDiverged) as err:
-            seprep.train_filter(None, configs)
-        raised.append((err.value.step, err.value.run, err.value.gradient, str(err.value)))
-    assert raised[0][:3] == (0, 3, False)
-    assert raised[1] == raised[0]
 
 
 def test_a_sweep_refuses_configs_that_differ_beyond_beta_and_seed():
